@@ -474,8 +474,9 @@ def write_density_csv(path, experiment: ConvolutionExperiment) -> None:
     err = experiment.density_error_certified
     tail = experiment.tail_estimate
     lines = ["x,density,error_estimate"]
+    bound = repr(float(err + tail))
     for x, d in zip(experiment.density_x, experiment.density):
-        lines.append(f"{x!r},{d!r},{err + tail!r}")
+        lines.append(f"{float(x)!r},{float(d)!r},{bound}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

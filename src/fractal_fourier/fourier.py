@@ -10,7 +10,13 @@ structure of the measure:
   along the stopping tree until every leaf frequency eta satisfies
   2 pi |eta| R <= tol (R the support-ball radius), then close each leaf
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
-  unit weight, so the summed bound is certified.
+  unit weight, so the summed bound is certified.  Homogeneous systems
+  collapse the tree to a product; all others expand a columnar frontier
+  of (frequency row, eta, phase, weight) in blocks of at most
+  ``FRONTIER_BLOCK`` rows, many frequencies at once, with a leaf budget
+  per frequency.  Each frequency's leaf terms are summed pairwise within
+  a block and the block sums are combined with TwoSum compensation, the
+  pairwise summation that ``_roundoff`` assumes.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -48,6 +54,7 @@ from .ifs import (
     DEFAULT_LEAF_BUDGET,
     SelfSimilarIFS,
     _enumerate_stopping,
+    _expand_blocked,
     _homogeneous_depth,
     _homogeneous_leaf_arrays,
     chaos_game,
@@ -66,33 +73,12 @@ def _cis(theta):
     return np.cos(theta) - 1j * np.sin(theta)
 
 
-class _Kahan:
-    """Compensated accumulator for complex scalars."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex):
-        for attr, carry, val in (("re", "cre", z.real), ("im", "cim", z.imag)):
-            v = val + getattr(self, carry)
-            s = getattr(self, attr)
-            t = s + v
-            setattr(self, carry, v - (t - s))
-            setattr(self, attr, t)
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def compensated_sum(values: np.ndarray, chunk: int = 1 << 15) -> complex:
-    """Kahan-combined chunkwise pairwise sum of a complex array."""
-    acc = _Kahan()
-    for start in range(0, values.size, chunk):
-        acc.add(complex(np.sum(values[start : start + chunk])))
-    return acc.value
+    """Chunkwise pairwise sums of a complex array, combined exactly by math.fsum."""
+    if values.size == 0:
+        return 0j
+    sums = np.add.reduceat(values, np.arange(0, values.size, chunk))
+    return complex(math.fsum(sums.real), math.fsum(sums.imag))
 
 
 @dataclass(frozen=True)
@@ -136,15 +122,18 @@ def mu_hat(
 
     The returned ``error_bound`` adds the leaf closure bound
     2 pi |eta| R per unit weight and a roundoff allowance; it certifies
-    |value - mu_hat(xi)| <= error_bound.
+    |value - mu_hat(xi)| <= error_bound.  Non-homogeneous systems expand
+    the stopping tree as a blocked columnar frontier
+    (``_mu_hat_general_many``): leaf terms are summed pairwise per block,
+    block sums combine with TwoSum compensation, and more than ``budget``
+    leaves raise ResourceExceeded("leaf_budget").  ``leaves_used`` is the
+    number of leaves of the tree (N^depth for homogeneous systems).
     """
     if tol <= 0.0:
         raise BadConfig("tol must be positive")
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     k = ifs.ambient_dim
     vec = _freq_vector(xi, k)
-    radius = ifs.support_radius
-    b = ifs.barycenter
     if ifs.is_homogeneous:
         value, err, depth = _mu_hat_homog_single(ifs, vec, tol)
         return FrequencySample(
@@ -154,44 +143,100 @@ def mu_hat(
             scheme="exact_recursion",
             leaves_used=ifs.n_maps**depth,
         )
-    # General path: depth-first expansion carrying (eta, phase, weight);
-    # eta_{w i} = r_i O_i^T eta_w and phase_{w i} = phase_w + <eta_w, t_i>.
-    trans = [m.translation for m in ifs.maps]
-    mats = [m.ratio * m.orientation.T for m in ifs.maps]
-    acc = _Kahan()
-    err_acc = 0.0
-    leaves = 0
-    stack = [(vec, 0.0, 1.0)]
-    while stack:
-        eta, phase, weight = stack.pop()
-        scale = TWO_PI * float(np.linalg.norm(eta)) * radius
-        if scale <= tol:
-            leaves += 1
-            if leaves > budget:
+    values, errors, leaves = _mu_hat_general_many(ifs, vec[None, :], tol, budget)
+    return FrequencySample(
+        xi=vec,
+        value=complex(values[0]),
+        error_bound=float(errors[0]),
+        scheme="exact_recursion",
+        leaves_used=int(leaves[0]),
+    )
+
+
+def _two_sum_into(sums, carry, rows, parts):
+    """sums[:, rows] += parts, keeping each addition's rounding error in carry.
+
+    Knuth's TwoSum: t = s + x is rounded, and (s - (t - z)) + (x - z) with
+    z = t - s is exactly the part of s + x that t lost.  ``rows`` must be
+    distinct.
+    """
+    s = sums[:, rows]
+    t = s + parts
+    z = t - s
+    carry[:, rows] += (s - (t - z)) + (parts - z)
+    sums[:, rows] = t
+
+
+def _mu_hat_general_many(ifs, etas: np.ndarray, tol: float, budget: int):
+    """Self-similarity recursion for every row of ``etas`` (n, k) at once.
+
+    The frontier holds rows (source, eta, phase, weight), starting from
+    (j, etas[j], 0, 1).  A row with 2 pi |eta| R <= tol is a leaf: it adds
+    weight e^{-2 pi i (phase + <eta, b>)} to the value of its source and
+    weight 2 pi |eta| R to its closure bound.  Any other row is replaced by
+    its children (source, r_i O_i^T eta, phase + <eta, t_i>, weight p_i).
+    Rows stay sorted by source within every block (see
+    ``_expand_blocked``), so a block's leaves for one frequency form one
+    contiguous run, summed pairwise by np.add.reduceat; the per-block sums
+    are accumulated with TwoSum compensation.  A frequency whose leaf
+    count passes ``budget`` raises ResourceExceeded.
+
+    Returns (values (n,), error bounds (n,), leaves (n,)); each bound is
+    the closure sum plus ``_roundoff`` of that frequency's leaf count.
+    """
+    n_rows, k = etas.shape
+    n_maps = ifs.n_maps
+    radius = ifs.support_radius
+    b = ifs.barycenter
+    # eta @ step holds the children's frequencies r_i O_i^T eta side by side.
+    step = np.concatenate([m.ratio * m.orientation for m in ifs.maps], axis=1)
+    shifts = np.array([m.translation for m in ifs.maps]).T
+    weights = ifs.weight_array
+    sums = np.zeros((3, n_rows))    # real part, imaginary part, closure bound
+    carry = np.zeros((3, n_rows))
+    leaves = np.zeros(n_rows, dtype=np.int64)
+
+    def expand(block):
+        src, eta, phase, weight = block
+        scale = TWO_PI * np.linalg.norm(eta, axis=1) * radius
+        leaf = scale <= tol
+        if leaf.any():
+            lsrc, lw = src[leaf], weight[leaf]
+            theta = TWO_PI * (phase[leaf] + eta[leaf] @ b)
+            terms = np.stack(
+                [lw * np.cos(theta), -(lw * np.sin(theta)), lw * scale[leaf]]
+            )
+            starts = np.flatnonzero(np.diff(lsrc, prepend=-1))
+            rows = lsrc[starts]
+            leaves[rows] += np.diff(starts, append=len(lsrc))
+            if leaves[rows].max() > budget:
                 raise ResourceExceeded(
                     f"mu_hat expansion exceeded {budget} leaves "
                     f"(set FRACTAL_FOURIER_BUDGET to raise)",
                     "leaf_budget",
                 )
-            theta = TWO_PI * (phase + float(eta @ b))
-            acc.add(weight * complex(math.cos(theta), -math.sin(theta)))
-            err_acc += weight * scale
-            continue
-        for i in range(ifs.n_maps - 1, -1, -1):
-            stack.append(
-                (
-                    mats[i] @ eta,
-                    phase + float(eta @ trans[i]),
-                    weight * ifs.weights[i],
-                )
-            )
-    return FrequencySample(
-        xi=vec,
-        value=acc.value,
-        error_bound=err_acc + _roundoff(leaves),
-        scheme="exact_recursion",
-        leaves_used=leaves,
+            _two_sum_into(sums, carry, rows, np.add.reduceat(terms, starts, axis=1))
+            if leaf.all():
+                return None
+            inner = ~leaf
+            src, eta, phase, weight = src[inner], eta[inner], phase[inner], weight[inner]
+        n = len(src)
+        return (
+            np.repeat(src, n_maps),
+            (eta @ step).reshape(n * n_maps, k),
+            (phase[:, None] + eta @ shifts).ravel(),
+            (weight[:, None] * weights).ravel(),
+        )
+
+    _expand_blocked(
+        (np.arange(n_rows), np.array(etas, dtype=float), np.zeros(n_rows), np.ones(n_rows)),
+        expand,
     )
+    total = sums + carry
+    values = np.empty(n_rows, dtype=complex)
+    values.real, values.imag = total[0], total[1]
+    errors = total[2] + np.array([_roundoff(int(n)) for n in leaves])
+    return values, errors, leaves
 
 
 def _mu_hat_homog_single(ifs, vec, tol):
@@ -646,12 +691,9 @@ def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> _LeafData:
         )
     if ifs.is_homogeneous:
         return _homog_leaf_cache(ifs, _homogeneous_depth(ifs, scale), budget)
-    words = _enumerate_stopping(ifs, scale, budget)
+    ratios, orients, _, weights, anchors, _, _ = _enumerate_stopping(ifs, scale, budget)
     return _LeafData(
-        weights=np.array([w.weight for w in words]),
-        ratios=np.array([w.ratio for w in words]),
-        anchors=np.array([w.anchor for w in words]),
-        orientations=np.array([w.orientation for w in words]),
+        weights=weights, ratios=ratios, anchors=anchors, orientations=orients
     )
 
 
@@ -773,9 +815,7 @@ def pushforward_hat_order1(
     if ifs.is_homogeneous:
         inner_vals, inner_errs, _ = _mu_hat_homog_many(ifs, eta, inner_tol)
     else:
-        singles = [mu_hat(ifs, e, inner_tol, budget=budget) for e in eta]
-        inner_vals = np.array([s.value for s in singles])
-        inner_errs = np.array([s.error_bound for s in singles])
+        inner_vals, inner_errs, _ = _mu_hat_general_many(ifs, eta, inner_tol, budget)
     value = compensated_sum(leaves.weights * _cis(TWO_PI * a_w) * inner_vals)
     taylor = (
         math.pi * xi_norm * hess * radius**2

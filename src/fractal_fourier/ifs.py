@@ -37,6 +37,7 @@ DEDUP_TOL = 1e-8             # orientation-product dedup tolerance
 WEIGHT_SUM_TOL = 1e-12
 FIXED_POINT_TOL = 1e-12      # below this, fixed points count as shared
 DEFAULT_LEAF_BUDGET = 10_000_000
+FRONTIER_BLOCK = 4096       # rows per block of a columnar frontier expansion
 
 SEPARATION_KINDS = ("SSC", "OSC", "ESC", "none")
 
@@ -276,20 +277,6 @@ class CylinderWord:
         return len(self.letters)
 
 
-class _WordArrays:
-    """Column-wise storage of an antichain of cylinder words."""
-
-    __slots__ = ("letters", "ratio", "weight", "translation", "orientation", "anchor")
-
-    def __init__(self, letters, ratio, weight, translation, orientation, anchor):
-        self.letters = letters          # tuple of letter tuples
-        self.ratio = ratio              # (n,)
-        self.weight = weight            # (n,)
-        self.translation = translation  # (n, k)
-        self.orientation = orientation  # (n, k, k)
-        self.anchor = anchor            # (n, k)
-
-
 @dataclass(frozen=True, eq=False)
 class StoppingDecomposition:
     """Cylinder cover of supp(mu) by first-passage words at a given scale."""
@@ -322,45 +309,116 @@ class StoppingDecomposition:
         return len(self.words)
 
 
-def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
-    """Depth-first enumeration of the stopping antichain, lexicographic order."""
-    k = ifs.ambient_dim
-    b = ifs.barycenter
-    out = []
-    # Stack holds (letters, ratio, orientation, translation, weight); children
-    # are pushed in reverse letter order so pops visit letters ascending.
-    root = ((), 1.0, np.eye(k), np.zeros(k), 1.0)
-    stack = [root]
+def _expand_blocked(root: tuple, expand) -> None:
+    """Drive a columnar frontier expansion in blocks of <= FRONTIER_BLOCK rows.
+
+    ``root`` is a tuple of column arrays sharing their first axis.
+    ``expand(block)`` consumes the leaf rows of one block and returns the
+    children of its interior rows as a tuple of the same columns (or
+    None).  Children are expanded breadth-first within a block, while
+    blocks are popped depth-first from a stack, so the stack holds
+    O(n_maps * depth) blocks and memory stays bounded however many
+    leaves the expansion visits.  Small blocks on top of the stack are
+    merged up to the block size.  Blocks are popped in the order of their
+    rows' root ancestors, so a column that children copy from their
+    parent and that is sorted at the root stays sorted within every block.
+    """
+    stack = []
+
+    def push(columns):
+        # last chunk first, so the first chunk is popped next
+        for start in reversed(range(0, len(columns[0]), FRONTIER_BLOCK)):
+            stack.append(tuple(c[start : start + FRONTIER_BLOCK] for c in columns))
+
+    push(root)
     while stack:
-        letters, ratio, orient, trans, weight = stack.pop()
-        if ratio <= scale:
-            out.append(
-                CylinderWord(
-                    letters=letters,
-                    ratio=ratio,
-                    orientation=_readonly(orient),
-                    translation=_readonly(trans),
-                    weight=weight,
-                    anchor=_readonly(ratio * orient @ b + trans),
-                )
-            )
-            if len(out) > budget:
+        parts = [stack.pop()]
+        size = len(parts[0][0])
+        while stack and size + len(stack[-1][0]) <= FRONTIER_BLOCK:
+            parts.append(stack.pop())
+            size += len(parts[-1][0])
+        block = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        children = expand(block)
+        if children is not None:
+            push(children)
+
+
+def _depth_to_scale(ratio: float, scale: float) -> int:
+    """Least d with ratio^d <= scale, accumulated exactly as word ratios are."""
+    depth, acc = 0, 1.0
+    while acc > scale:
+        acc *= ratio
+        depth += 1
+    return depth
+
+
+def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
+    """Columnar enumeration of the stopping antichain.
+
+    Returns (ratios (n,), orientations (n, k, k), translations (n, k),
+    weights (n,), anchors (n, k), letters (n, D), depths (n,)) in
+    expansion order; row j spells the word letters[j, :depths[j]].
+    Children of a word w are w0, w1, ... with ratio r_w r_i, orientation
+    O_w O_i, translation t_w + r_w O_w t_i and weight p_w p_i.
+    """
+    k = ifs.ambient_dim
+    n_maps = ifs.n_maps
+    map_ratios = ifs.ratios
+    map_weights = ifs.weight_array
+    map_orients = np.array([m.orientation for m in ifs.maps])       # (N, k, k)
+    map_trans = np.array([m.translation for m in ifs.maps]).T       # (k, N)
+    # Rounding is monotone, so no accumulated word ratio exceeds the
+    # accumulated max_ratio^d: every leaf has depth <= width.
+    width = _depth_to_scale(float(map_ratios.max()), scale)
+    letter_ids = np.arange(n_maps, dtype=np.min_scalar_type(n_maps))
+    leaves = []
+    n_leaves = 0
+
+    def expand(block):
+        nonlocal n_leaves
+        leaf = block[0] <= scale
+        n_new = int(np.count_nonzero(leaf))
+        if n_new:
+            n_leaves += n_new
+            if n_leaves > budget:
                 raise ResourceExceeded(
                     f"stopping decomposition exceeds {budget} leaves", "leaf_budget"
                 )
-            continue
-        for i in range(ifs.n_maps - 1, -1, -1):
-            m = ifs.maps[i]
-            stack.append(
-                (
-                    letters + (i,),
-                    ratio * m.ratio,
-                    orient @ m.orientation,
-                    trans + ratio * orient @ m.translation,
-                    weight * ifs.weights[i],
-                )
-            )
-    return tuple(out)
+            leaves.append(tuple(col[leaf] for col in block))
+            if n_new == len(leaf):
+                return None
+            block = tuple(col[~leaf] for col in block)
+        ratio, orient, trans, weight, letters, depth = block
+        n = len(ratio)
+        rows = np.arange(n * n_maps)
+        child_letters = np.repeat(letters, n_maps, axis=0)
+        child_letters[rows, np.repeat(depth, n_maps)] = np.tile(letter_ids, n)
+        child_trans = trans[:, None, :] + ratio[:, None, None] * np.swapaxes(
+            orient @ map_trans, 1, 2
+        )
+        return (
+            (ratio[:, None] * map_ratios).ravel(),
+            (orient[:, None] @ map_orients).reshape(n * n_maps, k, k),
+            child_trans.reshape(n * n_maps, k),
+            (weight[:, None] * map_weights).ravel(),
+            child_letters,
+            np.repeat(depth + 1, n_maps),
+        )
+
+    root = (
+        np.ones(1),
+        np.eye(k)[None],
+        np.zeros((1, k)),
+        np.ones(1),
+        np.zeros((1, width), dtype=letter_ids.dtype),
+        np.zeros(1, dtype=np.int64),
+    )
+    _expand_blocked(root, expand)
+    ratios, orients, trans, weights, letters, depths = (
+        np.concatenate(cols) for cols in zip(*leaves)
+    )
+    anchors = ratios[:, None] * (orients @ ifs.barycenter) + trans
+    return ratios, orients, trans, weights, anchors, letters, depths
 
 
 def stopping_decomposition(
@@ -372,11 +430,31 @@ def stopping_decomposition(
 
     Every returned word has ratio <= scale while its parent prefix has
     ratio > scale; ratios therefore lie in [min_ratio * scale, scale] and
-    weights sum to one.
+    weights sum to one.  Words come in lexicographic order.
     """
     if not (0.0 < scale < 1.0):
         raise BadConfig(f"scale must lie in (0, 1), got {scale}")
-    words = _enumerate_stopping(ifs, scale, budget)
+    ratios, orients, trans, weights, anchors, letters, depths = _enumerate_stopping(
+        ifs, scale, budget
+    )
+    # Antichain words are never prefixes of each other, so the zero padding
+    # past each word's depth never decides the order.
+    order = np.lexsort(letters.T[::-1])
+    ratios, orients, trans, weights, anchors = (
+        _readonly(a[order]) for a in (ratios, orients, trans, weights, anchors)
+    )
+    letters, depths = letters[order].tolist(), depths[order].tolist()
+    words = tuple(
+        CylinderWord(
+            letters=tuple(letters[j][: depths[j]]),
+            ratio=float(ratios[j]),
+            orientation=orients[j],
+            translation=trans[j],
+            weight=float(weights[j]),
+            anchor=anchors[j],
+        )
+        for j in range(len(depths))
+    )
     return StoppingDecomposition(
         scale=scale, ratio_floor=ifs.min_ratio * scale, words=words
     )
@@ -384,12 +462,7 @@ def stopping_decomposition(
 
 def _homogeneous_depth(ifs: SelfSimilarIFS, scale: float) -> int:
     """Least d with r^d <= scale, accumulated exactly as word ratios are."""
-    depth, ratio = 0, 1.0
-    r = ifs.maps[0].ratio
-    while ratio > scale:
-        ratio *= r
-        depth += 1
-    return depth
+    return _depth_to_scale(ifs.maps[0].ratio, scale)
 
 
 def _homogeneous_leaf_arrays(ifs: SelfSimilarIFS, depth: int, budget: int):

@@ -7,6 +7,7 @@ calls (first call pays numpy and cache warmup).
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -44,6 +45,7 @@ from fractal_fourier.ifs import (
 
 LOG23 = math.log(2.0) / math.log(3.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def report(number, ok, detail):
@@ -443,7 +445,12 @@ def _run_cli(tmp_path, tag, threads, args):
         str(threads),
         *[a.replace("@OUT@", str(out_dir)) for a in args],
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=str(CONFIGS))
+    # The CLI runs from configs/, so a relative PYTHONPATH would not resolve.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=str(CONFIGS), env=env)
     assert proc.returncode == 0, proc.stderr
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 

@@ -192,6 +192,31 @@ class TestFourier:
         assert code == 4
         assert "leaf_budget" in capsys.readouterr().err
 
+    def test_order1_inner_budget_exit_4(self, tmp_path, monkeypatch, capsys):
+        # The 233 outer leaves fit; the largest inner frequency needs 377.
+        mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
+        monkeypatch.setenv("FRACTAL_FOURIER_BUDGET", "300")
+        code = main(
+            [
+                "fourier",
+                "--ifs",
+                str(mixed),
+                "--scheme",
+                "order1",
+                "--map",
+                '{"kind": "square"}',
+                "--xi-list",
+                "300",
+                "--tol",
+                "1e-3",
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "leaf_budget" in err and "mu_hat expansion" in err
+
     def test_map_required_for_order0(self):
         code = main(
             ["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0"]

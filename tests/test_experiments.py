@@ -16,6 +16,7 @@ from fractal_fourier.experiments import (
     multiplicative_convolution,
     octave_frequencies,
     radial_projection_experiment,
+    write_density_csv,
 )
 from fractal_fourier.fourier import constant_map, identity_map, square_map
 from fractal_fourier.ifs import ifs_1d
@@ -138,6 +139,18 @@ class TestConvolution:
         rho, _ = _invert(e, t)
         rhs = np.trapezoid(rho**2, t)
         assert lhs == pytest.approx(rhs, rel=0.02)
+
+    def test_density_csv_cells_are_plain_floats(self, small_uniform_experiment, tmp_path):
+        path = tmp_path / "density.csv"
+        write_density_csv(path, small_uniform_experiment)
+        header, *rows = path.read_text().strip().split("\n")
+        assert header == "x,density,error_estimate"
+        assert len(rows) == len(small_uniform_experiment.density)
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 3
+            for cell in cells:
+                float(cell)
 
     def test_support_positivity_enforced(self, uniform01):
         with pytest.raises(SupportNotPositive):

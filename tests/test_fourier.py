@@ -11,6 +11,8 @@ from fractal_fourier.errors import (
 )
 from fractal_fourier.fourier import (
     PushforwardMap,
+    _mu_hat_general_many,
+    _roundoff,
     compensated_sum,
     constant_map,
     cube_map,
@@ -30,7 +32,14 @@ from fractal_fourier.fourier import (
     sum_of_squares_map,
     write_samples_csv,
 )
-from fractal_fourier.ifs import _homogeneous_leaf_arrays, ifs_1d
+from fractal_fourier.ifs import (
+    FRONTIER_BLOCK,
+    SelfSimilarIFS,
+    SimilarityMap,
+    _homogeneous_leaf_arrays,
+    ifs_1d,
+    stopping_decomposition,
+)
 
 
 def cantor_closed_form(xi):
@@ -138,6 +147,127 @@ class TestMuHat:
             mu_hat(cantor, 1.0, tol=0.0)
 
 
+def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
+    """Per-leaf depth-first evaluation of the self-similarity recursion.
+
+    Carries (eta, phase, weight) down the stopping tree with
+    eta_{wi} = r_i O_i^T eta_w and phase_{wi} = phase_w + <eta_w, t_i>,
+    visiting letters in ascending order; a leaf (2 pi |eta| R <= tol)
+    contributes weight e^{-2 pi i (phase + <eta, b>)} and closure bound
+    weight 2 pi |eta| R.  Leaf terms are summed exactly with math.fsum.
+    Returns (value, error_bound, leaves).
+    """
+    vec = np.atleast_1d(np.asarray(xi, dtype=float))
+    radius = ifs.support_radius
+    b = ifs.barycenter
+    trans = [m.translation for m in ifs.maps]
+    mats = [m.ratio * m.orientation.T for m in ifs.maps]
+    re, im = [], []
+    err_acc = 0.0
+    leaves = 0
+    stack = [(vec, 0.0, 1.0)]
+    while stack:
+        eta, phase, weight = stack.pop()
+        scale = 2.0 * math.pi * float(np.linalg.norm(eta)) * radius
+        if scale <= tol:
+            leaves += 1
+            if leaves > budget:
+                raise ResourceExceeded("reference budget", "leaf_budget")
+            theta = 2.0 * math.pi * (phase + float(eta @ b))
+            re.append(weight * math.cos(theta))
+            im.append(-weight * math.sin(theta))
+            err_acc += weight * scale
+            continue
+        for i in range(ifs.n_maps - 1, -1, -1):
+            stack.append(
+                (mats[i] @ eta, phase + float(eta @ trans[i]), weight * ifs.weights[i])
+            )
+    value = complex(math.fsum(re), math.fsum(im))
+    return value, err_acc + _roundoff(leaves), leaves
+
+
+def _random_reversing_system(seed):
+    """Non-homogeneous system on the line; map 0 reverses orientation."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    signs = rng.choice([-1, 1], size=n)
+    signs[0] = -1
+    return ifs_1d(
+        rng.uniform(0.15, 0.4, size=n).tolist(),
+        rng.uniform(-1.0, 1.0, size=n).tolist(),
+        rng.dirichlet(np.ones(n)).tolist(),
+        signs.tolist(),
+    )
+
+
+def _rotated_planar_system():
+    def rot(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    flip = np.diag([1.0, -1.0])
+    maps = (
+        SimilarityMap(0.4, rot(0.3), np.array([0.0, 0.0])),
+        SimilarityMap(0.3, rot(2.1) @ flip, np.array([1.0, 0.2])),
+        SimilarityMap(0.25, rot(-1.2), np.array([0.3, 0.9])),
+    )
+    return SelfSimilarIFS(maps, (0.4, 0.35, 0.25))
+
+
+def _assert_matches(value, bound, leaves, ref_value, ref_bound, ref_leaves):
+    assert leaves == ref_leaves
+    assert abs(value - ref_value) <= 1e-14
+    assert abs(bound - ref_bound) <= 1e-12 * ref_bound
+
+
+class TestBatchedRecursion:
+    """The blocked frontier evaluator against the per-leaf DFS."""
+
+    CASES = [(_random_reversing_system(seed), xi) for seed in range(6) for xi in (2.5, -17.0)]
+
+    @pytest.mark.parametrize("system, xi", CASES)
+    def test_matches_dfs_reversing_line(self, system, xi):
+        assert not system.is_homogeneous
+        s = mu_hat(system, xi, tol=1e-3)
+        _assert_matches(
+            s.value, s.error_bound, s.leaves_used, *_mu_hat_dfs_reference(system, xi, 1e-3)
+        )
+
+    def test_matches_dfs_rotated_plane(self):
+        system = _rotated_planar_system()
+        assert not system.is_homogeneous
+        for xi in (np.array([2.0, -1.0]), np.array([-0.5, 3.5])):
+            s = mu_hat(system, xi, tol=1e-3)
+            _assert_matches(
+                s.value, s.error_bound, s.leaves_used,
+                *_mu_hat_dfs_reference(system, xi, 1e-3),
+            )
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_many_rows_match_single_calls(self, planar):
+        system = _rotated_planar_system() if planar else _random_reversing_system(3)
+        rng = np.random.default_rng(15)
+        etas = rng.uniform(-8.0, 8.0, size=(40, system.ambient_dim))
+        etas[5] = 0.0
+        etas[6] = -etas[7]
+        values, bounds, leaves = _mu_hat_general_many(system, etas, 1e-3, 10**7)
+        # the frontier spans many blocks, so blocks mix frequencies
+        assert leaves.sum() > 4 * FRONTIER_BLOCK
+        for j, eta in enumerate(etas):
+            s = mu_hat(system, eta, tol=1e-3)
+            _assert_matches(
+                values[j], bounds[j], leaves[j], s.value, s.error_bound, s.leaves_used
+            )
+
+    def test_budget_is_per_frequency(self, mixed_ratios):
+        etas = np.array([[1.0], [40.0], [2.0]])
+        _, _, leaves = _mu_hat_general_many(mixed_ratios, etas, 1e-4, 10**7)
+        _mu_hat_general_many(mixed_ratios, etas, 1e-4, int(leaves.max()))
+        with pytest.raises(ResourceExceeded) as info:
+            _mu_hat_general_many(mixed_ratios, etas, 1e-4, int(leaves.max()) - 1)
+        assert info.value.budget_name == "leaf_budget"
+
+
 class TestOrder0:
     def test_identity_matches_mu_hat(self, cantor):
         idm = identity_map(cantor)
@@ -209,6 +339,18 @@ class TestOrder1:
         s1 = pushforward_hat_order1(oracle_ifs, sq, 300.0, tol=1e-4)
         s0 = pushforward_hat_order0(oracle_ifs, sq, 300.0, tol=1e-4)
         assert abs(s0.value - s1.value) <= s0.error_bound + s1.error_bound
+
+    def test_inner_budget_enforced(self, mixed_ratios):
+        # 233 outer leaves fit the budget; the largest inner frequency needs
+        # 377 leaves, so the batched inner evaluation is what raises.
+        sq = square_map(mixed_ratios)
+        scale = math.sqrt(0.5e-3 / (math.pi * 300.0 * sq.hessian_bound))
+        assert len(stopping_decomposition(mixed_ratios, scale / mixed_ratios.support_radius)) <= 300
+        with pytest.raises(ResourceExceeded) as info:
+            pushforward_hat_order1(mixed_ratios, sq, 300.0, tol=1e-3, budget=300)
+        assert info.value.budget_name == "leaf_budget"
+        assert "mu_hat expansion" in str(info.value)
+        pushforward_hat_order1(mixed_ratios, sq, 300.0, tol=1e-3, budget=377)
 
     def test_missing_hessian(self, cantor):
         raw = PushforwardMap(

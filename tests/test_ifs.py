@@ -106,7 +106,52 @@ class TestSupportBall:
         assert np.array_equal(a, b)
 
 
+def _stopping_words_reference(ifs, scale):
+    """Depth-first first-passage words, visited in lexicographic order.
+
+    Returns (letters, ratio, orientation, translation, weight) per word.
+    """
+    k = ifs.ambient_dim
+    out = []
+    stack = [((), 1.0, np.eye(k), np.zeros(k), 1.0)]
+    while stack:
+        letters, ratio, orient, trans, weight = stack.pop()
+        if ratio <= scale:
+            out.append((letters, ratio, orient, trans, weight))
+            continue
+        for i in reversed(range(ifs.n_maps)):
+            m = ifs.maps[i]
+            stack.append(
+                (
+                    letters + (i,),
+                    ratio * m.ratio,
+                    orient @ m.orientation,
+                    trans + ratio * orient @ m.translation,
+                    weight * ifs.weights[i],
+                )
+            )
+    return out
+
+
 class TestStoppingDecomposition:
+    def test_matches_depth_first_reference_planar(self):
+        rng = np.random.default_rng(16)
+        system = SelfSimilarIFS(
+            tuple(random_similarity(rng, 2) for _ in range(3)), (0.5, 0.3, 0.2)
+        )
+        scale = 0.1
+        dec = stopping_decomposition(system, scale)
+        ref = _stopping_words_reference(system, scale)
+        assert len(dec) > 100
+        assert [w.letters for w in dec.words] == [r[0] for r in ref]
+        b = system.barycenter
+        for w, (_, ratio, orient, trans, weight) in zip(dec.words, ref):
+            assert w.ratio == pytest.approx(ratio, rel=1e-12)
+            assert w.weight == pytest.approx(weight, rel=1e-12)
+            assert w.orientation == pytest.approx(orient, abs=1e-12)
+            assert w.translation == pytest.approx(trans, abs=1e-12)
+            assert w.anchor == pytest.approx(ratio * orient @ b + trans, abs=1e-12)
+
     def test_cantor_scale_one_ninth(self, cantor):
         dec = stopping_decomposition(cantor, 1 / 9)
         assert len(dec) == 4
