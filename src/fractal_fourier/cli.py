@@ -161,18 +161,17 @@ def cmd_dims(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    doc = ifsmod.load_ifs(args.ifs) if args.ifs else None
     if args.profile:
         profile = dims.load_profile(args.profile)
-    elif args.ifs:
-        doc = ifsmod.load_ifs(args.ifs)
+    elif doc is not None:
         separation = args.separation or doc.declared_separation
         profile = dims.build_profile(doc.ifs, separation, doc.exponents)
     else:
         raise BadConfig("bounds needs --ifs or --profile")
     curvature_ok = True if args.assume_curvature else None
     non_expanding = True if args.assume_non_expanding else None
-    if args.ifs and non_expanding is None:
-        doc = ifsmod.load_ifs(args.ifs)
+    if doc is not None and non_expanding is None:
         verdict = ifsmod.non_expanding_heuristic(doc.ifs)
         if verdict is ifsmod.GrowthVerdict.NON_EXPANDING:
             non_expanding = True
@@ -314,7 +313,6 @@ _CONV_OPTIONAL = (
     "density_points",
     "density_budget",
     "tol",
-    "seed",
 )
 
 
@@ -339,7 +337,7 @@ def cmd_convolve(args) -> int:
         factors,
         max_frequency=float(cfg.get("max_frequency", 2.0**14)),
         density_points=int(cfg.get("density_points", 512)),
-        density_budget=float(cfg.get("density_budget", 0.01)),
+        density_budget=float(cfg.get("density_budget", xp.DEFAULT_DENSITY_BUDGET)),
         tol=float(cfg.get("tol", 1e-4)),
         threads=args.threads,
         budget=_budget(),

@@ -34,6 +34,8 @@ from .fourier import (
 )
 from .ifs import SelfSimilarIFS
 
+DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
+
 
 @dataclass(frozen=True)
 class OctaveStat:
@@ -322,7 +324,7 @@ def multiplicative_convolution(
     factors: Sequence[ConvolutionFactor],
     max_frequency: float = 2.0**14,
     density_points: int = 512,
-    density_budget: float = 0.02,
+    density_budget: float = DEFAULT_DENSITY_BUDGET,
     tol: float = 1e-4,
     threads: int = 1,
     budget: Optional[int] = None,

@@ -36,8 +36,9 @@ with merely estimated bounds mark their samples as uncertified.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -53,10 +54,9 @@ from .errors import (
 from .ifs import (
     DEFAULT_LEAF_BUDGET,
     SelfSimilarIFS,
+    _checked_count,
     _enumerate_stopping,
     _expand_blocked,
-    _homogeneous_depth,
-    _homogeneous_leaf_arrays,
     chaos_game,
 )
 
@@ -329,10 +329,6 @@ class PushforwardMap:
         return self.evaluator(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def _ball_sup(ifs: SelfSimilarIFS) -> float:
-    return ifs.max_point_norm
-
-
 def identity_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     k = ifs.ambient_dim
     return PushforwardMap(
@@ -365,7 +361,7 @@ def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     """f(x) = x^2 on the line; |f'| <= 2 sup|x|, f'' = 2."""
     if ifs.ambient_dim != 1:
         raise Unsupported("square_map is one-dimensional; see sum_of_squares_map")
-    sup = _ball_sup(ifs)
+    sup = ifs.max_point_norm
     return PushforwardMap(
         evaluator=lambda pts: pts[:, 0] ** 2,
         in_dim=1,
@@ -380,7 +376,7 @@ def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
 
 def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     """f(x) = x^3 on the line; curvature vanishes at the origin."""
-    sup = _ball_sup(ifs)
+    sup = ifs.max_point_norm
     return PushforwardMap(
         evaluator=lambda pts: pts[:, 0] ** 3,
         in_dim=1,
@@ -396,7 +392,7 @@ def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
 def sum_of_squares_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     """f(x) = x_1^2 + ... + x_k^2; Hessian 2I everywhere."""
     k = ifs.ambient_dim
-    sup = _ball_sup(ifs)
+    sup = ifs.max_point_norm
     return PushforwardMap(
         evaluator=lambda pts: np.sum(pts**2, axis=1),
         in_dim=k,
@@ -487,7 +483,7 @@ def quadratic_map(
         return jac[:, 0, :] if d == 1 else jac
 
     spectral = np.array([np.linalg.norm(h, 2) for h in hessians])
-    sup = _ball_sup(ifs)
+    sup = ifs.max_point_norm
     lipschitz = float(np.linalg.norm(spectral * sup + np.linalg.norm(lin, axis=1)))
     hessian_bound = float(np.linalg.norm(spectral))
     return PushforwardMap(
@@ -600,7 +596,7 @@ def estimate_bounds(
     every sample computed with it) as uncertified.
     """
     pts = chaos_game(ifs, n_samples, seed=seed)
-    h = 1e-5 * (1.0 + _ball_sup(ifs))
+    h = 1e-5 * (1.0 + ifs.max_point_norm)
     lip = pmap.lipschitz_bound
     hess = pmap.hessian_bound
     if lip is None:
@@ -656,45 +652,71 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 class _LeafData:
-    """Columnar stopping-decomposition data used by the quadratures."""
+    """Read-only columns of one stopping cover, as the quadratures use them."""
 
-    __slots__ = ("weights", "ratios", "anchors", "orientation", "orientations", "n")
+    __slots__ = ("weights", "ratios", "anchors", "orientations", "n", "nbytes")
 
-    def __init__(self, weights, ratios, anchors, orientation=None, orientations=None):
-        self.weights = weights
-        self.ratios = ratios
-        self.anchors = anchors
-        self.orientation = orientation      # shared (k, k) for homogeneous
-        self.orientations = orientations    # per-leaf (n, k, k) otherwise
+    def __init__(self, weights, ratios, anchors, orientations):
+        self.weights = weights                  # (n,)
+        self.ratios = ratios                    # (n,)
+        self.anchors = anchors                  # (n, k)
+        self.orientations = orientations        # (n, k, k)
         self.n = len(weights)
+        self.nbytes = sum(a.nbytes for a in (weights, ratios, anchors, orientations))
+        for arr in (weights, ratios, anchors, orientations):
+            arr.setflags(write=False)
 
 
-@lru_cache(maxsize=64)
-def _homog_leaf_cache(ifs: SelfSimilarIFS, depth: int, budget: int) -> _LeafData:
-    ratio, orient, weights, _, anchors = _homogeneous_leaf_arrays(ifs, depth, budget)
-    return _LeafData(
-        weights=weights,
-        ratios=np.full(len(weights), ratio),
-        anchors=anchors,
-        orientation=orient,
-    )
+COVER_CACHE_BYTES = 256 * 2**20     # total size of the cached stopping covers
+
+
+class _CoverCache:
+    """Least-recently-used stopping covers, at most ``max_bytes`` in total.
+
+    Shared by the ``pushforward_batch`` worker threads, hence the lock.
+    A cover larger than ``max_bytes`` is returned without being stored.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def fetch(self, key, build: Callable[[], _LeafData]) -> _LeafData:
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        leaves = build()    # unlocked, so other threads keep hitting meanwhile
+        with self._lock:
+            if leaves.nbytes <= self.max_bytes and key not in self._entries:
+                self._entries[key] = leaves
+                self.nbytes += leaves.nbytes
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return leaves
+
+
+_COVER_CACHE = _CoverCache(COVER_CACHE_BYTES)
 
 
 def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> _LeafData:
-    if scale >= 1.0:
-        k = ifs.ambient_dim
-        return _LeafData(
-            weights=np.ones(1),
-            ratios=np.ones(1),
-            anchors=ifs.barycenter[None, :],
-            orientation=np.eye(k),
+    """The stopping cover at ``scale`` (the root alone when 1 <= scale).
+
+    The exact leaf count is checked against ``budget`` before the cache is
+    consulted.  The cache key is (ifs, snapped_scale), the largest leaf
+    ratio, so every scale with the same cover shares one entry.
+    """
+    _, snapped = _checked_count(ifs, scale, budget)
+
+    def build():
+        ratios, orients, _, weights, anchors, _, _ = _enumerate_stopping(
+            ifs, snapped, budget
         )
-    if ifs.is_homogeneous:
-        return _homog_leaf_cache(ifs, _homogeneous_depth(ifs, scale), budget)
-    ratios, orients, _, weights, anchors, _, _ = _enumerate_stopping(ifs, scale, budget)
-    return _LeafData(
-        weights=weights, ratios=ratios, anchors=anchors, orientations=orients
-    )
+        return _LeafData(weights, ratios, anchors, orients)
+
+    return _COVER_CACHE.fetch((ifs, snapped), build)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +770,13 @@ def pushforward_hat_order0(
     )
 
 
+def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
+    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2."""
+    if hess == 0.0:
+        return math.inf
+    return math.sqrt(0.5 * tol / (math.pi * xi_norm * hess)) / ifs.support_radius
+
+
 def _order1_leaf_terms(ifs, pmap, leaves: _LeafData, vec):
     """Per-leaf phase constants and inner frequencies for the order-1 scheme.
 
@@ -763,12 +792,7 @@ def _order1_leaf_terms(ifs, pmap, leaves: _LeafData, vec):
     else:
         zeta = np.einsum("ndk,d->nk", grads, vec)
         f_phase = f_vals @ vec
-    if leaves.orientation is not None:
-        eta = leaves.ratios[:, None] * (zeta @ leaves.orientation)
-    else:
-        eta = leaves.ratios[:, None] * np.einsum(
-            "nij,ni->nj", leaves.orientations, zeta
-        )
+    eta = leaves.ratios[:, None] * np.einsum("nij,ni->nj", leaves.orientations, zeta)
     a_w = f_phase - eta @ ifs.barycenter
     return a_w, eta
 
@@ -801,15 +825,10 @@ def pushforward_hat_order1(
         raise BadConfig("order1 needs a gradient evaluator")
     hess = pmap.hessian_bound
     radius = ifs.support_radius
-    tol_taylor = 0.5 * tol
     if inner_tol is None:
         inner_tol = 0.5 * tol
     if scale is None:
-        scale = (
-            math.inf
-            if hess == 0.0
-            else math.sqrt(tol_taylor / (math.pi * xi_norm * hess)) / radius
-        )
+        scale = _order1_scale(ifs, hess, tol, xi_norm)
     leaves = _leaf_data(ifs, scale, budget)
     a_w, eta = _order1_leaf_terms(ifs, pmap, leaves, vec)
     if ifs.is_homogeneous:
@@ -898,7 +917,6 @@ def _batch_scalar_order1_homog(
     errors[zero_mask] = 0.0
     leaves_used[zero_mask] = 1
 
-    tol_taylor = 0.5 * tol
     active = np.flatnonzero(~zero_mask)
     if len(active) == 0:
         return values, errors, leaves_used
@@ -911,21 +929,17 @@ def _batch_scalar_order1_homog(
         for octave in np.unique(octaves):
             idx = active[octaves == octave]
             groups.append(idx)
-            xi_top = float(abs_xi[idx].max())
-            scales.append(
-                math.inf
-                if hess == 0.0
-                else math.sqrt(tol_taylor / (math.pi * xi_top * hess)) / radius
-            )
+            scales.append(_order1_scale(ifs, hess, tol, float(abs_xi[idx].max())))
 
+    # The smallest scale has the largest cover: check it before expanding any.
+    _checked_count(ifs, min(scales), budget)
     prepared = []
     eta_max = 0.0
     for idx, grp_scale in zip(groups, scales):
         leaves = _leaf_data(ifs, grp_scale, budget)
         f_vals = pmap.evaluator(leaves.anchors)
         grads = pmap.gradient(leaves.anchors)[:, 0]
-        orient = float(leaves.orientation[0, 0])
-        b_coef = leaves.ratios * orient * grads
+        b_coef = leaves.ratios * leaves.orientations[:, 0, 0] * grads
         a_coef = f_vals - b_coef * float(ifs.barycenter[0])
         prepared.append((idx, leaves, a_coef, b_coef))
         eta_max = max(
@@ -1064,7 +1078,7 @@ def curvature_diagnostic(
     if pmap.hessian is not None:
         hmats = pmap.hessian(pts)
     else:
-        hmats = _fd_hessian_scalar(pmap, pts, 1e-4 * (1.0 + _ball_sup(ifs)))
+        hmats = _fd_hessian_scalar(pmap, pts, 1e-4 * (1.0 + ifs.max_point_norm))
     dets = np.linalg.det(hmats)
     min_abs = float(np.abs(dets).min())
     return min_abs, bool(min_abs < 1e-8)

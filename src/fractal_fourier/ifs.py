@@ -343,13 +343,67 @@ def _expand_blocked(root: tuple, expand) -> None:
             push(children)
 
 
-def _depth_to_scale(ratio: float, scale: float) -> int:
-    """Least d with ratio^d <= scale, accumulated exactly as word ratios are."""
-    depth, acc = 0, 1.0
-    while acc > scale:
-        acc *= ratio
-        depth += 1
-    return depth
+def _root_columns(k: int) -> tuple:
+    """Columns (ratio, orientation, translation, weight) of the empty word."""
+    return np.ones(1), np.eye(k)[None], np.zeros((1, k)), np.ones(1)
+
+
+def _child_columns(ifs: SelfSimilarIFS, ratio, orient, trans, weight) -> tuple:
+    """Columns of the children w0, w1, ... of every row w, parent-major.
+
+    Child wi has ratio r_w r_i, orientation O_w O_i, translation
+    t_w + r_w O_w t_i and weight p_w p_i.
+    """
+    n, k = trans.shape
+    n_maps = ifs.n_maps
+    map_orients = np.array([m.orientation for m in ifs.maps])       # (N, k, k)
+    map_trans = np.array([m.translation for m in ifs.maps]).T       # (k, N)
+    child_trans = trans[:, None, :] + ratio[:, None, None] * np.swapaxes(
+        orient @ map_trans, 1, 2
+    )
+    return (
+        (ratio[:, None] * ifs.ratios).ravel(),
+        (orient[:, None] @ map_orients).reshape(n * n_maps, k, k),
+        child_trans.reshape(n * n_maps, k),
+        (weight[:, None] * ifs.weight_array).ravel(),
+    )
+
+
+def _count_stopping(ifs: SelfSimilarIFS, scale: float):
+    """Exact size of the stopping cover at ``scale``, without building it.
+
+    Returns (n_leaves, snapped_scale).  The tree is expanded as a map from
+    accumulated float ratio to multiplicity, multiplying rho * r_i as the
+    enumerator does, so words sharing a float ratio have identical
+    subtrees and merging them keeps the count exact.  ``snapped_scale`` is
+    the largest leaf ratio: every interior word has ratio > scale >=
+    snapped_scale, so the cover at snapped_scale is the cover at scale.
+    """
+    if not scale > 0.0:     # NaN included: no word would ever stop
+        raise BadConfig(f"stopping scale must be positive, got {scale}")
+    level, n_leaves, snapped = {1.0: 1}, 0, 0.0
+    while level:
+        children = {}
+        for rho, mult in level.items():
+            if rho <= scale:
+                n_leaves += mult
+                snapped = max(snapped, rho)
+            else:
+                for r in ifs.ratios.tolist():
+                    children[rho * r] = children.get(rho * r, 0) + mult
+        level = children
+    return n_leaves, snapped
+
+
+def _checked_count(ifs: SelfSimilarIFS, scale: float, budget: int):
+    """``_count_stopping``, raising ResourceExceeded past ``budget`` leaves."""
+    n_leaves, snapped = _count_stopping(ifs, scale)
+    if n_leaves > budget:
+        raise ResourceExceeded(
+            f"stopping cover at scale {scale:.6g} needs {n_leaves} leaves > budget {budget}",
+            "leaf_budget",
+        )
+    return n_leaves, snapped
 
 
 def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
@@ -358,58 +412,41 @@ def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
     Returns (ratios (n,), orientations (n, k, k), translations (n, k),
     weights (n,), anchors (n, k), letters (n, D), depths (n,)) in
     expansion order; row j spells the word letters[j, :depths[j]].
-    Children of a word w are w0, w1, ... with ratio r_w r_i, orientation
-    O_w O_i, translation t_w + r_w O_w t_i and weight p_w p_i.
+    Children follow ``_child_columns``.  The leaf count is computed
+    exactly first (``_count_stopping``), so a cover of more than
+    ``budget`` leaves raises ResourceExceeded("leaf_budget"), naming the
+    count, before any expansion.  For 1 <= scale the cover is the root.
+    Homogeneous covers come out in lexicographic order: all their leaves
+    share one depth, and each block keeps its parents' order.
     """
+    _checked_count(ifs, scale, budget)
     k = ifs.ambient_dim
     n_maps = ifs.n_maps
-    map_ratios = ifs.ratios
-    map_weights = ifs.weight_array
-    map_orients = np.array([m.orientation for m in ifs.maps])       # (N, k, k)
-    map_trans = np.array([m.translation for m in ifs.maps]).T       # (k, N)
     # Rounding is monotone, so no accumulated word ratio exceeds the
     # accumulated max_ratio^d: every leaf has depth <= width.
-    width = _depth_to_scale(float(map_ratios.max()), scale)
+    width, acc, max_ratio = 0, 1.0, float(ifs.ratios.max())
+    while acc > scale:
+        acc *= max_ratio
+        width += 1
     letter_ids = np.arange(n_maps, dtype=np.min_scalar_type(n_maps))
     leaves = []
-    n_leaves = 0
 
     def expand(block):
-        nonlocal n_leaves
         leaf = block[0] <= scale
-        n_new = int(np.count_nonzero(leaf))
-        if n_new:
-            n_leaves += n_new
-            if n_leaves > budget:
-                raise ResourceExceeded(
-                    f"stopping decomposition exceeds {budget} leaves", "leaf_budget"
-                )
+        if leaf.any():
             leaves.append(tuple(col[leaf] for col in block))
-            if n_new == len(leaf):
+            if leaf.all():
                 return None
             block = tuple(col[~leaf] for col in block)
-        ratio, orient, trans, weight, letters, depth = block
-        n = len(ratio)
+        *columns, letters, depth = block
+        n = len(depth)
         rows = np.arange(n * n_maps)
         child_letters = np.repeat(letters, n_maps, axis=0)
         child_letters[rows, np.repeat(depth, n_maps)] = np.tile(letter_ids, n)
-        child_trans = trans[:, None, :] + ratio[:, None, None] * np.swapaxes(
-            orient @ map_trans, 1, 2
-        )
-        return (
-            (ratio[:, None] * map_ratios).ravel(),
-            (orient[:, None] @ map_orients).reshape(n * n_maps, k, k),
-            child_trans.reshape(n * n_maps, k),
-            (weight[:, None] * map_weights).ravel(),
-            child_letters,
-            np.repeat(depth + 1, n_maps),
-        )
+        return (*_child_columns(ifs, *columns), child_letters, np.repeat(depth + 1, n_maps))
 
     root = (
-        np.ones(1),
-        np.eye(k)[None],
-        np.zeros((1, k)),
-        np.ones(1),
+        *_root_columns(k),
         np.zeros((1, width), dtype=letter_ids.dtype),
         np.zeros(1, dtype=np.int64),
     )
@@ -430,7 +467,9 @@ def stopping_decomposition(
 
     Every returned word has ratio <= scale while its parent prefix has
     ratio > scale; ratios therefore lie in [min_ratio * scale, scale] and
-    weights sum to one.  Words come in lexicographic order.
+    weights sum to one.  Words come in lexicographic order.  The exact
+    word count is computed before any expansion: a cover of more than
+    ``budget`` words raises ResourceExceeded("leaf_budget") naming it.
     """
     if not (0.0 < scale < 1.0):
         raise BadConfig(f"scale must lie in (0, 1), got {scale}")
@@ -458,42 +497,6 @@ def stopping_decomposition(
     return StoppingDecomposition(
         scale=scale, ratio_floor=ifs.min_ratio * scale, words=words
     )
-
-
-def _homogeneous_depth(ifs: SelfSimilarIFS, scale: float) -> int:
-    """Least d with r^d <= scale, accumulated exactly as word ratios are."""
-    return _depth_to_scale(ifs.maps[0].ratio, scale)
-
-
-def _homogeneous_leaf_arrays(ifs: SelfSimilarIFS, depth: int, budget: int):
-    """Vectorised leaf data for a homogeneous system at uniform depth.
-
-    Returns (ratio, weights, translations, anchors) with rows in
-    lexicographic word order; the shared orientation is O^depth.
-    """
-    n_leaves = ifs.n_maps ** depth
-    if n_leaves > budget:
-        raise ResourceExceeded(
-            f"homogeneous depth-{depth} decomposition needs {n_leaves} leaves > budget {budget}",
-            "leaf_budget",
-        )
-    k = ifs.ambient_dim
-    trans = np.zeros((1, k))
-    weights = np.ones(1)
-    ratio = 1.0
-    orient = np.eye(k)
-    # Prepend letters one at a time: words in lexicographic order satisfy
-    # t_{i w} = t_i + r_i O_i t_w, so each level concatenates letter-major.
-    for _ in range(depth):
-        blocks = [
-            m.translation + (trans @ (m.ratio * m.orientation.T)) for m in ifs.maps
-        ]
-        trans = np.concatenate(blocks, axis=0)
-        weights = np.concatenate([w * weights for w in ifs.weights])
-        ratio *= ifs.maps[0].ratio
-        orient = ifs.maps[0].orientation @ orient
-    anchors = trans + ratio * (ifs.barycenter @ orient.T)
-    return ratio, orient, weights, trans, anchors
 
 
 def chaos_game(
@@ -637,7 +640,10 @@ def separation_diagnostic(
             gap = np.linalg.norm(centers[i] - centers[j]) - (radii[i] + radii[j])
             if gap <= 0.0:
                 ssc_ok = False
-    ratios, trans, weights, orients = _all_words_at_depth(ifs, depth)
+    columns = _root_columns(ifs.ambient_dim)
+    for _ in range(depth):
+        columns = _child_columns(ifs, *columns)
+    ratios, orients, trans, _ = columns
     # Group by ratio (quantised log) and take min pairwise translation gap.
     keys = np.round(np.log(ratios) / 1e-9).astype(np.int64)
     esc = math.inf
@@ -664,27 +670,6 @@ def separation_diagnostic(
     return SeparationDiagnostic(
         ssc_ok=ssc_ok, overlaps_detected=overlap, esc_distance=esc, depth=depth
     )
-
-
-def _all_words_at_depth(ifs: SelfSimilarIFS, depth: int):
-    """(ratios, translations, weights, orientations) for every depth-n word."""
-    k = ifs.ambient_dim
-    ratios = np.ones(1)
-    trans = np.zeros((1, k))
-    weights = np.ones(1)
-    orients = np.eye(k)[None, :, :]
-    for _ in range(depth):
-        new_r, new_t, new_w, new_o = [], [], [], []
-        for i, m in enumerate(ifs.maps):
-            new_r.append(ratios * m.ratio)
-            new_t.append(trans + np.einsum("n,nij,j->ni", ratios, orients, m.translation))
-            new_w.append(weights * ifs.weights[i])
-            new_o.append(np.einsum("nij,jk->nik", orients, m.orientation))
-        ratios = np.concatenate(new_r)
-        trans = np.concatenate(new_t)
-        weights = np.concatenate(new_w)
-        orients = np.concatenate(new_o)
-    return ratios, trans, weights, orients
 
 
 def porosity_flag(

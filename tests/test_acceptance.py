@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import _homogeneous_leaf_arrays
 from fractal_fourier.bounds import compute_gamma, decay_bound, sigma_p_raw, symmetric_thresholds
 from fractal_fourier.dimensions import DimensionProfile, build_profile, similarity_dimension_set
 from fractal_fourier.errors import InconsistentProfile
@@ -38,7 +39,6 @@ from fractal_fourier.fourier import (
 from fractal_fourier.ifs import (
     SelfSimilarIFS,
     SimilarityMap,
-    _homogeneous_leaf_arrays,
     cantor_ifs,
     uniform_ifs,
 )

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fractal_fourier import ifs as ifsmod
 from fractal_fourier.cli import main
+from fractal_fourier.experiments import DEFAULT_DENSITY_BUDGET
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,6 +112,18 @@ class TestBounds:
         report = json.loads((tmp_path / "bounds.json").read_text())
         assert report["sigma"] == pytest.approx(0.0614425, abs=1e-6)
         assert "formula" in report
+
+    def test_ifs_file_loaded_once(self, monkeypatch, capsys):
+        calls = []
+        load = ifsmod.load_ifs
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(ifsmod, "load_ifs", counting_load)
+        assert main(["bounds", "--ifs", str(CONFIGS / "cantor.json")]) == 0
+        assert len(calls) == 1
 
     def test_small_measure_warns_but_exits_zero(self, tmp_path, capsys):
         small = write_ifs(
@@ -272,6 +286,30 @@ class TestConvolveCommand:
         assert 0.9 <= summary["mass"] <= 1.1
         density = (tmp_path / "out" / "density.csv").read_text().strip().split("\n")
         assert density[0] == "x,density,error_estimate"
+
+    @pytest.mark.parametrize("field", ["bogus", "seed"])
+    def test_unknown_field_rejected(self, tmp_path, field):
+        cfg = {"factors": [{"ifs": str(CONFIGS / "uniform12.json")}] * 2, field: 0}
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["convolve", "--config", str(cfg_path)]) == 2
+
+    def test_density_budget_defaults_to_library_value(self, tmp_path):
+        summaries = []
+        for extra in ({}, {"density_budget": DEFAULT_DENSITY_BUDGET}):
+            cfg = {
+                "factors": [{"ifs": str(CONFIGS / "uniform12.json")}] * 2,
+                # high enough that budgets 0.01 and 0.02 pick different covers
+                "max_frequency": 1024.0,
+                "density_points": 64,
+                **extra,
+            }
+            cfg_path = tmp_path / "conv.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out{len(summaries)}"
+            assert main(["convolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+            summaries.append((out / "summary.json").read_text())
+        assert summaries[0] == summaries[1]
 
     def test_support_violation_exit_5(self, tmp_path, capsys):
         cfg = {

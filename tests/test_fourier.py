@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from conftest import _homogeneous_leaf_arrays, _random_reversing_system
+from fractal_fourier import fourier as fourier_module
+from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import (
     BadConfig,
     MissingHessianBound,
@@ -10,7 +15,11 @@ from fractal_fourier.errors import (
     Unsupported,
 )
 from fractal_fourier.fourier import (
+    COVER_CACHE_BYTES,
     PushforwardMap,
+    _CoverCache,
+    _LeafData,
+    _leaf_data,
     _mu_hat_general_many,
     _roundoff,
     compensated_sum,
@@ -36,7 +45,7 @@ from fractal_fourier.ifs import (
     FRONTIER_BLOCK,
     SelfSimilarIFS,
     SimilarityMap,
-    _homogeneous_leaf_arrays,
+    _count_stopping,
     ifs_1d,
     stopping_decomposition,
 )
@@ -186,20 +195,6 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
     return value, err_acc + _roundoff(leaves), leaves
 
 
-def _random_reversing_system(seed):
-    """Non-homogeneous system on the line; map 0 reverses orientation."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
-    signs = rng.choice([-1, 1], size=n)
-    signs[0] = -1
-    return ifs_1d(
-        rng.uniform(0.15, 0.4, size=n).tolist(),
-        rng.uniform(-1.0, 1.0, size=n).tolist(),
-        rng.dirichlet(np.ones(n)).tolist(),
-        signs.tolist(),
-    )
-
-
 def _rotated_planar_system():
     def rot(angle):
         c, s = math.cos(angle), math.sin(angle)
@@ -266,6 +261,92 @@ class TestBatchedRecursion:
         with pytest.raises(ResourceExceeded) as info:
             _mu_hat_general_many(mixed_ratios, etas, 1e-4, int(leaves.max()) - 1)
         assert info.value.budget_name == "leaf_budget"
+
+
+class TestCoverBudget:
+    """A stopping cover over budget raises before anything is expanded."""
+
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("expansion started")
+
+        monkeypatch.setattr(ifs_module, "_expand_blocked", fail)
+        # an empty cache, so no cover comes from an earlier test
+        monkeypatch.setattr(fourier_module, "_COVER_CACHE", _CoverCache(COVER_CACHE_BYTES))
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios"])
+    def test_raises_before_expansion(self, system, request, no_expansion):
+        ifs = request.getfixturevalue(system)
+        sq = square_map(ifs)
+        scale = 1e-3
+        needed, _ = _count_stopping(ifs, scale)
+        calls = (
+            lambda b: stopping_decomposition(ifs, scale, budget=b),
+            lambda b: pushforward_hat_order0(ifs, sq, 500.0, scale=scale, budget=b),
+            lambda b: pushforward_hat_order1(ifs, sq, 500.0, scale=scale, budget=b),
+            lambda b: pushforward_batch(ifs, sq, [500.0, -700.0], scale=scale, budget=b),
+        )
+        for call in calls:
+            with pytest.raises(ResourceExceeded) as info:
+                call(needed - 1)
+            assert info.value.budget_name == "leaf_budget"
+            assert f"needs {needed} leaves" in str(info.value)
+
+    def test_batch_checks_the_top_octave_first(self, cantor, no_expansion):
+        sq = square_map(cantor)
+        low_octave_scale = fourier_module._order1_scale(cantor, sq.hessian_bound, 1e-3, 300.0)
+        fits, _ = _count_stopping(cantor, low_octave_scale)
+        with pytest.raises(ResourceExceeded):
+            pushforward_batch(cantor, sq, [300.0, 30000.0], tol=1e-3, budget=fits)
+
+
+def _small_cover(n):
+    return _LeafData(np.ones(n), np.ones(n), np.ones((n, 1)), np.ones((n, 1, 1)))
+
+
+class TestCoverCache:
+    def test_bytes_stay_under_cap(self, cantor, mixed_ratios, monkeypatch):
+        cap = 32 * 2**10    # 1024 leaves of a k = 1 cover, 32 bytes each
+        cache = _CoverCache(cap)
+        monkeypatch.setattr(fourier_module, "_COVER_CACHE", cache)
+        requests = [(cantor, 3.0**-d) for d in (4, 9, 11, 6, 12, 2, 10)]
+        requests += [(mixed_ratios, s) for s in (0.1, 1e-3, 1e-4)]
+        stored = 0
+        for ifs, scale in requests:
+            leaves = _leaf_data(ifs, scale, 10**7)
+            assert cache.nbytes == sum(e.nbytes for e in cache._entries.values())
+            assert cache.nbytes <= cap
+            repeat = _leaf_data(ifs, scale, 10**7)
+            assert (repeat is leaves) == (leaves.nbytes <= cap)
+            stored += leaves.nbytes <= cap
+        assert 0 < stored < len(requests)
+        small = _leaf_data(cantor, 3.0**-4, 10**7)
+        assert _leaf_data(cantor, 3.0**-12, 10**7).nbytes > cap
+        assert _leaf_data(cantor, 3.0**-4, 10**7) is small
+
+    def test_threads_keep_byte_count(self):
+        cache = _CoverCache(20 * 2**10)
+        covers = [_small_cover(n) for n in (16, 64, 100, 200, 333, 700)]
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for j in rng.integers(0, len(covers), size=3000).tolist():
+                assert cache.fetch(j, lambda: covers[j]) is covers[j]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.nbytes == sum(e.nbytes for e in cache._entries.values())
+        assert cache.nbytes <= cache.max_bytes
 
 
 class TestOrder0:

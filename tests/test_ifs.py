@@ -6,6 +6,7 @@ import pytest
 
 from fractal_fourier.errors import BadConfig, InvalidIFS, ResourceExceeded, Unsupported
 from fractal_fourier.ifs import (
+    FRONTIER_BLOCK,
     GrowthVerdict,
     SelfSimilarIFS,
     SimilarityMap,
@@ -19,10 +20,12 @@ from fractal_fourier.ifs import (
     non_expanding_heuristic,
     porosity_flag,
     separation_diagnostic,
+    _count_stopping,
+    _enumerate_stopping,
     stopping_decomposition,
 )
 
-from conftest import random_similarity
+from conftest import _homogeneous_leaf_arrays, _random_reversing_system, random_similarity
 
 
 def one_d_map(r, t):
@@ -227,6 +230,66 @@ class TestStoppingDecomposition:
         first = dec.words[0].orientation
         for w in dec.words:
             assert np.array_equal(w.orientation, first)
+
+
+def _rotated_homogeneous_system():
+    angle = 0.7
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    maps = tuple(
+        SimilarityMap(0.35, rot, np.array(t)) for t in ([0.0, 0.0], [1.0, 0.3], [0.2, 1.1])
+    )
+    return SelfSimilarIFS(maps, (0.5, 0.25, 0.25))
+
+
+class TestStoppingCover:
+    @pytest.mark.parametrize(
+        "system, depth",
+        [("cantor", 13), ("square_2d", 7), ("rotated", 8)],
+    )
+    def test_homogeneous_matches_reference(self, system, depth, request):
+        ifs = (
+            _rotated_homogeneous_system()
+            if system == "rotated"
+            else request.getfixturevalue(system)
+        )
+        ratio, orient, weights, _, anchors = _homogeneous_leaf_arrays(ifs, depth, 10**8)
+        assert len(weights) > FRONTIER_BLOCK
+        ratios, orients, _, got_weights, got_anchors, letters, depths = (
+            _enumerate_stopping(ifs, ratio, 10**8)
+        )
+        assert np.all(depths == depth)
+        assert np.array_equal(np.lexsort(letters.T[::-1]), np.arange(len(letters)))
+        assert np.array_equal(got_weights, weights)
+        assert np.all(ratios == ratio)
+        assert np.max(np.abs(orients - orient)) <= 1e-15
+        assert np.max(np.abs(got_anchors - anchors)) <= 1e-15
+
+    def test_count_matches_enumeration(self):
+        rng = np.random.default_rng(23)
+        planar = SelfSimilarIFS(
+            tuple(random_similarity(rng, 2) for _ in range(3)), (0.5, 0.3, 0.2)
+        )
+        cases = [(planar, 0.01)]
+        for seed in range(12):
+            cases.append((_random_reversing_system(seed), float(10 ** rng.uniform(-5.0, -2.5))))
+        for ifs, scale in cases:
+            n_leaves, snapped = _count_stopping(ifs, scale)
+            cover = _enumerate_stopping(ifs, scale, 10**7)
+            assert len(cover[0]) == n_leaves
+            assert snapped == cover[0].max() <= scale
+            again = _enumerate_stopping(ifs, snapped, 10**7)
+            for col, col_again in zip(cover, again):
+                assert np.array_equal(col, col_again)
+
+    def test_count_of_root(self, mixed_ratios):
+        assert _count_stopping(mixed_ratios, 1.0) == (1, 1.0)
+        assert _count_stopping(mixed_ratios, math.inf) == (1, 1.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
+    def test_count_rejects_scales_that_never_stop(self, mixed_ratios, scale):
+        with pytest.raises(BadConfig):
+            _count_stopping(mixed_ratios, scale)
 
 
 class TestHomogeneity:
