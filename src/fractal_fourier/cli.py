@@ -206,34 +206,33 @@ def cmd_fourier(args) -> int:
     doc = ifsmod.load_ifs(args.ifs)
     budget = _budget()
     if args.xi_list:
-        xis = np.array([float(x) for x in args.xi_list.split(",")])
+        try:
+            xis = np.array([float(x) for x in args.xi_list.split(",")])
+        except ValueError as exc:
+            raise BadConfig(f"--xi-list must be comma-separated numbers: {exc}") from exc
     else:
         if args.count < 1:
             raise BadConfig("--count must be >= 1")
         xis = np.linspace(args.xi_min, args.xi_max, args.count)
     scheme = args.scheme
     if scheme == "recursion":
-        samples = [fr.mu_hat(doc.ifs, x, tol=args.tol, budget=budget) for x in xis]
-        values = np.array([s.value for s in samples])
-        errors = np.array([s.error_bound for s in samples])
-        leaves = np.array([s.leaves_used for s in samples])
-        scheme_name = "exact_recursion"
-    else:
-        if not args.map:
-            raise BadConfig("order0/order1 schemes need --map")
+        pmap = fr.identity_map(doc.ifs)
+        scheme = "exact_recursion"
+    elif args.map:
         pmap = _build_map(doc.ifs, json.loads(args.map))
-        values, errors, leaves = fr.pushforward_batch(
-            doc.ifs,
-            pmap,
-            xis,
-            tol=args.tol,
-            scheme=scheme,
-            threads=args.threads,
-            budget=budget,
-        )
-        scheme_name = scheme
+    else:
+        raise BadConfig("order0/order1 schemes need --map")
+    values, errors, leaves = fr.pushforward_batch(
+        doc.ifs,
+        pmap,
+        xis,
+        tol=args.tol,
+        scheme=scheme,
+        threads=args.threads,
+        budget=budget,
+    )
     out = Path(args.out or "fourier.csv")
-    fr.write_samples_csv(out, xis, values, errors, scheme_name, leaves)
+    fr.write_samples_csv(out, xis, values, errors, scheme, leaves)
     print(f"wrote {out} ({len(xis)} rows)")
     return EXIT_OK
 

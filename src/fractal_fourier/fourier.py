@@ -28,6 +28,13 @@ structure of the measure:
   rescaled frequency r_w O_w^T (J_f(x_w)^T xi); the per-cylinder Taylor
   error is pi |xi| H_f (r_w R)^2.
 
+Single frequencies and batches share one row kernel, ``_image_rows``.
+A batch groups its frequencies by octave of |xi|, and each group uses the
+stopping cover of its largest |xi|.  The order-1 inner transform is read
+from a certified interpolation table for homogeneous systems on the line
+in a batch, and computed by the recursion otherwise.  Each frequency's
+leaf terms are summed pairwise along the leaf axis.
+
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
 with merely estimated bounds mark their samples as uncertified.
@@ -73,14 +80,6 @@ def _cis(theta):
     return np.cos(theta) - 1j * np.sin(theta)
 
 
-def compensated_sum(values: np.ndarray, chunk: int = 1 << 15) -> complex:
-    """Chunkwise pairwise sums of a complex array, combined exactly by math.fsum."""
-    if values.size == 0:
-        return 0j
-    sums = np.add.reduceat(values, np.arange(0, values.size, chunk))
-    return complex(math.fsum(sums.real), math.fsum(sums.imag))
-
-
 @dataclass(frozen=True)
 class FrequencySample:
     """One evaluated frequency: value, certified error bound, provenance."""
@@ -100,10 +99,16 @@ class FrequencySample:
             )
 
 
+def _check_finite(xis: np.ndarray) -> None:
+    if not np.isfinite(xis).all():
+        raise BadConfig("frequencies must be finite")
+
+
 def _freq_vector(xi, k: int) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(xi, dtype=float))
     if vec.shape != (k,):
         raise BadConfig(f"frequency must have {k} components, got shape {vec.shape}")
+    _check_finite(vec)
     return vec
 
 
@@ -132,25 +137,32 @@ def mu_hat(
     if tol <= 0.0:
         raise BadConfig("tol must be positive")
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    k = ifs.ambient_dim
-    vec = _freq_vector(xi, k)
-    if ifs.is_homogeneous:
-        value, err, depth = _mu_hat_homog_single(ifs, vec, tol)
-        return FrequencySample(
-            xi=vec,
-            value=value,
-            error_bound=err,
-            scheme="exact_recursion",
-            leaves_used=ifs.n_maps**depth,
-        )
-    values, errors, leaves = _mu_hat_general_many(ifs, vec[None, :], tol, budget)
+    vec = _freq_vector(xi, ifs.ambient_dim)
+    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget)
     return FrequencySample(
         xi=vec,
         value=complex(values[0]),
         error_bound=float(errors[0]),
         scheme="exact_recursion",
-        leaves_used=int(leaves[0]),
+        leaves_used=leaves[0],
     )
+
+
+def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int):
+    """mu_hat at every row of ``etas`` (m, k).
+
+    Homogeneous systems take the product form row by row; all others run
+    one ``_mu_hat_general_many`` over the rows.  Returns (values (m,),
+    error bounds (m,), leaves), the leaf counts as exact Python ints
+    (N^depth can pass the int64 range).
+    """
+    if not ifs.is_homogeneous:
+        values, errors, leaves = _mu_hat_general_many(ifs, etas, tol, budget)
+        return values, errors, [int(n) for n in leaves]
+    rows = [_mu_hat_homog_single(ifs, eta, tol) for eta in etas]
+    values = np.array([value for value, _, _ in rows], dtype=complex)
+    errors = np.array([err for _, err, _ in rows])
+    return values, errors, [ifs.n_maps**depth for _, _, depth in rows]
 
 
 def _two_sum_into(sums, carry, rows, parts):
@@ -720,143 +732,7 @@ def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> _LeafData:
 
 
 # ---------------------------------------------------------------------------
-# order-0 and order-1 image quadratures
-# ---------------------------------------------------------------------------
-
-
-def _trivial_sample(vec, scheme) -> FrequencySample:
-    return FrequencySample(
-        xi=vec, value=1.0 + 0.0j, error_bound=0.0, scheme=scheme, leaves_used=1
-    )
-
-
-def pushforward_hat_order0(
-    ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
-    xi,
-    tol: float = 1e-4,
-    scale: Optional[float] = None,
-    budget: Optional[int] = None,
-) -> FrequencySample:
-    """Order-0 cylinder quadrature of the image transform mu_f-hat(xi)."""
-    if tol <= 0.0:
-        raise BadConfig("tol must be positive")
-    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    vec = _freq_vector(xi, pmap.out_dim)
-    xi_norm = float(np.linalg.norm(vec))
-    if xi_norm == 0.0:
-        return _trivial_sample(vec, "order0")
-    if pmap.lipschitz_bound is None:
-        raise BadConfig("order0 needs lipschitz_bound (use estimate_bounds)")
-    lip = pmap.lipschitz_bound
-    radius = ifs.support_radius
-    if scale is None:
-        scale = math.inf if lip == 0.0 else tol / (TWO_PI * xi_norm * lip * radius)
-    leaves = _leaf_data(ifs, scale, budget)
-    f_vals = pmap.evaluator(leaves.anchors)
-    phases = f_vals * vec[0] if pmap.out_dim == 1 else f_vals @ vec
-    value = compensated_sum(leaves.weights * _cis(TWO_PI * phases))
-    err = (
-        TWO_PI * xi_norm * lip * radius * float(np.sum(leaves.weights * leaves.ratios))
-        + _roundoff(leaves.n)
-    )
-    return FrequencySample(
-        xi=vec,
-        value=value,
-        error_bound=err,
-        scheme="order0",
-        leaves_used=leaves.n,
-        certified=pmap.bounds_certified,
-    )
-
-
-def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2."""
-    if hess == 0.0:
-        return math.inf
-    return math.sqrt(0.5 * tol / (math.pi * xi_norm * hess)) / ifs.support_radius
-
-
-def _order1_leaf_terms(ifs, pmap, leaves: _LeafData, vec):
-    """Per-leaf phase constants and inner frequencies for the order-1 scheme.
-
-    Returns (a_w, eta_w) with a_w = <xi, f(x_w)> - <eta_w, b> and
-    eta_w = r_w O_w^T (J_f(x_w)^T xi); the cylinder contribution is
-    p_w e^{-2 pi i a_w} mu_hat(eta_w).
-    """
-    f_vals = pmap.evaluator(leaves.anchors)
-    grads = pmap.gradient(leaves.anchors)
-    if pmap.out_dim == 1:
-        zeta = grads * vec[0]                      # (n, k)
-        f_phase = f_vals * vec[0]
-    else:
-        zeta = np.einsum("ndk,d->nk", grads, vec)
-        f_phase = f_vals @ vec
-    eta = leaves.ratios[:, None] * np.einsum("nij,ni->nj", leaves.orientations, zeta)
-    a_w = f_phase - eta @ ifs.barycenter
-    return a_w, eta
-
-
-def pushforward_hat_order1(
-    ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
-    xi,
-    tol: float = 1e-4,
-    scale: Optional[float] = None,
-    budget: Optional[int] = None,
-    inner_tol: Optional[float] = None,
-) -> FrequencySample:
-    """Order-1 (linearised) cylinder quadrature of the image transform.
-
-    Each cylinder integrates its tangent approximation exactly through
-    mu_hat; stopping scale ~ sqrt(tol / (pi |xi| H)) / R, so far fewer
-    leaves are needed than order-0 at the same tolerance.
-    """
-    if tol <= 0.0:
-        raise BadConfig("tol must be positive")
-    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    vec = _freq_vector(xi, pmap.out_dim)
-    xi_norm = float(np.linalg.norm(vec))
-    if xi_norm == 0.0:
-        return _trivial_sample(vec, "order1")
-    if pmap.hessian_bound is None:
-        raise MissingHessianBound("order1 needs hessian_bound (use estimate_bounds)")
-    if pmap.gradient is None:
-        raise BadConfig("order1 needs a gradient evaluator")
-    hess = pmap.hessian_bound
-    radius = ifs.support_radius
-    if inner_tol is None:
-        inner_tol = 0.5 * tol
-    if scale is None:
-        scale = _order1_scale(ifs, hess, tol, xi_norm)
-    leaves = _leaf_data(ifs, scale, budget)
-    a_w, eta = _order1_leaf_terms(ifs, pmap, leaves, vec)
-    if ifs.is_homogeneous:
-        inner_vals, inner_errs, _ = _mu_hat_homog_many(ifs, eta, inner_tol)
-    else:
-        inner_vals, inner_errs, _ = _mu_hat_general_many(ifs, eta, inner_tol, budget)
-    value = compensated_sum(leaves.weights * _cis(TWO_PI * a_w) * inner_vals)
-    taylor = (
-        math.pi * xi_norm * hess * radius**2
-        * float(np.sum(leaves.weights * leaves.ratios**2))
-    )
-    err = (
-        taylor
-        + float(np.sum(leaves.weights * inner_errs))
-        + _roundoff(leaves.n)
-    )
-    return FrequencySample(
-        xi=vec,
-        value=value,
-        error_bound=err,
-        scheme="order1",
-        leaves_used=leaves.n,
-        certified=pmap.bounds_certified,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation over frequency arrays (scalar images, k arbitrary)
+# order-0 and order-1 image transforms: one row kernel for single and batch
 # ---------------------------------------------------------------------------
 
 
@@ -887,105 +763,233 @@ class _MuHatTable:
         self.slack = float(errs.max(initial=0.0)) + (h**2 / 8.0) * second
 
     def lookup(self, eta: np.ndarray) -> np.ndarray:
-        mag = np.abs(eta)
-        pos = mag * (1.0 / self.h)
-        idx = pos.astype(np.int64)
-        frac = pos - idx
+        # In place where possible: the batch kernel calls this on its
+        # largest arrays.
+        frac = np.abs(eta)
+        frac *= 1.0 / self.h
+        idx = frac.astype(np.int64)
+        frac -= idx
         lo = self.values[idx]
-        out = lo + frac * (self.values[idx + 1] - lo)
+        idx += 1
+        out = self.values[idx]
+        out -= lo
+        out *= frac
+        out += lo
         np.multiply(out.imag, np.sign(eta), out=out.imag)
         return out
 
 
-def _batch_scalar_order1_homog(
-    ifs, pmap, xis, tol, budget, threads, scale=None
-):
-    """Vectorised order-1 for homogeneous 1-d systems and scalar images.
+def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
+    """Stopping scale at which the order-0 term 2 pi |xi| L_f r R is tol."""
+    if lip == 0.0:
+        return math.inf
+    return tol / (TWO_PI * xi_norm * lip * ifs.support_radius)
 
-    With ``scale`` fixed, one decomposition serves every frequency
-    (uniform inversion grids); otherwise frequencies are grouped by
-    octave and each group gets the tolerance-driven stopping scale.
+
+def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
+    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2."""
+    if hess == 0.0:
+        return math.inf
+    return math.sqrt(0.5 * tol / (math.pi * xi_norm * hess)) / ifs.support_radius
+
+
+def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_w weights_w (re + i im)[j, w] for each row j of two (m, n) arrays.
+
+    Scales ``re`` and ``im`` in place, then sums every row pairwise along
+    its contiguous leaf axis, the summation ``_roundoff`` assumes.
     """
-    radius = ifs.support_radius
-    hess = pmap.hessian_bound
-    abs_xi = np.abs(xis)
-    values = np.empty(len(xis), dtype=complex)
-    errors = np.empty(len(xis))
-    leaves_used = np.empty(len(xis), dtype=np.int64)
-    zero_mask = abs_xi == 0.0
-    values[zero_mask] = 1.0
-    errors[zero_mask] = 0.0
-    leaves_used[zero_mask] = 1
+    re *= weights
+    im *= weights
+    out = np.empty(len(re), dtype=complex)
+    out.real = np.add.reduce(re, axis=1)
+    out.imag = np.add.reduce(im, axis=1)
+    return out
 
-    active = np.flatnonzero(~zero_mask)
-    if len(active) == 0:
-        return values, errors, leaves_used
-    if scale is not None:
-        groups = [active]
-        scales = [scale]
-    else:
-        octaves = np.floor(np.log2(np.maximum(abs_xi[active], 1.0))).astype(int)
-        groups, scales = [], []
-        for octave in np.unique(octaves):
-            idx = active[octaves == octave]
-            groups.append(idx)
-            scales.append(_order1_scale(ifs, hess, tol, float(abs_xi[idx].max())))
 
-    # The smallest scale has the largest cover: check it before expanding any.
-    _checked_count(ifs, min(scales), budget)
-    prepared = []
-    eta_max = 0.0
-    for idx, grp_scale in zip(groups, scales):
-        leaves = _leaf_data(ifs, grp_scale, budget)
-        f_vals = pmap.evaluator(leaves.anchors)
-        grads = pmap.gradient(leaves.anchors)[:, 0]
-        b_coef = leaves.ratios * leaves.orientations[:, 0, 0] * grads
-        a_coef = f_vals - b_coef * float(ifs.barycenter[0])
-        prepared.append((idx, leaves, a_coef, b_coef))
-        eta_max = max(
-            eta_max, float(abs_xi[idx].max()) * float(np.abs(b_coef).max(initial=0.0))
-        )
+def _linear_forms(ifs, pmap, leaves: _LeafData, order1: bool):
+    """Per-leaf linear forms in xi of one cover: (2 pi A (n, d), B (n, k, d)).
 
-    table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
+    Cylinder w contributes p_w e^{-2 pi i <xi, A_w>} mu_hat(B_w xi), with
+    B_w = r_w O_w^T J_f(x_w)^T and A_w = f(x_w) - B_w^T b.  Order 0 has
+    A_w = f(x_w) and no inner transform (B is None).
+    """
+    n, d = leaves.n, pmap.out_dim
+    f_vals = pmap.evaluator(leaves.anchors).reshape(n, d)
+    if not order1:
+        return TWO_PI * f_vals, None
+    jac = pmap.gradient(leaves.anchors).reshape(n, d, ifs.ambient_dim)
+    b_forms = leaves.ratios[:, None, None] * np.einsum(
+        "nji,nej->nie", leaves.orientations, jac
+    )
+    return TWO_PI * (f_vals - np.einsum("nkd,k->nd", b_forms, ifs.barycenter)), b_forms
 
-    jobs = []
-    for idx, leaves, a_coef, b_coef in prepared:
-        chunk_len = max(16, int(4_000_000 / max(leaves.n, 1)))
-        taylor_coef = (
-            math.pi * hess * radius**2 * float(np.sum(leaves.weights * leaves.ratios**2))
-        )
-        for start in range(0, len(idx), chunk_len):
-            sel = idx[start : start + chunk_len]
-            jobs.append((sel, leaves, a_coef, b_coef, taylor_coef))
 
-    def run_job(job):
-        sel, leaves, a_coef, b_coef, taylor_coef = job
-        xi_chunk = xis[sel]
-        theta = np.outer(xi_chunk, TWO_PI * a_coef)
-        ct = np.cos(theta)
-        st = np.sin(theta, out=theta)
-        inner = table.lookup(np.outer(xi_chunk, b_coef))
-        # (cos - i sin)(a + i b) summed against the weights, in real arithmetic.
-        re = ct * inner.real
-        re += st * inner.imag
-        im = ct * inner.imag
-        im -= st * inner.real
-        vals = np.einsum("nw,w->n", re, leaves.weights) + 1j * np.einsum(
-            "nw,w->n", im, leaves.weights
-        )
-        errs = np.abs(xi_chunk) * taylor_coef + table.slack + _roundoff(leaves.n)
-        return sel, vals, errs, leaves.n
+def _run_rows(run, jobs, m: int, threads: int):
+    """(values, bounds, leaves) of m rows, scattered from ``run(job)`` per job.
 
+    ``run`` returns (rows, values, bounds, leaves) for the rows of its job;
+    rows no job covers keep (1, 0, 1), exact at xi = 0.  The jobs are
+    fixed before any runs, so the output does not depend on ``threads``.
+    """
+    values, errors, leaves = np.ones(m, dtype=complex), np.zeros(m), np.ones(m, dtype=np.int64)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_job, jobs))
+            results = list(pool.map(run, jobs))
     else:
-        results = [run_job(j) for j in jobs]
-    for sel, vals, errs, n in results:
-        values[sel] = vals
-        errors[sel] = errs
-        leaves_used[sel] = n
-    return values, errors, leaves_used
+        results = map(run, jobs)
+    for rows, vals, errs, counts in results:
+        values[rows], errors[rows], leaves[rows] = vals, errs, counts
+    return values, errors, leaves
+
+
+def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
+    """Order-0 or order-1 image transform at every row of ``xis`` (m, d).
+
+    Rows with xi = 0 are exact.  The others share the cover at ``scale``
+    when it is given, else they are grouped by octave of |xi| and each
+    group takes the stopping scale of its largest |xi|; the largest cover
+    is counted against ``budget`` before any is built.  Rows run in fixed
+    chunks of at most 4,000,000 row x leaf terms.  The order-1 inner
+    transform comes from one ``_MuHatTable`` when ``table`` is set (k = 1,
+    homogeneous), else from the recursion at tol/2 with ``budget`` leaves
+    per inner frequency.  A row's bound is |xi| times the cover's closure
+    (order 0) or Taylor (order 1) coefficient, plus the inner bound, plus
+    roundoff.
+    """
+    m, d = xis.shape
+    k = ifs.ambient_dim
+    order1 = scheme == "order1"
+    norms = np.linalg.norm(xis, axis=1)
+    active = np.flatnonzero(norms > 0.0)
+    if len(active) == 0:
+        return _run_rows(None, [], m, threads)
+    if order1:
+        if pmap.hessian_bound is None:
+            raise MissingHessianBound("order1 needs hessian_bound (use estimate_bounds)")
+        if pmap.gradient is None:
+            raise BadConfig("order1 needs a gradient evaluator")
+        bound, stopping_scale = pmap.hessian_bound, _order1_scale
+    else:
+        if pmap.lipschitz_bound is None:
+            raise BadConfig("order0 needs lipschitz_bound (use estimate_bounds)")
+        bound, stopping_scale = pmap.lipschitz_bound, _order0_scale
+    if scale is not None:
+        groups = [(active, scale)]
+    else:
+        octaves = np.floor(np.log2(np.maximum(norms[active], 1.0)))
+        groups = []
+        # Top octave first: it has the largest cover, so _leaf_data counts
+        # that cover against the budget before any cover is built.
+        for octave in np.unique(octaves)[::-1]:
+            rows = active[octaves == octave]
+            groups.append((rows, stopping_scale(ifs, bound, tol, float(norms[rows].max()))))
+
+    radius = ifs.support_radius
+    prepared = []
+    for rows, grp_scale in groups:
+        leaves = _leaf_data(ifs, grp_scale, budget)
+        if order1:
+            coef = math.pi * bound * radius**2 * float(np.sum(leaves.weights * leaves.ratios**2))
+        else:
+            coef = TWO_PI * bound * radius * float(np.sum(leaves.weights * leaves.ratios))
+        prepared.append((rows, leaves, *_linear_forms(ifs, pmap, leaves, order1), coef))
+
+    mu_table = None
+    if order1 and table:
+        eta_max = max(
+            float(norms[rows].max()) * float(np.abs(b_forms).max(initial=0.0))
+            for rows, _, _, b_forms, _ in prepared
+        )
+        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
+
+    jobs = []
+    for rows, *cover in prepared:
+        step = max(1, 4_000_000 // cover[0].n)
+        jobs += [(rows[i : i + step], *cover) for i in range(0, len(rows), step)]
+
+    def run(job):
+        rows, leaves, a_forms, b_forms, coef = job
+        x = xis[rows]
+        theta = np.outer(x[:, 0], a_forms[:, 0]) if d == 1 else x @ a_forms.T
+        ct = np.cos(theta)
+        st = np.sin(theta, out=theta)
+        inner_err = 0.0
+        if b_forms is None:
+            re, im = ct, np.negative(st, out=st)
+        else:
+            if k == d == 1:
+                eta = np.outer(x[:, 0], b_forms[:, 0, 0])
+            else:
+                eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
+            if mu_table is not None:
+                inner = mu_table.lookup(eta)
+                inner_err = mu_table.slack
+            else:
+                flat = eta.reshape(-1, k)
+                if ifs.is_homogeneous:
+                    vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
+                else:
+                    vals, errs, _ = _mu_hat_general_many(ifs, flat, 0.5 * tol, budget)
+                inner = vals.reshape(len(rows), leaves.n)
+                inner_err = np.add.reduce(errs.reshape(inner.shape) * leaves.weights, axis=1)
+            # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
+            re = ct * inner.real
+            re += st * inner.imag
+            im = np.multiply(ct, inner.imag, out=ct)
+            im -= np.multiply(st, inner.real, out=st)
+        vals = _row_sums(re, im, leaves.weights)
+        return rows, vals, norms[rows] * coef + inner_err + _roundoff(leaves.n), leaves.n
+
+    return _run_rows(run, jobs, m, threads)
+
+
+def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
+    if tol <= 0.0:
+        raise BadConfig("tol must be positive")
+    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
+    vec = _freq_vector(xi, pmap.out_dim)
+    values, errors, leaves = _image_rows(
+        ifs, pmap, vec[None, :], tol, scheme, scale, budget, 1, False
+    )
+    return FrequencySample(
+        xi=vec,
+        value=complex(values[0]),
+        error_bound=float(errors[0]),
+        scheme=scheme,
+        leaves_used=int(leaves[0]),
+        certified=pmap.bounds_certified or not vec.any(),
+    )
+
+
+def pushforward_hat_order0(
+    ifs: SelfSimilarIFS,
+    pmap: PushforwardMap,
+    xi,
+    tol: float = 1e-4,
+    scale: Optional[float] = None,
+    budget: Optional[int] = None,
+) -> FrequencySample:
+    """Order-0 cylinder quadrature of the image transform mu_f-hat(xi)."""
+    return _image_sample(ifs, pmap, xi, tol, "order0", scale, budget)
+
+
+def pushforward_hat_order1(
+    ifs: SelfSimilarIFS,
+    pmap: PushforwardMap,
+    xi,
+    tol: float = 1e-4,
+    scale: Optional[float] = None,
+    budget: Optional[int] = None,
+) -> FrequencySample:
+    """Order-1 (linearised) cylinder quadrature of the image transform.
+
+    Each cylinder integrates its tangent approximation exactly through
+    mu_hat (the recursion at tol/2); stopping scale
+    ~ sqrt(tol / (pi |xi| H)) / R, so far fewer leaves are needed than
+    order-0 at the same tolerance.
+    """
+    return _image_sample(ifs, pmap, xi, tol, "order1", scale, budget)
 
 
 def pushforward_batch(
@@ -1001,54 +1005,37 @@ def pushforward_batch(
     """Evaluate the scalar image transform on an array of frequencies.
 
     Returns (values, error_bounds, leaves_used) aligned with ``xis``.
-    Results are independent of ``threads`` (fixed chunking, fixed
-    reduction order).  Homogeneous 1-d systems with scalar images take a
-    vectorised path; everything else falls back to per-frequency calls.
-    A fixed ``scale`` pins the stopping decomposition (one cover for all
-    frequencies, error bounds still per frequency), which is how uniform
-    inversion grids are evaluated cheaply.
+    ``order0``/``order1`` run the row kernel of the single calls: the
+    frequencies of one octave of |xi| share the stopping cover of their
+    largest |xi| (a refinement of each one's own cover), and a fixed
+    ``scale`` pins one cover for all, which is how uniform inversion grids
+    are evaluated cheaply.  Homogeneous systems on the line read the
+    order-1 inner transform from a certified interpolation table; other
+    systems evaluate it exactly.  Leaf terms are summed pairwise per
+    frequency.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap``
+    unused), in chunks of 64 frequencies.  Results are independent of
+    ``threads`` (fixed chunks, fixed reduction order).
     """
-    if pmap.out_dim != 1:
-        raise Unsupported("batched evaluation expects scalar images (d = 1)")
     if scheme not in ("order0", "order1", "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
+    if scheme == "exact_recursion" and ifs.ambient_dim != 1:
+        raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")
+    if pmap.out_dim != 1:
+        raise Unsupported("batched evaluation expects scalar images (d = 1)")
+    if tol <= 0.0:
+        raise BadConfig("tol must be positive")
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    xis = np.asarray(xis, dtype=float)
-    if (
-        scheme == "order1"
-        and ifs.is_homogeneous
-        and ifs.ambient_dim == 1
-        and pmap.hessian_bound is not None
-        and pmap.hessian_bound > 0.0
-        and pmap.gradient is not None
-    ):
-        return _batch_scalar_order1_homog(
-            ifs, pmap, xis, tol, budget, threads, scale=scale
-        )
+    xis = np.asarray(xis, dtype=float).reshape(-1, 1)
+    _check_finite(xis)
+    if scheme != "exact_recursion":
+        table = ifs.is_homogeneous and ifs.ambient_dim == 1
+        return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table)
 
-    def single(x):
-        if scheme == "order0":
-            return pushforward_hat_order0(ifs, pmap, x, tol, scale=scale, budget=budget)
-        if scheme == "order1":
-            return pushforward_hat_order1(ifs, pmap, x, tol, scale=scale, budget=budget)
-        return mu_hat(ifs, x, tol, budget=budget)
+    def run(start):
+        rows = slice(start, start + 64)
+        return (rows, *_mu_hat_rows(ifs, xis[rows], tol, budget))
 
-    chunk_len = 64
-    chunks = [xis[i : i + chunk_len] for i in range(0, len(xis), chunk_len)]
-
-    def run(chunk):
-        return [single(float(x)) for x in chunk]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(run, chunks))
-    else:
-        groups = [run(c) for c in chunks]
-    samples = [s for grp in groups for s in grp]
-    values = np.array([s.value for s in samples])
-    errors = np.array([s.error_bound for s in samples])
-    leaves = np.array([s.leaves_used for s in samples], dtype=np.int64)
-    return values, errors, leaves
+    return _run_rows(run, range(0, len(xis), 64), len(xis), threads)
 
 
 # ---------------------------------------------------------------------------

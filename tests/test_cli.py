@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from fractal_fourier.cli import main
 from fractal_fourier.experiments import DEFAULT_DENSITY_BUDGET
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_ifs(path, ratios, translations, weights, separation="none", exponents=None):
@@ -230,6 +234,58 @@ class TestFourier:
         assert code == 4
         err = capsys.readouterr().err
         assert "leaf_budget" in err and "mu_hat expansion" in err
+
+    @pytest.mark.parametrize("xi_list", ["inf", "1e400", "nan", "abc", "1,abc"])
+    def test_bad_frequency_exit_2(self, tmp_path, xi_list):
+        # A subprocess with a timeout: a frequency that hangs fails the test.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        cmd = [
+            sys.executable, "-m", "fractal_fourier.cli", "fourier",
+            "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", xi_list,
+            "--out", str(tmp_path / "x.csv"),
+        ]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_recursion_threads_byte_identical(self, tmp_path):
+        mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            code = main(
+                [
+                    "--threads", str(threads), "fourier", "--ifs", str(mixed),
+                    "--xi-min", "-30", "--xi-max", "60", "--count", "150",
+                    "--tol", "1e-3", "--out", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"exact_recursion") == 150
+
+    def test_recursion_planar_scalar_xi_exit_2(self, tmp_path, capsys):
+        doc = {
+            "ambient_dim": 2,
+            "maps": [
+                {"ratio": 0.5, "orientation": [[1.0, 0.0], [0.0, 1.0]], "translation": t}
+                for t in ([0.0, 0.0], [0.5, 0.5])
+            ],
+            "weights": [0.5, 0.5],
+            "declared_separation": "none",
+        }
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["fourier", "--ifs", str(path), "--xi-list", "3", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert "frequency must have 2 components" in capsys.readouterr().err
 
     def test_map_required_for_order0(self):
         code = main(
