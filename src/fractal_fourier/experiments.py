@@ -27,6 +27,7 @@ import numpy as np
 from .errors import BadConfig, CenterInsideSupport, SupportNotPositive
 from .fourier import (
     PushforwardMap,
+    _check_positive,
     curvature_diagnostic,
     log_map,
     neg_log_map,
@@ -340,8 +341,11 @@ def multiplicative_convolution(
     """
     if len(factors) < 2:
         raise BadConfig("need at least two factor measures")
-    if max_frequency <= 0.0 or density_points < 2 or tol <= 0.0 or density_budget <= 0.0:
-        raise BadConfig("max_frequency, density_points, tol, density_budget must be positive")
+    _check_positive("max_frequency", max_frequency)
+    _check_positive("tol", tol)
+    _check_positive("density_budget", density_budget)
+    if density_points < 2:
+        raise BadConfig("density_points must be at least 2")
     lengths = [hi - lo for lo, hi in (f.log_support for f in factors)]
     support_lo = sum(lo for lo, _ in (f.log_support for f in factors))
     support_hi = sum(hi for _, hi in (f.log_support for f in factors))

@@ -11,12 +11,13 @@ structure of the measure:
   2 pi |eta| R <= tol (R the support-ball radius), then close each leaf
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
   unit weight, so the summed bound is certified.  Homogeneous systems
-  collapse the tree to a product; all others expand a columnar frontier
-  of (frequency row, eta, phase, weight) in blocks of at most
-  ``FRONTIER_BLOCK`` rows, many frequencies at once, with a leaf budget
-  per frequency.  Each frequency's leaf terms are summed pairwise within
-  a block and the block sums are combined with TwoSum compensation, the
-  pairwise summation that ``_roundoff`` assumes.
+  collapse the tree to a product, evaluated by one function
+  (``_mu_hat_homog_many``) for one frequency or many.  All others expand
+  a columnar frontier of (frequency row, eta, phase, weight) in blocks of
+  at most ``FRONTIER_BLOCK`` rows, many frequencies at once, with a leaf
+  budget per frequency.  Each frequency's leaf terms are summed pairwise
+  within a block and the block sums are combined with TwoSum
+  compensation, the pairwise summation that ``_roundoff`` assumes.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -30,7 +31,8 @@ structure of the measure:
 
 Single frequencies and batches share one row kernel, ``_image_rows``.
 A batch groups its frequencies by octave of |xi|, and each group uses the
-stopping cover of its largest |xi|.  The order-1 inner transform is read
+stopping cover of its largest |xi|, an ``ifs.StoppingDecomposition`` read
+column by column (and cached).  The order-1 inner transform is read
 from a certified interpolation table for homogeneous systems on the line
 in a batch, and computed by the recursion otherwise.  Each frequency's
 leaf terms are summed pairwise along the leaf axis.
@@ -60,7 +62,9 @@ from .errors import (
 )
 from .ifs import (
     DEFAULT_LEAF_BUDGET,
+    FRONTIER_BLOCK,
     SelfSimilarIFS,
+    StoppingDecomposition,
     _checked_count,
     _enumerate_stopping,
     _expand_blocked,
@@ -70,9 +74,12 @@ from .ifs import (
 TWO_PI = 2.0 * math.pi
 
 
-def _roundoff(n_terms: int) -> float:
-    """Pessimistic pairwise-summation roundoff allowance for n unit terms."""
-    return 1e-15 * (1.0 + math.log2(n_terms + 1.0))
+def _roundoff(n_terms):
+    """Pessimistic pairwise-summation roundoff allowance for n unit terms.
+
+    ``n_terms`` is a count or an array of counts.
+    """
+    return 1e-15 * (1.0 + np.log2(n_terms + 1.0))
 
 
 def _cis(theta):
@@ -104,6 +111,11 @@ def _check_finite(xis: np.ndarray) -> None:
         raise BadConfig("frequencies must be finite")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:     # NaN included
+        raise BadConfig(f"{name} must be positive, got {value}")
+
+
 def _freq_vector(xi, k: int) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(xi, dtype=float))
     if vec.shape != (k,):
@@ -127,15 +139,16 @@ def mu_hat(
 
     The returned ``error_bound`` adds the leaf closure bound
     2 pi |eta| R per unit weight and a roundoff allowance; it certifies
-    |value - mu_hat(xi)| <= error_bound.  Non-homogeneous systems expand
-    the stopping tree as a blocked columnar frontier
-    (``_mu_hat_general_many``): leaf terms are summed pairwise per block,
-    block sums combine with TwoSum compensation, and more than ``budget``
-    leaves raise ResourceExceeded("leaf_budget").  ``leaves_used`` is the
-    number of leaves of the tree (N^depth for homogeneous systems).
+    |value - mu_hat(xi)| <= error_bound.  Homogeneous systems take the
+    product form (``_mu_hat_homog_many`` with this one row), to the depth
+    at which 2 pi |eta| R <= tol.  Non-homogeneous systems expand the
+    stopping tree as a blocked columnar frontier (``_mu_hat_general_many``):
+    leaf terms are summed pairwise per block, block sums combine with TwoSum
+    compensation, and more than ``budget`` leaves raise
+    ResourceExceeded("leaf_budget").  ``leaves_used`` is the number of
+    leaves of the tree (N^depth for homogeneous systems).
     """
-    if tol <= 0.0:
-        raise BadConfig("tol must be positive")
+    _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, ifs.ambient_dim)
     values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget)
@@ -151,17 +164,17 @@ def mu_hat(
 def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int):
     """mu_hat at every row of ``etas`` (m, k).
 
-    Homogeneous systems take the product form row by row; all others run
-    one ``_mu_hat_general_many`` over the rows.  Returns (values (m,),
-    error bounds (m,), leaves), the leaf counts as exact Python ints
-    (N^depth can pass the int64 range).
+    Homogeneous systems make one product-form call per row, so that each
+    row stops at its own depth; all others run one ``_mu_hat_general_many``
+    over the rows.  Returns (values (m,), error bounds (m,), leaves), the
+    leaf counts as exact Python ints (N^depth can pass the int64 range).
     """
     if not ifs.is_homogeneous:
         values, errors, leaves = _mu_hat_general_many(ifs, etas, tol, budget)
         return values, errors, [int(n) for n in leaves]
-    rows = [_mu_hat_homog_single(ifs, eta, tol) for eta in etas]
-    values = np.array([value for value, _, _ in rows], dtype=complex)
-    errors = np.array([err for _, err, _ in rows])
+    rows = [_mu_hat_homog_many(ifs, etas[j : j + 1], tol) for j in range(len(etas))]
+    values = np.concatenate([value for value, _, _ in rows])
+    errors = np.concatenate([err for _, err, _ in rows])
     return values, errors, [ifs.n_maps**depth for _, _, depth in rows]
 
 
@@ -247,64 +260,55 @@ def _mu_hat_general_many(ifs, etas: np.ndarray, tol: float, budget: int):
     total = sums + carry
     values = np.empty(n_rows, dtype=complex)
     values.real, values.imag = total[0], total[1]
-    errors = total[2] + np.array([_roundoff(int(n)) for n in leaves])
+    errors = total[2] + _roundoff(leaves)
     return values, errors, leaves
 
 
-def _mu_hat_homog_single(ifs, vec, tol):
-    """Product-form evaluation for homogeneous systems (O(depth) work).
-
-    All depth-m leaves share the frequency (r O^T)^m xi, so the stopping
-    tree collapses to a product of one-step factors; the value equals the
-    full tree sum exactly.
-    """
-    radius = ifs.support_radius
-    step = ifs.maps[0].ratio * ifs.maps[0].orientation.T
-    weights = ifs.weight_array
-    trans = np.array([m.translation for m in ifs.maps])
-    eta = vec.astype(float)
-    value = complex(1.0, 0.0)
-    depth = 0
-    while TWO_PI * float(np.linalg.norm(eta)) * radius > tol:
-        phases = TWO_PI * (trans @ eta)
-        value *= complex(np.sum(weights * np.cos(phases)), -np.sum(weights * np.sin(phases)))
-        eta = step @ eta
-        depth += 1
-    theta = TWO_PI * float(eta @ ifs.barycenter)
-    value *= complex(math.cos(theta), -math.sin(theta))
-    err = TWO_PI * float(np.linalg.norm(eta)) * radius + _roundoff(depth + 1)
-    return value, err, depth
-
-
 def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
-    """Vectorised product-form mu_hat over rows of ``etas`` (n, k).
+    """Product-form mu_hat of a homogeneous system at every row of ``etas`` (n, k).
 
-    Iterates to the depth required by the largest frequency; returns
-    (values (n,), error bounds (n,), depth).
+    All depth-m leaves share the frequency (r O^T)^m eta, so the stopping
+    tree collapses to a product of one-step factors
+    sum_i p_i e^{-2 pi i <eta, t_i>}; the value equals the full tree sum
+    exactly.  Every row goes to the depth its largest row needs: the
+    first m at which 2 pi |(r O^T)^m eta| R <= tol for that row, its norm
+    recomputed from the iterate at every level.  A one-row call thus stops
+    where that frequency's own tree does.  In a many-row call the smaller
+    rows get closure terms far below tol, which keeps the interpolation
+    table's slack and the order-1 inner bounds small.  Rows run in chunks
+    of ``FRONTIER_BLOCK``: each level of a chunk is one (rows x maps) phase
+    matrix whose cos and sin are contracted with the weight vector, and a
+    chunk's arrays stay small enough to stay in cache.
+
+    Returns (values (n,), error bounds (n,), depth).
     """
     radius = ifs.support_radius
-    r = ifs.maps[0].ratio
-    orient = ifs.maps[0].orientation
+    step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # row eta -> row r O^T eta
+    trans = np.array([m.translation for m in ifs.maps]).T   # (k, N)
     weights = ifs.weight_array
-    trans = np.array([m.translation for m in ifs.maps])
-    cur = etas.astype(float).copy()
-    values = np.ones(len(cur), dtype=complex)
+    etas = np.asarray(etas, dtype=float)
+    norms = np.sqrt(np.vecdot(etas, etas))      # as np.linalg.norm(eta), bit for bit
+    top = etas[int(np.argmax(norms))]
     depth = 0
-    norms = np.linalg.norm(cur, axis=1)
-    while TWO_PI * float(norms.max(initial=0.0)) * radius > tol:
-        factor = np.zeros(len(cur), dtype=complex)
-        for w, t in zip(weights, trans):
-            factor += w * _cis(TWO_PI * (cur @ t))
-        values *= factor
-        cur = r * (cur @ orient)
-        norms *= r
+    while TWO_PI * float(np.linalg.norm(top)) * radius > tol:
+        top = top @ step_t
         depth += 1
         if depth > 5000:
             raise FractalFourierError("homogeneous recursion failed to contract")
-    values *= _cis(TWO_PI * (cur @ ifs.barycenter))
-    # recompute final norms: the tracked ones carry ~depth ulps of drift
-    errs = TWO_PI * np.linalg.norm(cur, axis=1) * radius + _roundoff(depth + 1)
-    return values, errs, depth
+    values = np.empty(len(etas), dtype=complex)
+    errs = np.empty(len(etas))
+    for start in range(0, len(etas), FRONTIER_BLOCK):
+        rows = slice(start, start + FRONTIER_BLOCK)
+        cur = etas[rows]
+        value = np.ones(len(cur), dtype=complex)
+        for _ in range(depth):
+            phases = TWO_PI * (cur @ trans)
+            value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
+            cur = cur @ step_t
+        value *= _cis(TWO_PI * (cur @ ifs.barycenter))
+        values[rows] = value
+        errs[rows] = TWO_PI * np.sqrt(np.vecdot(cur, cur)) * radius
+    return values, errs + _roundoff(depth + 1), depth
 
 
 # ---------------------------------------------------------------------------
@@ -659,24 +663,8 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# leaf data shared by the quadrature schemes
+# stopping covers shared by the quadrature schemes
 # ---------------------------------------------------------------------------
-
-
-class _LeafData:
-    """Read-only columns of one stopping cover, as the quadratures use them."""
-
-    __slots__ = ("weights", "ratios", "anchors", "orientations", "n", "nbytes")
-
-    def __init__(self, weights, ratios, anchors, orientations):
-        self.weights = weights                  # (n,)
-        self.ratios = ratios                    # (n,)
-        self.anchors = anchors                  # (n, k)
-        self.orientations = orientations        # (n, k, k)
-        self.n = len(weights)
-        self.nbytes = sum(a.nbytes for a in (weights, ratios, anchors, orientations))
-        for arr in (weights, ratios, anchors, orientations):
-            arr.setflags(write=False)
 
 
 COVER_CACHE_BYTES = 256 * 2**20     # total size of the cached stopping covers
@@ -695,7 +683,9 @@ class _CoverCache:
         self._entries = OrderedDict()
         self._lock = threading.Lock()
 
-    def fetch(self, key, build: Callable[[], _LeafData]) -> _LeafData:
+    def fetch(
+        self, key, build: Callable[[], StoppingDecomposition]
+    ) -> StoppingDecomposition:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -713,7 +703,7 @@ class _CoverCache:
 _COVER_CACHE = _CoverCache(COVER_CACHE_BYTES)
 
 
-def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> _LeafData:
+def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> StoppingDecomposition:
     """The stopping cover at ``scale`` (the root alone when 1 <= scale).
 
     The exact leaf count is checked against ``budget`` before the cache is
@@ -721,14 +711,7 @@ def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> _LeafData:
     ratio, so every scale with the same cover shares one entry.
     """
     _, snapped = _checked_count(ifs, scale, budget)
-
-    def build():
-        ratios, orients, _, weights, anchors, _, _ = _enumerate_stopping(
-            ifs, snapped, budget
-        )
-        return _LeafData(weights, ratios, anchors, orients)
-
-    return _COVER_CACHE.fetch((ifs, snapped), build)
+    return _COVER_CACHE.fetch((ifs, snapped), lambda: _enumerate_stopping(ifs, snapped))
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +790,14 @@ def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray
     return out
 
 
-def _linear_forms(ifs, pmap, leaves: _LeafData, order1: bool):
+def _linear_forms(ifs, pmap, leaves: StoppingDecomposition, order1: bool):
     """Per-leaf linear forms in xi of one cover: (2 pi A (n, d), B (n, k, d)).
 
     Cylinder w contributes p_w e^{-2 pi i <xi, A_w>} mu_hat(B_w xi), with
     B_w = r_w O_w^T J_f(x_w)^T and A_w = f(x_w) - B_w^T b.  Order 0 has
     A_w = f(x_w) and no inner transform (B is None).
     """
-    n, d = leaves.n, pmap.out_dim
+    n, d = len(leaves), pmap.out_dim
     f_vals = pmap.evaluator(leaves.anchors).reshape(n, d)
     if not order1:
         return TWO_PI * f_vals, None
@@ -905,7 +888,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
 
     jobs = []
     for rows, *cover in prepared:
-        step = max(1, 4_000_000 // cover[0].n)
+        step = max(1, 4_000_000 // len(cover[0]))
         jobs += [(rows[i : i + step], *cover) for i in range(0, len(rows), step)]
 
     def run(job):
@@ -931,7 +914,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
                     vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
                 else:
                     vals, errs, _ = _mu_hat_general_many(ifs, flat, 0.5 * tol, budget)
-                inner = vals.reshape(len(rows), leaves.n)
+                inner = vals.reshape(len(rows), len(leaves))
                 inner_err = np.add.reduce(errs.reshape(inner.shape) * leaves.weights, axis=1)
             # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
             re = ct * inner.real
@@ -939,14 +922,14 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
             im = np.multiply(ct, inner.imag, out=ct)
             im -= np.multiply(st, inner.real, out=st)
         vals = _row_sums(re, im, leaves.weights)
-        return rows, vals, norms[rows] * coef + inner_err + _roundoff(leaves.n), leaves.n
+        n = len(leaves)
+        return rows, vals, norms[rows] * coef + inner_err + _roundoff(n), n
 
     return _run_rows(run, jobs, m, threads)
 
 
 def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
-    if tol <= 0.0:
-        raise BadConfig("tol must be positive")
+    _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, pmap.out_dim)
     values, errors, leaves = _image_rows(
@@ -1022,8 +1005,7 @@ def pushforward_batch(
         raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")
     if pmap.out_dim != 1:
         raise Unsupported("batched evaluation expects scalar images (d = 1)")
-    if tol <= 0.0:
-        raise BadConfig("tol must be positive")
+    _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
     _check_finite(xis)

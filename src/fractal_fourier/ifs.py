@@ -279,34 +279,62 @@ class CylinderWord:
 
 @dataclass(frozen=True, eq=False)
 class StoppingDecomposition:
-    """Cylinder cover of supp(mu) by first-passage words at a given scale."""
+    """Cylinder cover of supp(mu) by first-passage words at a given scale.
+
+    Columnar: row j is the word ``letters[j, :depths[j]]`` (``letters`` is
+    zero-padded to the largest depth) with its ``ratios[j]``,
+    ``orientations[j]`` (k, k), ``translations[j]`` (k,), ``weights[j]``
+    and ``anchors[j]`` (k,), the image of the barycenter.  Rows are in
+    lexicographic word order and every array is read-only.  ``words``
+    builds the equivalent ``CylinderWord`` objects on first use.
+    """
 
     scale: float
     ratio_floor: float
-    words: tuple
+    ratios: np.ndarray
+    orientations: np.ndarray
+    translations: np.ndarray
+    weights: np.ndarray
+    anchors: np.ndarray
+    letters: np.ndarray
+    depths: np.ndarray
+
+    def __post_init__(self):
+        for arr in self._columns():
+            arr.setflags(write=False)
+
+    def _columns(self) -> tuple:
+        return (
+            self.ratios,
+            self.orientations,
+            self.translations,
+            self.weights,
+            self.anchors,
+            self.letters,
+            self.depths,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self._columns())
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([w.weight for w in self.words])
-
-    @cached_property
-    def ratios(self) -> np.ndarray:
-        return np.array([w.ratio for w in self.words])
-
-    @cached_property
-    def anchors(self) -> np.ndarray:
-        return np.array([w.anchor for w in self.words])
-
-    @cached_property
-    def translations(self) -> np.ndarray:
-        return np.array([w.translation for w in self.words])
-
-    @cached_property
-    def orientations(self) -> np.ndarray:
-        return np.array([w.orientation for w in self.words])
+    def words(self) -> tuple:
+        letters, depths = self.letters.tolist(), self.depths.tolist()
+        return tuple(
+            CylinderWord(
+                letters=tuple(letters[j][: depths[j]]),
+                ratio=float(self.ratios[j]),
+                orientation=self.orientations[j],
+                translation=self.translations[j],
+                weight=float(self.weights[j]),
+                anchor=self.anchors[j],
+            )
+            for j in range(len(depths))
+        )
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.depths)
 
 
 def _expand_blocked(root: tuple, expand) -> None:
@@ -406,20 +434,14 @@ def _checked_count(ifs: SelfSimilarIFS, scale: float, budget: int):
     return n_leaves, snapped
 
 
-def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
-    """Columnar enumeration of the stopping antichain.
+def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float) -> StoppingDecomposition:
+    """Columnar enumeration of the stopping antichain at ``scale``.
 
-    Returns (ratios (n,), orientations (n, k, k), translations (n, k),
-    weights (n,), anchors (n, k), letters (n, D), depths (n,)) in
-    expansion order; row j spells the word letters[j, :depths[j]].
-    Children follow ``_child_columns``.  The leaf count is computed
-    exactly first (``_count_stopping``), so a cover of more than
-    ``budget`` leaves raises ResourceExceeded("leaf_budget"), naming the
-    count, before any expansion.  For 1 <= scale the cover is the root.
-    Homogeneous covers come out in lexicographic order: all their leaves
-    share one depth, and each block keeps its parents' order.
+    Children follow ``_child_columns``; rows are sorted into lexicographic
+    word order.  For 1 <= scale the cover is the root.  The expansion
+    holds the whole cover, so callers check its exact size against their
+    budget first (``_checked_count``).
     """
-    _checked_count(ifs, scale, budget)
     k = ifs.ambient_dim
     n_maps = ifs.n_maps
     # Rounding is monotone, so no accumulated word ratio exceeds the
@@ -454,8 +476,16 @@ def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float, budget: int):
     ratios, orients, trans, weights, letters, depths = (
         np.concatenate(cols) for cols in zip(*leaves)
     )
+    leaves.clear()
     anchors = ratios[:, None] * (orients @ ifs.barycenter) + trans
-    return ratios, orients, trans, weights, anchors, letters, depths
+    letters = letters[:, : depths.max()]
+    columns = (ratios, orients, trans, weights, anchors, letters, depths)
+    if len(depths) > 1:     # else the root alone, with no letters to sort by
+        # Antichain words are never prefixes of each other, so the zero
+        # padding past each word's depth never decides the order.
+        order = np.lexsort(letters.T[::-1])
+        columns = tuple(col[order] for col in columns)
+    return StoppingDecomposition(scale, ifs.min_ratio * scale, *columns)
 
 
 def stopping_decomposition(
@@ -473,30 +503,8 @@ def stopping_decomposition(
     """
     if not (0.0 < scale < 1.0):
         raise BadConfig(f"scale must lie in (0, 1), got {scale}")
-    ratios, orients, trans, weights, anchors, letters, depths = _enumerate_stopping(
-        ifs, scale, budget
-    )
-    # Antichain words are never prefixes of each other, so the zero padding
-    # past each word's depth never decides the order.
-    order = np.lexsort(letters.T[::-1])
-    ratios, orients, trans, weights, anchors = (
-        _readonly(a[order]) for a in (ratios, orients, trans, weights, anchors)
-    )
-    letters, depths = letters[order].tolist(), depths[order].tolist()
-    words = tuple(
-        CylinderWord(
-            letters=tuple(letters[j][: depths[j]]),
-            ratio=float(ratios[j]),
-            orientation=orients[j],
-            translation=trans[j],
-            weight=float(weights[j]),
-            anchor=anchors[j],
-        )
-        for j in range(len(depths))
-    )
-    return StoppingDecomposition(
-        scale=scale, ratio_floor=ifs.min_ratio * scale, words=words
-    )
+    _checked_count(ifs, scale, budget)
+    return _enumerate_stopping(ifs, scale)
 
 
 def chaos_game(

@@ -31,6 +31,14 @@ def write_ifs(path, ratios, translations, weights, separation="none", exponents=
     return path
 
 
+def _run_cli_subprocess(*argv):
+    """The CLI in a subprocess with a timeout, so a run that hangs fails the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "fractal_fourier.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestDims:
     def test_cantor(self, capsys, tmp_path):
         code = main(
@@ -237,19 +245,24 @@ class TestFourier:
 
     @pytest.mark.parametrize("xi_list", ["inf", "1e400", "nan", "abc", "1,abc"])
     def test_bad_frequency_exit_2(self, tmp_path, xi_list):
-        # A subprocess with a timeout: a frequency that hangs fails the test.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
-        cmd = [
-            sys.executable, "-m", "fractal_fourier.cli", "fourier",
-            "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", xi_list,
+        proc = _run_cli_subprocess(
+            "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", xi_list,
             "--out", str(tmp_path / "x.csv"),
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        )
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "scheme_args", [[], ["--scheme", "order1", "--map", '{"kind": "square"}']]
+    )
+    def test_nan_tol_exit_2(self, tmp_path, scheme_args):
+        proc = _run_cli_subprocess(
+            "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", "3",
+            "--tol", "nan", *scheme_args, "--out", str(tmp_path / "x.csv"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "tol must be positive, got nan" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
     def test_recursion_threads_byte_identical(self, tmp_path):
@@ -314,6 +327,17 @@ class TestDecayCommand:
         assert (tmp_path / "out" / "octaves.csv").exists()
         assert (tmp_path / "out" / "samples.csv").exists()
 
+    def test_nan_tol_exit_2(self, tmp_path):
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
+               "octaves": [8, 9], "tol": math.nan}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = _run_cli_subprocess(
+            "decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "tol must be positive, got nan" in proc.stderr
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg_path = tmp_path / "decay.json"
         cfg_path.write_text(
@@ -349,6 +373,17 @@ class TestConvolveCommand:
         cfg_path = tmp_path / "conv.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["convolve", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("field", ["tol", "max_frequency", "density_budget"])
+    def test_nan_parameter_exit_2(self, tmp_path, field):
+        cfg = {"factors": [{"ifs": str(CONFIGS / "uniform12.json")}] * 2, field: math.nan}
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))     # json writes NaN, and reads it back
+        proc = _run_cli_subprocess(
+            "convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{field} must be positive, got nan" in proc.stderr
 
     def test_density_budget_defaults_to_library_value(self, tmp_path):
         summaries = []

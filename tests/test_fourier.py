@@ -18,9 +18,10 @@ from fractal_fourier.fourier import (
     COVER_CACHE_BYTES,
     PushforwardMap,
     _CoverCache,
-    _LeafData,
+    _MuHatTable,
     _leaf_data,
     _mu_hat_general_many,
+    _mu_hat_homog_many,
     _roundoff,
     _row_sums,
     constant_map,
@@ -45,6 +46,7 @@ from fractal_fourier.ifs import (
     FRONTIER_BLOCK,
     SelfSimilarIFS,
     SimilarityMap,
+    StoppingDecomposition,
     _count_stopping,
     ifs_1d,
     stopping_decomposition,
@@ -129,31 +131,96 @@ class TestMuHat:
         with pytest.raises(ResourceExceeded):
             mu_hat(mixed_ratios, 1e5, tol=1e-8, budget=100)
 
-    def test_general_path_agrees_with_product_path(self):
+    @pytest.mark.parametrize(
+        "system, xi_max, tol",
+        [("cantor", 60.0, 1e-5), ("square_2d", 4.0, 5e-3)],
+    )
+    def test_general_path_agrees_with_product_path(self, system, xi_max, tol, request):
         # Force the general tree expansion on a homogeneous system by
         # clearing the cached homogeneity flag: both code paths evaluate
         # the same measure and must agree within their summed bounds.
-        from fractal_fourier.ifs import cantor_ifs
-
-        fast = cantor_ifs()
-        slow = cantor_ifs()
+        fast = request.getfixturevalue(system)
+        slow = SelfSimilarIFS(fast.maps, fast.weights)
         slow.__dict__["is_homogeneous"] = False
         rng = np.random.default_rng(14)
-        for xi in rng.uniform(-60.0, 60.0, size=6):
-            a = mu_hat(fast, xi, tol=1e-5)
-            b = mu_hat(slow, xi, tol=1e-5)
+        for xi in rng.uniform(-xi_max, xi_max, size=(6, fast.ambient_dim)):
+            a = mu_hat(fast, xi, tol=tol)
+            b = mu_hat(slow, xi, tol=tol)
             assert b.scheme == "exact_recursion"
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
             # identical leaf accounting: N^depth of the collapsed tree
             assert a.leaves_used == b.leaves_used
+            assert a.leaves_used <= 10**5
 
     def test_probability_bound(self, cantor):
         s = mu_hat(cantor, 12.3, tol=1e-6)
         assert abs(s.value) <= 1.0 + s.error_bound
 
-    def test_tol_validation(self, cantor):
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_tol_validation(self, cantor, tol):
         with pytest.raises(BadConfig):
-            mu_hat(cantor, 1.0, tol=0.0)
+            mu_hat(cantor, 1.0, tol=tol)
+        sq = square_map(cantor)
+        calls = [
+            lambda: pushforward_hat_order0(cantor, sq, 3.0, tol=tol),
+            lambda: pushforward_hat_order1(cantor, sq, 3.0, tol=tol),
+        ]
+        calls += [
+            lambda scheme=scheme: pushforward_batch(cantor, sq, [3.0], tol=tol, scheme=scheme)
+            for scheme in ("order0", "order1", "exact_recursion")
+        ]
+        for call in calls:
+            with pytest.raises(BadConfig, match=f"tol must be positive, got {tol}"):
+                call()
+
+
+class TestProductForm:
+    """``_mu_hat_homog_many``: one depth per call, rows in FRONTIER_BLOCK chunks."""
+
+    def test_rows_share_the_largest_rows_depth(self, cantor):
+        tol = 1e-6
+        rng = np.random.default_rng(21)
+        etas = rng.uniform(-50.0, 50.0, size=(3 * FRONTIER_BLOCK + 100, 1))
+        etas[-1] = 2000.0       # the largest row, in the last chunk
+        values, bounds, depth = _mu_hat_homog_many(cantor, etas, tol)
+        top = mu_hat(cantor, 2000.0, tol=tol)
+        assert top.leaves_used == 2**depth
+        # every row is taken to that depth: its closure term is |eta| 3^-depth
+        radius = cantor.support_radius
+        closure = 2.0 * math.pi * np.abs(etas[:, 0]) * 3.0**-depth * radius
+        assert bounds == pytest.approx(closure + _roundoff(depth + 1), rel=1e-12, abs=0.0)
+        for j in list(range(0, len(etas), 97)) + [len(etas) - 1]:
+            assert abs(values[j] - cantor_closed_form(etas[j, 0])) <= bounds[j]
+
+    def test_one_row_call_is_mu_hat(self, cantor, square_2d):
+        rng = np.random.default_rng(22)
+        for system, xi in [(cantor, x) for x in rng.uniform(-1e4, 1e4, size=3)] + [
+            (square_2d, x) for x in rng.uniform(-1e3, 1e3, size=(3, 2))
+        ]:
+            vec = np.atleast_1d(xi)
+            value, bound, depth = _mu_hat_homog_many(system, vec[None, :], 1e-7)
+            s = mu_hat(system, xi, tol=1e-7)
+            assert s.leaves_used == system.n_maps**depth
+            assert s.error_bound == bound[0]
+            assert s.value == value[0]
+
+    def test_one_row_depth_is_the_trees_depth(self, cantor):
+        # the depth-first reference stops every leaf by the same rule
+        for xi in (0.3, -17.0, 250.0):
+            depth = _mu_hat_homog_many(cantor, np.array([[xi]]), 1e-4)[2]
+            _, _, ref_leaves = _mu_hat_dfs_reference(cantor, xi, 1e-4)
+            assert ref_leaves == 2**depth
+
+
+class TestMuHatTable:
+    def test_slack_certifies_lookup(self, cantor):
+        table = _MuHatTable(cantor, 50.0, 1e-6)
+        rng = np.random.default_rng(24)
+        ends = [0.0, table.eta_max, -table.eta_max, table.h, -table.h]
+        etas = np.concatenate([ends, rng.uniform(-table.eta_max, table.eta_max, size=2000)])
+        looked_up = table.lookup(etas)
+        for eta, got in zip(etas, looked_up):
+            assert abs(got - cantor_closed_form(eta)) <= table.slack
 
 
 def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
@@ -304,12 +371,22 @@ class TestCoverBudget:
 
 
 def _small_cover(n):
-    return _LeafData(np.ones(n), np.ones(n), np.ones((n, 1)), np.ones((n, 1, 1)))
+    return StoppingDecomposition(
+        1.0,
+        1.0,
+        np.ones(n),
+        np.ones((n, 1, 1)),
+        np.ones((n, 1)),
+        np.ones(n),
+        np.ones((n, 1)),
+        np.zeros((n, 0), dtype=np.uint8),
+        np.zeros(n, dtype=np.int64),
+    )
 
 
 class TestCoverCache:
     def test_bytes_stay_under_cap(self, cantor, mixed_ratios, monkeypatch):
-        cap = 32 * 2**10    # 1024 leaves of a k = 1 cover, 32 bytes each
+        cap = 32 * 2**10    # holds the smaller covers below, not the larger
         cache = _CoverCache(cap)
         monkeypatch.setattr(fourier_module, "_COVER_CACHE", cache)
         requests = [(cantor, 3.0**-d) for d in (4, 9, 11, 6, 12, 2, 10)]

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import BadConfig, InvalidIFS, ResourceExceeded, Unsupported
+from fractal_fourier.fourier import _leaf_data
 from fractal_fourier.ifs import (
     FRONTIER_BLOCK,
     GrowthVerdict,
@@ -26,6 +28,11 @@ from fractal_fourier.ifs import (
 )
 
 from conftest import _homogeneous_leaf_arrays, _random_reversing_system, random_similarity
+
+
+COVER_COLUMNS = (
+    "ratios", "orientations", "translations", "weights", "anchors", "letters", "depths"
+)
 
 
 def one_d_map(r, t):
@@ -136,12 +143,14 @@ def _stopping_words_reference(ifs, scale):
     return out
 
 
+def _random_planar_system():
+    rng = np.random.default_rng(16)
+    return SelfSimilarIFS(tuple(random_similarity(rng, 2) for _ in range(3)), (0.5, 0.3, 0.2))
+
+
 class TestStoppingDecomposition:
     def test_matches_depth_first_reference_planar(self):
-        rng = np.random.default_rng(16)
-        system = SelfSimilarIFS(
-            tuple(random_similarity(rng, 2) for _ in range(3)), (0.5, 0.3, 0.2)
-        )
+        system = _random_planar_system()
         scale = 0.1
         dec = stopping_decomposition(system, scale)
         ref = _stopping_words_reference(system, scale)
@@ -255,15 +264,13 @@ class TestStoppingCover:
         )
         ratio, orient, weights, _, anchors = _homogeneous_leaf_arrays(ifs, depth, 10**8)
         assert len(weights) > FRONTIER_BLOCK
-        ratios, orients, _, got_weights, got_anchors, letters, depths = (
-            _enumerate_stopping(ifs, ratio, 10**8)
-        )
-        assert np.all(depths == depth)
-        assert np.array_equal(np.lexsort(letters.T[::-1]), np.arange(len(letters)))
-        assert np.array_equal(got_weights, weights)
-        assert np.all(ratios == ratio)
-        assert np.max(np.abs(orients - orient)) <= 1e-15
-        assert np.max(np.abs(got_anchors - anchors)) <= 1e-15
+        cover = _enumerate_stopping(ifs, ratio)
+        assert np.all(cover.depths == depth)
+        assert np.array_equal(np.lexsort(cover.letters.T[::-1]), np.arange(len(cover)))
+        assert np.array_equal(cover.weights, weights)
+        assert np.all(cover.ratios == ratio)
+        assert np.max(np.abs(cover.orientations - orient)) <= 1e-15
+        assert np.max(np.abs(cover.anchors - anchors)) <= 1e-15
 
     def test_count_matches_enumeration(self):
         rng = np.random.default_rng(23)
@@ -275,12 +282,12 @@ class TestStoppingCover:
             cases.append((_random_reversing_system(seed), float(10 ** rng.uniform(-5.0, -2.5))))
         for ifs, scale in cases:
             n_leaves, snapped = _count_stopping(ifs, scale)
-            cover = _enumerate_stopping(ifs, scale, 10**7)
-            assert len(cover[0]) == n_leaves
-            assert snapped == cover[0].max() <= scale
-            again = _enumerate_stopping(ifs, snapped, 10**7)
-            for col, col_again in zip(cover, again):
-                assert np.array_equal(col, col_again)
+            cover = _enumerate_stopping(ifs, scale)
+            assert len(cover.ratios) == n_leaves
+            assert snapped == cover.ratios.max() <= scale
+            again = _enumerate_stopping(ifs, snapped)
+            for name in COVER_COLUMNS:
+                assert np.array_equal(getattr(cover, name), getattr(again, name))
 
     def test_count_of_root(self, mixed_ratios):
         assert _count_stopping(mixed_ratios, 1.0) == (1, 1.0)
@@ -290,6 +297,56 @@ class TestStoppingCover:
     def test_count_rejects_scales_that_never_stop(self, mixed_ratios, scale):
         with pytest.raises(BadConfig):
             _count_stopping(mixed_ratios, scale)
+
+
+class TestCoverColumns:
+    """``StoppingDecomposition`` is columnar; ``words`` is built from the columns."""
+
+    @staticmethod
+    def _systems(mixed_ratios):
+        return [
+            (mixed_ratios, 1e-3),
+            (_random_reversing_system(5), 1e-3),
+            (_rotated_homogeneous_system(), 0.01),
+            (_random_planar_system(), 0.01),
+        ]
+
+    def test_columns_equal_word_fields(self, mixed_ratios):
+        for system, scale in self._systems(mixed_ratios):
+            dec = stopping_decomposition(system, scale)
+            assert len(dec.words) == len(dec) > 50
+            for j, w in enumerate(dec.words):
+                assert w.letters == tuple(dec.letters[j, : dec.depths[j]].tolist())
+                assert w.ratio == dec.ratios[j]
+                assert w.weight == dec.weights[j]
+                assert np.array_equal(w.orientation, dec.orientations[j])
+                assert np.array_equal(w.translation, dec.translations[j])
+                assert np.array_equal(w.anchor, dec.anchors[j])
+
+    def test_leaf_data_is_the_same_cover(self, mixed_ratios, cantor):
+        cases = self._systems(mixed_ratios) + [(cantor, 0.3), (cantor, 1e-3)]
+        for system, scale in cases:
+            dec = stopping_decomposition(system, scale)
+            cached = _leaf_data(system, scale, 10**7)
+            for name in COVER_COLUMNS:
+                assert np.array_equal(getattr(cached, name), getattr(dec, name))
+
+    def test_columns_read_only(self, mixed_ratios):
+        dec = stopping_decomposition(mixed_ratios, 0.01)
+        for name in COVER_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(dec, name)[0] = 0
+
+    def test_len_builds_no_words(self, mixed_ratios, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("CylinderWord built")
+
+        monkeypatch.setattr(ifs_module, "CylinderWord", fail)
+        dec = stopping_decomposition(mixed_ratios, 1e-3)
+        assert len(dec) == len(dec.ratios) > 0
+        assert dec.nbytes == sum(getattr(dec, name).nbytes for name in COVER_COLUMNS)
+        with pytest.raises(AssertionError):
+            dec.words
 
 
 class TestHomogeneity:
