@@ -24,10 +24,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadConfig, CenterInsideSupport, SupportNotPositive
+from .errors import BadConfig, CenterInsideSupport, ResourceExceeded, SupportNotPositive
 from .fourier import (
+    EPS,
+    TWO_PI,
     PushforwardMap,
     _check_positive,
+    _grid_step,
+    _phase_blocks,
+    _phase_rounding,
     curvature_diagnostic,
     log_map,
     neg_log_map,
@@ -282,20 +287,43 @@ class ConvolutionExperiment:
 
 
 def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):
-    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}), real arithmetic."""
+    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}), real arithmetic.
+
+    The phases come from ``fourier._phase_blocks`` along the frequency
+    axis, with coefficients 2 pi t: on the uniform grid xi_j = j delta of
+    ``multiplicative_convolution`` by angle addition, in blocks of about
+    ``PHASE_BLOCK`` terms.  ``_inversion_rounding`` bounds the rounding.
+    Returns (rho, |Im phi_0|).
+    """
+    rows = np.arange(1, len(xis))
+    coefs = (TWO_PI * np.asarray(t, dtype=float))[:, None]
+    step = _grid_step(xis[:, None])
+    acc = np.zeros(len(t))
+    for start, stop, ct, st in _phase_blocks(xis[:, None], rows, coefs, step):
+        ct *= phi.real[start + 1 : stop + 1, None]
+        ct -= np.multiply(st, phi.imag[start + 1 : stop + 1, None], out=st)
+        acc += np.add.reduce(ct, axis=0)
     rho = np.full(len(t), float(phi[0].real))
-    imag_residue = abs(float(phi[0].imag))
-    chunk = max(1, 4_000_000 // max(len(xis) - 1, 1))
-    for start in range(0, len(t), chunk):
-        tt = t[start : start + chunk]
-        theta = np.outer(tt, 2.0 * math.pi * xis[1:])
-        ct = np.cos(theta)
-        st = np.sin(theta, out=theta)
-        rho[start : start + chunk] += 2.0 * (
-            np.einsum("nj,j->n", ct, phi[1:].real)
-            - np.einsum("nj,j->n", st, phi[1:].imag)
-        )
-    return delta * rho, imag_residue
+    rho += 2.0 * acc
+    return delta * rho, abs(float(phi[0].imag))
+
+
+def _inversion_rounding(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):
+    """Bound on the float rounding of ``_invert_on_points`` at the points ``t``.
+
+    Each term Re(phi_j e^{i theta_j}) is within
+    |phi_j| ``_phase_rounding``(|xi_j|, 2 pi max|t|) of its exact value
+    (the phase path and the products with phi_j; 2 pi t rounds by 2u, less
+    than A_w does).  The accumulation over the N = len(xis) terms is
+    sequential across and within blocks, at most N u per unit term, and
+    the factors 2 and delta add two more roundings: (N + 2) EPS times
+    |phi_0| + 2 sum |phi_j| covers them all.
+    """
+    mags = np.abs(phi)
+    coef = TWO_PI * float(np.max(np.abs(t)))
+    terms = 2.0 * float(np.sum(mags[1:] * _phase_rounding(np.abs(xis[1:]), coef)))
+    total = float(mags[0] + 2.0 * np.sum(mags[1:]))
+    return delta * (terms + (len(xis) + 2.0) * EPS * total)
 
 
 def _octave_diagnostics(xis: np.ndarray, phi: np.ndarray, delta: float):
@@ -332,12 +360,20 @@ def multiplicative_convolution(
 ) -> ConvolutionExperiment:
     """Recover the density of the product (or ratio) of factor measures.
 
-    The frequency grid has step delta = 1/(4 * total log-support length)
-    and reaches max_frequency.  The stopping scale of each factor's
-    quadrature is chosen so the certified inversion error stays within
-    ``density_budget``; the truncation tail beyond the grid is estimated
-    from the fitted envelope slope and reported separately (never folded
-    into the certified part).
+    The frequency grid is xi_j = j delta, with delta = 1/(4 * total
+    log-support length), and reaches max_frequency.  Each factor's
+    transform is evaluated at one fixed stopping scale, chosen so that the
+    quadratic cross terms of the transform errors take half of
+    ``density_budget``.  The certified density error
+    ``density_error_certified`` is delta times the summed product errors
+    plus the float rounding of the inversion (``_inversion_rounding``).
+    While it is above ``density_budget``, which happens when the linear
+    term |phi| e dominates (slowly decaying transforms), every factor's
+    scale is halved and the transforms are evaluated again; a cover past
+    the leaf budget raises ResourceExceeded("leaf_budget") before it is
+    built, so an unreachable budget ends there.  The truncation tail beyond
+    the grid is estimated from the fitted envelope slope and reported
+    separately (never folded into the certified part).
     """
     if len(factors) < 2:
         raise BadConfig("need at least two factor measures")
@@ -353,6 +389,8 @@ def multiplicative_convolution(
     delta = 1.0 / (4.0 * total_len)
     n_freq = int(math.ceil(max_frequency / delta))
     xis = np.arange(n_freq + 1) * delta
+    pad = 0.02 * total_len
+    t_grid = np.linspace(support_lo - pad, support_hi + pad, density_points)
 
     # Fixed stopping scale per factor.  Per-point transform errors grow as
     # e(xi) = tau xi (tau = pi H R^2 scale^2); their quadratic cross terms
@@ -362,44 +400,55 @@ def multiplicative_convolution(
     tau_target = math.sqrt(
         3.0 * (density_budget / 2.0) / (n_fac * (n_fac - 1) * max_frequency**3)
     )
-
-    cache: dict = {}
-    transforms = []
-    for factor in factors:
-        key = factor.key()
-        if key in cache:
+    refine = 1.0
+    while True:
+        cache: dict = {}
+        transforms = []
+        for factor in factors:
+            key = factor.key()
+            if key not in cache:
+                hess = factor.pmap.hessian_bound
+                radius = factor.ifs.support_radius
+                scale = None
+                if hess:
+                    scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
+                vals, errs, _ = pushforward_batch(
+                    factor.ifs,
+                    factor.pmap,
+                    xis,
+                    tol=tol,
+                    scheme="order1",
+                    threads=threads,
+                    budget=budget,
+                    scale=scale,
+                )
+                cache[key] = (vals, errs)
             transforms.append((key, cache[key]))
-            continue
-        hess = factor.pmap.hessian_bound
-        radius = factor.ifs.support_radius
-        scale = math.sqrt(tau_target / (math.pi * hess * radius**2)) if hess else None
-        vals, errs, _ = pushforward_batch(
-            factor.ifs,
-            factor.pmap,
-            xis,
-            tol=tol,
-            scheme="order1",
-            threads=threads,
-            budget=budget,
-            scale=scale,
-        )
-        cache[key] = (vals, errs)
-        transforms.append((key, (vals, errs)))
 
-    # Multiply in canonical key order: numpy complex products are not
-    # bitwise commutative, and the product must be identical for any
-    # factor ordering.
-    transforms.sort(key=lambda item: item[0])
-    product = np.ones(n_freq + 1, dtype=complex)
-    product_err = np.zeros(n_freq + 1)
-    for _, (vals, errs) in transforms:
-        mag_prev = np.abs(product)
-        mag_new = np.abs(vals)
-        product_err = mag_prev * errs + mag_new * product_err + product_err * errs
-        product = product * vals
+        # Multiply in canonical key order: numpy complex products are not
+        # bitwise commutative, and the product must be identical for any
+        # factor ordering.
+        transforms.sort(key=lambda item: item[0])
+        product = np.ones(n_freq + 1, dtype=complex)
+        product_err = np.zeros(n_freq + 1)
+        for _, (vals, errs) in transforms:
+            mag_prev = np.abs(product)
+            mag_new = np.abs(vals)
+            product_err = mag_prev * errs + mag_new * product_err + product_err * errs
+            product = product * vals
+        cert = float(delta * (product_err[0] + 2.0 * np.sum(product_err[1:])))
+        cert += _inversion_rounding(t_grid, xis, product, delta)
+        if cert <= density_budget:
+            break
+        if not any(f.pmap.hessian_bound for f in factors):
+            raise ResourceExceeded(
+                f"certified density error {cert:.3e} exceeds density_budget "
+                f"{density_budget:.3e}, and no factor has a scale to refine",
+                "density_budget",
+            )
+        refine *= 0.5
 
     warnings = []
-    cert = float(delta * (product_err[0] + 2.0 * np.sum(product_err[1:])))
     rows, l1_slope, l2_slope = _octave_diagnostics(xis, product, delta)
     # Tail: extrapolate the last octave's L^1 increment with its fitted slope.
     if rows and not math.isnan(l1_slope) and l1_slope < -0.1:
@@ -413,8 +462,6 @@ def multiplicative_convolution(
             "truncation tail unbounded, density unreliable"
         )
 
-    pad = 0.02 * total_len
-    t_grid = np.linspace(support_lo - pad, support_hi + pad, density_points)
     rho, imag_residue = _invert_on_points(t_grid, xis, product, delta)
     # t is the log coordinate; the product (or ratio) variable is z = e^t.
     z = np.exp(t_grid)

@@ -35,11 +35,17 @@ stopping cover of its largest |xi|, an ``ifs.StoppingDecomposition`` read
 column by column (and cached).  The order-1 inner transform is read
 from a certified interpolation table for homogeneous systems on the line
 in a batch, and computed by the recursion otherwise.  Each frequency's
-leaf terms are summed pairwise along the leaf axis.
+leaf terms are summed pairwise along the leaf axis.  The kernel works
+through cache-sized blocks of rows, and on a uniform frequency grid
+j * delta it builds the phases of consecutive rows by angle addition
+(``_phase_blocks``, shared with the Fourier inversion of
+``experiments``), which replaces most calls to cos and sin.
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
-with merely estimated bounds mark their samples as uncertified.
+with merely estimated bounds mark their samples as uncertified.  They
+include the float rounding of the phases (``_phase_rounding``,
+``_recursion_rounding``), which grows like 2^-52 |xi|.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ from .ifs import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
+JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
+PHASE_BLOCK = 32_768    # row x leaf terms per elementwise block of a job
 
 
 def _roundoff(n_terms):
@@ -80,6 +89,82 @@ def _roundoff(n_terms):
     ``n_terms`` is a count or an array of counts.
     """
     return 1e-15 * (1.0 + np.log2(n_terms + 1.0))
+
+
+def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
+    """Rounding allowance, per unit weight, of a phase sum sum_w p_w e^{-i xi A_w} h_w.
+
+    EPS (c1 |xi| a_max + c2 + c3 |xi| inner), with c1 = dims + 5, c2 = 16
+    and c3 = 2 dims + 3 (6, 16 and 5 on the line).  ``a_max`` bounds the
+    computed |A_w| (the 2 pi is inside A_w), ``inner`` is
+    2 pi max_w |B_w| sup|x| for an inner transform h_w = mu_hat(B_w xi),
+    else 0, and ``dims`` is max(k, d).  ``xi_norm`` may be an array.
+
+    Model: every operation rounds with relative error at most u = EPS/2,
+    and np.cos and np.sin return, for every finite argument, a value
+    within 2 EPS of the exact one (accurate argument reduction; numpy's
+    are within one ulp).  The anchors x_w, f(x_w) and J_f(x_w) as the
+    cover and the map's evaluators return them are the quadrature's
+    nodes.  First-order terms (products of two roundings are absorbed by
+    rounding the constants up):
+
+    * outer phase.  A_w = 2 pi (f(x_w) - B_w^T b) rounds by 3u |A_w| (2 pi
+      is a float, a subtraction, a product) plus k u 2 pi |B_w||b|; xi A_w
+      adds d u |xi||A_w|.  The grid path (``_phase_blocks``) takes
+      (j0 delta) A_w + (l delta) A_w for (j delta) A_w: two more products
+      (2u) and the split of j delta into j0 delta + l delta (2u), so at
+      most (d + 7) u |xi| a_max in all, below c1 EPS |xi| a_max.
+    * inner argument.  xi B_w rounds by d u |xi||B_w| and B_w itself by
+      (k + 1) u |B_w|, which moves the linear phase by at most
+      2 pi |xi||Delta B_w| R; mu_hat is 2 pi sup|x|-Lipschitz, and
+      |b|, R <= sup|x|.  With the k u term above that is at most
+      (2k + d + 1) u |xi| inner, below c3 EPS |xi| inner.
+    * values.  |e^{-i theta'} - e^{-i theta}| <= |theta' - theta|.  Direct
+      cos and sin err by 2 EPS each, 2.9 EPS as a complex number; the
+      angle-addition products cAcB - sAsB err by at most 2 EPS
+      (|cA| + |cB| + |sA| + |sB|) + 3u <= 7.2 EPS per part, 10.2 EPS
+      complex.  The complex combine with h_w (|h_w| <= 1) adds 1.5 EPS
+      and the weight 0.5 EPS: at most 12.2 EPS, below c2 EPS.
+
+    Summation is ``_roundoff``'s part and is not counted here.
+    """
+    return EPS * (xi_norm * ((dims + 5.0) * a_max + (2.0 * dims + 3.0) * inner) + 16.0)
+
+
+def _recursion_rounding(ifs, norms, depth, additions):
+    """Rounding allowance of the self-similarity recursion at |eta_0| = ``norms``.
+
+    EPS (pi S |eta_0| (A + k + k^1.5 + 6) / (1 - rho)^2 + (D + 1)(N + 5)),
+    with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps, D the
+    depth of the deepest leaf (``depth``) and A the number of phase
+    additions along a path (``additions``: D for the frontier, 0 for the
+    product form).  ``norms``, ``depth`` and ``additions`` may be arrays.
+    It covers the float rounding of the phases 2 pi <eta_l, t_i> and
+    2 pi <eta_D, b>, which grows like EPS |eta_0|.
+
+    Model as in ``_phase_rounding`` (u = EPS/2, cos and sin within 2 EPS).
+    The iterate eta_l = eta_{l-1} r O^T is a k-term product, so
+    |Delta eta_l| <= l k^1.5 u rho^l |eta_0|, and 2 pi <eta_l, t_i> adds
+    (k + 2) u |eta_l||t_i|.  Summed over l with sum rho^l (1 + l) =
+    1 / (1 - rho)^2 this is the k and k^1.5 part.  The frontier
+    (``_mu_hat_general_many``) accumulates a leaf's phase by D additions
+    of partial sums below S |eta_0| / (1 - rho), and rounds the leaf
+    argument 2 pi (phase + <eta_D, b>) three more times, below
+    2 S |eta_0| / (1 - rho) each: the A + 6.  The product form
+    (``_mu_hat_homog_many``) has D + 1 factors, each from N cos/sin pairs
+    contracted with the weights (N u + 2 EPS per part) and one complex
+    product (2 EPS): the (D + 1)(N + 5).  A frontier leaf value has one
+    cos/sin pair and a path weight rounded D times, which that term
+    covers too.
+    """
+    k = ifs.ambient_dim
+    rho = float(ifs.ratios.max())
+    reach = max(max(float(np.linalg.norm(m.translation)) for m in ifs.maps),
+                float(np.linalg.norm(ifs.barycenter)))
+    return EPS * (
+        math.pi * reach * norms * (additions + k + k**1.5 + 6.0) / (1.0 - rho) ** 2
+        + (depth + 1.0) * (ifs.n_maps + 5.0)
+    )
 
 
 def _cis(theta):
@@ -207,7 +292,9 @@ def _mu_hat_general_many(ifs, etas: np.ndarray, tol: float, budget: int):
     count passes ``budget`` raises ResourceExceeded.
 
     Returns (values (n,), error bounds (n,), leaves (n,)); each bound is
-    the closure sum plus ``_roundoff`` of that frequency's leaf count.
+    the closure sum plus ``_roundoff`` of that frequency's leaf count plus
+    the phase rounding ``_recursion_rounding`` at the row's |eta| and
+    leaf depth bound (``_leaf_depth_bound``).
     """
     n_rows, k = etas.shape
     n_maps = ifs.n_maps
@@ -260,8 +347,21 @@ def _mu_hat_general_many(ifs, etas: np.ndarray, tol: float, budget: int):
     total = sums + carry
     values = np.empty(n_rows, dtype=complex)
     values.real, values.imag = total[0], total[1]
-    errors = total[2] + _roundoff(leaves)
-    return values, errors, leaves
+    norms = np.linalg.norm(etas, axis=1)
+    depth = _leaf_depth_bound(ifs, norms, tol)
+    rounding = _recursion_rounding(ifs, norms, depth, depth)
+    return values, total[2] + _roundoff(leaves) + rounding, leaves
+
+
+def _leaf_depth_bound(ifs, norms, tol: float):
+    """Bound on the depth of the stopping tree's leaves at |eta_0| = ``norms``.
+
+    A leaf's parent at depth D - 1 had 2 pi rho^(D-1) |eta_0| R > tol (rho
+    the largest ratio), so D <= 1 + log(2 pi |eta_0| R / tol) / log(1 / rho);
+    one more level allows for the rounding of that test.
+    """
+    reach = np.maximum(TWO_PI * norms * ifs.support_radius / tol, 1.0)
+    return 2.0 + np.floor(np.log(reach) / -math.log(float(ifs.ratios.max())))
 
 
 def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
@@ -280,7 +380,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
     matrix whose cos and sin are contracted with the weight vector, and a
     chunk's arrays stay small enough to stay in cache.
 
-    Returns (values (n,), error bounds (n,), depth).
+    Returns (values (n,), error bounds (n,), depth).  Each bound is the
+    row's closure term plus ``_roundoff(depth + 1)`` plus the phase
+    rounding ``_recursion_rounding`` at the row's |eta| and ``depth``.
     """
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # row eta -> row r O^T eta
@@ -307,8 +409,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
             cur = cur @ step_t
         value *= _cis(TWO_PI * (cur @ ifs.barycenter))
         values[rows] = value
-        errs[rows] = TWO_PI * np.sqrt(np.vecdot(cur, cur)) * radius
-    return values, errs + _roundoff(depth + 1), depth
+        closure = TWO_PI * np.sqrt(np.vecdot(cur, cur)) * radius + _roundoff(depth + 1)
+        errs[rows] = closure + _recursion_rounding(ifs, norms[rows], depth, 0)
+    return values, errs, depth
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +911,55 @@ def _linear_forms(ifs, pmap, leaves: StoppingDecomposition, order1: bool):
     return TWO_PI * (f_vals - np.einsum("nkd,k->nd", b_forms, ifs.barycenter)), b_forms
 
 
+def _grid_step(freqs: np.ndarray):
+    """delta when the rows of ``freqs`` (m, 1) are exactly j * delta, else None."""
+    if freqs.shape[1] != 1 or len(freqs) < 2:
+        return None
+    step = freqs[1, 0]
+    return step if np.array_equal(freqs[:, 0], np.arange(len(freqs)) * step) else None
+
+
+def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step):
+    """cos and sin of theta[l, w] = <freqs[rows[l]], coefs[w]>, block by block.
+
+    ``freqs`` is (m, d) and ``coefs`` (n, d).  Yields (start, stop, cos,
+    sin) for consecutive blocks rows[start:stop] of max(1, PHASE_BLOCK // n)
+    rows, two fresh (stop - start, n) arrays each, so every temporary of
+    the caller's elementwise work stays in cache.  With ``step``, the rows
+    of ``freqs`` are j * step (``_grid_step``), and a block of consecutive
+    rows j0 .. j0 + L - 1 is built by angle addition from the n phases
+    (j0 step) coefs and a base block (l step) coefs, l < L, computed once:
+    cos(A + B) = cA cB - sA sB and sin(A + B) = sA cB + cA sB.  That takes
+    (L + m / L) n calls to cos and sin instead of m n.  Other blocks, and
+    all blocks when a block is one row (n > PHASE_BLOCK / 2), take cos and
+    sin directly.  Both paths are within ``_phase_rounding`` of the exact
+    phases.
+    """
+    n, d = coefs.shape
+    size = max(1, PHASE_BLOCK // n)
+    base = None
+    for start in range(0, len(rows), size):
+        block = rows[start : start + size]
+        count = len(block)
+        if step is not None and size > 1 and block[-1] - block[0] == count - 1:
+            if base is None:
+                theta = np.outer(np.arange(size) * step, coefs[:, 0])
+                base = np.cos(theta), np.sin(theta)
+            theta = (block[0] * step) * coefs[:, 0]
+            c_off, s_off = np.cos(theta), np.sin(theta)
+            c_base, s_base = base[0][:count], base[1][:count]
+            ct = c_base * c_off
+            ct -= s_base * s_off
+            st = s_base * c_off
+            st += c_base * s_off
+        else:
+            x = freqs[block]
+            theta = np.outer(x[:, 0], coefs[:, 0]) if d == 1 else x @ coefs.T
+            ct = np.cos(theta)
+            st = np.sin(theta, out=theta)
+        yield start, start + count, ct, st
+
+
 def _run_rows(run, jobs, m: int, threads: int):
     """(values, bounds, leaves) of m rows, scattered from ``run(job)`` per job.
 
@@ -832,13 +984,24 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     Rows with xi = 0 are exact.  The others share the cover at ``scale``
     when it is given, else they are grouped by octave of |xi| and each
     group takes the stopping scale of its largest |xi|; the largest cover
-    is counted against ``budget`` before any is built.  Rows run in fixed
-    chunks of at most 4,000,000 row x leaf terms.  The order-1 inner
-    transform comes from one ``_MuHatTable`` when ``table`` is set (k = 1,
-    homogeneous), else from the recursion at tol/2 with ``budget`` leaves
-    per inner frequency.  A row's bound is |xi| times the cover's closure
-    (order 0) or Taylor (order 1) coefficient, plus the inner bound, plus
-    roundoff.
+    is counted against ``budget`` before any is built.
+
+    Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
+    leaf terms: a job is the unit of the thread scatter and of each exact
+    inner evaluation.  Within a job the elementwise work (phases, table
+    lookups, the complex combine and ``_row_sums``) runs over blocks of
+    about ``PHASE_BLOCK`` terms (``_phase_blocks``), so its temporaries
+    stay in cache; each row is still one pairwise sum over all its
+    leaves.  When the rows of ``xis`` are the uniform grid j * delta
+    (``_grid_step``; ``multiplicative_convolution`` builds its grid that
+    way) the phases of consecutive rows come from angle addition.
+
+    The order-1 inner transform comes from one ``_MuHatTable`` when
+    ``table`` is set (k = 1, homogeneous), else from the recursion at
+    tol/2 with ``budget`` leaves per inner frequency.  A row's bound is
+    |xi| times the cover's closure (order 0) or Taylor (order 1)
+    coefficient, plus the inner bound, plus roundoff, plus the phase
+    rounding ``_phase_rounding``, which holds for both phase paths.
     """
     m, d = xis.shape
     k = ifs.ambient_dim
@@ -876,54 +1039,66 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
             coef = math.pi * bound * radius**2 * float(np.sum(leaves.weights * leaves.ratios**2))
         else:
             coef = TWO_PI * bound * radius * float(np.sum(leaves.weights * leaves.ratios))
-        prepared.append((rows, leaves, *_linear_forms(ifs, pmap, leaves, order1), coef))
+        a_forms, b_forms = _linear_forms(ifs, pmap, leaves, order1)
+        inner_reach = 0.0
+        if order1:
+            inner_reach = TWO_PI * ifs.max_point_norm * float(
+                np.sqrt(np.sum(b_forms**2, axis=(1, 2))).max()
+            )
+        a_max = float(np.linalg.norm(a_forms, axis=1).max())
+        phase_terms = (a_max, inner_reach, max(k, d))
+        prepared.append((rows, leaves, a_forms, b_forms, coef, phase_terms))
 
     mu_table = None
     if order1 and table:
         eta_max = max(
             float(norms[rows].max()) * float(np.abs(b_forms).max(initial=0.0))
-            for rows, _, _, b_forms, _ in prepared
+            for rows, _, _, b_forms, _, _ in prepared
         )
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
 
     jobs = []
     for rows, *cover in prepared:
-        step = max(1, 4_000_000 // len(cover[0]))
+        step = max(1, JOB_TERMS // len(cover[0]))
         jobs += [(rows[i : i + step], *cover) for i in range(0, len(rows), step)]
+    grid = _grid_step(xis)
 
     def run(job):
-        rows, leaves, a_forms, b_forms, coef = job
+        rows, leaves, a_forms, b_forms, coef, phase_terms = job
+        n = len(leaves)
         x = xis[rows]
-        theta = np.outer(x[:, 0], a_forms[:, 0]) if d == 1 else x @ a_forms.T
-        ct = np.cos(theta)
-        st = np.sin(theta, out=theta)
         inner_err = 0.0
-        if b_forms is None:
-            re, im = ct, np.negative(st, out=st)
-        else:
+        if b_forms is not None and mu_table is None:
             if k == d == 1:
                 eta = np.outer(x[:, 0], b_forms[:, 0, 0])
             else:
                 eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
-            if mu_table is not None:
-                inner = mu_table.lookup(eta)
-                inner_err = mu_table.slack
+            flat = eta.reshape(-1, k)
+            if ifs.is_homogeneous:
+                vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
             else:
-                flat = eta.reshape(-1, k)
-                if ifs.is_homogeneous:
-                    vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
+                vals, errs, _ = _mu_hat_general_many(ifs, flat, 0.5 * tol, budget)
+            exact_inner = vals.reshape(len(rows), n)
+            inner_err = np.add.reduce(errs.reshape(exact_inner.shape) * leaves.weights, axis=1)
+        elif mu_table is not None:
+            inner_err = mu_table.slack
+        values = np.empty(len(rows), dtype=complex)
+        for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
+            if b_forms is None:
+                re, im = ct, np.negative(st, out=st)
+            else:
+                if mu_table is not None:
+                    inner = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
                 else:
-                    vals, errs, _ = _mu_hat_general_many(ifs, flat, 0.5 * tol, budget)
-                inner = vals.reshape(len(rows), len(leaves))
-                inner_err = np.add.reduce(errs.reshape(inner.shape) * leaves.weights, axis=1)
-            # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
-            re = ct * inner.real
-            re += st * inner.imag
-            im = np.multiply(ct, inner.imag, out=ct)
-            im -= np.multiply(st, inner.real, out=st)
-        vals = _row_sums(re, im, leaves.weights)
-        n = len(leaves)
-        return rows, vals, norms[rows] * coef + inner_err + _roundoff(n), n
+                    inner = exact_inner[start:stop]
+                # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
+                re = ct * inner.real
+                re += st * inner.imag
+                im = np.multiply(ct, inner.imag, out=ct)
+                im -= np.multiply(st, inner.real, out=st)
+            values[start:stop] = _row_sums(re, im, leaves.weights)
+        bounds = norms[rows] * coef + inner_err + _roundoff(n)
+        return rows, values, bounds + _phase_rounding(norms[rows], *phase_terms), n
 
     return _run_rows(run, jobs, m, threads)
 
@@ -992,7 +1167,11 @@ def pushforward_batch(
     frequencies of one octave of |xi| share the stopping cover of their
     largest |xi| (a refinement of each one's own cover), and a fixed
     ``scale`` pins one cover for all, which is how uniform inversion grids
-    are evaluated cheaply.  Homogeneous systems on the line read the
+    are evaluated cheaply.  Frequencies that are exactly j * delta, in
+    that order, get their phases by angle addition, in cache-sized blocks
+    (``_phase_blocks``); any other set gets direct cos and sin in the same
+    blocks, and both are certified by one phase rounding term.
+    Homogeneous systems on the line read the
     order-1 inner transform from a certified interpolation table; other
     systems evaluate it exactly.  Leaf terms are summed pairwise per
     frequency.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap``

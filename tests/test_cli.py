@@ -402,6 +402,25 @@ class TestConvolveCommand:
             summaries.append((out / "summary.json").read_text())
         assert summaries[0] == summaries[1]
 
+    def test_unreachable_density_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+        # base-5 digits {0, 1, 2, 3} in [1, 1.75]: slow decay, so the scale is
+        # halved until the next cover passes the leaf budget
+        ifs_path = write_ifs(
+            tmp_path / "digits.json", [0.2] * 4, [d / 5 + 0.8 for d in range(4)], [0.25] * 4
+        )
+        cfg = {
+            "factors": [{"ifs": str(ifs_path), "map": {"kind": "log"}}] * 2,
+            "max_frequency": 256.0,
+            "density_budget": 1e-12,
+        }
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("FRACTAL_FOURIER_BUDGET", "5000")
+        code = main(["convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "leaf_budget" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "density.csv").exists()
+
     def test_support_violation_exit_5(self, tmp_path, capsys):
         cfg = {
             "factors": [

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from fractal_fourier import experiments as experiments_module
 from fractal_fourier.errors import (
     BadConfig,
     CenterInsideSupport,
     InvalidIFS,
+    ResourceExceeded,
     SupportNotPositive,
 )
 from fractal_fourier.experiments import (
+    DEFAULT_DENSITY_BUDGET,
+    ConvolutionFactor,
+    _inversion_rounding,
     density_at,
     log_factor,
     measure_decay_slope,
@@ -18,7 +23,7 @@ from fractal_fourier.experiments import (
     radial_projection_experiment,
     write_density_csv,
 )
-from fractal_fourier.fourier import constant_map, identity_map, square_map
+from fractal_fourier.fourier import PushforwardMap, constant_map, identity_map, square_map
 from fractal_fourier.ifs import ifs_1d
 
 
@@ -163,6 +168,89 @@ class TestConvolution:
     def test_needs_two_factors(self, uniform12):
         with pytest.raises(BadConfig):
             multiplicative_convolution([log_factor(uniform12)])
+
+
+class TestInversion:
+    def test_matches_direct_reference(self, small_uniform_experiment):
+        e = small_uniform_experiment
+        t = np.linspace(e.log_support[0] - 0.1, e.log_support[1] + 0.1, 700)
+        rho, imag_residue = _invert(e, t)
+        # direct cos/sin of every phase, one point at a time
+        reference = np.empty(len(t))
+        for i, point in enumerate(t):
+            theta = 2.0 * math.pi * e.frequencies[1:] * point
+            terms = e.product[1:].real * np.cos(theta) - e.product[1:].imag * np.sin(theta)
+            reference[i] = e.delta * (e.product[0].real + 2.0 * math.fsum(terms))
+        assert np.max(np.abs(rho - reference)) <= 1e-12
+        assert imag_residue == abs(e.product[0].imag)
+
+    def test_rounding_is_in_the_certificate(self, small_uniform_experiment):
+        e = small_uniform_experiment
+        pad = 0.02 * (e.log_support[1] - e.log_support[0])
+        t = np.linspace(e.log_support[0] - pad, e.log_support[1] + pad, len(e.density))
+        rounding = _inversion_rounding(t, e.frequencies, e.product, e.delta)
+        transform_part = e.delta * (e.product_error[0] + 2.0 * np.sum(e.product_error[1:]))
+        assert 0.0 < rounding < 1e-10
+        assert e.density_error_certified == float(transform_part) + rounding
+
+
+class TestDensityBudget:
+    @pytest.fixture(scope="class")
+    def digits_factor(self):
+        # base-5 digits {0, 1, 2, 3} moved to [1, 1.75]: dim 0.861, slow decay
+        return log_factor(ifs_1d([0.2] * 4, [d / 5 + 0.8 for d in range(4)]))
+
+    def test_slow_decay_is_refined_into_budget(self, digits_factor, monkeypatch):
+        calls = []
+        original = experiments_module.pushforward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["scale"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
+        exp = multiplicative_convolution([digits_factor] * 2, max_frequency=256.0)
+        assert exp.density_error_certified <= DEFAULT_DENSITY_BUDGET
+        # the first scale certifies 0.128; each retry halves it
+        assert len(calls) >= 2
+        assert all(b == 0.5 * a for a, b in zip(calls, calls[1:]))
+
+    def test_within_budget_takes_one_evaluation(self, uniform12, monkeypatch):
+        calls = []
+        original = experiments_module.pushforward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["scale"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
+        exp = multiplicative_convolution(
+            [log_factor(uniform12)] * 2, max_frequency=2.0**9, density_points=64
+        )
+        assert len(calls) == 1
+        assert exp.density_error_certified <= DEFAULT_DENSITY_BUDGET
+
+    def test_no_scale_to_refine_raises(self, uniform12):
+        # an affine coordinate has no Taylor term, so halving changes nothing
+        affine = PushforwardMap(
+            evaluator=lambda p: p[:, 0],
+            gradient=lambda p: np.ones_like(p),
+            lipschitz_bound=1.0,
+            hessian_bound=0.0,
+        )
+        factor = ConvolutionFactor(uniform12, affine, (1.0, 2.0))
+        with pytest.raises(ResourceExceeded) as info:
+            multiplicative_convolution(
+                [factor] * 2, max_frequency=64.0, density_points=16, density_budget=1e-30
+            )
+        assert info.value.budget_name == "density_budget"
+
+    def test_unreachable_budget_raises_before_building(self, digits_factor):
+        with pytest.raises(ResourceExceeded) as info:
+            multiplicative_convolution(
+                [digits_factor] * 2, max_frequency=256.0, density_budget=1e-12, budget=5000
+            )
+        assert info.value.budget_name == "leaf_budget"
 
 
 def _invert(experiment, t):

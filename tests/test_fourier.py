@@ -20,8 +20,12 @@ from fractal_fourier.fourier import (
     _CoverCache,
     _MuHatTable,
     _leaf_data,
+    _leaf_depth_bound,
+    _linear_forms,
     _mu_hat_general_many,
     _mu_hat_homog_many,
+    _phase_rounding,
+    _recursion_rounding,
     _roundoff,
     _row_sums,
     constant_map,
@@ -188,7 +192,10 @@ class TestProductForm:
         # every row is taken to that depth: its closure term is |eta| 3^-depth
         radius = cantor.support_radius
         closure = 2.0 * math.pi * np.abs(etas[:, 0]) * 3.0**-depth * radius
-        assert bounds == pytest.approx(closure + _roundoff(depth + 1), rel=1e-12, abs=0.0)
+        rounding = _recursion_rounding(cantor, np.abs(etas[:, 0]), depth, 0)
+        assert bounds == pytest.approx(
+            closure + _roundoff(depth + 1) + rounding, rel=1e-12, abs=0.0
+        )
         for j in list(range(0, len(etas), 97)) + [len(etas) - 1]:
             assert abs(values[j] - cantor_closed_form(etas[j, 0])) <= bounds[j]
 
@@ -223,6 +230,84 @@ class TestMuHatTable:
             assert abs(got - cantor_closed_form(eta)) <= table.slack
 
 
+class TestRoundingCertificates:
+    """Bounds that include the float rounding of the phases, checked term by term."""
+
+    def test_mu_hat_against_mpmath_at_large_frequencies(self, cantor):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+
+        def exact(xi):
+            # e^{-pi i xi} prod_k cos(2 pi xi / 3^k), to 50 digits
+            x = mpmath.mpf(xi)
+            value = mpmath.expj(-mpmath.pi * x)
+            k = 1
+            while 2 * mpmath.pi * abs(x) / mpmath.mpf(3) ** k > mpmath.mpf(10) ** -30:
+                value *= mpmath.cos(2 * mpmath.pi * x / mpmath.mpf(3) ** k)
+                k += 1
+            return complex(value)
+
+        xis = list(np.random.default_rng(1).uniform(1e6, 1e8, size=40))
+        xis += [12345678.9, 98765432.1, 41510714.50054697]
+        for xi in xis:
+            reference = exact(xi)
+            for tol in (1e-9, 1e-11):
+                s = mu_hat(cantor, xi, tol=tol)
+                assert abs(s.value - reference) <= s.error_bound, (xi, tol)
+
+    def test_image_phase_rounding_is_certified(self, cantor):
+        # A constant map has no quadrature error: one leaf, value
+        # e^{-2 pi i 0.7 xi}.  At |xi| ~ 1e7 the float phase alone is off by
+        # ~1e-9, which only the phase rounding term of the bound covers.
+        # The grid rows go through angle addition, the others directly.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        cm = constant_map(cantor, 0.7)
+        grid = np.arange(300) * 65537.3
+        scattered = np.random.default_rng(2).uniform(1e6, 2e7, size=40)
+        for xis in (grid, scattered):
+            values, bounds, _ = pushforward_batch(cantor, cm, xis, scheme="order0")
+            for xi, value, bound in zip(xis, values, bounds):
+                exact = complex(mpmath.expj(-2 * mpmath.pi * mpmath.mpf(0.7) * mpmath.mpf(xi)))
+                assert abs(value - exact) <= bound, xi
+
+    def test_clamped_table_slack_needs_its_interpolation_term(self, cantor):
+        # At the 4,000,000-point clamp the grid step grows to 2.5e-3, and the
+        # interpolation term (3e-5) dominates the closure term (<= 1e-6).
+        table = _MuHatTable(cantor, 1e4, 1e-6)
+        assert len(table.values) == 4_000_000
+        interpolation = table.h**2 / 8.0 * (2.0 * math.pi * cantor.max_point_norm) ** 2
+        assert interpolation > 10.0 * (table.slack - interpolation)
+        etas = np.random.default_rng(25).uniform(-table.eta_max, table.eta_max, size=4000)
+        errors = np.abs(table.lookup(etas) - np.array([cantor_closed_form(x) for x in etas]))
+        assert errors.max() <= table.slack
+        assert errors.max() > table.slack - interpolation
+
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_frontier_bound_is_its_named_terms(self, mixed_ratios, levels):
+        # The root alone (levels 0) or its two children (levels 1) are the
+        # leaves, so the closure sum is known term by term.
+        tol = 1e-3
+        radius = mixed_ratios.support_radius
+        xi = (0.5 if levels == 0 else 1.5) * tol / (2.0 * math.pi * radius)
+        etas = np.array([[xi]])
+        _, bounds, leaves = _mu_hat_general_many(mixed_ratios, etas, tol, 10**7)
+        if levels == 0:
+            closure = 1.0 * (2.0 * math.pi * np.linalg.norm(etas, axis=1) * radius)
+        else:
+            children = (etas @ np.array([[0.5, 0.25]])).reshape(2, 1)
+            scales = 2.0 * math.pi * np.linalg.norm(children, axis=1) * radius
+            terms = mixed_ratios.weight_array * scales
+            closure = terms[0] + terms[1]
+        assert leaves[0] == 2**levels
+        norm = np.linalg.norm(etas, axis=1)
+        depth = _leaf_depth_bound(mixed_ratios, norm, tol)
+        expected = closure + _roundoff(2**levels) + _recursion_rounding(
+            mixed_ratios, norm, depth, depth
+        )
+        assert bounds[0] == expected[0]
+
+
 def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
     """Per-leaf depth-first evaluation of the self-similarity recursion.
 
@@ -231,6 +316,8 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
     visiting letters in ascending order; a leaf (2 pi |eta| R <= tol)
     contributes weight e^{-2 pi i (phase + <eta, b>)} and closure bound
     weight 2 pi |eta| R.  Leaf terms are summed exactly with math.fsum.
+    The bound adds ``_roundoff`` and the phase rounding term at the leaf
+    depth bound, after checking that no leaf is deeper than that bound.
     Returns (value, error_bound, leaves).
     """
     vec = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -241,12 +328,14 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
     re, im = [], []
     err_acc = 0.0
     leaves = 0
-    stack = [(vec, 0.0, 1.0)]
+    deepest = 0
+    stack = [(vec, 0.0, 1.0, 0)]
     while stack:
-        eta, phase, weight = stack.pop()
+        eta, phase, weight, depth = stack.pop()
         scale = 2.0 * math.pi * float(np.linalg.norm(eta)) * radius
         if scale <= tol:
             leaves += 1
+            deepest = max(deepest, depth)
             if leaves > budget:
                 raise ResourceExceeded("reference budget", "leaf_budget")
             theta = 2.0 * math.pi * (phase + float(eta @ b))
@@ -256,10 +345,14 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
             continue
         for i in range(ifs.n_maps - 1, -1, -1):
             stack.append(
-                (mats[i] @ eta, phase + float(eta @ trans[i]), weight * ifs.weights[i])
+                (mats[i] @ eta, phase + float(eta @ trans[i]), weight * ifs.weights[i], depth + 1)
             )
     value = complex(math.fsum(re), math.fsum(im))
-    return value, err_acc + _roundoff(leaves), leaves
+    norm = np.linalg.norm(vec)
+    depth_bound = _leaf_depth_bound(ifs, norm, tol)
+    assert deepest <= depth_bound
+    rounding = _recursion_rounding(ifs, norm, depth_bound, depth_bound)
+    return value, err_acc + _roundoff(leaves) + rounding, leaves
 
 
 def _rotated_planar_system():
@@ -694,6 +787,88 @@ class TestBatch:
         s0a = pushforward_hat_order0(cantor, quad, 97.0, scale=1e-3)
         s0b = pushforward_hat_order0(cantor, sq, 97.0, scale=1e-3)
         assert s0a.value == s0b.value
+
+
+class TestGridPhases:
+    """Uniform grids take angle-addition phases; other frequency sets take direct ones."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The ``step`` argument of every ``_phase_blocks`` call."""
+        seen = []
+        original = fourier_module._phase_blocks
+
+        def record(freqs, rows, coefs, step):
+            seen.append(step)
+            return original(freqs, rows, coefs, step)
+
+        monkeypatch.setattr(fourier_module, "_phase_blocks", record)
+        return seen
+
+    @staticmethod
+    def grid_and_shuffled(ifs, pmap, xis, scheme, scale, threads=1):
+        perm = np.random.default_rng(30).permutation(len(xis))
+        grid = pushforward_batch(ifs, pmap, xis, tol=1e-4, scheme=scheme, scale=scale,
+                                 threads=threads)
+        shuffled = pushforward_batch(ifs, pmap, xis[perm], tol=1e-4, scheme=scheme,
+                                     scale=scale, threads=threads)
+        inverse = np.argsort(perm)
+        return grid, tuple(a[inverse] for a in shuffled)
+
+    @staticmethod
+    def allowance(ifs, pmap, xis, scheme, scale):
+        leaves = _leaf_data(ifs, scale, 10**7)
+        a_forms, b_forms = _linear_forms(ifs, pmap, leaves, scheme == "order1")
+        inner = 0.0
+        if b_forms is not None:
+            inner = 2.0 * math.pi * ifs.max_point_norm * float(np.abs(b_forms).max())
+        return _phase_rounding(np.abs(xis), float(np.abs(a_forms).max()), inner)
+
+    @pytest.mark.parametrize("scheme", ["order0", "order1"])
+    def test_grid_matches_direct_path(self, uniform12, steps, scheme):
+        # 1000 rows in blocks of 64: the last block is partial
+        pmap = log_map(uniform12)
+        delta = 0.18
+        xis = np.arange(1000) * delta
+        scale = 2.0**-9
+        (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(uniform12, pmap, xis, scheme, scale)
+        assert steps == [delta, None]
+        assert np.array_equal(gl, sl) and np.all(gl[1:] == 512)
+        assert np.array_equal(ge, se)
+        assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, scheme, scale))
+        assert not np.array_equal(gv, sv)
+
+    def test_job_boundary_inside_a_block(self, uniform12):
+        # 2,048 leaves: jobs of 1,953 rows, blocks of 16, so a job ends
+        # one row into a block and the next job starts a new base block
+        pmap = log_map(uniform12)
+        xis = np.arange(2500) * 0.25
+        (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(
+            uniform12, pmap, xis, "order0", 2.0**-11
+        )
+        assert np.all(gl[1:] == 2048)
+        assert np.array_equal(ge, se)
+        assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, "order0", 2.0**-11))
+
+    def test_covers_past_one_block_take_direct_phases(self, cantor, steps):
+        # 65,536 leaves: a block is one row, so the grid is computed directly
+        pmap = square_map(cantor)
+        xis = np.arange(6) * 0.7
+        (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(cantor, pmap, xis, "order0", 3.0**-16)
+        assert gl[1] == 2**16
+        assert steps[0] == 0.7
+        assert np.array_equal(gv, sv) and np.array_equal(ge, se)
+
+    def test_threads_do_not_change_grid_results(self, uniform12):
+        pmap = log_map(uniform12)
+        xis = np.arange(3000) * 0.2
+        for scheme in ("order0", "order1"):
+            one = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,
+                                    scale=2.0**-11, threads=1)
+            four = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,
+                                     scale=2.0**-11, threads=4)
+            for a, b in zip(one, four):
+                assert np.array_equal(a, b)
 
 
 class TestCurvature:
