@@ -12,12 +12,15 @@ structure of the measure:
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
   unit weight, so the summed bound is certified.  Homogeneous systems
   collapse the tree to a product, evaluated by one function
-  (``_mu_hat_homog_many``) for one frequency or many.  All others expand
-  a columnar frontier of (frequency row, eta, phase, weight) in blocks of
-  at most ``FRONTIER_BLOCK`` rows, many frequencies at once, with a leaf
-  budget per frequency.  Each frequency's leaf terms are summed pairwise
-  within a block and the block sums are combined with TwoSum
-  compensation, the pairwise summation that ``_roundoff`` assumes.
+  (``_mu_hat_homog_many``) for one frequency or many; on a uniform grid
+  j * delta (the interpolation table) its factors come by angle addition
+  from one base block, and any other row set takes cos and sin directly.
+  Other systems expand a columnar frontier of (frequency row, eta,
+  phase, weight) in blocks of at most ``FRONTIER_BLOCK`` rows, many
+  frequencies at once, with a leaf budget per frequency.  Each
+  frequency's leaf terms are summed pairwise within a block and the block
+  sums are combined with TwoSum compensation, the pairwise summation
+  that ``_roundoff`` assumes.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -45,7 +48,8 @@ Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
 with merely estimated bounds mark their samples as uncertified.  They
 include the float rounding of the phases (``_phase_rounding``,
-``_recursion_rounding``), which grows like 2^-52 |xi|.
+``_recursion_rounding``), which grows like 2^-52 |xi|; angle-addition
+rows carry their own allowance for it.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     return EPS * (xi_norm * ((dims + 5.0) * a_max + (2.0 * dims + 3.0) * inner) + 16.0)
 
 
-def _recursion_rounding(ifs, norms, depth, additions):
+def _recursion_rounding(ifs, norms, depth, additions, grid: bool = False):
     """Rounding allowance of the self-similarity recursion at |eta_0| = ``norms``.
 
     EPS (pi S |eta_0| (A + k + k^1.5 + 6) / (1 - rho)^2 + (D + 1)(N + 5)),
@@ -140,7 +144,9 @@ def _recursion_rounding(ifs, norms, depth, additions):
     additions along a path (``additions``: D for the frontier, 0 for the
     product form).  ``norms``, ``depth`` and ``additions`` may be arrays.
     It covers the float rounding of the phases 2 pi <eta_l, t_i> and
-    2 pi <eta_D, b>, which grows like EPS |eta_0|.
+    2 pi <eta_D, b>, which grows like EPS |eta_0|.  With ``grid`` it adds
+    EPS (2 pi S |eta_0| / (1 - rho) + (D + 1)(N / 2 + 6)), the allowance
+    of the product form's grid rows (derived below).
 
     Model as in ``_phase_rounding`` (u = EPS/2, cos and sin within 2 EPS).
     The iterate eta_l = eta_{l-1} r O^T is a k-term product, so
@@ -156,15 +162,35 @@ def _recursion_rounding(ifs, norms, depth, additions):
     product (2 EPS): the (D + 1)(N + 5).  A frontier leaf value has one
     cos/sin pair and a path weight rounded D times, which that term
     covers too.
+
+    Grid rows (k = 1, eta_0 = fl(j delta), see ``_mu_hat_homog_many``).
+    Level l of map i has the phase j c_{l,i} with c_{l,i} = 2 pi delta
+    s^l t_i (s = r O; level D holds b with weight 1), c rounded l + 3
+    times as the direct phase is.  The path takes fl(j0 c) + fl(u c) for
+    j c (j = j0 + u), and j delta for the row fl(j delta): two more
+    roundings, at most EPS |theta_l| <= EPS 2 pi S |eta_0| rho^l per
+    level, 2 pi S |eta_0| / (1 - rho) summed over the levels.  A factor's
+    part, sum_i (cA_i p_i cB_i - sA_i p_i sB_i) and its sine twin, is a
+    dot product of 2N terms with |cA cB| + |sA sB| <= 1 per map: the
+    angle-addition value error 2 EPS (|cA| + |sA| + |cB| + |sB|) <= 5.7
+    EPS, the folded weight u and the dot product 2N u, (N + 6.2) EPS per
+    part, below 1.5 N + 11 EPS per complex factor with its product.  The
+    direct term above has N + 5 of it, so each of the D + 1 factors adds
+    N / 2 + 6.
     """
     k = ifs.ambient_dim
     rho = float(ifs.ratios.max())
     reach = max(max(float(np.linalg.norm(m.translation)) for m in ifs.maps),
                 float(np.linalg.norm(ifs.barycenter)))
-    return EPS * (
+    allowance = EPS * (
         math.pi * reach * norms * (additions + k + k**1.5 + 6.0) / (1.0 - rho) ** 2
         + (depth + 1.0) * (ifs.n_maps + 5.0)
     )
+    if grid:
+        allowance = allowance + EPS * (
+            TWO_PI * reach * norms / (1.0 - rho) + (depth + 1.0) * (0.5 * ifs.n_maps + 6.0)
+        )
+    return allowance
 
 
 def _cis(theta):
@@ -380,6 +406,26 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
     matrix whose cos and sin are contracted with the weight vector, and a
     chunk's arrays stay small enough to stay in cache.
 
+    Grid rows.  When the rows are exactly j * delta on the line
+    (``_grid_step``; ``_MuHatTable`` builds its grid that way), the phase
+    of map i at level l is j c_{l,i}, c_{l,i} = 2 pi delta s^l t_i
+    (s = r O), and the barycenter factor is one more level with b for t
+    and weight 1: D + 1 levels of N coefficients, D the depth.  The rows
+    run in chunks of L = PHASE_BLOCK / ((D + 1) N) consecutive rows
+    j0 .. j0 + L - 1.  Every factor comes by angle addition from a base
+    block, cos and sin of u c (u < L) computed once with the weights
+    folded in, and the phases j0 c of the chunk's first row, one cos/sin
+    call for all levels: (L + n / L)(D + 1) N arguments instead of
+    n (D + 1) N.  The base block is laid out maps-major, (levels, 2N, L),
+    so each level's real and imaginary parts are one small (2 x 2N)
+    matrix times the block's contiguous length-L rows; with the rows
+    first, numpy would broadcast over an axis of length N, which is many
+    times slower than flat operations.  The grid rows' bounds add
+    ``_recursion_rounding(..., grid=True)``'s allowance for the angle
+    addition and the rounding of the coefficients.  Their depth is the
+    direct path's, and so is their closure term 2 pi |eta| rho^D R, up
+    to its last bits.  Any other row set takes cos and sin directly.
+
     Returns (values (n,), error bounds (n,), depth).  Each bound is the
     row's closure term plus ``_roundoff(depth + 1)`` plus the phase
     rounding ``_recursion_rounding`` at the row's |eta| and ``depth``.
@@ -399,18 +445,51 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
             raise FractalFourierError("homogeneous recursion failed to contract")
     values = np.empty(len(etas), dtype=complex)
     errs = np.empty(len(etas))
+    delta = _grid_step(etas)
+    if delta is not None:
+        # level l < depth: shifts t_i, weights p_i; level depth: b, weight 1
+        n_maps = ifs.n_maps
+        shifts, level_weights = np.zeros((2, depth + 1, n_maps))
+        shifts[:depth], level_weights[:depth] = trans[0], weights
+        shifts[depth, 0], level_weights[depth, 0] = ifs.barycenter[0], 1.0
+        scales = np.cumprod(np.r_[delta, np.full(depth, step_t[0, 0])])  # delta s^l
+        coefs = TWO_PI * (scales[:, None] * shifts)                    # (depth + 1, N)
+        size = min(len(etas), max(1, PHASE_BLOCK // coefs.size))
+        theta = coefs[:, :, None] * np.arange(size)
+        folded = level_weights[:, :, None]
+        base = np.concatenate([folded * np.cos(theta), folded * np.sin(theta)], axis=1)
+        rot = np.empty((depth + 1, 2, 2 * n_maps))
+        # reused: a fresh complex array per chunk costs more than its product
+        factors = np.empty((depth + 1, size), dtype=complex)
+        for start in range(0, len(etas), size):
+            count = min(size, len(etas) - start)
+            theta = start * coefs
+            c_off, s_off = np.cos(theta), np.sin(theta)
+            # Re = cA cB - sA sB and Im = -(sA cB + cA sB), per level and map
+            rot[:, 0, :n_maps], rot[:, 0, n_maps:] = c_off, -s_off
+            rot[:, 1, :n_maps], rot[:, 1, n_maps:] = -s_off, -c_off
+            parts = rot @ base[:, :, :count]
+            factors.real[:, :count], factors.imag[:, :count] = parts[:, 0], parts[:, 1]
+            np.prod(factors[:, :count], axis=0, out=values[start : start + count])
+        contraction = abs(float(step_t[0, 0])) ** depth
     for start in range(0, len(etas), FRONTIER_BLOCK):
         rows = slice(start, start + FRONTIER_BLOCK)
-        cur = etas[rows]
-        value = np.ones(len(cur), dtype=complex)
-        for _ in range(depth):
-            phases = TWO_PI * (cur @ trans)
-            value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
-            cur = cur @ step_t
-        value *= _cis(TWO_PI * (cur @ ifs.barycenter))
-        values[rows] = value
-        closure = TWO_PI * np.sqrt(np.vecdot(cur, cur)) * radius + _roundoff(depth + 1)
-        errs[rows] = closure + _recursion_rounding(ifs, norms[rows], depth, 0)
+        if delta is None:
+            cur = etas[rows]
+            value = np.ones(len(cur), dtype=complex)
+            for _ in range(depth):
+                phases = TWO_PI * (cur @ trans)
+                value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
+                cur = cur @ step_t
+            value *= _cis(TWO_PI * (cur @ ifs.barycenter))
+            values[rows] = value
+            reach = np.sqrt(np.vecdot(cur, cur))
+        else:
+            reach = norms[rows] * contraction
+        closure = TWO_PI * reach * radius + _roundoff(depth + 1)
+        errs[rows] = closure + _recursion_rounding(
+            ifs, norms[rows], depth, 0, grid=delta is not None
+        )
     return values, errs, depth
 
 
@@ -826,7 +905,12 @@ class _MuHatTable:
     """Uniform-grid linear-interpolation table for mu_hat on the line.
 
     ``slack`` certifies |lookup(eta) - mu_hat(eta)| for |eta| <= eta_max;
-    negative frequencies resolve through conjugate symmetry.
+    negative frequencies resolve through conjugate symmetry.  The rows are
+    exactly j * h, so ``_mu_hat_homog_many`` builds them as grid rows, by
+    angle addition from one base block per call; the slack includes their
+    rounding allowance.  What the build still costs is proportional to
+    rows x levels: the depth at which the largest row closes at
+    ``table_tol``.
     """
 
     __slots__ = ("h", "values", "slack", "eta_max")
@@ -839,13 +923,12 @@ class _MuHatTable:
         if n > 4_000_000:
             n = 4_000_000
             h = eta_max / (n - 3)
-        grid = np.arange(n) * h
         etas = np.zeros((n, ifs.ambient_dim))
-        etas[:, 0] = grid
+        etas[:, 0] = np.arange(n) * h
         vals, errs, _ = _mu_hat_homog_many(ifs, etas, table_tol)
         self.h = h
         self.values = vals
-        self.eta_max = grid[-2]
+        self.eta_max = float(etas[-2, 0])
         self.slack = float(errs.max(initial=0.0)) + (h**2 / 8.0) * second
 
     def lookup(self, eta: np.ndarray) -> np.ndarray:
@@ -913,7 +996,7 @@ def _linear_forms(ifs, pmap, leaves: StoppingDecomposition, order1: bool):
 
 def _grid_step(freqs: np.ndarray):
     """delta when the rows of ``freqs`` (m, 1) are exactly j * delta, else None."""
-    if freqs.shape[1] != 1 or len(freqs) < 2:
+    if freqs.shape[1] != 1 or len(freqs) < 2 or freqs[0, 0] != 0.0:
         return None
     step = freqs[1, 0]
     return step if np.array_equal(freqs[:, 0], np.arange(len(freqs)) * step) else None
@@ -1171,9 +1254,10 @@ def pushforward_batch(
     that order, get their phases by angle addition, in cache-sized blocks
     (``_phase_blocks``); any other set gets direct cos and sin in the same
     blocks, and both are certified by one phase rounding term.
-    Homogeneous systems on the line read the
-    order-1 inner transform from a certified interpolation table; other
-    systems evaluate it exactly.  Leaf terms are summed pairwise per
+    Homogeneous systems on the line read the order-1 inner transform from
+    a certified interpolation table (``_MuHatTable``), whose grid rows
+    take the product form by angle addition; other systems evaluate it
+    exactly.  Leaf terms are summed pairwise per
     frequency.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap``
     unused), in chunks of 64 frequencies.  Results are independent of
     ``threads`` (fixed chunks, fixed reduction order).

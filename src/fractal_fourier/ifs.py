@@ -38,6 +38,7 @@ WEIGHT_SUM_TOL = 1e-12
 FIXED_POINT_TOL = 1e-12      # below this, fixed points count as shared
 DEFAULT_LEAF_BUDGET = 10_000_000
 FRONTIER_BLOCK = 4096       # rows per block of a columnar frontier expansion
+PAIR_BLOCK = 2**20          # point pairs per block of a pairwise-distance scan
 
 SEPARATION_KINDS = ("SSC", "OSC", "ESC", "none")
 
@@ -621,6 +622,69 @@ class SeparationDiagnostic:
     note: str = "finite-depth diagnostic only"
 
 
+def _distance_blocks(points: np.ndarray):
+    """Row blocks of the pairwise distance matrix of ``points`` (n, k).
+
+    Yields (start, dist), dist[a, j] = |points[start + a] - points[j]| for
+    at most max(1, PAIR_BLOCK // n) rows against all n points, with the
+    distance of a point to itself set to inf: O(max(PAIR_BLOCK, n) k)
+    memory instead of n^2 k.
+    """
+    n = len(points)
+    size = max(1, PAIR_BLOCK // n)
+    for start in range(0, n, size):
+        block = points[start : start + size]
+        dist = np.linalg.norm(block[:, None, :] - points[None, :, :], axis=-1)
+        own = np.arange(len(block))
+        dist[own, start + own] = np.inf
+        yield start, dist
+
+
+def _max_penetration(centers: np.ndarray, radii: np.ndarray) -> float:
+    """max over i != j of r_i + r_j - |c_i - c_j|; -inf for fewer than two balls.
+
+    On the line, with the centres sorted, |c_i - c_j| = c_j - c_i for
+    i < j, so the maximum is max_j (max_{i<j} (c_i + r_i) - (c_j - r_j)):
+    a sort and a prefix maximum.  Otherwise the distance matrix is scanned
+    in row blocks (``_distance_blocks``).
+    """
+    if len(centers) < 2:
+        return -math.inf
+    if centers.shape[1] == 1:
+        order = np.argsort(centers[:, 0])
+        c, r = centers[order, 0], radii[order]
+        reach = np.maximum.accumulate(c + r)[:-1]
+        return float(np.max(reach - (c[1:] - r[1:])))
+    return max(
+        float(((radii[start : start + len(dist), None] + radii) - dist).max())
+        for start, dist in _distance_blocks(centers)
+    )
+
+
+def _min_equal_ratio_gap(ratios: np.ndarray, trans: np.ndarray) -> float:
+    """min |t_v - t_w| over distinct words v, w of equal ratio; inf if none.
+
+    Ratios are grouped by their quantised log.  On the line each group is
+    sorted and its neighbours compared; otherwise each group's distance
+    matrix is scanned in row blocks.
+    """
+    keys = np.round(np.log(ratios) / 1e-9).astype(np.int64)
+    order = np.lexsort((trans[:, 0], keys))
+    keys, trans = keys[order], trans[order]
+    same = keys[1:] == keys[:-1]
+    if not same.any():
+        return math.inf
+    if trans.shape[1] == 1:
+        return float(np.diff(trans[:, 0])[same].min())
+    bounds = np.flatnonzero(np.r_[True, ~same, True])
+    return min(
+        float(dist.min())
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi - lo > 1
+        for _, dist in _distance_blocks(trans[lo:hi])
+    )
+
+
 def separation_diagnostic(
     ifs: SelfSimilarIFS, depth: int = 5, budget: int = 200_000
 ) -> SeparationDiagnostic:
@@ -633,6 +697,10 @@ def separation_diagnostic(
     * ``overlaps_detected``: an equal-ratio pair essentially collides
       (distance < 1e-12) or depth-n support-ball images overlap by more
       than the tolerance.
+
+    On the line both scans are sorts, O(n log n) for n words; in higher
+    dimensions they run over row blocks of O(PAIR_BLOCK) pairs, so no
+    n x n array is built.
     """
     if ifs.n_maps ** depth > budget:
         raise ResourceExceeded(
@@ -652,29 +720,12 @@ def separation_diagnostic(
     for _ in range(depth):
         columns = _child_columns(ifs, *columns)
     ratios, orients, trans, _ = columns
-    # Group by ratio (quantised log) and take min pairwise translation gap.
-    keys = np.round(np.log(ratios) / 1e-9).astype(np.int64)
-    esc = math.inf
-    for key in np.unique(keys):
-        group = trans[keys == key]
-        if len(group) < 2:
-            continue
-        if ifs.ambient_dim == 1:
-            srt = np.sort(group[:, 0])
-            esc = min(esc, float(np.min(np.diff(srt))))
-        else:
-            diffs = group[:, None, :] - group[None, :, :]
-            dist = np.linalg.norm(diffs, axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            esc = min(esc, float(dist.min()))
+    esc = _min_equal_ratio_gap(ratios, trans)
     # Hull-image overlap at depth n: cylinder support balls interpenetrating
     # by more than the tolerance is treated as an observed overlap.
     cyl_centers = trans + np.einsum("n,nij,j->ni", ratios, orients, b)
-    cyl_radii = ratios * radius
-    dist = np.linalg.norm(cyl_centers[:, None, :] - cyl_centers[None, :, :], axis=-1)
-    pen = (cyl_radii[:, None] + cyl_radii[None, :]) - dist
-    np.fill_diagonal(pen, -np.inf)
-    overlap = float(pen.max()) > 1e-12 or esc < 1e-12
+    penetration = _max_penetration(cyl_centers, ratios * radius)
+    overlap = penetration > 1e-12 or esc < 1e-12
     return SeparationDiagnostic(
         ssc_ok=ssc_ok, overlaps_detected=overlap, esc_distance=esc, depth=depth
     )

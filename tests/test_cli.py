@@ -327,6 +327,22 @@ class TestDecayCommand:
         assert (tmp_path / "out" / "octaves.csv").exists()
         assert (tmp_path / "out" / "samples.csv").exists()
 
+    def test_threads_byte_identical(self, tmp_path):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            code = main(
+                [
+                    "--threads", str(threads), "decay",
+                    "--config", str(CONFIGS / "decay_cantor_square.json"), "--out", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append([(out / name).read_bytes() for name in ("samples.csv", "octaves.csv")])
+        assert outputs[0] == outputs[1]
+        # octaves 8..18 at 64 samples each, plus the header
+        assert outputs[0][0].count(b"\n") == 11 * 64 + 1
+
     def test_nan_tol_exit_2(self, tmp_path):
         cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
                "octaves": [8, 9], "tol": math.nan}

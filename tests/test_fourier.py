@@ -52,8 +52,10 @@ from fractal_fourier.ifs import (
     SimilarityMap,
     StoppingDecomposition,
     _count_stopping,
+    cantor_ifs,
     ifs_1d,
     stopping_decomposition,
+    uniform_ifs,
 )
 
 
@@ -306,6 +308,203 @@ class TestRoundingCertificates:
             mixed_ratios, norm, depth, depth
         )
         assert bounds[0] == expected[0]
+
+
+def _direct_product_form(ifs, etas, tol):
+    """The product form with direct cos and sin at every row: values, bounds, depth.
+
+    The formula every row took before grid rows were built by angle
+    addition, kept here as the bit-for-bit reference of the direct path.
+    """
+    radius = ifs.support_radius
+    step_t = ifs.maps[0].ratio * ifs.maps[0].orientation
+    trans = np.array([m.translation for m in ifs.maps]).T
+    top = etas[int(np.argmax(np.linalg.norm(etas, axis=1)))]
+    depth = 0
+    while 2.0 * math.pi * float(np.linalg.norm(top)) * radius > tol:
+        top = top @ step_t
+        depth += 1
+    cur = etas
+    value = np.ones(len(cur), dtype=complex)
+    for _ in range(depth):
+        phases = 2.0 * math.pi * (cur @ trans)
+        value *= np.cos(phases) @ ifs.weight_array - 1j * (np.sin(phases) @ ifs.weight_array)
+        cur = cur @ step_t
+    value *= np.cos(2.0 * math.pi * (cur @ ifs.barycenter)) - 1j * np.sin(
+        2.0 * math.pi * (cur @ ifs.barycenter)
+    )
+    norms = np.sqrt(np.vecdot(etas, etas))
+    closure = 2.0 * math.pi * np.sqrt(np.vecdot(cur, cur)) * radius + _roundoff(depth + 1)
+    return value, closure + _recursion_rounding(ifs, norms, depth, 0), depth
+
+
+def _truncated_product_mpmath(ifs, xis, depth, digits=40):
+    """prod_{l<D} sum_i p_i e^{-2 pi i xi s^l t_i} e^{-2 pi i xi s^D b} on the line.
+
+    The product form of a homogeneous system to ``depth`` D (s = r O), from
+    the float inputs evaluated exactly to ``digits`` digits: what the
+    product form computes before rounding.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = digits
+    s = mpmath.mpf(float(ifs.maps[0].ratio * ifs.maps[0].orientation[0, 0]))
+    shifts = [mpmath.mpf(float(m.translation[0])) for m in ifs.maps]
+    weights = [mpmath.mpf(float(w)) for w in ifs.weights]
+    b = mpmath.mpf(float(ifs.barycenter[0]))
+    out = []
+    for xi in xis:
+        eta = mpmath.mpf(float(xi))
+        value = mpmath.mpc(1)
+        for _ in range(depth):
+            value *= mpmath.fsum(
+                w * mpmath.expj(-2 * mpmath.pi * eta * t) for w, t in zip(weights, shifts)
+            )
+            eta *= s
+        out.append(complex(value * mpmath.expj(-2 * mpmath.pi * eta * b)))
+    return np.array(out)
+
+
+class TestGridProductForm:
+    """Grid rows j * delta of ``_mu_hat_homog_many`` take angle-addition phases."""
+
+    @staticmethod
+    def systems():
+        return {
+            "cantor": (cantor_ifs(), 120.0, 1e-8),
+            "uniform12": (uniform_ifs(1.0, 2.0), 64.0, 1e-7),
+            # s = -r: every map reverses orientation
+            "reversing": (ifs_1d([0.4, 0.4], [0.4, 1.0], [0.3, 0.7], [-1, -1]), 80.0, 1e-8),
+            "three_maps": (
+                ifs_1d([0.25] * 3, [0.2, -0.7, 1.3], [0.2, 0.3, 0.5]), 150.0, 1e-8
+            ),
+        }
+
+    @staticmethod
+    def grid_and_shuffled(ifs, etas, tol):
+        # a first row other than eta = 0, so that even two rows are no grid
+        perm = np.random.default_rng(31).permutation(len(etas))
+        perm = perm if perm[0] != 0 else perm[::-1]
+        grid = _mu_hat_homog_many(ifs, etas, tol)
+        values, bounds, depth = _mu_hat_homog_many(ifs, etas[perm], tol)
+        inverse = np.argsort(perm)
+        return grid, (values[inverse], bounds[inverse], depth)
+
+    @staticmethod
+    def grid_term(ifs, etas, depth):
+        norms = np.abs(etas[:, 0])
+        return _recursion_rounding(ifs, norms, depth, 0, grid=True) - _recursion_rounding(
+            ifs, norms, depth, 0
+        )
+
+    @pytest.mark.parametrize("name", ["cantor", "uniform12", "reversing", "three_maps"])
+    def test_grid_matches_shuffled_rows(self, name):
+        ifs, eta_max, tol = self.systems()[name]
+        etas = (np.arange(20_001) * (eta_max / 20_000))[:, None]
+        (gv, gb, gd), (sv, sb, sd) = self.grid_and_shuffled(ifs, etas, tol)
+        assert gd == sd
+        if name == "uniform12":
+            assert 28 <= gd <= 32
+        term = self.grid_term(ifs, etas, gd)
+        assert np.all(term > 0.0)
+        assert gb - sb == pytest.approx(term, rel=1e-6, abs=0.0)
+        assert np.all(np.abs(gv - sv) <= term)
+        assert not np.array_equal(gv, sv)
+        # the shuffled rows are the direct path, bit for bit
+        ref_values, ref_bounds, ref_depth = _direct_product_form(ifs, etas[:1000][::-1], tol)
+        values, bounds, depth = _mu_hat_homog_many(ifs, etas[:1000][::-1], tol)
+        assert depth == ref_depth
+        assert np.array_equal(values, ref_values) and np.array_equal(bounds, ref_bounds)
+
+    @staticmethod
+    def assert_rounding_certified(ifs, etas, values, bounds, depth, rows):
+        # Against the unrounded product at the same depth the error is all
+        # rounding, within _roundoff + the grid allowance; against the
+        # transform itself it is within the whole bound.
+        norms = np.abs(etas[rows, 0])
+        allowance = _roundoff(depth + 1) + _recursion_rounding(ifs, norms, depth, 0, grid=True)
+        rounding = np.abs(values[rows] - _truncated_product_mpmath(ifs, etas[rows, 0], depth))
+        assert np.all(rounding <= allowance)
+        exact = np.array([cantor_closed_form(x) for x in etas[rows, 0]])
+        assert np.all(np.abs(values[rows] - exact) <= bounds[rows] + 1e-15)
+
+    def test_top_of_the_decay_table_against_mpmath(self, cantor):
+        # the table of the decay benchmark: eta up to ~94, table_tol 1e-8
+        table = _MuHatTable(cantor, 94.4, 1e-8)
+        etas = (np.arange(len(table.values)) * table.h)[:, None]
+        values, bounds, depth = _mu_hat_homog_many(cantor, etas, 1e-8)
+        assert np.array_equal(values, table.values)
+        assert etas[-1, 0] > 94.0
+        rows = np.arange(len(etas) - 300, len(etas))
+        self.assert_rounding_certified(cantor, etas, values, bounds, depth, rows)
+
+    def test_clamped_grid_against_mpmath(self, cantor):
+        table = _MuHatTable(cantor, 1e4, 1e-6)
+        assert len(table.values) == 4_000_000
+        etas = (np.arange(4_000_000) * table.h)[:, None]
+        values, bounds, depth = _mu_hat_homog_many(cantor, etas, 1e-6)
+        rows = np.r_[np.arange(3_999_800, 4_000_000),
+                     np.random.default_rng(32).integers(0, 4_000_000, size=100)]
+        self.assert_rounding_certified(cantor, etas, values, bounds, depth, rows)
+
+    def test_chunk_edges(self, cantor):
+        # eta_max 50 at tol 1e-6 needs depth 18, so chunks of
+        # PHASE_BLOCK // (19 levels * 2 maps) = 862 rows
+        tol = 1e-6
+        depth = _mu_hat_homog_many(cantor, np.array([[50.0]]), tol)[2]
+        size = fourier_module.PHASE_BLOCK // ((depth + 1) * cantor.n_maps)
+        for n in (2, 3, size, size + 1, 3 * size + 5):
+            etas = (np.arange(n) * (50.0 / (n - 1)))[:, None]
+            (gv, gb, gd), (sv, sb, sd) = self.grid_and_shuffled(cantor, etas, tol)
+            assert gd == sd == depth
+            term = self.grid_term(cantor, etas, depth)
+            assert gb - sb == pytest.approx(term, rel=1e-6, abs=0.0)
+            assert np.all(np.abs(gv - sv) <= term)
+            assert gv[0] == 1.0
+
+    @pytest.mark.parametrize("system", ["cantor", "square_2d", "reversing"])
+    def test_one_row_calls_are_the_direct_formula(self, system, request):
+        if system == "reversing":
+            ifs = self.systems()["reversing"][0]
+        else:
+            ifs = request.getfixturevalue(system)
+        rng = np.random.default_rng(33)
+        for xi in rng.uniform(-1e4, 1e4, size=(5, ifs.ambient_dim)):
+            value, bound, depth = _mu_hat_homog_many(ifs, xi[None, :], 1e-9)
+            ref_value, ref_bound, ref_depth = _direct_product_form(ifs, xi[None, :], 1e-9)
+            assert depth == ref_depth
+            assert value[0] == ref_value[0] and bound[0] == ref_bound[0]
+            s = mu_hat(ifs, xi, tol=1e-9)
+            assert s.value == ref_value[0] and s.error_bound == ref_bound[0]
+
+    def test_grid_calls_cos_and_sin_on_few_arguments(self, cantor, monkeypatch):
+        sizes = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cos(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return np.cos(x, *args, **kwargs)
+
+            @staticmethod
+            def sin(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return np.sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(fourier_module, "np", Counting())
+        m = 200_000
+        etas = (np.arange(m) * 1e-3)[:, None]
+        depth = _mu_hat_homog_many(cantor, etas, 1e-8)[2]
+        grid_args = sum(sizes)
+        levels = (depth + 1) * cantor.n_maps
+        size = fourier_module.PHASE_BLOCK // levels
+        assert grid_args == 2 * levels * (size + math.ceil(m / size))
+        sizes.clear()
+        _mu_hat_homog_many(cantor, etas[::-1], 1e-8)
+        assert sum(sizes) == 2 * m * (cantor.n_maps * depth + 1)
+        assert grid_args < sum(sizes) / 50
 
 
 def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):

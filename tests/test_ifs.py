@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -433,6 +434,100 @@ class TestSeparationDiagnostic:
     def test_budget(self, cantor):
         with pytest.raises(ResourceExceeded):
             separation_diagnostic(cantor, depth=30)
+
+
+def _dense_separation(ifs, depth):
+    """The separation diagnostic from dense n x n (x k) pair arrays, for small n."""
+    b, radius = ifs.barycenter, ifs.support_radius
+    centers = np.array([m(b) for m in ifs.maps])
+    radii = np.array([m.ratio * radius for m in ifs.maps])
+    ssc_ok = all(
+        np.linalg.norm(centers[i] - centers[j]) - (radii[i] + radii[j]) > 0.0
+        for i in range(ifs.n_maps)
+        for j in range(i + 1, ifs.n_maps)
+    )
+    columns = ifs_module._root_columns(ifs.ambient_dim)
+    for _ in range(depth):
+        columns = ifs_module._child_columns(ifs, *columns)
+    ratios, orients, trans, _ = columns
+    keys = np.round(np.log(ratios) / 1e-9).astype(np.int64)
+    esc = math.inf
+    for key in np.unique(keys):
+        group = trans[keys == key]
+        if len(group) < 2:
+            continue
+        dist = np.linalg.norm(group[:, None, :] - group[None, :, :], axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        esc = min(esc, float(dist.min()))
+    cyl_centers = trans + np.einsum("n,nij,j->ni", ratios, orients, b)
+    cyl_radii = ratios * radius
+    dist = np.linalg.norm(cyl_centers[:, None, :] - cyl_centers[None, :, :], axis=-1)
+    pen = (cyl_radii[:, None] + cyl_radii[None, :]) - dist
+    np.fill_diagonal(pen, -np.inf)
+    overlap = float(pen.max()) > 1e-12 or esc < 1e-12
+    return ifs_module.SeparationDiagnostic(
+        ssc_ok=ssc_ok, overlaps_detected=overlap, esc_distance=esc, depth=depth
+    )
+
+
+def _separation_systems():
+    """Seeded systems on the line and in the plane: separated, touching, overlapping."""
+    systems = []
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 5))
+        ratios = rng.choice([1 / 2, 1 / 3, 1 / 4, 0.3], size=n) if seed % 2 else [1 / n] * n
+        signs = rng.choice([-1, 1], size=n).tolist()
+        systems.append(ifs_1d(list(ratios), rng.uniform(-1.0, 1.0, size=n).tolist(),
+                              signs=signs))
+        # touching: base-m digits, neighbouring digits share an endpoint
+        m = int(rng.integers(2, 5))
+        digits = sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False))
+        flips = rng.choice([-1, 1], size=len(digits)).tolist()
+        systems.append(ifs_1d([1 / m] * len(digits),
+                              [(d + (s < 0)) / m for d, s in zip(digits, flips)],
+                              signs=flips))
+        maps = tuple(random_similarity(rng, 2) for _ in range(int(rng.integers(2, 4))))
+        systems.append(SelfSimilarIFS(maps, tuple([1.0 / len(maps)] * len(maps))))
+    # the plane: touching squares, and two maps with one image (a collision)
+    corners = tuple(
+        SimilarityMap(0.5, np.eye(2), np.array([x, y])) for x in (0.0, 0.5) for y in (0.0, 0.5)
+    )
+    systems.append(SelfSimilarIFS(corners, (0.25,) * 4))
+    twin = SimilarityMap(0.4, np.eye(2), np.array([0.3, 0.1]))
+    systems.append(SelfSimilarIFS((twin, twin, corners[3]), (0.3, 0.3, 0.4)))
+    return systems
+
+
+class TestSeparationScans:
+    """The sort and block scans of ``separation_diagnostic`` against dense pair arrays."""
+
+    @pytest.mark.parametrize("pair_block", [ifs_module.PAIR_BLOCK, 7])
+    def test_matches_dense_pairs(self, monkeypatch, pair_block):
+        monkeypatch.setattr(ifs_module, "PAIR_BLOCK", pair_block)
+        seen = set()
+        for ifs in _separation_systems():
+            # depth 1 has no equal-ratio pair when the ratios differ
+            for depth in (1, int(math.log(300) / math.log(ifs.n_maps))):
+                diag = separation_diagnostic(ifs, depth=depth)
+                assert diag == _dense_separation(ifs, depth)
+                seen.add((ifs.ambient_dim, diag.ssc_ok, diag.overlaps_detected,
+                          math.isinf(diag.esc_distance)))
+        for k in (1, 2):
+            for ssc in (True, False):
+                assert any(s[:2] == (k, ssc) for s in seen)
+            for overlap in (True, False):
+                assert any(s[0] == k and s[2] == overlap for s in seen)
+        assert any(s[3] for s in seen) and any(not s[3] for s in seen)
+
+    def test_two_hundred_thousand_words_on_the_line(self):
+        # 3^11 = 177,147 words: dense pair arrays would need ~250 GB
+        ifs = ifs_1d([0.2] * 3, [0.0, 0.4, 0.8])
+        started = time.perf_counter()
+        diag = separation_diagnostic(ifs, depth=11)
+        assert time.perf_counter() - started < 30.0
+        assert diag.ssc_ok and not diag.overlaps_detected
+        assert diag.esc_distance == pytest.approx(0.4 * 0.2**10, rel=1e-6)
 
 
 class TestPorosity:
