@@ -15,12 +15,12 @@ structure of the measure:
   (``_mu_hat_homog_many``) for one frequency or many; on a uniform grid
   j * delta (the interpolation table) its factors come by angle addition
   from one base block, and any other row set takes cos and sin directly.
-  Other systems expand a columnar frontier of (frequency row, eta,
-  phase, weight) in blocks of at most ``FRONTIER_BLOCK`` rows, many
-  frequencies at once, with a leaf budget per frequency.  Each
-  frequency's leaf terms are summed pairwise within a block and the block
-  sums are combined with TwoSum compensation, the pairwise summation
-  that ``_roundoff`` assumes.
+  For any other system the tree's leaves are the words with
+  r_w |xi| <= tol / (2 pi R), the stopping cover at that scale, and a
+  leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
+  identity map at the cylinder's anchor: mu_hat is
+  ``pushforward_hat_order0(ifs, identity_map(ifs), xi)``, evaluated by
+  the same row kernel, one cover per frequency.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -34,29 +34,31 @@ structure of the measure:
 
 Single frequencies and batches share one row kernel, ``_image_rows``.
 A batch groups its frequencies by octave of |xi|, and each group uses the
-stopping cover of its largest |xi|, an ``ifs.StoppingDecomposition`` read
-column by column (and cached).  The order-1 inner transform is read
+stopping cover of its largest |xi|.  Covers are never stored: every job
+of the kernel streams its group's cover from ``ifs._cover_blocks`` in
+leaf blocks of at most ``FRONTIER_BLOCK``, sums each row pairwise within
+a block and combines the block sums with TwoSum, so memory stays bounded
+however many leaves a cover has.  The order-1 inner transform is read
 from a certified interpolation table for homogeneous systems on the line
-in a batch, and computed by the recursion otherwise.  Each frequency's
-leaf terms are summed pairwise along the leaf axis.  The kernel works
-through cache-sized blocks of rows, and on a uniform frequency grid
-j * delta it builds the phases of consecutive rows by angle addition
-(``_phase_blocks``, shared with the Fourier inversion of
+in a batch; otherwise it is the product form, or for other systems a
+nested order-0 call of the kernel on the identity at tol/2.  Within a
+block the elementwise work runs over cache-sized blocks of rows, and on a
+uniform frequency grid j * delta the phases of consecutive rows come by
+angle addition (``_phase_blocks``, shared with the Fourier inversion of
 ``experiments``), which replaces most calls to cos and sin.
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
 with merely estimated bounds mark their samples as uncertified.  They
 include the float rounding of the phases (``_phase_rounding``,
-``_recursion_rounding``), which grows like 2^-52 |xi|; angle-addition
-rows carry their own allowance for it.
+``_recursion_rounding``), which grows like 2^-52 |xi|, with an allowance
+for angle-addition rows, and the rounding that a cover's anchors and
+weights carry from the levels of their words (``_cover_rounding``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
@@ -67,17 +69,15 @@ from .errors import (
     BadConfig,
     FractalFourierError,
     MissingHessianBound,
-    ResourceExceeded,
     Unsupported,
 )
 from .ifs import (
     DEFAULT_LEAF_BUDGET,
     FRONTIER_BLOCK,
     SelfSimilarIFS,
-    StoppingDecomposition,
     _checked_count,
-    _enumerate_stopping,
-    _expand_blocked,
+    _cover_blocks,
+    _depth_bound,
     chaos_game,
 )
 
@@ -108,9 +108,10 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     and np.cos and np.sin return, for every finite argument, a value
     within 2 EPS of the exact one (accurate argument reduction; numpy's
     are within one ulp).  The anchors x_w, f(x_w) and J_f(x_w) as the
-    cover and the map's evaluators return them are the quadrature's
-    nodes.  First-order terms (products of two roundings are absorbed by
-    rounding the constants up):
+    cover and the map's evaluators return them are taken as the
+    quadrature's nodes here; ``_cover_rounding`` covers the cover's own
+    rounding.  First-order terms (products of two roundings are absorbed
+    by rounding the constants up):
 
     * outer phase.  A_w = 2 pi (f(x_w) - B_w^T b) rounds by 3u |A_w| (2 pi
       is a float, a subtraction, a product) plus k u 2 pi |B_w||b|; xi A_w
@@ -135,16 +136,14 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     return EPS * (xi_norm * ((dims + 5.0) * a_max + (2.0 * dims + 3.0) * inner) + 16.0)
 
 
-def _recursion_rounding(ifs, norms, depth, additions, grid: bool = False):
-    """Rounding allowance of the self-similarity recursion at |eta_0| = ``norms``.
+def _recursion_rounding(ifs, norms, depth, grid: bool = False):
+    """Rounding allowance of the product form at |eta_0| = ``norms``.
 
-    EPS (pi S |eta_0| (A + k + k^1.5 + 6) / (1 - rho)^2 + (D + 1)(N + 5)),
-    with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps, D the
-    depth of the deepest leaf (``depth``) and A the number of phase
-    additions along a path (``additions``: D for the frontier, 0 for the
-    product form).  ``norms``, ``depth`` and ``additions`` may be arrays.
-    It covers the float rounding of the phases 2 pi <eta_l, t_i> and
-    2 pi <eta_D, b>, which grows like EPS |eta_0|.  With ``grid`` it adds
+    EPS (pi S |eta_0| (k + k^1.5 + 6) / (1 - rho)^2 + (D + 1)(N + 5)),
+    with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps and D
+    the depth (``depth``).  ``norms`` may be an array.  It covers the
+    float rounding of the phases 2 pi <eta_l, t_i> and 2 pi <eta_D, b>,
+    which grows like EPS |eta_0|.  With ``grid`` it adds
     EPS (2 pi S |eta_0| / (1 - rho) + (D + 1)(N / 2 + 6)), the allowance
     of the product form's grid rows (derived below).
 
@@ -152,16 +151,11 @@ def _recursion_rounding(ifs, norms, depth, additions, grid: bool = False):
     The iterate eta_l = eta_{l-1} r O^T is a k-term product, so
     |Delta eta_l| <= l k^1.5 u rho^l |eta_0|, and 2 pi <eta_l, t_i> adds
     (k + 2) u |eta_l||t_i|.  Summed over l with sum rho^l (1 + l) =
-    1 / (1 - rho)^2 this is the k and k^1.5 part.  The frontier
-    (``_mu_hat_general_many``) accumulates a leaf's phase by D additions
-    of partial sums below S |eta_0| / (1 - rho), and rounds the leaf
-    argument 2 pi (phase + <eta_D, b>) three more times, below
-    2 S |eta_0| / (1 - rho) each: the A + 6.  The product form
+    1 / (1 - rho)^2 this is the k and k^1.5 part; the 6 allows for the
+    rounding of 2 pi <eta_D, b>.  The product form
     (``_mu_hat_homog_many``) has D + 1 factors, each from N cos/sin pairs
     contracted with the weights (N u + 2 EPS per part) and one complex
-    product (2 EPS): the (D + 1)(N + 5).  A frontier leaf value has one
-    cos/sin pair and a path weight rounded D times, which that term
-    covers too.
+    product (2 EPS): the (D + 1)(N + 5).
 
     Grid rows (k = 1, eta_0 = fl(j delta), see ``_mu_hat_homog_many``).
     Level l of map i has the phase j c_{l,i} with c_{l,i} = 2 pi delta
@@ -180,10 +174,9 @@ def _recursion_rounding(ifs, norms, depth, additions, grid: bool = False):
     """
     k = ifs.ambient_dim
     rho = float(ifs.ratios.max())
-    reach = max(max(float(np.linalg.norm(m.translation)) for m in ifs.maps),
-                float(np.linalg.norm(ifs.barycenter)))
+    reach = _translation_reach(ifs)
     allowance = EPS * (
-        math.pi * reach * norms * (additions + k + k**1.5 + 6.0) / (1.0 - rho) ** 2
+        math.pi * reach * norms * (k + k**1.5 + 6.0) / (1.0 - rho) ** 2
         + (depth + 1.0) * (ifs.n_maps + 5.0)
     )
     if grid:
@@ -191,6 +184,82 @@ def _recursion_rounding(ifs, norms, depth, additions, grid: bool = False):
             TWO_PI * reach * norms / (1.0 - rho) + (depth + 1.0) * (0.5 * ifs.n_maps + 6.0)
         )
     return allowance
+
+
+def _translation_reach(ifs) -> float:
+    """S = max(max_i |t_i|, |b|), the scale of the rounding allowances."""
+    return max(max(float(np.linalg.norm(m.translation)) for m in ifs.maps),
+               float(np.linalg.norm(ifs.barycenter)))
+
+
+def _anchor_drift(ifs, scale: float) -> float:
+    """Bound on |x_w - f_w(b)| over the computed anchors x_w of the cover at ``scale``.
+
+    EPS ((D + k + 1 + c rho / (1 - rho)) S / (1 - rho) + (c D + k + 1) r |b|
+    + sup|x|), with D = ``ifs._depth_bound(scale)``, c = 1 + k^1.5,
+    r = min(scale, 1) (every leaf ratio is at most r), S as in
+    ``_recursion_rounding`` and rho the largest ratio.
+
+    Model as in ``_phase_rounding``.  ``ifs._child_columns`` builds a
+    word's columns over its D levels: the ratio r_w by D - 1 products
+    (relative error below D u), the orientation O_w by D products of
+    k x k matrices (D k^1.5 u in norm), and the translation by
+    t_{wi} = t_w + r_w O_w t_i.  At level l the product r_w O_w t_i is
+    below rho^l S and errs by (l c + k + 1) u rho^l S with the errors of
+    r_w and O_w, which sums over the levels to below
+    (c rho / (1 - rho) + k + 1) u S / (1 - rho); each of the D sums rounds
+    by u of a partial sum below S / (1 - rho).  The anchor
+    r_w O_w b + t_w errs by (c D + k + 1) u r_w |b| in its product and by
+    u |x_w| <= u sup|x| in its sum.  At EPS = 2u the bound is twice that
+    first-order sum, which absorbs the second-order terms.
+    """
+    k = ifs.ambient_dim
+    rho = float(ifs.ratios.max())
+    depth = _depth_bound(ifs, scale)
+    c = 1.0 + k**1.5
+    levels = (depth + k + 1.0 + c * rho / (1.0 - rho)) * _translation_reach(ifs) / (1.0 - rho)
+    anchor = (c * depth + k + 1.0) * min(scale, 1.0) * float(np.linalg.norm(ifs.barycenter))
+    return EPS * (levels + anchor + ifs.max_point_norm)
+
+
+def _cover_rounding(ifs, scale: float, xi_norm, gain: float, inner: float = 0.0):
+    """Rounding allowance, per unit weight, that the computed cover at ``scale`` adds.
+
+    2 pi |xi| gain delta + EPS (D (1 + k^1.5) |xi| inner + D + 1), with
+    D = ``ifs._depth_bound(scale)``, delta = ``_anchor_drift`` and
+    ``inner`` = 2 pi max_w |B_w| sup|x| as in ``_phase_rounding``.
+    ``xi_norm`` may be an array.
+
+    ``_phase_rounding`` takes a cover's anchors, ratios, orientations and
+    weights as exact nodes.  Each is accumulated over the D levels of its
+    word, and this term covers that (model and u as there; the map's
+    bounds are taken to hold within delta of the support ball):
+
+    * anchors.  A computed anchor x_w lies within delta of f_w(b).  Order
+      0 moves its phase 2 pi <xi, f(x_w)> by at most 2 pi |xi| L_f delta:
+      ``gain`` = L_f.  Order 1 linearises f at x_w, but its A_w assumes
+      the node f_w(b): the dropped constant J_f(x_w) (f_w(b) - x_w) moves
+      the phase by at most 2 pi |xi| |J_f(x_w)| delta, and the Taylor
+      radius grows from r_w R to r_w R + delta, which adds
+      2 pi |xi| H r_w R delta to first order: ``gain`` =
+      max_w |J_f(x_w)| + H R, the first term read from the computed
+      |B_w| / r_w.
+    * inner argument (order 1).  B_w = r_w O_w^T J_f(x_w)^T inherits the
+      relative error D (1 + k^1.5) u of r_w and O_w.  mu_hat is
+      2 pi sup|x|-Lipschitz and A_w holds B_w^T b with |b| <= sup|x|, so
+      a term moves by at most D (1 + k^1.5) EPS |xi| inner.
+    * weights.  p_w is a product of D weights, within D u of exact
+      relative, and a term is at most p_w: D u per unit weight, below
+      EPS (D + 1).
+
+    The closure or Taylor coefficient, a bound computed from the same
+    ratios and weights, is not counted.
+    """
+    k = ifs.ambient_dim
+    depth = _depth_bound(ifs, scale)
+    return TWO_PI * xi_norm * gain * _anchor_drift(ifs, scale) + EPS * (
+        depth * (1.0 + k**1.5) * xi_norm * inner + depth + 1.0
+    )
 
 
 def _cis(theta):
@@ -249,145 +318,47 @@ def mu_hat(
     """Evaluate mu_hat(xi) by the self-similarity recursion.
 
     The returned ``error_bound`` adds the leaf closure bound
-    2 pi |eta| R per unit weight and a roundoff allowance; it certifies
-    |value - mu_hat(xi)| <= error_bound.  Homogeneous systems take the
-    product form (``_mu_hat_homog_many`` with this one row), to the depth
-    at which 2 pi |eta| R <= tol.  Non-homogeneous systems expand the
-    stopping tree as a blocked columnar frontier (``_mu_hat_general_many``):
-    leaf terms are summed pairwise per block, block sums combine with TwoSum
-    compensation, and more than ``budget`` leaves raise
-    ResourceExceeded("leaf_budget").  ``leaves_used`` is the number of
-    leaves of the tree (N^depth for homogeneous systems).
+    2 pi |eta| R per unit weight, a roundoff allowance and the phase
+    rounding; it certifies |value - mu_hat(xi)| <= error_bound.
+    Homogeneous systems take the product form (``_mu_hat_homog_many``
+    with this one row), to the depth at which 2 pi |eta| R <= tol.  For
+    any other system the tree's leaves are the stopping cover at scale
+    tol / (2 pi |xi| R) and its leaf terms are order-0 terms of the
+    identity, so the value is ``_image_rows`` of ``identity_map`` under
+    order0: the cover streams through the row kernel in leaf blocks of at
+    most ``FRONTIER_BLOCK``, summed pairwise and combined with TwoSum.
+    Its exact leaf count is checked before anything is expanded; more
+    than ``budget`` leaves raise ResourceExceeded("leaf_budget") naming
+    the count.  ``leaves_used`` is the number of leaves of the tree
+    (N^depth for homogeneous systems).
     """
     _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, ifs.ambient_dim)
-    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget)
+    value, error, leaves = _mu_hat_row(ifs, vec, tol, budget)
     return FrequencySample(
         xi=vec,
-        value=complex(values[0]),
-        error_bound=float(errors[0]),
+        value=complex(value),
+        error_bound=float(error),
         scheme="exact_recursion",
-        leaves_used=leaves[0],
+        leaves_used=leaves,
     )
 
 
-def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int):
-    """mu_hat at every row of ``etas`` (m, k).
+def _mu_hat_row(ifs, eta: np.ndarray, tol: float, budget: int):
+    """(value, error bound, leaves) of mu_hat at the frequency ``eta`` (k,).
 
-    Homogeneous systems make one product-form call per row, so that each
-    row stops at its own depth; all others run one ``_mu_hat_general_many``
-    over the rows.  Returns (values (m,), error bounds (m,), leaves), the
-    leaf counts as exact Python ints (N^depth can pass the int64 range).
+    Each frequency keeps its own depth or cover, so ``leaves`` is the
+    leaf count of its own tree, an exact Python int (N^depth can pass
+    the int64 range).
     """
-    if not ifs.is_homogeneous:
-        values, errors, leaves = _mu_hat_general_many(ifs, etas, tol, budget)
-        return values, errors, [int(n) for n in leaves]
-    rows = [_mu_hat_homog_many(ifs, etas[j : j + 1], tol) for j in range(len(etas))]
-    values = np.concatenate([value for value, _, _ in rows])
-    errors = np.concatenate([err for _, err, _ in rows])
-    return values, errors, [ifs.n_maps**depth for _, _, depth in rows]
-
-
-def _two_sum_into(sums, carry, rows, parts):
-    """sums[:, rows] += parts, keeping each addition's rounding error in carry.
-
-    Knuth's TwoSum: t = s + x is rounded, and (s - (t - z)) + (x - z) with
-    z = t - s is exactly the part of s + x that t lost.  ``rows`` must be
-    distinct.
-    """
-    s = sums[:, rows]
-    t = s + parts
-    z = t - s
-    carry[:, rows] += (s - (t - z)) + (parts - z)
-    sums[:, rows] = t
-
-
-def _mu_hat_general_many(ifs, etas: np.ndarray, tol: float, budget: int):
-    """Self-similarity recursion for every row of ``etas`` (n, k) at once.
-
-    The frontier holds rows (source, eta, phase, weight), starting from
-    (j, etas[j], 0, 1).  A row with 2 pi |eta| R <= tol is a leaf: it adds
-    weight e^{-2 pi i (phase + <eta, b>)} to the value of its source and
-    weight 2 pi |eta| R to its closure bound.  Any other row is replaced by
-    its children (source, r_i O_i^T eta, phase + <eta, t_i>, weight p_i).
-    Rows stay sorted by source within every block (see
-    ``_expand_blocked``), so a block's leaves for one frequency form one
-    contiguous run, summed pairwise by np.add.reduceat; the per-block sums
-    are accumulated with TwoSum compensation.  A frequency whose leaf
-    count passes ``budget`` raises ResourceExceeded.
-
-    Returns (values (n,), error bounds (n,), leaves (n,)); each bound is
-    the closure sum plus ``_roundoff`` of that frequency's leaf count plus
-    the phase rounding ``_recursion_rounding`` at the row's |eta| and
-    leaf depth bound (``_leaf_depth_bound``).
-    """
-    n_rows, k = etas.shape
-    n_maps = ifs.n_maps
-    radius = ifs.support_radius
-    b = ifs.barycenter
-    # eta @ step holds the children's frequencies r_i O_i^T eta side by side.
-    step = np.concatenate([m.ratio * m.orientation for m in ifs.maps], axis=1)
-    shifts = np.array([m.translation for m in ifs.maps]).T
-    weights = ifs.weight_array
-    sums = np.zeros((3, n_rows))    # real part, imaginary part, closure bound
-    carry = np.zeros((3, n_rows))
-    leaves = np.zeros(n_rows, dtype=np.int64)
-
-    def expand(block):
-        src, eta, phase, weight = block
-        scale = TWO_PI * np.linalg.norm(eta, axis=1) * radius
-        leaf = scale <= tol
-        if leaf.any():
-            lsrc, lw = src[leaf], weight[leaf]
-            theta = TWO_PI * (phase[leaf] + eta[leaf] @ b)
-            terms = np.stack(
-                [lw * np.cos(theta), -(lw * np.sin(theta)), lw * scale[leaf]]
-            )
-            starts = np.flatnonzero(np.diff(lsrc, prepend=-1))
-            rows = lsrc[starts]
-            leaves[rows] += np.diff(starts, append=len(lsrc))
-            if leaves[rows].max() > budget:
-                raise ResourceExceeded(
-                    f"mu_hat expansion exceeded {budget} leaves "
-                    f"(set FRACTAL_FOURIER_BUDGET to raise)",
-                    "leaf_budget",
-                )
-            _two_sum_into(sums, carry, rows, np.add.reduceat(terms, starts, axis=1))
-            if leaf.all():
-                return None
-            inner = ~leaf
-            src, eta, phase, weight = src[inner], eta[inner], phase[inner], weight[inner]
-        n = len(src)
-        return (
-            np.repeat(src, n_maps),
-            (eta @ step).reshape(n * n_maps, k),
-            (phase[:, None] + eta @ shifts).ravel(),
-            (weight[:, None] * weights).ravel(),
-        )
-
-    _expand_blocked(
-        (np.arange(n_rows), np.array(etas, dtype=float), np.zeros(n_rows), np.ones(n_rows)),
-        expand,
+    if ifs.is_homogeneous:
+        values, errors, depth = _mu_hat_homog_many(ifs, eta[None, :], tol)
+        return values[0], errors[0], ifs.n_maps**depth
+    values, errors, leaves = _image_rows(
+        ifs, identity_map(ifs), eta[None, :], tol, "order0", None, budget, 1, False
     )
-    total = sums + carry
-    values = np.empty(n_rows, dtype=complex)
-    values.real, values.imag = total[0], total[1]
-    norms = np.linalg.norm(etas, axis=1)
-    depth = _leaf_depth_bound(ifs, norms, tol)
-    rounding = _recursion_rounding(ifs, norms, depth, depth)
-    return values, total[2] + _roundoff(leaves) + rounding, leaves
-
-
-def _leaf_depth_bound(ifs, norms, tol: float):
-    """Bound on the depth of the stopping tree's leaves at |eta_0| = ``norms``.
-
-    A leaf's parent at depth D - 1 had 2 pi rho^(D-1) |eta_0| R > tol (rho
-    the largest ratio), so D <= 1 + log(2 pi |eta_0| R / tol) / log(1 / rho);
-    one more level allows for the rounding of that test.
-    """
-    reach = np.maximum(TWO_PI * norms * ifs.support_radius / tol, 1.0)
-    return 2.0 + np.floor(np.log(reach) / -math.log(float(ifs.ratios.max())))
+    return values[0], errors[0], int(leaves[0])
 
 
 def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
@@ -424,7 +395,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
     ``_recursion_rounding(..., grid=True)``'s allowance for the angle
     addition and the rounding of the coefficients.  Their depth is the
     direct path's, and so is their closure term 2 pi |eta| rho^D R, up
-    to its last bits.  Any other row set takes cos and sin directly.
+    to its last bits.  Any other row set takes cos and sin directly.  The
+    closure and rounding terms of all rows are computed after the values,
+    in blocks of ``PHASE_BLOCK`` rows.
 
     Returns (values (n,), error bounds (n,), depth).  Each bound is the
     row's closure term plus ``_roundoff(depth + 1)`` plus the phase
@@ -471,10 +444,10 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
             parts = rot @ base[:, :, :count]
             factors.real[:, :count], factors.imag[:, :count] = parts[:, 0], parts[:, 1]
             np.prod(factors[:, :count], axis=0, out=values[start : start + count])
-        contraction = abs(float(step_t[0, 0])) ** depth
-    for start in range(0, len(etas), FRONTIER_BLOCK):
-        rows = slice(start, start + FRONTIER_BLOCK)
-        if delta is None:
+        np.multiply(norms, abs(float(step_t[0, 0])) ** depth, out=errs)    # |eta_D|
+    else:
+        for start in range(0, len(etas), FRONTIER_BLOCK):
+            rows = slice(start, start + FRONTIER_BLOCK)
             cur = etas[rows]
             value = np.ones(len(cur), dtype=complex)
             for _ in range(depth):
@@ -483,12 +456,14 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
                 cur = cur @ step_t
             value *= _cis(TWO_PI * (cur @ ifs.barycenter))
             values[rows] = value
-            reach = np.sqrt(np.vecdot(cur, cur))
-        else:
-            reach = norms[rows] * contraction
-        closure = TWO_PI * reach * radius + _roundoff(depth + 1)
+            errs[rows] = np.sqrt(np.vecdot(cur, cur))     # |eta_D|
+    # PHASE_BLOCK rows at a time: whole-array temporaries would add several
+    # arrays of the table's size to the peak memory
+    for start in range(0, len(etas), PHASE_BLOCK):
+        rows = slice(start, start + PHASE_BLOCK)
+        closure = TWO_PI * errs[rows] * radius + _roundoff(depth + 1)
         errs[rows] = closure + _recursion_rounding(
-            ifs, norms[rows], depth, 0, grid=delta is not None
+            ifs, norms[rows], depth, grid=delta is not None
         )
     return values, errs, depth
 
@@ -845,58 +820,6 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# stopping covers shared by the quadrature schemes
-# ---------------------------------------------------------------------------
-
-
-COVER_CACHE_BYTES = 256 * 2**20     # total size of the cached stopping covers
-
-
-class _CoverCache:
-    """Least-recently-used stopping covers, at most ``max_bytes`` in total.
-
-    Shared by the ``pushforward_batch`` worker threads, hence the lock.
-    A cover larger than ``max_bytes`` is returned without being stored.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def fetch(
-        self, key, build: Callable[[], StoppingDecomposition]
-    ) -> StoppingDecomposition:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        leaves = build()    # unlocked, so other threads keep hitting meanwhile
-        with self._lock:
-            if leaves.nbytes <= self.max_bytes and key not in self._entries:
-                self._entries[key] = leaves
-                self.nbytes += leaves.nbytes
-                while self.nbytes > self.max_bytes:
-                    self.nbytes -= self._entries.popitem(last=False)[1].nbytes
-        return leaves
-
-
-_COVER_CACHE = _CoverCache(COVER_CACHE_BYTES)
-
-
-def _leaf_data(ifs: SelfSimilarIFS, scale: float, budget: int) -> StoppingDecomposition:
-    """The stopping cover at ``scale`` (the root alone when 1 <= scale).
-
-    The exact leaf count is checked against ``budget`` before the cache is
-    consulted.  The cache key is (ifs, snapped_scale), the largest leaf
-    ratio, so every scale with the same cover shares one entry.
-    """
-    _, snapped = _checked_count(ifs, scale, budget)
-    return _COVER_CACHE.fetch((ifs, snapped), lambda: _enumerate_stopping(ifs, snapped))
-
-
-# ---------------------------------------------------------------------------
 # order-0 and order-1 image transforms: one row kernel for single and batch
 # ---------------------------------------------------------------------------
 
@@ -949,17 +872,21 @@ class _MuHatTable:
 
 
 def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-0 term 2 pi |xi| L_f r R is tol."""
-    if lip == 0.0:
-        return math.inf
-    return tol / (TWO_PI * xi_norm * lip * ifs.support_radius)
+    """Stopping scale at which the order-0 term 2 pi |xi| L_f r R is tol.
+
+    The root (inf) when that term is 0 at r = 1, or underflows to it.
+    """
+    reach = TWO_PI * xi_norm * lip * ifs.support_radius
+    return tol / reach if reach > 0.0 else math.inf
 
 
 def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2."""
-    if hess == 0.0:
-        return math.inf
-    return math.sqrt(0.5 * tol / (math.pi * xi_norm * hess)) / ifs.support_radius
+    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2.
+
+    The root (inf) when pi |xi| H is 0, or underflows to it.
+    """
+    curvature = math.pi * xi_norm * hess
+    return math.sqrt(0.5 * tol / curvature) / ifs.support_radius if curvature > 0.0 else math.inf
 
 
 def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -976,21 +903,19 @@ def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray
     return out
 
 
-def _linear_forms(ifs, pmap, leaves: StoppingDecomposition, order1: bool):
-    """Per-leaf linear forms in xi of one cover: (2 pi A (n, d), B (n, k, d)).
+def _linear_forms(ifs, pmap, ratios, orients, anchors, order1: bool):
+    """Per-leaf linear forms in xi of a block of cover leaves: (2 pi A (n, d), B (n, k, d)).
 
     Cylinder w contributes p_w e^{-2 pi i <xi, A_w>} mu_hat(B_w xi), with
     B_w = r_w O_w^T J_f(x_w)^T and A_w = f(x_w) - B_w^T b.  Order 0 has
     A_w = f(x_w) and no inner transform (B is None).
     """
-    n, d = len(leaves), pmap.out_dim
-    f_vals = pmap.evaluator(leaves.anchors).reshape(n, d)
+    n, d = len(ratios), pmap.out_dim
+    f_vals = pmap.evaluator(anchors).reshape(n, d)
     if not order1:
         return TWO_PI * f_vals, None
-    jac = pmap.gradient(leaves.anchors).reshape(n, d, ifs.ambient_dim)
-    b_forms = leaves.ratios[:, None, None] * np.einsum(
-        "nji,nej->nie", leaves.orientations, jac
-    )
+    jac = pmap.gradient(anchors).reshape(n, d, ifs.ambient_dim)
+    b_forms = ratios[:, None, None] * np.einsum("nji,nej->nie", orients, jac)
     return TWO_PI * (f_vals - np.einsum("nkd,k->nd", b_forms, ifs.barycenter)), b_forms
 
 
@@ -1066,31 +991,47 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
 
     Rows with xi = 0 are exact.  The others share the cover at ``scale``
     when it is given, else they are grouped by octave of |xi| and each
-    group takes the stopping scale of its largest |xi|; the largest cover
-    is counted against ``budget`` before any is built.
+    group takes the stopping scale of its largest |xi|.  Every group's
+    cover is counted against ``budget`` (``_checked_count``, the top
+    octave first) before any is expanded.
 
     Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
-    leaf terms: a job is the unit of the thread scatter and of each exact
-    inner evaluation.  Within a job the elementwise work (phases, table
-    lookups, the complex combine and ``_row_sums``) runs over blocks of
-    about ``PHASE_BLOCK`` terms (``_phase_blocks``), so its temporaries
-    stay in cache; each row is still one pairwise sum over all its
-    leaves.  When the rows of ``xis`` are the uniform grid j * delta
-    (``_grid_step``; ``multiplicative_convolution`` builds its grid that
-    way) the phases of consecutive rows come from angle addition.
+    leaf terms: a job is the unit of the thread scatter.  Covers are not
+    stored: each job streams its group's cover from ``_cover_blocks``, leaf
+    blocks of at most ``FRONTIER_BLOCK``, and each row's terms of a block
+    are summed pairwise along the leaf axis (``_row_sums``); the block
+    sums of a row are combined with TwoSum (Knuth: t = s + x is rounded,
+    and (s - (t - z)) + (x - z) with z = t - s is exactly what t lost),
+    kept in a carry that joins the sum at the end.  Within a block the
+    elementwise work (phases, table lookups, the complex combine) runs over
+    about ``PHASE_BLOCK`` terms at a time (``_phase_blocks``), so its
+    temporaries stay in cache.  When the rows of ``xis`` are the uniform
+    grid j * delta (``_grid_step``; ``multiplicative_convolution`` builds
+    its grid that way) the phases of consecutive rows come from angle
+    addition.
 
     The order-1 inner transform comes from one ``_MuHatTable`` when
-    ``table`` is set (k = 1, homogeneous), else from the recursion at
-    tol/2 with ``budget`` leaves per inner frequency.  A row's bound is
-    |xi| times the cover's closure (order 0) or Taylor (order 1)
-    coefficient, plus the inner bound, plus roundoff, plus the phase
-    rounding ``_phase_rounding``, which holds for both phase paths.
+    ``table`` is set (k = 1, homogeneous), whose range comes from one pass
+    over each group's cover before any job runs.  Otherwise each block
+    evaluates it at its rows x leaves inner frequencies: by the product
+    form at tol/2 for homogeneous systems, else by one nested order-0 call
+    of this kernel on the identity at tol/2 (``threads`` 1), octave-grouped
+    like the outer rows, whose covers are counted against ``budget``.
+
+    A row's bound is |xi| times the cover's closure (order 0) or Taylor
+    (order 1) coefficient, plus the inner bound, plus roundoff, plus the
+    phase rounding ``_phase_rounding``, which holds for both phase paths,
+    plus ``_cover_rounding`` for the rounding the cover's anchors and
+    weights carry.  The coefficient, the largest phase |A_w| and the inner
+    reach accumulate over the blocks.
     """
     m, d = xis.shape
     k = ifs.ambient_dim
     order1 = scheme == "order1"
     norms = np.linalg.norm(xis, axis=1)
-    active = np.flatnonzero(norms > 0.0)
+    # Not norms > 0: the norm of a row below ~1e-154 underflows to 0, which
+    # leaves its closure term far below the roundoff terms, not exact.
+    active = np.flatnonzero(xis.any(axis=1))
     if len(active) == 0:
         return _run_rows(None, [], m, threads)
     if order1:
@@ -1108,80 +1049,94 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     else:
         octaves = np.floor(np.log2(np.maximum(norms[active], 1.0)))
         groups = []
-        # Top octave first: it has the largest cover, so _leaf_data counts
-        # that cover against the budget before any cover is built.
+        # Top octave first: it has the largest cover, so the budget check
+        # below fails on it first.
         for octave in np.unique(octaves)[::-1]:
             rows = active[octaves == octave]
             groups.append((rows, stopping_scale(ifs, bound, tol, float(norms[rows].max()))))
-
-    radius = ifs.support_radius
-    prepared = []
-    for rows, grp_scale in groups:
-        leaves = _leaf_data(ifs, grp_scale, budget)
-        if order1:
-            coef = math.pi * bound * radius**2 * float(np.sum(leaves.weights * leaves.ratios**2))
-        else:
-            coef = TWO_PI * bound * radius * float(np.sum(leaves.weights * leaves.ratios))
-        a_forms, b_forms = _linear_forms(ifs, pmap, leaves, order1)
-        inner_reach = 0.0
-        if order1:
-            inner_reach = TWO_PI * ifs.max_point_norm * float(
-                np.sqrt(np.sum(b_forms**2, axis=(1, 2))).max()
-            )
-        a_max = float(np.linalg.norm(a_forms, axis=1).max())
-        phase_terms = (a_max, inner_reach, max(k, d))
-        prepared.append((rows, leaves, a_forms, b_forms, coef, phase_terms))
+    # (rows, leaf count, scale of the largest leaf) per group
+    covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
     mu_table = None
     if order1 and table:
-        eta_max = max(
-            float(norms[rows].max()) * float(np.abs(b_forms).max(initial=0.0))
-            for rows, _, _, b_forms, _, _ in prepared
-        )
+        eta_max = 0.0
+        for rows, _, cover_scale in covers:
+            b_max = 0.0
+            for ratios, orients, _, _, anchors in _cover_blocks(ifs, cover_scale):
+                b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, True)[1]
+                b_max = max(b_max, float(np.abs(b_forms).max(initial=0.0)))
+            eta_max = max(eta_max, float(norms[rows].max()) * b_max)
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
+    identity = identity_map(ifs) if order1 and mu_table is None else None
 
     jobs = []
-    for rows, *cover in prepared:
-        step = max(1, JOB_TERMS // len(cover[0]))
-        jobs += [(rows[i : i + step], *cover) for i in range(0, len(rows), step)]
+    for rows, n_leaves, cover_scale in covers:
+        step = max(1, JOB_TERMS // n_leaves)
+        jobs += [(rows[i : i + step], n_leaves, cover_scale) for i in range(0, len(rows), step)]
     grid = _grid_step(xis)
+    radius = ifs.support_radius
+    if order1:
+        unit = math.pi * bound * radius**2
+    else:
+        unit = TWO_PI * bound * radius
 
     def run(job):
-        rows, leaves, a_forms, b_forms, coef, phase_terms = job
-        n = len(leaves)
+        rows, n, cover_scale = job
         x = xis[rows]
-        inner_err = 0.0
-        if b_forms is not None and mu_table is None:
-            if k == d == 1:
-                eta = np.outer(x[:, 0], b_forms[:, 0, 0])
-            else:
-                eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
-            flat = eta.reshape(-1, k)
-            if ifs.is_homogeneous:
-                vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
-            else:
-                vals, errs, _ = _mu_hat_general_many(ifs, flat, 0.5 * tol, budget)
-            exact_inner = vals.reshape(len(rows), n)
-            inner_err = np.add.reduce(errs.reshape(exact_inner.shape) * leaves.weights, axis=1)
-        elif mu_table is not None:
-            inner_err = mu_table.slack
-        values = np.empty(len(rows), dtype=complex)
-        for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
-            if b_forms is None:
-                re, im = ct, np.negative(st, out=st)
-            else:
-                if mu_table is not None:
-                    inner = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
+        total, carry = np.zeros((2, len(rows)), dtype=complex)
+        part = np.empty(len(rows), dtype=complex)
+        moment, a_max, b_max, jac_max, inner_err = 0.0, 0.0, 0.0, 0.0, 0.0
+        for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
+            a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
+            moment += float(np.sum(weights * (ratios**2 if order1 else ratios)))
+            a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
+            if order1:
+                b_norms = np.sqrt(np.sum(b_forms**2, axis=(1, 2)))
+                b_max = max(b_max, float(b_norms.max()))
+                jac_max = max(jac_max, float((b_norms / ratios).max()))
+            if order1 and mu_table is None:
+                if k == d == 1:
+                    eta = np.outer(x[:, 0], b_forms[:, 0, 0])
                 else:
-                    inner = exact_inner[start:stop]
-                # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
-                re = ct * inner.real
-                re += st * inner.imag
-                im = np.multiply(ct, inner.imag, out=ct)
-                im -= np.multiply(st, inner.real, out=st)
-            values[start:stop] = _row_sums(re, im, leaves.weights)
-        bounds = norms[rows] * coef + inner_err + _roundoff(n)
-        return rows, values, bounds + _phase_rounding(norms[rows], *phase_terms), n
+                    eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
+                flat = eta.reshape(-1, k)
+                if ifs.is_homogeneous:
+                    vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
+                else:
+                    vals, errs, _ = _image_rows(
+                        ifs, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
+                    )
+                exact_inner = vals.reshape(len(rows), len(weights))
+                inner_err = inner_err + np.add.reduce(
+                    errs.reshape(exact_inner.shape) * weights, axis=1
+                )
+            for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
+                if b_forms is None:
+                    re, im = ct, np.negative(st, out=st)
+                else:
+                    if mu_table is not None:
+                        inner = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
+                    else:
+                        inner = exact_inner[start:stop]
+                    # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
+                    re = ct * inner.real
+                    re += st * inner.imag
+                    im = np.multiply(ct, inner.imag, out=ct)
+                    im -= np.multiply(st, inner.real, out=st)
+                part[start:stop] = _row_sums(re, im, weights)
+            # TwoSum of the running sum and this block's sums
+            t = total + part
+            z = t - total
+            carry += (total - (t - z)) + (part - z)
+            total = t
+        if mu_table is not None:
+            inner_err = mu_table.slack
+        inner_reach = TWO_PI * ifs.max_point_norm * b_max
+        gain = jac_max + pmap.hessian_bound * radius if order1 else bound
+        bounds = norms[rows] * (unit * moment) + inner_err + _roundoff(n)
+        bounds = bounds + _phase_rounding(norms[rows], a_max, inner_reach, max(k, d))
+        bounds = bounds + _cover_rounding(ifs, cover_scale, norms[rows], gain, inner_reach)
+        return rows, total + carry, bounds, n
 
     return _run_rows(run, jobs, m, threads)
 
@@ -1250,17 +1205,23 @@ def pushforward_batch(
     frequencies of one octave of |xi| share the stopping cover of their
     largest |xi| (a refinement of each one's own cover), and a fixed
     ``scale`` pins one cover for all, which is how uniform inversion grids
-    are evaluated cheaply.  Frequencies that are exactly j * delta, in
-    that order, get their phases by angle addition, in cache-sized blocks
-    (``_phase_blocks``); any other set gets direct cos and sin in the same
-    blocks, and both are certified by one phase rounding term.
-    Homogeneous systems on the line read the order-1 inner transform from
-    a certified interpolation table (``_MuHatTable``), whose grid rows
-    take the product form by angle addition; other systems evaluate it
-    exactly.  Leaf terms are summed pairwise per
-    frequency.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap``
-    unused), in chunks of 64 frequencies.  Results are independent of
-    ``threads`` (fixed chunks, fixed reduction order).
+    are evaluated cheaply.  Every cover is counted against ``budget``
+    before any is expanded, and each job of the kernel streams its cover
+    in leaf blocks of at most ``FRONTIER_BLOCK`` (no cover is stored or
+    cached), so memory does not grow with the cover.  Frequencies that
+    are exactly j * delta, in that order, get their phases by angle
+    addition, in cache-sized blocks (``_phase_blocks``); any other set
+    gets direct cos and sin in the same blocks, and both are certified by
+    one phase rounding term.  Homogeneous systems on the line read the
+    order-1 inner transform from a certified interpolation table
+    (``_MuHatTable``), whose grid rows take the product form by angle
+    addition; other systems evaluate it exactly, non-homogeneous ones by a
+    nested order-0 kernel call on the identity.  Leaf terms are summed
+    pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
+    ``pmap`` unused), one call and one cover per frequency; for a
+    non-homogeneous system the largest frequency's cover is counted
+    against ``budget`` before any is expanded.  Results are independent of
+    ``threads`` (fixed jobs, fixed reduction order).
     """
     if scheme not in ("order0", "order1", "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
@@ -1275,12 +1236,15 @@ def pushforward_batch(
     if scheme != "exact_recursion":
         table = ifs.is_homogeneous and ifs.ambient_dim == 1
         return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table)
+    top = float(np.abs(xis).max(initial=0.0))
+    if not ifs.is_homogeneous and top > 0.0:
+        # the largest frequency has the largest cover
+        _checked_count(ifs, _order0_scale(ifs, 1.0, tol, top), budget)
 
-    def run(start):
-        rows = slice(start, start + 64)
-        return (rows, *_mu_hat_rows(ifs, xis[rows], tol, budget))
+    def run(j):
+        return (j, *_mu_hat_row(ifs, xis[j], tol, budget))
 
-    return _run_rows(run, range(0, len(xis), 64), len(xis), threads)
+    return _run_rows(run, range(len(xis)), len(xis), threads)
 
 
 # ---------------------------------------------------------------------------

@@ -338,19 +338,20 @@ class StoppingDecomposition:
         return len(self.depths)
 
 
-def _expand_blocked(root: tuple, expand) -> None:
+def _expand_blocked(root: tuple, split):
     """Drive a columnar frontier expansion in blocks of <= FRONTIER_BLOCK rows.
 
     ``root`` is a tuple of column arrays sharing their first axis.
-    ``expand(block)`` consumes the leaf rows of one block and returns the
-    children of its interior rows as a tuple of the same columns (or
-    None).  Children are expanded breadth-first within a block, while
-    blocks are popped depth-first from a stack, so the stack holds
-    O(n_maps * depth) blocks and memory stays bounded however many
-    leaves the expansion visits.  Small blocks on top of the stack are
-    merged up to the block size.  Blocks are popped in the order of their
-    rows' root ancestors, so a column that children copy from their
-    parent and that is sorted at the root stays sorted within every block.
+    ``split(block)`` returns (leaves, children): the leaf rows of one
+    block and the children of its other rows, each a tuple of the same
+    columns or None.  Yields each block's leaves.  Children are expanded
+    breadth-first within a block, while blocks are popped depth-first
+    from a stack, so the stack holds O(n_maps * depth) blocks and memory
+    stays bounded however many leaves the expansion visits.  Small blocks
+    on top of the stack are merged up to the block size.  Blocks are
+    popped in the order of their rows' root ancestors, so a column that
+    children copy from their parent and that is sorted at the root stays
+    sorted within every block.
     """
     stack = []
 
@@ -367,9 +368,11 @@ def _expand_blocked(root: tuple, expand) -> None:
             parts.append(stack.pop())
             size += len(parts[-1][0])
         block = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        children = expand(block)
+        leaves, children = split(block)
         if children is not None:
             push(children)
+        if leaves is not None:
+            yield leaves
 
 
 def _root_columns(k: int) -> tuple:
@@ -387,12 +390,18 @@ def _child_columns(ifs: SelfSimilarIFS, ratio, orient, trans, weight) -> tuple:
     n_maps = ifs.n_maps
     map_orients = np.array([m.orientation for m in ifs.maps])       # (N, k, k)
     map_trans = np.array([m.translation for m in ifs.maps]).T       # (k, N)
-    child_trans = trans[:, None, :] + ratio[:, None, None] * np.swapaxes(
-        orient @ map_trans, 1, 2
-    )
+    if k == 1:
+        # one-term products, the floats of the matmuls below without
+        # their per-matrix overhead
+        child_orients = np.einsum("nij,mjl->nmil", orient, map_orients)
+        rotated = np.einsum("nij,jm->nmi", orient, map_trans)
+    else:
+        child_orients = orient[:, None] @ map_orients
+        rotated = np.swapaxes(orient @ map_trans, 1, 2)
+    child_trans = trans[:, None, :] + ratio[:, None, None] * rotated
     return (
         (ratio[:, None] * ifs.ratios).ravel(),
-        (orient[:, None] @ map_orients).reshape(n * n_maps, k, k),
+        child_orients.reshape(n * n_maps, k, k),
         child_trans.reshape(n * n_maps, k),
         (weight[:, None] * ifs.weight_array).ravel(),
     )
@@ -435,50 +444,76 @@ def _checked_count(ifs: SelfSimilarIFS, scale: float, budget: int):
     return n_leaves, snapped
 
 
-def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float) -> StoppingDecomposition:
-    """Columnar enumeration of the stopping antichain at ``scale``.
+def _depth_bound(ifs: SelfSimilarIFS, scale: float) -> int:
+    """Bound on the depth of every word of the stopping cover at ``scale``.
 
-    Children follow ``_child_columns``; rows are sorted into lexicographic
-    word order.  For 1 <= scale the cover is the root.  The expansion
-    holds the whole cover, so callers check its exact size against their
-    budget first (``_checked_count``).
+    Rounding is monotone, so no accumulated word ratio exceeds the
+    accumulated max_ratio^d: the first d at which that product is <=
+    ``scale`` bounds the depth of every leaf, and is the depth of the
+    word that repeats the largest ratio.
     """
-    k = ifs.ambient_dim
-    n_maps = ifs.n_maps
-    # Rounding is monotone, so no accumulated word ratio exceeds the
-    # accumulated max_ratio^d: every leaf has depth <= width.
-    width, acc, max_ratio = 0, 1.0, float(ifs.ratios.max())
+    depth, acc, max_ratio = 0, 1.0, float(ifs.ratios.max())
     while acc > scale:
         acc *= max_ratio
-        width += 1
-    letter_ids = np.arange(n_maps, dtype=np.min_scalar_type(n_maps))
-    leaves = []
+        depth += 1
+    return depth
 
-    def expand(block):
+
+def _cover_blocks(ifs: SelfSimilarIFS, scale: float, letters: bool = False):
+    """The stopping cover at ``scale`` as leaf blocks, in expansion order.
+
+    Yields (ratios, orientations, translations, weights, anchors) for
+    blocks of at most ``FRONTIER_BLOCK`` leaves, the anchors being the
+    images of the barycenter; with ``letters`` every block also carries
+    its words as zero-padded letters (width ``_depth_bound``) and depths.
+    Children follow ``_child_columns``.  Only the ``_expand_blocked``
+    stack and one block are held at a time, so a quadrature can sum a
+    cover far larger than it could hold.  For 1 <= scale the cover is the
+    root.  Callers check the exact cover size against their budget
+    first (``_checked_count``).
+    """
+    n_maps = ifs.n_maps
+    root = _root_columns(ifs.ambient_dim)
+    if letters:
+        letter_ids = np.arange(n_maps, dtype=np.min_scalar_type(n_maps))
+        width = _depth_bound(ifs, scale)
+        root += (np.zeros((1, width), dtype=letter_ids.dtype), np.zeros(1, dtype=np.int64))
+
+    def split(block):
         leaf = block[0] <= scale
+        if leaf.all():
+            return block, None
+        leaves = None
         if leaf.any():
-            leaves.append(tuple(col[leaf] for col in block))
-            if leaf.all():
-                return None
-            block = tuple(col[~leaf] for col in block)
-        *columns, letters, depth = block
-        n = len(depth)
-        rows = np.arange(n * n_maps)
-        child_letters = np.repeat(letters, n_maps, axis=0)
-        child_letters[rows, np.repeat(depth, n_maps)] = np.tile(letter_ids, n)
-        return (*_child_columns(ifs, *columns), child_letters, np.repeat(depth + 1, n_maps))
+            # integer indices: a boolean mask is re-scanned for every column
+            at_leaf, interior = np.flatnonzero(leaf), np.flatnonzero(~leaf)
+            leaves = tuple(col[at_leaf] for col in block)
+            block = tuple(col[interior] for col in block)
+        ratio, orient, trans, weight, *word = block
+        children = _child_columns(ifs, ratio, orient, trans, weight)
+        if letters:
+            prefix, depth = word
+            n = len(depth)
+            child_letters = np.repeat(prefix, n_maps, axis=0)
+            child_letters[np.arange(n * n_maps), np.repeat(depth, n_maps)] = np.tile(letter_ids, n)
+            children += (child_letters, np.repeat(depth + 1, n_maps))
+        return leaves, children
 
-    root = (
-        *_root_columns(k),
-        np.zeros((1, width), dtype=letter_ids.dtype),
-        np.zeros(1, dtype=np.int64),
+    b = ifs.barycenter
+    for ratios, orients, trans, weights, *word in _expand_blocked(root, split):
+        yield (ratios, orients, trans, weights, ratios[:, None] * (orients @ b) + trans, *word)
+
+
+def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float) -> StoppingDecomposition:
+    """The stopping antichain at ``scale``, whole and in lexicographic word order.
+
+    Concatenates the lettered ``_cover_blocks`` and sorts their rows.
+    The result holds the whole cover, so callers check its exact size
+    against their budget first (``_checked_count``).
+    """
+    ratios, orients, trans, weights, anchors, letters, depths = (
+        np.concatenate(cols) for cols in zip(*_cover_blocks(ifs, scale, letters=True))
     )
-    _expand_blocked(root, expand)
-    ratios, orients, trans, weights, letters, depths = (
-        np.concatenate(cols) for cols in zip(*leaves)
-    )
-    leaves.clear()
-    anchors = ratios[:, None] * (orients @ ifs.barycenter) + trans
     letters = letters[:, : depths.max()]
     columns = (ratios, orients, trans, weights, anchors, letters, depths)
     if len(depths) > 1:     # else the root alone, with no letters to sort by

@@ -219,7 +219,8 @@ class TestFourier:
         assert "leaf_budget" in capsys.readouterr().err
 
     def test_order1_inner_budget_exit_4(self, tmp_path, monkeypatch, capsys):
-        # The 233 outer leaves fit; the largest inner frequency needs 377.
+        # The 233 outer leaves fit; the top octave of the inner frequencies
+        # needs a cover of 377.
         mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
         monkeypatch.setenv("FRACTAL_FOURIER_BUDGET", "300")
         code = main(
@@ -241,7 +242,7 @@ class TestFourier:
         )
         assert code == 4
         err = capsys.readouterr().err
-        assert "leaf_budget" in err and "mu_hat expansion" in err
+        assert "leaf_budget" in err and "needs 377 leaves" in err
 
     @pytest.mark.parametrize("xi_list", ["inf", "1e400", "nan", "abc", "1,abc"])
     def test_bad_frequency_exit_2(self, tmp_path, xi_list):

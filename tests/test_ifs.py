@@ -7,7 +7,6 @@ import pytest
 
 from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import BadConfig, InvalidIFS, ResourceExceeded, Unsupported
-from fractal_fourier.fourier import _leaf_data
 from fractal_fourier.ifs import (
     FRONTIER_BLOCK,
     GrowthVerdict,
@@ -324,13 +323,23 @@ class TestCoverColumns:
                 assert np.array_equal(w.translation, dec.translations[j])
                 assert np.array_equal(w.anchor, dec.anchors[j])
 
-    def test_leaf_data_is_the_same_cover(self, mixed_ratios, cantor):
-        cases = self._systems(mixed_ratios) + [(cantor, 0.3), (cantor, 1e-3)]
+    def test_blocks_are_the_public_cover(self, mixed_ratios, cantor):
+        # the letter-free blocks that the quadratures stream hold the same
+        # rows, bit for bit, in expansion order
+        cases = self._systems(mixed_ratios) + [(cantor, 0.3), (cantor, 1e-3), (mixed_ratios, 1e-5)]
         for system, scale in cases:
             dec = stopping_decomposition(system, scale)
-            cached = _leaf_data(system, scale, 10**7)
-            for name in COVER_COLUMNS:
-                assert np.array_equal(getattr(cached, name), getattr(dec, name))
+            blocks = list(ifs_module._cover_blocks(system, scale))
+            assert max(len(block[0]) for block in blocks) <= FRONTIER_BLOCK
+            streamed = [np.concatenate(cols) for cols in zip(*blocks)]
+            public = [dec.ratios, dec.orientations, dec.translations, dec.weights, dec.anchors]
+            n = len(dec)
+            keys = [np.column_stack([col.reshape(n, -1) for col in cols]) for cols in (streamed, public)]
+            for key, cols in zip(keys, (streamed, public)):
+                order = np.lexsort(key.T[::-1])
+                cols[:] = [col[order] for col in cols]
+            for a, b in zip(streamed, public):
+                assert np.array_equal(a, b)
 
     def test_columns_read_only(self, mixed_ratios):
         dec = stopping_decomposition(mixed_ratios, 0.01)

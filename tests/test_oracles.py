@@ -1,0 +1,88 @@
+"""Property tests of the certificates against independent high-precision oracles."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+mpmath = pytest.importorskip("mpmath")
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from fractal_fourier.errors import InvalidIFS
+from fractal_fourier.fourier import mu_hat
+from fractal_fourier.ifs import ifs_1d
+
+ORACLE_SHARE = 1e-3     # the oracle's own error, as a share of the tolerance
+
+
+def mu_hat_mpmath(ifs, xi, tau, digits=30):
+    """mu_hat(xi) of a system on the line, and a bound on its error.
+
+    A depth-first recursion mu_hat(eta) = sum_i p_i e^{-2 pi i eta t_i}
+    mu_hat(r_i s_i eta) in ``digits``-digit arithmetic, every float input
+    taken exactly.  The barycenter b, the variance V = E (x - b)^2 and the
+    radius R = max_i |f_i(b) - b| / (1 - r_i) of a ball around b that every
+    map sends into itself follow exactly from the maps.  A node with
+    2 pi |eta| R <= ``tau`` is closed by the second-order expansion
+    mu_hat(eta) = e^{-2 pi i eta b} (1 - 2 pi^2 eta^2 V + rem): E (x - b) = 0
+    and |x - b| <= R on the support, so |rem| <= (2 pi |eta| R)^3 / 6.
+    Returns (value, bound on |value - mu_hat(xi)|).
+    """
+    mp = mpmath.mp
+    mp.dps = digits
+    p = [mpmath.mpf(w) for w in ifs.weights]
+    a = [mpmath.mpf(m.ratio) * int(m.orientation[0, 0]) for m in ifs.maps]
+    t = [mpmath.mpf(float(m.translation[0])) for m in ifs.maps]
+    b = mpmath.fsum(pi * ti for pi, ti in zip(p, t)) / (1 - mpmath.fsum(pi * ai for pi, ai in zip(p, a)))
+    offsets = [ai * b + ti - b for ai, ti in zip(a, t)]
+    variance = mpmath.fsum(pi * d**2 for pi, d in zip(p, offsets)) / (
+        1 - mpmath.fsum(pi * ai**2 for pi, ai in zip(p, a))
+    )
+    radius = max(abs(d) / (1 - abs(ai)) for d, ai in zip(offsets, a))
+    two_pi = 2 * mpmath.pi
+    total, remainder = mpmath.mpc(0), mpmath.mpf(0)
+    stack = [(mpmath.mpf(xi), mpmath.mpf(0), mpmath.mpf(1))]
+    while stack:
+        eta, phase, weight = stack.pop()
+        reach = two_pi * abs(eta) * radius
+        if reach <= tau:
+            closure = 1 - 2 * mpmath.pi**2 * eta**2 * variance
+            total += weight * mpmath.expj(-two_pi * (phase + eta * b)) * closure
+            remainder += weight * reach**3 / 6
+            continue
+        for pi, ai, ti in zip(p, a, t):
+            stack.append((ai * eta, phase + eta * ti, weight * pi))
+    return complex(total), float(remainder)
+
+
+@st.composite
+def reversing_systems(draw):
+    """A non-homogeneous system on the line whose first map reverses orientation.
+
+    Weights are multiples of 1/64, so they sum to one exactly.
+    """
+    n = draw(st.integers(2, 3))
+    ratios = draw(st.lists(st.floats(0.1, 0.35), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    signs = [-1] + draw(st.lists(st.sampled_from([-1, 1]), min_size=n - 1, max_size=n - 1))
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=n - 1, max_size=n - 1, unique=True)))
+    weights = [(hi - lo) / 64 for lo, hi in zip([0] + cuts, cuts + [64])]
+    assume(len({r * s for r, s in zip(ratios, signs)}) > 1)
+    try:
+        return ifs_1d(ratios, shifts, weights, signs)
+    except InvalidIFS:      # maps sharing a fixed point
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=reversing_systems(),
+    xi=st.floats(-12.0, 12.0),
+    tol=st.sampled_from([1e-2, 1e-3]),
+)
+def test_mu_hat_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
+    assert not system.is_homogeneous
+    s = mu_hat(system, xi, tol=tol)
+    tau = (6.0 * ORACLE_SHARE * tol) ** (1.0 / 3.0)
+    exact, oracle_error = mu_hat_mpmath(system, xi, tau)
+    assert oracle_error <= ORACLE_SHARE * tol
+    assert abs(s.value - exact) <= s.error_bound + oracle_error
