@@ -61,10 +61,7 @@ def _budget() -> int:
     raw = os.environ.get("FRACTAL_FOURIER_BUDGET")
     if raw is None:
         return ifsmod.DEFAULT_LEAF_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BadConfig(f"FRACTAL_FOURIER_BUDGET must be an integer, got {raw!r}") from exc
+    value = _parsed("FRACTAL_FOURIER_BUDGET", int, raw)
     if value <= 0:
         raise BadConfig("FRACTAL_FOURIER_BUDGET must be positive")
     return value
@@ -86,6 +83,18 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _parsed(name: str, convert, value):
+    """``convert(value)``, or BadConfig naming the parameter ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadConfig(f"{name}: malformed value {value!r} ({exc})") from exc
+
+
+def _spec_float(spec: dict, name: str) -> float:
+    return _parsed(name, float, spec.get(name, 0.0))
+
+
 def _require_fields(doc: dict, required, optional, what: str) -> None:
     missing = set(required) - set(doc)
     if missing:
@@ -100,9 +109,9 @@ _MAP_BUILDERS = {
     "cube": lambda ifs, spec: fr.cube_map(ifs),
     "identity": lambda ifs, spec: fr.identity_map(ifs),
     "sum_of_squares": lambda ifs, spec: fr.sum_of_squares_map(ifs),
-    "constant": lambda ifs, spec: fr.constant_map(ifs, float(spec.get("value", 0.0))),
-    "log": lambda ifs, spec: fr.log_map(ifs, float(spec.get("shift", 0.0))),
-    "neg_log": lambda ifs, spec: fr.neg_log_map(ifs, float(spec.get("shift", 0.0))),
+    "constant": lambda ifs, spec: fr.constant_map(ifs, _spec_float(spec, "value")),
+    "log": lambda ifs, spec: fr.log_map(ifs, _spec_float(spec, "shift")),
+    "neg_log": lambda ifs, spec: fr.neg_log_map(ifs, _spec_float(spec, "shift")),
     "quadratic": lambda ifs, spec: _quadratic_from_spec(ifs, spec),
 }
 
@@ -117,8 +126,8 @@ def _quadratic_from_spec(ifs, spec):
 
 
 def _build_map(ifs, spec: dict) -> fr.PushforwardMap:
-    if "kind" not in spec:
-        raise BadConfig("map spec needs a 'kind' field")
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise BadConfig("map spec needs to be a JSON object with a 'kind' field")
     kind = spec["kind"]
     if kind not in _MAP_BUILDERS:
         raise BadConfig(f"unknown map kind {kind!r} (have {sorted(_MAP_BUILDERS)})")
@@ -206,10 +215,8 @@ def cmd_fourier(args) -> int:
     doc = ifsmod.load_ifs(args.ifs)
     budget = _budget()
     if args.xi_list:
-        try:
-            xis = np.array([float(x) for x in args.xi_list.split(",")])
-        except ValueError as exc:
-            raise BadConfig(f"--xi-list must be comma-separated numbers: {exc}") from exc
+        xis = np.array(_parsed("--xi-list", lambda text: [float(x) for x in text.split(",")],
+                               args.xi_list))
     else:
         if args.count < 1:
             raise BadConfig("--count must be >= 1")
@@ -219,7 +226,7 @@ def cmd_fourier(args) -> int:
         pmap = fr.identity_map(doc.ifs)
         scheme = "exact_recursion"
     elif args.map:
-        pmap = _build_map(doc.ifs, json.loads(args.map))
+        pmap = _build_map(doc.ifs, _parsed("--map", json.loads, args.map))
     else:
         raise BadConfig("order0/order1 schemes need --map")
     values, errors, leaves = fr.pushforward_batch(
@@ -257,7 +264,7 @@ def cmd_decay(args) -> int:
     base = Path(args.config).parent
     doc = ifsmod.load_ifs(base / cfg["ifs"])
     pmap = _build_map(doc.ifs, cfg["map"])
-    octaves = tuple(int(o) for o in cfg["octaves"])
+    octaves = _parsed("octaves", lambda value: tuple(int(o) for o in value), cfg["octaves"])
     if len(octaves) != 2:
         raise BadConfig("octaves must be [first, last]")
     theoretical = cfg.get("theoretical_sigma")
@@ -269,9 +276,9 @@ def cmd_decay(args) -> int:
         doc.ifs,
         pmap,
         octaves=octaves,
-        samples_per_octave=int(cfg.get("samples_per_octave", 64)),
-        seed=int(cfg.get("seed", 0)),
-        tol=float(cfg.get("tol", 1e-3)),
+        samples_per_octave=_parsed("samples_per_octave", int, cfg.get("samples_per_octave", 64)),
+        seed=_parsed("seed", int, cfg.get("seed", 0)),
+        tol=_parsed("tol", float, cfg.get("tol", 1e-3)),
         scheme=cfg.get("scheme", "order1"),
         theoretical_sigma=theoretical,
         threads=args.threads,
@@ -325,7 +332,7 @@ def cmd_convolve(args) -> int:
         doc = ifsmod.load_ifs(base / entry["ifs"])
         spec = entry.get("map", {"kind": "log"})
         kind = spec.get("kind", "log")
-        shift = float(spec.get("shift", 0.0))
+        shift = _spec_float(spec, "shift")
         if kind == "log":
             factors.append(xp.log_factor(doc.ifs, shift))
         elif kind == "neg_log":
@@ -334,10 +341,12 @@ def cmd_convolve(args) -> int:
             raise BadConfig("convolution factors use map kinds 'log' or 'neg_log'")
     experiment = xp.multiplicative_convolution(
         factors,
-        max_frequency=float(cfg.get("max_frequency", 2.0**14)),
-        density_points=int(cfg.get("density_points", 512)),
-        density_budget=float(cfg.get("density_budget", xp.DEFAULT_DENSITY_BUDGET)),
-        tol=float(cfg.get("tol", 1e-4)),
+        max_frequency=_parsed("max_frequency", float, cfg.get("max_frequency", 2.0**14)),
+        density_points=_parsed("density_points", int, cfg.get("density_points", 512)),
+        density_budget=_parsed(
+            "density_budget", float, cfg.get("density_budget", xp.DEFAULT_DENSITY_BUDGET)
+        ),
+        tol=_parsed("tol", float, cfg.get("tol", 1e-4)),
         threads=args.threads,
         budget=_budget(),
     )
@@ -366,7 +375,7 @@ def cmd_convolve(args) -> int:
 
 def cmd_arith_check(args) -> int:
     kind = args.check
-    vals = [float(v) for v in args.values]
+    vals = _parsed(f"{kind} values", lambda values: [float(v) for v in values], args.values)
     report: dict = {"check": kind, "inputs": vals}
     if kind == "two-set":
         if len(vals) != 2:

@@ -474,5 +474,11 @@ def save_profile(profile: DimensionProfile, path) -> None:
 
 
 def load_profile(path) -> DimensionProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DimensionProfile.from_dict(json.load(fh))
+    """Read a profile written by ``save_profile``; a bad file or field raises BadConfig."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return DimensionProfile.from_dict(json.load(fh))
+    except KeyError as exc:
+        raise BadConfig(f"profile file {path} is missing field {exc.args[0]!r}") from exc
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise BadConfig(f"cannot read profile file {path}: {exc}") from exc

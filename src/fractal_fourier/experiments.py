@@ -211,7 +211,6 @@ class ConvolutionFactor:
     ifs: SelfSimilarIFS
     pmap: PushforwardMap
     log_support: Tuple[float, float]
-    orientation_sign: float = 1.0  # -1 for -log factors (reversed coordinate)
 
     def key(self) -> tuple:
         return (self.ifs.config_key(), self.pmap.label)
@@ -244,7 +243,6 @@ def neg_log_factor(ifs: SelfSimilarIFS, shift: float = 0.0) -> ConvolutionFactor
         ifs=ifs,
         pmap=neg_log_map(ifs, shift),
         log_support=(-math.log(hi - shift), -math.log(lo - shift)),
-        orientation_sign=-1.0,
     )
 
 

@@ -34,14 +34,18 @@ structure of the measure:
 
 Single frequencies and batches share one row kernel, ``_image_rows``.
 A batch groups its frequencies by octave of |xi|, and each group uses the
-stopping cover of its largest |xi|.  Covers are never stored: every job
-of the kernel streams its group's cover from ``ifs._cover_blocks`` in
-leaf blocks of at most ``FRONTIER_BLOCK``, sums each row pairwise within
-a block and combines the block sums with TwoSum, so memory stays bounded
-however many leaves a cover has.  The order-1 inner transform is read
-from a certified interpolation table for homogeneous systems on the line
-in a batch; otherwise it is the product form, or for other systems a
-nested order-0 call of the kernel on the identity at tol/2.  Within a
+stopping cover of its largest |xi|.  A cover's count
+(``ifs._count_stopping``) gives its size, snapped scale s and depth
+before it is expanded, and with a bound J on |J_f| every leaf has
+|B_w| <= s J: budgets, table range and rounding terms need no expansion.
+Covers are never stored: every job of the kernel streams its group's
+cover once from ``ifs._cover_blocks`` in leaf blocks of at most
+``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
+the block sums with TwoSum, so memory stays bounded however many leaves
+a cover has.  The order-1 inner transform is read from a certified
+interpolation table for homogeneous systems on the line in a batch;
+otherwise it is the product form, or for other systems a nested order-0
+call of the kernel on the identity at tol/2.  Within a
 block the elementwise work runs over cache-sized blocks of rows, and on a
 uniform frequency grid j * delta the phases of consecutive rows come by
 angle addition (``_phase_blocks``, shared with the Fourier inversion of
@@ -77,7 +81,6 @@ from .ifs import (
     SelfSimilarIFS,
     _checked_count,
     _cover_blocks,
-    _depth_bound,
     chaos_game,
 )
 
@@ -100,9 +103,9 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
 
     EPS (c1 |xi| a_max + c2 + c3 |xi| inner), with c1 = dims + 5, c2 = 16
     and c3 = 2 dims + 3 (6, 16 and 5 on the line).  ``a_max`` bounds the
-    computed |A_w| (the 2 pi is inside A_w), ``inner`` is
-    2 pi max_w |B_w| sup|x| for an inner transform h_w = mu_hat(B_w xi),
-    else 0, and ``dims`` is max(k, d).  ``xi_norm`` may be an array.
+    computed |A_w| (the 2 pi is inside A_w), ``inner`` bounds 2 pi |B_w|
+    sup|x| for an inner transform h_w = mu_hat(B_w xi), else 0, and
+    ``dims`` is max(k, d).  ``xi_norm`` may be an array.
 
     Model: every operation rounds with relative error at most u = EPS/2,
     and np.cos and np.sin return, for every finite argument, a value
@@ -192,13 +195,14 @@ def _translation_reach(ifs) -> float:
                float(np.linalg.norm(ifs.barycenter)))
 
 
-def _anchor_drift(ifs, scale: float) -> float:
-    """Bound on |x_w - f_w(b)| over the computed anchors x_w of the cover at ``scale``.
+def _anchor_drift(ifs, scale: float, depth: int) -> float:
+    """Bound on |x_w - f_w(b)| over the computed anchors x_w of a cover.
 
     EPS ((D + k + 1 + c rho / (1 - rho)) S / (1 - rho) + (c D + k + 1) r |b|
-    + sup|x|), with D = ``ifs._depth_bound(scale)``, c = 1 + k^1.5,
-    r = min(scale, 1) (every leaf ratio is at most r), S as in
-    ``_recursion_rounding`` and rho the largest ratio.
+    + sup|x|), with c = 1 + k^1.5, S as in ``_recursion_rounding``, rho
+    the largest ratio, and D = ``depth`` and r = ``scale`` the cover's
+    depth and snapped scale from its count (``ifs._count_stopping``):
+    every word has at most D letters and every leaf ratio is at most r.
 
     Model as in ``_phase_rounding``.  ``ifs._child_columns`` builds a
     word's columns over its D levels: the ratio r_w by D - 1 products
@@ -215,20 +219,20 @@ def _anchor_drift(ifs, scale: float) -> float:
     """
     k = ifs.ambient_dim
     rho = float(ifs.ratios.max())
-    depth = _depth_bound(ifs, scale)
     c = 1.0 + k**1.5
     levels = (depth + k + 1.0 + c * rho / (1.0 - rho)) * _translation_reach(ifs) / (1.0 - rho)
-    anchor = (c * depth + k + 1.0) * min(scale, 1.0) * float(np.linalg.norm(ifs.barycenter))
+    anchor = (c * depth + k + 1.0) * scale * float(np.linalg.norm(ifs.barycenter))
     return EPS * (levels + anchor + ifs.max_point_norm)
 
 
-def _cover_rounding(ifs, scale: float, xi_norm, gain: float, inner: float = 0.0):
-    """Rounding allowance, per unit weight, that the computed cover at ``scale`` adds.
+def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: float = 0.0):
+    """Rounding allowance, per unit weight, that a computed cover adds.
 
     2 pi |xi| gain delta + EPS (D (1 + k^1.5) |xi| inner + D + 1), with
-    D = ``ifs._depth_bound(scale)``, delta = ``_anchor_drift`` and
-    ``inner`` = 2 pi max_w |B_w| sup|x| as in ``_phase_rounding``.
-    ``xi_norm`` may be an array.
+    D = ``depth`` the cover's depth and ``scale`` its snapped scale, both
+    from its count, delta = ``_anchor_drift`` and ``inner`` bounding
+    2 pi |B_w| sup|x| as in ``_phase_rounding``.  ``xi_norm`` may be an
+    array.
 
     ``_phase_rounding`` takes a cover's anchors, ratios, orientations and
     weights as exact nodes.  Each is accumulated over the D levels of its
@@ -241,9 +245,8 @@ def _cover_rounding(ifs, scale: float, xi_norm, gain: float, inner: float = 0.0)
       the node f_w(b): the dropped constant J_f(x_w) (f_w(b) - x_w) moves
       the phase by at most 2 pi |xi| |J_f(x_w)| delta, and the Taylor
       radius grows from r_w R to r_w R + delta, which adds
-      2 pi |xi| H r_w R delta to first order: ``gain`` =
-      max_w |J_f(x_w)| + H R, the first term read from the computed
-      |B_w| / r_w.
+      2 pi |xi| H r_w R delta to first order: ``gain`` = J + H R, with
+      J >= |J_f| on the support ball (``_jacobian_bound``).
     * inner argument (order 1).  B_w = r_w O_w^T J_f(x_w)^T inherits the
       relative error D (1 + k^1.5) u of r_w and O_w.  mu_hat is
       2 pi sup|x|-Lipschitz and A_w holds B_w^T b with |b| <= sup|x|, so
@@ -256,8 +259,7 @@ def _cover_rounding(ifs, scale: float, xi_norm, gain: float, inner: float = 0.0)
     ratios and weights, is not counted.
     """
     k = ifs.ambient_dim
-    depth = _depth_bound(ifs, scale)
-    return TWO_PI * xi_norm * gain * _anchor_drift(ifs, scale) + EPS * (
+    return TWO_PI * xi_norm * gain * _anchor_drift(ifs, scale, depth) + EPS * (
         depth * (1.0 + k**1.5) * xi_norm * inner + depth + 1.0
     )
 
@@ -889,6 +891,21 @@ def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
     return math.sqrt(0.5 * tol / curvature) / ifs.support_radius if curvature > 0.0 else math.inf
 
 
+def _jacobian_bound(ifs, pmap) -> float:
+    """J >= |J_f| (Frobenius norm) on the support ball B(b, R), so |B_w| <= r_w J.
+
+    J = min(|J_f(b)| + c H R, c L_f), c = sqrt(min(k, d)): H makes every
+    gradient of <v, f> (unit v) H-Lipschitz on the ball, and L_f, when
+    given, bounds the operator norm of J_f there.
+    """
+    c = math.sqrt(min(ifs.ambient_dim, pmap.out_dim))
+    jac = float(np.linalg.norm(pmap.gradient(ifs.barycenter[None, :])))
+    jac += c * pmap.hessian_bound * ifs.support_radius
+    if pmap.lipschitz_bound is not None:
+        jac = min(jac, c * pmap.lipschitz_bound)
+    return jac
+
+
 def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_w weights_w (re + i im)[j, w] for each row j of two (m, n) arrays.
 
@@ -1011,19 +1028,22 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     addition.
 
     The order-1 inner transform comes from one ``_MuHatTable`` when
-    ``table`` is set (k = 1, homogeneous), whose range comes from one pass
-    over each group's cover before any job runs.  Otherwise each block
-    evaluates it at its rows x leaves inner frequencies: by the product
-    form at tol/2 for homogeneous systems, else by one nested order-0 call
-    of this kernel on the identity at tol/2 (``threads`` 1), octave-grouped
-    like the outer rows, whose covers are counted against ``budget``.
+    ``table`` is set (k = 1, homogeneous), built before any job runs.
+    Otherwise each block evaluates it at its rows x leaves inner
+    frequencies: by the product form at tol/2 for homogeneous systems,
+    else by one nested order-0 call of this kernel on the identity at
+    tol/2 (``threads`` 1), octave-grouped like the outer rows, whose
+    covers are counted against ``budget``.
 
     A row's bound is |xi| times the cover's closure (order 0) or Taylor
     (order 1) coefficient, plus the inner bound, plus roundoff, plus the
     phase rounding ``_phase_rounding``, which holds for both phase paths,
     plus ``_cover_rounding`` for the rounding the cover's anchors and
-    weights carry.  The coefficient, the largest phase |A_w| and the inner
-    reach accumulate over the blocks.
+    weights carry.  The coefficient and the largest |A_w| accumulate over
+    the blocks; the rest comes from each group's count (snapped scale s,
+    depth D) and J (``_jacobian_bound``), with |B_w| <= s J: the table
+    range max_g |xi_g| s_g J (x 1.0001, + 1e-9), the inner reach
+    2 pi sup|x| s J and the cover rounding's D and gain J + H R.
     """
     m, d = xis.shape
     k = ifs.ambient_dim
@@ -1054,46 +1074,38 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         for octave in np.unique(octaves)[::-1]:
             rows = active[octaves == octave]
             groups.append((rows, stopping_scale(ifs, bound, tol, float(norms[rows].max()))))
-    # (rows, leaf count, scale of the largest leaf) per group
+    # (rows, leaf count, scale of the largest leaf, depth) per group
     covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
+    radius = ifs.support_radius
+    if order1:
+        jac = _jacobian_bound(ifs, pmap)
+        unit, gain = math.pi * bound * radius**2, jac + bound * radius
+    else:
+        jac, unit, gain = 0.0, TWO_PI * bound * radius, bound
     mu_table = None
     if order1 and table:
-        eta_max = 0.0
-        for rows, _, cover_scale in covers:
-            b_max = 0.0
-            for ratios, orients, _, _, anchors in _cover_blocks(ifs, cover_scale):
-                b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, True)[1]
-                b_max = max(b_max, float(np.abs(b_forms).max(initial=0.0)))
-            eta_max = max(eta_max, float(norms[rows].max()) * b_max)
+        # every leaf of a group has |B_w| <= s J, s the group's snapped scale
+        eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
     identity = identity_map(ifs) if order1 and mu_table is None else None
 
     jobs = []
-    for rows, n_leaves, cover_scale in covers:
+    for rows, n_leaves, *facts in covers:
         step = max(1, JOB_TERMS // n_leaves)
-        jobs += [(rows[i : i + step], n_leaves, cover_scale) for i in range(0, len(rows), step)]
+        jobs += [(rows[i : i + step], n_leaves, *facts) for i in range(0, len(rows), step)]
     grid = _grid_step(xis)
-    radius = ifs.support_radius
-    if order1:
-        unit = math.pi * bound * radius**2
-    else:
-        unit = TWO_PI * bound * radius
 
     def run(job):
-        rows, n, cover_scale = job
+        rows, n, cover_scale, depth = job
         x = xis[rows]
         total, carry = np.zeros((2, len(rows)), dtype=complex)
         part = np.empty(len(rows), dtype=complex)
-        moment, a_max, b_max, jac_max, inner_err = 0.0, 0.0, 0.0, 0.0, 0.0
+        moment, a_max, inner_err = 0.0, 0.0, 0.0
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
             moment += float(np.sum(weights * (ratios**2 if order1 else ratios)))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
-            if order1:
-                b_norms = np.sqrt(np.sum(b_forms**2, axis=(1, 2)))
-                b_max = max(b_max, float(b_norms.max()))
-                jac_max = max(jac_max, float((b_norms / ratios).max()))
             if order1 and mu_table is None:
                 if k == d == 1:
                     eta = np.outer(x[:, 0], b_forms[:, 0, 0])
@@ -1131,11 +1143,10 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
             total = t
         if mu_table is not None:
             inner_err = mu_table.slack
-        inner_reach = TWO_PI * ifs.max_point_norm * b_max
-        gain = jac_max + pmap.hessian_bound * radius if order1 else bound
+        inner_reach = TWO_PI * ifs.max_point_norm * cover_scale * jac
         bounds = norms[rows] * (unit * moment) + inner_err + _roundoff(n)
         bounds = bounds + _phase_rounding(norms[rows], a_max, inner_reach, max(k, d))
-        bounds = bounds + _cover_rounding(ifs, cover_scale, norms[rows], gain, inner_reach)
+        bounds = bounds + _cover_rounding(ifs, cover_scale, depth, norms[rows], gain, inner_reach)
         return rows, total + carry, bounds, n
 
     return _run_rows(run, jobs, m, threads)

@@ -410,17 +410,22 @@ def _child_columns(ifs: SelfSimilarIFS, ratio, orient, trans, weight) -> tuple:
 def _count_stopping(ifs: SelfSimilarIFS, scale: float):
     """Exact size of the stopping cover at ``scale``, without building it.
 
-    Returns (n_leaves, snapped_scale).  The tree is expanded as a map from
-    accumulated float ratio to multiplicity, multiplying rho * r_i as the
-    enumerator does, so words sharing a float ratio have identical
-    subtrees and merging them keeps the count exact.  ``snapped_scale`` is
-    the largest leaf ratio: every interior word has ratio > scale >=
-    snapped_scale, so the cover at snapped_scale is the cover at scale.
+    Returns (n_leaves, snapped_scale, depth).  The tree is expanded as a
+    map from accumulated float ratio to multiplicity, multiplying
+    rho * r_i as the enumerator does, so words sharing a float ratio have
+    identical subtrees and merging them keeps the count exact.
+    ``snapped_scale`` is the largest leaf ratio: every interior word has
+    ratio > scale >= snapped_scale, so the cover at snapped_scale is the
+    cover at scale.  ``depth`` is the last level that holds a leaf, the
+    depth of the deepest word: rounding is monotone, so at every level
+    the word that repeats the largest ratio has the largest float ratio,
+    and it is the last to stop.
     """
     if not scale > 0.0:     # NaN included: no word would ever stop
         raise BadConfig(f"stopping scale must be positive, got {scale}")
-    level, n_leaves, snapped = {1.0: 1}, 0, 0.0
+    level, n_leaves, snapped, depth = {1.0: 1}, 0, 0.0, -1
     while level:
+        depth += 1
         children = {}
         for rho, mult in level.items():
             if rho <= scale:
@@ -430,54 +435,38 @@ def _count_stopping(ifs: SelfSimilarIFS, scale: float):
                 for r in ifs.ratios.tolist():
                     children[rho * r] = children.get(rho * r, 0) + mult
         level = children
-    return n_leaves, snapped
+    return n_leaves, snapped, depth
 
 
 def _checked_count(ifs: SelfSimilarIFS, scale: float, budget: int):
     """``_count_stopping``, raising ResourceExceeded past ``budget`` leaves."""
-    n_leaves, snapped = _count_stopping(ifs, scale)
+    n_leaves, snapped, depth = _count_stopping(ifs, scale)
     if n_leaves > budget:
         raise ResourceExceeded(
             f"stopping cover at scale {scale:.6g} needs {n_leaves} leaves > budget {budget}",
             "leaf_budget",
         )
-    return n_leaves, snapped
+    return n_leaves, snapped, depth
 
 
-def _depth_bound(ifs: SelfSimilarIFS, scale: float) -> int:
-    """Bound on the depth of every word of the stopping cover at ``scale``.
-
-    Rounding is monotone, so no accumulated word ratio exceeds the
-    accumulated max_ratio^d: the first d at which that product is <=
-    ``scale`` bounds the depth of every leaf, and is the depth of the
-    word that repeats the largest ratio.
-    """
-    depth, acc, max_ratio = 0, 1.0, float(ifs.ratios.max())
-    while acc > scale:
-        acc *= max_ratio
-        depth += 1
-    return depth
-
-
-def _cover_blocks(ifs: SelfSimilarIFS, scale: float, letters: bool = False):
+def _cover_blocks(ifs: SelfSimilarIFS, scale: float, depth: Optional[int] = None):
     """The stopping cover at ``scale`` as leaf blocks, in expansion order.
 
     Yields (ratios, orientations, translations, weights, anchors) for
     blocks of at most ``FRONTIER_BLOCK`` leaves, the anchors being the
-    images of the barycenter; with ``letters`` every block also carries
-    its words as zero-padded letters (width ``_depth_bound``) and depths.
-    Children follow ``_child_columns``.  Only the ``_expand_blocked``
-    stack and one block are held at a time, so a quadrature can sum a
-    cover far larger than it could hold.  For 1 <= scale the cover is the
-    root.  Callers check the exact cover size against their budget
-    first (``_checked_count``).
+    images of the barycenter; given the cover's ``depth`` from the count
+    (``_count_stopping``), every block also carries its words as letters
+    zero-padded to that width, and their depths.  Children follow
+    ``_child_columns``.  Only the ``_expand_blocked`` stack and one block
+    are held at a time, so a quadrature can sum a cover far larger than
+    it could hold.  For 1 <= scale the cover is the root.  Callers check
+    the exact cover size against their budget first (``_checked_count``).
     """
     n_maps = ifs.n_maps
     root = _root_columns(ifs.ambient_dim)
-    if letters:
+    if depth is not None:
         letter_ids = np.arange(n_maps, dtype=np.min_scalar_type(n_maps))
-        width = _depth_bound(ifs, scale)
-        root += (np.zeros((1, width), dtype=letter_ids.dtype), np.zeros(1, dtype=np.int64))
+        root += (np.zeros((1, depth), dtype=letter_ids.dtype), np.zeros(1, dtype=np.int64))
 
     def split(block):
         leaf = block[0] <= scale
@@ -491,37 +480,17 @@ def _cover_blocks(ifs: SelfSimilarIFS, scale: float, letters: bool = False):
             block = tuple(col[interior] for col in block)
         ratio, orient, trans, weight, *word = block
         children = _child_columns(ifs, ratio, orient, trans, weight)
-        if letters:
-            prefix, depth = word
-            n = len(depth)
+        if word:
+            prefix, depths = word
+            n = len(depths)
             child_letters = np.repeat(prefix, n_maps, axis=0)
-            child_letters[np.arange(n * n_maps), np.repeat(depth, n_maps)] = np.tile(letter_ids, n)
-            children += (child_letters, np.repeat(depth + 1, n_maps))
+            child_letters[np.arange(n * n_maps), np.repeat(depths, n_maps)] = np.tile(letter_ids, n)
+            children += (child_letters, np.repeat(depths + 1, n_maps))
         return leaves, children
 
     b = ifs.barycenter
     for ratios, orients, trans, weights, *word in _expand_blocked(root, split):
         yield (ratios, orients, trans, weights, ratios[:, None] * (orients @ b) + trans, *word)
-
-
-def _enumerate_stopping(ifs: SelfSimilarIFS, scale: float) -> StoppingDecomposition:
-    """The stopping antichain at ``scale``, whole and in lexicographic word order.
-
-    Concatenates the lettered ``_cover_blocks`` and sorts their rows.
-    The result holds the whole cover, so callers check its exact size
-    against their budget first (``_checked_count``).
-    """
-    ratios, orients, trans, weights, anchors, letters, depths = (
-        np.concatenate(cols) for cols in zip(*_cover_blocks(ifs, scale, letters=True))
-    )
-    letters = letters[:, : depths.max()]
-    columns = (ratios, orients, trans, weights, anchors, letters, depths)
-    if len(depths) > 1:     # else the root alone, with no letters to sort by
-        # Antichain words are never prefixes of each other, so the zero
-        # padding past each word's depth never decides the order.
-        order = np.lexsort(letters.T[::-1])
-        columns = tuple(col[order] for col in columns)
-    return StoppingDecomposition(scale, ifs.min_ratio * scale, *columns)
 
 
 def stopping_decomposition(
@@ -533,14 +502,20 @@ def stopping_decomposition(
 
     Every returned word has ratio <= scale while its parent prefix has
     ratio > scale; ratios therefore lie in [min_ratio * scale, scale] and
-    weights sum to one.  Words come in lexicographic order.  The exact
-    word count is computed before any expansion: a cover of more than
-    ``budget`` words raises ResourceExceeded("leaf_budget") naming it.
+    weights sum to one.  Words come in lexicographic order: the lettered
+    ``_cover_blocks``, concatenated and sorted.  The exact word count and
+    the depth, which sizes the letters, are computed before any
+    expansion: a cover of more than ``budget`` words raises
+    ResourceExceeded("leaf_budget") naming it.
     """
     if not (0.0 < scale < 1.0):
         raise BadConfig(f"scale must lie in (0, 1), got {scale}")
-    _checked_count(ifs, scale, budget)
-    return _enumerate_stopping(ifs, scale)
+    depth = _checked_count(ifs, scale, budget)[2]
+    columns = tuple(np.concatenate(cols) for cols in zip(*_cover_blocks(ifs, scale, depth)))
+    # Sorted by the letters (column 5).  Antichain words are never prefixes
+    # of each other, so the zero padding past a word's depth never decides.
+    order = np.lexsort(columns[5].T[::-1])
+    return StoppingDecomposition(scale, ifs.min_ratio * scale, *(col[order] for col in columns))
 
 
 def chaos_game(

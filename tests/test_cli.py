@@ -137,6 +137,22 @@ class TestBounds:
         assert main(["bounds", "--ifs", str(CONFIGS / "cantor.json")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read profile file"),
+            ("{not json", "cannot read profile file"),
+            ('{"k": 1}', "missing field 'kappa2'"),
+        ],
+    )
+    def test_malformed_profile_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "profile.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["bounds", "--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     def test_small_measure_warns_but_exits_zero(self, tmp_path, capsys):
         small = write_ifs(
             tmp_path / "small.json", [0.1, 0.1], [0.0, 0.9], [0.5, 0.5], "SSC"
@@ -301,6 +317,18 @@ class TestFourier:
         assert code == 2
         assert "frequency must have 2 components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("{bad", "--map: malformed value"),
+        ("5", "map spec needs to be a JSON object"),
+        ('{"kind": "log", "shift": "a"}', "shift: malformed value"),
+        ('{"kind": "constant", "value": "a"}', "value: malformed value"),
+    ])
+    def test_malformed_map_exit_2(self, tmp_path, capsys, spec, message):
+        code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0",
+                     "--map", spec, "--xi-list", "1.0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_map_required_for_order0(self):
         code = main(
             ["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0"]
@@ -354,6 +382,15 @@ class TestDecayCommand:
         )
         assert proc.returncode == 2, proc.stderr
         assert "tol must be positive, got nan" in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [("octaves", ["a", 3]), ("samples_per_octave", "x")])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
+               "octaves": [8, 9], field: value}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{field}: malformed value" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg_path = tmp_path / "decay.json"
@@ -438,7 +475,7 @@ class TestConvolveCommand:
         assert "leaf_budget" in capsys.readouterr().err
         assert not (tmp_path / "o" / "density.csv").exists()
 
-    def test_support_violation_exit_5(self, tmp_path, capsys):
+    def test_support_violation_exit_2(self, tmp_path, capsys):
         cfg = {
             "factors": [
                 {"ifs": str(CONFIGS / "uniform01.json"), "map": {"kind": "log"}},
@@ -485,6 +522,10 @@ class TestArithCheck:
 
     def test_bad_arity_exit_2(self):
         assert main(["arith-check", "two-set", "0.8"]) == 2
+
+    def test_non_numeric_values_exit_2(self, capsys):
+        assert main(["arith-check", "two-set", "a", "b"]) == 2
+        assert "two-set values: malformed value" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -47,7 +47,6 @@ from fractal_fourier.ifs import (
     SelfSimilarIFS,
     SimilarityMap,
     _count_stopping,
-    _depth_bound,
     cantor_ifs,
     ifs_1d,
     stopping_decomposition,
@@ -299,7 +298,7 @@ class TestRoundingCertificates:
         expected = norm * (2.0 * math.pi * 1.0 * radius * moment) + 0.0 + _roundoff(2**levels)
         expected = expected + _phase_rounding(norm, a_max, 0.0, 1)
         # the cover's scale is its largest leaf ratio
-        expected = expected + _cover_rounding(mixed_ratios, 0.5**levels, norm, 1.0, 0.0)
+        expected = expected + _cover_rounding(mixed_ratios, 0.5**levels, levels, norm, 1.0, 0.0)
         single = mu_hat(mixed_ratios, xi, tol=tol)
         assert single.leaves_used == 2**levels
         assert single.error_bound == expected[0]
@@ -518,9 +517,9 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
     The bound adds ``_roundoff`` and the rounding terms of the row
     kernel's model: the phase rounding at the largest leaf phase
     2 pi |f_w(b)| (each leaf's map f_w is carried down too) and the cover
-    rounding at the cover's scale, its largest leaf ratio, after checking
-    that no leaf is deeper than that scale's depth bound.  Returns
-    (value, error_bound, leaves).
+    rounding at the cover's scale, its largest leaf ratio, and depth,
+    after checking that no leaf is deeper than the count's depth.
+    Returns (value, error_bound, leaves).
     """
     vec = np.atleast_1d(np.asarray(xi, dtype=float))
     k = len(vec)
@@ -556,9 +555,9 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
             ))
     value = complex(math.fsum(re), math.fsum(im))
     norm = np.linalg.norm(vec)
-    _, scale = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, norm))
-    assert deepest <= _depth_bound(ifs, scale)
-    rounding = _phase_rounding(norm, a_max, 0.0, k) + _cover_rounding(ifs, scale, norm, 1.0)
+    _, scale, depth = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, norm))
+    assert deepest <= depth
+    rounding = _phase_rounding(norm, a_max, 0.0, k) + _cover_rounding(ifs, scale, depth, norm, 1.0)
     return value, err_acc + _roundoff(leaves) + rounding, leaves
 
 
@@ -659,7 +658,7 @@ class TestCoverBudget:
         ifs = request.getfixturevalue(system)
         sq = square_map(ifs)
         scale = 1e-3
-        needed, _ = _count_stopping(ifs, scale)
+        needed = _count_stopping(ifs, scale)[0]
         calls = [
             (needed, lambda b: stopping_decomposition(ifs, scale, budget=b)),
             (needed, lambda b: pushforward_hat_order0(ifs, sq, 500.0, scale=scale, budget=b)),
@@ -670,7 +669,7 @@ class TestCoverBudget:
             # mu_hat's own cover, at scale tol / (2 pi |xi| R); the batch's
             # smaller frequency fits the budget, so it must not run first
             xi, tol = 500.0, 1e-3
-            top, _ = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, xi))
+            top = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, xi))[0]
             assert _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, 0.5 * xi))[0] < top - 1
             calls += [
                 (top, lambda b: mu_hat(ifs, xi, tol=tol, budget=b)),
@@ -689,7 +688,7 @@ class TestCoverBudget:
         ifs = request.getfixturevalue(system)
         sq = square_map(ifs)
         low_octave_scale = fourier_module._order1_scale(ifs, sq.hessian_bound, 1e-3, 300.0)
-        fits, _ = _count_stopping(ifs, low_octave_scale)
+        fits = _count_stopping(ifs, low_octave_scale)[0]
         with pytest.raises(ResourceExceeded):
             pushforward_batch(ifs, sq, [300.0, 30000.0], tol=1e-3, budget=fits)
 
@@ -722,7 +721,7 @@ class TestStreamedCovers:
         system = ifs_1d([0.9, 0.05], [1.0, 0.3], signs=[-1, 1])
         dec = stopping_decomposition(system, 1e-5)
         assert len(dec) == 47_217
-        depth = _depth_bound(system, 1e-5)
+        _, snapped, depth = _count_stopping(system, 1e-5)
         assert dec.depths.max() == depth == 110
         maps = [(mpmath.mpf(m.ratio) * mpmath.mpf(float(m.orientation[0, 0])),
                  mpmath.mpf(float(m.translation[0]))) for m in system.maps]
@@ -736,7 +735,90 @@ class TestStreamedCovers:
                 scale, shift = maps[letter]
                 x = scale * x + shift
             drift = max(drift, float(abs(mpmath.mpf(float(dec.anchors[j, 0])) - x)))
-        assert 0.0 < drift <= _anchor_drift(system, 1e-5)
+        assert 0.0 < drift <= _anchor_drift(system, snapped, depth)
+
+
+class TestCoverFactsFromTheCount:
+    """Depth, table range and inner reach come from the count and J, not the covers."""
+
+    def test_table_batch_streams_each_cover_once_per_job(self, cantor, monkeypatch):
+        events = []
+        blocks, table, run_rows = (
+            fourier_module._cover_blocks, fourier_module._MuHatTable, fourier_module._run_rows
+        )
+
+        def record_blocks(*args):
+            events.append("cover")
+            return blocks(*args)
+
+        def record_table(*args):
+            events.append("table")
+            return table(*args)
+
+        def record_jobs(run, jobs, m, threads):
+            events.append(len(jobs))
+            return run_rows(run, jobs, m, threads)
+
+        monkeypatch.setattr(fourier_module, "_cover_blocks", record_blocks)
+        monkeypatch.setattr(fourier_module, "_MuHatTable", record_table)
+        monkeypatch.setattr(fourier_module, "_run_rows", record_jobs)
+        xis = np.r_[np.geomspace(300.0, 30000.0, 24), -np.geomspace(500.0, 5000.0, 4)]
+        pushforward_batch(cantor, square_map(cantor), xis, tol=1e-3)
+        n_jobs = events[1]
+        assert n_jobs >= 7     # one job per octave of 2^8 .. 2^14, at least
+        assert events == ["table", n_jobs] + ["cover"] * n_jobs
+
+    @pytest.mark.parametrize(
+        "system, make_map",
+        [
+            (cantor_ifs(), square_map),
+            (uniform_ifs(1.0, 2.0), log_map),
+            # both maps reverse orientation; the attractor is [0, 1]
+            (ifs_1d([0.4, 0.4], [0.4, 1.0], signs=[-1, -1]), cube_map),
+        ],
+    )
+    def test_a_priori_range_covers_every_inner_frequency(self, system, make_map, monkeypatch):
+        requested, looked_up = [], []
+        table, lookup = _MuHatTable, _MuHatTable.lookup
+
+        def record_table(ifs, eta_max, table_tol):
+            requested.append(eta_max)
+            return table(ifs, eta_max, table_tol)
+
+        def record_lookup(self, eta):
+            looked_up.append(float(np.abs(eta).max()))
+            return lookup(self, eta)
+
+        monkeypatch.setattr(fourier_module, "_MuHatTable", record_table)
+        monkeypatch.setattr(_MuHatTable, "lookup", record_lookup)
+        xis = np.r_[np.geomspace(5.0, 5000.0, 30), -np.geomspace(7.0, 700.0, 5)]
+        pushforward_batch(system, make_map(system), xis, tol=1e-3)
+        assert len(requested) == 1
+        # every computed |xi| |B_w| is in range; the Lipschitz bounds of
+        # these maps are attained on the support, so the range is tight
+        assert max(looked_up) <= requested[0] <= 1.001 * max(looked_up)
+
+    def test_order1_bound_terms_from_the_count(self, cantor):
+        # one group, so its bound is the named terms with J = L_f = 2 sup|x|
+        sq = square_map(cantor)
+        xi, tol = 700.0, 1e-3
+        n, scale, depth = _count_stopping(cantor, fourier_module._order1_scale(cantor, 2.0, tol, xi))
+        jac = fourier_module._jacobian_bound(cantor, sq)
+        assert jac == sq.lipschitz_bound
+        radius, sup = cantor.support_radius, cantor.max_point_norm
+        reach = 2.0 * math.pi * sup * scale * jac
+        dec = stopping_decomposition(cantor, scale)
+        a_forms, b_forms = _linear_forms(cantor, sq, dec.ratios, dec.orientations, dec.anchors, True)
+        assert np.abs(b_forms).max() <= scale * jac
+        moment = float(np.sum(dec.weights * dec.ratios**2))
+        norm = np.array([xi])
+        table = _MuHatTable(cantor, xi * (scale * jac) * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
+        expected = norm * (math.pi * 2.0 * radius**2 * moment) + table.slack + _roundoff(n)
+        expected = expected + _phase_rounding(norm, float(np.abs(a_forms).max()), reach, 1)
+        expected = expected + _cover_rounding(cantor, scale, depth, norm, jac + 2.0 * radius, reach)
+        _, bounds, leaves = pushforward_batch(cantor, sq, [xi], tol=tol)
+        assert leaves[0] == n == len(dec)
+        assert bounds[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
 
 
 class TestOrder0:

@@ -23,7 +23,6 @@ from fractal_fourier.ifs import (
     porosity_flag,
     separation_diagnostic,
     _count_stopping,
-    _enumerate_stopping,
     stopping_decomposition,
 )
 
@@ -264,7 +263,7 @@ class TestStoppingCover:
         )
         ratio, orient, weights, _, anchors = _homogeneous_leaf_arrays(ifs, depth, 10**8)
         assert len(weights) > FRONTIER_BLOCK
-        cover = _enumerate_stopping(ifs, ratio)
+        cover = stopping_decomposition(ifs, ratio)
         assert np.all(cover.depths == depth)
         assert np.array_equal(np.lexsort(cover.letters.T[::-1]), np.arange(len(cover)))
         assert np.array_equal(cover.weights, weights)
@@ -281,17 +280,28 @@ class TestStoppingCover:
         for seed in range(12):
             cases.append((_random_reversing_system(seed), float(10 ** rng.uniform(-5.0, -2.5))))
         for ifs, scale in cases:
-            n_leaves, snapped = _count_stopping(ifs, scale)
-            cover = _enumerate_stopping(ifs, scale)
+            n_leaves, snapped, depth = _count_stopping(ifs, scale)
+            cover = stopping_decomposition(ifs, scale)
             assert len(cover.ratios) == n_leaves
             assert snapped == cover.ratios.max() <= scale
-            again = _enumerate_stopping(ifs, snapped)
+            assert depth == cover.depths.max() == cover.letters.shape[1]
+            again = stopping_decomposition(ifs, snapped)
             for name in COVER_COLUMNS:
                 assert np.array_equal(getattr(cover, name), getattr(again, name))
 
+    def test_count_depth_is_the_deepest_streamed_word(self, mixed_ratios, square_2d):
+        # ratios 0.9 and 0.05, the first map reversing: words of depth 110
+        reversing = ifs_1d([0.9, 0.05], [1.0, 0.3], signs=[-1, 1])
+        for system, scale in [(mixed_ratios, 1e-4), (reversing, 1e-5), (square_2d, 1e-3)]:
+            n_leaves, _, depth = _count_stopping(system, scale)
+            blocks = list(ifs_module._cover_blocks(system, scale, depth))
+            assert sum(len(block[-1]) for block in blocks) == n_leaves
+            assert max(int(block[-1].max()) for block in blocks) == depth
+        assert depth == 7 and _count_stopping(reversing, 1e-5)[2] == 110
+
     def test_count_of_root(self, mixed_ratios):
-        assert _count_stopping(mixed_ratios, 1.0) == (1, 1.0)
-        assert _count_stopping(mixed_ratios, math.inf) == (1, 1.0)
+        assert _count_stopping(mixed_ratios, 1.0) == (1, 1.0, 0)
+        assert _count_stopping(mixed_ratios, math.inf) == (1, 1.0, 0)
 
     @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
     def test_count_rejects_scales_that_never_stop(self, mixed_ratios, scale):

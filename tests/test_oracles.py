@@ -7,8 +7,10 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import numpy as np
+
 from fractal_fourier.errors import InvalidIFS
-from fractal_fourier.fourier import mu_hat
+from fractal_fourier.fourier import PushforwardMap, mu_hat, pushforward_batch
 from fractal_fourier.ifs import ifs_1d
 
 ORACLE_SHARE = 1e-3     # the oracle's own error, as a share of the tolerance
@@ -86,3 +88,70 @@ def test_mu_hat_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
     exact, oracle_error = mu_hat_mpmath(system, xi, tau)
     assert oracle_error <= ORACLE_SHARE * tol
     assert abs(s.value - exact) <= s.error_bound + oracle_error
+
+
+def product_form_mpmath(ifs, eta, digits=50):
+    """mu_hat(eta) of a homogeneous system on the line, in ``digits`` digits.
+
+    The product over levels l of sum_i p_i e^{-2 pi i eta s^l t_i},
+    s = r O the shared linear part, every float input taken exactly.  It
+    stops at the first level L with 2 pi |eta s^L| R < 10^-(digits - 10)
+    and closes with e^{-2 pi i eta s^L b}, whose error is below that.
+    """
+    mp = mpmath.mp
+    mp.dps = digits
+    p = [mpmath.mpf(w) for w in ifs.weights]
+    t = [mpmath.mpf(float(m.translation[0])) for m in ifs.maps]
+    s = mpmath.mpf(ifs.maps[0].ratio) * int(ifs.maps[0].orientation[0, 0])
+    b = mpmath.fsum(pi * ti for pi, ti in zip(p, t)) / (1 - s)
+    radius = max(abs(s * b + ti - b) for ti in t) / (1 - abs(s))
+    two_pi = 2 * mpmath.pi
+    value, eta = mpmath.mpc(1), mpmath.mpf(eta)
+    while two_pi * abs(eta) * radius >= mpmath.mpf(10) ** (10 - digits):
+        value *= mpmath.fsum(pi * mpmath.expj(-two_pi * eta * ti) for pi, ti in zip(p, t))
+        eta *= s
+    return value * mpmath.expj(-two_pi * eta * b)
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """A homogeneous system on the line: 2-4 maps sharing one ratio and one orientation.
+
+    Weights are multiples of 1/64, so they sum to one exactly.
+    """
+    n = draw(st.integers(2, 4))
+    ratio = draw(st.floats(0.1, 0.6))
+    sign = draw(st.sampled_from([-1, 1]))
+    shifts = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=n - 1, max_size=n - 1, unique=True)))
+    weights = [(hi - lo) / 64 for lo, hi in zip([0] + cuts, cuts + [64])]
+    try:
+        return ifs_1d([ratio] * n, shifts, weights, [sign] * n)
+    except InvalidIFS:      # maps sharing a fixed point
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=homogeneous_systems(),
+    slope=st.floats(-2.0, 2.0),
+    offset=st.floats(-2.0, 2.0),
+    xis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+    tol=st.sampled_from([1e-3, 1e-5]),
+)
+def test_order1_table_batch_within_its_bound_of_the_mpmath_oracle(system, slope, offset, xis, tol):
+    # f(x) = slope x + offset has no Taylor term: one cylinder, and the
+    # whole value comes from the interpolation table at slope xi
+    assert system.is_homogeneous
+    affine = PushforwardMap(
+        evaluator=lambda pts: slope * pts[:, 0] + offset,
+        gradient=lambda pts: np.full_like(pts, slope),
+        lipschitz_bound=abs(slope),
+        hessian_bound=0.0,
+        label="affine",
+    )
+    values, bounds, _ = pushforward_batch(system, affine, xis, tol=tol, scheme="order1")
+    for xi, value, bound in zip(xis, values, bounds):
+        phase = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(xi) * mpmath.mpf(offset))
+        exact = complex(phase * product_form_mpmath(system, mpmath.mpf(xi) * mpmath.mpf(slope)))
+        assert abs(value - exact) <= bound
