@@ -95,8 +95,14 @@ def _spec_float(spec: dict, name: str) -> float:
     return _parsed(name, float, spec.get(name, 0.0))
 
 
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _require_fields(doc: dict, required, optional, what: str) -> None:
-    missing = set(required) - set(doc)
+    missing = set(required) - set(_parsed(what, _json_object, doc))
     if missing:
         raise BadConfig(f"{what} missing fields: {sorted(missing)}")
     unknown = set(doc) - set(required) - set(optional)
@@ -117,9 +123,11 @@ _MAP_BUILDERS = {
 
 
 def _quadratic_from_spec(ifs, spec):
-    comps = []
-    for comp in spec["coefficients"]:
-        comps.append({(int(p), int(q)): float(c) for p, q, c in comp})
+    comps = _parsed(
+        "coefficients",
+        lambda value: [{(int(p), int(q)): float(c) for p, q, c in comp} for comp in value],
+        spec.get("coefficients"),
+    )
     return fr.quadratic_map(
         ifs, comps, linear=spec.get("linear"), constant=spec.get("constant")
     )
@@ -327,10 +335,10 @@ def cmd_convolve(args) -> int:
     _require_fields(cfg, _CONV_REQUIRED, _CONV_OPTIONAL, "convolve config")
     base = Path(args.config).parent
     factors = []
-    for entry in cfg["factors"]:
+    for entry in _parsed("factors", list, cfg["factors"]):
         _require_fields(entry, ("ifs",), ("map",), "factor")
         doc = ifsmod.load_ifs(base / entry["ifs"])
-        spec = entry.get("map", {"kind": "log"})
+        spec = _parsed("map", _json_object, entry.get("map", {"kind": "log"}))
         kind = spec.get("kind", "log")
         shift = _spec_float(spec, "shift")
         if kind == "log":
@@ -408,7 +416,7 @@ def cmd_arith_check(args) -> int:
     elif kind == "high-dim":
         if len(vals) != 2:
             raise BadConfig("high-dim needs k and kappa2")
-        report["verdict"] = bnd.high_dim_condition(int(vals[0]), vals[1])
+        report["verdict"] = bnd.high_dim_condition(_parsed("high-dim k", int, vals[0]), vals[1])
     elif kind == "thresholds":
         t2, t3 = bnd.symmetric_thresholds()
         report.update({"two_fold": t2, "three_fold": t3, "verdict": True})

@@ -27,10 +27,12 @@ structure of the measure:
   2 pi |xi| L_f r_w R per cylinder (L_f a Lipschitz bound of f on the
   support ball).
 
-* ``order1`` quadrature: each cylinder is linearised at its anchor and
-  the linear phase integrated exactly through mu_hat at the rotated,
-  rescaled frequency r_w O_w^T (J_f(x_w)^T xi); the per-cylinder Taylor
-  error is pi |xi| H_f (r_w R)^2.
+* ``order1`` quadrature: each cylinder is linearised at its anchor
+  x_w = f_w(b) and the linear phase integrated exactly through the
+  centred transform h(eta) = e^{2 pi i <eta, b>} mu_hat(eta) (the
+  transform of ``ifs.centred``) at the rotated, rescaled frequency
+  r_w O_w^T (J_f(x_w)^T xi), so the outer phase is 2 pi <xi, f(x_w)>;
+  the per-cylinder Taylor error is pi |xi| H_f (r_w R)^2.
 
 Single frequencies and batches share one row kernel, ``_image_rows``.
 A batch groups its frequencies by octave of |xi|, and each group uses the
@@ -43,9 +45,11 @@ cover once from ``ifs._cover_blocks`` in leaf blocks of at most
 ``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
 a cover has.  The order-1 inner transform is read from a certified
-interpolation table for homogeneous systems on the line in a batch;
-otherwise it is the product form, or for other systems a nested order-0
-call of the kernel on the identity at tol/2.  Within a
+interpolation table of h for homogeneous systems on the line in a
+batch, whose step follows from the second moment M2 = int |x - b|^2 dmu
+(|h''| <= 4 pi^2 M2); otherwise it is the product form of the centred
+system, or for other systems a nested order-0 call of the kernel on its
+identity at tol/2.  Within a
 block the elementwise work runs over cache-sized blocks of rows, and on a
 uniform frequency grid j * delta the phases of consecutive rows come by
 angle addition (``_phase_blocks``, shared with the Fourier inversion of
@@ -57,7 +61,9 @@ with merely estimated bounds mark their samples as uncertified.  They
 include the float rounding of the phases (``_phase_rounding``,
 ``_recursion_rounding``), which grows like 2^-52 |xi|, with an allowance
 for angle-addition rows, and the rounding that a cover's anchors and
-weights carry from the levels of their words (``_cover_rounding``).
+weights carry from the levels of their words (``_cover_rounding``) and,
+for order 1, the rounding of the centred translations
+(``_centring_rounding``).
 """
 
 from __future__ import annotations
@@ -102,10 +108,10 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     """Rounding allowance, per unit weight, of a phase sum sum_w p_w e^{-i xi A_w} h_w.
 
     EPS (c1 |xi| a_max + c2 + c3 |xi| inner), with c1 = dims + 5, c2 = 16
-    and c3 = 2 dims + 3 (6, 16 and 5 on the line).  ``a_max`` bounds the
-    computed |A_w| (the 2 pi is inside A_w), ``inner`` bounds 2 pi |B_w|
-    sup|x| for an inner transform h_w = mu_hat(B_w xi), else 0, and
-    ``dims`` is max(k, d).  ``xi_norm`` may be an array.
+    and c3 = dims + 1 (6, 16 and 2 on the line).  ``a_max`` bounds the
+    computed |A_w| (the 2 pi is inside A_w), ``inner`` bounds 2 pi |B_w| R
+    for an inner transform h_w = h(B_w xi), else 0, and ``dims`` is
+    max(k, d).  ``xi_norm`` may be an array.
 
     Model: every operation rounds with relative error at most u = EPS/2,
     and np.cos and np.sin return, for every finite argument, a value
@@ -116,17 +122,17 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     rounding.  First-order terms (products of two roundings are absorbed
     by rounding the constants up):
 
-    * outer phase.  A_w = 2 pi (f(x_w) - B_w^T b) rounds by 3u |A_w| (2 pi
-      is a float, a subtraction, a product) plus k u 2 pi |B_w||b|; xi A_w
-      adds d u |xi||A_w|.  The grid path (``_phase_blocks``) takes
-      (j0 delta) A_w + (l delta) A_w for (j delta) A_w: two more products
-      (2u) and the split of j delta into j0 delta + l delta (2u), so at
-      most (d + 7) u |xi| a_max in all, below c1 EPS |xi| a_max.
-    * inner argument.  xi B_w rounds by d u |xi||B_w| and B_w itself by
-      (k + 1) u |B_w|, which moves the linear phase by at most
-      2 pi |xi||Delta B_w| R; mu_hat is 2 pi sup|x|-Lipschitz, and
-      |b|, R <= sup|x|.  With the k u term above that is at most
-      (2k + d + 1) u |xi| inner, below c3 EPS |xi| inner.
+    * outer phase.  A_w = 2 pi f(x_w) for both orders rounds by 2u |A_w|
+      (2 pi is a float, a product); xi A_w adds d u |xi||A_w|.  The grid
+      path (``_phase_blocks``) takes (j0 delta) A_w + (l delta) A_w for
+      (j delta) A_w: two more products (2u) and the split of j delta into
+      j0 delta + l delta (2u), so at most (d + 6) u |xi| a_max in all,
+      below c1 EPS |xi| a_max.
+    * inner argument.  The order-1 inner transform is the centred
+      transform h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
+      a measure on the ball B(0, R), so h is 2 pi R-Lipschitz.  xi B_w
+      rounds by d u |xi||B_w| and B_w itself by (k + 1) u |B_w|, which
+      moves h by at most (k + d + 1) u |xi| inner, below c3 EPS |xi| inner.
     * values.  |e^{-i theta'} - e^{-i theta}| <= |theta' - theta|.  Direct
       cos and sin err by 2 EPS each, 2.9 EPS as a complex number; the
       angle-addition products cAcB - sAsB err by at most 2 EPS
@@ -136,7 +142,7 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
 
     Summation is ``_roundoff``'s part and is not counted here.
     """
-    return EPS * (xi_norm * ((dims + 5.0) * a_max + (2.0 * dims + 3.0) * inner) + 16.0)
+    return EPS * (xi_norm * ((dims + 5.0) * a_max + (dims + 1.0) * inner) + 16.0)
 
 
 def _recursion_rounding(ifs, norms, depth, grid: bool = False):
@@ -225,13 +231,28 @@ def _anchor_drift(ifs, scale: float, depth: int) -> float:
     return EPS * (levels + anchor + ifs.max_point_norm)
 
 
+def _centring_rounding(ifs, eta_norm):
+    """The centring allowance: 2 pi |eta| Delta, Delta = ``ifs.centring_drift``.
+
+    It bounds |nu_hat(eta) - h(eta)| for the measure nu of
+    ``ifs.centred`` as computed and the centred transform
+    h(eta) = e^{2 pi i <eta, b>} mu_hat(eta) at the computed barycenter b,
+    the one the anchors f_w(b) of every cover use.  The system with the
+    exact translations f_i(b) - b has the measure mu translated by -b,
+    whose transform is h; its points lie within Delta of nu's points
+    coded by the same letters, and e^{-2 pi i <eta, x>} moves by at most
+    2 pi |eta| |dx|.  ``eta_norm`` may be an array.
+    """
+    return TWO_PI * ifs.centring_drift * eta_norm
+
+
 def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: float = 0.0):
     """Rounding allowance, per unit weight, that a computed cover adds.
 
     2 pi |xi| gain delta + EPS (D (1 + k^1.5) |xi| inner + D + 1), with
     D = ``depth`` the cover's depth and ``scale`` its snapped scale, both
     from its count, delta = ``_anchor_drift`` and ``inner`` bounding
-    2 pi |B_w| sup|x| as in ``_phase_rounding``.  ``xi_norm`` may be an
+    2 pi |B_w| R as in ``_phase_rounding``.  ``xi_norm`` may be an
     array.
 
     ``_phase_rounding`` takes a cover's anchors, ratios, orientations and
@@ -241,16 +262,17 @@ def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: 
 
     * anchors.  A computed anchor x_w lies within delta of f_w(b).  Order
       0 moves its phase 2 pi <xi, f(x_w)> by at most 2 pi |xi| L_f delta:
-      ``gain`` = L_f.  Order 1 linearises f at x_w, but its A_w assumes
-      the node f_w(b): the dropped constant J_f(x_w) (f_w(b) - x_w) moves
-      the phase by at most 2 pi |xi| |J_f(x_w)| delta, and the Taylor
-      radius grows from r_w R to r_w R + delta, which adds
-      2 pi |xi| H r_w R delta to first order: ``gain`` = J + H R, with
-      J >= |J_f| on the support ball (``_jacobian_bound``).
+      ``gain`` = L_f.  Order 1 linearises f at x_w, but its inner
+      transform, centred at b, assumes the node f_w(b): the dropped
+      constant J_f(x_w) (f_w(b) - x_w) moves the phase by at most
+      2 pi |xi| |J_f(x_w)| delta, and the Taylor radius grows from
+      r_w R to r_w R + delta, which adds 2 pi |xi| H r_w R delta to first
+      order: ``gain`` = J + H R, with J >= |J_f| on the support ball
+      (``_jacobian_bound``).
     * inner argument (order 1).  B_w = r_w O_w^T J_f(x_w)^T inherits the
-      relative error D (1 + k^1.5) u of r_w and O_w.  mu_hat is
-      2 pi sup|x|-Lipschitz and A_w holds B_w^T b with |b| <= sup|x|, so
-      a term moves by at most D (1 + k^1.5) EPS |xi| inner.
+      relative error D (1 + k^1.5) u of r_w and O_w, and the centred
+      inner transform is 2 pi R-Lipschitz, so a term moves by at most
+      D (1 + k^1.5) u |xi| inner, half the term charged.
     * weights.  p_w is a product of D weights, within D u of exact
       relative, and a term is at most p_w: D u per unit weight, below
       EPS (D + 1).
@@ -827,22 +849,29 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 class _MuHatTable:
-    """Uniform-grid linear-interpolation table for mu_hat on the line.
+    """Uniform-grid linear-interpolation table of the centred transform on the line.
 
-    ``slack`` certifies |lookup(eta) - mu_hat(eta)| for |eta| <= eta_max;
-    negative frequencies resolve through conjugate symmetry.  The rows are
-    exactly j * h, so ``_mu_hat_homog_many`` builds them as grid rows, by
-    angle addition from one base block per call; the slack includes their
-    rounding allowance.  What the build still costs is proportional to
-    rows x levels: the depth at which the largest row closes at
-    ``table_tol``.
+    The table holds h(eta) = e^{2 pi i eta b} mu_hat(eta), the transform
+    of ``ifs.centred``: the order-1 inner transform of every cylinder.
+    ``slack`` certifies |lookup(eta) - h(eta)| for |eta| <= eta_max;
+    negative frequencies resolve through conjugate symmetry.  Linear
+    interpolation at step h errs by at most (h^2 / 8) max|h''|, and
+    |h''| <= 4 pi^2 int |x - b|^2 dmu = 4 pi^2 M2 (``second_moment``), so
+    the step sqrt(8 table_tol / (4 pi^2 M2)) keeps that term at
+    ``table_tol``: larger than a step from (2 pi sup|x|)^2 by
+    sup|x| / sqrt(M2), 2.83 on the Cantor measure.  The slack adds the
+    largest bound of the grid rows and the centring allowance
+    (``_centring_rounding``) at eta_max.  The rows are exactly j * h, so
+    ``_mu_hat_homog_many`` builds them as grid rows, by angle addition
+    from one base block per call; their bounds include that rounding.
+    What the build still costs is proportional to rows x levels: the
+    depth at which the largest row closes at ``table_tol``.
     """
 
     __slots__ = ("h", "values", "slack", "eta_max")
 
     def __init__(self, ifs, eta_max: float, table_tol: float):
-        sup = ifs.max_point_norm
-        second = (TWO_PI * sup) ** 2
+        second = TWO_PI**2 * ifs.second_moment
         h = math.sqrt(8.0 * table_tol / second)
         n = int(eta_max / h) + 3
         if n > 4_000_000:
@@ -850,11 +879,15 @@ class _MuHatTable:
             h = eta_max / (n - 3)
         etas = np.zeros((n, ifs.ambient_dim))
         etas[:, 0] = np.arange(n) * h
-        vals, errs, _ = _mu_hat_homog_many(ifs, etas, table_tol)
+        vals, errs, _ = _mu_hat_homog_many(ifs.centred, etas, table_tol)
         self.h = h
         self.values = vals
         self.eta_max = float(etas[-2, 0])
-        self.slack = float(errs.max(initial=0.0)) + (h**2 / 8.0) * second
+        self.slack = (
+            float(errs.max(initial=0.0))
+            + (h**2 / 8.0) * second
+            + _centring_rounding(ifs, self.eta_max)
+        )
 
     def lookup(self, eta: np.ndarray) -> np.ndarray:
         # In place where possible: the batch kernel calls this on its
@@ -923,17 +956,18 @@ def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray
 def _linear_forms(ifs, pmap, ratios, orients, anchors, order1: bool):
     """Per-leaf linear forms in xi of a block of cover leaves: (2 pi A (n, d), B (n, k, d)).
 
-    Cylinder w contributes p_w e^{-2 pi i <xi, A_w>} mu_hat(B_w xi), with
-    B_w = r_w O_w^T J_f(x_w)^T and A_w = f(x_w) - B_w^T b.  Order 0 has
-    A_w = f(x_w) and no inner transform (B is None).
+    Cylinder w contributes p_w e^{-2 pi i <xi, A_w>} h(B_w xi), with
+    A_w = f(x_w), B_w = r_w O_w^T J_f(x_w)^T and h the centred transform
+    e^{2 pi i <eta, b>} mu_hat(eta): on the cylinder x - x_w =
+    r_w O_w (y - b) for y ~ mu.  Order 0 has no inner transform (B is
+    None).
     """
     n, d = len(ratios), pmap.out_dim
-    f_vals = pmap.evaluator(anchors).reshape(n, d)
+    a_forms = TWO_PI * pmap.evaluator(anchors).reshape(n, d)
     if not order1:
-        return TWO_PI * f_vals, None
+        return a_forms, None
     jac = pmap.gradient(anchors).reshape(n, d, ifs.ambient_dim)
-    b_forms = ratios[:, None, None] * np.einsum("nji,nej->nie", orients, jac)
-    return TWO_PI * (f_vals - np.einsum("nkd,k->nd", b_forms, ifs.barycenter)), b_forms
+    return a_forms, ratios[:, None, None] * np.einsum("nji,nej->nie", orients, jac)
 
 
 def _grid_step(freqs: np.ndarray):
@@ -1027,13 +1061,17 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     its grid that way) the phases of consecutive rows come from angle
     addition.
 
-    The order-1 inner transform comes from one ``_MuHatTable`` when
-    ``table`` is set (k = 1, homogeneous), built before any job runs.
-    Otherwise each block evaluates it at its rows x leaves inner
-    frequencies: by the product form at tol/2 for homogeneous systems,
-    else by one nested order-0 call of this kernel on the identity at
-    tol/2 (``threads`` 1), octave-grouped like the outer rows, whose
-    covers are counted against ``budget``.
+    The order-1 inner transform is the centred transform
+    h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
+    ``ifs.centred``, so A_w = 2 pi f(x_w) (``_linear_forms``).  It comes
+    from one ``_MuHatTable`` when ``table`` is set (k = 1, homogeneous),
+    built before any job runs.  Otherwise each block evaluates it at its
+    rows x leaves inner frequencies on ``ifs.centred``: by the product
+    form at tol/2 for homogeneous systems, else by one nested order-0
+    call of this kernel on its identity at tol/2 (``threads`` 1),
+    octave-grouped like the outer rows, whose covers (the same words) are
+    counted against ``budget``; each inner bound adds the centring
+    allowance ``_centring_rounding``.
 
     A row's bound is |xi| times the cover's closure (order 0) or Taylor
     (order 1) coefficient, plus the inner bound, plus roundoff, plus the
@@ -1043,7 +1081,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     the blocks; the rest comes from each group's count (snapped scale s,
     depth D) and J (``_jacobian_bound``), with |B_w| <= s J: the table
     range max_g |xi_g| s_g J (x 1.0001, + 1e-9), the inner reach
-    2 pi sup|x| s J and the cover rounding's D and gain J + H R.
+    2 pi R s J (h is 2 pi R-Lipschitz) and the cover rounding's D and
+    gain J + H R.
     """
     m, d = xis.shape
     k = ifs.ambient_dim
@@ -1088,7 +1127,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
-    identity = identity_map(ifs) if order1 and mu_table is None else None
+    centred = ifs.centred if order1 else None
+    identity = identity_map(centred) if order1 and mu_table is None else None
 
     jobs = []
     for rows, n_leaves, *facts in covers:
@@ -1113,11 +1153,12 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
                     eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
                 flat = eta.reshape(-1, k)
                 if ifs.is_homogeneous:
-                    vals, errs, _ = _mu_hat_homog_many(ifs, flat, 0.5 * tol)
+                    vals, errs, _ = _mu_hat_homog_many(centred, flat, 0.5 * tol)
                 else:
                     vals, errs, _ = _image_rows(
-                        ifs, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
+                        centred, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
                     )
+                errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
                 exact_inner = vals.reshape(len(rows), len(weights))
                 inner_err = inner_err + np.add.reduce(
                     errs.reshape(exact_inner.shape) * weights, axis=1
@@ -1143,7 +1184,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
             total = t
         if mu_table is not None:
             inner_err = mu_table.slack
-        inner_reach = TWO_PI * ifs.max_point_norm * cover_scale * jac
+        inner_reach = TWO_PI * radius * cover_scale * jac
         bounds = norms[rows] * (unit * moment) + inner_err + _roundoff(n)
         bounds = bounds + _phase_rounding(norms[rows], a_max, inner_reach, max(k, d))
         bounds = bounds + _cover_rounding(ifs, cover_scale, depth, norms[rows], gain, inner_reach)
@@ -1192,7 +1233,8 @@ def pushforward_hat_order1(
     """Order-1 (linearised) cylinder quadrature of the image transform.
 
     Each cylinder integrates its tangent approximation exactly through
-    mu_hat (the recursion at tol/2); stopping scale
+    the centred transform e^{2 pi i <eta, b>} mu_hat(eta) (the recursion
+    on ``ifs.centred`` at tol/2); stopping scale
     ~ sqrt(tol / (pi |xi| H)) / R, so far fewer leaves are needed than
     order-0 at the same tolerance.
     """
@@ -1223,11 +1265,14 @@ def pushforward_batch(
     are exactly j * delta, in that order, get their phases by angle
     addition, in cache-sized blocks (``_phase_blocks``); any other set
     gets direct cos and sin in the same blocks, and both are certified by
-    one phase rounding term.  Homogeneous systems on the line read the
-    order-1 inner transform from a certified interpolation table
-    (``_MuHatTable``), whose grid rows take the product form by angle
-    addition; other systems evaluate it exactly, non-homogeneous ones by a
-    nested order-0 kernel call on the identity.  Leaf terms are summed
+    one phase rounding term.  The order-1 inner transform is the centred
+    transform e^{2 pi i <eta, b>} mu_hat(eta), the transform of
+    ``ifs.centred``.  Homogeneous systems on the line read it from a
+    certified interpolation table (``_MuHatTable``), whose step follows
+    from the second moment ``ifs.second_moment`` and whose grid rows take
+    the product form by angle addition; other systems evaluate it
+    exactly, non-homogeneous ones by a nested order-0 kernel call on the
+    centred system's identity.  Leaf terms are summed
     pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
     ``pmap`` unused), one call and one cover per frequency; for a
     non-homogeneous system the largest frequency's cover is counted

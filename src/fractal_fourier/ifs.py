@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -193,6 +194,88 @@ class SelfSimilarIFS:
     def max_point_norm(self) -> float:
         """sup_{x in supp(mu)} |x| <= |b| + R; bounds derivatives of mu-hat."""
         return float(np.linalg.norm(self.barycenter)) + self.support_radius
+
+    @cached_property
+    def centred(self) -> "SelfSimilarIFS":
+        """The system conjugated by x -> x - b: maps x -> r_i O_i x + (f_i(b) - b).
+
+        Its measure is mu translated by -b, so its transform is the
+        centred transform e^{2 pi i <eta, b>} mu_hat(eta), and its
+        barycenter is 0 (set exactly, not solved for).  The translations
+        are computed as ``support_radius`` computes f_i(b) - b, so the
+        support radius is R bit for bit; their rounding is the centring
+        allowance of ``fourier._centring_rounding``.  A system whose
+        barycenter is exactly 0 is its own centred system.
+        """
+        b = self.barycenter
+        if not b.any():
+            return self
+        maps = tuple(SimilarityMap(m.ratio, m.orientation, m(b) - b) for m in self.maps)
+        centred = SelfSimilarIFS(maps, self.weights)
+        centred.__dict__["barycenter"] = _readonly(np.zeros(self.ambient_dim))
+        return centred
+
+    @cached_property
+    def centring_drift(self) -> float:
+        """Delta = max_i |c_i - (f_i(b) - b)| / (1 - rho), rounded up.
+
+        c_i are the translations of ``centred`` as computed, f_i(b) - b is
+        exact for the computed barycenter b (every float input taken
+        exactly, in rational arithmetic), and rho is the largest ratio.
+        The two systems share their linear parts, so the points they code
+        by the same letters w_1 w_2 ... lie within
+        sum_l rho^(l-1) max_i |c_i - (f_i(b) - b)| = Delta of each other.
+        0 when every c_i is exact.
+        """
+        b = [Fraction(float(x)) for x in self.barycenter]
+        worst = Fraction(0)
+        for m, c in zip(self.maps, self.centred.maps):
+            ratio = Fraction(m.ratio)
+            offsets = [
+                Fraction(float(c.translation[j]))
+                - ratio * sum(Fraction(float(o)) * x for o, x in zip(m.orientation[j], b))
+                - Fraction(float(m.translation[j]))
+                + b[j]
+                for j in range(self.ambient_dim)
+            ]
+            worst = max(worst, sum(x * x for x in offsets))
+        # float(), sqrt and the division each round to nearest: 4 EPS covers them
+        eps = float(np.finfo(float).eps)
+        return math.sqrt(float(worst)) / (1.0 - float(self.ratios.max())) * (1.0 + 4.0 * eps)
+
+    @cached_property
+    def second_moment(self) -> float:
+        """M2 = int |x - b|^2 dmu = sum_i p_i |f_i(b) - b|^2 / (1 - sum_i p_i r_i^2), rounded up.
+
+        M2 <= R^2.  X = f_I(Y) with I ~ p independent of Y ~ mu gives
+        X - b = r_I O_I (Y - b) + (f_I(b) - b), whose cross term has mean
+        0, hence the formula.  The value returned bounds int |x|^2 dnu for
+        the measure nu of ``centred`` as computed, with translations c_i:
+
+        * nu has the mean m = (I - L)^-1 sum_i p_i c_i, L = sum_i p_i r_i O_i,
+          |L| <= sum_i p_i r_i, so |m| <= |sum_i p_i c_i| / (1 - sum_i p_i r_i).
+        * int |x|^2 dnu = V + |m|^2 with V the formula at nu's own
+          barycenter m, whose offsets c_i + (r_i O_i - I) m move by at
+          most 2 |m|, so sqrt(V) <= sqrt(F) + 2 |m| / sqrt(1 - sum p r^2),
+          F the formula at the c_i.  Hence the square root of the integral
+          is below sqrt(F) + |m| (1 + 2 / sqrt(1 - sum p r^2)).
+
+        F and the bound on |m|^2 are exact rationals of the float inputs;
+        the float conversions and square roots round to nearest, six
+        roundings of at most EPS / 2 each, which the factor 1 + 8 EPS
+        covers in the square.
+        """
+        p = [Fraction(w) for w in self.weights]
+        r = [Fraction(m.ratio) for m in self.maps]
+        c = [[Fraction(float(x)) for x in m.translation] for m in self.centred.maps]
+        spread = 1 - sum(pi * ri * ri for pi, ri in zip(p, r))
+        moment = sum(pi * sum(x * x for x in ci) for pi, ci in zip(p, c)) / spread
+        total = [sum(pi * ci[j] for pi, ci in zip(p, c)) for j in range(self.ambient_dim)]
+        mean = sum(x * x for x in total) / (1 - sum(pi * ri for pi, ri in zip(p, r))) ** 2
+        root = math.sqrt(float(moment)) + math.sqrt(float(mean)) * (
+            1.0 + 2.0 / math.sqrt(float(spread))
+        )
+        return root**2 * (1.0 + 8.0 * float(np.finfo(float).eps))
 
     @cached_property
     def is_homogeneous(self) -> bool:

@@ -322,6 +322,7 @@ class TestFourier:
         ("5", "map spec needs to be a JSON object"),
         ('{"kind": "log", "shift": "a"}', "shift: malformed value"),
         ('{"kind": "constant", "value": "a"}', "value: malformed value"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0]]]}', "coefficients: malformed value"),
     ])
     def test_malformed_map_exit_2(self, tmp_path, capsys, spec, message):
         code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0",
@@ -428,6 +429,12 @@ class TestConvolveCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["convolve", "--config", str(cfg_path)]) == 2
 
+    def test_factor_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps({"factors": [5, 5]}))
+        assert main(["convolve", "--config", str(cfg_path)]) == 2
+        assert "factor: malformed value 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["tol", "max_frequency", "density_budget"])
     def test_nan_parameter_exit_2(self, tmp_path, field):
         cfg = {"factors": [{"ifs": str(CONFIGS / "uniform12.json")}] * 2, field: math.nan}
@@ -526,6 +533,10 @@ class TestArithCheck:
     def test_non_numeric_values_exit_2(self, capsys):
         assert main(["arith-check", "two-set", "a", "b"]) == 2
         assert "two-set values: malformed value" in capsys.readouterr().err
+
+    def test_nan_dimension_exit_2(self, capsys):
+        assert main(["arith-check", "high-dim", "nan", "4"]) == 2
+        assert "high-dim k: malformed value nan" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fractal_fourier.fourier import (
     PushforwardMap,
     _MuHatTable,
     _anchor_drift,
+    _centring_rounding,
     _cover_rounding,
     _linear_forms,
     _mu_hat_homog_many,
@@ -67,6 +69,19 @@ def cantor_closed_form(xi):
         value *= math.cos(2.0 * math.pi * xi / 3.0**n)
         n += 1
     return value
+
+
+def cantor_centred_form(eta):
+    """The centred transform e^{2 pi i eta b} mu_hat(eta) of the middle-thirds system.
+
+    With b = 1/2 it is prod_{n>=1} cos(2 pi eta / 3^n); the computed
+    barycenter b is 1/2 - 2^-54, and its phase e^{2 pi i eta (b - 1/2)}
+    is kept, so this is the transform the centred table holds.
+    """
+    offset = float(cantor_ifs().barycenter[0]) - 0.5     # exact (Sterbenz)
+    return cantor_closed_form(eta) * cmath.exp(1j * math.pi * eta) * cmath.exp(
+        2j * math.pi * eta * offset
+    )
 
 
 def brute_force_pushforward(ifs, f, depth):
@@ -224,7 +239,7 @@ class TestMuHatTable:
         etas = np.concatenate([ends, rng.uniform(-table.eta_max, table.eta_max, size=2000)])
         looked_up = table.lookup(etas)
         for eta, got in zip(etas, looked_up):
-            assert abs(got - cantor_closed_form(eta)) <= table.slack
+            assert abs(got - cantor_centred_form(eta)) <= table.slack
 
 
 class TestRoundingCertificates:
@@ -273,10 +288,10 @@ class TestRoundingCertificates:
         # interpolation term (3e-5) dominates the closure term (<= 1e-6).
         table = _MuHatTable(cantor, 1e4, 1e-6)
         assert len(table.values) == 4_000_000
-        interpolation = table.h**2 / 8.0 * (2.0 * math.pi * cantor.max_point_norm) ** 2
+        interpolation = table.h**2 / 8.0 * (2.0 * math.pi) ** 2 * cantor.second_moment
         assert interpolation > 10.0 * (table.slack - interpolation)
         etas = np.random.default_rng(25).uniform(-table.eta_max, table.eta_max, size=4000)
-        errors = np.abs(table.lookup(etas) - np.array([cantor_closed_form(x) for x in etas]))
+        errors = np.abs(table.lookup(etas) - np.array([cantor_centred_form(x) for x in etas]))
         assert errors.max() <= table.slack
         assert errors.max() > table.slack - interpolation
 
@@ -415,35 +430,38 @@ class TestGridProductForm:
         assert np.array_equal(values, ref_values) and np.array_equal(bounds, ref_bounds)
 
     @staticmethod
-    def assert_rounding_certified(ifs, etas, values, bounds, depth, rows):
-        # Against the unrounded product at the same depth the error is all
-        # rounding, within _roundoff + the grid allowance; against the
-        # transform itself it is within the whole bound.
+    def assert_rounding_certified(etas, values, bounds, depth, rows):
+        # Rows of the centred Cantor system.  Against the unrounded product
+        # at the same depth the error is all rounding, within _roundoff +
+        # the grid allowance; against the centred transform itself it is
+        # within the whole bound and the centring allowance.
+        centred = cantor_ifs().centred
         norms = np.abs(etas[rows, 0])
-        allowance = _roundoff(depth + 1) + _recursion_rounding(ifs, norms, depth, grid=True)
-        rounding = np.abs(values[rows] - _truncated_product_mpmath(ifs, etas[rows, 0], depth))
+        allowance = _roundoff(depth + 1) + _recursion_rounding(centred, norms, depth, grid=True)
+        rounding = np.abs(values[rows] - _truncated_product_mpmath(centred, etas[rows, 0], depth))
         assert np.all(rounding <= allowance)
-        exact = np.array([cantor_closed_form(x) for x in etas[rows, 0]])
-        assert np.all(np.abs(values[rows] - exact) <= bounds[rows] + 1e-15)
+        exact = np.array([cantor_centred_form(x) for x in etas[rows, 0]])
+        centring = _centring_rounding(cantor_ifs(), norms)
+        assert np.all(np.abs(values[rows] - exact) <= bounds[rows] + centring + 1e-15)
 
     def test_top_of_the_decay_table_against_mpmath(self, cantor):
-        # the table of the decay benchmark: eta up to ~94, table_tol 1e-8
+        # the centred table of the decay benchmark: eta up to ~94, table_tol 1e-8
         table = _MuHatTable(cantor, 94.4, 1e-8)
         etas = (np.arange(len(table.values)) * table.h)[:, None]
-        values, bounds, depth = _mu_hat_homog_many(cantor, etas, 1e-8)
+        values, bounds, depth = _mu_hat_homog_many(cantor.centred, etas, 1e-8)
         assert np.array_equal(values, table.values)
         assert etas[-1, 0] > 94.0
         rows = np.arange(len(etas) - 300, len(etas))
-        self.assert_rounding_certified(cantor, etas, values, bounds, depth, rows)
+        self.assert_rounding_certified(etas, values, bounds, depth, rows)
 
     def test_clamped_grid_against_mpmath(self, cantor):
         table = _MuHatTable(cantor, 1e4, 1e-6)
         assert len(table.values) == 4_000_000
         etas = (np.arange(4_000_000) * table.h)[:, None]
-        values, bounds, depth = _mu_hat_homog_many(cantor, etas, 1e-6)
+        values, bounds, depth = _mu_hat_homog_many(cantor.centred, etas, 1e-6)
         rows = np.r_[np.arange(3_999_800, 4_000_000),
                      np.random.default_rng(32).integers(0, 4_000_000, size=100)]
-        self.assert_rounding_certified(cantor, etas, values, bounds, depth, rows)
+        self.assert_rounding_certified(etas, values, bounds, depth, rows)
 
     def test_chunk_edges(self, cantor):
         # eta_max 50 at tol 1e-6 needs depth 18, so chunks of
@@ -805,8 +823,8 @@ class TestCoverFactsFromTheCount:
         n, scale, depth = _count_stopping(cantor, fourier_module._order1_scale(cantor, 2.0, tol, xi))
         jac = fourier_module._jacobian_bound(cantor, sq)
         assert jac == sq.lipschitz_bound
-        radius, sup = cantor.support_radius, cantor.max_point_norm
-        reach = 2.0 * math.pi * sup * scale * jac
+        radius = cantor.support_radius
+        reach = 2.0 * math.pi * radius * scale * jac
         dec = stopping_decomposition(cantor, scale)
         a_forms, b_forms = _linear_forms(cantor, sq, dec.ratios, dec.orientations, dec.anchors, True)
         assert np.abs(b_forms).max() <= scale * jac
@@ -870,8 +888,8 @@ class TestOrder1:
         "system, tol, ref_tol", [("cantor", 1e-9, 1e-12), ("mixed_ratios", 1e-4, 1e-7)]
     )
     def test_affine_exact_linearisation(self, system, tol, ref_tol, request):
-        # no Taylor term and one cylinder: the bound is the inner transform's
-        # at 2 xi and tol/2, plus rounding
+        # no Taylor term and one cylinder: the bound is the centred inner
+        # transform's at 2 xi and tol/2, plus rounding
         ifs = request.getfixturevalue(system)
         aff = PushforwardMap(
             evaluator=lambda p: 2.0 * p[:, 0] + 1.0,
@@ -888,7 +906,7 @@ class TestOrder1:
         ) * inner.value
         assert abs(s.value - expected) <= s.error_bound + inner.error_bound
         assert s.leaves_used == 1
-        assert s.error_bound > mu_hat(ifs, 2.0 * xi, tol=0.5 * tol).error_bound
+        assert s.error_bound > mu_hat(ifs.centred, 2.0 * xi, tol=0.5 * tol).error_bound
 
     def test_fewer_leaves_than_order0(self, cantor):
         sq = square_map(cantor)
@@ -1144,7 +1162,7 @@ class TestGridPhases:
         )
         inner = 0.0
         if b_forms is not None:
-            inner = 2.0 * math.pi * ifs.max_point_norm * float(np.abs(b_forms).max())
+            inner = 2.0 * math.pi * ifs.support_radius * float(np.abs(b_forms).max())
         return _phase_rounding(np.abs(xis), float(np.abs(a_forms).max()), inner)
 
     @pytest.mark.parametrize("scheme", ["order0", "order1"])

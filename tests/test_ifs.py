@@ -109,6 +109,21 @@ class TestSupportBall:
         dist = np.linalg.norm(pts - mixed_ratios.barycenter, axis=1)
         assert dist.max() <= mixed_ratios.support_radius + 1e-12
 
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios", "square_2d"])
+    def test_centred_system_is_the_measure_moved_by_minus_b(self, system, request):
+        ifs = request.getfixturevalue(system)
+        centred = ifs.centred
+        assert not centred.barycenter.any() and centred.centred is centred
+        assert centred.centring_drift == 0.0 <= ifs.centring_drift < 1e-15
+        assert centred.support_radius == ifs.support_radius
+        assert centred.max_point_norm == ifs.support_radius
+        assert np.array_equal(centred.ratios, ifs.ratios)
+        # the same chaos-game draws, moved by -b
+        moved = chaos_game(ifs, 2000, seed=6) - ifs.barycenter
+        assert np.abs(chaos_game(centred, 2000, seed=6) - moved).max() <= 1e-14
+        assert ifs.second_moment <= ifs.support_radius**2
+        assert np.mean(np.sum(moved**2, axis=1)) == pytest.approx(ifs.second_moment, rel=0.1)
+
     def test_chaos_game_deterministic(self, cantor):
         a = chaos_game(cantor, 1000, seed=5)
         b = chaos_game(cantor, 1000, seed=5)

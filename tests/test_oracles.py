@@ -1,5 +1,7 @@
 """Property tests of the certificates against independent high-precision oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -10,7 +12,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import numpy as np
 
 from fractal_fourier.errors import InvalidIFS
-from fractal_fourier.fourier import PushforwardMap, mu_hat, pushforward_batch
+from fractal_fourier.fourier import (
+    PushforwardMap,
+    _MuHatTable,
+    mu_hat,
+    pushforward_batch,
+    pushforward_hat_order1,
+    quadratic_map,
+)
 from fractal_fourier.ifs import ifs_1d
 
 ORACLE_SHARE = 1e-3     # the oracle's own error, as a share of the tolerance
@@ -155,3 +164,85 @@ def test_order1_table_batch_within_its_bound_of_the_mpmath_oracle(system, slope,
         phase = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(xi) * mpmath.mpf(offset))
         exact = complex(phase * product_form_mpmath(system, mpmath.mpf(xi) * mpmath.mpf(slope)))
         assert abs(value - exact) <= bound
+
+
+def second_moments_exact(ifs):
+    """(M2, S) of a system on the line in exact rational arithmetic, every float input exact.
+
+    M2 = sum_i p_i (f_i(b) - b)^2 / (1 - sum_i p_i r_i^2) at the exact
+    barycenter b; S = int x^2 dnu for the measure nu of ``ifs.centred``
+    as computed, whose own mean m is not exactly 0:
+    S = sum_i p_i (c_i^2 + 2 s_i c_i m) / (1 - sum_i p_i s_i^2).
+    """
+    p = [Fraction(w) for w in ifs.weights]
+    s = [Fraction(m.ratio) * int(m.orientation[0, 0]) for m in ifs.maps]
+    t = [Fraction(float(m.translation[0])) for m in ifs.maps]
+    spread = 1 - sum(pi * si**2 for pi, si in zip(p, s))
+    b = sum(pi * ti for pi, ti in zip(p, t)) / (1 - sum(pi * si for pi, si in zip(p, s)))
+    m2 = sum(pi * (si * b + ti - b) ** 2 for pi, si, ti in zip(p, s, t)) / spread
+    c = [Fraction(float(m.translation[0])) for m in ifs.centred.maps]
+    mean = sum(pi * ci for pi, ci in zip(p, c)) / (1 - sum(pi * si for pi, si in zip(p, s)))
+    moment = sum(pi * (ci**2 + 2 * si * ci * mean) for pi, si, ci in zip(p, s, c)) / spread
+    return m2, moment
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=homogeneous_systems(),
+    eta_max=st.floats(1.0, 100.0),
+    table_tol=st.sampled_from([1e-5, 1e-6, 1e-7]),
+    data=st.data(),
+)
+def test_centred_table_within_its_slack_of_the_mpmath_product_form(
+    system, eta_max, table_tol, data
+):
+    # the table holds h(eta) = e^{2 pi i eta b} mu_hat(eta), b the computed barycenter
+    table = _MuHatTable(system, eta_max, table_tol)
+    cells = data.draw(st.lists(st.integers(0, len(table.values) - 2), min_size=3, max_size=6))
+    randoms = data.draw(st.lists(st.floats(-eta_max, eta_max), min_size=3, max_size=6))
+    # the middle of the first cell, where |h''| is near its bound 4 pi^2 M2
+    etas = [eta_max, -eta_max, table.eta_max, -table.eta_max, 0.5 * table.h, -0.5 * table.h]
+    etas += [j * table.h for j in cells] + [-j * table.h for j in cells] + randoms
+    looked_up = table.lookup(np.array(etas))
+    b = mpmath.mpf(float(system.barycenter[0]))
+    for eta, value in zip(etas, looked_up):
+        centring = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(eta) * b)
+        error = abs(centring * mpmath.mpc(value) - product_form_mpmath(system, mpmath.mpf(eta)))
+        assert error <= table.slack, eta
+
+    m2, moment = second_moments_exact(system)
+    radius = system.support_radius
+    assert system.second_moment == pytest.approx(float(m2), rel=1e-12, abs=0.0)
+    assert Fraction(system.second_moment) >= moment
+    assert system.second_moment <= radius**2
+
+
+def cantor_product_mpmath(xi, digits=40):
+    """The middle-thirds transform e^{-pi i xi} prod_n cos(2 pi xi / 3^n) to ``digits`` digits."""
+    mpmath.mp.dps = digits
+    x = mpmath.mpf(xi)
+    value, n = mpmath.expj(-mpmath.pi * x), 1
+    while 2 * mpmath.pi * abs(x) / mpmath.mpf(3) ** n > mpmath.mpf(10) ** (5 - digits):
+        value *= mpmath.cos(2 * mpmath.pi * x / mpmath.mpf(3) ** n)
+        n += 1
+    return value
+
+
+@pytest.mark.parametrize("v", [(0.6, 0.8), (-0.28, 0.96), (1.0, 0.0), (0.3, -2.0)])
+def test_order1_in_the_plane_matches_the_product_of_cantor_transforms(square_2d, v):
+    # f(x) = <v, x> has no quadratic part, so H = 0 and one cylinder: the
+    # whole value is the centred product form of the four-corner system at
+    # xi v, turned back by the outer phase at the root's anchor b
+    linear = quadratic_map(square_2d, [{}], linear=[list(v)])
+    assert linear.hessian_bound == 0.0
+    xis = [0.37, 5.1, -23.0, 311.7, 4096.5]
+    tol = 1e-7
+    values, bounds, leaves = pushforward_batch(square_2d, linear, xis, tol=tol, scheme="order1")
+    assert np.all(leaves == 1)
+    for xi, value, bound in zip(xis, values, bounds):
+        exact = complex(cantor_product_mpmath(xi * v[0]) * cantor_product_mpmath(xi * v[1]))
+        single = pushforward_hat_order1(square_2d, linear, xi, tol=tol)
+        assert single.leaves_used == 1
+        assert abs(single.value - exact) <= single.error_bound
+        assert abs(value - exact) <= bound
+        assert 0.0 < bound <= tol
