@@ -239,7 +239,8 @@ class SelfSimilarIFS:
                 for j in range(self.ambient_dim)
             ]
             worst = max(worst, sum(x * x for x in offsets))
-        # float(), sqrt and the division each round to nearest: 4 EPS covers them
+        # float(), sqrt, 1 - rho, the division and the product round to nearest
+        # once each, within 2.5 EPS relative in all: 4 EPS covers them
         eps = float(np.finfo(float).eps)
         return math.sqrt(float(worst)) / (1.0 - float(self.ratios.max())) * (1.0 + 4.0 * eps)
 
@@ -260,10 +261,12 @@ class SelfSimilarIFS:
           F the formula at the c_i.  Hence the square root of the integral
           is below sqrt(F) + |m| (1 + 2 / sqrt(1 - sum p r^2)).
 
-        F and the bound on |m|^2 are exact rationals of the float inputs;
-        the float conversions and square roots round to nearest, six
-        roundings of at most EPS / 2 each, which the factor 1 + 8 EPS
-        covers in the square.
+        F and the bound on |m|^2 are exact rationals of the float inputs.
+        Each float conversion, square root and later operation rounds to
+        nearest once, by at most u = EPS / 2: each square root term is
+        within 1.5 u, the factor (1 + 2 / sqrt(.)) within 3.5 u, the sum
+        within 7 u and its square within 15 u to first order, which the
+        factor 1 + 8 EPS covers.
         """
         p = [Fraction(w) for w in self.weights]
         r = [Fraction(m.ratio) for m in self.maps]
