@@ -236,7 +236,7 @@ def cmd_fourier(args) -> int:
     elif args.map:
         pmap = _build_map(doc.ifs, _parsed("--map", json.loads, args.map))
     else:
-        raise BadConfig("order0/order1 schemes need --map")
+        raise BadConfig(f"the {scheme} scheme needs --map")
     values, errors, leaves = fr.pushforward_batch(
         doc.ifs,
         pmap,
@@ -365,7 +365,7 @@ def cmd_convolve(args) -> int:
         experiment.frequencies,
         experiment.product,
         experiment.product_error,
-        "order1-product",
+        "*".join(experiment.schemes),
         np.zeros(len(experiment.frequencies), dtype=int),
     )
     _dump_json(out / "summary.json", experiment.to_summary())
@@ -468,9 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourier", help="evaluate transforms on a frequency sweep")
     p.add_argument("--ifs", required=True)
-    p.add_argument("--scheme", choices=("recursion", "order0", "order1"),
-                   default="recursion")
-    p.add_argument("--map", default=None, help="JSON map spec for order0/order1")
+    p.add_argument(
+        "--scheme",
+        choices=("recursion", "order0", "order1", "order2"),
+        default="recursion",
+        help="recursion: mu_hat itself; order0/order1/order2: the image under --map by "
+        "cylinder quadrature of that order (order2: homogeneous systems on the line, "
+        "maps with a third-derivative bound)",
+    )
+    p.add_argument("--map", default=None, help="JSON map spec for order0/order1/order2")
     p.add_argument("--xi-min", type=float, default=0.0)
     p.add_argument("--xi-max", type=float, default=100.0)
     p.add_argument("--count", type=int, default=101)

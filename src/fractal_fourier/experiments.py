@@ -38,7 +38,7 @@ from .fourier import (
     neg_log_map,
     pushforward_batch,
 )
-from .ifs import SelfSimilarIFS
+from .ifs import SelfSimilarIFS, _count_stopping
 
 DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
 
@@ -266,10 +266,12 @@ class ConvolutionExperiment:
     l2_octave_slope: float
     octave_table: Tuple[dict, ...]
     warnings: Tuple[str, ...] = ()
+    schemes: Tuple[str, ...] = ()
 
     def to_summary(self) -> dict:
         return {
             "delta": self.delta,
+            "schemes": list(self.schemes),
             "n_freq": self.n_freq,
             "max_frequency": self.delta * self.n_freq,
             "log_support": list(self.log_support),
@@ -347,6 +349,35 @@ def _octave_diagnostics(xis: np.ndarray, phi: np.ndarray, delta: float):
     return rows, slope("l1_increment"), slope("l2_increment")
 
 
+def _factor_cover(factor: ConvolutionFactor, scale: Optional[float], max_frequency: float):
+    """(scheme, scale) for a factor whose order-1 stopping scale is ``scale``.
+
+    A homogeneous factor on the line whose map has a third-derivative
+    bound H3 takes ``order2`` at the coarsest cover whose remainder per
+    unit weight, 1/2 (pi Xi H (r R)^2)^2 + (pi/3) Xi H3 (r R)^3 at
+    Xi = ``max_frequency``, is at most the order-1 Taylor term
+    pi Xi H (s R)^2 of the cover order 1 would use, s its snapped scale
+    (``ifs._count_stopping``).  The ratio of the two grows with |xi|, so
+    at every |xi| <= Xi the order-2 remainder is then within order 1's
+    Taylor term.  A homogeneous system's covers are its levels: the
+    words of length n, at scale rho^n; n rises from 0 until the
+    remainder fits.  Any other factor keeps ("order1", ``scale``).
+    """
+    ifs, pmap = factor.ifs, factor.pmap
+    if scale is None or ifs.ambient_dim != 1 or not ifs.is_homogeneous or pmap.third_bound is None:
+        return "order1", scale
+    hess, third, radius = pmap.hessian_bound, pmap.third_bound, ifs.support_radius
+    taylor = math.pi * hess * (_count_stopping(ifs, scale)[1] * radius) ** 2
+    rho, level = float(ifs.ratios.max()), 1.0
+    while (
+        0.5 * max_frequency * (math.pi * hess * (level * radius) ** 2) ** 2
+        + math.pi / 3.0 * third * (level * radius) ** 3
+        > taylor
+    ):
+        level *= rho
+    return "order2", level
+
+
 def multiplicative_convolution(
     factors: Sequence[ConvolutionFactor],
     max_frequency: float = 2.0**14,
@@ -362,7 +393,11 @@ def multiplicative_convolution(
     log-support length), and reaches max_frequency.  Each factor's
     transform is evaluated at one fixed stopping scale, chosen so that the
     quadratic cross terms of the transform errors take half of
-    ``density_budget``.  The certified density error
+    ``density_budget``: that is the order-1 scale, and a homogeneous
+    factor on the line whose map has a third-derivative bound is
+    evaluated by ``order2`` instead, at the coarsest cover that is as
+    tight at every grid frequency (``_factor_cover``).  The schemes the
+    factors used are recorded in ``schemes``.  The certified density error
     ``density_error_certified`` is delta times the summed product errors
     plus the float rounding of the inversion (``_inversion_rounding``).
     While it is above ``density_budget``, which happens when the linear
@@ -410,18 +445,19 @@ def multiplicative_convolution(
                 scale = None
                 if hess:
                     scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
+                scheme, scale = _factor_cover(factor, scale, max_frequency)
                 vals, errs, _ = pushforward_batch(
                     factor.ifs,
                     factor.pmap,
                     xis,
                     tol=tol,
-                    scheme="order1",
+                    scheme=scheme,
                     threads=threads,
                     budget=budget,
                     scale=scale,
                 )
-                cache[key] = (vals, errs)
-            transforms.append((key, cache[key]))
+                cache[key] = (vals, errs, scheme)
+            transforms.append((key, cache[key][:2]))
 
         # Multiply in canonical key order: numpy complex products are not
         # bitwise commutative, and the product must be identical for any
@@ -485,6 +521,7 @@ def multiplicative_convolution(
         l2_octave_slope=l2_slope,
         octave_table=tuple(rows),
         warnings=tuple(warnings),
+        schemes=tuple(cache[f.key()][2] for f in factors),
     )
 
 

@@ -1,6 +1,6 @@
 """Fourier transforms of self-similar measures, with certified error bounds.
 
-Three evaluation schemes, all driven by the stopping-time cylinder
+Four evaluation schemes, all driven by the stopping-time cylinder
 structure of the measure:
 
 * ``exact_recursion`` (mu_hat): expand the one-step functional equation
@@ -34,6 +34,19 @@ structure of the measure:
   r_w O_w^T (J_f(x_w)^T xi), so the outer phase is 2 pi <xi, f(x_w)>;
   the per-cylinder Taylor error is pi |xi| H_f (r_w R)^2.
 
+* ``order2`` quadrature (homogeneous systems on the line): the quadratic
+  term of each cylinder's phase is integrated too, in the manner of the
+  Filon-type methods of Iserles & Norsett (Proc. R. Soc. A 461, 2005).
+  Cylinder w contributes
+  p_w e^{-2 pi i xi f(x_w)} [h(eta_w) - pi i xi q_w h2(eta_w)], with
+  eta_w as in order 1, q_w = r_w^2 f''(x_w) and
+  h2(eta) = int u^2 e^{-2 pi i eta u} dmu_c(u) = -h''(eta) / 4 pi^2 the
+  second-moment transform of ``ifs.centred``.  Expanding
+  e^{-pi i xi q_w u^2} to first order leaves 1/2 (pi |xi| |q_w| R^2)^2,
+  and the cubic Taylor term of f adds (pi/3) |xi| H3 (r_w R)^3 with H3 a
+  bound on |f'''| (``PushforwardMap.third_bound``): the per-cylinder
+  remainder, the Taylor term of the bound.
+
 Single frequencies and batches share one row kernel, ``_image_rows``.
 A batch groups its frequencies by octave of |xi|, and each group uses the
 stopping cover of its largest |xi|.  A cover's count
@@ -45,9 +58,10 @@ cover once from ``ifs._cover_blocks`` in leaf blocks of at most
 ``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
 a cover has.  The order-1 inner transform is read from a certified
-interpolation table of h for homogeneous systems on the line in a
-batch, whose step follows from the second moment M2 = int |x - b|^2 dmu
-(|h''| <= 4 pi^2 M2); otherwise it is the product form of the centred
+interpolation table of h (and h2 for order 2) for homogeneous systems on
+the line in a batch, whose step follows from the second moment
+M2 = int |x - b|^2 dmu (|h''| <= 4 pi^2 M2); otherwise it is the product
+form of the centred
 system, or for other systems a nested order-0 call of the kernel on its
 identity at tol/2.  Within a
 block the elementwise work runs over cache-sized blocks of rows, and on a
@@ -231,7 +245,7 @@ def _anchor_drift(ifs, scale: float, depth: int) -> float:
     return EPS * (levels + anchor + ifs.max_point_norm)
 
 
-def _centring_rounding(ifs, eta_norm):
+def _centring_rounding(ifs, eta_norm, second: bool = False):
     """The centring allowance: 2 pi |eta| Delta, Delta = ``ifs.centring_drift``.
 
     It bounds |nu_hat(eta) - h(eta)| for the measure nu of
@@ -242,8 +256,18 @@ def _centring_rounding(ifs, eta_norm):
     whose transform is h; its points lie within Delta of nu's points
     coded by the same letters, and e^{-2 pi i <eta, x>} moves by at most
     2 pi |eta| |dx|.  ``eta_norm`` may be an array.
+
+    With ``second`` it is the allowance of the second-moment transform
+    h2(eta) = int u^2 e^{-2 pi i eta u}: paired points u, u' within Delta
+    of each other and of the ball B(0, R) have
+    |u'^2 - u^2| <= Delta (2 R + Delta), and u^2 <= (R + Delta)^2 times
+    the phase's 2 pi |eta| Delta.
     """
-    return TWO_PI * ifs.centring_drift * eta_norm
+    drift = ifs.centring_drift
+    if not second:
+        return TWO_PI * drift * eta_norm
+    radius = ifs.support_radius
+    return drift * (2.0 * radius + drift) + (radius + drift) ** 2 * (TWO_PI * drift * eta_norm)
 
 
 def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: float = 0.0):
@@ -385,7 +409,7 @@ def _mu_hat_row(ifs, eta: np.ndarray, tol: float, budget: int):
     return values[0], errors[0], int(leaves[0])
 
 
-def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
+def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     """Product-form mu_hat of a homogeneous system at every row of ``etas`` (n, k).
 
     All depth-m leaves share the frequency (r O^T)^m eta, so the stopping
@@ -423,9 +447,52 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
     closure and rounding terms of all rows are computed after the values,
     in blocks of ``PHASE_BLOCK`` rows.
 
+    Second moments.  With ``second`` (a centred system on the line: its
+    barycenter is exactly 0, as ``ifs.centred`` sets it) every row also
+    gets h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2.
+    With u = sum_l a_l, a_l = s^l c_{I_l} the offset of level l, each
+    level carries the moments (m0, m1, m2)_l = sum_i p_i (s^l c_i)^j
+    e^{-2 pi i eta s^l c_i}, j = 0, 1, 2, the level's factor and two more
+    weight columns of the same phases (the factor's derivatives up to
+    the constants (-2 pi i)^j); on grid rows they are more columns of the
+    same angle-addition matrix product.  Independent levels combine as
+    (P0, P1, P2) (m0, m1, m2) = (P0 m0, P1 m0 + P0 m1,
+    P2 m0 + 2 P1 m1 + P0 m2) (``_moment_product``, pairwise).  The
+    closing level is (1, 0, 0).  The offsets are at most
+    S = max |c_i| = (1 - rho) R, so the offsets of any set of levels sum
+    to at most R, and every partial product has |P1| <= R and
+    |P2| <= R^2.
+    * closure.  The rest of u is s^D u' with u' ~ nu independent of the
+      levels and |u'| <= R.  Closing with (1, 0, 0) drops
+      P2 (E e' - 1), with |E e' - 1| <= eps_D = 2 pi |eta_D| R, and
+      2 P1 E[s^D u' e'] + E[(s^D u')^2 e'], at most 2 R rho^D R +
+      rho^2D R^2: R^2 (eps_D + 3 rho^D) in all.  So the rows go on until
+      3 rho^D R^2 <= tol as well, and the bound is that closure plus
+      R^2 ``_roundoff(D + 1)``.
+    * rounding (model and u as in ``_phase_rounding``).  Phase errors
+      with sum Phi over the levels (the phase part of
+      ``_recursion_rounding``) move P2 by at most R^2 Phi.  A level's
+      moment j comes from cos and sin of its N phases contracted with
+      weights of total (rho^l S)^j: within 1.5 (N + 7) EPS (rho^l S)^j as
+      a complex number on both paths (the direct dot product and the
+      angle addition, as for the value), which the rest of the product,
+      bounded by (1, R, R^2), carries to at most 6 (N + 7) EPS R^2.  The
+      three complex products and two sums of P2's update err by at most
+      12 EPS R^2, P1's by 5 EPS R and P0's by 2 EPS, which reach P2 as
+      (12 + 10 + 2) EPS R^2: (6 N + 66) EPS R^2 per level, over D + 1
+      levels (a pairwise product has as many combines, each of partial
+      products within those bounds).  The columns p_i (s^l c_i)^j carry
+      a relative error below (2 l + 4) u from the l products of s^l,
+      which moves P2 by at most 4 EPS R^2 / (1 - rho)^2 over all levels.
+      14 times
+      ``_recursion_rounding`` covers Phi and (D + 1)(6 N + 66) EPS, so
+      the allowance is R^2 (14 ``_recursion_rounding`` +
+      4 EPS / (1 - rho)^2).
+
     Returns (values (n,), error bounds (n,), depth).  Each bound is the
     row's closure term plus ``_roundoff(depth + 1)`` plus the phase
     rounding ``_recursion_rounding`` at the row's |eta| and ``depth``.
+    With ``second``, values and bounds are (2, n): h, then h2.
     """
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # row eta -> row r O^T eta
@@ -434,14 +501,20 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
     etas = np.asarray(etas, dtype=float)
     norms = np.sqrt(np.vecdot(etas, etas))      # as np.linalg.norm(eta), bit for bit
     top = etas[int(np.argmax(norms))]
+    if second and (ifs.ambient_dim != 1 or ifs.barycenter.any()):
+        raise FractalFourierError("second moments need a centred system on the line")
     depth = 0
-    while TWO_PI * float(np.linalg.norm(top)) * radius > tol:
+    # 3 rho^D R^2, the part of the h2 closure that |eta| does not scale
+    tail = 3.0 * radius**2 if second else 0.0
+    while TWO_PI * float(np.linalg.norm(top)) * radius > tol or tail > tol:
         top = top @ step_t
+        tail *= ifs.maps[0].ratio
         depth += 1
         if depth > 5000:
             raise FractalFourierError("homogeneous recursion failed to contract")
     values = np.empty(len(etas), dtype=complex)
     errs = np.empty(len(etas))
+    seconds = np.empty(len(etas), dtype=complex) if second else None
     delta = _grid_step(etas)
     if delta is not None:
         # level l < depth: shifts t_i, weights p_i; level depth: b, weight 1
@@ -454,10 +527,18 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
         size = min(len(etas), max(1, PHASE_BLOCK // coefs.size))
         theta = coefs[:, :, None] * np.arange(size)
         folded = level_weights[:, :, None]
+        if second:
+            # weight columns p_i a^j, j = 0, 1, 2, side by side: (levels, N, 3 size)
+            offsets = np.cumprod(np.r_[1.0, np.full(depth, step_t[0, 0])])[:, None] * shifts
+            folded = np.concatenate(
+                [folded, (level_weights * offsets)[:, :, None],
+                 (level_weights * offsets * offsets)[:, :, None]], axis=2
+            ).repeat(size, axis=2)
+            theta = np.tile(theta, 3)
         base = np.concatenate([folded * np.cos(theta), folded * np.sin(theta)], axis=1)
         rot = np.empty((depth + 1, 2, 2 * n_maps))
         # reused: a fresh complex array per chunk costs more than its product
-        factors = np.empty((depth + 1, size), dtype=complex)
+        factors = None if second else np.empty((depth + 1, size), dtype=complex)
         for start in range(0, len(etas), size):
             count = min(size, len(etas) - start)
             theta = start * coefs
@@ -465,31 +546,77 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float):
             # Re = cA cB - sA sB and Im = -(sA cB + cA sB), per level and map
             rot[:, 0, :n_maps], rot[:, 0, n_maps:] = c_off, -s_off
             rot[:, 1, :n_maps], rot[:, 1, n_maps:] = -s_off, -c_off
-            parts = rot @ base[:, :, :count]
-            factors.real[:, :count], factors.imag[:, :count] = parts[:, 0], parts[:, 1]
-            np.prod(factors[:, :count], axis=0, out=values[start : start + count])
+            if not second:
+                parts = rot @ base[:, :, :count]
+                factors.real[:, :count], factors.imag[:, :count] = parts[:, 0], parts[:, 1]
+                np.prod(factors[:, :count], axis=0, out=values[start : start + count])
+                continue
+            parts = (rot @ base).reshape(depth + 1, 2, 3, size)[..., :count]
+            moments = parts[:, 0] - 0j
+            moments.imag = parts[:, 1]
+            values[start : start + count], seconds[start : start + count] = _moment_product(moments)
         np.multiply(norms, abs(float(step_t[0, 0])) ** depth, out=errs)    # |eta_D|
     else:
         for start in range(0, len(etas), FRONTIER_BLOCK):
             rows = slice(start, start + FRONTIER_BLOCK)
             cur = etas[rows]
             value = np.ones(len(cur), dtype=complex)
-            for _ in range(depth):
+            levels = []
+            for level in range(depth):
                 phases = TWO_PI * (cur @ trans)
-                value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
+                if second:
+                    offsets = trans[0] * float(step_t[0, 0]) ** level
+                    cols = np.stack([weights, weights * offsets, weights * offsets * offsets], axis=1)
+                    levels.append((np.cos(phases) @ cols - 1j * (np.sin(phases) @ cols)).T)
+                else:
+                    value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
                 cur = cur @ step_t
+            if second:
+                if levels:
+                    value, seconds[rows] = _moment_product(np.array(levels))
+                else:
+                    seconds[rows] = 0.0
             value *= _cis(TWO_PI * (cur @ ifs.barycenter))
             values[rows] = value
             errs[rows] = np.sqrt(np.vecdot(cur, cur))     # |eta_D|
+    errs2 = np.empty(len(etas)) if second else None
+    ratio = float(ifs.ratios.max())
     # PHASE_BLOCK rows at a time: whole-array temporaries would add several
     # arrays of the table's size to the peak memory
     for start in range(0, len(etas), PHASE_BLOCK):
         rows = slice(start, start + PHASE_BLOCK)
-        closure = TWO_PI * errs[rows] * radius + _roundoff(depth + 1)
-        errs[rows] = closure + _recursion_rounding(
-            ifs, norms[rows], depth, grid=delta is not None
-        )
+        reach = TWO_PI * errs[rows] * radius
+        rounding = _recursion_rounding(ifs, norms[rows], depth, grid=delta is not None)
+        if second:
+            errs2[rows] = radius**2 * (
+                reach + 3.0 * ratio**depth + _roundoff(depth + 1)
+                + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2
+            )
+        errs[rows] = reach + _roundoff(depth + 1) + rounding
+    if second:
+        return np.stack([values, seconds]), np.stack([errs, errs2]), depth
     return values, errs, depth
+
+
+def _moment_product(levels: np.ndarray):
+    """(P0, P2) of the moments (m0, m1, m2) of independent levels, ``levels`` (L, 3, n).
+
+    Two sets of levels combine as (P0, P1, P2) (m0, m1, m2) =
+    (P0 m0, P1 m0 + P0 m1, P2 m0 + 2 P1 m1 + P0 m2).  The levels are
+    merged pairwise, all pairs of a round at once, in ceil(log2 L) rounds:
+    L - 1 combines as in a level-by-level product, each of a set of
+    levels whose offsets sum to at most R, the rounding
+    ``_mu_hat_homog_many`` derives for its second moments.
+    """
+    while len(levels) > 1:
+        half = len(levels) // 2
+        a, b = levels[:half], levels[half : 2 * half]
+        merged = np.empty_like(a)
+        np.multiply(a[:, 0], b[:, 0], out=merged[:, 0])
+        merged[:, 1] = a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]
+        merged[:, 2] = a[:, 2] * b[:, 0] + 2.0 * (a[:, 1] * b[:, 1]) + a[:, 0] * b[:, 2]
+        levels = np.concatenate([merged, levels[2 * half :]]) if len(levels) % 2 else merged
+    return levels[0, 0], levels[0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +632,10 @@ class PushforwardMap:
     ``gradient`` returns (n, k) when d = 1, else the Jacobian (n, d, k).
     ``hessian`` (d = 1 only) returns (n, k, k).  ``lipschitz_bound`` and
     ``hessian_bound`` bound |f'| and the operator norm of the Hessian of
-    <v, f> (unit v) on the stated ball; ``bounds_certified`` records
-    whether they are analytic or sampled estimates.
+    <v, f> (unit v) on the stated ball; ``third_bound`` (H3, scalar maps
+    on the line) bounds |f'''| there, and a map without it cannot take
+    ``order2``.  ``bounds_certified`` records whether they are analytic or
+    sampled estimates.
     """
 
     evaluator: Callable
@@ -516,6 +645,7 @@ class PushforwardMap:
     hessian: Optional[Callable] = None
     lipschitz_bound: Optional[float] = None
     hessian_bound: Optional[float] = None
+    third_bound: Optional[float] = None
     kind: str = "generic_c2"
     label: str = "f"
     bounds_certified: bool = True
@@ -536,6 +666,7 @@ def identity_map(ifs: SelfSimilarIFS) -> PushforwardMap:
         hessian=(lambda pts: np.zeros((len(pts), 1, 1))) if k == 1 else None,
         lipschitz_bound=1.0,
         hessian_bound=0.0,
+        third_bound=0.0,
         kind="generic_c2",
         label="identity",
     )
@@ -550,12 +681,13 @@ def constant_map(ifs: SelfSimilarIFS, c: float) -> PushforwardMap:
         hessian=lambda pts: np.zeros((len(pts),) + (ifs.ambient_dim,) * 2),
         lipschitz_bound=0.0,
         hessian_bound=0.0,
+        third_bound=0.0,
         label=f"constant({c})",
     )
 
 
 def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
-    """f(x) = x^2 on the line; |f'| <= 2 sup|x|, f'' = 2."""
+    """f(x) = x^2 on the line; |f'| <= 2 sup|x|, f'' = 2, f''' = 0."""
     if ifs.ambient_dim != 1:
         raise Unsupported("square_map is one-dimensional; see sum_of_squares_map")
     sup = ifs.max_point_norm
@@ -567,12 +699,13 @@ def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
         hessian=lambda pts: np.full((len(pts), 1, 1), 2.0),
         lipschitz_bound=2.0 * sup,
         hessian_bound=2.0,
+        third_bound=0.0,
         label="square",
     )
 
 
 def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
-    """f(x) = x^3 on the line; curvature vanishes at the origin."""
+    """f(x) = x^3 on the line; curvature vanishes at the origin, f''' = 6."""
     sup = ifs.max_point_norm
     return PushforwardMap(
         evaluator=lambda pts: pts[:, 0] ** 3,
@@ -582,6 +715,7 @@ def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
         hessian=lambda pts: 6.0 * pts[:, :, None],
         lipschitz_bound=3.0 * sup**2,
         hessian_bound=6.0 * sup,
+        third_bound=6.0,
         label="cube",
     )
 
@@ -598,6 +732,7 @@ def sum_of_squares_map(ifs: SelfSimilarIFS) -> PushforwardMap:
         hessian=lambda pts: np.broadcast_to(2.0 * np.eye(k), (len(pts), k, k)).copy(),
         lipschitz_bound=2.0 * sup,
         hessian_bound=2.0,
+        third_bound=0.0,
         label="sum_of_squares",
     )
 
@@ -614,7 +749,11 @@ def _positive_margin(ifs: SelfSimilarIFS, shift: float) -> float:
 
 
 def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
-    """f(x) = log(x - shift); requires the support ball right of the shift."""
+    """f(x) = log(x - shift); requires the support ball right of the shift.
+
+    With lo the ball's left end minus the shift, |f'| <= 1/lo,
+    |f''| <= 1/lo^2 and |f'''| = 2/(x - shift)^3 <= 2/lo^3.
+    """
     lo = _positive_margin(ifs, shift)
     return PushforwardMap(
         evaluator=lambda pts: np.log(pts[:, 0] - shift),
@@ -624,12 +763,16 @@ def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
         hessian=lambda pts: (-1.0 / (pts[:, :, None] - shift) ** 2),
         lipschitz_bound=1.0 / lo,
         hessian_bound=1.0 / lo**2,
+        third_bound=2.0 / lo**3,
         label=f"log(x-{shift})" if shift else "log",
     )
 
 
 def neg_log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
-    """f(y) = -log(y - shift); the second factor of radial-projection form."""
+    """f(y) = -log(y - shift); the second factor of radial-projection form.
+
+    Its derivative bounds are those of ``log_map``.
+    """
     lo = _positive_margin(ifs, shift)
     return PushforwardMap(
         evaluator=lambda pts: -np.log(pts[:, 0] - shift),
@@ -639,6 +782,7 @@ def neg_log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
         hessian=lambda pts: (1.0 / (pts[:, :, None] - shift) ** 2),
         lipschitz_bound=1.0 / lo,
         hessian_bound=1.0 / lo**2,
+        third_bound=2.0 / lo**3,
         label=f"-log(y-{shift})" if shift else "-log",
     )
 
@@ -693,6 +837,7 @@ def quadratic_map(
         else None,
         lipschitz_bound=lipschitz,
         hessian_bound=hessian_bound,
+        third_bound=0.0,
         kind="quadratic",
         label="quadratic",
         quad_hessians=hessians,
@@ -853,43 +998,60 @@ class _MuHatTable:
 
     The table holds h(eta) = e^{2 pi i eta b} mu_hat(eta), the transform
     of ``ifs.centred``: the order-1 inner transform of every cylinder.
-    ``slack`` certifies |lookup(eta) - h(eta)| for |eta| <= eta_max;
+    ``slack`` certifies |lookup(eta) - h(eta)| for |eta| <= ``eta_max``;
     negative frequencies resolve through conjugate symmetry.  Linear
     interpolation at step h errs by at most (h^2 / 8) max|h''|, and
     |h''| <= 4 pi^2 int |x - b|^2 dmu = 4 pi^2 M2 (``second_moment``), so
     the step sqrt(8 table_tol / (4 pi^2 M2)) keeps that term at
     ``table_tol``: larger than a step from (2 pi sup|x|)^2 by
     sup|x| / sqrt(M2), 2.83 on the Cantor measure.  The slack adds the
-    largest bound of the grid rows and the centring allowance
-    (``_centring_rounding``) at eta_max.  The rows are exactly j * h, so
-    ``_mu_hat_homog_many`` builds them as grid rows, by angle addition
-    from one base block per call; their bounds include that rounding.
-    What the build still costs is proportional to rows x levels: the
-    depth at which the largest row closes at ``table_tol``.
+    largest bound of the rows a lookup reaches and the centring allowance
+    (``_centring_rounding``) at eta_max.  A lookup reads the rows i and
+    i + 1 with i = int(|eta| * (1/h)), monotone in |eta|, so the rows up
+    to int(eta_max * (1/h)) + 1 are the reachable ones.  The rows are
+    exactly j * h, so ``_mu_hat_homog_many`` builds them as grid rows, by
+    angle addition from one base block per call; their bounds include
+    that rounding.  What the build still costs is proportional to
+    rows x levels: the depth at which the largest row closes at
+    ``table_tol``.
+
+    With ``second`` the table also holds the second-moment transform
+    h2(eta) = int u^2 e^{-2 pi i eta u} (``_mu_hat_homog_many``'s second
+    moments, on the same grid and read with the same index), certified
+    to ``slack2``: |h2''| = 4 pi^2 |int u^4 e^{...}| <= 4 pi^2 R^2 M2 on
+    the ball of radius R, so its interpolation term is R^2 times that of
+    h, and its centring allowance is ``_centring_rounding``'s second.
     """
 
-    __slots__ = ("h", "values", "slack", "eta_max")
+    __slots__ = ("h", "values", "seconds", "slack", "slack2", "eta_max")
 
-    def __init__(self, ifs, eta_max: float, table_tol: float):
-        second = TWO_PI**2 * ifs.second_moment
-        h = math.sqrt(8.0 * table_tol / second)
+    def __init__(self, ifs, eta_max: float, table_tol: float, second: bool = False):
+        curvature = TWO_PI**2 * ifs.second_moment
+        h = math.sqrt(8.0 * table_tol / curvature)
         n = int(eta_max / h) + 3
         if n > 4_000_000:
             n = 4_000_000
             h = eta_max / (n - 3)
         etas = np.zeros((n, ifs.ambient_dim))
         etas[:, 0] = np.arange(n) * h
-        vals, errs, _ = _mu_hat_homog_many(ifs.centred, etas, table_tol)
+        vals, errs, _ = _mu_hat_homog_many(ifs.centred, etas, table_tol, second)
+        reach = int(eta_max * (1.0 / h)) + 2
+        interpolation = (h**2 / 8.0) * curvature
         self.h = h
+        self.eta_max = eta_max
+        self.seconds, self.slack2 = None, None
+        if second:
+            (vals, self.seconds), (errs, errs2) = vals, errs
+            self.slack2 = (
+                float(errs2[:reach].max())
+                + interpolation * ifs.support_radius**2
+                + _centring_rounding(ifs, eta_max, second=True)
+            )
         self.values = vals
-        self.eta_max = float(etas[-2, 0])
-        self.slack = (
-            float(errs.max(initial=0.0))
-            + (h**2 / 8.0) * second
-            + _centring_rounding(ifs, self.eta_max)
-        )
+        self.slack = float(errs[:reach].max()) + interpolation + _centring_rounding(ifs, eta_max)
 
-    def lookup(self, eta: np.ndarray) -> np.ndarray:
+    def lookup(self, eta: np.ndarray, second: bool = False):
+        """h at every entry of ``eta``; with ``second``, (h, h2) from one index computation."""
         # In place where possible: the batch kernel calls this on its
         # largest arrays.
         frac = np.abs(eta)
@@ -897,13 +1059,23 @@ class _MuHatTable:
         idx = frac.astype(np.int64)
         frac -= idx
         lo = self.values[idx]
+        if second:
+            lo2 = self.seconds[idx]
         idx += 1
         out = self.values[idx]
         out -= lo
         out *= frac
         out += lo
-        np.multiply(out.imag, np.sign(eta), out=out.imag)
-        return out
+        sign = np.sign(eta)
+        np.multiply(out.imag, sign, out=out.imag)
+        if not second:
+            return out
+        out2 = self.seconds[idx]
+        out2 -= lo2
+        out2 *= frac
+        out2 += lo2
+        np.multiply(out2.imag, sign, out=out2.imag)
+        return out, out2
 
 
 def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
@@ -922,6 +1094,30 @@ def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
     """
     curvature = math.pi * xi_norm * hess
     return math.sqrt(0.5 * tol / curvature) / ifs.support_radius if curvature > 0.0 else math.inf
+
+
+def _order2_scale(ifs, hess: float, third: float, tol: float, xi_norm: float) -> float:
+    """Stopping scale at which the order-2 remainder is tol/2.
+
+    The remainder per unit weight is 1/2 (pi |xi| H x^2)^2 + (pi/3) |xi| H3 x^3
+    at x = r R; the scale is the root x over R, or inf when both
+    coefficients are 0 (or underflow to it).  The remainder is convex
+    and increasing in x, so Newton's method from the smaller of the two
+    single-term roots, which lies above the root, decreases to it.
+    """
+    quartic = 0.5 * (math.pi * xi_norm * hess) ** 2
+    cubic = math.pi / 3.0 * xi_norm * third
+    target = 0.5 * tol
+    roots = [(target / c) ** (1.0 / p) for c, p in ((quartic, 4), (cubic, 3)) if c > 0.0]
+    if not roots:
+        return math.inf
+    x = min(roots)
+    for _ in range(100):
+        step = (quartic * x**4 + cubic * x**3 - target) / (4.0 * quartic * x**3 + 3.0 * cubic * x**2)
+        if not step > 0.0:
+            break
+        x -= step
+    return x / ifs.support_radius
 
 
 def _jacobian_bound(ifs, pmap) -> float:
@@ -1038,7 +1234,7 @@ def _run_rows(run, jobs, m: int, threads: int):
 
 
 def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
-    """Order-0 or order-1 image transform at every row of ``xis`` (m, d).
+    """Order-0, order-1 or order-2 image transform at every row of ``xis`` (m, d).
 
     Rows with xi = 0 are exact.  The others share the cover at ``scale``
     when it is given, else they are grouped by octave of |xi| and each
@@ -1073,8 +1269,25 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     counted against ``budget``; each inner bound adds the centring
     allowance ``_centring_rounding``.
 
+    Order 2 (homogeneous systems on the line, maps with ``third_bound``)
+    reads h and h2 at the same inner frequency, from the table's two
+    columns or the product form's second moments, and combines them with
+    the leaf column q_w = r_w^2 f''(x_w) into h - pi i xi q_w h2 before
+    the outer phase.  The inner value is then at most 1 + kappa with
+    kappa = pi |xi| max_w |q_w| R^2, and its h2 part is
+    2 pi R kappa-Lipschitz (|h2'| <= 2 pi int |u|^3 <= 2 pi R^3), so the
+    roundoff, phase and cover rounding terms, derived for |h| <= 1 and a
+    2 pi R-Lipschitz h, scale by 1 + kappa.  Forming the inner value
+    adds EPS ((D + 6) kappa + 1): pi xi q_w carries the D-level rounding
+    of r_w^2 and a few more products, and the sum one more.  The cover
+    rounding's gain grows by H3 R^2 / 2: an anchor moved by delta moves
+    the cubic Taylor term by pi |xi| H3 (r_w R)^2 delta to first order.
+
     A row's bound is |xi| times the cover's closure (order 0) or Taylor
-    (order 1) coefficient, plus the inner bound, plus roundoff, plus the
+    (order 1) coefficient, or for order 2 the remainder
+    |xi|^2 pi^2 R^4 / 2 sum_w p_w q_w^2 + |xi| (pi/3) H3 R^3 sum_w p_w r_w^3
+    (the table's h2 slack enters as pi |xi| sum_w p_w |q_w| slack2), plus
+    the inner bound, plus roundoff, plus the
     phase rounding ``_phase_rounding``, which holds for both phase paths,
     plus ``_cover_rounding`` for the rounding the cover's anchors and
     weights carry.  The coefficient and the largest |A_w| accumulate over
@@ -1086,7 +1299,24 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     """
     m, d = xis.shape
     k = ifs.ambient_dim
-    order1 = scheme == "order1"
+    order2 = scheme == "order2"
+    order1 = scheme == "order1" or order2     # order 2 adds to order 1's linear forms
+    if order2:
+        if k != 1 or d != 1:
+            raise Unsupported(
+                f"order2 is implemented on the line only (k = {k}, d = {d}); use order1"
+            )
+        if not ifs.is_homogeneous:
+            raise Unsupported(
+                "order2 needs a homogeneous system (one shared ratio and orientation); "
+                "use order1 for non-homogeneous systems"
+            )
+        if pmap.third_bound is None:
+            raise MissingHessianBound(
+                f"order2 needs third_bound, a bound on |f'''|, and map {pmap.label!r} has none"
+            )
+        if pmap.hessian is None:
+            raise BadConfig("order2 needs a hessian evaluator")
     norms = np.linalg.norm(xis, axis=1)
     # Not norms > 0: the norm of a row below ~1e-154 underflows to 0, which
     # leaves its closure term far below the roundoff terms, not exact.
@@ -1095,10 +1325,15 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         return _run_rows(None, [], m, threads)
     if order1:
         if pmap.hessian_bound is None:
-            raise MissingHessianBound("order1 needs hessian_bound (use estimate_bounds)")
+            raise MissingHessianBound(f"{scheme} needs hessian_bound (use estimate_bounds)")
         if pmap.gradient is None:
-            raise BadConfig("order1 needs a gradient evaluator")
+            raise BadConfig(f"{scheme} needs a gradient evaluator")
         bound, stopping_scale = pmap.hessian_bound, _order1_scale
+        if order2:
+            third = pmap.third_bound
+
+            def stopping_scale(ifs, bound, tol, xi_norm):
+                return _order2_scale(ifs, bound, third, tol, xi_norm)
     else:
         if pmap.lipschitz_bound is None:
             raise BadConfig("order0 needs lipschitz_bound (use estimate_bounds)")
@@ -1117,7 +1352,11 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
     radius = ifs.support_radius
-    if order1:
+    if order2:
+        jac = _jacobian_bound(ifs, pmap)
+        unit = math.pi / 3.0 * third * radius**3
+        gain = jac + bound * radius + 0.5 * third * radius**2
+    elif order1:
         jac = _jacobian_bound(ifs, pmap)
         unit, gain = math.pi * bound * radius**2, jac + bound * radius
     else:
@@ -1126,7 +1365,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     if order1 and table:
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
-        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8))
+        second = (True,) if order2 else ()      # order 2 tabulates h2 as well
+        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), *second)
     centred = ifs.centred if order1 else None
     identity = identity_map(centred) if order1 and mu_table is None else None
 
@@ -1142,9 +1382,17 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         total, carry = np.zeros((2, len(rows)), dtype=complex)
         part = np.empty(len(rows), dtype=complex)
         moment, a_max, inner_err = 0.0, 0.0, 0.0
+        quartic, curv_sum, curv_max = 0.0, 0.0, 0.0     # order 2: sums of p q^2, p |q|; max |q|
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
-            moment += float(np.sum(weights * (ratios**2 if order1 else ratios)))
+            if order2:
+                curv = ratios**2 * pmap.hessian(anchors)[:, 0, 0]     # q_w = r_w^2 f''(x_w)
+                moment += float(np.sum(weights * ratios**3))
+                quartic += float(np.sum(weights * curv**2))
+                curv_sum += float(np.sum(weights * np.abs(curv)))
+                curv_max = max(curv_max, float(np.abs(curv).max()))
+            else:
+                moment += float(np.sum(weights * (ratios**2 if order1 else ratios)))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
             if order1 and mu_table is None:
                 if k == d == 1:
@@ -1153,24 +1401,45 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
                     eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
                 flat = eta.reshape(-1, k)
                 if ifs.is_homogeneous:
-                    vals, errs, _ = _mu_hat_homog_many(centred, flat, 0.5 * tol)
+                    vals, errs, _ = _mu_hat_homog_many(centred, flat, 0.5 * tol, order2)
                 else:
                     vals, errs, _ = _image_rows(
                         centred, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
                     )
-                errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
-                exact_inner = vals.reshape(len(rows), len(weights))
+                eta_norms = np.sqrt(np.vecdot(flat, flat))
+                if order2:
+                    errs[0] += _centring_rounding(ifs, eta_norms)
+                    errs[1] += _centring_rounding(ifs, eta_norms, second=True)
+                    # h errs, plus pi |xi| |q_w| times the h2 errs
+                    errs = errs[0] + np.pi * np.outer(norms[rows], np.abs(curv)).ravel() * errs[1]
+                    exact_inner = vals.reshape(2, len(rows), len(weights))
+                else:
+                    errs += _centring_rounding(ifs, eta_norms)
+                    exact_inner = vals.reshape(len(rows), len(weights))
                 inner_err = inner_err + np.add.reduce(
-                    errs.reshape(exact_inner.shape) * weights, axis=1
+                    errs.reshape(len(rows), len(weights)) * weights, axis=1
                 )
             for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
                 if b_forms is None:
                     re, im = ct, np.negative(st, out=st)
                 else:
                     if mu_table is not None:
-                        inner = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
+                        eta = np.outer(x[start:stop, 0], b_forms[:, 0, 0])
+                        if order2:
+                            inner, inner2 = mu_table.lookup(eta, second=True)
+                        else:
+                            inner = mu_table.lookup(eta)
+                    elif order2:
+                        inner, inner2 = exact_inner[:, start:stop]
                     else:
                         inner = exact_inner[start:stop]
+                    if order2:
+                        # h - i g h2 with g = pi xi q_w: the quadratic phase integrated
+                        g = np.outer(np.pi * x[start:stop, 0], curv)
+                        inner2.real *= g
+                        inner2.imag *= g
+                        inner.real += inner2.imag
+                        inner.imag -= inner2.real
                     # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
                     re = ct * inner.real
                     re += st * inner.imag
@@ -1182,12 +1451,23 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
             z = t - total
             carry += (total - (t - z)) + (part - z)
             total = t
+        xi_norms = norms[rows]
         if mu_table is not None:
             inner_err = mu_table.slack
+            if order2:
+                inner_err = inner_err + np.pi * xi_norms * curv_sum * mu_table.slack2
         inner_reach = TWO_PI * radius * cover_scale * jac
-        bounds = norms[rows] * (unit * moment) + inner_err + _roundoff(n)
-        bounds = bounds + _phase_rounding(norms[rows], a_max, inner_reach, max(k, d))
-        bounds = bounds + _cover_rounding(ifs, cover_scale, depth, norms[rows], gain, inner_reach)
+        if not order2:
+            bounds = xi_norms * (unit * moment) + inner_err + _roundoff(n)
+            bounds = bounds + _phase_rounding(xi_norms, a_max, inner_reach, max(k, d))
+            bounds = bounds + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
+            return rows, total + carry, bounds, n
+        remainder = xi_norms**2 * (0.5 * (np.pi * radius**2) ** 2 * quartic) + xi_norms * (unit * moment)
+        kappa = np.pi * xi_norms * curv_max * radius**2
+        carried = _roundoff(n) + _phase_rounding(xi_norms, a_max, inner_reach)
+        carried = carried + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
+        bounds = remainder + inner_err + (1.0 + kappa) * carried
+        bounds = bounds + EPS * ((depth + 6.0) * kappa + 1.0)
         return rows, total + carry, bounds, n
 
     return _run_rows(run, jobs, m, threads)
@@ -1241,6 +1521,29 @@ def pushforward_hat_order1(
     return _image_sample(ifs, pmap, xi, tol, "order1", scale, budget)
 
 
+def pushforward_hat_order2(
+    ifs: SelfSimilarIFS,
+    pmap: PushforwardMap,
+    xi,
+    tol: float = 1e-4,
+    scale: Optional[float] = None,
+    budget: Optional[int] = None,
+) -> FrequencySample:
+    """Order-2 cylinder quadrature of the image transform (homogeneous systems on the line).
+
+    Each cylinder integrates its quadratic phase: the linear part through
+    the centred transform h and the quadratic part through the
+    second-moment transform h2 (both from the product form of
+    ``ifs.centred`` at tol/2); the remainder
+    1/2 (pi |xi| |q_w| R^2)^2 + (pi/3) |xi| H3 (r_w R)^3 per unit weight
+    gives the stopping scale, about (tol / |xi|^2)^(1/4) for the square
+    map and (tol / |xi|)^(1/3) when H3 > 0.  Raises Unsupported for
+    k >= 2 and non-homogeneous systems, and MissingHessianBound for a map
+    without ``third_bound``.
+    """
+    return _image_sample(ifs, pmap, xi, tol, "order2", scale, budget)
+
+
 def pushforward_batch(
     ifs: SelfSimilarIFS,
     pmap: PushforwardMap,
@@ -1254,7 +1557,7 @@ def pushforward_batch(
     """Evaluate the scalar image transform on an array of frequencies.
 
     Returns (values, error_bounds, leaves_used) aligned with ``xis``.
-    ``order0``/``order1`` run the row kernel of the single calls: the
+    ``order0``/``order1``/``order2`` run the row kernel of the single calls: the
     frequencies of one octave of |xi| share the stopping cover of their
     largest |xi| (a refinement of each one's own cover), and a fixed
     ``scale`` pins one cover for all, which is how uniform inversion grids
@@ -1272,14 +1575,16 @@ def pushforward_batch(
     from the second moment ``ifs.second_moment`` and whose grid rows take
     the product form by angle addition; other systems evaluate it
     exactly, non-homogeneous ones by a nested order-0 kernel call on the
-    centred system's identity.  Leaf terms are summed
+    centred system's identity.  ``order2`` (homogeneous systems on the
+    line) reads the second-moment transform from the same table.  Leaf
+    terms are summed
     pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
     ``pmap`` unused), one call and one cover per frequency; for a
     non-homogeneous system the largest frequency's cover is counted
     against ``budget`` before any is expanded.  Results are independent of
     ``threads`` (fixed jobs, fixed reduction order).
     """
-    if scheme not in ("order0", "order1", "exact_recursion"):
+    if scheme not in ("order0", "order1", "order2", "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
     if scheme == "exact_recursion" and ifs.ambient_dim != 1:
         raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")

@@ -458,6 +458,8 @@ def _run_cli(tmp_path, tag, threads, args):
 def test_criterion_13_thread_determinism(tmp_path):
     """Criteria 4-6 and 10 through the CLI with --threads in {1, 4}.
 
+    Criterion 5 runs under order0, order1 and order2.
+
     Criterion 4 runs at full size; 5, 6 and 10 run scaled down (the
     determinism property has no size dependence, and the boxes running
     this suite have a single core).
@@ -503,6 +505,11 @@ def test_criterion_13_thread_determinism(tmp_path):
             "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order1",
             "--map", '{"kind": "square"}', "--tol", "1e-3",
             "--xi-list", "256,1024,4096,16384", "--out", "@OUT@/order1.csv",
+        ],
+        "crit5c": [
+            "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order2",
+            "--map", '{"kind": "square"}', "--tol", "1e-3",
+            "--xi-list", "256,1024,4096,16384", "--out", "@OUT@/order2.csv",
         ],
         "crit6": ["decay", "--config", str(decay_cfg), "--out", "@OUT@"],
         "crit10": ["convolve", "--config", str(conv_cfg), "--out", "@OUT@"],

@@ -330,6 +330,52 @@ class TestFourier:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_order2_map_sweep(self, tmp_path):
+        out = tmp_path / "sq.csv"
+        code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order2",
+                     "--map", '{"kind": "square"}', "--xi-list", "256,1024,4096",
+                     "--tol", "1e-3", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [row[5] for row in rows] == ["order2"] * 3
+        assert all(float(row[4]) <= 1e-3 for row in rows)
+
+    @pytest.mark.parametrize("system, spec, message", [
+        ("planar", '{"kind": "sum_of_squares"}', "order2 is implemented on the line only"),
+        ("mixed", '{"kind": "square"}', "order2 needs a homogeneous system"),
+        ("cantor", '{"kind": "square"}', "order2 needs third_bound"),
+    ])
+    def test_order2_outside_its_scope_exit_2(self, tmp_path, capsys, monkeypatch, system, spec,
+                                             message):
+        paths = {"cantor": CONFIGS / "cantor.json"}
+        paths["mixed"] = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
+        planar = {
+            "ambient_dim": 2,
+            "maps": [
+                {"ratio": 1 / 3, "orientation": [1.0, 0.0, 0.0, 1.0], "translation": [x, y]}
+                for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)
+            ],
+            "weights": [0.25] * 4,
+        }
+        paths["planar"] = tmp_path / "planar.json"
+        paths["planar"].write_text(json.dumps(planar))
+        if system == "cantor":
+            # a square map whose third-derivative bound is unknown
+            from dataclasses import replace
+
+            from fractal_fourier import cli as cli_module
+
+            square = cli_module._MAP_BUILDERS["square"]
+            monkeypatch.setitem(
+                cli_module._MAP_BUILDERS, "square",
+                lambda ifs, spec: replace(square(ifs, spec), third_bound=None),
+            )
+        code = main(["fourier", "--ifs", str(paths[system]), "--scheme", "order2", "--map", spec,
+                     "--xi-list", "10.0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_map_required_for_order0(self):
         code = main(
             ["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0"]
@@ -421,6 +467,27 @@ class TestConvolveCommand:
         assert 0.9 <= summary["mass"] <= 1.1
         density = (tmp_path / "out" / "density.csv").read_text().strip().split("\n")
         assert density[0] == "x,density,error_estimate"
+
+    def test_scheme_column_names_the_factors_schemes(self, tmp_path):
+        # a homogeneous factor takes order2, a non-homogeneous one order1
+        mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [1.0, 1.75], [0.5, 0.5])
+        cfg = {
+            "factors": [
+                {"ifs": str(CONFIGS / "uniform12.json"), "map": {"kind": "log"}},
+                {"ifs": str(mixed), "map": {"kind": "log"}},
+            ],
+            "max_frequency": 128.0,
+            "density_points": 32,
+        }
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["convolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["schemes"] == ["order2", "order1"]
+        lines = (out / "product_transform.csv").read_text().strip().split("\n")
+        assert lines[0].split(",")[5] == "scheme"
+        assert {line.split(",")[5] for line in lines[1:]} == {"order2*order1"}
 
     @pytest.mark.parametrize("field", ["bogus", "seed"])
     def test_unknown_field_rejected(self, tmp_path, field):

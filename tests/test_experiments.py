@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fractal_fourier.experiments import (
     write_density_csv,
 )
 from fractal_fourier.fourier import PushforwardMap, constant_map, identity_map, square_map
-from fractal_fourier.ifs import ifs_1d
+from fractal_fourier.ifs import ifs_1d, uniform_ifs
 
 
 class TestDecayExperiment:
@@ -194,11 +195,17 @@ class TestInversion:
         assert e.density_error_certified == float(transform_part) + rounding
 
 
+DIGITS_B5 = ifs_1d([0.2] * 4, [d / 5 + 0.8 for d in range(4)])
+
+
 class TestDensityBudget:
     @pytest.fixture(scope="class")
     def digits_factor(self):
-        # base-5 digits {0, 1, 2, 3} moved to [1, 1.75]: dim 0.861, slow decay
-        return log_factor(ifs_1d([0.2] * 4, [d / 5 + 0.8 for d in range(4)]))
+        # base-5 digits {0, 1, 2, 3} moved to [1, 1.75]: dim 0.861, slow decay.
+        # Without a third-derivative bound the factor keeps order1, whose
+        # first scale certifies only 0.128 here: the retries are what is tested.
+        factor = log_factor(DIGITS_B5)
+        return replace(factor, pmap=replace(factor.pmap, third_bound=None))
 
     def test_slow_decay_is_refined_into_budget(self, digits_factor, monkeypatch):
         calls = []
@@ -245,6 +252,20 @@ class TestDensityBudget:
             )
         assert info.value.budget_name == "density_budget"
 
+    def test_order2_certifies_slow_decay_in_one_evaluation(self, monkeypatch):
+        calls = []
+        original = experiments_module.pushforward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["scheme"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
+        exp = multiplicative_convolution([log_factor(DIGITS_B5)] * 2, max_frequency=256.0)
+        assert calls == ["order2"]
+        assert exp.schemes == ("order2", "order2")
+        assert exp.density_error_certified <= 0.05 * DEFAULT_DENSITY_BUDGET
+
     def test_unreachable_budget_raises_before_building(self, digits_factor):
         with pytest.raises(ResourceExceeded) as info:
             multiplicative_convolution(
@@ -286,3 +307,55 @@ class TestRadialProjection:
             radial_projection_experiment(uniform12, uniform12, 1.5, 0.0)
         with pytest.raises(CenterInsideSupport):
             radial_projection_experiment(uniform12, uniform12, 0.0, 1.5)
+
+
+class TestOrder2Factors:
+    """Factors evaluated by order2 are no looser, row by row, than order1 would be."""
+
+    @pytest.mark.parametrize(
+        "system, max_frequency",
+        [(uniform_ifs(1.0, 2.0), 4096.0), (DIGITS_B5, 256.0)],
+        ids=["uniform12", "digits_b5"],
+    )
+    def test_rows_within_the_order1_bounds(self, system, max_frequency, monkeypatch):
+        covers, evaluations = [], []
+        choose, evaluate = experiments_module._factor_cover, experiments_module.pushforward_batch
+
+        def record_cover(factor, scale, top):
+            covers.append((factor, scale, *choose(factor, scale, top)))
+            return covers[-1][2:]
+
+        def record_evaluation(*args, **kwargs):
+            evaluations.append(evaluate(*args, **kwargs))
+            return evaluations[-1]
+
+        monkeypatch.setattr(experiments_module, "_factor_cover", record_cover)
+        monkeypatch.setattr(experiments_module, "pushforward_batch", record_evaluation)
+        exp = multiplicative_convolution(
+            [log_factor(system)] * 2, max_frequency=max_frequency, density_points=64
+        )
+        assert exp.schemes == ("order2", "order2")
+        assert len(covers) == len(evaluations) >= 1
+        for (factor, scale1, scheme, _), (_, bounds, leaves) in zip(covers, evaluations):
+            assert scheme == "order2"
+            _, bounds1, leaves1 = evaluate(
+                factor.ifs, factor.pmap, exp.frequencies, tol=1e-4, scheme="order1", scale=scale1
+            )
+            assert leaves.max() <= leaves1.max()
+            assert np.all(bounds <= bounds1)
+
+    def test_schemes_recorded_in_the_summary(self, uniform12):
+        affine = PushforwardMap(
+            evaluator=lambda p: p[:, 0],
+            gradient=lambda p: np.ones_like(p),
+            lipschitz_bound=1.0,
+            hessian_bound=0.0,
+        )
+        exp = multiplicative_convolution(
+            [log_factor(uniform12), ConvolutionFactor(uniform12, affine, (1.0, 2.0))],
+            max_frequency=64.0,
+            density_points=16,
+        )
+        # the affine coordinate has no curvature, so nothing to refine: order1
+        assert exp.schemes == ("order2", "order1")
+        assert exp.to_summary()["schemes"] == ["order2", "order1"]

@@ -39,6 +39,7 @@ from fractal_fourier.fourier import (
     pushforward_batch,
     pushforward_hat_order0,
     pushforward_hat_order1,
+    pushforward_hat_order2,
     quadratic_directional_hessian,
     square_map,
     sum_of_squares_map,
@@ -243,6 +244,23 @@ class TestMuHatTable:
         looked_up = table.lookup(etas)
         for eta, got in zip(etas, looked_up):
             assert abs(got - cantor_centred_form(eta)) <= table.slack
+
+    def test_slack_reads_only_reachable_rows(self, cantor):
+        # a lookup at |eta| <= eta_max reads rows int(|eta| / h) and the next,
+        # so the last grid row is never read and does not enter the slack
+        eta_max, table_tol = 50.0, 1e-8
+        table = _MuHatTable(cantor, eta_max, table_tol)
+        etas = (np.arange(len(table.values)) * table.h)[:, None]
+        _, errs, _ = _mu_hat_homog_many(cantor.centred, etas, table_tol)
+        reach = int(eta_max * (1.0 / table.h)) + 2
+        assert reach == len(errs) - 1
+        assert errs[-1] > errs[:reach].max()
+        interpolation = table.h**2 / 8.0 * (2.0 * math.pi) ** 2 * cantor.second_moment
+        expected = float(errs[:reach].max()) + interpolation + _centring_rounding(cantor, eta_max)
+        assert table.slack == expected
+        assert table.eta_max == eta_max
+        frac = np.abs(np.array([eta_max, -eta_max])) * (1.0 / table.h)
+        assert frac.astype(np.int64).max() + 1 < reach
 
 
 class TestRoundingCertificates:
@@ -955,6 +973,125 @@ class TestOrder1:
         )
         with pytest.raises(MissingHessianBound):
             pushforward_hat_order1(cantor, raw, 4.0)
+
+
+def log_uniform12_closed_form(xi):
+    """Transform of uniform[1, 2] under log: (2 e^{-2 pi i xi log 2} - 1) / (1 - 2 pi i xi)."""
+    return (2.0 * np.exp(-2j * np.pi * xi * math.log(2.0)) - 1.0) / (1.0 - 2j * np.pi * xi)
+
+
+class TestOrder2:
+    @pytest.mark.parametrize("leaves", [512, 1024, 4096])
+    def test_log_uniform_closed_form(self, uniform12, leaves):
+        # the convolve grid j delta up to 16,384, every 23rd row
+        delta = 1.0 / (8.0 * math.log(2.0))
+        xis = np.arange(0, int(16384.0 / delta) + 1, 23) * delta
+        lm = log_map(uniform12)
+        values, bounds, used = pushforward_batch(
+            uniform12, lm, xis, tol=1e-4, scheme="order2", scale=1.0 / leaves
+        )
+        assert np.all(used[1:] == leaves)
+        errors = np.abs(values - log_uniform12_closed_form(xis))
+        assert np.all(errors <= bounds)
+        _, bounds1, _ = pushforward_batch(
+            uniform12, lm, xis, tol=1e-4, scheme="order1", scale=1.0 / leaves
+        )
+        # at 512 leaves the order-1 Taylor term is 0.049 at the top row
+        assert bounds.max() <= 0.01 * bounds1.max()
+
+    def test_single_calls_match_the_batch(self, cantor):
+        sq = square_map(cantor)
+        xis = [3.0, -37.5, 300.0, 1234.5]
+        values, bounds, leaves = pushforward_batch(cantor, sq, xis, tol=1e-4, scheme="order2")
+        for xi, value, bound, used in zip(xis, values, bounds, leaves):
+            single = pushforward_hat_order2(cantor, sq, xi, tol=1e-4)
+            assert single.scheme == "order2"
+            assert single.leaves_used == used
+            assert abs(single.value - value) <= single.error_bound + bound
+            assert single.error_bound <= 1e-4 and bound <= 1e-4
+
+    def test_fewer_leaves_than_order1(self, cantor):
+        sq = square_map(cantor)
+        for xi in (2.0**10, 2.0**14):
+            s1 = pushforward_hat_order1(cantor, sq, xi, tol=1e-3)
+            s2 = pushforward_hat_order2(cantor, sq, xi, tol=1e-3)
+            # H3 = 0 for the square map: the scale grows like (tol / xi^2)^(1/4)
+            assert s2.leaves_used * 4 <= s1.leaves_used
+            assert abs(s1.value - s2.value) <= s1.error_bound + s2.error_bound
+
+    def test_remainder_is_the_named_taylor_term(self, cantor):
+        # one group: the bound is the remainder plus the named inner and
+        # rounding terms, the rounding scaled by 1 + kappa
+        sq = square_map(cantor)
+        xi, tol = 700.0, 1e-4
+        radius = cantor.support_radius
+        scale = fourier_module._order2_scale(cantor, 2.0, 0.0, tol, xi)
+        n, snapped, depth = _count_stopping(cantor, scale)
+        dec = stopping_decomposition(cantor, snapped)
+        curv = 2.0 * dec.ratios**2
+        remainder = xi**2 * (0.5 * (math.pi * radius**2) ** 2 * float(np.sum(dec.weights * curv**2)))
+        assert 0.01 * tol < remainder <= 0.5 * tol
+        jac = fourier_module._jacobian_bound(cantor, sq)
+        table = _MuHatTable(cantor, xi * (snapped * jac) * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), True)
+        inner = table.slack + math.pi * xi * float(np.sum(dec.weights * curv)) * table.slack2
+        a_forms, _ = _linear_forms(cantor, sq, dec.ratios, dec.orientations, dec.anchors, True)
+        reach = 2.0 * math.pi * radius * snapped * jac
+        norm = np.array([xi])
+        carried = _roundoff(n) + _phase_rounding(norm, float(np.abs(a_forms).max()), reach)
+        carried = carried + _cover_rounding(cantor, snapped, depth, norm, jac + 2.0 * radius, reach)
+        kappa = math.pi * xi * float(curv.max()) * radius**2
+        expected = remainder + inner + (1.0 + kappa) * carried
+        expected = expected + fourier_module.EPS * ((depth + 6.0) * kappa + 1.0)
+        _, bounds, leaves = pushforward_batch(cantor, sq, [xi], tol=tol, scheme="order2")
+        assert leaves[0] == n
+        assert bounds[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+        assert remainder > 0.5 * bounds[0]
+
+    def test_second_moment_table_column(self, cantor):
+        # h2 = -h'' / 4 pi^2 of the centred Cantor measure, by central differences of h
+        table = _MuHatTable(cantor, 60.0, 1e-8, True)
+        assert table.slack2 < 1e-8
+        step = 1e-3
+        for eta in (0.0, 0.37, 5.2, -17.9, 59.0):
+            second = -(
+                cantor_centred_form(eta + step)
+                - 2.0 * cantor_centred_form(eta)
+                + cantor_centred_form(eta - step)
+            ) / step**2 / (2.0 * math.pi) ** 2
+            h, h2 = table.lookup(np.array([eta]), second=True)
+            assert h[0] == table.lookup(np.array([eta]))[0]
+            assert abs(h2[0] - second) <= table.slack2 + 1e-5
+        # h2(0) = int u^2 dmu_c = 1/8 for the middle-thirds measure
+        assert table.lookup(np.array([0.0]), second=True)[1][0] == pytest.approx(0.125, rel=1e-6)
+
+    def test_supported_systems_and_maps(self, cantor, mixed_ratios, square_2d):
+        xi = [10.0]
+        with pytest.raises(Unsupported, match="on the line"):
+            pushforward_batch(square_2d, sum_of_squares_map(square_2d), xi, scheme="order2")
+        with pytest.raises(Unsupported, match="homogeneous"):
+            pushforward_hat_order2(mixed_ratios, square_map(mixed_ratios), 10.0)
+        raw = PushforwardMap(
+            evaluator=lambda p: p[:, 0] ** 2,
+            gradient=lambda p: 2.0 * p,
+            hessian=lambda p: np.full((len(p), 1, 1), 2.0),
+            lipschitz_bound=2.0,
+            hessian_bound=2.0,
+            label="raw",
+        )
+        with pytest.raises(MissingHessianBound, match="third_bound"):
+            pushforward_batch(cantor, raw, xi, scheme="order2")
+
+    def test_third_derivative_bounds(self, cantor, uniform12):
+        from fractal_fourier.fourier import neg_log_map, quadratic_map
+
+        assert square_map(cantor).third_bound == 0.0
+        assert identity_map(cantor).third_bound == 0.0
+        assert quadratic_map(cantor, [{(0, 0): 1.0}]).third_bound == 0.0
+        assert cube_map(cantor).third_bound == 6.0
+        # the support ball of uniform[1, 2] is [1, 2], where 2 / x^3 <= 2
+        assert log_map(uniform12).third_bound == 2.0
+        assert neg_log_map(uniform12).third_bound == 2.0
+        assert log_map(uniform12, 0.5).third_bound == 16.0
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,16 @@ from fractal_fourier.errors import InvalidIFS
 from fractal_fourier.fourier import (
     PushforwardMap,
     _MuHatTable,
+    cube_map,
+    identity_map,
+    log_map,
     mu_hat,
     pushforward_batch,
+    pushforward_hat_order0,
     pushforward_hat_order1,
+    pushforward_hat_order2,
     quadratic_map,
+    square_map,
 )
 from fractal_fourier.ifs import ifs_1d
 
@@ -217,6 +223,64 @@ def test_centred_table_within_its_slack_of_the_mpmath_product_form(
     assert system.second_moment <= radius**2
 
 
+def second_moment_form_mpmath(ifs, eta, digits=30):
+    """h2(eta) = int u^2 e^{-2 pi i eta u} dmu_c(u) of a homogeneous system on the line.
+
+    mu_c is mu moved by its exact barycenter b, so u = sum_l s^l d_{I_l}
+    with d_i = f_i(b) - b, and the levels are independent: their moments
+    (m0, m1, m2)_l = sum_i p_i (s^l d_i)^j e^{-2 pi i eta s^l d_i} combine
+    as (P0, P1, P2)(m0, m1, m2) = (P0 m0, P1 m0 + P0 m1,
+    P2 m0 + 2 P1 m1 + P0 m2).  It stops at the first level L with
+    |s|^L R < 10^-(digits - 10); the rest of u, at most |s|^L R, moves
+    the value by less than 3 R |s|^L R (1 + 2 pi |eta| R).
+    """
+    mp = mpmath.mp
+    mp.dps = digits
+    p = [mpmath.mpf(w) for w in ifs.weights]
+    t = [mpmath.mpf(float(m.translation[0])) for m in ifs.maps]
+    s = mpmath.mpf(ifs.maps[0].ratio) * int(ifs.maps[0].orientation[0, 0])
+    b = mpmath.fsum(pi * ti for pi, ti in zip(p, t)) / (1 - s)
+    offsets = [s * b + ti - b for ti in t]
+    radius = max(abs(d) for d in offsets) / (1 - abs(s))
+    two_pi, lever = 2 * mpmath.pi, mpmath.mpf(1)
+    moments = (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
+    while abs(lever) * radius >= mpmath.mpf(10) ** (10 - digits):
+        level = [
+            mpmath.fsum(pi * (lever * d) ** j * mpmath.expj(-two_pi * eta * lever * d)
+                        for pi, d in zip(p, offsets))
+            for j in range(3)
+        ]
+        p0, p1, p2 = moments
+        moments = (
+            p0 * level[0],
+            p1 * level[0] + p0 * level[1],
+            p2 * level[0] + 2 * p1 * level[1] + p0 * level[2],
+        )
+        lever *= s
+    return moments[2]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=homogeneous_systems(),
+    eta_max=st.floats(1.0, 40.0),
+    table_tol=st.sampled_from([1e-5, 1e-6, 1e-7]),
+    data=st.data(),
+)
+def test_second_moment_table_within_its_slack2_of_the_mpmath_form(system, eta_max, table_tol, data):
+    table = _MuHatTable(system, eta_max, table_tol, True)
+    randoms = data.draw(st.lists(st.floats(-eta_max, eta_max), min_size=3, max_size=6))
+    etas = [eta_max, -eta_max, 0.0, 0.5 * table.h, -0.5 * table.h] + randoms
+    values, seconds = table.lookup(np.array(etas), second=True)
+    b = mpmath.mpf(float(system.barycenter[0]))
+    for eta, value, second in zip(etas, values, seconds):
+        centring = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(eta) * b)
+        error = abs(centring * mpmath.mpc(value) - product_form_mpmath(system, mpmath.mpf(eta)))
+        assert error <= table.slack, eta
+        exact = second_moment_form_mpmath(system, mpmath.mpf(eta))
+        assert abs(mpmath.mpc(second) - exact) <= table.slack2, eta
+
+
 def cantor_product_mpmath(xi, digits=40):
     """The middle-thirds transform e^{-pi i xi} prod_n cos(2 pi xi / 3^n) to ``digits`` digits."""
     mpmath.mp.dps = digits
@@ -246,3 +310,186 @@ def test_order1_in_the_plane_matches_the_product_of_cantor_transforms(square_2d,
         assert abs(single.value - exact) <= single.error_bound
         assert abs(value - exact) <= bound
         assert 0.0 < bound <= tol
+
+
+# Image transforms: f, f', f'' in mpmath, and (L, H, H3) bounding |f'|,
+# |f''|, |f'''| on the ball [lo, hi].
+MAP_DERIVATIVES = {
+    "square": (
+        lambda x: x**2,
+        lambda x: 2 * x,
+        lambda x: mpmath.mpf(2),
+        lambda lo, hi: (2 * max(abs(lo), abs(hi)), mpmath.mpf(2), mpmath.mpf(0)),
+    ),
+    "cube": (
+        lambda x: x**3,
+        lambda x: 3 * x**2,
+        lambda x: 6 * x,
+        lambda lo, hi: (3 * max(abs(lo), abs(hi)) ** 2, 6 * max(abs(lo), abs(hi)), mpmath.mpf(6)),
+    ),
+    "identity": (
+        lambda x: x,
+        lambda x: mpmath.mpf(1),
+        lambda x: mpmath.mpf(0),
+        lambda lo, hi: (mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)),
+    ),
+    "log": (
+        lambda x: mpmath.log(x),
+        lambda x: 1 / x,
+        lambda x: -1 / x**2,
+        lambda lo, hi: (1 / lo, 1 / lo**2, 2 / lo**3),
+    ),
+}
+MAP_BUILDERS = {"square": square_map, "cube": cube_map, "log": log_map, "identity": identity_map}
+
+
+def image_hat_mpmath(ifs, kind, xi, tau, digits=25):
+    """The transform of mu under the map ``kind`` at xi, and a bound on its error.
+
+    A depth-first recursion over the cylinders x = A y + T of mu (y ~ mu)
+    in ``digits``-digit arithmetic, every float input taken exactly, with
+    b, V = E (y - b)^2 and R as in ``mu_hat_mpmath``.  On a cylinder,
+    u = y - b has mean 0, E u^2 = V and |u| <= R, and the phase is
+    theta(u) = 2 pi xi (f(x_w + A u) - f(x_w)) at the anchor x_w = A b + T.
+    The node is closed by e^{-i theta} = 1 - i theta - theta^2 / 2 + E_c,
+    |E_c| <= |theta|^3 / 6, with
+    E theta = 2 pi xi (f''(x_w) A^2 V / 2 + E rho3) and
+    E theta^2 = (2 pi xi)^2 (f'(x_w)^2 A^2 V + 2 f'(x_w) A E[u rho2] + E rho2^2),
+    where |rho3| <= H3 |A u|^3 / 6, |rho2| <= H (A u)^2 / 2 and
+    E |u|^3 <= R V, E u^4 <= R^2 V.  That leaves
+    V A^2 ((pi/3) |xi| H3 |A| R + 2 pi^2 xi^2 (|f'(x_w) A| H R + H^2 (A R)^2 / 4)
+    + (2 pi |xi| L)^3 |A| R / 6) per unit weight, and a node closes when
+    that is at most ``tau``.  Returns (value, bound, leaves).
+    """
+    mp = mpmath.mp
+    mp.dps = digits
+    p = [mpmath.mpf(w) for w in ifs.weights]
+    a = [mpmath.mpf(m.ratio) * int(m.orientation[0, 0]) for m in ifs.maps]
+    t = [mpmath.mpf(float(m.translation[0])) for m in ifs.maps]
+    b = mpmath.fsum(pi * ti for pi, ti in zip(p, t)) / (1 - mpmath.fsum(pi * ai for pi, ai in zip(p, a)))
+    offsets = [ai * b + ti - b for ai, ti in zip(a, t)]
+    variance = mpmath.fsum(pi * d**2 for pi, d in zip(p, offsets)) / (
+        1 - mpmath.fsum(pi * ai**2 for pi, ai in zip(p, a))
+    )
+    radius = max(abs(d) / (1 - abs(ai)) for d, ai in zip(offsets, a))
+    f, f1, f2, derivative_bounds = MAP_DERIVATIVES[kind]
+    lip, hess, third = derivative_bounds(b - radius, b + radius)
+    xi = mpmath.mpf(xi)
+    two_pi = 2 * mpmath.pi
+    total, remainder, leaves = mpmath.mpc(0), mpmath.mpf(0), 0
+    stack = [(mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1))]
+    while stack:
+        scale, shift, weight = stack.pop()
+        x, size = scale * b + shift, abs(scale) * radius
+        slope = f1(x) * scale
+        error = variance * scale**2 * (
+            mpmath.pi / 3 * abs(xi) * third * size
+            + 2 * mpmath.pi**2 * xi**2 * (abs(slope) * hess * radius + hess**2 * size**2 / 4)
+            + (two_pi * abs(xi) * lip) ** 3 * size / 6
+        )
+        if error <= tau:
+            closure = (
+                1
+                - 1j * mpmath.pi * xi * f2(x) * scale**2 * variance
+                - 2 * mpmath.pi**2 * xi**2 * slope**2 * variance
+            )
+            total += weight * mpmath.expj(-two_pi * xi * f(x)) * closure
+            remainder += weight * error
+            leaves += 1
+            continue
+        for pi, ai, ti in zip(p, a, t):
+            stack.append((scale * ai, scale * ti + shift, weight * pi))
+    return complex(total), float(remainder), leaves
+
+
+@st.composite
+def placed_systems(draw, homogeneous, lo, hi):
+    """A system on the line of 2-3 maps with their fixed points in [lo, hi].
+
+    Homogeneous systems share one ratio and one orientation; the others
+    get a ratio each, and their first map reverses orientation.  Weights
+    are multiples of 1/64, so they sum to one exactly.
+    """
+    n = draw(st.integers(2, 3))
+    top = 0.45 if n == 2 else 0.3
+    if homogeneous:
+        ratios = [draw(st.floats(0.15, top))] * n
+        signs = [draw(st.sampled_from([-1, 1]))] * n
+    else:
+        ratios = draw(st.lists(st.floats(0.15, top), min_size=n, max_size=n))
+        signs = [-1] + draw(st.lists(st.sampled_from([-1, 1]), min_size=n - 1, max_size=n - 1))
+        assume(len({r * s for r, s in zip(ratios, signs)}) > 1)
+    fixed = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=n - 1, max_size=n - 1, unique=True)))
+    weights = [(hi - lo) / 64 for lo, hi in zip([0] + cuts, cuts + [64])]
+    shifts = [q * (1 - s * r) for q, r, s in zip(fixed, ratios, signs)]
+    try:
+        return ifs_1d(ratios, shifts, weights, signs)
+    except InvalidIFS:      # maps sharing a fixed point
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=st.one_of(
+        placed_systems(True, -0.6, 0.6), placed_systems(False, -0.6, 0.6), reversing_systems()
+    ),
+    xi=st.floats(-6.0, 6.0),
+    tol=st.sampled_from([1e-2, 1e-3]),
+)
+def test_order0_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
+    sample = pushforward_hat_order0(system, square_map(system), xi, tol=tol)
+    exact, oracle_error, _ = image_hat_mpmath(system, "square", xi, ORACLE_SHARE * tol)
+    assert oracle_error <= ORACLE_SHARE * tol
+    assert abs(sample.value - exact) <= sample.error_bound + oracle_error
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=st.one_of(placed_systems(False, -0.6, 0.6), reversing_systems()),
+    kind=st.sampled_from(["square", "cube"]),
+    xis=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+    tol=st.sampled_from([1e-2, 1e-3]),
+)
+def test_non_homogeneous_order1_within_its_bound_of_the_mpmath_oracle(system, kind, xis, tol):
+    assert not system.is_homogeneous
+    pmap = MAP_BUILDERS[kind](system)
+    values, bounds, _ = pushforward_batch(system, pmap, xis, tol=tol, scheme="order1")
+    for xi, value, bound in zip(xis, values, bounds):
+        exact, oracle_error, _ = image_hat_mpmath(system, kind, xi, ORACLE_SHARE * tol)
+        assert abs(value - exact) <= bound + oracle_error
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=st.one_of(placed_systems(False, -0.6, 0.6), reversing_systems()),
+    xi=st.floats(-6.0, 6.0),
+    tol=st.sampled_from([0.1, 0.03]),
+)
+def test_non_homogeneous_order1_inner_bound_against_the_mpmath_oracle(system, xi, tol):
+    # the identity has no Taylor term: one cylinder, and the whole bound is
+    # the nested order-0 inner transform's at tol/2, whose closure errs at
+    # second order, so the oracle is run far below tol
+    sample = pushforward_hat_order1(system, identity_map(system), xi, tol=tol)
+    assert sample.leaves_used == 1
+    exact, oracle_error, _ = image_hat_mpmath(system, "identity", xi, 1e-7)
+    assert abs(sample.value - exact) <= sample.error_bound + oracle_error
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=placed_systems(True, 2.0, 2.5),
+    kind=st.sampled_from(["square", "log", "cube"]),
+    xis=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=3),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-4]),
+)
+def test_order2_within_its_bound_of_the_mpmath_oracle(system, kind, xis, tol):
+    # the fixed points in [2, 2.5] keep the support ball right of 0 (log)
+    assert system.is_homogeneous
+    pmap = MAP_BUILDERS[kind](system)
+    values, bounds, _ = pushforward_batch(system, pmap, xis, tol=tol, scheme="order2")
+    for xi, value, bound in zip(xis, values, bounds):
+        exact, oracle_error, _ = image_hat_mpmath(system, kind, xi, ORACLE_SHARE * tol)
+        single = pushforward_hat_order2(system, pmap, xi, tol=tol)
+        assert abs(value - exact) <= bound + oracle_error
+        assert abs(single.value - exact) <= single.error_bound + oracle_error
