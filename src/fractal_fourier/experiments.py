@@ -30,6 +30,7 @@ from .fourier import (
     TWO_PI,
     PushforwardMap,
     _check_positive,
+    _fixed_cover,
     _grid_step,
     _phase_blocks,
     _phase_rounding,
@@ -38,7 +39,7 @@ from .fourier import (
     neg_log_map,
     pushforward_batch,
 )
-from .ifs import SelfSimilarIFS, _count_stopping
+from .ifs import SelfSimilarIFS
 
 DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
 
@@ -349,35 +350,6 @@ def _octave_diagnostics(xis: np.ndarray, phi: np.ndarray, delta: float):
     return rows, slope("l1_increment"), slope("l2_increment")
 
 
-def _factor_cover(factor: ConvolutionFactor, scale: Optional[float], max_frequency: float):
-    """(scheme, scale) for a factor whose order-1 stopping scale is ``scale``.
-
-    A homogeneous factor on the line whose map has a third-derivative
-    bound H3 takes ``order2`` at the coarsest cover whose remainder per
-    unit weight, 1/2 (pi Xi H (r R)^2)^2 + (pi/3) Xi H3 (r R)^3 at
-    Xi = ``max_frequency``, is at most the order-1 Taylor term
-    pi Xi H (s R)^2 of the cover order 1 would use, s its snapped scale
-    (``ifs._count_stopping``).  The ratio of the two grows with |xi|, so
-    at every |xi| <= Xi the order-2 remainder is then within order 1's
-    Taylor term.  A homogeneous system's covers are its levels: the
-    words of length n, at scale rho^n; n rises from 0 until the
-    remainder fits.  Any other factor keeps ("order1", ``scale``).
-    """
-    ifs, pmap = factor.ifs, factor.pmap
-    if scale is None or ifs.ambient_dim != 1 or not ifs.is_homogeneous or pmap.third_bound is None:
-        return "order1", scale
-    hess, third, radius = pmap.hessian_bound, pmap.third_bound, ifs.support_radius
-    taylor = math.pi * hess * (_count_stopping(ifs, scale)[1] * radius) ** 2
-    rho, level = float(ifs.ratios.max()), 1.0
-    while (
-        0.5 * max_frequency * (math.pi * hess * (level * radius) ** 2) ** 2
-        + math.pi / 3.0 * third * (level * radius) ** 3
-        > taylor
-    ):
-        level *= rho
-    return "order2", level
-
-
 def multiplicative_convolution(
     factors: Sequence[ConvolutionFactor],
     max_frequency: float = 2.0**14,
@@ -396,7 +368,7 @@ def multiplicative_convolution(
     ``density_budget``: that is the order-1 scale, and a homogeneous
     factor on the line whose map has a third-derivative bound is
     evaluated by ``order2`` instead, at the coarsest cover that is as
-    tight at every grid frequency (``_factor_cover``).  The schemes the
+    tight at every grid frequency (``fourier._fixed_cover``).  The schemes the
     factors used are recorded in ``schemes``.  The certified density error
     ``density_error_certified`` is delta times the summed product errors
     plus the float rounding of the inversion (``_inversion_rounding``).
@@ -445,7 +417,7 @@ def multiplicative_convolution(
                 scale = None
                 if hess:
                     scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
-                scheme, scale = _factor_cover(factor, scale, max_frequency)
+                scheme, scale = _fixed_cover(factor.ifs, factor.pmap, scale, max_frequency)
                 vals, errs, _ = pushforward_batch(
                     factor.ifs,
                     factor.pmap,

@@ -100,6 +100,7 @@ from .ifs import (
     FRONTIER_BLOCK,
     SelfSimilarIFS,
     _checked_count,
+    _count_stopping,
     _cover_blocks,
     chaos_game,
 )
@@ -1120,6 +1121,28 @@ def _order2_scale(ifs, hess: float, third: float, tol: float, xi_norm: float) ->
     return x / ifs.support_radius
 
 
+def _fixed_cover(ifs, pmap, scale: Optional[float], xi_max: float):
+    """(scheme, scale) of one fixed cover for every |xi| <= ``xi_max``, given order 1's ``scale``.
+
+    A homogeneous system on the line under a map with ``third_bound``
+    takes ``order2`` at its stopping scale (``_order2_scale``) for the
+    order-1 Taylor term pi xi_max H (s R)^2, s the snapped order-1 scale
+    (``ifs._count_stopping``): the coarsest cover whose remainder at
+    ``xi_max`` is within that term.  The remainder over that term grows
+    with |xi|, so it is within it at every smaller |xi| too.  Any other
+    system or map, or no ``scale`` (a map without curvature), keeps
+    ("order1", ``scale``).  The choice favours the tighter bound over
+    speed: order 2 also tabulates h2, on a longer table for its coarser
+    cover, and where that build outweighs the kernel's fewer terms (short
+    grids) it takes longer than order 1.
+    """
+    if scale is None or ifs.ambient_dim != 1 or not ifs.is_homogeneous or pmap.third_bound is None:
+        return "order1", scale
+    hess = pmap.hessian_bound
+    taylor = math.pi * xi_max * hess * (_count_stopping(ifs, scale)[1] * ifs.support_radius) ** 2
+    return "order2", _order2_scale(ifs, hess, pmap.third_bound, 2.0 * taylor, xi_max)
+
+
 def _jacobian_bound(ifs, pmap) -> float:
     """J >= |J_f| (Frobenius norm) on the support ball B(b, R), so |B_w| <= r_w J.
 
@@ -1365,8 +1388,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     if order1 and table:
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
-        second = (True,) if order2 else ()      # order 2 tabulates h2 as well
-        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), *second)
+        # order 2 tabulates h2 as well
+        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), order2)
     centred = ifs.centred if order1 else None
     identity = identity_map(centred) if order1 and mu_table is None else None
 

@@ -201,13 +201,15 @@ DIGITS_B5 = ifs_1d([0.2] * 4, [d / 5 + 0.8 for d in range(4)])
 class TestDensityBudget:
     @pytest.fixture(scope="class")
     def digits_factor(self):
-        # base-5 digits {0, 1, 2, 3} moved to [1, 1.75]: dim 0.861, slow decay.
-        # Without a third-derivative bound the factor keeps order1, whose
-        # first scale certifies only 0.128 here: the retries are what is tested.
-        factor = log_factor(DIGITS_B5)
-        return replace(factor, pmap=replace(factor.pmap, third_bound=None))
+        # base-5 digits {0, 1, 2, 3} moved to [1, 1.75]: dim 0.861, slow decay
+        return log_factor(DIGITS_B5)
 
-    def test_slow_decay_is_refined_into_budget(self, digits_factor, monkeypatch):
+    @pytest.fixture(scope="class")
+    def order1_digits_factor(self, digits_factor):
+        # without a third-derivative bound the factor keeps order1
+        return replace(digits_factor, pmap=replace(digits_factor.pmap, third_bound=None))
+
+    def test_slow_decay_is_refined_into_budget(self, order1_digits_factor, monkeypatch):
         calls = []
         original = experiments_module.pushforward_batch
 
@@ -216,7 +218,7 @@ class TestDensityBudget:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
-        exp = multiplicative_convolution([digits_factor] * 2, max_frequency=256.0)
+        exp = multiplicative_convolution([order1_digits_factor] * 2, max_frequency=256.0)
         assert exp.density_error_certified <= DEFAULT_DENSITY_BUDGET
         # the first scale certifies 0.128; each retry halves it
         assert len(calls) >= 2
@@ -252,7 +254,7 @@ class TestDensityBudget:
             )
         assert info.value.budget_name == "density_budget"
 
-    def test_order2_certifies_slow_decay_in_one_evaluation(self, monkeypatch):
+    def test_order2_certifies_slow_decay_in_one_evaluation(self, digits_factor, monkeypatch):
         calls = []
         original = experiments_module.pushforward_batch
 
@@ -261,10 +263,26 @@ class TestDensityBudget:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
-        exp = multiplicative_convolution([log_factor(DIGITS_B5)] * 2, max_frequency=256.0)
+        exp = multiplicative_convolution([digits_factor] * 2, max_frequency=256.0)
         assert calls == ["order2"]
         assert exp.schemes == ("order2", "order2")
         assert exp.density_error_certified <= 0.05 * DEFAULT_DENSITY_BUDGET
+
+    def test_order2_is_refined_into_a_tighter_budget(self, digits_factor, monkeypatch):
+        calls = []
+        original = experiments_module.pushforward_batch
+
+        def counted(*args, **kwargs):
+            calls.append((kwargs["scheme"], kwargs["scale"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
+        exp = multiplicative_convolution([digits_factor] * 2, max_frequency=256.0, density_budget=1e-4)
+        assert exp.density_error_certified <= 1e-4
+        # the first order-2 cover certifies 3.3e-4; each retry is finer
+        assert len(calls) >= 2
+        assert all(scheme == "order2" for scheme, _ in calls)
+        assert all(b[1] < a[1] for a, b in zip(calls, calls[1:]))
 
     def test_unreachable_budget_raises_before_building(self, digits_factor):
         with pytest.raises(ResourceExceeded) as info:
@@ -319,27 +337,27 @@ class TestOrder2Factors:
     )
     def test_rows_within_the_order1_bounds(self, system, max_frequency, monkeypatch):
         covers, evaluations = [], []
-        choose, evaluate = experiments_module._factor_cover, experiments_module.pushforward_batch
+        choose, evaluate = experiments_module._fixed_cover, experiments_module.pushforward_batch
 
-        def record_cover(factor, scale, top):
-            covers.append((factor, scale, *choose(factor, scale, top)))
-            return covers[-1][2:]
+        def record_cover(ifs, pmap, scale, top):
+            covers.append((ifs, pmap, scale, *choose(ifs, pmap, scale, top)))
+            return covers[-1][3:]
 
         def record_evaluation(*args, **kwargs):
             evaluations.append(evaluate(*args, **kwargs))
             return evaluations[-1]
 
-        monkeypatch.setattr(experiments_module, "_factor_cover", record_cover)
+        monkeypatch.setattr(experiments_module, "_fixed_cover", record_cover)
         monkeypatch.setattr(experiments_module, "pushforward_batch", record_evaluation)
         exp = multiplicative_convolution(
             [log_factor(system)] * 2, max_frequency=max_frequency, density_points=64
         )
         assert exp.schemes == ("order2", "order2")
         assert len(covers) == len(evaluations) >= 1
-        for (factor, scale1, scheme, _), (_, bounds, leaves) in zip(covers, evaluations):
+        for (ifs, pmap, scale1, scheme, _), (_, bounds, leaves) in zip(covers, evaluations):
             assert scheme == "order2"
             _, bounds1, leaves1 = evaluate(
-                factor.ifs, factor.pmap, exp.frequencies, tol=1e-4, scheme="order1", scale=scale1
+                ifs, pmap, exp.frequencies, tol=1e-4, scheme="order1", scale=scale1
             )
             assert leaves.max() <= leaves1.max()
             assert np.all(bounds <= bounds1)

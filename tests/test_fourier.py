@@ -820,9 +820,9 @@ class TestCoverFactsFromTheCount:
         requested, looked_up = [], []
         table, lookup = _MuHatTable, _MuHatTable.lookup
 
-        def record_table(ifs, eta_max, table_tol):
+        def record_table(ifs, eta_max, table_tol, second):
             requested.append(eta_max)
-            return table(ifs, eta_max, table_tol)
+            return table(ifs, eta_max, table_tol, second)
 
         def record_lookup(self, eta):
             looked_up.append(float(np.abs(eta).max()))

@@ -15,6 +15,8 @@ from fractal_fourier.errors import InvalidIFS
 from fractal_fourier.fourier import (
     PushforwardMap,
     _MuHatTable,
+    _centring_rounding,
+    _mu_hat_homog_many,
     cube_map,
     identity_map,
     log_map,
@@ -279,6 +281,29 @@ def test_second_moment_table_within_its_slack2_of_the_mpmath_form(system, eta_ma
         assert error <= table.slack, eta
         exact = second_moment_form_mpmath(system, mpmath.mpf(eta))
         assert abs(mpmath.mpc(second) - exact) <= table.slack2, eta
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=homogeneous_systems(),
+    eta=st.floats(1e-9, 1e-6),
+    share=st.sampled_from([0.3, 0.05, 0.01]),
+)
+def test_second_moment_closure_within_its_bound_of_the_mpmath_form(system, eta, share):
+    # At tol = share 3 R^2 and |eta| this small the depth comes from the
+    # closure's 3 rho^D R^2 alone, and at eta = 0 the truncated tail
+    # rho^2D M2 is the whole error of h2(0) = M2.
+    radius = system.support_radius
+    tol = share * 3.0 * radius**2
+    etas = [0.0, eta]
+    values, bounds, depth = _mu_hat_homog_many(system.centred, np.array([etas]).T, tol, True)
+    assert depth >= 1
+    for row, x in enumerate(etas):
+        exact = second_moment_form_mpmath(system, mpmath.mpf(x))
+        allowance = _centring_rounding(system, x, second=True)
+        assert abs(mpmath.mpc(values[1, row]) - exact) <= bounds[1, row] + allowance, x
+    # the depth rule holds the closure at eta = 0 within tol
+    assert bounds[1, 0] <= tol * (1.0 + 1e-9)
 
 
 def cantor_product_mpmath(xi, digits=40):
