@@ -518,6 +518,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise BadConfig(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .fourier import (
     TWO_PI,
     PushforwardMap,
     _check_positive,
+    _check_threads,
     _fixed_cover,
     _grid_step,
     _phase_blocks,
@@ -39,7 +40,7 @@ from .fourier import (
     neg_log_map,
     pushforward_batch,
 )
-from .ifs import SelfSimilarIFS
+from .ifs import SelfSimilarIFS, _count_stopping
 
 DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
 
@@ -139,6 +140,7 @@ def measure_decay_slope(
     check_curvature: bool = True,
 ) -> DecayExperiment:
     """Measure the empirical decay envelope of the image transform."""
+    _check_threads(threads)
     warnings = []
     if check_curvature and pmap.out_dim == 1:
         try:
@@ -385,6 +387,7 @@ def multiplicative_convolution(
     _check_positive("max_frequency", max_frequency)
     _check_positive("tol", tol)
     _check_positive("density_budget", density_budget)
+    _check_threads(threads)
     if density_points < 2:
         raise BadConfig("density_points must be at least 2")
     lengths = [hi - lo for lo, hi in (f.log_support for f in factors)]
@@ -405,31 +408,44 @@ def multiplicative_convolution(
     tau_target = math.sqrt(
         3.0 * (density_budget / 2.0) / (n_fac * (n_fac - 1) * max_frequency**3)
     )
-    refine = 1.0
+    refine, evaluated = 1.0, None
     while True:
-        cache: dict = {}
-        transforms = []
+        covers = {}
         for factor in factors:
-            key = factor.key()
-            if key not in cache:
-                hess = factor.pmap.hessian_bound
-                radius = factor.ifs.support_radius
-                scale = None
-                if hess:
-                    scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
-                scheme, scale = _fixed_cover(factor.ifs, factor.pmap, scale, max_frequency)
-                vals, errs, _ = pushforward_batch(
-                    factor.ifs,
-                    factor.pmap,
-                    xis,
-                    tol=tol,
-                    scheme=scheme,
-                    threads=threads,
-                    budget=budget,
-                    scale=scale,
-                )
-                cache[key] = (vals, errs, scheme)
-            transforms.append((key, cache[key][:2]))
+            if factor.key() in covers:
+                continue
+            hess = factor.pmap.hessian_bound
+            radius = factor.ifs.support_radius
+            scale = None
+            if hess:
+                scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
+            scheme, scale = _fixed_cover(factor.ifs, factor.pmap, scale, max_frequency)
+            covers[factor.key()] = (factor, scheme, scale)
+        # A cover is named by its snapped scale (``ifs._count_stopping``): a
+        # halving that moves no factor's cover would evaluate the same
+        # transforms again, so it is skipped.
+        snapped = {
+            key: (scheme, None if scale is None else _count_stopping(factor.ifs, scale)[1])
+            for key, (factor, scheme, scale) in covers.items()
+        }
+        if snapped == evaluated:
+            refine *= 0.5
+            continue
+        evaluated = snapped
+        cache = {}
+        for key, (factor, scheme, scale) in covers.items():
+            vals, errs, _ = pushforward_batch(
+                factor.ifs,
+                factor.pmap,
+                xis,
+                tol=tol,
+                scheme=scheme,
+                threads=threads,
+                budget=budget,
+                scale=scale,
+            )
+            cache[key] = (vals, errs, scheme)
+        transforms = [(factor.key(), cache[factor.key()][:2]) for factor in factors]
 
         # Multiply in canonical key order: numpy complex products are not
         # bitwise commutative, and the product must be identical for any

@@ -57,13 +57,13 @@ Covers are never stored: every job of the kernel streams its group's
 cover once from ``ifs._cover_blocks`` in leaf blocks of at most
 ``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
-a cover has.  The order-1 inner transform is read from a certified
-interpolation table of h (and h2 for order 2) for homogeneous systems on
-the line in a batch, whose step follows from the second moment
-M2 = int |x - b|^2 dmu (|h''| <= 4 pi^2 M2); otherwise it is the product
-form of the centred
-system, or for other systems a nested order-0 call of the kernel on its
-identity at tol/2.  Within a
+a cover has.  The inner transform is a set of moment columns, h for
+order 1 and h, h2 for order 2, from one path: a certified interpolation
+table of the columns for homogeneous systems on the line in a batch,
+whose step follows from the second moment M2 = int |x - b|^2 dmu
+(|h''| <= 4 pi^2 M2); otherwise the product form of the centred system,
+whose levels carry the columns, or for other systems a nested order-0
+call of the kernel on its identity at tol/2.  Within a
 block the elementwise work runs over cache-sized blocks of rows, and on a
 uniform frequency grid j * delta the phases of consecutive rows come by
 angle addition (``_phase_blocks``, shared with the Fourier inversion of
@@ -311,11 +311,6 @@ def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: 
     )
 
 
-def _cis(theta):
-    """exp(-i theta), vectorised."""
-    return np.cos(theta) - 1j * np.sin(theta)
-
-
 @dataclass(frozen=True)
 class FrequencySample:
     """One evaluated frequency: value, certified error bound, provenance."""
@@ -343,6 +338,11 @@ def _check_finite(xis: np.ndarray) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not value > 0.0:     # NaN included
         raise BadConfig(f"{name} must be positive, got {value}")
+
+
+def _check_threads(threads: int) -> None:
+    if not threads >= 1:
+        raise BadConfig(f"threads must be at least 1, got {threads}")
 
 
 def _freq_vector(xi, k: int) -> np.ndarray:
@@ -414,33 +414,44 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     """Product-form mu_hat of a homogeneous system at every row of ``etas`` (n, k).
 
     All depth-m leaves share the frequency (r O^T)^m eta, so the stopping
-    tree collapses to a product of one-step factors
-    sum_i p_i e^{-2 pi i <eta, t_i>}; the value equals the full tree sum
-    exactly.  Every row goes to the depth its largest row needs: the
-    first m at which 2 pi |(r O^T)^m eta| R <= tol for that row, its norm
-    recomputed from the iterate at every level.  A one-row call thus stops
-    where that frequency's own tree does.  In a many-row call the smaller
-    rows get closure terms far below tol, which keeps the interpolation
-    table's slack and the order-1 inner bounds small.  Rows run in chunks
-    of ``FRONTIER_BLOCK``: each level of a chunk is one (rows x maps) phase
-    matrix whose cos and sin are contracted with the weight vector, and a
-    chunk's arrays stay small enough to stay in cache.
+    tree collapses to a product of independent levels; the value equals
+    the full tree sum exactly.  Level l < D holds the phases
+    2 pi <eta_l, t_i>, eta_l = (r O^T)^l eta, with weights p_i, and the
+    closing level D holds 2 pi <eta_D, b> with weight 1.  Every row goes
+    to the depth D its largest row needs: the first m at which
+    2 pi |(r O^T)^m eta| R <= tol for that row, its norm recomputed from
+    the iterate at every level.  A one-row call thus stops where that
+    frequency's own tree does.  In a many-row call the smaller rows get
+    closure terms far below tol, which keeps the interpolation table's
+    slack and the order-1 inner bounds small.
+
+    Moment columns.  Each level carries weight columns p_i a_{l,i}^j of
+    its phases: one (j = 0), the level factor, or with ``second`` three
+    (j = 0, 1, 2) for a centred system on the line (barycenter exactly 0,
+    as ``ifs.centred`` sets it), where a_{l,i} = s^l t_i (s = r O) is the
+    offset of map i at level l; the closing level is then (1, 0, 0).
+    Column j is sum_i p_i a^j e^{-2 pi i eta a}, the level factor's j-th
+    derivative up to (-2 pi i)^j.  ``_moment_product`` combines the
+    levels: one column into their product, the transform; three into h
+    and h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2,
+    u = sum_l a_l.  Rows run in chunks (``FRONTIER_BLOCK`` rows, or the
+    grid block below), each into one reused complex buffer of
+    levels x columns x rows.
 
     Grid rows.  When the rows are exactly j * delta on the line
     (``_grid_step``; ``_MuHatTable`` builds its grid that way), the phase
-    of map i at level l is j c_{l,i}, c_{l,i} = 2 pi delta s^l t_i
-    (s = r O), and the barycenter factor is one more level with b for t
-    and weight 1: D + 1 levels of N coefficients, D the depth.  The rows
+    of map i at level l is j c_{l,i}, c_{l,i} = 2 pi delta s^l t_i (t = b
+    on the closing level): D + 1 levels of N coefficients.  The rows
     run in chunks of L = PHASE_BLOCK / ((D + 1) N) consecutive rows
-    j0 .. j0 + L - 1.  Every factor comes by angle addition from a base
-    block, cos and sin of u c (u < L) computed once with the weights
-    folded in, and the phases j0 c of the chunk's first row, one cos/sin
-    call for all levels: (L + n / L)(D + 1) N arguments instead of
-    n (D + 1) N.  The base block is laid out maps-major, (levels, 2N, L),
-    so each level's real and imaginary parts are one small (2 x 2N)
-    matrix times the block's contiguous length-L rows; with the rows
-    first, numpy would broadcast over an axis of length N, which is many
-    times slower than flat operations.  The grid rows' bounds add
+    j0 .. j0 + L - 1.  Every column comes by angle addition from a base
+    block, cos and sin of u c (u < L) computed once with the weight
+    columns folded in, and the phases j0 c of the chunk's first row, one
+    cos/sin call for all levels: (L + n / L)(D + 1) N arguments instead
+    of n (D + 1) N.  The base block is laid out maps-major,
+    (levels, 2N, columns x L), so each level's real and imaginary parts
+    are one small (2 x 2N) matrix times the block's contiguous rows; with
+    the rows first, numpy would broadcast over an axis of length N, which
+    is many times slower than flat operations.  The grid rows' bounds add
     ``_recursion_rounding(..., grid=True)``'s allowance for the angle
     addition and the rounding of the coefficients.  Their depth is the
     direct path's, and so is their closure term 2 pi |eta| rho^D R, up
@@ -448,21 +459,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     closure and rounding terms of all rows are computed after the values,
     in blocks of ``PHASE_BLOCK`` rows.
 
-    Second moments.  With ``second`` (a centred system on the line: its
-    barycenter is exactly 0, as ``ifs.centred`` sets it) every row also
-    gets h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2.
-    With u = sum_l a_l, a_l = s^l c_{I_l} the offset of level l, each
-    level carries the moments (m0, m1, m2)_l = sum_i p_i (s^l c_i)^j
-    e^{-2 pi i eta s^l c_i}, j = 0, 1, 2, the level's factor and two more
-    weight columns of the same phases (the factor's derivatives up to
-    the constants (-2 pi i)^j); on grid rows they are more columns of the
-    same angle-addition matrix product.  Independent levels combine as
-    (P0, P1, P2) (m0, m1, m2) = (P0 m0, P1 m0 + P0 m1,
-    P2 m0 + 2 P1 m1 + P0 m2) (``_moment_product``, pairwise).  The
-    closing level is (1, 0, 0).  The offsets are at most
-    S = max |c_i| = (1 - rho) R, so the offsets of any set of levels sum
-    to at most R, and every partial product has |P1| <= R and
-    |P2| <= R^2.
+    Second-moment bound.  The offsets are at most S = max |t_i| =
+    (1 - rho) R, so the offsets of any set of levels sum to at most R,
+    and every partial product of moments has |P1| <= R and |P2| <= R^2.
     * closure.  The rest of u is s^D u' with u' ~ nu independent of the
       levels and |u'| <= R.  Closing with (1, 0, 0) drops
       P2 (E e' - 1), with |E e' - 1| <= eps_D = 2 pi |eta_D| R, and
@@ -473,7 +472,7 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     * rounding (model and u as in ``_phase_rounding``).  Phase errors
       with sum Phi over the levels (the phase part of
       ``_recursion_rounding``) move P2 by at most R^2 Phi.  A level's
-      moment j comes from cos and sin of its N phases contracted with
+      column j comes from cos and sin of its N phases contracted with
       weights of total (rho^l S)^j: within 1.5 (N + 7) EPS (rho^l S)^j as
       a complex number on both paths (the direct dot product and the
       angle addition, as for the value), which the rest of the product,
@@ -482,12 +481,11 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
       12 EPS R^2, P1's by 5 EPS R and P0's by 2 EPS, which reach P2 as
       (12 + 10 + 2) EPS R^2: (6 N + 66) EPS R^2 per level, over D + 1
       levels (a pairwise product has as many combines, each of partial
-      products within those bounds).  The columns p_i (s^l c_i)^j carry
+      products within those bounds).  The columns p_i (s^l t_i)^j carry
       a relative error below (2 l + 4) u from the l products of s^l,
       which moves P2 by at most 4 EPS R^2 / (1 - rho)^2 over all levels.
-      14 times
-      ``_recursion_rounding`` covers Phi and (D + 1)(6 N + 66) EPS, so
-      the allowance is R^2 (14 ``_recursion_rounding`` +
+      14 times ``_recursion_rounding`` covers Phi and (D + 1)(6 N + 66)
+      EPS, so the allowance is R^2 (14 ``_recursion_rounding`` +
       4 EPS / (1 - rho)^2).
 
     Returns (values (n,), error bounds (n,), depth).  Each bound is the
@@ -497,8 +495,6 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     """
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # row eta -> row r O^T eta
-    trans = np.array([m.translation for m in ifs.maps]).T   # (k, N)
-    weights = ifs.weight_array
     etas = np.asarray(etas, dtype=float)
     norms = np.sqrt(np.vecdot(etas, etas))      # as np.linalg.norm(eta), bit for bit
     top = etas[int(np.argmax(norms))]
@@ -513,33 +509,30 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
         depth += 1
         if depth > 5000:
             raise FractalFourierError("homogeneous recursion failed to contract")
-    values = np.empty(len(etas), dtype=complex)
-    errs = np.empty(len(etas))
-    seconds = np.empty(len(etas), dtype=complex) if second else None
+    # level l < depth: shifts t_i, weights p_i; level depth: b, weight 1.  On the
+    # line's grid the closing level takes the slot of map 0 of N.
+    n_maps, n_cols = ifs.n_maps, 3 if second else 1
+    trans = np.array([m.translation for m in ifs.maps]).T   # (k, N)
+    shifts, cols = np.zeros((depth + 1, n_maps)), np.zeros((depth + 1, n_maps, n_cols))
+    shifts[:depth], shifts[depth, 0] = trans[0], ifs.barycenter[0]
+    cols[:depth, :, 0], cols[depth, 0, 0] = ifs.weight_array, 1.0
+    offsets = np.cumprod(np.r_[1.0, np.full(depth, step_t[0, 0])])[:, None] * shifts
+    for j in range(1, n_cols):
+        cols[:, :, j] = cols[:, :, j - 1] * offsets     # p_i a^j
+    values = np.empty((2 if second else 1, len(etas)), dtype=complex)
+    errs = np.empty(values.shape)
     delta = _grid_step(etas)
     if delta is not None:
-        # level l < depth: shifts t_i, weights p_i; level depth: b, weight 1
-        n_maps = ifs.n_maps
-        shifts, level_weights = np.zeros((2, depth + 1, n_maps))
-        shifts[:depth], level_weights[:depth] = trans[0], weights
-        shifts[depth, 0], level_weights[depth, 0] = ifs.barycenter[0], 1.0
         scales = np.cumprod(np.r_[delta, np.full(depth, step_t[0, 0])])  # delta s^l
         coefs = TWO_PI * (scales[:, None] * shifts)                    # (depth + 1, N)
         size = min(len(etas), max(1, PHASE_BLOCK // coefs.size))
-        theta = coefs[:, :, None] * np.arange(size)
-        folded = level_weights[:, :, None]
-        if second:
-            # weight columns p_i a^j, j = 0, 1, 2, side by side: (levels, N, 3 size)
-            offsets = np.cumprod(np.r_[1.0, np.full(depth, step_t[0, 0])])[:, None] * shifts
-            folded = np.concatenate(
-                [folded, (level_weights * offsets)[:, :, None],
-                 (level_weights * offsets * offsets)[:, :, None]], axis=2
-            ).repeat(size, axis=2)
-            theta = np.tile(theta, 3)
+        theta = coefs[:, :, None, None] * np.arange(size)
+        folded = cols[:, :, :, None]
         base = np.concatenate([folded * np.cos(theta), folded * np.sin(theta)], axis=1)
+        base = base.reshape(depth + 1, 2 * n_maps, n_cols * size)
         rot = np.empty((depth + 1, 2, 2 * n_maps))
         # reused: a fresh complex array per chunk costs more than its product
-        factors = None if second else np.empty((depth + 1, size), dtype=complex)
+        levels = np.empty((depth + 1, n_cols, size), dtype=complex)
         for start in range(0, len(etas), size):
             count = min(size, len(etas) - start)
             theta = start * coefs
@@ -547,68 +540,57 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
             # Re = cA cB - sA sB and Im = -(sA cB + cA sB), per level and map
             rot[:, 0, :n_maps], rot[:, 0, n_maps:] = c_off, -s_off
             rot[:, 1, :n_maps], rot[:, 1, n_maps:] = -s_off, -c_off
-            if not second:
-                parts = rot @ base[:, :, :count]
-                factors.real[:, :count], factors.imag[:, :count] = parts[:, 0], parts[:, 1]
-                np.prod(factors[:, :count], axis=0, out=values[start : start + count])
-                continue
-            parts = (rot @ base).reshape(depth + 1, 2, 3, size)[..., :count]
-            moments = parts[:, 0] - 0j
-            moments.imag = parts[:, 1]
-            values[start : start + count], seconds[start : start + count] = _moment_product(moments)
-        np.multiply(norms, abs(float(step_t[0, 0])) ** depth, out=errs)    # |eta_D|
+            parts = (rot @ base).reshape(depth + 1, 2, n_cols, size)
+            levels.real, levels.imag = parts[:, 0], parts[:, 1]
+            values[:, start : start + count] = _moment_product(levels[..., :count])
+        np.multiply(norms, abs(float(step_t[0, 0])) ** depth, out=errs[0])    # |eta_D|
     else:
+        level_shifts = [trans] * depth + [ifs.barycenter[:, None]]
+        level_cols = [*cols[:depth], cols[depth, :1]]
+        levels = np.empty((depth + 1, n_cols, min(len(etas), FRONTIER_BLOCK)), dtype=complex)
         for start in range(0, len(etas), FRONTIER_BLOCK):
             rows = slice(start, start + FRONTIER_BLOCK)
             cur = etas[rows]
-            value = np.ones(len(cur), dtype=complex)
-            levels = []
-            for level in range(depth):
-                phases = TWO_PI * (cur @ trans)
-                if second:
-                    offsets = trans[0] * float(step_t[0, 0]) ** level
-                    cols = np.stack([weights, weights * offsets, weights * offsets * offsets], axis=1)
-                    levels.append((np.cos(phases) @ cols - 1j * (np.sin(phases) @ cols)).T)
-                else:
-                    value *= np.cos(phases) @ weights - 1j * (np.sin(phases) @ weights)
-                cur = cur @ step_t
-            if second:
-                if levels:
-                    value, seconds[rows] = _moment_product(np.array(levels))
-                else:
-                    seconds[rows] = 0.0
-            value *= _cis(TWO_PI * (cur @ ifs.barycenter))
-            values[rows] = value
-            errs[rows] = np.sqrt(np.vecdot(cur, cur))     # |eta_D|
-    errs2 = np.empty(len(etas)) if second else None
+            for level, (shift, col) in enumerate(zip(level_shifts, level_cols)):
+                if level:
+                    cur = cur @ step_t
+                phases = TWO_PI * (cur @ shift)
+                np.subtract(np.cos(phases) @ col, 1j * (np.sin(phases) @ col),
+                            out=levels[level, :, : len(cur)].T)
+            values[:, rows] = _moment_product(levels[..., : len(cur)])
+            errs[0, rows] = np.sqrt(np.vecdot(cur, cur))     # |eta_D|
     ratio = float(ifs.ratios.max())
     # PHASE_BLOCK rows at a time: whole-array temporaries would add several
     # arrays of the table's size to the peak memory
     for start in range(0, len(etas), PHASE_BLOCK):
         rows = slice(start, start + PHASE_BLOCK)
-        reach = TWO_PI * errs[rows] * radius
+        reach = TWO_PI * errs[0, rows] * radius
         rounding = _recursion_rounding(ifs, norms[rows], depth, grid=delta is not None)
         if second:
-            errs2[rows] = radius**2 * (
+            errs[1, rows] = radius**2 * (
                 reach + 3.0 * ratio**depth + _roundoff(depth + 1)
                 + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2
             )
-        errs[rows] = reach + _roundoff(depth + 1) + rounding
+        errs[0, rows] = reach + _roundoff(depth + 1) + rounding
     if second:
-        return np.stack([values, seconds]), np.stack([errs, errs2]), depth
-    return values, errs, depth
+        return values, errs, depth
+    return values[0], errs[0], depth
 
 
-def _moment_product(levels: np.ndarray):
-    """(P0, P2) of the moments (m0, m1, m2) of independent levels, ``levels`` (L, 3, n).
+def _moment_product(levels: np.ndarray) -> np.ndarray:
+    """The transform columns of independent levels, ``levels`` (L, n_cols, n).
 
-    Two sets of levels combine as (P0, P1, P2) (m0, m1, m2) =
-    (P0 m0, P1 m0 + P0 m1, P2 m0 + 2 P1 m1 + P0 m2).  The levels are
-    merged pairwise, all pairs of a round at once, in ceil(log2 L) rounds:
-    L - 1 combines as in a level-by-level product, each of a set of
-    levels whose offsets sum to at most R, the rounding
+    One column (level factors): their product h, as (1, n).  Three
+    (moments m0, m1, m2): (h, h2) = (P0, P2), as (2, n), where two sets of
+    levels combine as (P0, P1, P2) (m0, m1, m2) =
+    (P0 m0, P1 m0 + P0 m1, P2 m0 + 2 P1 m1 + P0 m2).  The moments are
+    merged pairwise, all pairs of a round at once, in ceil(log2 L)
+    rounds: L - 1 combines as in a level-by-level product, each of a set
+    of levels whose offsets sum to at most R, the rounding
     ``_mu_hat_homog_many`` derives for its second moments.
     """
+    if levels.shape[1] == 1:
+        return np.prod(levels, axis=0)
     while len(levels) > 1:
         half = len(levels) // 2
         a, b = levels[:half], levels[half : 2 * half]
@@ -617,7 +599,7 @@ def _moment_product(levels: np.ndarray):
         merged[:, 1] = a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]
         merged[:, 2] = a[:, 2] * b[:, 0] + 2.0 * (a[:, 1] * b[:, 1]) + a[:, 0] * b[:, 2]
         levels = np.concatenate([merged, levels[2 * half :]]) if len(levels) % 2 else merged
-    return levels[0, 0], levels[0, 2]
+    return levels[0, ::2]
 
 
 # ---------------------------------------------------------------------------
@@ -997,34 +979,32 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 class _MuHatTable:
     """Uniform-grid linear-interpolation table of the centred transform on the line.
 
-    The table holds h(eta) = e^{2 pi i eta b} mu_hat(eta), the transform
-    of ``ifs.centred``: the order-1 inner transform of every cylinder.
-    ``slack`` certifies |lookup(eta) - h(eta)| for |eta| <= ``eta_max``;
+    The table holds columns on one grid j * h: h(eta) = e^{2 pi i eta b}
+    mu_hat(eta), the transform of ``ifs.centred`` and the order-1 inner
+    transform of every cylinder, and with ``second`` the second-moment
+    transform h2(eta) = int u^2 e^{-2 pi i eta u} dmu_c(u) as well (the
+    moment columns of ``_mu_hat_homog_many``).  Column c is certified to
+    ``slacks[c]`` for |eta| <= ``eta_max`` (``slack`` and ``slack2``);
     negative frequencies resolve through conjugate symmetry.  Linear
-    interpolation at step h errs by at most (h^2 / 8) max|h''|, and
-    |h''| <= 4 pi^2 int |x - b|^2 dmu = 4 pi^2 M2 (``second_moment``), so
-    the step sqrt(8 table_tol / (4 pi^2 M2)) keeps that term at
-    ``table_tol``: larger than a step from (2 pi sup|x|)^2 by
-    sup|x| / sqrt(M2), 2.83 on the Cantor measure.  The slack adds the
-    largest bound of the rows a lookup reaches and the centring allowance
-    (``_centring_rounding``) at eta_max.  A lookup reads the rows i and
-    i + 1 with i = int(|eta| * (1/h)), monotone in |eta|, so the rows up
-    to int(eta_max * (1/h)) + 1 are the reachable ones.  The rows are
-    exactly j * h, so ``_mu_hat_homog_many`` builds them as grid rows, by
-    angle addition from one base block per call; their bounds include
-    that rounding.  What the build still costs is proportional to
-    rows x levels: the depth at which the largest row closes at
+    interpolation at step h errs by at most (h^2 / 8) max|f''| for a
+    column f, and |h''| <= 4 pi^2 int |x - b|^2 dmu = 4 pi^2 M2
+    (``second_moment``), so the step sqrt(8 table_tol / (4 pi^2 M2)) keeps
+    that term at ``table_tol``: larger than a step from (2 pi sup|x|)^2 by
+    sup|x| / sqrt(M2), 2.83 on the Cantor measure.  |h2''| =
+    4 pi^2 |int u^4 e^{...}| <= 4 pi^2 R^2 M2 on the ball of radius R, so
+    h2's term is R^2 times h's.  A slack adds the largest bound of its
+    column over the rows a lookup reaches and the column's centring
+    allowance (``_centring_rounding``) at eta_max.  A lookup reads the
+    rows i and i + 1 with i = int(|eta| * (1/h)), monotone in |eta|, so
+    the rows up to int(eta_max * (1/h)) + 1 are the reachable ones.  The
+    rows are exactly j * h, so ``_mu_hat_homog_many`` builds them as grid
+    rows, by angle addition from one base block per call; their bounds
+    include that rounding.  What the build still costs is proportional to
+    rows x levels x columns: the depth at which the largest row closes at
     ``table_tol``.
-
-    With ``second`` the table also holds the second-moment transform
-    h2(eta) = int u^2 e^{-2 pi i eta u} (``_mu_hat_homog_many``'s second
-    moments, on the same grid and read with the same index), certified
-    to ``slack2``: |h2''| = 4 pi^2 |int u^4 e^{...}| <= 4 pi^2 R^2 M2 on
-    the ball of radius R, so its interpolation term is R^2 times that of
-    h, and its centring allowance is ``_centring_rounding``'s second.
     """
 
-    __slots__ = ("h", "values", "seconds", "slack", "slack2", "eta_max")
+    __slots__ = ("h", "columns", "slacks", "eta_max")
 
     def __init__(self, ifs, eta_max: float, table_tol: float, second: bool = False):
         curvature = TWO_PI**2 * ifs.second_moment
@@ -1036,47 +1016,44 @@ class _MuHatTable:
         etas = np.zeros((n, ifs.ambient_dim))
         etas[:, 0] = np.arange(n) * h
         vals, errs, _ = _mu_hat_homog_many(ifs.centred, etas, table_tol, second)
+        vals, errs = vals.reshape(-1, n), errs.reshape(-1, n)
         reach = int(eta_max * (1.0 / h)) + 2
         interpolation = (h**2 / 8.0) * curvature
         self.h = h
         self.eta_max = eta_max
-        self.seconds, self.slack2 = None, None
-        if second:
-            (vals, self.seconds), (errs, errs2) = vals, errs
-            self.slack2 = (
-                float(errs2[:reach].max())
-                + interpolation * ifs.support_radius**2
-                + _centring_rounding(ifs, eta_max, second=True)
-            )
-        self.values = vals
-        self.slack = float(errs[:reach].max()) + interpolation + _centring_rounding(ifs, eta_max)
+        self.columns = list(vals)       # one contiguous array per column: fast gathers
+        self.slacks = [
+            float(col_errs[:reach].max())
+            + interpolation * ifs.support_radius ** (2 * c)
+            + _centring_rounding(ifs, eta_max, second=c == 1)
+            for c, col_errs in enumerate(errs)
+        ]
+
+    values = property(lambda self: self.columns[0])
+    slack = property(lambda self: self.slacks[0])
+    slack2 = property(lambda self: self.slacks[1] if len(self.slacks) > 1 else None)
 
     def lookup(self, eta: np.ndarray, second: bool = False):
         """h at every entry of ``eta``; with ``second``, (h, h2) from one index computation."""
+        columns = self.columns[: 2 if second else 1]
         # In place where possible: the batch kernel calls this on its
         # largest arrays.
         frac = np.abs(eta)
         frac *= 1.0 / self.h
         idx = frac.astype(np.int64)
         frac -= idx
-        lo = self.values[idx]
-        if second:
-            lo2 = self.seconds[idx]
+        lows = [column[idx] for column in columns]
         idx += 1
-        out = self.values[idx]
-        out -= lo
-        out *= frac
-        out += lo
         sign = np.sign(eta)
-        np.multiply(out.imag, sign, out=out.imag)
-        if not second:
-            return out
-        out2 = self.seconds[idx]
-        out2 -= lo2
-        out2 *= frac
-        out2 += lo2
-        np.multiply(out2.imag, sign, out=out2.imag)
-        return out, out2
+        outs = []
+        for column, lo in zip(columns, lows):
+            out = column[idx]
+            out -= lo
+            out *= frac
+            out += lo
+            np.multiply(out.imag, sign, out=out.imag)
+            outs.append(out)
+        return tuple(outs) if second else outs[0]
 
 
 def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
@@ -1282,21 +1259,21 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
-    ``ifs.centred``, so A_w = 2 pi f(x_w) (``_linear_forms``).  It comes
-    from one ``_MuHatTable`` when ``table`` is set (k = 1, homogeneous),
-    built before any job runs.  Otherwise each block evaluates it at its
-    rows x leaves inner frequencies on ``ifs.centred``: by the product
-    form at tol/2 for homogeneous systems, else by one nested order-0
-    call of this kernel on its identity at tol/2 (``threads`` 1),
-    octave-grouped like the outer rows, whose covers (the same words) are
-    counted against ``budget``; each inner bound adds the centring
-    allowance ``_centring_rounding``.
+    ``ifs.centred``, so A_w = 2 pi f(x_w) (``_linear_forms``).  It is a
+    set of columns at each inner frequency, h and for order 2 also h2,
+    from one of three sources: one ``_MuHatTable`` when ``table`` is set
+    (k = 1, homogeneous), built before any job runs; otherwise, per
+    block at its rows x leaves inner frequencies on ``ifs.centred``, the
+    product form's moment columns at tol/2 for homogeneous systems, else
+    one nested order-0 call of this kernel on its identity at tol/2
+    (``threads`` 1), octave-grouped like the outer rows, whose covers (the
+    same words) are counted against ``budget``.  Each column's bound adds
+    its centring allowance ``_centring_rounding``.
 
     Order 2 (homogeneous systems on the line, maps with ``third_bound``)
-    reads h and h2 at the same inner frequency, from the table's two
-    columns or the product form's second moments, and combines them with
-    the leaf column q_w = r_w^2 f''(x_w) into h - pi i xi q_w h2 before
-    the outer phase.  The inner value is then at most 1 + kappa with
+    combines the columns with the leaf column q_w = r_w^2 f''(x_w) into
+    h - pi i xi q_w h2 before the outer phase, so h2's bound counts
+    pi |xi| |q_w| times.  The inner value is then at most 1 + kappa with
     kappa = pi |xi| max_w |q_w| R^2, and its h2 part is
     2 pi R kappa-Lipschitz (|h2'| <= 2 pi int |u|^3 <= 2 pi R^3), so the
     roundoff, phase and cover rounding terms, derived for |h| <= 1 and a
@@ -1322,8 +1299,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     """
     m, d = xis.shape
     k = ifs.ambient_dim
-    order2 = scheme == "order2"
-    order1 = scheme == "order1" or order2     # order 2 adds to order 1's linear forms
+    order = ("order0", "order1", "order2").index(scheme)
+    order1, order2 = order >= 1, order == 2     # order 2 adds to order 1's linear forms
     if order2:
         if k != 1 or d != 1:
             raise Unsupported(
@@ -1375,13 +1352,11 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
     radius = ifs.support_radius
-    if order2:
-        jac = _jacobian_bound(ifs, pmap)
-        unit = math.pi / 3.0 * third * radius**3
-        gain = jac + bound * radius + 0.5 * third * radius**2
-    elif order1:
+    if order1:
         jac = _jacobian_bound(ifs, pmap)
         unit, gain = math.pi * bound * radius**2, jac + bound * radius
+        if order2:
+            unit, gain = math.pi / 3.0 * third * radius**3, gain + 0.5 * third * radius**2
     else:
         jac, unit, gain = 0.0, TWO_PI * bound * radius, bound
     mu_table = None
@@ -1408,14 +1383,12 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         quartic, curv_sum, curv_max = 0.0, 0.0, 0.0     # order 2: sums of p q^2, p |q|; max |q|
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
+            moment += float(np.sum(weights * ratios ** (order + 1)))
             if order2:
                 curv = ratios**2 * pmap.hessian(anchors)[:, 0, 0]     # q_w = r_w^2 f''(x_w)
-                moment += float(np.sum(weights * ratios**3))
                 quartic += float(np.sum(weights * curv**2))
                 curv_sum += float(np.sum(weights * np.abs(curv)))
                 curv_max = max(curv_max, float(np.abs(curv).max()))
-            else:
-                moment += float(np.sum(weights * (ratios**2 if order1 else ratios)))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
             if order1 and mu_table is None:
                 if k == d == 1:
@@ -1429,45 +1402,40 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
                     vals, errs, _ = _image_rows(
                         centred, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
                     )
+                # the columns h (and h2 for order 2), each with its centring allowance
+                exact_inner = vals.reshape(-1, len(rows), len(weights))
+                errs = errs.reshape(len(exact_inner), -1)
                 eta_norms = np.sqrt(np.vecdot(flat, flat))
-                if order2:
-                    errs[0] += _centring_rounding(ifs, eta_norms)
-                    errs[1] += _centring_rounding(ifs, eta_norms, second=True)
-                    # h errs, plus pi |xi| |q_w| times the h2 errs
-                    errs = errs[0] + np.pi * np.outer(norms[rows], np.abs(curv)).ravel() * errs[1]
-                    exact_inner = vals.reshape(2, len(rows), len(weights))
-                else:
-                    errs += _centring_rounding(ifs, eta_norms)
-                    exact_inner = vals.reshape(len(rows), len(weights))
+                for column, column_errs in enumerate(errs):
+                    column_errs += _centring_rounding(ifs, eta_norms, second=column == 1)
+                if order2:      # the combine below takes h2 pi |xi| |q_w| times
+                    errs[1] *= np.pi * np.outer(norms[rows], np.abs(curv)).ravel()
                 inner_err = inner_err + np.add.reduce(
-                    errs.reshape(len(rows), len(weights)) * weights, axis=1
+                    errs.sum(axis=0).reshape(len(rows), len(weights)) * weights, axis=1
                 )
             for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
                 if b_forms is None:
                     re, im = ct, np.negative(st, out=st)
                 else:
-                    if mu_table is not None:
-                        eta = np.outer(x[start:stop, 0], b_forms[:, 0, 0])
-                        if order2:
-                            inner, inner2 = mu_table.lookup(eta, second=True)
-                        else:
-                            inner = mu_table.lookup(eta)
-                    elif order2:
-                        inner, inner2 = exact_inner[:, start:stop]
+                    if mu_table is None:
+                        inner = exact_inner[:, start:stop]
                     else:
-                        inner = exact_inner[start:stop]
+                        eta = np.outer(x[start:stop, 0], b_forms[:, 0, 0])
+                        inner = mu_table.lookup(eta, True) if order2 else [mu_table.lookup(eta)]
+                    h = inner[0]
                     if order2:
                         # h - i g h2 with g = pi xi q_w: the quadratic phase integrated
                         g = np.outer(np.pi * x[start:stop, 0], curv)
-                        inner2.real *= g
-                        inner2.imag *= g
-                        inner.real += inner2.imag
-                        inner.imag -= inner2.real
+                        h2 = inner[1]
+                        h2.real *= g
+                        h2.imag *= g
+                        h.real += h2.imag
+                        h.imag -= h2.real
                     # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
-                    re = ct * inner.real
-                    re += st * inner.imag
-                    im = np.multiply(ct, inner.imag, out=ct)
-                    im -= np.multiply(st, inner.real, out=st)
+                    re = ct * h.real
+                    re += st * h.imag
+                    im = np.multiply(ct, h.imag, out=ct)
+                    im -= np.multiply(st, h.real, out=st)
                 part[start:stop] = _row_sums(re, im, weights)
             # TwoSum of the running sum and this block's sums
             t = total + part
@@ -1614,6 +1582,7 @@ def pushforward_batch(
     if pmap.out_dim != 1:
         raise Unsupported("batched evaluation expects scalar images (d = 1)")
     _check_positive("tol", tol)
+    _check_threads(threads)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
     _check_finite(xis)

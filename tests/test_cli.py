@@ -282,6 +282,17 @@ class TestFourier:
         assert "tol must be positive, got nan" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["--threads", threads, "fourier", "--ifs", str(CONFIGS / "cantor.json"),
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recursion_threads_byte_identical(self, tmp_path):
         mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
         outputs = []

@@ -25,7 +25,7 @@ from fractal_fourier.experiments import (
     write_density_csv,
 )
 from fractal_fourier.fourier import PushforwardMap, constant_map, identity_map, square_map
-from fractal_fourier.ifs import ifs_1d, uniform_ifs
+from fractal_fourier.ifs import _count_stopping, ifs_1d, uniform_ifs
 
 
 class TestDecayExperiment:
@@ -166,6 +166,21 @@ class TestConvolution:
         with pytest.raises(InvalidIFS):
             ifs_1d([0.5, 0.5], [0.5, 0.5])  # both maps fix x = 1
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, cantor, uniform12, threads, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated before the threads check")
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", no_work)
+        monkeypatch.setattr(experiments_module, "curvature_diagnostic", no_work)
+        message = f"threads must be at least 1, got {threads}"
+        with pytest.raises(BadConfig, match=message):
+            multiplicative_convolution(
+                [log_factor(uniform12)] * 2, max_frequency=64.0, threads=threads
+            )
+        with pytest.raises(BadConfig, match=message):
+            measure_decay_slope(cantor, square_map(cantor), octaves=(4, 5), threads=threads)
+
     def test_needs_two_factors(self, uniform12):
         with pytest.raises(BadConfig):
             multiplicative_convolution([log_factor(uniform12)])
@@ -283,6 +298,26 @@ class TestDensityBudget:
         assert len(calls) >= 2
         assert all(scheme == "order2" for scheme, _ in calls)
         assert all(b[1] < a[1] for a, b in zip(calls, calls[1:]))
+
+    def test_retries_evaluate_each_cover_once(self, digits_factor, monkeypatch):
+        # ratio 0.2: levels 5x apart, so several halvings keep one cover
+        calls = []
+        original = experiments_module.pushforward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(_count_stopping(args[0], kwargs["scale"])[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
+        with pytest.raises(ResourceExceeded) as info:
+            multiplicative_convolution(
+                [digits_factor] * 2, max_frequency=256.0, density_budget=1e-12, budget=5000
+            )
+        assert info.value.budget_name == "leaf_budget"
+        assert "needs 16384 leaves > budget 5000" in str(info.value)
+        # 1,024 and 4,096 leaves once each; the 16,384-leaf cover raises
+        assert [n for n, _ in calls] == [1024, 4096, 16384]
+        assert len(set(calls)) == len(calls)
 
     def test_unreachable_budget_raises_before_building(self, digits_factor):
         with pytest.raises(ResourceExceeded) as info:

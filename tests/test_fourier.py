@@ -1253,6 +1253,14 @@ class TestBatch:
                 with pytest.raises(BadConfig):
                     pushforward_batch(system, sq, [1.0, bad], scheme=scheme)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, cantor, threads):
+        for scheme in ("order0", "order1", "order2", "exact_recursion"):
+            with pytest.raises(BadConfig, match=f"threads must be at least 1, got {threads}"):
+                pushforward_batch(
+                    cantor, square_map(cantor), [1.0, 2.0], scheme=scheme, threads=threads
+                )
+
     def test_quadratic_kind_matches_square(self, cantor):
         from fractal_fourier.fourier import quadratic_map
 

@@ -16,6 +16,7 @@ from fractal_fourier.fourier import (
     PushforwardMap,
     _MuHatTable,
     _centring_rounding,
+    _grid_step,
     _mu_hat_homog_many,
     cube_map,
     identity_map,
@@ -304,6 +305,28 @@ def test_second_moment_closure_within_its_bound_of_the_mpmath_form(system, eta, 
         assert abs(mpmath.mpc(values[1, row]) - exact) <= bounds[1, row] + allowance, x
     # the depth rule holds the closure at eta = 0 within tol
     assert bounds[1, 0] <= tol * (1.0 + 1e-9)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=homogeneous_systems(),
+    etas=st.lists(st.floats(-200.0, 200.0).filter(bool), min_size=1, max_size=6),
+    tol=st.sampled_from([1e-4, 1e-7, 1e-10]),
+)
+def test_scattered_moment_rows_within_their_bounds_of_the_mpmath_forms(system, etas, tol):
+    # rows that are not a grid j * delta take cos and sin directly, level
+    # by level, with the barycenter as the closing level
+    rows = np.array([etas]).T
+    assert _grid_step(rows) is None
+    values, bounds, _ = _mu_hat_homog_many(system.centred, rows, tol, True)
+    b = mpmath.mpf(float(system.barycenter[0]))
+    for row, eta in enumerate(etas):
+        x = mpmath.mpf(eta)
+        centring = mpmath.expj(-2 * mpmath.pi * x * b)
+        error = abs(centring * mpmath.mpc(values[0, row]) - product_form_mpmath(system, x))
+        assert error <= bounds[0, row] + _centring_rounding(system, abs(eta)), eta
+        error2 = abs(mpmath.mpc(values[1, row]) - second_moment_form_mpmath(system, x))
+        assert error2 <= bounds[1, row] + _centring_rounding(system, abs(eta), second=True), eta
 
 
 def cantor_product_mpmath(xi, digits=40):
