@@ -58,16 +58,17 @@ cover once from ``ifs._cover_blocks`` in leaf blocks of at most
 ``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
 a cover has.  The inner transform is a set of moment columns, h for
-order 1 and h, h2 for order 2, from one path: a certified interpolation
-table of the columns for homogeneous systems on the line in a batch,
-whose step follows from the second moment M2 = int |x - b|^2 dmu
-(|h''| <= 4 pi^2 M2); otherwise the product form of the centred system,
-whose levels carry the columns, or for other systems a nested order-0
-call of the kernel on its identity at tol/2.  Within a
-block the elementwise work runs over cache-sized blocks of rows, and on a
-uniform frequency grid j * delta the phases of consecutive rows come by
-angle addition (``_phase_blocks``, shared with the Fourier inversion of
-``experiments``), which replaces most calls to cos and sin.
+order 1 and h, h2 for order 2, from one path: a certified
+piecewise-quadratic table of the columns for homogeneous systems on the
+line in a batch, whose step follows from the second moment
+M2 = int |x - b|^2 dmu (|h'''| <= (2 pi)^3 R M2); otherwise the product
+form of the centred system, whose levels carry the columns, or for
+other systems a nested order-0 call of the kernel on its identity at
+tol/2.  Within a block the elementwise work runs over cache-sized
+blocks of rows, and on a uniform frequency grid j * delta the phases of
+consecutive rows come by angle addition (``_phase_blocks``, shared with
+the Fourier inversion of ``experiments``), which replaces most calls to
+cos and sin.
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -84,7 +85,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,6 +109,8 @@ TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
 JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
 PHASE_BLOCK = 32_768    # row x leaf terms per elementwise block of a job
+MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
+CSV_BLOCK = 4_096       # rows per block of write_samples_csv
 
 
 def _roundoff(n_terms):
@@ -977,80 +979,120 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 class _MuHatTable:
-    """Uniform-grid linear-interpolation table of the centred transform on the line.
+    """Piecewise-quadratic table of the centred transform on the line.
 
-    The table holds columns on one grid j * h: h(eta) = e^{2 pi i eta b}
-    mu_hat(eta), the transform of ``ifs.centred`` and the order-1 inner
-    transform of every cylinder, and with ``second`` the second-moment
-    transform h2(eta) = int u^2 e^{-2 pi i eta u} dmu_c(u) as well (the
-    moment columns of ``_mu_hat_homog_many``).  Column c is certified to
-    ``slacks[c]`` for |eta| <= ``eta_max`` (``slack`` and ``slack2``);
-    negative frequencies resolve through conjugate symmetry.  Linear
-    interpolation at step h errs by at most (h^2 / 8) max|f''| for a
-    column f, and |h''| <= 4 pi^2 int |x - b|^2 dmu = 4 pi^2 M2
-    (``second_moment``), so the step sqrt(8 table_tol / (4 pi^2 M2)) keeps
-    that term at ``table_tol``: larger than a step from (2 pi sup|x|)^2 by
-    sup|x| / sqrt(M2), 2.83 on the Cantor measure.  |h2''| =
-    4 pi^2 |int u^4 e^{...}| <= 4 pi^2 R^2 M2 on the ball of radius R, so
-    h2's term is R^2 times h's.  A slack adds the largest bound of its
-    column over the rows a lookup reaches and the column's centring
-    allowance (``_centring_rounding``) at eta_max.  A lookup reads the
-    rows i and i + 1 with i = int(|eta| * (1/h)), monotone in |eta|, so
-    the rows up to int(eta_max * (1/h)) + 1 are the reachable ones.  The
-    rows are exactly j * h, so ``_mu_hat_homog_many`` builds them as grid
-    rows, by angle addition from one base block per call; their bounds
-    include that rounding.  What the build still costs is proportional to
-    rows x levels x columns: the depth at which the largest row closes at
-    ``table_tol``.
+    The table holds columns on one grid of cells [i h, (i + 1) h]:
+    h(eta) = e^{2 pi i eta b} mu_hat(eta), the transform of ``ifs.centred``
+    and the order-1 inner transform of every cylinder, and with ``second``
+    the second-moment transform h2(eta) = int u^2 e^{-2 pi i eta u} dmu_c(u)
+    as well (the moment columns of ``_mu_hat_homog_many``).  Column c is
+    certified to ``slacks[c]`` for |eta| <= ``eta_max`` (``slack`` and
+    ``slack2``); negative frequencies resolve through conjugate symmetry.
+
+    Nodes and cells.  ``_mu_hat_homog_many`` evaluates the columns at the
+    half-step nodes j h / 2 as grid rows (angle addition from one base
+    block, its bounds E_j including that rounding).  Cell i keeps the
+    quadratic through v_0 = v_{2i}, v_m = v_{2i+1} and v_1 = v_{2i+2} as
+    three coefficient columns, c0 = v_0, c1 = 4 v_m - 3 v_0 - v_1 and
+    c2 = 2 (v_0 + v_1) - 4 v_m, and a lookup evaluates
+    p(t) = c0 + t (c1 + t c2) by Horner's rule at t = frac(|eta| / h);
+    ``values`` is c0, the column at j h.  The nodes are dropped.  A lookup
+    reads cell int(|eta| * (1/h)), monotone in |eta|, so the cells up to
+    int(eta_max * (1/h)) are the reachable ones, and exactly those are
+    built: every node enters the slack and every node is reachable.
+
+    Slack of column c, derived for the measure nu of ``ifs.centred`` as
+    computed (supported in B(0, R), int u^2 dnu <= M2 = ``second_moment``,
+    which bounds it as computed) and u = EPS / 2:
+
+    * nodes.  The interpolant of the computed values differs from that of
+      nu_hat's by sum_j e_j L_j(t), and the Lagrange basis of the nodes 0,
+      1/2, 1 has Lebesgue constant max_t sum_j |L_j(t)| = 5/4 (at t = 1/4
+      and 3/4): 5/4 max_j E_j.
+    * interpolation.  A column f errs by f[x_0, x_1, x_2, x] w(x) with
+      |w| <= (sqrt(3) / 36) h^3 at t = (3 +- sqrt(3)) / 6, and by the
+      Hermite-Genocchi formula the divided difference is an average of
+      f''' / 6, complex f included: (sqrt(3) / 216) h^3 max|f'''|.
+      |h'''| <= (2 pi)^3 int |u|^3 dnu <= (2 pi)^3 R M2 and
+      |h2'''| <= (2 pi)^3 int |u|^5 dnu <= (2 pi)^3 R^3 M2, so h2's term is
+      R^2 times h's.  The step puts h's term at 3/4 of ``table_tol``, so
+      that with the 5/4 the slacks of the ``decay`` and ``convolve``
+      tables stay below a linear table's at the same ``table_tol``; it
+      grows as table_tol^(1/3), not table_tol^(1/2), about 30x on
+      ``decay``'s table.
+    * arguments.  x = fl(|eta| fl(1/h)) is within (2 u + u^2) |eta| of
+      |eta| / h, and t = x - int(x) is exact, so p is evaluated at h x,
+      within EPS eta_max (1 + u) of |eta|; the grid rows fl(j h / 2) lie
+      within u (eta_max + h) of j h / 2, 5/4 u (eta_max + h) through the
+      basis.  Both are below 2 EPS (eta_max + h), and nu_hat's column c is
+      2 pi R^(2c+1)-Lipschitz (|h'| <= 2 pi R, |h2'| <= 2 pi int |u|^3
+      <= 2 pi R^3): 4 pi R^(2c+1) EPS (eta_max + h).
+    * coefficients and Horner (per real part, |v| <= R^2c: |h| <= 1,
+      |h2| <= M2 <= R^2).  c1 = (4 v_m - 3 v_0) - v_1 rounds by at most
+      (3 + 7 + 8) u R^2c and c2 = 2 (v_0 + v_1) - 4 v_m by (4 + 8) u R^2c,
+      which move p by 30 u R^2c at |t| < 1.  |c1|, |c2| <= 8 R^2c, so
+      Horner's four operations round by (8 + 16 + 16 + 17) u R^2c: 87 u
+      per part, 61.6 EPS R^2c as a complex number, which 64 EPS R^2c
+      covers with the second-order terms.
+    * centring.  nu_hat against h: ``_centring_rounding`` at eta_max.
+
+    The clamp.  A step that would need more than MAX_TABLE_CELLS - 1
+    cells widens to eta_max / (MAX_TABLE_CELLS - 1) before anything is
+    allocated, so the table has at most ``MAX_TABLE_CELLS`` cells and its
+    three coefficient columns take no more bytes than 4,000,000 rows of a
+    linear table.  The slack is computed from the widened step: it stays
+    certified, only larger.  The build costs nodes x levels x columns:
+    the depth at which the largest node closes at ``table_tol``.
     """
 
-    __slots__ = ("h", "columns", "slacks", "eta_max")
+    __slots__ = ("h", "cells", "slacks", "eta_max")
 
     def __init__(self, ifs, eta_max: float, table_tol: float, second: bool = False):
-        curvature = TWO_PI**2 * ifs.second_moment
-        h = math.sqrt(8.0 * table_tol / curvature)
-        n = int(eta_max / h) + 3
-        if n > 4_000_000:
-            n = 4_000_000
-            h = eta_max / (n - 3)
-        etas = np.zeros((n, ifs.ambient_dim))
-        etas[:, 0] = np.arange(n) * h
+        radius = ifs.support_radius
+        third = TWO_PI**3 * radius * ifs.second_moment      # |h'''| <= (2 pi)^3 R M2
+        h = (0.75 * table_tol / (math.sqrt(3.0) / 216.0 * third)) ** (1.0 / 3.0)
+        if eta_max > (MAX_TABLE_CELLS - 1) * h:
+            h = eta_max / (MAX_TABLE_CELLS - 1)
+        n = int(eta_max * (1.0 / h)) + 1
+        etas = np.zeros((2 * n + 1, ifs.ambient_dim))
+        etas[:, 0] = np.arange(2 * n + 1) * (0.5 * h)
         vals, errs, _ = _mu_hat_homog_many(ifs.centred, etas, table_tol, second)
-        vals, errs = vals.reshape(-1, n), errs.reshape(-1, n)
-        reach = int(eta_max * (1.0 / h)) + 2
-        interpolation = (h**2 / 8.0) * curvature
+        vals, errs = vals.reshape(-1, 2 * n + 1), errs.reshape(-1, 2 * n + 1)
         self.h = h
         self.eta_max = eta_max
-        self.columns = list(vals)       # one contiguous array per column: fast gathers
+        self.cells = []     # (c0, c1, c2) per column, each contiguous: fast gathers
+        for v in vals:
+            v0, vm, v1 = v[:-1:2], v[1::2], v[2::2]
+            self.cells.append((v0.copy(), 4.0 * vm - 3.0 * v0 - v1, 2.0 * (v0 + v1) - 4.0 * vm))
+        interpolation = math.sqrt(3.0) / 216.0 * h**3 * third
+        shift = 2.0 * TWO_PI * radius * EPS * (eta_max + h)
         self.slacks = [
-            float(col_errs[:reach].max())
-            + interpolation * ifs.support_radius ** (2 * c)
+            1.25 * float(col_errs.max())
+            + radius ** (2 * c) * (interpolation + shift + 64.0 * EPS)
             + _centring_rounding(ifs, eta_max, second=c == 1)
             for c, col_errs in enumerate(errs)
         ]
 
-    values = property(lambda self: self.columns[0])
+    values = property(lambda self: self.cells[0][0])
     slack = property(lambda self: self.slacks[0])
     slack2 = property(lambda self: self.slacks[1] if len(self.slacks) > 1 else None)
 
     def lookup(self, eta: np.ndarray, second: bool = False):
         """h at every entry of ``eta``; with ``second``, (h, h2) from one index computation."""
-        columns = self.columns[: 2 if second else 1]
         # In place where possible: the batch kernel calls this on its
         # largest arrays.
         frac = np.abs(eta)
         frac *= 1.0 / self.h
         idx = frac.astype(np.int64)
         frac -= idx
-        lows = [column[idx] for column in columns]
-        idx += 1
         sign = np.sign(eta)
         outs = []
-        for column, lo in zip(columns, lows):
-            out = column[idx]
-            out -= lo
+        for c0, c1, c2 in self.cells[: 2 if second else 1]:
+            out = c2[idx]
             out *= frac
-            out += lo
+            out += c1[idx]
+            out *= frac
+            out += c0[idx]
             np.multiply(out.imag, sign, out=out.imag)
             outs.append(out)
         return tuple(outs) if second else outs[0]
@@ -1108,10 +1150,11 @@ def _fixed_cover(ifs, pmap, scale: Optional[float], xi_max: float):
     ``xi_max`` is within that term.  The remainder over that term grows
     with |xi|, so it is within it at every smaller |xi| too.  Any other
     system or map, or no ``scale`` (a map without curvature), keeps
-    ("order1", ``scale``).  The choice favours the tighter bound over
-    speed: order 2 also tabulates h2, on a longer table for its coarser
-    cover, and where that build outweighs the kernel's fewer terms (short
-    grids) it takes longer than order 1.
+    ("order1", ``scale``).  Order 2 also tabulates h2, on a longer table
+    for its coarser cover; with the quadratic table that build is small
+    beside the kernel's fewer terms, so on the README's uniform[1, 2]
+    log factors order 2 is also the faster scheme, from ``max_frequency``
+    512 up.
     """
     if scale is None or ifs.ambient_dim != 1 or not ifs.is_homogeneous or pmap.third_bound is None:
         return "order1", scale
@@ -1224,6 +1267,10 @@ def _run_rows(run, jobs, m: int, threads: int):
     """
     values, errors, leaves = np.ones(m, dtype=complex), np.zeros(m), np.ones(m, dtype=np.int64)
     if threads > 1:
+        # imported here: concurrent.futures and the logging it loads cost
+        # every process that runs on one thread a few ms at start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
@@ -1262,7 +1309,10 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     ``ifs.centred``, so A_w = 2 pi f(x_w) (``_linear_forms``).  It is a
     set of columns at each inner frequency, h and for order 2 also h2,
     from one of three sources: one ``_MuHatTable`` when ``table`` is set
-    (k = 1, homogeneous), built before any job runs; otherwise, per
+    (k = 1, homogeneous), built before any job runs, whose quadratic
+    cells a lookup evaluates by Horner's rule and whose slack per column
+    (its node bounds, interpolation and lookup rounding, and centring)
+    is the column's inner bound; otherwise, per
     block at its rows x leaves inner frequencies on ``ifs.centred``, the
     product form's moment columns at tol/2 for homogeneous systems, else
     one nested order-0 call of this kernel on its identity at tol/2
@@ -1342,12 +1392,15 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
         groups = [(active, scale)]
     else:
         octaves = np.floor(np.log2(np.maximum(norms[active], 1.0)))
-        groups = []
         # Top octave first: it has the largest cover, so the budget check
-        # below fails on it first.
-        for octave in np.unique(octaves)[::-1]:
-            rows = active[octaves == octave]
-            groups.append((rows, stopping_scale(ifs, bound, tol, float(norms[rows].max()))))
+        # below fails on it first.  A stable sort keeps each octave's rows
+        # in order (np.unique would import numpy.ma, about 17 ms, on first use).
+        by_octave = np.argsort(-octaves, kind="stable")
+        cuts = np.flatnonzero(np.diff(octaves[by_octave])) + 1
+        groups = [
+            (rows, stopping_scale(ifs, bound, tol, float(norms[rows].max())))
+            for rows in np.split(active[by_octave], cuts)
+        ]
     # (rows, leaf count, scale of the largest leaf, depth) per group
     covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
@@ -1562,9 +1615,9 @@ def pushforward_batch(
     one phase rounding term.  The order-1 inner transform is the centred
     transform e^{2 pi i <eta, b>} mu_hat(eta), the transform of
     ``ifs.centred``.  Homogeneous systems on the line read it from a
-    certified interpolation table (``_MuHatTable``), whose step follows
-    from the second moment ``ifs.second_moment`` and whose grid rows take
-    the product form by angle addition; other systems evaluate it
+    certified piecewise-quadratic table (``_MuHatTable``), whose step
+    follows from the second moment ``ifs.second_moment`` and whose grid
+    nodes take the product form by angle addition; other systems evaluate it
     exactly, non-homogeneous ones by a nested order-0 kernel call on the
     centred system's identity.  ``order2`` (homogeneous systems on the
     line) reads the second-moment transform from the same table.  Leaf
@@ -1676,25 +1729,29 @@ def holomorphic_hessian_identity(
 
 
 def write_samples_csv(path, xis, values, errors, scheme, leaves) -> None:
-    """Batch output: one row per frequency with certified error bounds."""
-    xis = np.asarray(xis)
+    """Batch output: one row per frequency with certified error bounds.
+
+    Written by column in blocks of ``CSV_BLOCK`` rows, so the file's text
+    is never held whole.  Each number is ``repr`` of its float, as a row
+    loop of ``repr(float(x))`` writes it; |value| comes from np.hypot, the
+    libm hypot of the scalar ``abs`` (np.abs of a complex array can differ
+    from it in the last bit).
+    """
+    xis = np.asarray(xis, dtype=float)
     if xis.ndim == 1:
         xis = xis[:, None]
     d = xis.shape[1]
+    values = np.asarray(values, dtype=complex)
+    errors = np.asarray(errors, dtype=float)
+    leaves = np.asarray(leaves)
     header = [f"xi{i}" for i in range(d)] if d > 1 else ["xi"]
     header += ["re", "im", "abs", "error_bound", "scheme", "leaves_used"]
-    lines = [",".join(header)]
-    for row in range(len(values)):
-        cells = [repr(float(x)) for x in xis[row]]
-        v = values[row]
-        cells += [
-            repr(float(v.real)),
-            repr(float(v.imag)),
-            repr(float(abs(v))),
-            repr(float(errors[row])),
-            scheme,
-            str(int(leaves[row])),
-        ]
-        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(values), CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            re, im = values[rows].real, values[rows].imag
+            floats = [*xis[rows].T, re, im, np.hypot(re, im), errors[rows]]
+            cells = [map(repr, column.tolist()) for column in floats]
+            cells += [[scheme] * len(re), map(str, map(int, leaves[rows].tolist()))]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -625,3 +625,24 @@ class TestHelp:
         out = capsys.readouterr().out
         for name in ("dims", "bounds", "fourier", "decay", "convolve", "arith-check"):
             assert name in out
+
+
+def test_a_process_imports_neither_numpy_ma_nor_concurrent_futures():
+    # numpy.ma (np.unique's first call) and concurrent.futures (with logging)
+    # cost every CLI process milliseconds that a one-thread run never uses
+    code = """
+import sys
+import numpy as np
+import fractal_fourier.cli
+from fractal_fourier import fourier, ifs
+cantor = ifs.cantor_ifs()
+xis = np.r_[np.geomspace(300.0, 30000.0, 24), -np.geomspace(500.0, 5000.0, 4)]
+fourier.pushforward_batch(cantor, fourier.square_map(cantor), xis, tol=1e-3)
+fourier.mu_hat(ifs.ifs_1d([0.5, 0.25], [0.0, 0.75]), 37.5, tol=1e-6)
+print(sorted(name for name in ("numpy.ma", "concurrent.futures") if name in sys.modules))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

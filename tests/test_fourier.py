@@ -246,21 +246,28 @@ class TestMuHatTable:
             assert abs(got - cantor_centred_form(eta)) <= table.slack
 
     def test_slack_reads_only_reachable_rows(self, cantor):
-        # a lookup at |eta| <= eta_max reads rows int(|eta| / h) and the next,
-        # so the last grid row is never read and does not enter the slack
+        # a lookup at |eta| <= eta_max reads cell int(|eta| * (1/h)) and its
+        # three nodes; the table builds the cells up to the one eta_max reads
+        # and no more, so every node entering the slack is reachable
         eta_max, table_tol = 50.0, 1e-8
         table = _MuHatTable(cantor, eta_max, table_tol)
-        etas = (np.arange(len(table.values)) * table.h)[:, None]
-        _, errs, _ = _mu_hat_homog_many(cantor.centred, etas, table_tol)
-        reach = int(eta_max * (1.0 / table.h)) + 2
-        assert reach == len(errs) - 1
-        assert errs[-1] > errs[:reach].max()
-        interpolation = table.h**2 / 8.0 * (2.0 * math.pi) ** 2 * cantor.second_moment
-        expected = float(errs[:reach].max()) + interpolation + _centring_rounding(cantor, eta_max)
+        cells = int(eta_max * (1.0 / table.h)) + 1
+        assert len(table.values) == cells
+        frac = np.abs(np.array([eta_max, -eta_max])) * (1.0 / table.h)
+        assert np.all(frac.astype(np.int64) == cells - 1)
+        etas = (np.arange(2 * cells + 1) * (0.5 * table.h))[:, None]
+        values, errs, _ = _mu_hat_homog_many(cantor.centred, etas, table_tol)
+        assert np.array_equal(values[:-1:2], table.values)
+        # the node bounds grow with |eta|: one more cell would raise the slack
+        assert errs[-1] == errs.max() > errs[-3]
+        radius = cantor.support_radius
+        third = (2.0 * math.pi) ** 3 * radius * cantor.second_moment
+        interpolation = math.sqrt(3.0) / 216.0 * table.h**3 * third
+        shift = 2.0 * (2.0 * math.pi) * radius * fourier_module.EPS * (eta_max + table.h)
+        expected = (1.25 * float(errs.max()) + (interpolation + shift + 64.0 * fourier_module.EPS)
+                    + _centring_rounding(cantor, eta_max))
         assert table.slack == expected
         assert table.eta_max == eta_max
-        frac = np.abs(np.array([eta_max, -eta_max])) * (1.0 / table.h)
-        assert frac.astype(np.int64).max() + 1 < reach
 
 
 class TestRoundingCertificates:
@@ -305,11 +312,13 @@ class TestRoundingCertificates:
                 assert abs(value - exact) <= bound, xi
 
     def test_clamped_table_slack_needs_its_interpolation_term(self, cantor):
-        # At the 4,000,000-point clamp the grid step grows to 2.5e-3, and the
-        # interpolation term (3.9e-6) dominates the closure term (3.3e-7).
-        table = _MuHatTable(cantor, 1e4, 1e-6)
-        assert len(table.values) == 4_000_000
-        interpolation = table.h**2 / 8.0 * (2.0 * math.pi) ** 2 * cantor.second_moment
+        # At the clamp of MAX_TABLE_CELLS cells the step grows from 0.018 to
+        # 0.075, and the interpolation term (5.2e-5) dominates the rest of
+        # the slack (4.6e-7, mostly 5/4 of the closure term).
+        table = _MuHatTable(cantor, 1e5, 1e-6)
+        assert len(table.values) == fourier_module.MAX_TABLE_CELLS
+        third = (2.0 * math.pi) ** 3 * cantor.support_radius * cantor.second_moment
+        interpolation = math.sqrt(3.0) / 216.0 * table.h**3 * third
         assert interpolation > 10.0 * (table.slack - interpolation)
         etas = np.random.default_rng(25).uniform(-table.eta_max, table.eta_max, size=4000)
         errors = np.abs(table.lookup(etas) - np.array([cantor_centred_form(x) for x in etas]))
@@ -466,22 +475,24 @@ class TestGridProductForm:
         assert np.all(np.abs(values[rows] - exact) <= bounds[rows] + centring + 1e-15)
 
     def test_top_of_the_decay_table_against_mpmath(self, cantor):
-        # the centred table of the decay benchmark: eta up to ~94, table_tol 1e-8
+        # the centred table of the decay benchmark: eta up to ~94, table_tol
+        # 1e-8; its nodes are the grid rows j h / 2, and c0 is every other one
         table = _MuHatTable(cantor, 94.4, 1e-8)
-        etas = (np.arange(len(table.values)) * table.h)[:, None]
+        etas = (np.arange(2 * len(table.values) + 1) * (0.5 * table.h))[:, None]
         values, bounds, depth = _mu_hat_homog_many(cantor.centred, etas, 1e-8)
-        assert np.array_equal(values, table.values)
+        assert np.array_equal(values[:-1:2], table.values)
         assert etas[-1, 0] > 94.0
         rows = np.arange(len(etas) - 300, len(etas))
         self.assert_rounding_certified(etas, values, bounds, depth, rows)
 
     def test_clamped_grid_against_mpmath(self, cantor):
-        table = _MuHatTable(cantor, 1e4, 1e-6)
-        assert len(table.values) == 4_000_000
-        etas = (np.arange(4_000_000) * table.h)[:, None]
+        table = _MuHatTable(cantor, 1e5, 1e-6)
+        assert len(table.values) == fourier_module.MAX_TABLE_CELLS
+        n = 2 * len(table.values) + 1
+        etas = (np.arange(n) * (0.5 * table.h))[:, None]
         values, bounds, depth = _mu_hat_homog_many(cantor.centred, etas, 1e-6)
-        rows = np.r_[np.arange(3_999_800, 4_000_000),
-                     np.random.default_rng(32).integers(0, 4_000_000, size=100)]
+        assert np.array_equal(values[:-1:2], table.values)
+        rows = np.r_[np.arange(n - 200, n), np.random.default_rng(32).integers(0, n, size=100)]
         self.assert_rounding_certified(etas, values, bounds, depth, rows)
 
     def test_chunk_edges(self, cantor):
@@ -1566,3 +1577,47 @@ class TestNumerics:
         assert lines[0] == "xi,re,im,abs,error_bound,scheme,leaves_used"
         assert len(lines) == 3
         assert "order0" in lines[1]
+
+    @staticmethod
+    def row_loop_csv(xis, values, errors, scheme, leaves):
+        """The text of the row-by-row writer that the block writer replaced: the reference."""
+        xis = np.asarray(xis)
+        if xis.ndim == 1:
+            xis = xis[:, None]
+        d = xis.shape[1]
+        header = [f"xi{i}" for i in range(d)] if d > 1 else ["xi"]
+        header += ["re", "im", "abs", "error_bound", "scheme", "leaves_used"]
+        lines = [",".join(header)]
+        for row in range(len(values)):
+            cells = [repr(float(x)) for x in xis[row]]
+            v = values[row]
+            cells += [
+                repr(float(v.real)),
+                repr(float(v.imag)),
+                repr(float(abs(v))),
+                repr(float(errors[row])),
+                scheme,
+                str(int(leaves[row])),
+            ]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_blocks_match_the_row_loop(self, tmp_path, d):
+        # more than two blocks, magnitudes from subnormal to 1e300, signed zeros
+        rng = np.random.default_rng(41)
+        n = 2 * fourier_module.CSV_BLOCK + 3
+        xis = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-320, 300, (n, d))
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        values = values + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        errors = rng.uniform(0.0, 1e-3, n) * 10.0 ** rng.integers(-320, 0, n)
+        leaves = rng.integers(1, 2**40, n)
+        specials = [-0.0, 0.0, 5e-324, -2.5e-310]
+        xis[:4, 0], errors[:4] = specials, np.abs(specials)
+        values[:4] = [complex(-0.0, 5e-324), complex(1e-310, -0.0), complex(-0.0, -0.0), 3 - 4j]
+        if d == 1:
+            xis = xis[:, 0]
+        path = tmp_path / "out.csv"
+        write_samples_csv(path, xis, values, errors, "order2", leaves)
+        assert path.read_bytes() == self.row_loop_csv(xis, values, errors, "order2", leaves).encode()
+        assert path.read_text().count("\n") == n + 1

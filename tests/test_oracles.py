@@ -195,6 +195,17 @@ def second_moments_exact(ifs):
     return m2, moment
 
 
+def interpolation_peaks(table, cells, eta_max):
+    """+-(j + t) h at t = (3 +- sqrt(3)) / 6 in each cell j, within eta_max.
+
+    There |t (t - 1/2) (t - 1)| takes its largest value, sqrt(3) / 36, so the
+    quadratic's interpolation error can reach its bound.
+    """
+    peaks = [(j + t) * table.h for j in cells for t in ((3.0 - 3.0**0.5) / 6.0, (3.0 + 3.0**0.5) / 6.0)]
+    peaks = [eta for eta in peaks if eta <= eta_max]
+    return peaks + [-eta for eta in peaks]
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     system=homogeneous_systems(),
@@ -207,11 +218,12 @@ def test_centred_table_within_its_slack_of_the_mpmath_product_form(
 ):
     # the table holds h(eta) = e^{2 pi i eta b} mu_hat(eta), b the computed barycenter
     table = _MuHatTable(system, eta_max, table_tol)
-    cells = data.draw(st.lists(st.integers(0, len(table.values) - 2), min_size=3, max_size=6))
+    cells = data.draw(st.lists(st.integers(0, len(table.values) - 1), min_size=3, max_size=6))
     randoms = data.draw(st.lists(st.floats(-eta_max, eta_max), min_size=3, max_size=6))
-    # the middle of the first cell, where |h''| is near its bound 4 pi^2 M2
+    # +-eta_max, the first cell's middle node, cell ends and where the quadratic errs most
     etas = [eta_max, -eta_max, table.eta_max, -table.eta_max, 0.5 * table.h, -0.5 * table.h]
     etas += [j * table.h for j in cells] + [-j * table.h for j in cells] + randoms
+    etas += interpolation_peaks(table, cells, eta_max)
     looked_up = table.lookup(np.array(etas))
     b = mpmath.mpf(float(system.barycenter[0]))
     for eta, value in zip(etas, looked_up):
@@ -272,8 +284,10 @@ def second_moment_form_mpmath(ifs, eta, digits=30):
 )
 def test_second_moment_table_within_its_slack2_of_the_mpmath_form(system, eta_max, table_tol, data):
     table = _MuHatTable(system, eta_max, table_tol, True)
+    cells = data.draw(st.lists(st.integers(0, len(table.values) - 1), min_size=2, max_size=4))
     randoms = data.draw(st.lists(st.floats(-eta_max, eta_max), min_size=3, max_size=6))
     etas = [eta_max, -eta_max, 0.0, 0.5 * table.h, -0.5 * table.h] + randoms
+    etas += interpolation_peaks(table, cells, eta_max)
     values, seconds = table.lookup(np.array(etas), second=True)
     b = mpmath.mpf(float(system.barycenter[0]))
     for eta, value, second in zip(etas, values, seconds):
