@@ -247,6 +247,7 @@ def cmd_fourier(args) -> int:
         budget=budget,
     )
     out = Path(args.out or "fourier.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
     fr.write_samples_csv(out, xis, values, errors, scheme, leaves)
     print(f"wrote {out} ({len(xis)} rows)")
     return EXIT_OK

@@ -47,8 +47,9 @@ structure of the measure:
   bound on |f'''| (``PushforwardMap.third_bound``): the per-cylinder
   remainder, the Taylor term of the bound.
 
-Single frequencies and batches share one row kernel, ``_image_rows``.
-A batch groups its frequencies by octave of |xi|, and each group uses the
+A single frequency is a batch of one: both run one row kernel,
+``_image_rows``, and get the same value, bound and leaves.  A batch
+groups its frequencies by octave of |xi|, and each group uses the
 stopping cover of its largest |xi|.  A cover's count
 (``ifs._count_stopping``) gives its size, snapped scale s and depth
 before it is expanded, and with a bound J on |J_f| every leaf has
@@ -58,13 +59,13 @@ cover once from ``ifs._cover_blocks`` in leaf blocks of at most
 ``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
 a cover has.  The inner transform is a set of moment columns, h for
-order 1 and h, h2 for order 2, from one path: a certified
-piecewise-quadratic table of the columns for homogeneous systems on the
-line in a batch, whose step follows from the second moment
-M2 = int |x - b|^2 dmu (|h'''| <= (2 pi)^3 R M2); otherwise the product
-form of the centred system, whose levels carry the columns, or for
-other systems a nested order-0 call of the kernel on its identity at
-tol/2.  Within a block the elementwise work runs over cache-sized
+order 1 and h, h2 for order 2, whose source the system fixes: a
+certified piecewise-quadratic table of the columns for homogeneous
+systems on the line, whose step follows from the second moment
+M2 = int |x - b|^2 dmu (|h'''| <= (2 pi)^3 R M2); otherwise mu_hat of
+the centred system at tol/2, the product form for homogeneous systems
+and a nested order-0 call of the kernel on its identity for the rest.
+Within a block the elementwise work runs over cache-sized
 blocks of rows, and on a uniform frequency grid j * delta the phases of
 consecutive rows come by angle addition (``_phase_blocks``, shared with
 the Fourier inversion of ``experiments``), which replaces most calls to
@@ -386,30 +387,30 @@ def mu_hat(
     _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, ifs.ambient_dim)
-    value, error, leaves = _mu_hat_row(ifs, vec, tol, budget)
+    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget)
     return FrequencySample(
         xi=vec,
-        value=complex(value),
-        error_bound=float(error),
+        value=complex(values[0]),
+        error_bound=float(errors[0]),
         scheme="exact_recursion",
-        leaves_used=leaves,
+        leaves_used=leaves[0],
     )
 
 
-def _mu_hat_row(ifs, eta: np.ndarray, tol: float, budget: int):
-    """(value, error bound, leaves) of mu_hat at the frequency ``eta`` (k,).
+def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int):
+    """(values, error bounds, leaves) of mu_hat at every row of ``etas`` (n, k).
 
-    Each frequency keeps its own depth or cover, so ``leaves`` is the
-    leaf count of its own tree, an exact Python int (N^depth can pass
-    the int64 range).
+    Homogeneous systems take the product form (``_mu_hat_homog_many``),
+    every row to the depth its largest row needs, and each row's leaves
+    are the N^depth leaves of that tree.  Any other system is the order-0
+    image of its identity through ``_image_rows`` (one thread), its rows
+    grouped by octave.  A one-row call is that frequency's own tree.  The
+    leaf counts are exact Python ints: N^depth can pass the int64 range.
     """
     if ifs.is_homogeneous:
-        values, errors, depth = _mu_hat_homog_many(ifs, eta[None, :], tol)
-        return values[0], errors[0], ifs.n_maps**depth
-    values, errors, leaves = _image_rows(
-        ifs, identity_map(ifs), eta[None, :], tol, "order0", None, budget, 1, False
-    )
-    return values[0], errors[0], int(leaves[0])
+        values, errors, depth = _mu_hat_homog_many(ifs, etas, tol)
+        return values, errors, [ifs.n_maps**depth] * len(etas)
+    return _image_rows(ifs, identity_map(ifs), etas, tol, "order0", None, budget, 1)
 
 
 def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
@@ -425,7 +426,8 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     the iterate at every level.  A one-row call thus stops where that
     frequency's own tree does.  In a many-row call the smaller rows get
     closure terms far below tol, which keeps the interpolation table's
-    slack and the order-1 inner bounds small.
+    slack small, and the order-1 inner bounds of homogeneous systems off
+    the line, whose inner transform this is.
 
     Moment columns.  Each level carries weight columns p_i a_{l,i}^j of
     its phases: one (j = 0), the level factor, or with ``second`` three
@@ -974,7 +976,7 @@ def _fd_hessian_scalar(pmap: PushforwardMap, pts: np.ndarray, h: float) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# order-0 and order-1 image transforms: one row kernel for single and batch
+# image transforms: one row kernel; a single frequency is a batch of one
 # ---------------------------------------------------------------------------
 
 
@@ -1077,8 +1079,8 @@ class _MuHatTable:
     slack = property(lambda self: self.slacks[0])
     slack2 = property(lambda self: self.slacks[1] if len(self.slacks) > 1 else None)
 
-    def lookup(self, eta: np.ndarray, second: bool = False):
-        """h at every entry of ``eta``; with ``second``, (h, h2) from one index computation."""
+    def lookup(self, eta: np.ndarray):
+        """Every column at every entry of ``eta``, from one index computation: [h] or [h, h2]."""
         # In place where possible: the batch kernel calls this on its
         # largest arrays.
         frac = np.abs(eta)
@@ -1087,7 +1089,7 @@ class _MuHatTable:
         frac -= idx
         sign = np.sign(eta)
         outs = []
-        for c0, c1, c2 in self.cells[: 2 if second else 1]:
+        for c0, c1, c2 in self.cells:
             out = c2[idx]
             out *= frac
             out += c1[idx]
@@ -1095,7 +1097,7 @@ class _MuHatTable:
             out += c0[idx]
             np.multiply(out.imag, sign, out=out.imag)
             outs.append(out)
-        return tuple(outs) if second else outs[0]
+        return outs
 
 
 def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
@@ -1265,7 +1267,8 @@ def _run_rows(run, jobs, m: int, threads: int):
     rows no job covers keep (1, 0, 1), exact at xi = 0.  The jobs are
     fixed before any runs, so the output does not depend on ``threads``.
     """
-    values, errors, leaves = np.ones(m, dtype=complex), np.zeros(m), np.ones(m, dtype=np.int64)
+    values, errors = np.ones(m, dtype=complex), np.zeros(m)
+    leaves = np.ones(m, dtype=object)     # exact ints: N^depth can pass the int64 range
     if threads > 1:
         # imported here: concurrent.futures and the logging it loads cost
         # every process that runs on one thread a few ms at start
@@ -1280,7 +1283,7 @@ def _run_rows(run, jobs, m: int, threads: int):
     return values, errors, leaves
 
 
-def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
+def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     """Order-0, order-1 or order-2 image transform at every row of ``xis`` (m, d).
 
     Rows with xi = 0 are exact.  The others share the cover at ``scale``
@@ -1308,17 +1311,19 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
     ``ifs.centred``, so A_w = 2 pi f(x_w) (``_linear_forms``).  It is a
     set of columns at each inner frequency, h and for order 2 also h2,
-    from one of three sources: one ``_MuHatTable`` when ``table`` is set
-    (k = 1, homogeneous), built before any job runs, whose quadratic
-    cells a lookup evaluates by Horner's rule and whose slack per column
-    (its node bounds, interpolation and lookup rounding, and centring)
-    is the column's inner bound; otherwise, per
-    block at its rows x leaves inner frequencies on ``ifs.centred``, the
-    product form's moment columns at tol/2 for homogeneous systems, else
-    one nested order-0 call of this kernel on its identity at tol/2
-    (``threads`` 1), octave-grouped like the outer rows, whose covers (the
-    same words) are counted against ``budget``.  Each column's bound adds
-    its centring allowance ``_centring_rounding``.
+    whose source the system fixes, so one frequency and many read the
+    same one.  A homogeneous system on the line (k = d = 1, every system
+    ``order2`` takes) reads one ``_MuHatTable``, built before any job
+    runs, whose quadratic cells a lookup evaluates by Horner's rule and
+    whose slack per column (its node bounds, interpolation and lookup
+    rounding, and centring) is the column's inner bound.  Any other
+    system evaluates h exactly, per block at its rows x leaves inner
+    frequencies: ``_mu_hat_rows`` of ``ifs.centred`` at tol/2, the
+    product form for homogeneous systems, else one nested order-0 call
+    of this kernel on its identity (``threads`` 1), octave-grouped like
+    the outer rows, whose covers (the same words) are counted against
+    ``budget``; each bound adds the centring allowance
+    ``_centring_rounding``.
 
     Order 2 (homogeneous systems on the line, maps with ``third_bound``)
     combines the columns with the leaf column q_w = r_w^2 f''(x_w) into
@@ -1413,13 +1418,11 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
     else:
         jac, unit, gain = 0.0, TWO_PI * bound * radius, bound
     mu_table = None
-    if order1 and table:
+    if order1 and ifs.is_homogeneous and k == d == 1:
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
         # order 2 tabulates h2 as well
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), order2)
-    centred = ifs.centred if order1 else None
-    identity = identity_map(centred) if order1 and mu_table is None else None
 
     jobs = []
     for rows, n_leaves, *facts in covers:
@@ -1444,42 +1447,26 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table):
                 curv_max = max(curv_max, float(np.abs(curv).max()))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
             if order1 and mu_table is None:
-                if k == d == 1:
-                    eta = np.outer(x[:, 0], b_forms[:, 0, 0])
-                else:
-                    eta = np.tensordot(x, b_forms, axes=(1, 2))     # (rows, n, k)
-                flat = eta.reshape(-1, k)
-                if ifs.is_homogeneous:
-                    vals, errs, _ = _mu_hat_homog_many(centred, flat, 0.5 * tol, order2)
-                else:
-                    vals, errs, _ = _image_rows(
-                        centred, identity, flat, 0.5 * tol, "order0", None, budget, 1, False
-                    )
-                # the columns h (and h2 for order 2), each with its centring allowance
-                exact_inner = vals.reshape(-1, len(rows), len(weights))
-                errs = errs.reshape(len(exact_inner), -1)
-                eta_norms = np.sqrt(np.vecdot(flat, flat))
-                for column, column_errs in enumerate(errs):
-                    column_errs += _centring_rounding(ifs, eta_norms, second=column == 1)
-                if order2:      # the combine below takes h2 pi |xi| |q_w| times
-                    errs[1] *= np.pi * np.outer(norms[rows], np.abs(curv)).ravel()
+                flat = np.tensordot(x, b_forms, axes=(1, 2)).reshape(-1, k)
+                vals, errs, _ = _mu_hat_rows(ifs.centred, flat, 0.5 * tol, budget)
+                exact_inner = vals.reshape(len(rows), len(weights))
+                errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
                 inner_err = inner_err + np.add.reduce(
-                    errs.sum(axis=0).reshape(len(rows), len(weights)) * weights, axis=1
+                    errs.reshape(len(rows), len(weights)) * weights, axis=1
                 )
             for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
                 if b_forms is None:
                     re, im = ct, np.negative(st, out=st)
                 else:
                     if mu_table is None:
-                        inner = exact_inner[:, start:stop]
+                        h = exact_inner[start:stop]
                     else:
-                        eta = np.outer(x[start:stop, 0], b_forms[:, 0, 0])
-                        inner = mu_table.lookup(eta, True) if order2 else [mu_table.lookup(eta)]
-                    h = inner[0]
+                        columns = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
+                        h = columns[0]
                     if order2:
                         # h - i g h2 with g = pi xi q_w: the quadratic phase integrated
                         g = np.outer(np.pi * x[start:stop, 0], curv)
-                        h2 = inner[1]
+                        h2 = columns[1]
                         h2.real *= g
                         h2.imag *= g
                         h.real += h2.imag
@@ -1521,15 +1508,13 @@ def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
     _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, pmap.out_dim)
-    values, errors, leaves = _image_rows(
-        ifs, pmap, vec[None, :], tol, scheme, scale, budget, 1, False
-    )
+    values, errors, leaves = _image_rows(ifs, pmap, vec[None, :], tol, scheme, scale, budget, 1)
     return FrequencySample(
         xi=vec,
         value=complex(values[0]),
         error_bound=float(errors[0]),
         scheme=scheme,
-        leaves_used=int(leaves[0]),
+        leaves_used=leaves[0],
         certified=pmap.bounds_certified or not vec.any(),
     )
 
@@ -1557,10 +1542,13 @@ def pushforward_hat_order1(
     """Order-1 (linearised) cylinder quadrature of the image transform.
 
     Each cylinder integrates its tangent approximation exactly through
-    the centred transform e^{2 pi i <eta, b>} mu_hat(eta) (the recursion
-    on ``ifs.centred`` at tol/2); stopping scale
+    the centred transform e^{2 pi i <eta, b>} mu_hat(eta): read from the
+    certified table for homogeneous systems on the line, else mu_hat of
+    ``ifs.centred`` at tol/2; stopping scale
     ~ sqrt(tol / (pi |xi| H)) / R, so far fewer leaves are needed than
-    order-0 at the same tolerance.
+    order-0 at the same tolerance.  For a scalar map the call is a batch
+    of one: ``pushforward_batch`` at [xi] gives the same value, bound and
+    leaves.
     """
     return _image_sample(ifs, pmap, xi, tol, "order1", scale, budget)
 
@@ -1577,8 +1565,9 @@ def pushforward_hat_order2(
 
     Each cylinder integrates its quadratic phase: the linear part through
     the centred transform h and the quadratic part through the
-    second-moment transform h2 (both from the product form of
-    ``ifs.centred`` at tol/2); the remainder
+    second-moment transform h2, both read from one certified table of
+    ``ifs.centred`` (that of ``pushforward_batch`` of this frequency); the
+    remainder
     1/2 (pi |xi| |q_w| R^2)^2 + (pi/3) |xi| H3 (r_w R)^3 per unit weight
     gives the stopping scale, about (tol / |xi|^2)^(1/4) for the square
     map and (tol / |xi|)^(1/3) when H3 > 0.  Raises Unsupported for
@@ -1618,15 +1607,18 @@ def pushforward_batch(
     certified piecewise-quadratic table (``_MuHatTable``), whose step
     follows from the second moment ``ifs.second_moment`` and whose grid
     nodes take the product form by angle addition; other systems evaluate it
-    exactly, non-homogeneous ones by a nested order-0 kernel call on the
-    centred system's identity.  ``order2`` (homogeneous systems on the
-    line) reads the second-moment transform from the same table.  Leaf
-    terms are summed
-    pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
+    exactly, homogeneous ones by the product form and non-homogeneous ones
+    by a nested order-0 kernel call on the centred system's identity.
+    ``order2`` (homogeneous systems on the line) reads the second-moment
+    transform from the same table.  The single calls
+    (``pushforward_hat_order0/1/2``) are batches of one.  Leaf terms are
+    summed pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
     ``pmap`` unused), one call and one cover per frequency; for a
     non-homogeneous system the largest frequency's cover is counted
-    against ``budget`` before any is expanded.  Results are independent of
-    ``threads`` (fixed jobs, fixed reduction order).
+    against ``budget`` before any is expanded.  The leaf counts are exact
+    Python ints (a homogeneous tree's N^depth can pass the int64 range).
+    Results are independent of ``threads`` (fixed jobs, fixed reduction
+    order).
     """
     if scheme not in ("order0", "order1", "order2", "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
@@ -1640,15 +1632,14 @@ def pushforward_batch(
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
     _check_finite(xis)
     if scheme != "exact_recursion":
-        table = ifs.is_homogeneous and ifs.ambient_dim == 1
-        return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads, table)
+        return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
     top = float(np.abs(xis).max(initial=0.0))
     if not ifs.is_homogeneous and top > 0.0:
         # the largest frequency has the largest cover
         _checked_count(ifs, _order0_scale(ifs, 1.0, tol, top), budget)
 
     def run(j):
-        return (j, *_mu_hat_row(ifs, xis[j], tol, budget))
+        return (slice(j, j + 1), *_mu_hat_rows(ifs, xis[j : j + 1], tol, budget))
 
     return _run_rows(run, range(len(xis)), len(xis), threads)
 

@@ -187,10 +187,6 @@ class SelfSimilarIFS:
         )
 
     @cached_property
-    def support_diameter(self) -> float:
-        return 2.0 * self.support_radius
-
-    @cached_property
     def max_point_norm(self) -> float:
         """sup_{x in supp(mu)} |x| <= |b| + R; bounds derivatives of mu-hat."""
         return float(np.linalg.norm(self.barycenter)) + self.support_radius

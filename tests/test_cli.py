@@ -310,6 +310,31 @@ class TestFourier:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"exact_recursion") == 150
 
+    def test_out_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "r.csv"
+        code = main(
+            [
+                "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "recursion",
+                "--xi-list", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_recursion_leaf_count_past_int64(self, tmp_path):
+        # ten maps of ratio 1/10 on [0, 1]: at xi = 1e6 and tol 1e-12 the
+        # product form closes at depth 19, a tree of 10^19 > 2^63 leaves
+        ten = write_ifs(tmp_path / "ten.json", [0.1] * 10, [0.1 * i for i in range(10)], [0.1] * 10)
+        out = tmp_path / "r.csv"
+        code = main(
+            [
+                "fourier", "--ifs", str(ten), "--scheme", "recursion", "--xi-list", "1e6",
+                "--tol", "1e-12", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1].split(",")[-1] == "10000000000000000000"
+
     def test_recursion_planar_scalar_xi_exit_2(self, tmp_path, capsys):
         doc = {
             "ambient_dim": 2,
@@ -628,17 +653,19 @@ class TestHelp:
 
 
 def test_a_process_imports_neither_numpy_ma_nor_concurrent_futures():
-    # numpy.ma (np.unique's first call) and concurrent.futures (with logging)
+    # numpy.ma (the first call of np.unique, or of np.quantile through it) and
+    # concurrent.futures (with logging)
     # cost every CLI process milliseconds that a one-thread run never uses
     code = """
 import sys
 import numpy as np
 import fractal_fourier.cli
-from fractal_fourier import fourier, ifs
+from fractal_fourier import experiments, fourier, ifs
 cantor = ifs.cantor_ifs()
 xis = np.r_[np.geomspace(300.0, 30000.0, 24), -np.geomspace(500.0, 5000.0, 4)]
 fourier.pushforward_batch(cantor, fourier.square_map(cantor), xis, tol=1e-3)
 fourier.mu_hat(ifs.ifs_1d([0.5, 0.25], [0.0, 0.75]), 37.5, tol=1e-6)
+experiments.measure_decay_slope(cantor, fourier.square_map(cantor), octaves=(4, 6), samples_per_octave=8)
 print(sorted(name for name in ("numpy.ma", "concurrent.futures") if name in sys.modules))
 """
     env = dict(os.environ)

@@ -62,6 +62,15 @@ class TestDecayExperiment:
         assert np.array_equal(a.values, b.values)
         assert a.fitted_slope == b.fitted_slope
 
+    def test_q95_is_numpys_quantile(self):
+        rng = np.random.default_rng(8)
+        arrays = [np.array([0.3]), np.array([2.0, 2.0]), np.full(7, 0.125)]
+        for n in (2, 3, 8, 20, 21, 64, 100, 257):
+            values = rng.random(n) * 10.0 ** rng.integers(-6, 3)
+            arrays += [values, np.round(values * 8.0) / 8.0, rng.choice(values[:3], n)]
+        for values in arrays:
+            assert experiments_module._quantile95(values) == float(np.quantile(values, 0.95))
+
     def test_frequencies_land_in_octaves(self):
         xis = octave_frequencies((5, 7), 16, seed=0)
         assert len(xis) == 48

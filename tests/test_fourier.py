@@ -9,6 +9,7 @@ from fractal_fourier import fourier as fourier_module
 from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import (
     BadConfig,
+    FractalFourierError,
     MissingHessianBound,
     ResourceExceeded,
     Unsupported,
@@ -241,7 +242,7 @@ class TestMuHatTable:
         rng = np.random.default_rng(24)
         ends = [0.0, table.eta_max, -table.eta_max, table.h, -table.h]
         etas = np.concatenate([ends, rng.uniform(-table.eta_max, table.eta_max, size=2000)])
-        looked_up = table.lookup(etas)
+        (looked_up,) = table.lookup(etas)
         for eta, got in zip(etas, looked_up):
             assert abs(got - cantor_centred_form(eta)) <= table.slack
 
@@ -321,7 +322,7 @@ class TestRoundingCertificates:
         interpolation = math.sqrt(3.0) / 216.0 * table.h**3 * third
         assert interpolation > 10.0 * (table.slack - interpolation)
         etas = np.random.default_rng(25).uniform(-table.eta_max, table.eta_max, size=4000)
-        errors = np.abs(table.lookup(etas) - np.array([cantor_centred_form(x) for x in etas]))
+        errors = np.abs(table.lookup(etas)[0] - np.array([cantor_centred_form(x) for x in etas]))
         assert errors.max() <= table.slack
         assert errors.max() > table.slack - interpolation
 
@@ -662,9 +663,9 @@ class TestBatchedRecursion:
         etas[5] = 0.0
         etas[6] = -etas[7]
         if planar:
-            # the batch is on the line; its rows are _mu_hat_row calls
-            rows = [fourier_module._mu_hat_row(system, eta, 1e-3, 10**7) for eta in etas]
-            values, bounds, leaves = (np.array(col) for col in zip(*rows))
+            # the batch is on the line; its rows are one-row _mu_hat_rows calls
+            rows = [fourier_module._mu_hat_rows(system, eta[None, :], 1e-3, 10**7) for eta in etas]
+            values, bounds, leaves = (np.array([col[0] for col in cols]) for cols in zip(*rows))
         else:
             values, bounds, leaves = pushforward_batch(
                 system, identity_map(system), etas[:, 0], tol=1e-3, scheme="exact_recursion"
@@ -920,8 +921,8 @@ class TestOrder1:
         "system, tol, ref_tol", [("cantor", 1e-9, 1e-12), ("mixed_ratios", 1e-4, 1e-7)]
     )
     def test_affine_exact_linearisation(self, system, tol, ref_tol, request):
-        # no Taylor term and one cylinder: the bound is the centred inner
-        # transform's at 2 xi and tol/2, plus rounding
+        # no Taylor term and one cylinder: the bound is the inner transform's
+        # at 2 xi, plus rounding
         ifs = request.getfixturevalue(system)
         aff = PushforwardMap(
             evaluator=lambda p: 2.0 * p[:, 0] + 1.0,
@@ -938,7 +939,13 @@ class TestOrder1:
         ) * inner.value
         assert abs(s.value - expected) <= s.error_bound + inner.error_bound
         assert s.leaves_used == 1
-        assert s.error_bound > mu_hat(ifs.centred, 2.0 * xi, tol=0.5 * tol).error_bound
+        if ifs.is_homogeneous:
+            # the table it reads, over |xi| s J with s = 1, the one cylinder's scale
+            jac = fourier_module._jacobian_bound(ifs, aff)
+            inner_bound = _MuHatTable(ifs, xi * jac * 1.0001 + 1e-9, min(tol / 8.0, 1e-8)).slack
+        else:
+            inner_bound = mu_hat(ifs.centred, 2.0 * xi, tol=0.5 * tol).error_bound
+        assert s.error_bound > inner_bound
 
     def test_fewer_leaves_than_order0(self, cantor):
         sq = square_map(cantor)
@@ -1069,11 +1076,11 @@ class TestOrder2:
                 - 2.0 * cantor_centred_form(eta)
                 + cantor_centred_form(eta - step)
             ) / step**2 / (2.0 * math.pi) ** 2
-            h, h2 = table.lookup(np.array([eta]), second=True)
-            assert h[0] == table.lookup(np.array([eta]))[0]
+            h, h2 = table.lookup(np.array([eta]))
+            assert abs(h[0] - cantor_centred_form(eta)) <= table.slack
             assert abs(h2[0] - second) <= table.slack2 + 1e-5
         # h2(0) = int u^2 dmu_c = 1/8 for the middle-thirds measure
-        assert table.lookup(np.array([0.0]), second=True)[1][0] == pytest.approx(0.125, rel=1e-6)
+        assert table.lookup(np.array([0.0]))[1][0] == pytest.approx(0.125, rel=1e-6)
 
     def test_supported_systems_and_maps(self, cantor, mixed_ratios, square_2d):
         xi = [10.0]
@@ -1153,7 +1160,52 @@ class TestGraphLift:
         assert via_lift.value == direct.value
 
 
+_BATCH_OF_ONE_SYSTEMS = {
+    "cantor": cantor_ifs(),
+    "uniform12": uniform_ifs(1.0, 2.0),
+    # both maps reverse orientation at one ratio: homogeneous, attractor [0, 1]
+    "reversing": ifs_1d([0.4, 0.4], [0.4, 1.0], signs=[-1, -1]),
+    "mixed_reversing": ifs_1d([0.5, 0.25], [0.0, 0.75], signs=[1, -1]),
+}
+_BATCH_OF_ONE_MAPS = {"square": square_map, "cube": cube_map, "log": log_map}
+_SINGLE_CALLS = {
+    "order0": pushforward_hat_order0,
+    "order1": pushforward_hat_order1,
+    "order2": pushforward_hat_order2,
+}
+
+
+def _outcome(call):
+    """(value, bound, leaves) of a one-frequency call, or the repr of what it raised."""
+    try:
+        return call()
+    except FractalFourierError as exc:
+        return repr(exc)
+
+
 class TestBatch:
+    @pytest.mark.parametrize("scheme", list(_SINGLE_CALLS))
+    @pytest.mark.parametrize(
+        "system, map_name",
+        [(s, m) for s in _BATCH_OF_ONE_SYSTEMS for m in _BATCH_OF_ONE_MAPS
+         if m != "log" or s == "uniform12"],     # log needs the support right of 0
+    )
+    def test_single_call_is_a_batch_of_one(self, system, map_name, scheme):
+        ifs = _BATCH_OF_ONE_SYSTEMS[system]
+        pmap = _BATCH_OF_ONE_MAPS[map_name](ifs)
+        for xi in (3.0, -37.5, 1234.5, 16384.0):
+            def single():
+                s = _SINGLE_CALLS[scheme](ifs, pmap, xi, tol=1e-3)
+                return s.value, s.error_bound, s.leaves_used
+
+            def batch():
+                values, bounds, leaves = pushforward_batch(ifs, pmap, [xi], tol=1e-3, scheme=scheme)
+                return values[0], bounds[0], leaves[0]
+
+            # bit for bit, or the same error (order 0 past the leaf budget,
+            # order 2 on the non-homogeneous system)
+            assert _outcome(single) == _outcome(batch), xi
+
     def test_matches_single_calls(self, cantor):
         sq = square_map(cantor)
         rng = np.random.default_rng(8)

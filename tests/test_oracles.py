@@ -224,7 +224,7 @@ def test_centred_table_within_its_slack_of_the_mpmath_product_form(
     etas = [eta_max, -eta_max, table.eta_max, -table.eta_max, 0.5 * table.h, -0.5 * table.h]
     etas += [j * table.h for j in cells] + [-j * table.h for j in cells] + randoms
     etas += interpolation_peaks(table, cells, eta_max)
-    looked_up = table.lookup(np.array(etas))
+    (looked_up,) = table.lookup(np.array(etas))
     b = mpmath.mpf(float(system.barycenter[0]))
     for eta, value in zip(etas, looked_up):
         centring = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(eta) * b)
@@ -288,7 +288,7 @@ def test_second_moment_table_within_its_slack2_of_the_mpmath_form(system, eta_ma
     randoms = data.draw(st.lists(st.floats(-eta_max, eta_max), min_size=3, max_size=6))
     etas = [eta_max, -eta_max, 0.0, 0.5 * table.h, -0.5 * table.h] + randoms
     etas += interpolation_peaks(table, cells, eta_max)
-    values, seconds = table.lookup(np.array(etas), second=True)
+    values, seconds = table.lookup(np.array(etas))
     b = mpmath.mpf(float(system.barycenter[0]))
     for eta, value, second in zip(etas, values, seconds):
         centring = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(eta) * b)

@@ -31,3 +31,14 @@ def test_reports_the_decay_table(tmp_path, capsys):
     assert table["bytes"] == 3 * 16 * table["cells"]
     assert 0.0 < table["slacks"][0] < 2e-8
     assert table["build_s"] >= 0.0
+
+
+def test_a_one_frequency_order1_call_builds_one_table(tmp_path, capsys):
+    # a single frequency is a batch of one: it reads the same table
+    argv = ["fourier", "--ifs", str(ROOT / "configs" / "cantor.json"), "--scheme", "order1",
+            "--map", '{"kind": "square"}', "--xi-list", "1000", "--out", str(tmp_path / "f.csv")]
+    assert load_tool().main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tables = [json.loads(line) for line in lines if line.startswith("{")]
+    assert len(tables) == 1
+    assert tables[0]["columns"] == ["h"]
