@@ -222,7 +222,7 @@ def cmd_bounds(args) -> int:
 def cmd_fourier(args) -> int:
     doc = ifsmod.load_ifs(args.ifs)
     budget = _budget()
-    if args.xi_list:
+    if args.xi_list is not None:
         xis = np.array(_parsed("--xi-list", lambda text: [float(x) for x in text.split(",")],
                                args.xi_list))
     else:

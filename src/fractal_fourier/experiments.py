@@ -308,22 +308,26 @@ class ConvolutionExperiment:
 
 
 def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):
-    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}), real arithmetic.
+    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}).
 
-    The phases come from ``fourier._phase_blocks`` along the frequency
-    axis, with coefficients 2 pi t: on the uniform grid xi_j = j delta of
-    ``multiplicative_convolution`` by angle addition, in blocks of about
-    ``PHASE_BLOCK`` terms.  ``_inversion_rounding`` bounds the rounding.
-    Returns (rho, |Im phi_0|).
+    The unit phases e^{-2 pi i xi_j t} come from ``fourier._phase_blocks``
+    along the frequency axis, with coefficients 2 pi t and unit weights:
+    on the uniform grid xi_j = j delta of ``multiplicative_convolution`` a
+    base block times each block's offsets, in blocks of about
+    ``PHASE_BLOCK`` terms.  Each is multiplied in place by conj(phi_j),
+    whose product has the real part Re(phi_j e^{2 pi i xi_j t}), and the
+    real parts are summed over the frequencies.  ``_inversion_rounding``
+    bounds the rounding.  Returns (rho, |Im phi_0|).
     """
     rows = np.arange(1, len(xis))
     coefs = (TWO_PI * np.asarray(t, dtype=float))[:, None]
     step = _grid_step(xis[:, None])
+    conj = np.conj(phi)     # Re(phi e^{i theta}) = Re(conj(phi) e^{-i theta})
+    unit = np.ones(len(t))
     acc = np.zeros(len(t))
-    for start, stop, ct, st in _phase_blocks(xis[:, None], rows, coefs, step):
-        ct *= phi.real[start + 1 : stop + 1, None]
-        ct -= np.multiply(st, phi.imag[start + 1 : stop + 1, None], out=st)
-        acc += np.add.reduce(ct, axis=0)
+    for start, stop, phases in _phase_blocks(xis[:, None], rows, coefs, step, unit):
+        phases *= conj[start + 1 : stop + 1, None]
+        acc += np.add.reduce(phases.real, axis=0)
     rho = np.full(len(t), float(phi[0].real))
     rho += 2.0 * acc
     return delta * rho, abs(float(phi[0].imag))
@@ -332,12 +336,15 @@ def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: fl
 def _inversion_rounding(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):
     """Bound on the float rounding of ``_invert_on_points`` at the points ``t``.
 
-    Each term Re(phi_j e^{i theta_j}) is within
-    |phi_j| ``_phase_rounding``(|xi_j|, 2 pi max|t|) of its exact value
-    (the phase path and the products with phi_j; 2 pi t rounds by 2u, less
-    than A_w does).  The accumulation over the N = len(xis) terms is
-    sequential across and within blocks, at most N u per unit term, and
-    the factors 2 and delta add two more roundings: (N + 2) EPS times
+    Each term Re(conj(phi_j) e^{-i theta_j}) is within
+    |phi_j| ``_phase_rounding``(|xi_j|, 2 pi max|t|) of its exact value:
+    the phases are those of the row kernel at unit weight (a product by 1
+    is exact), 2 pi t rounds by 2u, less than A_w does, and the complex
+    product with conj(phi_j) errs by at most 1.5 EPS |phi_j| with or
+    without an FMA, as the product with h_w there.  The accumulation over
+    the N = len(xis) terms, within blocks and across them, takes a term
+    through at most N additions, N u per unit term, and the factors 2 and
+    delta add two more roundings: (N + 2) EPS times
     |phi_0| + 2 sum |phi_j| covers them all.
     """
     mags = np.abs(phi)

@@ -66,10 +66,13 @@ M2 = int |x - b|^2 dmu (|h'''| <= (2 pi)^3 R M2); otherwise mu_hat of
 the centred system at tol/2, the product form for homogeneous systems
 and a nested order-0 call of the kernel on its identity for the rest.
 Within a block the elementwise work runs over cache-sized
-blocks of rows, and on a uniform frequency grid j * delta the phases of
-consecutive rows come by angle addition (``_phase_blocks``, shared with
-the Fourier inversion of ``experiments``), which replaces most calls to
-cos and sin.
+blocks of rows as complex arrays of weighted phases p_w e^{-i theta}
+(``_phase_blocks``, shared with the Fourier inversion of
+``experiments``), each multiplied in place by its inner column and
+reduced once along the leaf axis.  On a uniform frequency grid j * delta
+a block is a base block of unit phases, computed once, times each
+block's offsets with the weights folded in: one complex product per
+term replaces the calls to cos and sin.
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -109,7 +112,7 @@ from .ifs import (
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
 JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
-PHASE_BLOCK = 32_768    # row x leaf terms per elementwise block of a job
+PHASE_BLOCK = 32_768    # row x leaf terms per block of weighted phases; 16 k to 32 k time the same
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
 CSV_BLOCK = 4_096       # rows per block of write_samples_csv
 
@@ -117,7 +120,16 @@ CSV_BLOCK = 4_096       # rows per block of write_samples_csv
 def _roundoff(n_terms):
     """Pessimistic pairwise-summation roundoff allowance for n unit terms.
 
-    ``n_terms`` is a count or an array of counts.
+    ``n_terms`` is a count or an array of counts.  It covers numpy's
+    pairwise sum of a complex row (``np.add.reduce`` along a contiguous
+    axis), which sums both parts along one tree: blocks of up to 64 terms
+    run 4 accumulators per part of at most 16 terms each, join them in two
+    levels and add at most 3 trailing terms; longer rows are halved
+    recursively.  A term meets at most n/4 + 4 additions (n <= 64), else
+    14 + log2 n, so each part errs by at most u times that over the sum
+    of its magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, SIAM 2002, section 4.2) and the complex sum of n unit
+    terms by sqrt(2) u times it: below half this allowance for every n.
     """
     return 1e-15 * (1.0 + np.log2(n_terms + 1.0))
 
@@ -142,21 +154,28 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
 
     * outer phase.  A_w = 2 pi f(x_w) for both orders rounds by 2u |A_w|
       (2 pi is a float, a product); xi A_w adds d u |xi||A_w|.  The grid
-      path (``_phase_blocks``) takes (j0 delta) A_w + (l delta) A_w for
-      (j delta) A_w: two more products (2u) and the split of j delta into
-      j0 delta + l delta (2u), so at most (d + 6) u |xi| a_max in all,
-      below c1 EPS |xi| a_max.
+      path (``_phase_blocks``) takes e^{-i (j0 delta) A_w} e^{-i (l delta) A_w}
+      for e^{-i (j delta) A_w}: the two angles take two more products (2u)
+      and the split of j delta into j0 delta + l delta (2u), so at most
+      (d + 6) u |xi| a_max in all, below c1 EPS |xi| a_max.
     * inner argument.  The order-1 inner transform is the centred
       transform h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
       a measure on the ball B(0, R), so h is 2 pi R-Lipschitz.  xi B_w
       rounds by d u |xi||B_w| and B_w itself by (k + 1) u |B_w|, which
       moves h by at most (k + d + 1) u |xi| inner, below c3 EPS |xi| inner.
-    * values.  |e^{-i theta'} - e^{-i theta}| <= |theta' - theta|.  Direct
-      cos and sin err by 2 EPS each, 2.9 EPS as a complex number; the
-      angle-addition products cAcB - sAsB err by at most 2 EPS
-      (|cA| + |cB| + |sA| + |sB|) + 3u <= 7.2 EPS per part, 10.2 EPS
-      complex.  The complex combine with h_w (|h_w| <= 1) adds 1.5 EPS
-      and the weight 0.5 EPS: at most 12.2 EPS, below c2 EPS.
+    * values.  |e^{-i theta'} - e^{-i theta}| <= |theta' - theta|.  Every
+      term is a complex product of computed factors.  One complex product
+      a b errs by at most 2 sqrt(2) u |a||b| <= 1.5 EPS |a||b|, with or
+      without an FMA in either part: a part ac - bd rounds by at most
+      2u (|ac| + |bd|) either way, and
+      (|ac| + |bd|)^2 + (|ad| + |bc|)^2 <= 2 |a|^2 |b|^2 (Brent,
+      Percival & Zimmermann, Math. Comp. 76, 2007, show sqrt(5) u without
+      an FMA).  Direct cos and sin err by 2 EPS each, 2.9 EPS as a
+      complex number, and the weight p_w + 0i scales each part by one
+      rounded product, 0.5 EPS: 3.4 EPS.  On the grid the base phase errs
+      by 2.9 EPS, the offset with its weight by 3.4 EPS and their product
+      by 1.5 EPS: 7.8 EPS.  The product with h_w (|h_w| <= 1) adds
+      1.5 EPS: at most 9.3 EPS, below c2 EPS.
 
     Summation is ``_roundoff``'s part and is not counted here.
     """
@@ -1043,17 +1062,20 @@ class _MuHatTable:
     allocated, so the table has at most ``MAX_TABLE_CELLS`` cells and its
     three coefficient columns take no more bytes than 4,000,000 rows of a
     linear table.  The slack is computed from the widened step: it stays
-    certified, only larger.  The build costs nodes x levels x columns:
-    the depth at which the largest node closes at ``table_tol``.
+    certified, only larger, and can exceed the requested ``table_tol``,
+    which the table keeps with ``widened`` set.  The build costs
+    nodes x levels x columns: the depth at which the largest node closes
+    at ``table_tol``.
     """
 
-    __slots__ = ("h", "cells", "slacks", "eta_max")
+    __slots__ = ("h", "cells", "slacks", "eta_max", "table_tol", "widened")
 
     def __init__(self, ifs, eta_max: float, table_tol: float, second: bool = False):
         radius = ifs.support_radius
         third = TWO_PI**3 * radius * ifs.second_moment      # |h'''| <= (2 pi)^3 R M2
         h = (0.75 * table_tol / (math.sqrt(3.0) / 216.0 * third)) ** (1.0 / 3.0)
-        if eta_max > (MAX_TABLE_CELLS - 1) * h:
+        self.table_tol, self.widened = table_tol, eta_max > (MAX_TABLE_CELLS - 1) * h
+        if self.widened:
             h = eta_max / (MAX_TABLE_CELLS - 1)
         n = int(eta_max * (1.0 / h)) + 1
         etas = np.zeros((2 * n + 1, ifs.ambient_dim))
@@ -1082,12 +1104,17 @@ class _MuHatTable:
     def lookup(self, eta: np.ndarray):
         """Every column at every entry of ``eta``, from one index computation: [h] or [h, h2]."""
         # In place where possible: the batch kernel calls this on its
-        # largest arrays.
+        # largest arrays.  The index and the fraction are computed once for
+        # all columns, and the fraction is cast to complex once: t + 0i
+        # scales both parts by t exactly as a real product does, and numpy
+        # multiplies complex by complex faster than complex by float.
         frac = np.abs(eta)
         frac *= 1.0 / self.h
         idx = frac.astype(np.int64)
         frac -= idx
-        sign = np.sign(eta)
+        frac = frac.astype(complex)
+        # conjugate symmetry; at eta = 0 the imaginary part is 0 already
+        sign = np.sign(eta) if eta.min() < 0.0 else None
         outs = []
         for c0, c1, c2 in self.cells:
             out = c2[idx]
@@ -1095,7 +1122,8 @@ class _MuHatTable:
             out += c1[idx]
             out *= frac
             out += c0[idx]
-            np.multiply(out.imag, sign, out=out.imag)
+            if sign is not None:
+                np.multiply(out.imag, sign, out=out.imag)
             outs.append(out)
         return outs
 
@@ -1122,18 +1150,20 @@ def _order2_scale(ifs, hess: float, third: float, tol: float, xi_norm: float) ->
     """Stopping scale at which the order-2 remainder is tol/2.
 
     The remainder per unit weight is 1/2 (pi |xi| H x^2)^2 + (pi/3) |xi| H3 x^3
-    at x = r R; the scale is the root x over R, or inf when both
-    coefficients are 0 (or underflow to it).  The remainder is convex
-    and increasing in x, so Newton's method from the smaller of the two
-    single-term roots, which lies above the root, decreases to it.
+    at x = r R; the scale is the root x over R, or inf when the remainder
+    at x = R is within tol/2 already: every scale >= 1 is the root's
+    cover.  The remainder is convex and increasing in x, so Newton's
+    method from the smaller of the two single-term roots, which lies above
+    the root, decreases to it.  Both terms are at most tol/4 at 2^(-1/3)
+    times that start, so the start is below 2^(1/3) R, and x^4 cannot
+    overflow at a subnormal |xi| either.
     """
     quartic = 0.5 * (math.pi * xi_norm * hess) ** 2
     cubic = math.pi / 3.0 * xi_norm * third
     target = 0.5 * tol
-    roots = [(target / c) ** (1.0 / p) for c, p in ((quartic, 4), (cubic, 3)) if c > 0.0]
-    if not roots:
+    if quartic * ifs.support_radius**4 + cubic * ifs.support_radius**3 <= target:
         return math.inf
-    x = min(roots)
+    x = min((target / c) ** (1.0 / p) for c, p in ((quartic, 4), (cubic, 3)) if c > 0.0)
     for _ in range(100):
         step = (quartic * x**4 + cubic * x**3 - target) / (4.0 * quartic * x**3 + 3.0 * cubic * x**2)
         if not step > 0.0:
@@ -1180,20 +1210,6 @@ def _jacobian_bound(ifs, pmap) -> float:
     return jac
 
 
-def _row_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_w weights_w (re + i im)[j, w] for each row j of two (m, n) arrays.
-
-    Scales ``re`` and ``im`` in place, then sums every row pairwise along
-    its contiguous leaf axis, the summation ``_roundoff`` assumes.
-    """
-    re *= weights
-    im *= weights
-    out = np.empty(len(re), dtype=complex)
-    out.real = np.add.reduce(re, axis=1)
-    out.imag = np.add.reduce(im, axis=1)
-    return out
-
-
 def _linear_forms(ifs, pmap, ratios, orients, anchors, order1: bool):
     """Per-leaf linear forms in xi of a block of cover leaves: (2 pi A (n, d), B (n, k, d)).
 
@@ -1219,21 +1235,33 @@ def _grid_step(freqs: np.ndarray):
     return step if np.array_equal(freqs[:, 0], np.arange(len(freqs)) * step) else None
 
 
-def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step):
-    """cos and sin of theta[l, w] = <freqs[rows[l]], coefs[w]>, block by block.
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """e^{-i theta} as one complex array, cos and -sin written into its parts; overwrites ``theta``."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=theta)
+    np.negative(theta, out=out.imag)
+    return out
 
-    ``freqs`` is (m, d) and ``coefs`` (n, d).  Yields (start, stop, cos,
-    sin) for consecutive blocks rows[start:stop] of max(1, PHASE_BLOCK // n)
-    rows, two fresh (stop - start, n) arrays each, so every temporary of
-    the caller's elementwise work stays in cache.  With ``step``, the rows
-    of ``freqs`` are j * step (``_grid_step``), and a block of consecutive
-    rows j0 .. j0 + L - 1 is built by angle addition from the n phases
-    (j0 step) coefs and a base block (l step) coefs, l < L, computed once:
-    cos(A + B) = cA cB - sA sB and sin(A + B) = sA cB + cA sB.  That takes
-    (L + m / L) n calls to cos and sin instead of m n.  Other blocks, and
-    all blocks when a block is one row (n > PHASE_BLOCK / 2), take cos and
-    sin directly.  Both paths are within ``_phase_rounding`` of the exact
-    phases.
+
+def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, weights):
+    """Weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
+
+    theta[l, w] = <freqs[rows[l]], coefs[w]>, with ``freqs`` (m, d),
+    ``coefs`` (n, d) and ``weights`` (n,) real.  Yields (start, stop,
+    block) for consecutive blocks rows[start:stop] of
+    max(1, PHASE_BLOCK // n) rows, ``block`` a fresh complex
+    (stop - start, n) array, so every temporary of the caller's
+    elementwise work stays in cache.  With ``step``, the rows of
+    ``freqs`` are j * step (``_grid_step``), and a block of consecutive
+    rows j0 .. j0 + L - 1 is a base block e^{-i (l step) coefs}, l < L,
+    computed once, times the block's offsets
+    weights e^{-i (j0 step) coefs} with the weights folded in: one complex
+    product per term, and (L + m / L) n calls to cos and sin instead of
+    m n.  Other blocks, and all blocks when a block is one row
+    (n > PHASE_BLOCK / 2), write cos and -sin into one complex array and
+    scale it by the weights in place.  Both paths are within
+    ``_phase_rounding`` of the exact weighted phases.
     """
     n, d = coefs.shape
     size = max(1, PHASE_BLOCK // n)
@@ -1243,21 +1271,13 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step):
         count = len(block)
         if step is not None and size > 1 and block[-1] - block[0] == count - 1:
             if base is None:
-                theta = np.outer(np.arange(size) * step, coefs[:, 0])
-                base = np.cos(theta), np.sin(theta)
-            theta = (block[0] * step) * coefs[:, 0]
-            c_off, s_off = np.cos(theta), np.sin(theta)
-            c_base, s_base = base[0][:count], base[1][:count]
-            ct = c_base * c_off
-            ct -= s_base * s_off
-            st = s_base * c_off
-            st += c_base * s_off
+                base = _unit_phases(np.outer(np.arange(size) * step, coefs[:, 0]))
+            phases = base[:count] * (weights * _unit_phases((block[0] * step) * coefs[:, 0]))
         else:
             x = freqs[block]
-            theta = np.outer(x[:, 0], coefs[:, 0]) if d == 1 else x @ coefs.T
-            ct = np.cos(theta)
-            st = np.sin(theta, out=theta)
-        yield start, start + count, ct, st
+            phases = _unit_phases(np.outer(x[:, 0], coefs[:, 0]) if d == 1 else x @ coefs.T)
+            phases *= weights
+        yield start, start + count, phases
 
 
 def _run_rows(run, jobs, m: int, threads: int):
@@ -1296,16 +1316,18 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     leaf terms: a job is the unit of the thread scatter.  Covers are not
     stored: each job streams its group's cover from ``_cover_blocks``, leaf
     blocks of at most ``FRONTIER_BLOCK``, and each row's terms of a block
-    are summed pairwise along the leaf axis (``_row_sums``); the block
-    sums of a row are combined with TwoSum (Knuth: t = s + x is rounded,
-    and (s - (t - z)) + (x - z) with z = t - s is exactly what t lost),
-    kept in a carry that joins the sum at the end.  Within a block the
-    elementwise work (phases, table lookups, the complex combine) runs over
-    about ``PHASE_BLOCK`` terms at a time (``_phase_blocks``), so its
-    temporaries stay in cache.  When the rows of ``xis`` are the uniform
-    grid j * delta (``_grid_step``; ``multiplicative_convolution`` builds
-    its grid that way) the phases of consecutive rows come from angle
-    addition.
+    are summed pairwise along the leaf axis (one complex
+    ``np.add.reduce``); the block sums of a row are combined with TwoSum
+    (Knuth: t = s + x is rounded, and (s - (t - z)) + (x - z) with
+    z = t - s is exactly what t lost), kept in a carry that joins the sum
+    at the end.  Within a block the elementwise work runs over about
+    ``PHASE_BLOCK`` terms at a time, so its temporaries stay in cache:
+    ``_phase_blocks`` yields the weighted phases p_w e^{-i <xi, A_w>} as a
+    complex array, the inner column multiplies it in place, and the
+    reduction sums it.  When the rows of ``xis`` are the uniform grid
+    j * delta (``_grid_step``; ``multiplicative_convolution`` builds its
+    grid that way) the phases of consecutive rows are one base block
+    times each block's weighted offsets.
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
@@ -1326,17 +1348,28 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     ``_centring_rounding``.
 
     Order 2 (homogeneous systems on the line, maps with ``third_bound``)
-    combines the columns with the leaf column q_w = r_w^2 f''(x_w) into
-    h - pi i xi q_w h2 before the outer phase, so h2's bound counts
-    pi |xi| |q_w| times.  The inner value is then at most 1 + kappa with
+    adds the quadratic phase through the leaf column
+    q_w = r_w^2 f''(x_w): a row's value is
+    sum_w p_w e^{-i theta_w} h_w - i pi xi sum_w p_w q_w e^{-i theta_w} h2_w,
+    the second sum over a second block, the weighted phases times q_w,
+    and multiplied by -i pi xi once per row, so h2's bound counts
+    pi |xi| |q_w| times.  Per unit weight a term's inner value
+    h - i pi xi q_w h2 is at most 1 + kappa with
     kappa = pi |xi| max_w |q_w| R^2, and its h2 part is
     2 pi R kappa-Lipschitz (|h2'| <= 2 pi int |u|^3 <= 2 pi R^3), so the
     roundoff, phase and cover rounding terms, derived for |h| <= 1 and a
-    2 pi R-Lipschitz h, scale by 1 + kappa.  Forming the inner value
-    adds EPS ((D + 6) kappa + 1): pi xi q_w carries the D-level rounding
-    of r_w^2 and a few more products, and the sum one more.  The cover
-    rounding's gain grows by H3 R^2 / 2: an anchor moved by delta moves
-    the cubic Taylor term by pi |xi| H3 (r_w R)^2 delta to first order.
+    2 pi R-Lipschitz h, scale by 1 + kappa: the second sum's terms are
+    at most |q_w| R^2 per unit weight, so its phase and summation
+    rounding are its share kappa / (pi |xi|) of them, and the product by
+    pi |xi| makes that kappa.  The rest adds at most EPS ((D + 2) kappa
+    + 1/2), below the EPS ((D + 6) kappa + 1) charged: q_w carries the
+    relative rounding 2 D u of r_w^2 (D - 1 level products, the square)
+    and f'', the product by q_w, pi xi and the product by -i pi xi one u
+    each (the factor's real part is 0, so each part is one rounded
+    product, with or without an FMA), (2 D + 3) u kappa in all, and the
+    sum of the two row sums u (1 + kappa).  The cover rounding's gain
+    grows by H3 R^2 / 2: an anchor moved by delta moves the cubic Taylor
+    term by pi |xi| H3 (r_w R)^2 delta to first order.
 
     A row's bound is |xi| times the cover's closure (order 0) or Taylor
     (order 1) coefficient, or for order 2 the remainder
@@ -1372,9 +1405,11 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
             )
         if pmap.hessian is None:
             raise BadConfig("order2 needs a hessian evaluator")
-    norms = np.linalg.norm(xis, axis=1)
-    # Not norms > 0: the norm of a row below ~1e-154 underflows to 0, which
-    # leaves its closure term far below the roundoff terms, not exact.
+    # |xi| on the line: np.linalg.norm's sqrt(xi^2) is |xi| wherever xi^2
+    # neither overflows nor underflows, and overflows to inf above ~1.3e154
+    norms = np.abs(xis[:, 0]) if d == 1 else np.linalg.norm(xis, axis=1)
+    # Not norms > 0: the norm of a row off the line below ~1e-154 underflows
+    # to 0, which leaves its closure term far below the roundoff terms, not exact.
     active = np.flatnonzero(xis.any(axis=1))
     if len(active) == 0:
         return _run_rows(None, [], m, threads)
@@ -1454,29 +1489,22 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
                 inner_err = inner_err + np.add.reduce(
                     errs.reshape(len(rows), len(weights)) * weights, axis=1
                 )
-            for start, stop, ct, st in _phase_blocks(xis, rows, a_forms, grid):
-                if b_forms is None:
-                    re, im = ct, np.negative(st, out=st)
-                else:
+            for start, stop, phases in _phase_blocks(xis, rows, a_forms, grid, weights):
+                if b_forms is not None:
                     if mu_table is None:
-                        h = exact_inner[start:stop]
+                        columns = [exact_inner[start:stop]]
                     else:
                         columns = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
-                        h = columns[0]
                     if order2:
-                        # h - i g h2 with g = pi xi q_w: the quadratic phase integrated
-                        g = np.outer(np.pi * x[start:stop, 0], curv)
-                        h2 = columns[1]
-                        h2.real *= g
-                        h2.imag *= g
-                        h.real += h2.imag
-                        h.imag -= h2.real
-                    # (cos - i sin)(a + i b) in real arithmetic, reusing ct and st.
-                    re = ct * h.real
-                    re += st * h.imag
-                    im = np.multiply(ct, h.imag, out=ct)
-                    im -= np.multiply(st, h.real, out=st)
-                part[start:stop] = _row_sums(re, im, weights)
+                        # -i pi xi sum_w p_w q_w e^{-i theta} h2: the quadratic phase integrated
+                        second = phases * curv
+                        second *= columns[1]
+                        second = (-1j * np.pi * x[start:stop, 0]) * np.add.reduce(second, axis=1)
+                    phases *= columns[0]
+                # pairwise along each row's contiguous leaf axis, as _roundoff assumes
+                part[start:stop] = np.add.reduce(phases, axis=1)
+                if order2:
+                    part[start:stop] += second
             # TwoSum of the running sum and this block's sums
             t = total + part
             z = t - total
@@ -1598,10 +1626,11 @@ def pushforward_batch(
     before any is expanded, and each job of the kernel streams its cover
     in leaf blocks of at most ``FRONTIER_BLOCK`` (no cover is stored or
     cached), so memory does not grow with the cover.  Frequencies that
-    are exactly j * delta, in that order, get their phases by angle
-    addition, in cache-sized blocks (``_phase_blocks``); any other set
-    gets direct cos and sin in the same blocks, and both are certified by
-    one phase rounding term.  The order-1 inner transform is the centred
+    are exactly j * delta, in that order, get their phases as one base
+    block of unit phases times each cache-sized block's weighted offsets
+    (``_phase_blocks``); any other set gets direct cos and sin in the same
+    blocks, and both are certified by one phase rounding term.  The
+    order-1 inner transform is the centred
     transform e^{2 pi i <eta, b>} mu_hat(eta), the transform of
     ``ifs.centred``.  Homogeneous systems on the line read it from a
     certified piecewise-quadratic table (``_MuHatTable``), whose step

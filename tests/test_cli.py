@@ -270,6 +270,28 @@ class TestFourier:
         assert "config error" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_xi_list_exit_2(self, tmp_path, capsys):
+        # an empty list is malformed, not a request for the default grid
+        out = tmp_path / "x.csv"
+        code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--xi-list=",
+                     "--out", str(out)])
+        assert code == 2
+        assert "--xi-list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("xi", ["1e150", "1e160", "-1e160"])
+    def test_huge_frequency_exit_4(self, tmp_path, xi):
+        # |xi| on the line is abs(xi): a norm would overflow to inf above
+        # ~1.3e154 and give a stopping scale of 0
+        proc = _run_cli_subprocess(
+            "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order1",
+            "--map", '{"kind": "square"}', f"--xi-list={xi}", "--out", str(tmp_path / "x.csv"),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "leaf_budget" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "scheme_args", [[], ["--scheme", "order1", "--map", '{"kind": "square"}']]
     )

@@ -26,7 +26,6 @@ from fractal_fourier.fourier import (
     _phase_rounding,
     _recursion_rounding,
     _roundoff,
-    _row_sums,
     constant_map,
     cube_map,
     curvature_diagnostic,
@@ -318,6 +317,9 @@ class TestRoundingCertificates:
         # the slack (4.6e-7, mostly 5/4 of the closure term).
         table = _MuHatTable(cantor, 1e5, 1e-6)
         assert len(table.values) == fourier_module.MAX_TABLE_CELLS
+        # the clamp is recorded: the widened step's slack passes table_tol
+        assert table.widened and table.table_tol == 1e-6
+        assert table.slack > table.table_tol
         third = (2.0 * math.pi) ** 3 * cantor.support_radius * cantor.second_moment
         interpolation = math.sqrt(3.0) / 216.0 * table.h**3 * third
         assert interpolation > 10.0 * (table.slack - interpolation)
@@ -1037,6 +1039,18 @@ class TestOrder2:
             assert s2.leaves_used * 4 <= s1.leaves_used
             assert abs(s1.value - s2.value) <= s1.error_bound + s2.error_bound
 
+    @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+    def test_subnormal_frequency_takes_the_root(self, uniform12, scheme):
+        # |xi| on the line is abs(xi), exact down to the subnormals, where the
+        # single-term roots of the order-2 remainder pass 1e100
+        xi = 2.225073858507e-311
+        assert fourier_module._order2_scale(uniform12, 1.0, 2.0, 1e-4, xi) == math.inf
+        values, bounds, leaves = pushforward_batch(
+            uniform12, log_map(uniform12), [xi], tol=1e-4, scheme=scheme
+        )
+        assert leaves[0] == 1
+        assert abs(values[0] - 1.0) <= bounds[0] < 1e-7
+
     def test_remainder_is_the_named_taylor_term(self, cantor):
         # one group: the bound is the remainder plus the named inner and
         # rounding terms, the rounding scaled by 1 + kappa
@@ -1348,9 +1362,9 @@ class TestGridPhases:
         seen = []
         original = fourier_module._phase_blocks
 
-        def record(freqs, rows, coefs, step):
+        def record(freqs, rows, coefs, step, weights):
             seen.append(step)
-            return original(freqs, rows, coefs, step)
+            return original(freqs, rows, coefs, step, weights)
 
         monkeypatch.setattr(fourier_module, "_phase_blocks", record)
         return seen
@@ -1607,16 +1621,19 @@ class TestBoundEstimation:
 
 class TestNumerics:
     def test_row_sums(self):
+        # the kernel's leaf sum: np.add.reduce of a complex block along its rows
         values = np.full(10**6, 1e-8, dtype=complex)
         values[0] = 1.0
-        re, im = values.real[None, :].copy(), values.imag[None, :].copy()
-        total = _row_sums(re, im, np.ones(values.size))[0]
+        total = np.add.reduce(values[None, :], axis=1)[0]
         assert total.real == pytest.approx(1.0 + (10**6 - 1) * 1e-8, rel=1e-14)
         # Pairwise along each row: on 2048 positive terms a sequential sum
         # errs by ~1e-15 relative, pairwise by ~2e-16.
         terms = np.random.default_rng(16).uniform(0.0, 1.0, size=(64, 2048))
-        sums = _row_sums(terms.copy(), np.zeros_like(terms), np.ones(2048)).real
+        sums = np.add.reduce(terms.astype(complex), axis=1).real
         exact = np.array([math.fsum(row) for row in terms])
+        assert np.max(np.abs(sums - exact) / exact) <= 4e-16
+        # the imaginary parts are summed the same way
+        sums = np.add.reduce(1j * terms, axis=1).imag
         assert np.max(np.abs(sums - exact) / exact) <= 4e-16
 
     def test_csv_output(self, tmp_path, cantor):

@@ -11,13 +11,20 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import numpy as np
 
+from fractal_fourier import fourier as fourier_module
 from fractal_fourier.errors import InvalidIFS
+from fractal_fourier.experiments import _inversion_rounding, _invert_on_points
 from fractal_fourier.fourier import (
+    EPS,
     PushforwardMap,
     _MuHatTable,
     _centring_rounding,
     _grid_step,
+    _jacobian_bound,
+    _linear_forms,
     _mu_hat_homog_many,
+    _phase_rounding,
+    _roundoff,
     cube_map,
     identity_map,
     log_map,
@@ -29,7 +36,7 @@ from fractal_fourier.fourier import (
     quadratic_map,
     square_map,
 )
-from fractal_fourier.ifs import ifs_1d
+from fractal_fourier.ifs import _count_stopping, _cover_blocks, ifs_1d
 
 ORACLE_SHARE = 1e-3     # the oracle's own error, as a share of the tolerance
 
@@ -555,3 +562,93 @@ def test_order2_within_its_bound_of_the_mpmath_oracle(system, kind, xis, tol):
         single = pushforward_hat_order2(system, pmap, xi, tol=tol)
         assert abs(value - exact) <= bound + oracle_error
         assert abs(single.value - exact) <= single.error_bound + oracle_error
+
+
+def kernel_leaves(ifs, pmap, scale, order1):
+    """The float leaf columns the row kernel sums at a fixed ``scale``: p_w, A_w, B_w, q_w."""
+    ratios, orients, _, weights, anchors = (
+        np.concatenate(cols) for cols in zip(*_cover_blocks(ifs, scale))
+    )
+    a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
+    curv = ratios**2 * pmap.hessian(anchors)[:, 0, 0] if order1 else None
+    return weights, a_forms[:, 0], None if b_forms is None else b_forms[:, 0, 0], curv
+
+
+# Grid rows j * 0.1 up to j = 160,000 (xi = 1.6e4) on the convolve workload's
+# log factor take the angle-addition path, with block offsets j0 >= 1e5 at the
+# top; scattered rows up to 8e6 on the decay workload's Cantor square take
+# cos and sin directly.
+KERNEL_CASES = {
+    "grid": ("uniform12", "log", np.arange(160_001) * 0.1, 2.0**-5,
+             [1, 1023, 1024, 100_000, 123_457, 159_999, 160_000]),
+    "scattered": ("cantor", "square",
+                  np.random.default_rng(32).uniform(4e6, 8e6, size=6), 3.0**-9, range(6)),
+}
+
+
+@pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_rounding_within_its_terms_of_a_50_digit_sum(request, monkeypatch, scheme, case):
+    # the 50-digit sum of the kernel's own float terms (leaf columns and
+    # table lookups at the computed inner frequencies) leaves only the
+    # kernel's rounding: the phase and summation terms, scaled by 1 + kappa,
+    # plus the order-2 forming term
+    name, kind, xis, scale, sample = KERNEL_CASES[case]
+    ifs = request.getfixturevalue(name)
+    pmap = MAP_BUILDERS[kind](ifs)
+    tables, build = [], fourier_module._MuHatTable
+    monkeypatch.setattr(fourier_module, "_MuHatTable",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
+    values, _, leaves = pushforward_batch(ifs, pmap, xis, tol=1e-4, scheme=scheme, scale=scale)
+    assert (_grid_step(xis[:, None]) is not None) == (case == "grid")
+    order1 = scheme != "order0"
+    weights, a_forms, b_forms, curv = kernel_leaves(ifs, pmap, scale, order1)
+    n, snapped, depth = _count_stopping(ifs, scale)
+    assert np.all(leaves[xis != 0] == n) and len(tables) == order1
+    radius = ifs.support_radius
+    reach = 2.0 * np.pi * radius * snapped * _jacobian_bound(ifs, pmap) if order1 else 0.0
+    a_max = float(np.abs(a_forms).max())
+    mpmath.mp.dps = 50
+    for row in sample:
+        xi = float(xis[row])
+        x = mpmath.mpf(xi)
+        phases = [mpmath.mpf(p) * mpmath.expj(-x * mpmath.mpf(a)) for p, a in zip(weights, a_forms)]
+        if order1:
+            columns = tables[0].lookup(xi * b_forms)
+            exact = mpmath.fsum(e * mpmath.mpc(h) for e, h in zip(phases, columns[0]))
+        else:
+            exact = mpmath.fsum(phases)
+        kappa, forming = 0.0, 0.0
+        if scheme == "order2":
+            second = mpmath.fsum(
+                e * mpmath.mpf(q) * mpmath.mpc(h2) for e, q, h2 in zip(phases, curv, columns[1])
+            )
+            exact += mpmath.mpc(0, -1) * mpmath.pi * x * second
+            kappa = np.pi * abs(xi) * float(np.abs(curv).max()) * radius**2
+            forming = EPS * ((depth + 6.0) * kappa + 1.0)
+        rounding = (_phase_rounding(abs(xi), a_max, reach) + _roundoff(n)) * (1.0 + kappa) + forming
+        assert abs(mpmath.mpc(values[row]) - exact) <= rounding, (row, xi)
+
+
+def test_inversion_within_its_rounding_of_a_50_digit_inversion():
+    # 4,096 grid frequencies up to 1.6e4 in blocks of 64 rows (512 points):
+    # angle-addition offsets up to j0 = 4,033
+    delta = 4.0
+    xis = np.arange(4097) * delta
+    rng = np.random.default_rng(33)
+    phi = rng.standard_normal(4097) + 1j * rng.standard_normal(4097)
+    phi /= (1.0 + np.arange(4097)) ** 0.7
+    t = np.linspace(-1.0, 2.0, 512)
+    rho, imag_residue = _invert_on_points(t, xis, phi, delta)
+    assert imag_residue == abs(phi[0].imag)
+    rounding = _inversion_rounding(t, xis, phi, delta)
+    mpmath.mp.dps = 50
+    two_pi = 2 * mpmath.pi
+    for point in (0, 200, 511):
+        s = mpmath.mpf(float(t[point]))
+        terms = (
+            mpmath.re(mpmath.mpc(v) * mpmath.expj(two_pi * mpmath.mpf(xi) * s))
+            for xi, v in zip(xis[1:], phi[1:])
+        )
+        exact = mpmath.mpf(delta) * (mpmath.mpf(phi[0].real) + 2 * mpmath.fsum(terms))
+        assert abs(mpmath.mpf(rho[point]) - exact) <= rounding, point

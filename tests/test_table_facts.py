@@ -30,6 +30,9 @@ def test_reports_the_decay_table(tmp_path, capsys):
     assert table["cells"] == int(table["range"] * (1.0 / table["step"])) + 1
     assert table["bytes"] == 3 * 16 * table["cells"]
     assert 0.0 < table["slacks"][0] < 2e-8
+    # the step comes from table_tol, not from the MAX_TABLE_CELLS clamp
+    assert table["table_tol"] == 1e-8
+    assert table["widened"] is False
     assert table["build_s"] >= 0.0
 
 

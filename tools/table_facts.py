@@ -6,8 +6,10 @@ The arguments are those of the ``fractal-fourier`` command line.  The
 command runs in this process (``fractal_fourier.cli.main``), with every
 ``fourier._MuHatTable`` it builds timed; after the command's own output,
 one JSON line per table gives its columns (h, or h and h2), range
-``eta_max``, cells, step, slack per column, build seconds and the bytes
-of its coefficient columns.  The exit status is the command's.
+``eta_max``, cells, step, the requested ``table_tol``, whether the step
+was widened to keep the cells at ``MAX_TABLE_CELLS`` (its slack can then
+pass ``table_tol``), slack per column, build seconds and the bytes of its
+coefficient columns.  The exit status is the command's.
 """
 
 import json
@@ -31,6 +33,8 @@ def run(argv):
             "range": table.eta_max,
             "cells": len(table.values),
             "step": table.h,
+            "table_tol": table.table_tol,
+            "widened": table.widened,
             "slacks": table.slacks,
             "build_s": round(seconds, 4),
             "bytes": sum(coef.nbytes for column in table.cells for coef in column),
