@@ -20,7 +20,9 @@ structure of the measure:
   leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
   identity map at the cylinder's anchor: mu_hat is
   ``pushforward_hat_order0(ifs, identity_map(ifs), xi)``, evaluated by
-  the same row kernel, one cover per frequency.
+  the same row kernel.  A batch of frequencies is one call either way
+  (``_mu_hat_rows``): one product to the depth of its largest row, or
+  the row kernel's octave groups.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -70,9 +72,9 @@ blocks of rows as complex arrays of weighted phases p_w e^{-i theta}
 (``_phase_blocks``, shared with the Fourier inversion of
 ``experiments``), each multiplied in place by its inner column and
 reduced once along the leaf axis.  On a uniform frequency grid j * delta
-a block is a base block of unit phases, computed once, times each
-block's offsets with the weights folded in: one complex product per
-term replaces the calls to cos and sin.
+a job of more than one block takes a base block of unit phases,
+computed once, times each block's offsets with the weights folded in:
+one complex product per term replaces the calls to cos and sin.
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -401,12 +403,14 @@ def mu_hat(
     Its exact leaf count is checked before anything is expanded; more
     than ``budget`` leaves raise ResourceExceeded("leaf_budget") naming
     the count.  ``leaves_used`` is the number of leaves of the tree
-    (N^depth for homogeneous systems).
+    (N^depth for homogeneous systems).  The call is a batch of one: on
+    the line ``pushforward_batch(..., scheme="exact_recursion")`` at [xi]
+    gives the same value, bound and leaves.
     """
     _check_positive("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, ifs.ambient_dim)
-    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget)
+    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget, 1)
     return FrequencySample(
         xi=vec,
         value=complex(values[0]),
@@ -416,20 +420,33 @@ def mu_hat(
     )
 
 
-def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int):
+def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int, threads: int):
     """(values, error bounds, leaves) of mu_hat at every row of ``etas`` (n, k).
 
-    Homogeneous systems take the product form (``_mu_hat_homog_many``),
-    every row to the depth its largest row needs, and each row's leaves
-    are the N^depth leaves of that tree.  Any other system is the order-0
-    image of its identity through ``_image_rows`` (one thread), its rows
-    grouped by octave.  A one-row call is that frequency's own tree.  The
-    leaf counts are exact Python ints: N^depth can pass the int64 range.
+    One call for all rows, whatever the system.  Homogeneous systems take
+    the product form (``_mu_hat_homog_many``), every row to the depth D
+    its largest row needs (a uniform grid j * delta by angle addition), and
+    each row's leaves are the N^D leaves of that tree.  Any other system
+    is the order-0 image of its identity through ``_image_rows`` on
+    ``threads`` threads: its rows are grouped by octave of |eta| and
+    share the cover of their octave's largest |eta|, every cover counted
+    against ``budget`` (the top octave first) before any is expanded.  A
+    one-row call is that frequency's own tree, and so is each row of an
+    octave that holds one row.
+
+    A homogeneous row below the largest thus goes deeper than its own
+    tree.  Where the closure term dominates its bound shrinks; elsewhere
+    the bound grows by at most the extra levels' rounding,
+    (D + 1)(N + 5) EPS plus ``_roundoff(D + 1)`` (below 1e-13 for
+    D <= 40 and N <= 5), and on a grid by the angle-addition allowance of
+    ``_recursion_rounding(..., grid=True)`` as well.  The leaf counts are
+    an object array of exact Python ints: N^D can pass the int64 range.
     """
-    if ifs.is_homogeneous:
-        values, errors, depth = _mu_hat_homog_many(ifs, etas, tol)
-        return values, errors, [ifs.n_maps**depth] * len(etas)
-    return _image_rows(ifs, identity_map(ifs), etas, tol, "order0", None, budget, 1)
+    # an empty batch has no largest row to fix a depth: the kernel returns it empty
+    if not (ifs.is_homogeneous and len(etas)):
+        return _image_rows(ifs, identity_map(ifs), etas, tol, "order0", None, budget, threads)
+    values, errors, depth = _mu_hat_homog_many(ifs, etas, tol)
+    return values, errors, np.full(len(etas), ifs.n_maps**depth, dtype=object)
 
 
 def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
@@ -1258,18 +1275,22 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     computed once, times the block's offsets
     weights e^{-i (j0 step) coefs} with the weights folded in: one complex
     product per term, and (L + m / L) n calls to cos and sin instead of
-    m n.  Other blocks, and all blocks when a block is one row
-    (n > PHASE_BLOCK / 2), write cos and -sin into one complex array and
-    scale it by the weights in place.  Both paths are within
-    ``_phase_rounding`` of the exact weighted phases.
+    m n.  The base block alone costs L n, as much as a block of direct
+    rows, so the grid path is taken only when ``rows`` spans more than one
+    block: a job of a large cover holds only JOB_TERMS / n rows.  Other
+    blocks, all blocks of a call of at most one block, and all blocks when
+    a block is one row (n > PHASE_BLOCK / 2) write cos and -sin into one
+    complex array and scale it by the weights in place.  Both paths are
+    within ``_phase_rounding`` of the exact weighted phases.
     """
     n, d = coefs.shape
     size = max(1, PHASE_BLOCK // n)
+    grid = step is not None and len(rows) > size > 1
     base = None
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
         count = len(block)
-        if step is not None and size > 1 and block[-1] - block[0] == count - 1:
+        if grid and block[-1] - block[0] == count - 1:
             if base is None:
                 base = _unit_phases(np.outer(np.arange(size) * step, coefs[:, 0]))
             phases = base[:count] * (weights * _unit_phases((block[0] * step) * coefs[:, 0]))
@@ -1326,8 +1347,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     complex array, the inner column multiplies it in place, and the
     reduction sums it.  When the rows of ``xis`` are the uniform grid
     j * delta (``_grid_step``; ``multiplicative_convolution`` builds its
-    grid that way) the phases of consecutive rows are one base block
-    times each block's weighted offsets.
+    grid that way) the phases of consecutive rows of a job longer than
+    one block are one base block times each block's weighted offsets.
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
@@ -1483,7 +1504,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
             if order1 and mu_table is None:
                 flat = np.tensordot(x, b_forms, axes=(1, 2)).reshape(-1, k)
-                vals, errs, _ = _mu_hat_rows(ifs.centred, flat, 0.5 * tol, budget)
+                vals, errs, _ = _mu_hat_rows(ifs.centred, flat, 0.5 * tol, budget, 1)
                 exact_inner = vals.reshape(len(rows), len(weights))
                 errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
                 inner_err = inner_err + np.add.reduce(
@@ -1628,8 +1649,9 @@ def pushforward_batch(
     cached), so memory does not grow with the cover.  Frequencies that
     are exactly j * delta, in that order, get their phases as one base
     block of unit phases times each cache-sized block's weighted offsets
-    (``_phase_blocks``); any other set gets direct cos and sin in the same
-    blocks, and both are certified by one phase rounding term.  The
+    (``_phase_blocks``) wherever a job spans more than one block; any
+    other set gets direct cos and sin in the same blocks, and both are
+    certified by one phase rounding term.  The
     order-1 inner transform is the centred
     transform e^{2 pi i <eta, b>} mu_hat(eta), the transform of
     ``ifs.centred``.  Homogeneous systems on the line read it from a
@@ -1641,11 +1663,13 @@ def pushforward_batch(
     ``order2`` (homogeneous systems on the line) reads the second-moment
     transform from the same table.  The single calls
     (``pushforward_hat_order0/1/2``) are batches of one.  Leaf terms are
-    summed pairwise per frequency.  ``exact_recursion`` is mu_hat itself (k = 1,
-    ``pmap`` unused), one call and one cover per frequency; for a
-    non-homogeneous system the largest frequency's cover is counted
-    against ``budget`` before any is expanded.  The leaf counts are exact
-    Python ints (a homogeneous tree's N^depth can pass the int64 range).
+    summed pairwise per frequency.  ``exact_recursion`` is mu_hat itself
+    (k = 1, ``pmap`` unused), one ``_mu_hat_rows`` call for all the rows:
+    a homogeneous system takes every row to the depth of the largest (on
+    one thread), and any other system is grouped by octave and runs on
+    the row kernel's jobs like the image schemes.  ``mu_hat`` is its
+    batch of one.  The leaf counts are an object array of exact Python
+    ints (a homogeneous tree's N^depth can pass the int64 range).
     Results are independent of ``threads`` (fixed jobs, fixed reduction
     order).
     """
@@ -1660,17 +1684,9 @@ def pushforward_batch(
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
     _check_finite(xis)
-    if scheme != "exact_recursion":
-        return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
-    top = float(np.abs(xis).max(initial=0.0))
-    if not ifs.is_homogeneous and top > 0.0:
-        # the largest frequency has the largest cover
-        _checked_count(ifs, _order0_scale(ifs, 1.0, tol, top), budget)
-
-    def run(j):
-        return (slice(j, j + 1), *_mu_hat_rows(ifs, xis[j : j + 1], tol, budget))
-
-    return _run_rows(run, range(len(xis)), len(xis), threads)
+    if scheme == "exact_recursion":
+        return _mu_hat_rows(ifs, xis, tol, budget, threads)
+    return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
 
 
 # ---------------------------------------------------------------------------

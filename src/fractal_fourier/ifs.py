@@ -202,13 +202,22 @@ class SelfSimilarIFS:
         support radius is R bit for bit; their rounding is the centring
         allowance of ``fourier._centring_rounding``.  A system whose
         barycenter is exactly 0 is its own centred system.
+
+        The maps are checked as any ``SimilarityMap`` is, but the atom
+        check of ``__post_init__`` is not run again: a translation cannot
+        create an atom, this system has passed it, and the rounded
+        translations can move the fixed points' spread just below
+        ``FIXED_POINT_TOL``.
         """
         b = self.barycenter
         if not b.any():
             return self
         maps = tuple(SimilarityMap(m.ratio, m.orientation, m(b) - b) for m in self.maps)
-        centred = SelfSimilarIFS(maps, self.weights)
-        centred.__dict__["barycenter"] = _readonly(np.zeros(self.ambient_dim))
+        centred = object.__new__(SelfSimilarIFS)
+        vars(centred).update(
+            maps=maps, weights=self.weights, ambient_dim=self.ambient_dim,
+            barycenter=_readonly(np.zeros(self.ambient_dim)),
+        )
         return centred
 
     @cached_property
@@ -278,11 +287,13 @@ class SelfSimilarIFS:
 
     @cached_property
     def is_homogeneous(self) -> bool:
-        """True iff all linear parts r_i O_i agree entrywise within 1e-12."""
+        """True iff all linear parts r_i O_i are bitwise equal.
+
+        Exact, not within a tolerance: the product form, the table and
+        ``order2`` use map 0's linear part for every map.
+        """
         first = self.maps[0].linear_part
-        return all(
-            np.max(np.abs(m.linear_part - first)) <= 1e-12 for m in self.maps[1:]
-        )
+        return all(np.array_equal(m.linear_part, first) for m in self.maps[1:])
 
     def config_key(self) -> tuple:
         """Hashable identity used to recognise repeated factor measures."""

@@ -151,6 +151,27 @@ class TestMuHat:
         with pytest.raises(ResourceExceeded):
             mu_hat(mixed_ratios, 1e5, tol=1e-8, budget=100)
 
+    @pytest.mark.parametrize("xi", [1e8, 1e10])
+    def test_near_homogeneous_system_is_certified(self, xi):
+        # Ratios 9e-13 apart: the product form, which uses map 0's ratio for
+        # both maps, would certify 3.2e-5 at 1e8 and err by 1.43e-4.
+        system = ifs_1d([0.1, 0.1 + 9e-13], [0.0, 0.9])
+        assert not system.is_homogeneous
+        s = mu_hat(system, xi, tol=1e-4)
+        # the reference: every leaf of the depth-17 tree, 2^17 float64 terms
+        anchors, weights = system.barycenter.copy(), np.ones(1)
+        for _ in range(17):
+            anchors = np.concatenate([m.ratio * anchors + m.translation[0] for m in system.maps])
+            weights = np.concatenate([w * weights for w in system.weights])
+        phase = 2.0 * math.pi * xi * anchors
+        reference = complex(np.sum(weights * np.cos(phase)), -np.sum(weights * np.sin(phase)))
+        # each anchor (|x| <= 1) carries at most 17 roundings; with the
+        # phase's own they move a term's phase by at most 2 pi |xi| 17 EPS.
+        # The depth-17 closure is 2 pi |xi| rho^17 R.
+        rho, radius = float(system.ratios.max()), system.support_radius
+        allowance = 2.0 * math.pi * xi * (17.0 * fourier_module.EPS + rho**17 * radius)
+        assert abs(s.value - reference) <= s.error_bound + allowance
+
     @pytest.mark.parametrize(
         "system, xi_max, tol",
         [("cantor", 60.0, 1e-5), ("square_2d", 4.0, 5e-3)],
@@ -299,14 +320,23 @@ class TestRoundingCertificates:
         # A constant map has no quadrature error: one leaf, value
         # e^{-2 pi i 0.7 xi}.  At |xi| ~ 1e7 the float phase alone is off by
         # ~1e-9, which only the phase rounding term of the bound covers.
-        # The grid rows go through angle addition, the others directly.
+        # The grid rows go through angle addition: with one leaf a block is
+        # PHASE_BLOCK rows, and the grid, one group at the fixed root scale,
+        # spans more than one block.  The others go directly.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         cm = constant_map(cantor, 0.7)
-        grid = np.arange(300) * 65537.3
+        grid = np.arange(2 * fourier_module.PHASE_BLOCK + 300) * 305.3
+        checked = np.r_[np.arange(len(grid) - 300, len(grid)),
+                        np.random.default_rng(3).integers(1, len(grid), size=100)]
+        values, bounds, leaves = pushforward_batch(cantor, cm, grid, scheme="order0", scale=1.0)
+        assert np.all(leaves == 1)
+        direct = pushforward_batch(cantor, cm, grid[::-1], scheme="order0", scale=1.0)[0][::-1]
+        assert not np.array_equal(values[checked], direct[checked])
         scattered = np.random.default_rng(2).uniform(1e6, 2e7, size=40)
-        for xis in (grid, scattered):
-            values, bounds, _ = pushforward_batch(cantor, cm, xis, scheme="order0")
+        sv, sb, _ = pushforward_batch(cantor, cm, scattered, scheme="order0")
+        for xis, values, bounds in ((grid[checked], values[checked], bounds[checked]),
+                                    (scattered, sv, sb)):
             for xi, value, bound in zip(xis, values, bounds):
                 exact = complex(mpmath.expj(-2 * mpmath.pi * mpmath.mpf(0.7) * mpmath.mpf(xi)))
                 assert abs(value - exact) <= bound, xi
@@ -409,6 +439,28 @@ def _truncated_product_mpmath(ifs, xis, depth, digits=40):
             eta *= s
         out.append(complex(value * mpmath.expj(-2 * mpmath.pi * eta * b)))
     return np.array(out)
+
+
+def _count_cos_and_sin(monkeypatch):
+    """The argument sizes of every np.cos and np.sin call in ``fourier`` from now on."""
+    sizes = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def cos(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return np.cos(x, *args, **kwargs)
+
+        @staticmethod
+        def sin(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return np.sin(x, *args, **kwargs)
+
+    monkeypatch.setattr(fourier_module, "np", Counting())
+    return sizes
 
 
 class TestGridProductForm:
@@ -529,23 +581,7 @@ class TestGridProductForm:
             assert s.value == ref_value[0] and s.error_bound == ref_bound[0]
 
     def test_grid_calls_cos_and_sin_on_few_arguments(self, cantor, monkeypatch):
-        sizes = []
-
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def cos(x, *args, **kwargs):
-                sizes.append(np.size(x))
-                return np.cos(x, *args, **kwargs)
-
-            @staticmethod
-            def sin(x, *args, **kwargs):
-                sizes.append(np.size(x))
-                return np.sin(x, *args, **kwargs)
-
-        monkeypatch.setattr(fourier_module, "np", Counting())
+        sizes = _count_cos_and_sin(monkeypatch)
         m = 200_000
         etas = (np.arange(m) * 1e-3)[:, None]
         depth = _mu_hat_homog_many(cantor, etas, 1e-8)[2]
@@ -657,30 +693,80 @@ class TestBatchedRecursion:
                 *_mu_hat_dfs_reference(system, xi, 1e-3),
             )
 
+    @staticmethod
+    def batch(system, etas, tol, threads=1):
+        """The recursion batch: ``pushforward_batch`` on the line, ``_mu_hat_rows`` off it."""
+        if system.ambient_dim == 1:
+            return pushforward_batch(
+                system, identity_map(system), etas[:, 0], tol=tol, scheme="exact_recursion",
+                threads=threads,
+            )
+        return fourier_module._mu_hat_rows(system, etas, tol, 10**7, threads)
+
     @pytest.mark.parametrize("planar", [False, True])
-    def test_many_rows_match_single_calls(self, planar):
+    def test_one_row_per_octave_matches_single_calls(self, planar):
+        # an octave of one row takes that row's own cover: bit for bit
+        system = _rotated_planar_system() if planar else _random_reversing_system(3)
+        norms = np.array([0.0, 0.7, 2.5, -5.2, 9.1, -20.5])     # octaves 0 to 4
+        direction = np.ones(system.ambient_dim) / math.sqrt(system.ambient_dim)
+        etas = norms[:, None] * direction
+        values, bounds, leaves = self.batch(system, etas, 1e-3)
+        assert leaves.dtype == object
+        # the covers span many leaf blocks
+        assert leaves.sum() > 4 * FRONTIER_BLOCK
+        for j, eta in enumerate(etas):
+            s = mu_hat(system, eta, tol=1e-3)
+            assert (values[j], bounds[j], leaves[j]) == (s.value, s.error_bound, s.leaves_used)
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_many_rows_within_their_bounds_of_single_calls(self, planar):
+        # rows of one octave share the cover of its largest |eta|, a
+        # refinement of each row's own cover
         system = _rotated_planar_system() if planar else _random_reversing_system(3)
         rng = np.random.default_rng(15)
         etas = rng.uniform(-8.0, 8.0, size=(40, system.ambient_dim))
         etas[5] = 0.0
         etas[6] = -etas[7]
-        if planar:
-            # the batch is on the line; its rows are one-row _mu_hat_rows calls
-            rows = [fourier_module._mu_hat_rows(system, eta[None, :], 1e-3, 10**7) for eta in etas]
-            values, bounds, leaves = (np.array([col[0] for col in cols]) for cols in zip(*rows))
-        else:
-            values, bounds, leaves = pushforward_batch(
-                system, identity_map(system), etas[:, 0], tol=1e-3, scheme="exact_recursion"
-            )
-        # the covers span many leaf blocks
+        values, bounds, leaves = self.batch(system, etas, 1e-3)
         assert leaves.sum() > 4 * FRONTIER_BLOCK
-        for j, eta in enumerate(etas):
-            s = mu_hat(system, eta, tol=1e-3)
-            _assert_matches(
-                values[j], bounds[j], leaves[j], s.value, s.error_bound, s.leaves_used
-            )
+        assert (values[5], bounds[5], leaves[5]) == (1.0, 0.0, 1)
+        assert values[6] == values[7].conjugate() and bounds[6] == bounds[7]
+        singles = [mu_hat(system, eta, tol=1e-3) for eta in etas]
+        for value, bound, n, s in zip(values, bounds, leaves, singles):
+            assert abs(value - s.value) <= bound + s.error_bound
+            assert n >= s.leaves_used
+        assert any(n > s.leaves_used for n, s in zip(leaves, singles))
 
-    def test_budget_is_per_frequency(self, mixed_ratios):
+    @staticmethod
+    def extra_levels(ifs, depth):
+        """How far a row's bound may grow at ``depth`` over its own tree's: the extra levels' rounding."""
+        return (depth + 1) * (ifs.n_maps + 5) * fourier_module.EPS + _roundoff(depth + 1)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_homogeneous_rows_share_one_depth(self, cantor, grid):
+        tol = 1e-6
+        xis = np.linspace(0.0, 100.0, 101)
+        if not grid:
+            xis = np.random.default_rng(16).permutation(xis)
+        values, bounds, leaves = self.batch(cantor, xis[:, None], tol)
+        top = mu_hat(cantor, 100.0, tol=tol)
+        assert list(leaves) == [top.leaves_used] * len(xis)
+        depth = int(top.leaves_used).bit_length() - 1
+        allowance = self.extra_levels(cantor, depth)
+        if grid:
+            norms = np.abs(xis)
+            allowance = allowance + _recursion_rounding(cantor, norms, depth, grid=True)
+            allowance = allowance - _recursion_rounding(cantor, norms, depth)
+        for xi, value, bound, extra in zip(xis, values, bounds, np.broadcast_to(allowance, xis.shape)):
+            s = mu_hat(cantor, xi, tol=tol)
+            assert abs(value - s.value) <= bound + s.error_bound
+            assert abs(value - cantor_closed_form(xi)) <= bound
+            assert bound <= s.error_bound + extra
+        # where the closure term dominates, a row's bound shrinks: at |xi| = 1
+        # the top's depth leaves 1/81 of the single call's closure term
+        assert bounds[np.abs(xis) == 1.0][0] < mu_hat(cantor, 1.0, tol=tol).error_bound / 50.0
+
+    def test_budget_is_per_octave(self, mixed_ratios):
         xis = [1.0, 40.0, 2.0]
         idm = identity_map(mixed_ratios)
 
@@ -694,6 +780,39 @@ class TestBatchedRecursion:
         with pytest.raises(ResourceExceeded) as info:
             batch(int(leaves.max()) - 1)
         assert info.value.budget_name == "leaf_budget"
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios"])
+    def test_one_mu_hat_rows_call_per_batch(self, system, request, monkeypatch):
+        ifs = request.getfixturevalue(system)
+        calls = []
+        original = fourier_module._mu_hat_rows
+
+        def record(target, etas, *args):
+            calls.append(len(etas))
+            return original(target, etas, *args)
+
+        monkeypatch.setattr(fourier_module, "_mu_hat_rows", record)
+        xis = np.r_[np.linspace(0.0, 50.0, 26), -np.geomspace(3.0, 60.0, 5)]
+        self.batch(ifs, xis[:, None], 1e-3, threads=2)
+        assert calls == [len(xis)]
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios"])
+    def test_empty_batch(self, system, request):
+        ifs = request.getfixturevalue(system)
+        values, bounds, leaves = self.batch(ifs, np.zeros((0, 1)), 1e-3)
+        assert (values.shape, bounds.shape, leaves.shape) == ((0,), (0,), (0,))
+        assert (values.dtype, bounds.dtype, leaves.dtype) == (complex, float, object)
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios"])
+    def test_threads_give_identical_sweeps(self, system, request):
+        # a uniform grid: the product form's angle-addition path for Cantor,
+        # octave groups on several jobs for the non-homogeneous system
+        ifs = request.getfixturevalue(system)
+        xis = np.linspace(0.0, 60.0, 121)[:, None]
+        one = self.batch(ifs, xis, 1e-4, threads=1)
+        four = self.batch(ifs, xis, 1e-4, threads=4)
+        for a, b in zip(one, four):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestCoverBudget:
@@ -1273,8 +1392,16 @@ class TestBatch:
             cantor, identity_map(cantor), xis, tol=1e-6, scheme="exact_recursion",
             threads=2,
         )
+        # one product form, every row to the depth of the largest
+        top = mu_hat(cantor, 300.5, tol=1e-6)
+        assert list(lr) == [top.leaves_used] * len(xis)
+        depth = int(top.leaves_used).bit_length() - 1
+        extra_levels = TestBatchedRecursion.extra_levels(cantor, depth)
         for i, xi in enumerate(xis):
-            assert vr[i] == mu_hat(cantor, float(xi), tol=1e-6).value
+            single = mu_hat(cantor, float(xi), tol=1e-6)
+            assert abs(vr[i] - single.value) <= er[i] + single.error_bound
+            assert abs(vr[i] - cantor_closed_form(xi)) <= er[i]
+            assert er[i] <= single.error_bound + extra_levels
 
     @pytest.mark.parametrize("planar", [False, True])
     @pytest.mark.parametrize("scheme", ["order0", "order1"])
@@ -1427,6 +1554,37 @@ class TestGridPhases:
         assert steps == [0.7] * 16 + [None] * 16
         assert np.array_equal(ge, se)
         assert np.all(np.abs(gv - sv) <= self.allowance(cantor, pmap, xis, "order0", 3.0**-16))
+
+    @pytest.mark.parametrize("blocks", [1, 10])
+    def test_grid_path_only_past_one_block(self, monkeypatch, blocks):
+        # 64 coefficients: blocks of 512 rows.  One block of grid rows takes
+        # cos and sin directly (a base block would cost as much); ten take
+        # the base block once and one row of offsets per block.
+        n, step = 64, 0.3
+        size = fourier_module.PHASE_BLOCK // n
+        m = blocks * size
+        freqs = (np.arange(m) * step)[:, None]
+        coefs = np.linspace(0.1, 2.0, n)[:, None]
+        weights = np.full(n, 1.0 / n)
+
+        def phases(step):
+            out = list(fourier_module._phase_blocks(freqs, np.arange(m), coefs, step, weights))
+            assert len(out) == blocks
+            return np.concatenate([block for _, _, block in out])
+
+        sizes = _count_cos_and_sin(monkeypatch)
+        grid = phases(step)
+        monkeypatch.undo()
+        direct = phases(None)
+        # against the direct path: the same bits, or both within their rounding
+        if blocks == 1:
+            assert sum(sizes) == 2 * m * n
+            assert np.array_equal(grid, direct)
+        else:
+            assert sum(sizes) == 2 * n * (size + blocks)
+            allowance = 2.0 * _phase_rounding(freqs[:, 0], float(coefs.max()), 0.0)[:, None] / n
+            assert np.all(np.abs(grid - direct) <= allowance)
+            assert not np.array_equal(grid, direct)
 
     def test_threads_do_not_change_grid_results(self, uniform12):
         pmap = log_map(uniform12)

@@ -124,6 +124,18 @@ class TestSupportBall:
         assert ifs.second_moment <= ifs.support_radius**2
         assert np.mean(np.sum(moved**2, axis=1)) == pytest.approx(ifs.second_moment, rel=0.1)
 
+    def test_centred_system_skips_the_atom_check(self):
+        # fixed points 1e-12 apart: valid, but the rounded centred
+        # translations f_i(b) - b put their spread just below FIXED_POINT_TOL
+        system = ifs_1d([0.25, 0.359375], [1.25e-12, 0.0], [1 / 32, 31 / 32], [-1, 1])
+        centred = system.centred
+        assert not centred.barycenter.any()
+        assert centred.support_radius == system.support_radius
+        assert np.array_equal(centred.ratios, system.ratios)
+        assert centred.weights == system.weights and centred.ambient_dim == 1
+        # the maps themselves are still checked
+        assert all(isinstance(m, SimilarityMap) for m in centred.maps)
+
     def test_chaos_game_deterministic(self, cantor):
         a = chaos_game(cantor, 1000, seed=5)
         b = chaos_game(cantor, 1000, seed=5)
@@ -399,6 +411,12 @@ class TestHomogeneity:
             SimilarityMap(0.4, pi_rot, np.ones(2)),
         )
         assert not is_homogeneous(SelfSimilarIFS(maps, (0.5, 0.5)))
+
+    @pytest.mark.parametrize("ratios", [(0.1, 0.1 + 9e-13), (0.1, 0.10000000000000002)])
+    def test_linear_parts_must_be_bitwise_equal(self, ratios):
+        # the product form would use map 0's ratio for both maps
+        assert not is_homogeneous(ifs_1d(list(ratios), [0.0, 0.9]))
+        assert is_homogeneous(ifs_1d([ratios[0]] * 2, [0.0, 0.9]))
 
 
 class TestNonExpanding:

@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import numpy as np
 
@@ -37,6 +37,12 @@ from fractal_fourier.fourier import (
     square_map,
 )
 from fractal_fourier.ifs import _count_stopping, _cover_blocks, ifs_1d
+
+# Two reversing maps whose ratios differ in the last bit: not homogeneous.
+LAST_BIT_RATIOS = ifs_1d([0.1, 0.10000000000000002], [0.0, 1.0], [1 / 64, 63 / 64], [-1, -1])
+# Fixed points 1e-12 apart, whose centred translations round to a spread
+# just below ifs.FIXED_POINT_TOL.
+CLOSE_FIXED_POINTS = ifs_1d([0.25, 0.359375], [1.25e-12, 0.0], [1 / 32, 31 / 32], [-1, 1])
 
 ORACLE_SHARE = 1e-3     # the oracle's own error, as a share of the tolerance
 
@@ -106,6 +112,7 @@ def reversing_systems(draw):
     xi=st.floats(-12.0, 12.0),
     tol=st.sampled_from([1e-2, 1e-3]),
 )
+@example(system=LAST_BIT_RATIOS, xi=7.3, tol=1e-2)
 def test_mu_hat_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
     assert not system.is_homogeneous
     s = mu_hat(system, xi, tol=tol)
@@ -520,6 +527,8 @@ def test_order0_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
     xis=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
     tol=st.sampled_from([1e-2, 1e-3]),
 )
+@example(system=LAST_BIT_RATIOS, kind="square", xis=[0.0], tol=1e-2)
+@example(system=CLOSE_FIXED_POINTS, kind="square", xis=[1.0], tol=1e-2)
 def test_non_homogeneous_order1_within_its_bound_of_the_mpmath_oracle(system, kind, xis, tol):
     assert not system.is_homogeneous
     pmap = MAP_BUILDERS[kind](system)
