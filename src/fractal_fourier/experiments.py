@@ -325,7 +325,7 @@ def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: fl
     conj = np.conj(phi)     # Re(phi e^{i theta}) = Re(conj(phi) e^{-i theta})
     unit = np.ones(len(t))
     acc = np.zeros(len(t))
-    for start, stop, phases in _phase_blocks(xis[:, None], rows, coefs, step, unit):
+    for start, stop, phases in _phase_blocks(xis[:, None], rows, coefs, step, unit, {}):
         phases *= conj[start + 1 : stop + 1, None]
         acc += np.add.reduce(phases.real, axis=0)
     rho = np.full(len(t), float(phi[0].real))

@@ -12,9 +12,9 @@ structure of the measure:
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
   unit weight, so the summed bound is certified.  Homogeneous systems
   collapse the tree to a product, evaluated by one function
-  (``_mu_hat_homog_many``) for one frequency or many; on a uniform grid
-  j * delta (the interpolation table) its factors come by angle addition
-  from one base block, and any other row set takes cos and sin directly.
+  (``_mu_hat_homog_many``) for one frequency or many, whose level phases
+  are linear in the frequency and come from the row kernel's phase
+  blocks.
   For any other system the tree's leaves are the words with
   r_w |xi| <= tol / (2 pi R), the stopping cover at that scale, and a
   leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
@@ -80,8 +80,8 @@ Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
 with merely estimated bounds mark their samples as uncertified.  They
 include the float rounding of the phases (``_phase_rounding``,
-``_recursion_rounding``), which grows like 2^-52 |xi|, with an allowance
-for angle-addition rows, and the rounding that a cover's anchors and
+``_recursion_rounding``), which grows like 2^-52 |xi| and holds on both
+phase paths, and the rounding that a cover's anchors and
 weights carry from the levels of their words (``_cover_rounding``) and,
 for order 1, the rounding of the centred translations
 (``_centring_rounding``).
@@ -103,7 +103,6 @@ from .errors import (
 )
 from .ifs import (
     DEFAULT_LEAF_BUDGET,
-    FRONTIER_BLOCK,
     SelfSimilarIFS,
     _checked_count,
     _count_stopping,
@@ -114,7 +113,7 @@ from .ifs import (
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
 JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
-PHASE_BLOCK = 32_768    # row x leaf terms per block of weighted phases; 16 k to 32 k time the same
+PHASE_BLOCK = 32_768    # terms per block of weighted phases (row kernel, product form, inversion)
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
 CSV_BLOCK = 4_096       # rows per block of write_samples_csv
 
@@ -184,54 +183,43 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     return EPS * (xi_norm * ((dims + 5.0) * a_max + (dims + 1.0) * inner) + 16.0)
 
 
-def _recursion_rounding(ifs, norms, depth, grid: bool = False):
-    """Rounding allowance of the product form at |eta_0| = ``norms``.
+def _recursion_rounding(ifs, norms, depth):
+    """Rounding allowance of the product form at |eta| = ``norms``.
 
-    EPS (pi S |eta_0| (k + k^1.5 + 6) / (1 - rho)^2 + (D + 1)(N + 5)),
+    EPS (pi S |eta| (k^1.5 + k^0.5 + k + 5) / (1 - rho)^2 + (D + 1)(N + 9)),
     with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps and D
-    the depth (``depth``).  ``norms`` may be an array.  It covers the
-    float rounding of the phases 2 pi <eta_l, t_i> and 2 pi <eta_D, b>,
-    which grows like EPS |eta_0|.  With ``grid`` it adds
-    EPS (2 pi S |eta_0| / (1 - rho) + (D + 1)(N / 2 + 6)), the allowance
-    of the product form's grid rows (derived below).
+    the depth (``depth``).  ``norms`` may be an array.  It holds for both
+    paths of ``_phase_blocks``, direct cos and sin and angle addition on
+    a grid, which is how ``_mu_hat_homog_many`` takes its phases.
 
     Model as in ``_phase_rounding`` (u = EPS/2, cos and sin within 2 EPS).
-    The iterate eta_l = eta_{l-1} r O^T is a k-term product, so
-    |Delta eta_l| <= l k^1.5 u rho^l |eta_0|, and 2 pi <eta_l, t_i> adds
-    (k + 2) u |eta_l||t_i|.  Summed over l with sum rho^l (1 + l) =
-    1 / (1 - rho)^2 this is the k and k^1.5 part; the 6 allows for the
-    rounding of 2 pi <eta_D, b>.  The product form
-    (``_mu_hat_homog_many``) has D + 1 factors, each from N cos/sin pairs
-    contracted with the weights (N u + 2 EPS per part) and one complex
-    product (2 EPS): the (D + 1)(N + 5).
+    Level l < D of map i has the phase <eta, c_{l,i}>, c_{l,i} =
+    2 pi M^l t_i with M = r O, and the closing level D has c = 2 pi M^D b.
+    * coefficients.  fl(r O) errs by u |M| per entry, and each of the l
+      products by it a k-term dot product, so fl(M^l t) is within
+      l (k^1.5 + k^0.5) u rho^l |t| of M^l t (|| |M| || <= k^0.5 rho); the
+      float 2 pi and the product by it add 2u relative.
+    * phases.  Directly <eta, c> rounds by k u |eta||c|.  On grid rows
+      (k = 1, eta = fl(j delta)) the angle is fl(fl(l delta) c) +
+      fl(fl(j0 delta) c) for j = j0 + l: two products (u |eta||c|) and
+      the split of fl(j delta) (2u |eta|), 3u |eta||c|.  (k + 3) u covers
+      both.  So level l's phases err by at most
+      2 pi |eta| rho^l S u (l (k^1.5 + k^0.5) + k + 5), and
+      sum_l rho^l (l a + b) <= (a + b) / (1 - rho)^2 gives the |eta| part:
+      e^{-i theta} is 1-Lipschitz and every level factor is at most 1.
+    * values.  A weighted term p_i e^{-i theta} is within 3.4 EPS p_i
+      directly and 7.8 EPS p_i on the grid (``_phase_rounding``), the sum
+      over the N maps of a level adds sqrt(2) (N - 1) u, and each of the D
+      complex products of the levels 1.5 EPS: below (N + 9) EPS per level.
 
-    Grid rows (k = 1, eta_0 = fl(j delta), see ``_mu_hat_homog_many``).
-    Level l of map i has the phase j c_{l,i} with c_{l,i} = 2 pi delta
-    s^l t_i (s = r O; level D holds b with weight 1), c rounded l + 3
-    times as the direct phase is.  The path takes fl(j0 c) + fl(u c) for
-    j c (j = j0 + u), and j delta for the row fl(j delta): two more
-    roundings, at most EPS |theta_l| <= EPS 2 pi S |eta_0| rho^l per
-    level, 2 pi S |eta_0| / (1 - rho) summed over the levels.  A factor's
-    part, sum_i (cA_i p_i cB_i - sA_i p_i sB_i) and its sine twin, is a
-    dot product of 2N terms with |cA cB| + |sA sB| <= 1 per map: the
-    angle-addition value error 2 EPS (|cA| + |sA| + |cB| + |sB|) <= 5.7
-    EPS, the folded weight u and the dot product 2N u, (N + 6.2) EPS per
-    part, below 1.5 N + 11 EPS per complex factor with its product.  The
-    direct term above has N + 5 of it, so each of the D + 1 factors adds
-    N / 2 + 6.
+    Summation over the leaves is ``_roundoff``'s part and is not counted.
     """
     k = ifs.ambient_dim
     rho = float(ifs.ratios.max())
-    reach = _translation_reach(ifs)
-    allowance = EPS * (
-        math.pi * reach * norms * (k + k**1.5 + 6.0) / (1.0 - rho) ** 2
-        + (depth + 1.0) * (ifs.n_maps + 5.0)
+    return EPS * (
+        math.pi * _translation_reach(ifs) * norms * (k**1.5 + k**0.5 + k + 5.0) / (1.0 - rho) ** 2
+        + (depth + 1.0) * (ifs.n_maps + 9.0)
     )
-    if grid:
-        allowance = allowance + EPS * (
-            TWO_PI * reach * norms / (1.0 - rho) + (depth + 1.0) * (0.5 * ifs.n_maps + 6.0)
-        )
-    return allowance
 
 
 def _translation_reach(ifs) -> float:
@@ -425,8 +413,8 @@ def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int, threads: int):
 
     One call for all rows, whatever the system.  Homogeneous systems take
     the product form (``_mu_hat_homog_many``), every row to the depth D
-    its largest row needs (a uniform grid j * delta by angle addition), and
-    each row's leaves are the N^D leaves of that tree.  Any other system
+    its largest row needs, and each row's leaves are the N^D leaves of
+    that tree.  Any other system
     is the order-0 image of its identity through ``_image_rows`` on
     ``threads`` threads: its rows are grouped by octave of |eta| and
     share the cover of their octave's largest |eta|, every cover counted
@@ -437,9 +425,8 @@ def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int, threads: int):
     A homogeneous row below the largest thus goes deeper than its own
     tree.  Where the closure term dominates its bound shrinks; elsewhere
     the bound grows by at most the extra levels' rounding,
-    (D + 1)(N + 5) EPS plus ``_roundoff(D + 1)`` (below 1e-13 for
-    D <= 40 and N <= 5), and on a grid by the angle-addition allowance of
-    ``_recursion_rounding(..., grid=True)`` as well.  The leaf counts are
+    (D + 1)(N + 9) EPS plus ``_roundoff(D + 1)`` (below 1e-13 for
+    D <= 40 and N <= 5), on a grid as elsewhere.  The leaf counts are
     an object array of exact Python ints: N^D can pass the int64 range.
     """
     # an empty batch has no largest row to fix a depth: the kernel returns it empty
@@ -455,8 +442,10 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     All depth-m leaves share the frequency (r O^T)^m eta, so the stopping
     tree collapses to a product of independent levels; the value equals
     the full tree sum exactly.  Level l < D holds the phases
-    2 pi <eta_l, t_i>, eta_l = (r O^T)^l eta, with weights p_i, and the
-    closing level D holds 2 pi <eta_D, b> with weight 1.  Every row goes
+    <eta, c_{l,i}>, c_{l,i} = 2 pi M^l t_i (M = r O, so that
+    <eta, M^l t_i> = <eta_l, t_i> for eta_l = (r O^T)^l eta), with weights
+    p_i, and the closing level D holds <eta, 2 pi M^D b> with weight 1.
+    Every row goes
     to the depth D its largest row needs: the first m at which
     2 pi |(r O^T)^m eta| R <= tol for that row, its norm recomputed from
     the iterate at every level.  A one-row call thus stops where that
@@ -468,36 +457,26 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     Moment columns.  Each level carries weight columns p_i a_{l,i}^j of
     its phases: one (j = 0), the level factor, or with ``second`` three
     (j = 0, 1, 2) for a centred system on the line (barycenter exactly 0,
-    as ``ifs.centred`` sets it), where a_{l,i} = s^l t_i (s = r O) is the
-    offset of map i at level l; the closing level is then (1, 0, 0).
-    Column j is sum_i p_i a^j e^{-2 pi i eta a}, the level factor's j-th
-    derivative up to (-2 pi i)^j.  ``_moment_product`` combines the
-    levels: one column into their product, the transform; three into h
-    and h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2,
-    u = sum_l a_l.  Rows run in chunks (``FRONTIER_BLOCK`` rows, or the
-    grid block below), each into one reused complex buffer of
-    levels x columns x rows.
+    as ``ifs.centred`` sets it), where a_{l,i} = M^l t_i is the offset of
+    map i at level l; the closing level is then (1, 0, 0).  Column j is
+    sum_i p_i a^j e^{-2 pi i eta a}, the level factor's j-th derivative
+    up to (-2 pi i)^j.  ``_moment_product`` combines the levels: one
+    column into their product, the transform; three into h and
+    h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2,
+    u = sum_l a_l.
 
-    Grid rows.  When the rows are exactly j * delta on the line
-    (``_grid_step``; ``_MuHatTable`` builds its grid that way), the phase
-    of map i at level l is j c_{l,i}, c_{l,i} = 2 pi delta s^l t_i (t = b
-    on the closing level): D + 1 levels of N coefficients.  The rows
-    run in chunks of L = PHASE_BLOCK / ((D + 1) N) consecutive rows
-    j0 .. j0 + L - 1.  Every column comes by angle addition from a base
-    block, cos and sin of u c (u < L) computed once with the weight
-    columns folded in, and the phases j0 c of the chunk's first row, one
-    cos/sin call for all levels: (L + n / L)(D + 1) N arguments instead
-    of n (D + 1) N.  The base block is laid out maps-major,
-    (levels, 2N, columns x L), so each level's real and imaginary parts
-    are one small (2 x 2N) matrix times the block's contiguous rows; with
-    the rows first, numpy would broadcast over an axis of length N, which
-    is many times slower than flat operations.  The grid rows' bounds add
-    ``_recursion_rounding(..., grid=True)``'s allowance for the angle
-    addition and the rounding of the coefficients.  Their depth is the
-    direct path's, and so is their closure term 2 pi |eta| rho^D R, up
-    to its last bits.  Any other row set takes cos and sin directly.  The
-    closure and rounding terms of all rows are computed after the values,
-    in blocks of ``PHASE_BLOCK`` rows.
+    Phases.  The D N + 1 coefficient rows c, laid out maps-major (map i's
+    levels are columns i D .. i D + D - 1, the closing level last), are
+    the coefficients of one ``_phase_blocks`` call over all rows: a
+    uniform grid j * delta on the line (``_grid_step``; ``_MuHatTable``
+    builds its nodes that way) takes angle addition from one base block,
+    any other row set direct cos and sin, and both are within
+    ``_recursion_rounding``.  Each block's weighted phases are summed over
+    the maps level by level (times a and a^2 first for the h2 columns)
+    into levels x columns x rows, in buffers reused block after block.
+    The closure and rounding terms of all rows are computed after the
+    values, in blocks of ``PHASE_BLOCK`` rows; the closure term is
+    2 pi |eta| rho^D R.
 
     Second-moment bound.  The offsets are at most S = max |t_i| =
     (1 - rho) R, so the offsets of any set of levels sum to at most R,
@@ -512,17 +491,16 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     * rounding (model and u as in ``_phase_rounding``).  Phase errors
       with sum Phi over the levels (the phase part of
       ``_recursion_rounding``) move P2 by at most R^2 Phi.  A level's
-      column j comes from cos and sin of its N phases contracted with
-      weights of total (rho^l S)^j: within 1.5 (N + 7) EPS (rho^l S)^j as
-      a complex number on both paths (the direct dot product and the
-      angle addition, as for the value), which the rest of the product,
+      column j sums its N weighted phases, each within 7.8 EPS p_i and
+      scaled by a^j (one more rounding), so it is within 1.5 (N + 7) EPS
+      (rho^l S)^j on both phase paths, which the rest of the product,
       bounded by (1, R, R^2), carries to at most 6 (N + 7) EPS R^2.  The
       three complex products and two sums of P2's update err by at most
       12 EPS R^2, P1's by 5 EPS R and P0's by 2 EPS, which reach P2 as
       (12 + 10 + 2) EPS R^2: (6 N + 66) EPS R^2 per level, over D + 1
       levels (a pairwise product has as many combines, each of partial
-      products within those bounds).  The columns p_i (s^l t_i)^j carry
-      a relative error below (2 l + 4) u from the l products of s^l,
+      products within those bounds).  The multipliers a^j carry a
+      relative error below (2 l + 4) u from the l products of M^l t_i,
       which moves P2 by at most 4 EPS R^2 / (1 - rho)^2 over all levels.
       14 times ``_recursion_rounding`` covers Phi and (D + 1)(6 N + 66)
       EPS, so the allowance is R^2 (14 ``_recursion_rounding`` +
@@ -534,7 +512,7 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     With ``second``, values and bounds are (2, n): h, then h2.
     """
     radius = ifs.support_radius
-    step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # row eta -> row r O^T eta
+    step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # M; row eta -> row eta M
     etas = np.asarray(etas, dtype=float)
     norms = np.sqrt(np.vecdot(etas, etas))      # as np.linalg.norm(eta), bit for bit
     top = etas[int(np.argmax(norms))]
@@ -549,63 +527,41 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
         depth += 1
         if depth > 5000:
             raise FractalFourierError("homogeneous recursion failed to contract")
-    # level l < depth: shifts t_i, weights p_i; level depth: b, weight 1.  On the
-    # line's grid the closing level takes the slot of map 0 of N.
-    n_maps, n_cols = ifs.n_maps, 3 if second else 1
-    trans = np.array([m.translation for m in ifs.maps]).T   # (k, N)
-    shifts, cols = np.zeros((depth + 1, n_maps)), np.zeros((depth + 1, n_maps, n_cols))
-    shifts[:depth], shifts[depth, 0] = trans[0], ifs.barycenter[0]
-    cols[:depth, :, 0], cols[depth, 0, 0] = ifs.weight_array, 1.0
-    offsets = np.cumprod(np.r_[1.0, np.full(depth, step_t[0, 0])])[:, None] * shifts
-    for j in range(1, n_cols):
-        cols[:, :, j] = cols[:, :, j - 1] * offsets     # p_i a^j
+    # the offsets a_{l,i} = M^l t_i (rows: level, then t_1 .. t_N and b)
+    n_maps, k, n_cols = ifs.n_maps, ifs.ambient_dim, 3 if second else 1
+    powers = np.empty((depth + 1, n_maps + 1, k))
+    powers[0] = [*(m.translation for m in ifs.maps), ifs.barycenter]
+    for level in range(depth):
+        powers[level + 1] = powers[level] @ step_t.T
+    # maps-major: map i's levels are columns i D .. i D + D - 1, and the closing level is last
+    offsets = np.concatenate([powers[:depth, :n_maps].transpose(1, 0, 2).reshape(-1, k),
+                              powers[depth, n_maps:]])
+    weights = np.r_[np.repeat(ifs.weight_array, depth), 1.0]
+    moments = [offsets[:, 0], offsets[:, 0] ** 2] if second else []     # a, a^2 on the line
     values = np.empty((2 if second else 1, len(etas)), dtype=complex)
-    errs = np.empty(values.shape)
-    delta = _grid_step(etas)
-    if delta is not None:
-        scales = np.cumprod(np.r_[delta, np.full(depth, step_t[0, 0])])  # delta s^l
-        coefs = TWO_PI * (scales[:, None] * shifts)                    # (depth + 1, N)
-        size = min(len(etas), max(1, PHASE_BLOCK // coefs.size))
-        theta = coefs[:, :, None, None] * np.arange(size)
-        folded = cols[:, :, :, None]
-        base = np.concatenate([folded * np.cos(theta), folded * np.sin(theta)], axis=1)
-        base = base.reshape(depth + 1, 2 * n_maps, n_cols * size)
-        rot = np.empty((depth + 1, 2, 2 * n_maps))
-        # reused: a fresh complex array per chunk costs more than its product
-        levels = np.empty((depth + 1, n_cols, size), dtype=complex)
-        for start in range(0, len(etas), size):
-            count = min(size, len(etas) - start)
-            theta = start * coefs
-            c_off, s_off = np.cos(theta), np.sin(theta)
-            # Re = cA cB - sA sB and Im = -(sA cB + cA sB), per level and map
-            rot[:, 0, :n_maps], rot[:, 0, n_maps:] = c_off, -s_off
-            rot[:, 1, :n_maps], rot[:, 1, n_maps:] = -s_off, -c_off
-            parts = (rot @ base).reshape(depth + 1, 2, n_cols, size)
-            levels.real, levels.imag = parts[:, 0], parts[:, 1]
-            values[:, start : start + count] = _moment_product(levels[..., :count])
-        np.multiply(norms, abs(float(step_t[0, 0])) ** depth, out=errs[0])    # |eta_D|
-    else:
-        level_shifts = [trans] * depth + [ifs.barycenter[:, None]]
-        level_cols = [*cols[:depth], cols[depth, :1]]
-        levels = np.empty((depth + 1, n_cols, min(len(etas), FRONTIER_BLOCK)), dtype=complex)
-        for start in range(0, len(etas), FRONTIER_BLOCK):
-            rows = slice(start, start + FRONTIER_BLOCK)
-            cur = etas[rows]
-            for level, (shift, col) in enumerate(zip(level_shifts, level_cols)):
-                if level:
-                    cur = cur @ step_t
-                phases = TWO_PI * (cur @ shift)
-                np.subtract(np.cos(phases) @ col, 1j * (np.sin(phases) @ col),
-                            out=levels[level, :, : len(cur)].T)
-            values[:, rows] = _moment_product(levels[..., : len(cur)])
-            errs[0, rows] = np.sqrt(np.vecdot(cur, cur))     # |eta_D|
+    work = {}
+    blocks = _phase_blocks(etas, np.arange(len(etas)), TWO_PI * offsets, _grid_step(etas), weights, work)
+    for start, stop, block in blocks:
+        count = stop - start
+        levels = _buffer(work, "levels", (depth + 1, n_cols, count), complex)
+        # the block's columns as rows: the sums over the maps are then of contiguous rows
+        by_column = _buffer(work, "by_column", block.shape[::-1], complex)
+        for j in range(n_cols):
+            if j == 0:
+                np.copyto(by_column, block.T)
+            else:
+                np.multiply(block.T, moments[j - 1][:, None], out=by_column)
+            np.add.reduce(by_column[:-1].reshape(n_maps, depth, count), axis=0, out=levels[:depth, j])
+            levels[depth, j] = by_column[-1]
+        values[:, start:stop] = _moment_product(levels)
     ratio = float(ifs.ratios.max())
+    errs = np.empty(values.shape)
     # PHASE_BLOCK rows at a time: whole-array temporaries would add several
     # arrays of the table's size to the peak memory
     for start in range(0, len(etas), PHASE_BLOCK):
         rows = slice(start, start + PHASE_BLOCK)
-        reach = TWO_PI * errs[0, rows] * radius
-        rounding = _recursion_rounding(ifs, norms[rows], depth, grid=delta is not None)
+        reach = TWO_PI * (norms[rows] * ratio**depth) * radius      # 2 pi |eta_D| R
+        rounding = _recursion_rounding(ifs, norms[rows], depth)
         if second:
             errs[1, rows] = radius**2 * (
                 reach + 3.0 * ratio**depth + _roundoff(depth + 1)
@@ -1028,8 +984,9 @@ class _MuHatTable:
     ``slack2``); negative frequencies resolve through conjugate symmetry.
 
     Nodes and cells.  ``_mu_hat_homog_many`` evaluates the columns at the
-    half-step nodes j h / 2 as grid rows (angle addition from one base
-    block, its bounds E_j including that rounding).  Cell i keeps the
+    half-step nodes j h / 2, a uniform grid whose phases ``_phase_blocks``
+    takes by angle addition, with bounds E_j that hold on either phase
+    path (``_recursion_rounding``).  Cell i keeps the
     quadratic through v_0 = v_{2i}, v_m = v_{2i+1} and v_1 = v_{2i+2} as
     three coefficient columns, c0 = v_0, c1 = 4 v_m - 3 v_0 - v_1 and
     c2 = 2 (v_0 + v_1) - 4 v_m, and a lookup evaluates
@@ -1118,27 +1075,37 @@ class _MuHatTable:
     slack = property(lambda self: self.slacks[0])
     slack2 = property(lambda self: self.slacks[1] if len(self.slacks) > 1 else None)
 
-    def lookup(self, eta: np.ndarray):
-        """Every column at every entry of ``eta``, from one index computation: [h] or [h, h2]."""
-        # In place where possible: the batch kernel calls this on its
+    def lookup(self, eta: np.ndarray, work: Optional[dict] = None):
+        """Every column at every entry of ``eta``, from one index computation: [h] or [h, h2].
+
+        The columns are buffers of the workspace ``work`` (``_buffer``).
+        """
+        # In the workspace's arrays: the batch kernel calls this on its
         # largest arrays.  The index and the fraction are computed once for
         # all columns, and the fraction is cast to complex once: t + 0i
         # scales both parts by t exactly as a real product does, and numpy
         # multiplies complex by complex faster than complex by float.
-        frac = np.abs(eta)
+        work = {} if work is None else work
+        frac = np.abs(eta, out=_buffer(work, "frac", eta.shape))
         frac *= 1.0 / self.h
-        idx = frac.astype(np.int64)
+        idx = _buffer(work, "idx", eta.shape, np.int64)
+        np.copyto(idx, frac, casting="unsafe")      # truncation, as astype
+        if idx.max() >= len(self.values):
+            raise IndexError(f"a lookup past the table's eta_max {self.eta_max}")
         frac -= idx
-        frac = frac.astype(complex)
+        t = _buffer(work, "t", eta.shape, complex)
+        np.copyto(t, frac)
         # conjugate symmetry; at eta = 0 the imaginary part is 0 already
-        sign = np.sign(eta) if eta.min() < 0.0 else None
+        sign = np.sign(eta, out=_buffer(work, "sign", eta.shape)) if eta.min() < 0.0 else None
+        gather = _buffer(work, "gather", eta.shape, complex)
         outs = []
-        for c0, c1, c2 in self.cells:
-            out = c2[idx]
-            out *= frac
-            out += c1[idx]
-            out *= frac
-            out += c0[idx]
+        for c, (c0, c1, c2) in enumerate(self.cells):
+            # mode "clip" gathers into ``out`` unbuffered; the index is checked above
+            out = np.take(c2, idx, out=_buffer(work, f"column{c}", eta.shape, complex), mode="clip")
+            out *= t
+            out += np.take(c1, idx, out=gather, mode="clip")
+            out *= t
+            out += np.take(c0, idx, out=gather, mode="clip")
             if sign is not None:
                 np.multiply(out.imag, sign, out=out.imag)
             outs.append(out)
@@ -1252,23 +1219,36 @@ def _grid_step(freqs: np.ndarray):
     return step if np.array_equal(freqs[:, 0], np.arange(len(freqs)) * step) else None
 
 
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """e^{-i theta} as one complex array, cos and -sin written into its parts; overwrites ``theta``."""
-    out = np.empty(theta.shape, dtype=complex)
+def _buffer(work: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """An array of ``shape`` from the workspace ``work``: one flat buffer per name, reused.
+
+    A buffer grows only when a block needs more, so the row kernel's
+    blocks, whose jobs own one workspace each, allocate nothing between
+    them: their speed does not hang on the allocator's heap history.
+    """
+    size = math.prod(shape)
+    if name not in work or len(work[name]) < size:
+        work[name] = np.empty(size, dtype)
+    return work[name][:size].reshape(shape)
+
+
+def _unit_phases(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{-i theta} into the complex ``out``, cos and -sin written into its parts; overwrites ``theta``."""
     np.cos(theta, out=out.real)
     np.sin(theta, out=theta)
     np.negative(theta, out=out.imag)
     return out
 
 
-def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, weights):
+def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, weights, work):
     """Weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
 
     theta[l, w] = <freqs[rows[l]], coefs[w]>, with ``freqs`` (m, d),
     ``coefs`` (n, d) and ``weights`` (n,) real.  Yields (start, stop,
     block) for consecutive blocks rows[start:stop] of
-    max(1, PHASE_BLOCK // n) rows, ``block`` a fresh complex
-    (stop - start, n) array, so every temporary of the caller's
+    max(1, PHASE_BLOCK // n) rows, ``block`` a complex (stop - start, n)
+    array of the workspace ``work`` (``_buffer``), overwritten by the
+    next block, so every temporary of the caller's
     elementwise work stays in cache.  With ``step``, the rows of
     ``freqs`` are j * step (``_grid_step``), and a block of consecutive
     rows j0 .. j0 + L - 1 is a base block e^{-i (l step) coefs}, l < L,
@@ -1290,13 +1270,21 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
         count = len(block)
+        phases = _buffer(work, "phases", (count, n), complex)
         if grid and block[-1] - block[0] == count - 1:
             if base is None:
-                base = _unit_phases(np.outer(np.arange(size) * step, coefs[:, 0]))
-            phases = base[:count] * (weights * _unit_phases((block[0] * step) * coefs[:, 0]))
+                theta = np.multiply((np.arange(size) * step)[:, None], coefs[:, 0],
+                                    out=_buffer(work, "theta", (size, n)))     # the outer product
+                base = _unit_phases(theta, _buffer(work, "base", (size, n), complex))
+            offsets = _unit_phases((block[0] * step) * coefs[:, 0], np.empty(n, dtype=complex))
+            np.multiply(base[:count], weights * offsets, out=phases)
         else:
-            x = freqs[block]
-            phases = _unit_phases(np.outer(x[:, 0], coefs[:, 0]) if d == 1 else x @ coefs.T)
+            theta = _buffer(work, "theta", (count, n))
+            if d == 1:
+                np.multiply(freqs[block], coefs[:, 0], out=theta)   # the outer product
+            else:
+                np.matmul(freqs[block], coefs.T, out=theta)
+            _unit_phases(theta, phases)
             phases *= weights
         yield start, start + count, phases
 
@@ -1345,10 +1333,13 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     ``PHASE_BLOCK`` terms at a time, so its temporaries stay in cache:
     ``_phase_blocks`` yields the weighted phases p_w e^{-i <xi, A_w>} as a
     complex array, the inner column multiplies it in place, and the
-    reduction sums it.  When the rows of ``xis`` are the uniform grid
-    j * delta (``_grid_step``; ``multiplicative_convolution`` builds its
-    grid that way) the phases of consecutive rows of a job longer than
-    one block are one base block times each block's weighted offsets.
+    reduction sums it.  These block arrays (phases, inner frequencies, the
+    lookup's index, fraction, gathers and columns, the order-2 block) are
+    buffers of the job's workspace (``_buffer``), reused by every block.
+    When the rows of ``xis`` are the uniform grid j * delta
+    (``_grid_step``; ``multiplicative_convolution`` builds its grid that
+    way) the phases of consecutive rows of a job longer than one block are
+    one base block times each block's weighted offsets.
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
@@ -1489,6 +1480,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     def run(job):
         rows, n, cover_scale, depth = job
         x = xis[rows]
+        work = {}       # this job's block buffers
         total, carry = np.zeros((2, len(rows)), dtype=complex)
         part = np.empty(len(rows), dtype=complex)
         moment, a_max, inner_err = 0.0, 0.0, 0.0
@@ -1510,15 +1502,19 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
                 inner_err = inner_err + np.add.reduce(
                     errs.reshape(len(rows), len(weights)) * weights, axis=1
                 )
-            for start, stop, phases in _phase_blocks(xis, rows, a_forms, grid, weights):
+            for start, stop, phases in _phase_blocks(xis, rows, a_forms, grid, weights, work):
                 if b_forms is not None:
                     if mu_table is None:
                         columns = [exact_inner[start:stop]]
                     else:
-                        columns = mu_table.lookup(np.outer(x[start:stop, 0], b_forms[:, 0, 0]))
+                        # the inner frequencies xi B_w, an outer product on the line
+                        eta = np.multiply(x[start:stop], b_forms[:, 0, 0],
+                                          out=_buffer(work, "eta", phases.shape))
+                        columns = mu_table.lookup(eta, work)
                     if order2:
                         # -i pi xi sum_w p_w q_w e^{-i theta} h2: the quadratic phase integrated
-                        second = phases * curv
+                        second = _buffer(work, "second", phases.shape, complex)
+                        np.multiply(phases, curv, out=second)
                         second *= columns[1]
                         second = (-1j * np.pi * x[start:stop, 0]) * np.add.reduce(second, axis=1)
                     phases *= columns[0]
@@ -1657,7 +1653,7 @@ def pushforward_batch(
     ``ifs.centred``.  Homogeneous systems on the line read it from a
     certified piecewise-quadratic table (``_MuHatTable``), whose step
     follows from the second moment ``ifs.second_moment`` and whose grid
-    nodes take the product form by angle addition; other systems evaluate it
+    nodes take the product form, its phases from the same phase blocks; other systems evaluate it
     exactly, homogeneous ones by the product form and non-homogeneous ones
     by a nested order-0 kernel call on the centred system's identity.
     ``order2`` (homogeneous systems on the line) reads the second-moment

@@ -654,11 +654,16 @@ class GrowthVerdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _dedup_count(mats: Iterable[np.ndarray], tol: float = DEDUP_TOL):
-    """Deduplicate matrices by rounding entries to the tolerance grid."""
+def _dedup_key(m: np.ndarray) -> tuple:
+    """A matrix's entries rounded to the ``DEDUP_TOL`` grid: the key under which matrices are one."""
+    return tuple(np.round(m.flatten() / DEDUP_TOL).astype(np.int64).tolist())
+
+
+def _dedup_count(mats: Iterable[np.ndarray]):
+    """Deduplicate matrices by their ``_dedup_key``."""
     seen = {}
     for m in mats:
-        key = tuple(np.round(m.flatten() / tol).astype(np.int64).tolist())
+        key = _dedup_key(m)
         if key not in seen:
             seen[key] = m
     return seen
@@ -694,7 +699,7 @@ def non_expanding_heuristic(
         for m in current.values():
             for g in gens:
                 prod = m @ g
-                key = tuple(np.round(prod.flatten() / DEDUP_TOL).astype(np.int64).tolist())
+                key = _dedup_key(prod)
                 if key not in total and key not in nxt:
                     nxt[key] = prod
         if not nxt:
