@@ -11,11 +11,9 @@ structure of the measure:
   2 pi |eta| R <= tol (R the support-ball radius), then close each leaf
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
   unit weight, so the summed bound is certified.  Homogeneous systems
-  collapse the tree to a product, evaluated by one function
-  (``_mu_hat_homog_many``) for one frequency or many, whose level phases
-  are linear in the frequency and come from the row kernel's phase
-  blocks.
-  For any other system the tree's leaves are the words with
+  collapse the tree to a product (``_mu_hat_homog_many``), whose level
+  phases come from the row kernel's phase blocks.  For any other
+  system the tree's leaves are the words with
   r_w |xi| <= tol / (2 pi R), the stopping cover at that scale, and a
   leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
   identity map at the cylinder's anchor: mu_hat is
@@ -49,6 +47,10 @@ structure of the measure:
   bound on |f'''| (``PushforwardMap.third_bound``): the per-cylinder
   remainder, the Taylor term of the bound.
 
+Each image scheme is described once: its per-cylinder remainder
+(``_remainder_terms``) gives its stopping scale, the root at its share
+of tol (``_stopping_scale``), and the term its bound charges, and one
+test (``_refusal``) names the systems and maps it cannot run.
 A single frequency is a batch of one: both run one row kernel,
 ``_image_rows``, and get the same value, bound and leaves.  A batch
 groups its frequencies by octave of |xi|, and each group uses the
@@ -80,11 +82,11 @@ Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
 with merely estimated bounds mark their samples as uncertified.  They
 include the float rounding of the phases (``_phase_rounding``,
-``_recursion_rounding``), which grows like 2^-52 |xi| and holds on both
-phase paths, and the rounding that a cover's anchors and
-weights carry from the levels of their words (``_cover_rounding``) and,
-for order 1, the rounding of the centred translations
-(``_centring_rounding``).
+``_recursion_rounding``), which grows like 2^-52 |xi|, the rounding
+that a cover's anchors and weights carry from the levels of their words
+(``_cover_rounding``), D |1 - sum p_i| at depth D for weights that do
+not sum to 1 exactly, and for order 1 the rounding of the centred
+translations (``_centring_rounding``).
 """
 
 from __future__ import annotations
@@ -286,7 +288,8 @@ def _centring_rounding(ifs, eta_norm, second: bool = False):
 def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: float = 0.0):
     """Rounding allowance, per unit weight, that a computed cover adds.
 
-    2 pi |xi| gain delta + EPS (D (1 + k^1.5) |xi| inner + D + 1), with
+    2 pi |xi| gain delta + EPS (D (1 + k^1.5) |xi| inner + D + 1)
+    + D |1 - sum p_i|, with
     D = ``depth`` the cover's depth and ``scale`` its snapped scale, both
     from its count, delta = ``_anchor_drift`` and ``inner`` bounding
     2 pi |B_w| R as in ``_phase_rounding``.  ``xi_norm`` may be an
@@ -312,7 +315,8 @@ def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: 
       D (1 + k^1.5) u |xi| inner, half the term charged.
     * weights.  p_w is a product of D weights, within D u of exact
       relative, and a term is at most p_w: D u per unit weight, below
-      EPS (D + 1).
+      EPS (D + 1).  Weights that do not sum to 1 exactly add
+      D |1 - sum p_i| (``ifs.weight_defect``).
 
     The closure or Taylor coefficient, a bound computed from the same
     ratios and weights, is not counted.
@@ -320,7 +324,7 @@ def _cover_rounding(ifs, scale: float, depth: int, xi_norm, gain: float, inner: 
     k = ifs.ambient_dim
     return TWO_PI * xi_norm * gain * _anchor_drift(ifs, scale, depth) + EPS * (
         depth * (1.0 + k**1.5) * xi_norm * inner + depth + 1.0
-    )
+    ) + depth * ifs.weight_defect
 
 
 @dataclass(frozen=True)
@@ -376,36 +380,18 @@ def mu_hat(
     tol: float = 1e-9,
     budget: Optional[int] = None,
 ) -> FrequencySample:
-    """Evaluate mu_hat(xi) by the self-similarity recursion.
+    """Evaluate mu_hat(xi) by the self-similarity recursion, certified to ``error_bound``.
 
-    The returned ``error_bound`` adds the leaf closure bound
-    2 pi |eta| R per unit weight, a roundoff allowance and the phase
-    rounding; it certifies |value - mu_hat(xi)| <= error_bound.
-    Homogeneous systems take the product form (``_mu_hat_homog_many``
-    with this one row), to the depth at which 2 pi |eta| R <= tol.  For
-    any other system the tree's leaves are the stopping cover at scale
-    tol / (2 pi |xi| R) and its leaf terms are order-0 terms of the
-    identity, so the value is ``_image_rows`` of ``identity_map`` under
-    order0: the cover streams through the row kernel in leaf blocks of at
-    most ``FRONTIER_BLOCK``, summed pairwise and combined with TwoSum.
-    Its exact leaf count is checked before anything is expanded; more
-    than ``budget`` leaves raise ResourceExceeded("leaf_budget") naming
-    the count.  ``leaves_used`` is the number of leaves of the tree
-    (N^depth for homogeneous systems).  The call is a batch of one: on
-    the line ``pushforward_batch(..., scheme="exact_recursion")`` at [xi]
-    gives the same value, bound and leaves.
+    A batch of one, like the image schemes: ``exact_recursion`` of the
+    identity (``_image_rows``, so ``_mu_hat_rows``), the product form
+    (``_mu_hat_homog_many``) for homogeneous systems and the order-0 row
+    kernel at the stopping cover at scale tol / (2 pi |xi| R) for the
+    rest.  A cover's exact leaf count is checked before it is expanded;
+    more than ``budget`` leaves raise ResourceExceeded("leaf_budget")
+    naming the count.  ``leaves_used`` is the number of leaves of the tree
+    (N^depth for homogeneous systems).
     """
-    _check_positive("tol", tol)
-    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    vec = _freq_vector(xi, ifs.ambient_dim)
-    values, errors, leaves = _mu_hat_rows(ifs, vec[None, :], tol, budget, 1)
-    return FrequencySample(
-        xi=vec,
-        value=complex(values[0]),
-        error_bound=float(errors[0]),
-        scheme="exact_recursion",
-        leaves_used=leaves[0],
-    )
+    return _image_sample(ifs, identity_map(ifs), xi, tol, "exact_recursion", None, budget)
 
 
 def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int, threads: int):
@@ -508,8 +494,10 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
 
     Returns (values (n,), error bounds (n,), depth).  Each bound is the
     row's closure term plus ``_roundoff(depth + 1)`` plus the phase
-    rounding ``_recursion_rounding`` at the row's |eta| and ``depth``.
-    With ``second``, values and bounds are (2, n): h, then h2.
+    rounding ``_recursion_rounding`` at the row's |eta| and ``depth``,
+    plus D |1 - sum p_i| (``ifs.weight_defect``; R^2 times it for h2),
+    the distance of D levels of weights from D normalised ones.  With
+    ``second``, values and bounds are (2, n): h, then h2.
     """
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # M; row eta -> row eta M
@@ -558,6 +546,7 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     errs = np.empty(values.shape)
     # PHASE_BLOCK rows at a time: whole-array temporaries would add several
     # arrays of the table's size to the peak memory
+    defect = depth * ifs.weight_defect
     for start in range(0, len(etas), PHASE_BLOCK):
         rows = slice(start, start + PHASE_BLOCK)
         reach = TWO_PI * (norms[rows] * ratio**depth) * radius      # 2 pi |eta_D| R
@@ -565,9 +554,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
         if second:
             errs[1, rows] = radius**2 * (
                 reach + 3.0 * ratio**depth + _roundoff(depth + 1)
-                + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2
+                + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2 + defect
             )
-        errs[0, rows] = reach + _roundoff(depth + 1) + rounding
+        errs[0, rows] = reach + _roundoff(depth + 1) + rounding + defect
     if second:
         return values, errs, depth
     return values[0], errs[0], depth
@@ -1112,71 +1101,100 @@ class _MuHatTable:
         return outs
 
 
-def _order0_scale(ifs, lip: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-0 term 2 pi |xi| L_f r R is tol.
+def _remainder_terms(pmap, order: int, xi_norm: float):
+    """A scheme's per-cylinder remainder at |xi| = ``xi_norm``: terms (c_j, j) of sum_j c_j x^j.
 
-    The root (inf) when that term is 0 at r = 1, or underflows to it.
+    Per unit weight at x = r_w R: 2 pi |xi| L_f x for order 0 (the
+    closure), pi |xi| H x^2 for order 1 (the Taylor term), and
+    1/2 (pi |xi| H x^2)^2 + (pi/3) |xi| H3 x^3 for order 2.  Its root at
+    the scheme's share of tol is the stopping scale (``_stopping_scale``),
+    and a cover's bound charges the last term, linear in |xi|, as
+    |xi| c_j(1) R^j sum_w p_w r_w^j; order 2 charges its quartic with the
+    computed q_w = r_w^2 f''(x_w) in place of H r_w^2.
     """
-    reach = TWO_PI * xi_norm * lip * ifs.support_radius
-    return tol / reach if reach > 0.0 else math.inf
+    if order == 0:
+        return ((TWO_PI * xi_norm * pmap.lipschitz_bound, 1),)
+    if order == 1:
+        return ((math.pi * xi_norm * pmap.hessian_bound, 2),)
+    return ((0.5 * (math.pi * xi_norm * pmap.hessian_bound) ** 2, 4),
+            (math.pi / 3.0 * xi_norm * pmap.third_bound, 3))
 
 
-def _order1_scale(ifs, hess: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-1 Taylor term pi |xi| H (r R)^2 is tol/2.
+def _stopping_scale(ifs, terms, target: float) -> float:
+    """The scale r at which the remainder sum_j c_j x^j of ``terms``, x = r R, is ``target``.
 
-    The root (inf) when pi |xi| H is 0, or underflows to it.
+    inf when the remainder at x = R is within ``target`` already: every
+    scale >= 1 is the root's cover.  The remainder is convex and
+    increasing in x, so Newton's method from the smallest single-term
+    root (target / c_j)^(1/j), which lies above the root, decreases to it;
+    one term's start is its root.  Some term exceeds target / n at R (n
+    terms), so the start is below n^(1/j) R and x^j cannot overflow at a
+    subnormal |xi| either.
     """
-    curvature = math.pi * xi_norm * hess
-    return math.sqrt(0.5 * tol / curvature) / ifs.support_radius if curvature > 0.0 else math.inf
-
-
-def _order2_scale(ifs, hess: float, third: float, tol: float, xi_norm: float) -> float:
-    """Stopping scale at which the order-2 remainder is tol/2.
-
-    The remainder per unit weight is 1/2 (pi |xi| H x^2)^2 + (pi/3) |xi| H3 x^3
-    at x = r R; the scale is the root x over R, or inf when the remainder
-    at x = R is within tol/2 already: every scale >= 1 is the root's
-    cover.  The remainder is convex and increasing in x, so Newton's
-    method from the smaller of the two single-term roots, which lies above
-    the root, decreases to it.  Both terms are at most tol/4 at 2^(-1/3)
-    times that start, so the start is below 2^(1/3) R, and x^4 cannot
-    overflow at a subnormal |xi| either.
-    """
-    quartic = 0.5 * (math.pi * xi_norm * hess) ** 2
-    cubic = math.pi / 3.0 * xi_norm * third
-    target = 0.5 * tol
-    if quartic * ifs.support_radius**4 + cubic * ifs.support_radius**3 <= target:
+    radius = ifs.support_radius
+    if sum(c * radius**p for c, p in terms) <= target:
         return math.inf
-    x = min((target / c) ** (1.0 / p) for c, p in ((quartic, 4), (cubic, 3)) if c > 0.0)
+    x = min((target / c) ** (1.0 / p) for c, p in terms if c > 0.0)
     for _ in range(100):
-        step = (quartic * x**4 + cubic * x**3 - target) / (4.0 * quartic * x**3 + 3.0 * cubic * x**2)
+        step = (sum(c * x**p for c, p in terms) - target) / sum(p * c * x ** (p - 1) for c, p in terms)
         if not step > 0.0:
             break
         x -= step
-    return x / ifs.support_radius
+    return x / radius
+
+
+def _refusal(ifs, pmap, scheme: str) -> Optional[FractalFourierError]:
+    """The error ``scheme`` raises for this system and map, or None when it can run them.
+
+    ``_image_rows`` raises it before any work, and ``_fixed_cover`` takes
+    ``order2`` only where it is None.  Order 2 needs what order 1 needs.
+    """
+    k, d = ifs.ambient_dim, pmap.out_dim
+    if scheme == "order2":
+        if k != 1 or d != 1:
+            return Unsupported(f"order2 is implemented on the line only (k = {k}, d = {d}); use order1")
+        if not ifs.is_homogeneous:
+            return Unsupported(
+                "order2 needs a homogeneous system (one shared ratio and orientation); "
+                "use order1 for non-homogeneous systems"
+            )
+        if pmap.third_bound is None:
+            return MissingHessianBound(
+                f"order2 needs third_bound, a bound on |f'''|, and map {pmap.label!r} has none"
+            )
+        if pmap.hessian is None:
+            return BadConfig("order2 needs a hessian evaluator")
+    if scheme in ("order1", "order2"):
+        if pmap.hessian_bound is None:
+            return MissingHessianBound(f"{scheme} needs hessian_bound (use estimate_bounds)")
+        if pmap.gradient is None:
+            return BadConfig(f"{scheme} needs a gradient evaluator")
+    elif scheme == "order0" and pmap.lipschitz_bound is None:
+        return BadConfig("order0 needs lipschitz_bound (use estimate_bounds)")
+    return None
 
 
 def _fixed_cover(ifs, pmap, scale: Optional[float], xi_max: float):
     """(scheme, scale) of one fixed cover for every |xi| <= ``xi_max``, given order 1's ``scale``.
 
-    A homogeneous system on the line under a map with ``third_bound``
-    takes ``order2`` at its stopping scale (``_order2_scale``) for the
-    order-1 Taylor term pi xi_max H (s R)^2, s the snapped order-1 scale
+    Where ``order2`` can run the system and map (``_refusal``), it takes
+    the stopping scale of its remainder (``_stopping_scale``) at the
+    order-1 remainder at ``xi_max`` and s R, s the snapped order-1 scale
     (``ifs._count_stopping``): the coarsest cover whose remainder at
     ``xi_max`` is within that term.  The remainder over that term grows
-    with |xi|, so it is within it at every smaller |xi| too.  Any other
-    system or map, or no ``scale`` (a map without curvature), keeps
+    with |xi|, so it is within it at every smaller |xi| too.  Anywhere
+    else, or with no ``scale`` (a map without curvature), it keeps
     ("order1", ``scale``).  Order 2 also tabulates h2, on a longer table
     for its coarser cover; with the quadratic table that build is small
     beside the kernel's fewer terms, so on the README's uniform[1, 2]
     log factors order 2 is also the faster scheme, from ``max_frequency``
     512 up.
     """
-    if scale is None or ifs.ambient_dim != 1 or not ifs.is_homogeneous or pmap.third_bound is None:
+    if scale is None or _refusal(ifs, pmap, "order2") is not None:
         return "order1", scale
-    hess = pmap.hessian_bound
-    taylor = math.pi * xi_max * hess * (_count_stopping(ifs, scale)[1] * ifs.support_radius) ** 2
-    return "order2", _order2_scale(ifs, hess, pmap.third_bound, 2.0 * taylor, xi_max)
+    x = _count_stopping(ifs, scale)[1] * ifs.support_radius
+    taylor = sum(c * x**p for c, p in _remainder_terms(pmap, 1, xi_max))
+    return "order2", _stopping_scale(ifs, _remainder_terms(pmap, 2, xi_max), taylor)
 
 
 def _jacobian_bound(ifs, pmap) -> float:
@@ -1315,11 +1333,15 @@ def _run_rows(run, jobs, m: int, threads: int):
 def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     """Order-0, order-1 or order-2 image transform at every row of ``xis`` (m, d).
 
-    Rows with xi = 0 are exact.  The others share the cover at ``scale``
-    when it is given, else they are grouped by octave of |xi| and each
-    group takes the stopping scale of its largest |xi|.  Every group's
-    cover is counted against ``budget`` (``_checked_count``, the top
-    octave first) before any is expanded.
+    ``exact_recursion`` is mu_hat itself (``_mu_hat_rows``).  A scheme
+    that cannot run the system and map (``_refusal``) raises before any
+    work, at xi = 0 too.  Rows with xi = 0 are exact.  The others share
+    the cover at ``scale`` when it is given, else they are grouped by
+    octave of |xi| and each group takes the stopping scale
+    (``_stopping_scale`` of ``_remainder_terms``) of its largest |xi| at
+    tol, tol/2 for orders 1 and 2.  Every group's cover is counted against
+    ``budget`` (``_checked_count``, the top octave first) before any is
+    expanded.
 
     Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
     leaf terms: a job is the unit of the thread scatter.  Covers are not
@@ -1383,40 +1405,29 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     grows by H3 R^2 / 2: an anchor moved by delta moves the cubic Taylor
     term by pi |xi| H3 (r_w R)^2 delta to first order.
 
-    A row's bound is |xi| times the cover's closure (order 0) or Taylor
-    (order 1) coefficient, or for order 2 the remainder
-    |xi|^2 pi^2 R^4 / 2 sum_w p_w q_w^2 + |xi| (pi/3) H3 R^3 sum_w p_w r_w^3
-    (the table's h2 slack enters as pi |xi| sum_w p_w |q_w| slack2), plus
-    the inner bound, plus roundoff, plus the
-    phase rounding ``_phase_rounding``, which holds for both phase paths,
-    plus ``_cover_rounding`` for the rounding the cover's anchors and
-    weights carry.  The coefficient and the largest |A_w| accumulate over
+    Every order assembles a row's bound alike, with kappa = 0 for orders
+    0 and 1: the remainder, |xi| c(1) R^j sum_w p_w r_w^j for the linear
+    term of ``_remainder_terms`` (order 2 adds
+    |xi|^2 pi^2 R^4 / 2 sum_w p_w q_w^2), plus the inner bound (order 2's
+    adds pi |xi| sum_w p_w |q_w| slack2 for the table), plus 1 + kappa
+    times roundoff, the phase rounding ``_phase_rounding`` (both phase
+    paths) and ``_cover_rounding``, plus EPS ((D + 6) kappa + 1).  The
+    coefficient and the largest |A_w| accumulate over
     the blocks; the rest comes from each group's count (snapped scale s,
     depth D) and J (``_jacobian_bound``), with |B_w| <= s J: the table
     range max_g |xi_g| s_g J (x 1.0001, + 1e-9), the inner reach
     2 pi R s J (h is 2 pi R-Lipschitz) and the cover rounding's D and
     gain J + H R.
     """
+    refusal = _refusal(ifs, pmap, scheme)
+    if refusal is not None:
+        raise refusal
+    if scheme == "exact_recursion":
+        return _mu_hat_rows(ifs, xis, tol, budget, threads)
     m, d = xis.shape
     k = ifs.ambient_dim
     order = ("order0", "order1", "order2").index(scheme)
     order1, order2 = order >= 1, order == 2     # order 2 adds to order 1's linear forms
-    if order2:
-        if k != 1 or d != 1:
-            raise Unsupported(
-                f"order2 is implemented on the line only (k = {k}, d = {d}); use order1"
-            )
-        if not ifs.is_homogeneous:
-            raise Unsupported(
-                "order2 needs a homogeneous system (one shared ratio and orientation); "
-                "use order1 for non-homogeneous systems"
-            )
-        if pmap.third_bound is None:
-            raise MissingHessianBound(
-                f"order2 needs third_bound, a bound on |f'''|, and map {pmap.label!r} has none"
-            )
-        if pmap.hessian is None:
-            raise BadConfig("order2 needs a hessian evaluator")
     # |xi| on the line: np.linalg.norm's sqrt(xi^2) is |xi| wherever xi^2
     # neither overflows nor underflows, and overflows to inf above ~1.3e154
     norms = np.abs(xis[:, 0]) if d == 1 else np.linalg.norm(xis, axis=1)
@@ -1425,21 +1436,6 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     active = np.flatnonzero(xis.any(axis=1))
     if len(active) == 0:
         return _run_rows(None, [], m, threads)
-    if order1:
-        if pmap.hessian_bound is None:
-            raise MissingHessianBound(f"{scheme} needs hessian_bound (use estimate_bounds)")
-        if pmap.gradient is None:
-            raise BadConfig(f"{scheme} needs a gradient evaluator")
-        bound, stopping_scale = pmap.hessian_bound, _order1_scale
-        if order2:
-            third = pmap.third_bound
-
-            def stopping_scale(ifs, bound, tol, xi_norm):
-                return _order2_scale(ifs, bound, third, tol, xi_norm)
-    else:
-        if pmap.lipschitz_bound is None:
-            raise BadConfig("order0 needs lipschitz_bound (use estimate_bounds)")
-        bound, stopping_scale = pmap.lipschitz_bound, _order0_scale
     if scale is not None:
         groups = [(active, scale)]
     else:
@@ -1449,21 +1445,23 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         # in order (np.unique would import numpy.ma, about 17 ms, on first use).
         by_octave = np.argsort(-octaves, kind="stable")
         cuts = np.flatnonzero(np.diff(octaves[by_octave])) + 1
+        target = 0.5 * tol if order1 else tol      # orders 1 and 2 leave tol/2 to the inner transform
         groups = [
-            (rows, stopping_scale(ifs, bound, tol, float(norms[rows].max())))
+            (rows, _stopping_scale(ifs, _remainder_terms(pmap, order, float(norms[rows].max())), target))
             for rows in np.split(active[by_octave], cuts)
         ]
     # (rows, leaf count, scale of the largest leaf, depth) per group
     covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
     radius = ifs.support_radius
+    coef, power = _remainder_terms(pmap, order, 1.0)[-1]
+    unit = coef * radius**power     # the remainder's linear term per |xi| and unit r_w^power
+    jac, gain = 0.0, pmap.lipschitz_bound
     if order1:
         jac = _jacobian_bound(ifs, pmap)
-        unit, gain = math.pi * bound * radius**2, jac + bound * radius
+        gain = jac + pmap.hessian_bound * radius
         if order2:
-            unit, gain = math.pi / 3.0 * third * radius**3, gain + 0.5 * third * radius**2
-    else:
-        jac, unit, gain = 0.0, TWO_PI * bound * radius, bound
+            gain = gain + 0.5 * pmap.third_bound * radius**2
     mu_table = None
     if order1 and ifs.is_homogeneous and k == d == 1:
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
@@ -1487,7 +1485,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         quartic, curv_sum, curv_max = 0.0, 0.0, 0.0     # order 2: sums of p q^2, p |q|; max |q|
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
-            moment += float(np.sum(weights * ratios ** (order + 1)))
+            moment += float(np.sum(weights * ratios**power))
             if order2:
                 curv = ratios**2 * pmap.hessian(anchors)[:, 0, 0]     # q_w = r_w^2 f''(x_w)
                 quartic += float(np.sum(weights * curv**2))
@@ -1533,18 +1531,14 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
             if order2:
                 inner_err = inner_err + np.pi * xi_norms * curv_sum * mu_table.slack2
         inner_reach = TWO_PI * radius * cover_scale * jac
-        if not order2:
-            bounds = xi_norms * (unit * moment) + inner_err + _roundoff(n)
-            bounds = bounds + _phase_rounding(xi_norms, a_max, inner_reach, max(k, d))
-            bounds = bounds + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
-            return rows, total + carry, bounds, n
-        remainder = xi_norms**2 * (0.5 * (np.pi * radius**2) ** 2 * quartic) + xi_norms * (unit * moment)
-        kappa = np.pi * xi_norms * curv_max * radius**2
-        carried = _roundoff(n) + _phase_rounding(xi_norms, a_max, inner_reach)
+        remainder = xi_norms * (unit * moment)
+        if quartic:     # order 2's 1/2 (pi |xi| |q_w| R^2)^2 term
+            remainder = xi_norms**2 * (0.5 * (np.pi * radius**2) ** 2 * quartic) + remainder
+        kappa = np.pi * xi_norms * curv_max * radius**2     # 0 for orders 0 and 1
+        carried = _roundoff(n) + _phase_rounding(xi_norms, a_max, inner_reach, max(k, d))
         carried = carried + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
         bounds = remainder + inner_err + (1.0 + kappa) * carried
-        bounds = bounds + EPS * ((depth + 6.0) * kappa + 1.0)
-        return rows, total + carry, bounds, n
+        return rows, total + carry, bounds + EPS * ((depth + 6.0) * kappa + 1.0), n
 
     return _run_rows(run, jobs, m, threads)
 
@@ -1635,39 +1629,30 @@ def pushforward_batch(
     """Evaluate the scalar image transform on an array of frequencies.
 
     Returns (values, error_bounds, leaves_used) aligned with ``xis``.
-    ``order0``/``order1``/``order2`` run the row kernel of the single calls: the
-    frequencies of one octave of |xi| share the stopping cover of their
-    largest |xi| (a refinement of each one's own cover), and a fixed
-    ``scale`` pins one cover for all, which is how uniform inversion grids
-    are evaluated cheaply.  Every cover is counted against ``budget``
-    before any is expanded, and each job of the kernel streams its cover
-    in leaf blocks of at most ``FRONTIER_BLOCK`` (no cover is stored or
-    cached), so memory does not grow with the cover.  Frequencies that
-    are exactly j * delta, in that order, get their phases as one base
-    block of unit phases times each cache-sized block's weighted offsets
-    (``_phase_blocks``) wherever a job spans more than one block; any
-    other set gets direct cos and sin in the same blocks, and both are
-    certified by one phase rounding term.  The
-    order-1 inner transform is the centred
-    transform e^{2 pi i <eta, b>} mu_hat(eta), the transform of
-    ``ifs.centred``.  Homogeneous systems on the line read it from a
-    certified piecewise-quadratic table (``_MuHatTable``), whose step
-    follows from the second moment ``ifs.second_moment`` and whose grid
-    nodes take the product form, its phases from the same phase blocks; other systems evaluate it
-    exactly, homogeneous ones by the product form and non-homogeneous ones
-    by a nested order-0 kernel call on the centred system's identity.
-    ``order2`` (homogeneous systems on the line) reads the second-moment
-    transform from the same table.  The single calls
-    (``pushforward_hat_order0/1/2``) are batches of one.  Leaf terms are
-    summed pairwise per frequency.  ``exact_recursion`` is mu_hat itself
-    (k = 1, ``pmap`` unused), one ``_mu_hat_rows`` call for all the rows:
-    a homogeneous system takes every row to the depth of the largest (on
-    one thread), and any other system is grouped by octave and runs on
-    the row kernel's jobs like the image schemes.  ``mu_hat`` is its
-    batch of one.  The leaf counts are an object array of exact Python
-    ints (a homogeneous tree's N^depth can pass the int64 range).
-    Results are independent of ``threads`` (fixed jobs, fixed reduction
-    order).
+    Every scheme runs ``_image_rows``, and the single calls
+    (``pushforward_hat_order0/1/2``, ``mu_hat``) are its batches of one.
+    For ``order0``/``order1``/``order2`` the frequencies of one octave of
+    |xi| share the stopping cover of their largest |xi| (a refinement of
+    each one's own cover), and a fixed ``scale`` pins one cover for all,
+    which is how uniform inversion grids are evaluated cheaply.  Every
+    cover is counted against ``budget`` before any is expanded, and each
+    job of the kernel streams its cover in leaf blocks of at most
+    ``FRONTIER_BLOCK`` (no cover is stored or cached), so memory does not
+    grow with the cover.  Frequencies that are exactly j * delta, in that
+    order, get their phases as one base block of unit phases times each
+    cache-sized block's weighted offsets (``_phase_blocks``) wherever a
+    job spans more than one block; any other set gets direct cos and sin
+    in the same blocks, and both are certified by one phase rounding
+    term.  The inner transforms, h and for ``order2`` h2 of
+    ``ifs.centred``, come from a certified table (``_MuHatTable``) for
+    homogeneous systems on the line and are evaluated exactly for the
+    rest.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap`` unused),
+    one ``_mu_hat_rows`` call for all the rows: a homogeneous system takes
+    every row to the depth of the largest (on one thread), and any other
+    system is grouped by octave and runs on the row kernel's jobs like the
+    image schemes.  The leaf counts are an object array of exact Python
+    ints (a homogeneous tree's N^depth can pass the int64 range).  Results
+    are independent of ``threads`` (fixed jobs, fixed reduction order).
     """
     if scheme not in ("order0", "order1", "order2", "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
@@ -1680,8 +1665,6 @@ def pushforward_batch(
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
     _check_finite(xis)
-    if scheme == "exact_recursion":
-        return _mu_hat_rows(ifs, xis, tol, budget, threads)
     return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
 
 

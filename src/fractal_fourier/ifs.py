@@ -163,6 +163,18 @@ class SelfSimilarIFS:
         return _readonly(np.array(self.weights))
 
     @cached_property
+    def weight_defect(self) -> float:
+        """|1 - sum_i p_i| for the float weights, summed exactly and rounded up; 0 when it is 0.
+
+        The measure is that of the normalised weights p_i / sum_j p_j.  A
+        word of D letters carries D weights, so a cover or product of depth
+        D is off by at most D times this defect per unit weight, to first
+        order (the rounding allowances absorb the second).
+        """
+        defect = abs(1 - sum(map(Fraction, self.weights)))
+        return math.nextafter(float(defect), math.inf) if defect else 0.0
+
+    @cached_property
     def min_ratio(self) -> float:
         return float(min(m.ratio for m in self.maps))
 

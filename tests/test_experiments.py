@@ -406,6 +406,14 @@ class TestOrder2Factors:
             assert leaves.max() <= leaves1.max()
             assert np.all(bounds <= bounds1)
 
+    def test_a_map_order2_refuses_is_evaluated_by_order1(self, uniform12):
+        # third_bound but no hessian evaluator: order 2 cannot run the map
+        factor = log_factor(uniform12)
+        factor = replace(factor, pmap=replace(factor.pmap, hessian=None))
+        assert experiments_module._fixed_cover(uniform12, factor.pmap, 0.01, 64.0)[0] == "order1"
+        exp = multiplicative_convolution([factor] * 2, max_frequency=64.0, density_points=16)
+        assert exp.schemes == ("order1", "order1")
+
     def test_schemes_recorded_in_the_summary(self, uniform12):
         affine = PushforwardMap(
             evaluator=lambda p: p[:, 0],

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,11 @@ from fractal_fourier.fourier import (
     _cover_rounding,
     _linear_forms,
     _mu_hat_homog_many,
-    _order0_scale,
     _phase_rounding,
     _recursion_rounding,
+    _remainder_terms,
     _roundoff,
+    _stopping_scale,
     constant_map,
     cube_map,
     curvature_diagnostic,
@@ -59,6 +61,24 @@ from fractal_fourier.ifs import (
     stopping_decomposition,
     uniform_ifs,
 )
+
+
+def scheme_scale(ifs, pmap, order, tol, xi_norm):
+    """The stopping scale of ``order`` at ``tol`` and |xi|, as the row kernel takes it."""
+    target = tol if order == 0 else 0.5 * tol
+    return _stopping_scale(ifs, _remainder_terms(pmap, order, xi_norm), target)
+
+
+def order0_scale_closed_form(ifs, lip, tol, xi_norm):
+    """tol / (2 pi |xi| L R), inf where that term is 0: the order-0 scale in closed form."""
+    reach = 2.0 * math.pi * xi_norm * lip * ifs.support_radius
+    return tol / reach if reach > 0.0 else math.inf
+
+
+def order1_scale_closed_form(ifs, hess, tol, xi_norm):
+    """sqrt(tol / (2 pi |xi| H)) / R, inf where pi |xi| H is 0: the order-1 scale in closed form."""
+    curvature = math.pi * xi_norm * hess
+    return math.sqrt(0.5 * tol / curvature) / ifs.support_radius if curvature > 0.0 else math.inf
 
 
 def cantor_closed_form(xi):
@@ -377,10 +397,12 @@ class TestRoundingCertificates:
             moment = float(np.sum(mixed_ratios.weight_array * mixed_ratios.ratios))
             anchors = np.array([m(mixed_ratios.barycenter) for m in mixed_ratios.maps])
         a_max = float(np.linalg.norm(2.0 * math.pi * anchors, axis=1).max())
-        expected = norm * (2.0 * math.pi * 1.0 * radius * moment) + 0.0 + _roundoff(2**levels)
-        expected = expected + _phase_rounding(norm, a_max, 0.0, 1)
+        carried = _roundoff(2**levels) + _phase_rounding(norm, a_max, 0.0, 1)
         # the cover's scale is its largest leaf ratio
-        expected = expected + _cover_rounding(mixed_ratios, 0.5**levels, levels, norm, 1.0, 0.0)
+        carried = carried + _cover_rounding(mixed_ratios, 0.5**levels, levels, norm, 1.0, 0.0)
+        # the one assembly of every order, with kappa = 0: remainder + inner + carried + EPS
+        expected = norm * (2.0 * math.pi * 1.0 * radius * moment) + 0.0 + carried
+        expected = expected + fourier_module.EPS
         single = mu_hat(mixed_ratios, xi, tol=tol)
         assert single.leaves_used == 2**levels
         assert single.error_bound == expected[0]
@@ -417,7 +439,8 @@ def _direct_product_form(ifs, etas, tol):
     )
     norms = np.sqrt(np.vecdot(etas, etas))
     closure = 2.0 * math.pi * np.sqrt(np.vecdot(cur, cur)) * radius + _roundoff(depth + 1)
-    return value, closure + _recursion_rounding(ifs, norms, depth), depth
+    # weights that do not sum to 1 exactly: D |1 - sum p_i|
+    return value, closure + _recursion_rounding(ifs, norms, depth) + depth * ifs.weight_defect, depth
 
 
 def _truncated_product_mpmath(ifs, etas, depth, digits=40):
@@ -690,7 +713,7 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
             ))
     value = complex(math.fsum(re), math.fsum(im))
     norm = np.linalg.norm(vec)
-    _, scale, depth = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, norm))
+    _, scale, depth = _count_stopping(ifs, scheme_scale(ifs, identity_map(ifs), 0, tol, norm))
     assert deepest <= depth
     rounding = _phase_rounding(norm, a_max, 0.0, k) + _cover_rounding(ifs, scale, depth, norm, 1.0)
     return value, err_acc + _roundoff(leaves) + rounding, leaves
@@ -888,8 +911,9 @@ class TestCoverBudget:
             # mu_hat's own cover, at scale tol / (2 pi |xi| R); the batch's
             # smaller frequency fits the budget, so it must not run first
             xi, tol = 500.0, 1e-3
-            top = _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, xi))[0]
-            assert _count_stopping(ifs, _order0_scale(ifs, 1.0, tol, 0.5 * xi))[0] < top - 1
+            identity = identity_map(ifs)
+            top = _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, xi))[0]
+            assert _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, 0.5 * xi))[0] < top - 1
             calls += [
                 (top, lambda b: mu_hat(ifs, xi, tol=tol, budget=b)),
                 (top, lambda b: pushforward_batch(
@@ -906,7 +930,7 @@ class TestCoverBudget:
     def test_batch_checks_the_top_octave_first(self, system, request, no_expansion):
         ifs = request.getfixturevalue(system)
         sq = square_map(ifs)
-        low_octave_scale = fourier_module._order1_scale(ifs, sq.hessian_bound, 1e-3, 300.0)
+        low_octave_scale = scheme_scale(ifs, sq, 1, 1e-3, 300.0)
         fits = _count_stopping(ifs, low_octave_scale)[0]
         with pytest.raises(ResourceExceeded):
             pushforward_batch(ifs, sq, [300.0, 30000.0], tol=1e-3, budget=fits)
@@ -1021,7 +1045,7 @@ class TestCoverFactsFromTheCount:
         # one group, so its bound is the named terms with J = L_f = 2 sup|x|
         sq = square_map(cantor)
         xi, tol = 700.0, 1e-3
-        n, scale, depth = _count_stopping(cantor, fourier_module._order1_scale(cantor, 2.0, tol, xi))
+        n, scale, depth = _count_stopping(cantor, scheme_scale(cantor, sq, 1, tol, xi))
         jac = fourier_module._jacobian_bound(cantor, sq)
         assert jac == sq.lipschitz_bound
         radius = cantor.support_radius
@@ -1038,6 +1062,39 @@ class TestCoverFactsFromTheCount:
         _, bounds, leaves = pushforward_batch(cantor, sq, [xi], tol=tol)
         assert leaves[0] == n == len(dec)
         assert bounds[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+
+
+class TestStoppingScale:
+    """One root for every scheme's remainder, against the closed forms it replaced."""
+
+    XIS = np.r_[2.225073858507e-311, np.geomspace(1e-300, 1e12, 157)].tolist()
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios", "uniform12"])
+    def test_orders_0_and_1_keep_their_covers(self, system, request):
+        ifs = request.getfixturevalue(system)
+        identity, sq, tol = identity_map(ifs), square_map(ifs), 1e-3
+        for xi in self.XIS:
+            for scale, closed_form in [
+                (scheme_scale(ifs, identity, 0, tol, xi), order0_scale_closed_form(ifs, 1.0, tol, xi)),
+                (scheme_scale(ifs, sq, 0, tol, xi), order0_scale_closed_form(ifs, sq.lipschitz_bound, tol, xi)),
+                (scheme_scale(ifs, sq, 1, tol, xi), order1_scale_closed_form(ifs, sq.hessian_bound, tol, xi)),
+            ]:
+                assert _count_stopping(ifs, scale) == _count_stopping(ifs, closed_form), xi
+
+    @pytest.mark.parametrize("system", ["cantor", "mixed_ratios", "uniform12"])
+    def test_order2_scale_is_the_root_of_its_remainder(self, system, request):
+        ifs = request.getfixturevalue(system)
+        radius, tol = ifs.support_radius, 1e-3
+        for pmap in (square_map(ifs), cube_map(ifs)):
+            for xi in self.XIS:
+                terms = _remainder_terms(pmap, 2, xi)
+                scale = scheme_scale(ifs, pmap, 2, tol, xi)
+                x = radius if scale == math.inf else scale * radius
+                remainder = sum(c * x**p for c, p in terms)
+                if scale == math.inf:
+                    assert remainder <= 0.5 * tol, xi
+                else:
+                    assert remainder == pytest.approx(0.5 * tol, rel=1e-12, abs=0.0), xi
 
 
 class TestOrder0:
@@ -1210,7 +1267,8 @@ class TestOrder2:
         # |xi| on the line is abs(xi), exact down to the subnormals, where the
         # single-term roots of the order-2 remainder pass 1e100
         xi = 2.225073858507e-311
-        assert fourier_module._order2_scale(uniform12, 1.0, 2.0, 1e-4, xi) == math.inf
+        # log on [1, 2]: H = 1 and H3 = 2
+        assert scheme_scale(uniform12, log_map(uniform12), 2, 1e-4, xi) == math.inf
         values, bounds, leaves = pushforward_batch(
             uniform12, log_map(uniform12), [xi], tol=1e-4, scheme=scheme
         )
@@ -1223,7 +1281,7 @@ class TestOrder2:
         sq = square_map(cantor)
         xi, tol = 700.0, 1e-4
         radius = cantor.support_radius
-        scale = fourier_module._order2_scale(cantor, 2.0, 0.0, tol, xi)
+        scale = scheme_scale(cantor, sq, 2, tol, xi)
         n, snapped, depth = _count_stopping(cantor, scale)
         dec = stopping_decomposition(cantor, snapped)
         curv = 2.0 * dec.ratios**2
@@ -1278,6 +1336,24 @@ class TestOrder2:
         )
         with pytest.raises(MissingHessianBound, match="third_bound"):
             pushforward_batch(cantor, raw, xi, scheme="order2")
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_refused_at_zero_frequency_as_elsewhere(self, cantor, square_2d, xi):
+        # the refusal comes before the shortcut that returns 1 when every xi is 0
+        flat = replace(square_map(cantor), hessian_bound=None)
+        unbounded = replace(square_map(cantor), lipschitz_bound=None)
+        planar = sum_of_squares_map(square_2d)
+        calls = [
+            (BadConfig, lambda: pushforward_hat_order0(cantor, unbounded, xi)),
+            (BadConfig, lambda: pushforward_batch(cantor, unbounded, [xi], scheme="order0")),
+            (MissingHessianBound, lambda: pushforward_hat_order1(cantor, flat, xi)),
+            (MissingHessianBound, lambda: pushforward_batch(cantor, flat, [xi], scheme="order1")),
+            (Unsupported, lambda: pushforward_hat_order2(square_2d, planar, xi)),
+            (Unsupported, lambda: pushforward_batch(square_2d, planar, [xi], scheme="order2")),
+        ]
+        for error, call in calls:
+            with pytest.raises(error):
+                call()
 
     def test_third_derivative_bounds(self, cantor, uniform12):
         from fractal_fourier.fourier import neg_log_map, quadratic_map

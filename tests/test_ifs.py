@@ -75,6 +75,17 @@ class TestValidation:
         with pytest.raises(InvalidIFS, match="sum to 1"):
             SelfSimilarIFS((one_d_map(0.3, 0.0), one_d_map(0.3, 1.0)), (0.5, 0.4))
 
+    def test_weight_defect_is_the_exact_sum_rounded_up(self):
+        from fractions import Fraction
+
+        assert ifs_1d([0.3, 0.3], [0.0, 1.0], [0.5, 0.5]).weight_defect == 0.0
+        assert ifs_1d([0.3, 0.3], [0.0, 1.0], [0.25, 0.75]).weight_defect == 0.0
+        for weights in ([0.5, 0.5 - 9e-13], [0.3, 0.7], [1 / 3] * 3):
+            system = ifs_1d([0.3] * len(weights), [0.0, 1.0, 2.0][: len(weights)], weights)
+            exact = abs(1 - sum(map(Fraction, weights)))
+            assert exact > 0
+            assert exact <= Fraction(system.weight_defect) <= exact * (1 + 2 * Fraction(2.0**-52))
+
     def test_weight_range(self):
         with pytest.raises(InvalidIFS):
             SelfSimilarIFS((one_d_map(0.3, 0.0), one_d_map(0.3, 1.0)), (1.0, 0.0))

@@ -357,6 +357,29 @@ def test_scattered_moment_rows_within_their_bounds_of_the_mpmath_forms(system, e
         assert error2 <= bounds[1, row] + _centring_rounding(system, abs(eta), second=True), eta
 
 
+# Weights within WEIGHT_SUM_TOL of summing to 1, not exactly: the measure
+# is that of the normalised weights.
+SHORT_WEIGHTS = ifs_1d([1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5 - 9e-13])
+
+
+@pytest.mark.parametrize("xi", [1.0, 10.0])
+def test_mu_hat_of_weights_off_one_within_its_bound_of_the_normalised_product(xi):
+    # the product over levels of sum_i (p_i / sum p) e^{-2 pi i xi 3^-l t_i},
+    # every float input exact, to a level where 2 pi |xi| 3^-l < 1e-35:
+    # the rest of the product is within that of 1
+    mp = mpmath.mp
+    mp.dps = 40
+    total = mpmath.fsum(mpmath.mpf(w) for w in SHORT_WEIGHTS.weights)
+    p = [mpmath.mpf(w) / total for w in SHORT_WEIGHTS.weights]
+    t = [mpmath.mpf(float(m.translation[0])) for m in SHORT_WEIGHTS.maps]
+    two_pi, eta, exact = 2 * mpmath.pi, mpmath.mpf(xi), mpmath.mpc(1)
+    while two_pi * abs(eta) >= mpmath.mpf(10) ** -35:
+        exact *= mpmath.fsum(pi * mpmath.expj(-two_pi * eta * ti) for pi, ti in zip(p, t))
+        eta *= mpmath.mpf(SHORT_WEIGHTS.maps[0].ratio)
+    s = mu_hat(SHORT_WEIGHTS, xi, tol=1e-13)
+    assert abs(s.value - exact) <= s.error_bound
+
+
 def cantor_product_mpmath(xi, digits=40):
     """The middle-thirds transform e^{-pi i xi} prod_n cos(2 pi xi / 3^n) to ``digits`` digits."""
     mpmath.mp.dps = digits
