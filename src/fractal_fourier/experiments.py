@@ -30,6 +30,7 @@ from .fourier import (
     TWO_PI,
     PushforwardMap,
     _check_positive,
+    _check_positive_finite,
     _check_threads,
     _fixed_cover,
     _grid_step,
@@ -409,8 +410,8 @@ def multiplicative_convolution(
     """
     if len(factors) < 2:
         raise BadConfig("need at least two factor measures")
-    _check_positive("max_frequency", max_frequency)
-    _check_positive("tol", tol)
+    _check_positive_finite("max_frequency", max_frequency)
+    _check_positive_finite("tol", tol)
     _check_positive("density_budget", density_budget)
     _check_threads(threads)
     if density_points < 2:

@@ -76,7 +76,8 @@ blocks of rows as complex arrays of weighted phases p_w e^{-i theta}
 reduced once along the leaf axis.  On a uniform frequency grid j * delta
 a job of more than one block takes a base block of unit phases,
 computed once, times each block's offsets with the weights folded in:
-one complex product per term replaces the calls to cos and sin.
+one complex product per term replaces a unit phase.  A unit phase is
+one sine of an argument reduced to [-pi/4, pi/4] (``_unit_phases``).
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -119,6 +120,19 @@ PHASE_BLOCK = 32_768    # terms per block of weighted phases (row kernel, produc
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
 CSV_BLOCK = 4_096       # rows per block of write_samples_csv
 
+# The reduction of ``_unit_phases``.  The parts of pi/2 sum to it within 2e-33;
+# the first two have 26 and 23 significant bits, so k times either is exact for
+# |k| <= 2^27, which |theta| < REDUCTION_LIMIT (below 2^26 pi) ensures.
+TWO_OVER_PI = float.fromhex("0x1.45f306dc9c883p-1")
+QUARTER_PI = float.fromhex("0x1.921fb54442d18p-1")     # fl(pi/4) < pi/4
+HALF_PI_PARTS = tuple(
+    float.fromhex(part) for part in ("0x1.921fb58p+0", "-0x1.dde974p-27", "0x1.1a62633145c07p-54")
+)
+REDUCTION_LIMIT = 2.0e8
+# (-i)^q for q = k mod 4; 1 - 0i, not 1 + 0i, leaves every bit of a k = 0 phase as it is
+QUARTER_TURNS = np.array([complex(1.0, -0.0), -1j, -1.0, 1j])
+QUARTER_TURNS.flags.writeable = False
+
 
 def _roundoff(n_terms):
     """Pessimistic pairwise-summation roundoff allowance for n unit terms.
@@ -141,18 +155,18 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
     """Rounding allowance, per unit weight, of a phase sum sum_w p_w e^{-i xi A_w} h_w.
 
     EPS (c1 |xi| a_max + c2 + c3 |xi| inner), with c1 = dims + 5, c2 = 16
-    and c3 = dims + 1 (6, 16 and 2 on the line).  ``a_max`` bounds the
-    computed |A_w| (the 2 pi is inside A_w), ``inner`` bounds 2 pi |B_w| R
-    for an inner transform h_w = h(B_w xi), else 0, and ``dims`` is
-    max(k, d).  ``xi_norm`` may be an array.
+    and c3 = dims + 1 (6, 16 and 2 on the line), plus the reduction term
+    u |xi| a_max where |xi| a_max > ``REDUCTION_LIMIT``.  ``a_max`` bounds
+    the computed |A_w| (the 2 pi is inside A_w), ``inner`` bounds
+    2 pi |B_w| R for an inner transform h_w = h(B_w xi), else 0, and
+    ``dims`` is max(k, d).  ``xi_norm`` may be an array.
 
     Model: every operation rounds with relative error at most u = EPS/2,
-    and np.cos and np.sin return, for every finite argument, a value
-    within 2 EPS of the exact one (accurate argument reduction; numpy's
-    are within one ulp).  The anchors x_w, f(x_w) and J_f(x_w) as the
-    cover and the map's evaluators return them are taken as the
-    quadrature's nodes here; ``_cover_rounding`` covers the cover's own
-    rounding.  First-order terms (products of two roundings are absorbed
+    and np.sin returns, for |r| <= pi/2, a value within two ulps of sin r,
+    so within EPS (numpy's is within one ulp).  The anchors x_w, f(x_w)
+    and J_f(x_w) as the cover and the map's evaluators return them are
+    taken as the quadrature's nodes here; ``_cover_rounding`` covers the
+    cover's own rounding.  First-order terms (products of two roundings are absorbed
     by rounding the constants up):
 
     * outer phase.  A_w = 2 pi f(x_w) for both orders rounds by 2u |A_w|
@@ -160,12 +174,33 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
       path (``_phase_blocks``) takes e^{-i (j0 delta) A_w} e^{-i (l delta) A_w}
       for e^{-i (j delta) A_w}: the two angles take two more products (2u)
       and the split of j delta into j0 delta + l delta (2u), so at most
-      (d + 6) u |xi| a_max in all, below c1 EPS |xi| a_max.
+      (d + 6) u |xi| a_max in all, (d + 4) u |xi| a_max below
+      c1 EPS |xi| a_max.
     * inner argument.  The order-1 inner transform is the centred
       transform h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
       a measure on the ball B(0, R), so h is 2 pi R-Lipschitz.  xi B_w
       rounds by d u |xi||B_w| and B_w itself by (k + 1) u |B_w|, which
       moves h by at most (k + d + 1) u |xi| inner, below c3 EPS |xi| inner.
+    * unit phases.  ``_unit_phases`` writes theta = k pi/2 + r.  Below
+      ``REDUCTION_LIMIT``, |k| <= 2^27, so k C1, k C2 and theta - k C1
+      are exact; the two later subtractions round by u |r| each, k C3 by
+      below 1e-8 u, and C1 + C2 + C3 is pi/2 within 2e-33, so r is within
+      2u (pi/4 + 1e-7) < 0.79 EPS of theta - k pi/2, itself at most
+      pi/4 + 1e-7 in size.  s = sin r errs by at most EPS, which moves
+      sqrt(1 - s^2) by at most |e_s| tan|r| < 1.01 EPS; s^2, 1 - s^2 and
+      the root round by at most 1.5u, since cos r >= 0.7.  So cos r and
+      -sin r as a complex number are within sqrt(1.76^2 + 1) EPS = 2.03
+      EPS of e^{-i r}, the reduction adds 0.79 EPS, and the quarter turn,
+      products by 0 and +-1, is exact: below 2.9 EPS per unit phase.
+      Above the limit, k C1 rounds by u |k C1|, which is u |theta| to
+      first order: the reduction term (both unit phases of a grid term
+      together, since their angles have one sign and sum to theta).  The
+      rest grows with |theta| too: k C2 rounds by below 1e-8 u |theta|; r
+      may pass pi/4 by up to 2u |theta|, so that the error of s moves the
+      root by up to sqrt(3 EPS) < 3e-8; and past |theta| = 3.5e15 the
+      rounded k can leave |r| > pi/2, where the root's sign is wrong by
+      2 |cos r| < 4u |theta| - pi/2.  All of it lies within the
+      (d + 4) u |xi| a_max left of c1, over 1e-7 above the limit.
     * values.  |e^{-i theta'} - e^{-i theta}| <= |theta' - theta|.  Every
       term is a complex product of computed factors.  One complex product
       a b errs by at most 2 sqrt(2) u |a||b| <= 1.5 EPS |a||b|, with or
@@ -173,16 +208,18 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
       2u (|ac| + |bd|) either way, and
       (|ac| + |bd|)^2 + (|ad| + |bc|)^2 <= 2 |a|^2 |b|^2 (Brent,
       Percival & Zimmermann, Math. Comp. 76, 2007, show sqrt(5) u without
-      an FMA).  Direct cos and sin err by 2 EPS each, 2.9 EPS as a
-      complex number, and the weight p_w + 0i scales each part by one
-      rounded product, 0.5 EPS: 3.4 EPS.  On the grid the base phase errs
-      by 2.9 EPS, the offset with its weight by 3.4 EPS and their product
-      by 1.5 EPS: 7.8 EPS.  The product with h_w (|h_w| <= 1) adds
-      1.5 EPS: at most 9.3 EPS, below c2 EPS.
+      an FMA).  A unit phase errs by 2.9 EPS, and the weight p_w + 0i
+      scales each part by one rounded product, 0.5 EPS: 3.4 EPS.  On the
+      grid the base phase errs by 2.9 EPS, the offset with its weight by
+      3.4 EPS and their product by 1.5 EPS: 7.8 EPS.  The product with h_w
+      (|h_w| <= 1) adds 1.5 EPS: at most 9.3 EPS, below c2 EPS.
 
     Summation is ``_roundoff``'s part and is not counted here.
     """
-    return EPS * (xi_norm * ((dims + 5.0) * a_max + (dims + 1.0) * inner) + 16.0)
+    bound = EPS * (xi_norm * ((dims + 5.0) * a_max + (dims + 1.0) * inner) + 16.0)
+    if np.max(xi_norm, initial=0.0) * a_max > REDUCTION_LIMIT:
+        bound = bound + 0.5 * EPS * (xi_norm * a_max) * (xi_norm * a_max > REDUCTION_LIMIT)
+    return bound
 
 
 def _recursion_rounding(ifs, norms, depth):
@@ -190,11 +227,14 @@ def _recursion_rounding(ifs, norms, depth):
 
     EPS (pi S |eta| (k^1.5 + k^0.5 + k + 5) / (1 - rho)^2 + (D + 1)(N + 9)),
     with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps and D
-    the depth (``depth``).  ``norms`` may be an array.  It holds for both
-    paths of ``_phase_blocks``, direct cos and sin and angle addition on
-    a grid, which is how ``_mu_hat_homog_many`` takes its phases.
+    the depth (``depth``), plus the reduction term u 2 pi S |eta| / (1 - rho)
+    where 2 pi S |eta| > ``REDUCTION_LIMIT``.  ``norms`` may be an array.
+    It holds for both paths of ``_phase_blocks``, direct unit phases and
+    angle addition on a grid, which is how ``_mu_hat_homog_many`` takes
+    its phases.
 
-    Model as in ``_phase_rounding`` (u = EPS/2, cos and sin within 2 EPS).
+    Model as in ``_phase_rounding`` (u = EPS/2, unit phases within
+    2.9 EPS).
     Level l < D of map i has the phase <eta, c_{l,i}>, c_{l,i} =
     2 pi M^l t_i with M = r O, and the closing level D has c = 2 pi M^D b.
     * coefficients.  fl(r O) errs by u |M| per entry, and each of the l
@@ -209,6 +249,17 @@ def _recursion_rounding(ifs, norms, depth):
       2 pi |eta| rho^l S u (l (k^1.5 + k^0.5) + k + 5), and
       sum_l rho^l (l a + b) <= (a + b) / (1 - rho)^2 gives the |eta| part:
       e^{-i theta} is 1-Lipschitz and every level factor is at most 1.
+      The exact sum, a rho / (1 - rho)^2 + b / (1 - rho), leaves at least
+      2u 2 pi S |eta| of that part unused.
+    * reduction.  Level l's angles are at most 2 pi rho^l S |eta|.  Above
+      ``REDUCTION_LIMIT`` a unit phase errs by u times its angle more
+      (``_phase_rounding``), u 2 pi S |eta| / (1 - rho) summed over the
+      levels: the reduction term.  The rest is far smaller.  The root's
+      share, EPS (tan|r| - 1) with |r| <= pi/4 + 2u |theta|, is below
+      1e-15 u |theta| up to |theta| = 4e14 and below 3e-8 per level
+      beyond, where over 0.08 of the |eta| part is unused.  Past an angle
+      of 3.5e15, where the root's sign can be wrong, the |eta| part alone
+      exceeds 2, the most a product of factors of modulus 1 can err.
     * values.  A weighted term p_i e^{-i theta} is within 3.4 EPS p_i
       directly and 7.8 EPS p_i on the grid (``_phase_rounding``), the sum
       over the N maps of a level adds sqrt(2) (N - 1) u, and each of the D
@@ -218,10 +269,15 @@ def _recursion_rounding(ifs, norms, depth):
     """
     k = ifs.ambient_dim
     rho = float(ifs.ratios.max())
-    return EPS * (
-        math.pi * _translation_reach(ifs) * norms * (k**1.5 + k**0.5 + k + 5.0) / (1.0 - rho) ** 2
+    reach = _translation_reach(ifs)
+    bound = EPS * (
+        math.pi * reach * norms * (k**1.5 + k**0.5 + k + 5.0) / (1.0 - rho) ** 2
         + (depth + 1.0) * (ifs.n_maps + 9.0)
     )
+    if TWO_PI * reach * np.max(norms, initial=0.0) > REDUCTION_LIMIT:
+        angles = TWO_PI * reach * norms
+        bound = bound + 0.5 * EPS * angles / (1.0 - rho) * (angles > REDUCTION_LIMIT)
+    return bound
 
 
 def _translation_reach(ifs) -> float:
@@ -356,6 +412,13 @@ def _check_positive(name: str, value: float) -> None:
         raise BadConfig(f"{name} must be positive, got {value}")
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Positive and finite: at tol = inf every bound certifies nothing, and a grid never reaches inf."""
+    _check_positive(name, value)
+    if value == math.inf:
+        raise BadConfig(f"{name} must be finite, got {value}")
+
+
 def _check_threads(threads: int) -> None:
     if not threads >= 1:
         raise BadConfig(f"threads must be at least 1, got {threads}")
@@ -456,7 +519,7 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     the coefficients of one ``_phase_blocks`` call over all rows: a
     uniform grid j * delta on the line (``_grid_step``; ``_MuHatTable``
     builds its nodes that way) takes angle addition from one base block,
-    any other row set direct cos and sin, and both are within
+    any other row set direct unit phases, and both are within
     ``_recursion_rounding``.  Each block's weighted phases are summed over
     the maps level by level (times a and a^2 first for the h2 columns)
     into levels x columns x rows, in buffers reused block after block.
@@ -1250,11 +1313,48 @@ def _buffer(work: dict, name: str, shape, dtype=float) -> np.ndarray:
     return work[name][:size].reshape(shape)
 
 
-def _unit_phases(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{-i theta} into the complex ``out``, cos and -sin written into its parts; overwrites ``theta``."""
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=theta)
-    np.negative(theta, out=out.imag)
+def _unit_phases(theta: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
+    """e^{-i theta} into the complex ``out``; ``theta`` is overwritten.
+
+    One sine per argument (Cody & Waite, Software Manual for the
+    Elementary Functions, 1980): theta = k pi/2 + r with
+    k = rint(theta 2/pi) and r = ((theta - k C1) - k C2) - k C3, the
+    parts of pi/2 in ``HALF_PI_PARTS``, so |r| <= pi/4 up to rounding;
+    then s = sin r, cos r = sqrt(1 - s^2), at least 0.7 there, and the
+    quarter turn (-i)^(k mod 4), an exact complex product by 0 and +-1.
+    A block whose largest |theta| is at most pi/4 has k = 0 everywhere
+    and skips the reduction and the turn.  ``theta`` and ``out`` are
+    contiguous; the one scratch array, of about theta.size floats, is
+    the workspace's (``_buffer``): k, then the turns as complex numbers,
+    half of them at a time.  ``_phase_rounding`` derives the error.
+    """
+    angles, values = theta.reshape(-1), out.reshape(-1)
+    top = max(angles.max(), -angles.min())
+    reduced = top > QUARTER_PI
+    if reduced:
+        half = (angles.size + 1) // 2
+        units = _buffer(work, "turns", (half,), complex)
+        k, part = units.view(float)[: angles.size], values.view(float)[: angles.size]  # out is free until sin
+        np.multiply(angles, TWO_OVER_PI, out=k)
+        np.rint(k, out=k)
+        for c in HALF_PI_PARTS:
+            np.multiply(k, c, out=part)
+            np.subtract(angles, part, out=angles)
+        if top > 2.0**63:
+            # |k| > 2^62 is a multiple of 4, like the clipped value: the cast below stays in range
+            np.clip(k, -(2.0**62), 2.0**62, out=k)
+    np.sin(angles, out=angles)
+    np.negative(angles, out=values.imag)
+    np.square(angles, out=angles)
+    np.subtract(1.0, angles, out=angles)
+    np.sqrt(angles, out=values.real)
+    if reduced:
+        turns = angles.view(np.int64)
+        np.copyto(turns, k, casting="unsafe")
+        np.bitwise_and(turns, 3, out=turns)
+        for start in (0, half):
+            chunk = turns[start : start + half]
+            values[start : start + half] *= np.take(QUARTER_TURNS, chunk, mode="clip", out=units[: len(chunk)])
     return out
 
 
@@ -1272,19 +1372,23 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     rows j0 .. j0 + L - 1 is a base block e^{-i (l step) coefs}, l < L,
     computed once, times the block's offsets
     weights e^{-i (j0 step) coefs} with the weights folded in: one complex
-    product per term, and (L + m / L) n calls to cos and sin instead of
-    m n.  The base block alone costs L n, as much as a block of direct
-    rows, so the grid path is taken only when ``rows`` spans more than one
-    block: a job of a large cover holds only JOB_TERMS / n rows.  Other
+    product per term, and (L + m / L) n unit phases instead of m n.  The
+    offsets of max(1, L // 8) consecutive blocks, about an eighth of a
+    block's terms, come from one ``_unit_phases`` call, so that its fixed
+    cost is not paid per block.  The base block alone costs L n, as much
+    as a block of direct rows, so the grid path is taken only when
+    ``rows`` spans more than one block: a job of a large cover holds only
+    JOB_TERMS / n rows.  Other
     blocks, all blocks of a call of at most one block, and all blocks when
-    a block is one row (n > PHASE_BLOCK / 2) write cos and -sin into one
-    complex array and scale it by the weights in place.  Both paths are
-    within ``_phase_rounding`` of the exact weighted phases.
+    a block is one row (n > PHASE_BLOCK / 2) take ``_unit_phases`` of
+    their angles directly and scale them by the weights in place.  Both
+    paths are within ``_phase_rounding`` of the exact weighted phases.
     """
     n, d = coefs.shape
     size = max(1, PHASE_BLOCK // n)
     grid = step is not None and len(rows) > size > 1
-    base = None
+    base = offsets = None
+    first = last = 0    # the blocks rows[first:last] whose offsets ``offsets`` holds
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
         count = len(block)
@@ -1293,16 +1397,22 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
             if base is None:
                 theta = np.multiply((np.arange(size) * step)[:, None], coefs[:, 0],
                                     out=_buffer(work, "theta", (size, n)))     # the outer product
-                base = _unit_phases(theta, _buffer(work, "base", (size, n), complex))
-            offsets = _unit_phases((block[0] * step) * coefs[:, 0], np.empty(n, dtype=complex))
-            np.multiply(base[:count], weights * offsets, out=phases)
+                base = _unit_phases(theta, _buffer(work, "base", (size, n), complex), work)
+            if not first <= start < last:
+                first, last = start, start + size * max(1, size // 8)
+                starts = rows[first:last:size]
+                theta = np.multiply((starts * step)[:, None], coefs[:, 0],
+                                    out=_buffer(work, "theta", (len(starts), n)))
+                offsets = _unit_phases(theta, _buffer(work, "offsets", (len(starts), n), complex), work)
+                offsets *= weights
+            np.multiply(base[:count], offsets[(start - first) // size], out=phases)
         else:
             theta = _buffer(work, "theta", (count, n))
             if d == 1:
                 np.multiply(freqs[block], coefs[:, 0], out=theta)   # the outer product
             else:
                 np.matmul(freqs[block], coefs.T, out=theta)
-            _unit_phases(theta, phases)
+            _unit_phases(theta, phases, work)
             phases *= weights
         yield start, start + count, phases
 
@@ -1544,7 +1654,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
 
 
 def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
-    _check_positive("tol", tol)
+    _check_positive_finite("tol", tol)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     vec = _freq_vector(xi, pmap.out_dim)
     values, errors, leaves = _image_rows(ifs, pmap, vec[None, :], tol, scheme, scale, budget, 1)
@@ -1641,7 +1751,7 @@ def pushforward_batch(
     grow with the cover.  Frequencies that are exactly j * delta, in that
     order, get their phases as one base block of unit phases times each
     cache-sized block's weighted offsets (``_phase_blocks``) wherever a
-    job spans more than one block; any other set gets direct cos and sin
+    job spans more than one block; any other set gets direct unit phases
     in the same blocks, and both are certified by one phase rounding
     term.  The inner transforms, h and for ``order2`` h2 of
     ``ifs.centred``, come from a certified table (``_MuHatTable``) for
@@ -1660,7 +1770,7 @@ def pushforward_batch(
         raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")
     if pmap.out_dim != 1:
         raise Unsupported("batched evaluation expects scalar images (d = 1)")
-    _check_positive("tol", tol)
+    _check_positive_finite("tol", tol)
     _check_threads(threads)
     budget = DEFAULT_LEAF_BUDGET if budget is None else budget
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)

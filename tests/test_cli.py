@@ -304,6 +304,19 @@ class TestFourier:
         assert "tol must be positive, got nan" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "scheme_args", [["--scheme", "recursion"], ["--scheme", "order1", "--map", '{"kind": "square"}']]
+    )
+    def test_infinite_tol_exit_2(self, tmp_path, scheme_args):
+        # tol inf once wrote "certified" bounds such as 3.14 at xi = 1
+        proc = _run_cli_subprocess(
+            "fourier", "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", "1",
+            "--tol", "inf", *scheme_args, "--out", str(tmp_path / "x.csv"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "tol must be finite, got inf" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
         out = tmp_path / "x.csv"
@@ -488,6 +501,17 @@ class TestDecayCommand:
         assert proc.returncode == 2, proc.stderr
         assert "tol must be positive, got nan" in proc.stderr
 
+    def test_infinite_tol_exit_2(self, tmp_path):
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
+               "octaves": [8, 9], "tol": math.inf}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))     # json writes Infinity, and reads it back
+        proc = _run_cli_subprocess(
+            "decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "tol must be finite, got inf" in proc.stderr
+
     @pytest.mark.parametrize("field, value", [("octaves", ["a", 3]), ("samples_per_octave", "x")])
     def test_malformed_field_exit_2(self, tmp_path, capsys, field, value):
         cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
@@ -570,6 +594,18 @@ class TestConvolveCommand:
         )
         assert proc.returncode == 2, proc.stderr
         assert f"{field} must be positive, got nan" in proc.stderr
+
+    @pytest.mark.parametrize("field", ["tol", "max_frequency"])
+    def test_infinite_parameter_exit_2(self, tmp_path, field):
+        # max_frequency inf once ended in an internal error (exit 5)
+        cfg = {"factors": [{"ifs": str(CONFIGS / "uniform12.json")}] * 2, field: math.inf}
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = _run_cli_subprocess(
+            "convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{field} must be finite, got inf" in proc.stderr
 
     def test_density_budget_defaults_to_library_value(self, tmp_path):
         summaries = []

@@ -190,6 +190,12 @@ class TestConvolution:
         with pytest.raises(BadConfig, match=message):
             measure_decay_slope(cantor, square_map(cantor), octaves=(4, 5), threads=threads)
 
+    @pytest.mark.parametrize("field", ["tol", "max_frequency"])
+    def test_infinite_parameter_is_refused(self, uniform12, field):
+        kwargs = {"max_frequency": 64.0, field: math.inf}
+        with pytest.raises(BadConfig, match=f"{field} must be finite, got inf"):
+            multiplicative_convolution([log_factor(uniform12)] * 2, **kwargs)
+
     def test_needs_two_factors(self, uniform12):
         with pytest.raises(BadConfig):
             multiplicative_convolution([log_factor(uniform12)])

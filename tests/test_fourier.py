@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from fractal_fourier.fourier import (
     _remainder_terms,
     _roundoff,
     _stopping_scale,
+    _unit_phases,
     constant_map,
     cube_map,
     curvature_diagnostic,
@@ -236,6 +238,22 @@ class TestMuHat:
         ]
         for call in calls:
             with pytest.raises(BadConfig, match=f"tol must be positive, got {tol}"):
+                call()
+
+    def test_infinite_tol_is_refused(self, cantor):
+        # at tol = inf every sample would pass with a bound that certifies nothing
+        sq = square_map(cantor)
+        calls = [
+            lambda: mu_hat(cantor, 1.0, tol=math.inf),
+            lambda: pushforward_hat_order0(cantor, sq, 3.0, tol=math.inf),
+            lambda: pushforward_hat_order1(cantor, sq, 3.0, tol=math.inf),
+        ]
+        calls += [
+            lambda scheme=scheme: pushforward_batch(cantor, sq, [1.0], tol=math.inf, scheme=scheme)
+            for scheme in ("order0", "order1", "order2", "exact_recursion")
+        ]
+        for call in calls:
+            with pytest.raises(BadConfig, match="tol must be finite, got inf"):
                 call()
 
 
@@ -473,8 +491,12 @@ def _truncated_product_mpmath(ifs, etas, depth, digits=40):
     return np.array(out)
 
 
-def _count_cos_and_sin(monkeypatch):
-    """The argument sizes of every np.cos and np.sin call in ``fourier`` from now on."""
+def _count_sines(monkeypatch):
+    """The argument sizes of every np.sin call in ``fourier`` from now on.
+
+    ``_unit_phases`` takes one sine per unit phase and no cosine: a call
+    of np.cos fails the test.
+    """
     sizes = []
 
     class Counting:
@@ -483,8 +505,7 @@ def _count_cos_and_sin(monkeypatch):
 
         @staticmethod
         def cos(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return np.cos(x, *args, **kwargs)
+            raise AssertionError("fourier called np.cos")
 
         @staticmethod
         def sin(x, *args, **kwargs):
@@ -648,8 +669,8 @@ class TestProductFormPhases:
             s = mu_hat(ifs, xi, tol=1e-9)
             assert s.value == value[0] and s.error_bound == bound[0]
 
-    def test_grid_calls_cos_and_sin_on_few_arguments(self, cantor, monkeypatch):
-        sizes = _count_cos_and_sin(monkeypatch)
+    def test_grid_takes_sines_of_few_arguments(self, cantor, monkeypatch):
+        sizes = _count_sines(monkeypatch)
         m = 200_000
         etas = (np.arange(m) * 1e-3)[:, None]
         depth = _mu_hat_homog_many(cantor, etas, 1e-8)[2]
@@ -657,10 +678,10 @@ class TestProductFormPhases:
         columns = depth * cantor.n_maps + 1
         size = fourier_module.PHASE_BLOCK // columns
         # one base block, and one row of offsets per block
-        assert grid_args == 2 * columns * (size + math.ceil(m / size))
+        assert grid_args == columns * (size + math.ceil(m / size))
         sizes.clear()
         _mu_hat_homog_many(cantor, etas[::-1], 1e-8)
-        assert sum(sizes) == 2 * m * columns
+        assert sum(sizes) == m * columns
         assert grid_args < sum(sizes) / 50
 
 
@@ -1603,6 +1624,137 @@ class TestBatch:
         assert s0a.value == s0b.value
 
 
+def _unit_phases_of(theta):
+    """``_unit_phases`` of a copy of ``theta``, in a fresh workspace."""
+    theta = np.array(theta, dtype=float)
+    return _unit_phases(theta.copy(), np.empty(theta.shape, dtype=complex), {})
+
+
+@pytest.mark.filterwarnings("error")
+class TestUnitPhases:
+    """e^{-i theta} from one reduced sine, against mpmath.
+
+    The allowance is ``_phase_rounding``'s per unit phase: 2.9 EPS, and
+    above ``REDUCTION_LIMIT`` the reduction term u |theta| plus the
+    (d + 4) u |theta| = 2.5 EPS |theta| of the outer phase's slack that
+    its derivation draws on.  Warnings are errors, so a cast of a huge k
+    would fail.
+    """
+
+    @staticmethod
+    def allowance(theta):
+        theta = np.abs(theta)
+        beyond = theta > fourier_module.REDUCTION_LIMIT
+        return fourier_module.EPS * 2.9 + (3.0 * fourier_module.EPS) * theta * beyond
+
+    @staticmethod
+    def errors(theta):
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.asarray(theta, dtype=float)
+        out = _unit_phases_of(theta)
+        with mpmath.workdps(40):
+            return np.array([
+                float(abs(mpmath.mpc(o.real, o.imag) - mpmath.expj(-mpmath.mpf(float(t)))))
+                for t, o in zip(theta, out)
+            ])
+
+    def assert_within(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        errors = self.errors(theta)
+        assert np.all(errors <= self.allowance(theta)), float(np.max(errors / self.allowance(theta)))
+
+    def test_zero_subnormal_and_tiny(self):
+        theta = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-200, 1e-20, 3e-9, -1e-4])
+        self.assert_within(theta)
+        # the same values in a block that takes the reduction
+        self.assert_within(np.r_[theta, 1e6])
+        out = _unit_phases_of([0.0, 5e-324, -5e-324])
+        assert np.all(out.real == 1.0) and np.array_equal(out.imag, [-0.0, -5e-324, 5e-324])
+
+    @pytest.mark.parametrize("quarter", [1, 2])
+    def test_multiples_of_pi_quarter_and_half_give_or_take_ulps(self, quarter):
+        # j pi/4 and j pi/2 are where the rounded k changes, for j up to 2^27
+        rng = np.random.default_rng(19 + quarter)
+        j = np.r_[1, 2, 3, 4, 5, 7, 2**10 + 1, rng.integers(1, 2**27, 40), 2**27 - 1, 2**27]
+        theta = j * (quarter * math.pi / 4.0)
+        nudged = [theta]
+        for ulps in (1, 2, 3):
+            nudged += [theta + ulps * np.spacing(theta), theta - ulps * np.spacing(theta)]
+        theta = np.concatenate(nudged)
+        self.assert_within(np.r_[theta, -theta])
+
+    def test_random_up_to_the_reduction_limit(self):
+        rng = np.random.default_rng(190)
+        theta = np.r_[rng.uniform(-2.1e8, 2.1e8, 1500), rng.uniform(-100.0, 100.0, 300),
+                      np.exp(rng.uniform(-5.0, math.log(2.1e8), 300))]
+        errors = self.errors(theta)
+        assert np.all(errors <= self.allowance(theta))
+        below = np.abs(theta) < fourier_module.REDUCTION_LIMIT
+        assert float(errors[below].max()) <= 2.9 * fourier_module.EPS
+
+    def test_beyond_the_limit(self):
+        theta = np.array([1e10, -1e10, 3.3e12, 1e15, -1e15, 1e300, -1e300, 1.7e308])
+        self.assert_within(theta)
+        # the quarter turn of a huge k is exact: |phase| = 1 to rounding
+        assert np.all(np.abs(np.abs(_unit_phases_of(theta)) - 1.0) <= 4 * fourier_module.EPS)
+
+    def test_shortcut_is_the_k_zero_path(self):
+        # a block whose |theta| are all at most pi/4 skips the reduction and
+        # the turn; the same values in a block that reduces have k = 0 and
+        # the same bits (a zero imaginary part keeps its sign at theta = +0)
+        rng = np.random.default_rng(191)
+        theta = np.r_[0.0, 5e-324, -5e-324, 1e-300, rng.uniform(-0.78, 0.78, 500),
+                      fourier_module.QUARTER_PI * 0.999999, -fourier_module.QUARTER_PI * 0.999999]
+        assert not np.rint(theta * fourier_module.TWO_OVER_PI).any()
+        short = _unit_phases_of(theta)
+        for big in (2.0, -1e7, 1e300):
+            reduced = _unit_phases_of(np.r_[theta, big])[:-1]
+            assert np.array_equal(short.view(np.uint64), reduced.view(np.uint64))
+
+    def test_reduction_term_is_charged_beyond_the_limit(self, cantor):
+        # u |theta| more where the largest angle passes REDUCTION_LIMIT, and
+        # nothing below it: there the allowances keep their values
+        eps, limit = fourier_module.EPS, fourier_module.REDUCTION_LIMIT
+        a_max, inner = 6.0, 0.5
+        xis = np.array([0.0, 1.0, 0.9 * limit / a_max, 1.1 * limit / a_max, 1e12])
+        above = np.array([False, False, False, True, True])
+        core = eps * (xis * (6.0 * a_max + 2.0 * inner) + 16.0)
+        assert np.array_equal(_phase_rounding(xis, a_max, inner), core + 0.5 * eps * xis * a_max * above)
+        assert _phase_rounding(xis[2], a_max, inner) == core[2]
+        # the product form: u 2 pi S |eta| / (1 - rho), its angles summed over the levels
+        reach = 2.0 * math.pi * fourier_module._translation_reach(cantor)
+        rho = float(cantor.ratios.max())
+        norms = xis * a_max / reach
+        core = eps * (0.5 * reach * norms * 8.0 / (1.0 - rho) ** 2 + 13.0 * (cantor.n_maps + 9.0))
+        expected = core + 0.5 * eps * reach * norms / (1.0 - rho) * above
+        assert np.allclose(_recursion_rounding(cantor, norms, 12), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (64, 513)])
+    def test_any_block_shape(self, shape):
+        # the turns are taken in halves of the scratch: odd sizes included
+        rng = np.random.default_rng(192)
+        theta = rng.uniform(-1e7, 1e7, shape)
+        out = _unit_phases_of(theta)
+        flat = _unit_phases_of(theta.reshape(-1))
+        assert np.array_equal(out.reshape(-1), flat)
+        assert np.all(np.abs(out - np.exp(-1j * theta)) <= 6 * fourier_module.EPS)
+
+    def test_scratch_in_the_workspace(self):
+        # the caller's theta and workspace carry the scratch: no array of
+        # the block's size is allocated
+        theta = np.random.default_rng(193).uniform(-1e7, 1e7, (64, 512))
+        work, out = {}, np.empty(theta.shape, dtype=complex)
+        _unit_phases(theta.copy(), out, work)
+        again = theta.copy()
+        tracemalloc.start()
+        try:
+            _unit_phases(again, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes / 16
+
+
 class TestGridPhases:
     """Uniform grids take angle-addition phases; other frequency sets take direct ones."""
 
@@ -1685,8 +1837,8 @@ class TestGridPhases:
     @pytest.mark.parametrize("blocks", [1, 10])
     def test_grid_path_only_past_one_block(self, monkeypatch, blocks):
         # 64 coefficients: blocks of 512 rows.  One block of grid rows takes
-        # cos and sin directly (a base block would cost as much); ten take
-        # the base block once and one row of offsets per block.
+        # its unit phases directly (a base block would cost as much); ten
+        # take the base block once and one row of offsets per block.
         n, step = 64, 0.3
         size = fourier_module.PHASE_BLOCK // n
         m = blocks * size
@@ -1703,16 +1855,16 @@ class TestGridPhases:
             assert len(out) == blocks
             return np.concatenate(out)
 
-        sizes = _count_cos_and_sin(monkeypatch)
+        sizes = _count_sines(monkeypatch)
         grid = phases(step)
         monkeypatch.undo()
         direct = phases(None)
         # against the direct path: the same bits, or both within their rounding
         if blocks == 1:
-            assert sum(sizes) == 2 * m * n
+            assert sum(sizes) == m * n
             assert np.array_equal(grid, direct)
         else:
-            assert sum(sizes) == 2 * n * (size + blocks)
+            assert sum(sizes) == n * (size + blocks)
             allowance = 2.0 * _phase_rounding(freqs[:, 0], float(coefs.max()), 0.0)[:, None] / n
             assert np.all(np.abs(grid - direct) <= allowance)
             assert not np.array_equal(grid, direct)

@@ -342,8 +342,8 @@ def test_second_moment_closure_within_its_bound_of_the_mpmath_form(system, eta, 
     tol=st.sampled_from([1e-4, 1e-7, 1e-10]),
 )
 def test_scattered_moment_rows_within_their_bounds_of_the_mpmath_forms(system, etas, tol):
-    # rows that are not a grid j * delta take cos and sin directly, level
-    # by level, with the barycenter as the closing level
+    # rows that are not a grid j * delta take their unit phases directly,
+    # level by level, with the barycenter as the closing level
     rows = np.array([etas]).T
     assert _grid_step(rows) is None
     values, bounds, _ = _mu_hat_homog_many(system.centred, rows, tol, True)
@@ -609,7 +609,7 @@ def kernel_leaves(ifs, pmap, scale, order1):
 # Grid rows j * 0.1 up to j = 160,000 (xi = 1.6e4) on the convolve workload's
 # log factor take the angle-addition path, with block offsets j0 >= 1e5 at the
 # top; scattered rows up to 8e6 on the decay workload's Cantor square take
-# cos and sin directly.
+# their unit phases directly.
 KERNEL_CASES = {
     "grid": ("uniform12", "log", np.arange(160_001) * 0.1, 2.0**-5,
              [1, 1023, 1024, 100_000, 123_457, 159_999, 160_000]),
