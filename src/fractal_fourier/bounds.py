@@ -79,11 +79,9 @@ def sigma_p(profile: DimensionProfile, p: float) -> float:
     sign, so the clamp keys on the numerator).
     """
     d_q, kappa_p = _exponents_for_p(profile, p)
-    k = float(profile.k)
-    num = d_q + kappa_p - k
-    if num <= 0.0:
+    if d_q + kappa_p - float(profile.k) <= 0.0:
         return 0.0
-    return num / (2.0 * p - k + 2.0 * profile.kappa_star + kappa_p - d_q)
+    return sigma_p_raw(profile, p)
 
 
 def compute_gamma(profile: DimensionProfile, p: float) -> float:
@@ -232,11 +230,21 @@ def log_pushforward_sigma(kappa2: float) -> float:
     return (kappa2 - 0.5) / (kappa2 + 1.5)
 
 
-def two_set_condition(dim_e: float, dim_f: float) -> bool:
-    """Product-set condition: true when E.F must have positive measure."""
+def two_set_margin(dim_e: float, dim_f: float) -> float:
+    """a b + max(1.5 a + b, 1.5 b + a) - 5/2, positive exactly when ``two_set_condition`` holds."""
     a = _check_unit("dim_e", dim_e)
     b = _check_unit("dim_f", dim_f)
-    return a * b + max(1.5 * a + b, 1.5 * b + a) > 2.5
+    return a * b + max(1.5 * a + b, 1.5 * b + a) - 2.5
+
+
+def two_set_condition(dim_e: float, dim_f: float) -> bool:
+    """Product-set condition: true when E.F must have positive measure.
+
+    That is x > 5/2 for x = a b + max(1.5 a + b, 1.5 b + a); the margin
+    x - 2.5 is exact for x in [1.25, 5] (Sterbenz) and has the sign of
+    x - 2.5 elsewhere, so the test is ``two_set_margin`` > 0.
+    """
+    return two_set_margin(dim_e, dim_f) > 0.0
 
 
 def three_set_condition(dim_e: float, dim_f: float, dim_g: float) -> bool:

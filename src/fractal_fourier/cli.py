@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,7 +93,10 @@ def _parsed(name: str, convert, value):
 
 
 def _spec_float(spec: dict, name: str) -> float:
-    return _parsed(name, float, spec.get(name, 0.0))
+    value = _parsed(name, float, spec.get(name, 0.0))
+    if not math.isfinite(value):
+        raise BadConfig(f"{name} must be finite, got {value}")
+    return value
 
 
 def _json_object(value) -> dict:
@@ -389,11 +393,8 @@ def cmd_arith_check(args) -> int:
     if kind == "two-set":
         if len(vals) != 2:
             raise BadConfig("two-set needs exactly 2 dimensions")
-        verdict = bnd.two_set_condition(*vals)
-        margin = vals[0] * vals[1] + max(
-            1.5 * vals[0] + vals[1], 1.5 * vals[1] + vals[0]
-        ) - 2.5
-        report.update({"verdict": verdict, "margin": margin})
+        margin = bnd.two_set_margin(*vals)
+        report.update({"verdict": margin > 0.0, "margin": margin})
         if abs(margin) < 1e-9:
             report["note"] = "boundary case: strict inequality fails"
     elif kind == "three-set":

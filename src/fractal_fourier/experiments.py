@@ -239,32 +239,35 @@ class ConvolutionFactor:
 
 
 def log_factor(ifs: SelfSimilarIFS, shift: float = 0.0) -> ConvolutionFactor:
-    """Factor given by x -> log(x - shift); support must sit right of the shift."""
-    lo = float(ifs.barycenter[0]) - ifs.support_radius
-    hi = float(ifs.barycenter[0]) + ifs.support_radius
-    if lo - shift <= 0.0:
-        raise SupportNotPositive(
-            f"support hull [{lo}, {hi}] is not strictly right of {shift}"
-        )
+    """Factor given by x -> log(x - shift).
+
+    SupportNotPositive (from ``log_map``) unless the support sits right of
+    the shift.
+    """
+    pmap = log_map(ifs, shift)
+    centre, radius = float(ifs.barycenter[0]), ifs.support_radius
     return ConvolutionFactor(
         ifs=ifs,
-        pmap=log_map(ifs, shift),
-        log_support=(math.log(lo - shift), math.log(hi - shift)),
+        pmap=pmap,
+        log_support=(math.log(centre - radius - shift), math.log(centre + radius - shift)),
     )
 
 
 def neg_log_factor(ifs: SelfSimilarIFS, shift: float = 0.0) -> ConvolutionFactor:
-    """Factor given by y -> -log(y - shift) (for ratio-type projections)."""
-    lo = float(ifs.barycenter[0]) - ifs.support_radius
-    hi = float(ifs.barycenter[0]) + ifs.support_radius
-    if lo - shift <= 0.0:
-        raise CenterInsideSupport(
-            f"support hull [{lo}, {hi}] is not strictly right of {shift}"
-        )
+    """Factor given by y -> -log(y - shift) (for ratio-type projections).
+
+    CenterInsideSupport (for the SupportNotPositive of ``neg_log_map``)
+    unless the support sits right of the shift.
+    """
+    try:
+        pmap = neg_log_map(ifs, shift)
+    except SupportNotPositive as exc:
+        raise CenterInsideSupport(str(exc)) from exc
+    centre, radius = float(ifs.barycenter[0]), ifs.support_radius
     return ConvolutionFactor(
         ifs=ifs,
-        pmap=neg_log_map(ifs, shift),
-        log_support=(-math.log(hi - shift), -math.log(lo - shift)),
+        pmap=pmap,
+        log_support=(-math.log(centre + radius - shift), -math.log(centre - radius - shift)),
     )
 
 

@@ -102,6 +102,7 @@ from .errors import (
     BadConfig,
     FractalFourierError,
     MissingHessianBound,
+    SupportNotPositive,
     Unsupported,
 )
 from .ifs import (
@@ -419,6 +420,19 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise BadConfig(f"{name} must be finite, got {value}")
 
 
+def _finite_array(name: str, value, shape) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries, else BadConfig naming ``name``."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"{name}: malformed value {value!r} ({exc})") from exc
+    if array.shape != shape:
+        raise BadConfig(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise BadConfig(f"{name} must be finite, got {value!r}")
+    return array
+
+
 def _check_threads(threads: int) -> None:
     if not threads >= 1:
         raise BadConfig(f"threads must be at least 1, got {threads}")
@@ -666,18 +680,18 @@ class PushforwardMap:
     <v, f> (unit v) on the stated ball; ``third_bound`` (H3, scalar maps
     on the line) bounds |f'''| there, and a map without it cannot take
     ``order2``.  ``bounds_certified`` records whether they are analytic or
-    sampled estimates.
+    sampled estimates.  ``quad_hessians`` (quadratic maps) and
+    ``complex_derivatives`` (holomorphic maps) feed their Hessian
+    identities.
     """
 
     evaluator: Callable
-    in_dim: int = 1
     out_dim: int = 1
     gradient: Optional[Callable] = None
     hessian: Optional[Callable] = None
     lipschitz_bound: Optional[float] = None
     hessian_bound: Optional[float] = None
     third_bound: Optional[float] = None
-    kind: str = "generic_c2"
     label: str = "f"
     bounds_certified: bool = True
     quad_hessians: Optional[np.ndarray] = None
@@ -691,48 +705,26 @@ def identity_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     k = ifs.ambient_dim
     return PushforwardMap(
         evaluator=lambda pts: pts[:, 0] if k == 1 else pts,
-        in_dim=k,
         out_dim=k,
         gradient=(lambda pts: np.ones_like(pts)) if k == 1 else None,
         hessian=(lambda pts: np.zeros((len(pts), 1, 1))) if k == 1 else None,
         lipschitz_bound=1.0,
         hessian_bound=0.0,
         third_bound=0.0,
-        kind="generic_c2",
         label="identity",
     )
 
 
 def constant_map(ifs: SelfSimilarIFS, c: float) -> PushforwardMap:
-    return PushforwardMap(
-        evaluator=lambda pts: np.full(len(pts), float(c)),
-        in_dim=ifs.ambient_dim,
-        out_dim=1,
-        gradient=lambda pts: np.zeros_like(pts),
-        hessian=lambda pts: np.zeros((len(pts),) + (ifs.ambient_dim,) * 2),
-        lipschitz_bound=0.0,
-        hessian_bound=0.0,
-        third_bound=0.0,
-        label=f"constant({c})",
-    )
+    """f(x) = c: the quadratic map with no quadratic or linear part."""
+    return replace(quadratic_map(ifs, [{}], constant=[c]), label=f"constant({c})")
 
 
 def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
-    """f(x) = x^2 on the line; |f'| <= 2 sup|x|, f'' = 2, f''' = 0."""
+    """f(x) = x^2 on the line: the quadratic map of x_0 x_0."""
     if ifs.ambient_dim != 1:
         raise Unsupported("square_map is one-dimensional; see sum_of_squares_map")
-    sup = ifs.max_point_norm
-    return PushforwardMap(
-        evaluator=lambda pts: pts[:, 0] ** 2,
-        in_dim=1,
-        out_dim=1,
-        gradient=lambda pts: 2.0 * pts,
-        hessian=lambda pts: np.full((len(pts), 1, 1), 2.0),
-        lipschitz_bound=2.0 * sup,
-        hessian_bound=2.0,
-        third_bound=0.0,
-        label="square",
-    )
+    return replace(quadratic_map(ifs, [{(0, 0): 1.0}]), label="square")
 
 
 def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
@@ -740,7 +732,6 @@ def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     sup = ifs.max_point_norm
     return PushforwardMap(
         evaluator=lambda pts: pts[:, 0] ** 3,
-        in_dim=1,
         out_dim=1,
         gradient=lambda pts: 3.0 * pts**2,
         hessian=lambda pts: 6.0 * pts[:, :, None],
@@ -752,29 +743,24 @@ def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
 
 
 def sum_of_squares_map(ifs: SelfSimilarIFS) -> PushforwardMap:
-    """f(x) = x_1^2 + ... + x_k^2; Hessian 2I everywhere."""
-    k = ifs.ambient_dim
-    sup = ifs.max_point_norm
-    return PushforwardMap(
-        evaluator=lambda pts: np.sum(pts**2, axis=1),
-        in_dim=k,
-        out_dim=1,
-        gradient=lambda pts: 2.0 * pts,
-        hessian=lambda pts: np.broadcast_to(2.0 * np.eye(k), (len(pts), k, k)).copy(),
-        lipschitz_bound=2.0 * sup,
-        hessian_bound=2.0,
-        third_bound=0.0,
-        label="sum_of_squares",
-    )
+    """f(x) = x_1^2 + ... + x_k^2: the quadratic map with Hessian 2I."""
+    squares = {(p, p): 1.0 for p in range(ifs.ambient_dim)}
+    return replace(quadratic_map(ifs, [squares]), label="sum_of_squares")
 
 
 def _positive_margin(ifs: SelfSimilarIFS, shift: float) -> float:
-    lo = float(ifs.barycenter[0]) - ifs.support_radius - shift
-    if lo <= 0.0:
-        from .errors import SupportNotPositive
+    """lo, the support ball's left end minus ``shift``.
 
+    BadConfig unless ``shift`` is finite, SupportNotPositive unless
+    lo > 0 (NaN included).
+    """
+    if not math.isfinite(shift):
+        raise BadConfig(f"shift must be finite, got {shift}")
+    centre, radius = float(ifs.barycenter[0]), ifs.support_radius
+    lo = centre - radius - shift
+    if not lo > 0.0:
         raise SupportNotPositive(
-            f"support ball reaches {lo + shift} but the map needs x > {shift}"
+            f"support ball [{centre - radius}, {centre + radius}] is not strictly right of {shift}"
         )
     return lo
 
@@ -788,7 +774,6 @@ def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
     lo = _positive_margin(ifs, shift)
     return PushforwardMap(
         evaluator=lambda pts: np.log(pts[:, 0] - shift),
-        in_dim=1,
         out_dim=1,
         gradient=lambda pts: 1.0 / (pts - shift),
         hessian=lambda pts: (-1.0 / (pts[:, :, None] - shift) ** 2),
@@ -800,36 +785,34 @@ def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
 
 
 def neg_log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
-    """f(y) = -log(y - shift); the second factor of radial-projection form.
+    """f(y) = -log(y - shift), the second factor of radial-projection form.
 
-    Its derivative bounds are those of ``log_map``.
+    ``log_map`` negated: its evaluator, gradient and Hessian change sign,
+    and its bounds L, H and H3 are those of ``log_map``.
     """
-    lo = _positive_margin(ifs, shift)
-    return PushforwardMap(
-        evaluator=lambda pts: -np.log(pts[:, 0] - shift),
-        in_dim=1,
-        out_dim=1,
-        gradient=lambda pts: -1.0 / (pts - shift),
-        hessian=lambda pts: (1.0 / (pts[:, :, None] - shift) ** 2),
-        lipschitz_bound=1.0 / lo,
-        hessian_bound=1.0 / lo**2,
-        third_bound=2.0 / lo**3,
+    log = log_map(ifs, shift)
+    return replace(
+        log,
+        evaluator=lambda pts: -log.evaluator(pts),
+        gradient=lambda pts: -log.gradient(pts),
+        hessian=lambda pts: -log.hessian(pts),
         label=f"-log(y-{shift})" if shift else "-log",
     )
 
 
-def quadratic_map(
-    ifs: SelfSimilarIFS,
-    coefficients,
-    linear=None,
-    constant=None,
-) -> PushforwardMap:
+def quadratic_map(ifs: SelfSimilarIFS, coefficients, linear=None, constant=None) -> PushforwardMap:
     """Quadratic map R^k -> R^d from upper-triangular coefficients.
 
     ``coefficients[i][(p, q)]`` (p <= q, zero-based) is the coefficient of
-    x_p x_q in component i; ``linear`` is an optional (d, k) affine part.
-    Component Hessians are constant, so the directional Hessian
-    sum_i v_i H_i has constant determinant in x.
+    x_p x_q in component i; ``linear`` is an optional (d, k) linear part
+    and ``constant`` an optional (d,) constant part.  Component Hessians
+    H_i are constant, so the directional Hessian sum_i v_i H_i has
+    constant determinant in x.  On the support ball component i has
+    |grad f_i| <= |H_i| sup|x| + |lin_i| (|H_i| the spectral norm), so
+    L is the norm of those bounds over i, H the norm of the |H_i| and
+    H3 = 0.  A non-finite coefficient, ``linear`` or ``constant``, an
+    index outside 0..k-1, or a ``linear`` or ``constant`` of another
+    shape raises BadConfig naming the parameter.
     """
     k = ifs.ambient_dim
     coefficients = [dict(c) for c in coefficients]
@@ -837,13 +820,14 @@ def quadratic_map(
     hessians = np.zeros((d, k, k))
     for i, comp in enumerate(coefficients):
         for (p, q), c in comp.items():
-            if p == q:
-                hessians[i, p, p] += 2.0 * c
-            else:
-                hessians[i, p, q] += c
-                hessians[i, q, p] += c
-    lin = np.zeros((d, k)) if linear is None else np.asarray(linear, dtype=float)
-    const = np.zeros(d) if constant is None else np.asarray(constant, dtype=float)
+            if not (0 <= p < k and 0 <= q < k):
+                raise BadConfig(f"coefficients: index ({p}, {q}) outside 0..{k - 1}")
+            hessians[i, p, q] += c      # c x_p x_q: c in H_pq and H_qp, 2c on the diagonal
+            hessians[i, q, p] += c
+    if not np.isfinite(hessians).all():
+        raise BadConfig(f"coefficients must be finite, got {coefficients}")
+    lin = _finite_array("linear", np.zeros((d, k)) if linear is None else linear, (d, k))
+    const = _finite_array("constant", np.zeros(d) if constant is None else constant, (d,))
 
     def evaluator(pts):
         vals = 0.5 * np.einsum("np,ipq,nq->ni", pts, hessians, pts)
@@ -860,16 +844,12 @@ def quadratic_map(
     hessian_bound = float(np.linalg.norm(spectral))
     return PushforwardMap(
         evaluator=evaluator,
-        in_dim=k,
         out_dim=d,
         gradient=jacobian,
-        hessian=(lambda pts: np.broadcast_to(hessians[0], (len(pts), k, k)).copy())
-        if d == 1
-        else None,
+        hessian=(lambda pts: np.broadcast_to(hessians[0], (len(pts), k, k)).copy()) if d == 1 else None,
         lipschitz_bound=lipschitz,
         hessian_bound=hessian_bound,
         third_bound=0.0,
-        kind="quadratic",
         label="quadratic",
         quad_hessians=hessians,
     )
@@ -919,12 +899,10 @@ def holomorphic_map(
         hessian_bound = hessian_bound or 1.5 * float(d2.max())
     return PushforwardMap(
         evaluator=evaluator,
-        in_dim=2,
         out_dim=2,
         gradient=jacobian,
         lipschitz_bound=float(lipschitz_bound),
         hessian_bound=float(hessian_bound),
-        kind="holomorphic",
         label="holomorphic",
         bounds_certified=certified,
         complex_derivatives=(f, df, d2f),
@@ -937,7 +915,6 @@ def graph_lift(ifs: SelfSimilarIFS, pmap: PushforwardMap) -> PushforwardMap:
     Evaluating the lifted transform at (0, xi) recovers the image
     transform at xi through the same quadrature code path.
     """
-    k = pmap.in_dim
 
     def evaluator(pts):
         f_vals = pmap.evaluator(pts)
@@ -950,11 +927,9 @@ def graph_lift(ifs: SelfSimilarIFS, pmap: PushforwardMap) -> PushforwardMap:
         lip = math.sqrt(1.0 + pmap.lipschitz_bound**2)
     return PushforwardMap(
         evaluator=evaluator,
-        in_dim=k,
-        out_dim=k + pmap.out_dim,
+        out_dim=ifs.ambient_dim + pmap.out_dim,
         lipschitz_bound=lip,
         hessian_bound=pmap.hessian_bound,
-        kind="generic_c2",
         label=f"graph_lift({pmap.label})",
         bounds_certified=pmap.bounds_certified,
     )
@@ -1451,7 +1426,11 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     (``_stopping_scale`` of ``_remainder_terms``) of its largest |xi| at
     tol, tol/2 for orders 1 and 2.  Every group's cover is counted against
     ``budget`` (``_checked_count``, the top octave first) before any is
-    expanded.
+    expanded.  A job whose row sums are not all finite (a map that is NaN
+    or infinite at an anchor it evaluates, or whose phases 2 pi <xi, f(x)>
+    overflow) raises BadConfig naming the map.  A non-finite value away
+    from the evaluated anchors is not seen, and the declared L, H and H3
+    are not checked against the map.
 
     Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
     leaf terms: a job is the unit of the thread scatter.  Covers are not
@@ -1635,6 +1614,9 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
             z = t - total
             carry += (total - (t - z)) + (part - z)
             total = t
+        values = total + carry
+        if not np.isfinite(values).all():     # NaN would pass max() and the probability check
+            raise BadConfig(f"map {pmap.label!r} gives a non-finite row sum: f or xi f is not finite")
         xi_norms = norms[rows]
         if mu_table is not None:
             inner_err = mu_table.slack
@@ -1648,7 +1630,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         carried = _roundoff(n) + _phase_rounding(xi_norms, a_max, inner_reach, max(k, d))
         carried = carried + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
         bounds = remainder + inner_err + (1.0 + kappa) * carried
-        return rows, total + carry, bounds + EPS * ((depth + 6.0) * kappa + 1.0), n
+        return rows, values, bounds + EPS * ((depth + 6.0) * kappa + 1.0), n
 
     return _run_rows(run, jobs, m, threads)
 
@@ -1818,7 +1800,7 @@ def quadratic_directional_hessian(
 
     Constant in x by construction; |v| must be 1 within 1e-12.
     """
-    if pmap.kind != "quadratic" or pmap.quad_hessians is None:
+    if pmap.quad_hessians is None:
         raise Unsupported("directional Hessians are defined for quadratic maps")
     vec = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
@@ -1838,7 +1820,7 @@ def holomorphic_hessian_identity(
     +/- |f''(z)| with orthogonal eigenspaces, so det = -|f''(z)|^2
     independently of the unit direction v.
     """
-    if pmap.kind != "holomorphic" or pmap.complex_derivatives is None:
+    if pmap.complex_derivatives is None:
         raise Unsupported("identity available for holomorphic maps only")
     vec = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-12:

@@ -15,6 +15,7 @@ from fractal_fourier.bounds import (
     symmetric_thresholds,
     three_set_condition,
     two_set_condition,
+    two_set_margin,
     vdc_exponent,
 )
 from fractal_fourier.dimensions import DimensionProfile
@@ -244,6 +245,18 @@ class TestArithmeticConditions:
 
     def test_two_set_symmetric(self):
         assert two_set_condition(0.9, 0.7) == two_set_condition(0.7, 0.9)
+
+    def test_two_set_margin_gives_the_verdict(self):
+        # margin = x - 5/2 with x = a b + max(1.5 a + b, 1.5 b + a), the verdict x > 5/2
+        t2, _ = symmetric_thresholds()
+        rng = np.random.default_rng(3)
+        pairs = [(t2, t2), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5), *rng.uniform(0.0, 1.0, (500, 2))]
+        pairs += [(t, t) for t in t2 + np.arange(-5, 6) * 2.0**-53]
+        for a, b in pairs:
+            x = a * b + max(1.5 * a + b, 1.5 * b + a)
+            margin = two_set_margin(a, b)
+            assert margin == x - 2.5
+            assert two_set_condition(a, b) == (x > 2.5) == (margin > 0.0)
 
     def test_thresholds_match_closed_forms(self):
         t2, t3 = symmetric_thresholds()

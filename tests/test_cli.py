@@ -394,6 +394,22 @@ class TestFourier:
         ('{"kind": "log", "shift": "a"}', "shift: malformed value"),
         ('{"kind": "constant", "value": "a"}', "value: malformed value"),
         ('{"kind": "quadratic", "coefficients": [[[0, 0]]]}', "coefficients: malformed value"),
+        # non-finite parameters once ended in exit 5 or in NaN rows with exit 0
+        ('{"kind": "log", "shift": NaN}', "shift must be finite, got nan"),
+        ('{"kind": "neg_log", "shift": NaN}', "shift must be finite, got nan"),
+        ('{"kind": "log", "shift": -Infinity}', "shift must be finite, got -inf"),
+        ('{"kind": "constant", "value": NaN}', "value must be finite, got nan"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "linear": "x"}',
+         "linear: malformed value"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 3, 1]]]}',
+         "coefficients: index (0, 3) outside 0..0"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "linear": [[1, 2]]}',
+         "linear must have shape (1, 1), got (1, 2)"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, NaN]]]}', "coefficients must be finite"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "constant": [Infinity]}',
+         "constant must be finite"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "constant": [1, 2]}',
+         "constant must have shape (1,), got (2,)"),
     ])
     def test_malformed_map_exit_2(self, tmp_path, capsys, spec, message):
         code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0",
@@ -606,6 +622,17 @@ class TestConvolveCommand:
         )
         assert proc.returncode == 2, proc.stderr
         assert f"{field} must be finite, got inf" in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["log", "neg_log"])
+    @pytest.mark.parametrize("shift", [math.nan, -math.inf])
+    def test_non_finite_shift_exit_2(self, tmp_path, capsys, kind, shift):
+        # once exit 5: the log support's NaN reached an integer conversion
+        factor = {"ifs": str(CONFIGS / "uniform12.json"), "map": {"kind": kind, "shift": shift}}
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps({"factors": [factor] * 2, "max_frequency": 64.0}))
+        code = main(["convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"shift must be finite, got {shift}" in capsys.readouterr().err
 
     def test_density_budget_defaults_to_library_value(self, tmp_path):
         summaries = []

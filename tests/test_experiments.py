@@ -20,6 +20,7 @@ from fractal_fourier.experiments import (
     log_factor,
     measure_decay_slope,
     multiplicative_convolution,
+    neg_log_factor,
     octave_frequencies,
     radial_projection_experiment,
     write_density_csv,
@@ -170,6 +171,17 @@ class TestConvolution:
     def test_support_positivity_enforced(self, uniform01):
         with pytest.raises(SupportNotPositive):
             log_factor(uniform01)  # support [0, 1] touches 0
+
+    def test_factors_keep_their_exception_types(self, uniform12):
+        # log_map and neg_log_map run the support test; the factors keep their types
+        with pytest.raises(SupportNotPositive, match="strictly right of 1.5"):
+            log_factor(uniform12, 1.5)
+        with pytest.raises(CenterInsideSupport, match="strictly right of 1.5"):
+            neg_log_factor(uniform12, 1.5)
+        for factor in (log_factor, neg_log_factor):
+            with pytest.raises(BadConfig, match="shift must be finite"):
+                factor(uniform12, math.nan)
+        assert neg_log_factor(uniform12, 0.5).log_support == (-math.log(1.5), -math.log(0.5))
 
     def test_atomic_factor_rejected_upstream(self):
         with pytest.raises(InvalidIFS):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import _homogeneous_leaf_arrays, _random_reversing_system
+from conftest import _homogeneous_leaf_arrays, _random_reversing_system, random_similarity
 from fractal_fourier import fourier as fourier_module
 from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import (
@@ -44,6 +44,7 @@ from fractal_fourier.fourier import (
     identity_map,
     log_map,
     mu_hat,
+    neg_log_map,
     pushforward_batch,
     pushforward_hat_order0,
     pushforward_hat_order1,
@@ -59,6 +60,7 @@ from fractal_fourier.ifs import (
     SimilarityMap,
     _count_stopping,
     cantor_ifs,
+    chaos_game,
     ifs_1d,
     stopping_decomposition,
     uniform_ifs,
@@ -1921,7 +1923,6 @@ class TestCurvature:
     def test_saddle_in_plane(self, square_2d):
         saddle = PushforwardMap(
             evaluator=lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
-            in_dim=2,
             out_dim=1,
             gradient=lambda p: np.column_stack([2 * p[:, 0], -2 * p[:, 1]]),
             hessian=lambda p: np.broadcast_to(
@@ -1990,6 +1991,162 @@ def _componentwise_squares(ifs, k):
     from fractal_fourier.fourier import quadratic_map
 
     return quadratic_map(ifs, [{(i, i): 1.0} for i in range(k)])
+
+
+# Closed-form references: the derivations the quadratic builders and
+# neg_log_map had of their own before they became quadratic_map and log_map
+# calls.  Each builder must reproduce its reference bit for bit.
+
+
+def square_map_reference(ifs):
+    """f(x) = x^2 on the line; |f'| <= 2 sup|x|, f'' = 2, f''' = 0."""
+    sup = ifs.max_point_norm
+    return PushforwardMap(
+        evaluator=lambda pts: pts[:, 0] ** 2,
+        gradient=lambda pts: 2.0 * pts,
+        hessian=lambda pts: np.full((len(pts), 1, 1), 2.0),
+        lipschitz_bound=2.0 * sup,
+        hessian_bound=2.0,
+        third_bound=0.0,
+        label="square",
+    )
+
+
+def sum_of_squares_map_reference(ifs):
+    """f(x) = x_1^2 + ... + x_k^2; Hessian 2I everywhere."""
+    k = ifs.ambient_dim
+    sup = ifs.max_point_norm
+    return PushforwardMap(
+        evaluator=lambda pts: np.sum(pts**2, axis=1),
+        gradient=lambda pts: 2.0 * pts,
+        hessian=lambda pts: np.broadcast_to(2.0 * np.eye(k), (len(pts), k, k)).copy(),
+        lipschitz_bound=2.0 * sup,
+        hessian_bound=2.0,
+        third_bound=0.0,
+        label="sum_of_squares",
+    )
+
+
+def constant_map_reference(ifs, c):
+    """f(x) = c; every derivative and bound 0."""
+    return PushforwardMap(
+        evaluator=lambda pts: np.full(len(pts), float(c)),
+        gradient=lambda pts: np.zeros_like(pts),
+        hessian=lambda pts: np.zeros((len(pts),) + (ifs.ambient_dim,) * 2),
+        lipschitz_bound=0.0,
+        hessian_bound=0.0,
+        third_bound=0.0,
+        label=f"constant({c})",
+    )
+
+
+def neg_log_map_reference(ifs, shift=0.0):
+    """f(y) = -log(y - shift), with the bounds 1/lo, 1/lo^2 and 2/lo^3 of log."""
+    lo = float(ifs.barycenter[0]) - ifs.support_radius - shift
+    return PushforwardMap(
+        evaluator=lambda pts: -np.log(pts[:, 0] - shift),
+        gradient=lambda pts: -1.0 / (pts - shift),
+        hessian=lambda pts: (1.0 / (pts[:, :, None] - shift) ** 2),
+        lipschitz_bound=1.0 / lo,
+        hessian_bound=1.0 / lo**2,
+        third_bound=2.0 / lo**3,
+        label=f"-log(y-{shift})" if shift else "-log",
+    )
+
+
+def _system_in(k, seed):
+    """Three random similarities of R^k (orientation-reversing ones included)."""
+    rng = np.random.default_rng(seed)
+    return SelfSimilarIFS(tuple(random_similarity(rng, k) for _ in range(3)), (0.5, 0.3, 0.2))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestMapBuildersMatchTheirReferences:
+    """Evaluator, gradient, Hessian, L, H and H3 equal the closed forms bit for bit."""
+
+    @staticmethod
+    def assert_same_map(built, reference, ifs):
+        pts = np.concatenate([np.array([m.fixed_point() for m in ifs.maps]),
+                              chaos_game(ifs, 2000, seed=5)])
+        for part in ("evaluator", "gradient", "hessian"):
+            assert _same_bits(getattr(built, part)(pts), getattr(reference, part)(pts)), part
+        for bound in ("lipschitz_bound", "hessian_bound", "third_bound"):
+            assert _same_bits(float(getattr(built, bound)), float(getattr(reference, bound))), bound
+        assert (built.label, built.out_dim) == (reference.label, reference.out_dim)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square(self, seed):
+        ifs = _system_in(1, seed)
+        self.assert_same_map(square_map(ifs), square_map_reference(ifs), ifs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sum_of_squares(self, k):
+        ifs = _system_in(k, 10 + k)
+        self.assert_same_map(sum_of_squares_map(ifs), sum_of_squares_map_reference(ifs), ifs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("c", [0.0, 2.5, -1e-300, 7])
+    def test_constant(self, k, c):
+        ifs = _system_in(k, 20 + k)
+        self.assert_same_map(constant_map(ifs, c), constant_map_reference(ifs, c), ifs)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -3.25])
+    def test_neg_log(self, uniform12, shift):
+        self.assert_same_map(neg_log_map(uniform12, shift), neg_log_map_reference(uniform12, shift),
+                             uniform12)
+
+    def test_quadratics_keep_their_hessians(self, square_2d):
+        # the quadratic builders carry quad_hessians, so the directional identity applies
+        _, det = quadratic_directional_hessian(sum_of_squares_map(square_2d), [1.0])
+        assert det == 4.0
+
+
+class TestNonFiniteMaps:
+    """A map that is NaN somewhere on the support raises BadConfig, never a certified NaN.
+
+    The map is the identity on uniform[1, 2] except NaN above 1.9.  H = 1
+    (a true, loose bound) gives orders 1 and 2 covers of many leaves, some
+    anchored above 1.9; with H = 0 their one leaf sits at 1.5.
+    """
+
+    @staticmethod
+    def nan_above(threshold, hessian_bound):
+        return PushforwardMap(
+            evaluator=lambda p: np.where(p[:, 0] > threshold, np.nan, p[:, 0]),
+            gradient=lambda p: np.ones_like(p),
+            hessian=lambda p: np.zeros((len(p), 1, 1)),
+            lipschitz_bound=1.0,
+            hessian_bound=hessian_bound,
+            third_bound=0.0,
+            label="nan_above",
+        )
+
+    def test_order0_with_flat_bounds(self, uniform12):
+        with pytest.raises(BadConfig, match="'nan_above' gives a non-finite row sum"):
+            pushforward_hat_order0(uniform12, self.nan_above(1.9, 0.0), 10.0, tol=1e-3)
+
+    @pytest.mark.parametrize("single", [pushforward_hat_order0, pushforward_hat_order1,
+                                        pushforward_hat_order2])
+    def test_single_calls(self, uniform12, single):
+        with pytest.raises(BadConfig, match="'nan_above' gives a non-finite row sum"):
+            single(uniform12, self.nan_above(1.9, 1.0), 10.0, tol=1e-3)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+    def test_batches(self, uniform12, scheme, threads):
+        with pytest.raises(BadConfig, match="'nan_above' gives a non-finite row sum"):
+            pushforward_batch(uniform12, self.nan_above(1.9, 1.0), [0.0, 10.0, 100.0], tol=1e-3,
+                              scheme=scheme, threads=threads)
+
+    def test_finite_map_is_unchanged(self, uniform12):
+        # the same map without its NaN region gives finite, certified rows
+        values, errors, _ = pushforward_batch(uniform12, self.nan_above(3.0, 1.0), [0.0, 10.0, 100.0],
+                                              tol=1e-3, scheme="order1")
+        assert np.isfinite(values).all() and (errors <= 1e-3).all()
 
 
 class TestHolomorphic:
