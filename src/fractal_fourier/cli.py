@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -39,6 +38,7 @@ from .errors import (
     SupportNotPositive,
     Unsupported,
 )
+from .ifs import _fields, _parsed, _separation
 
 _VALIDATION_ERRORS = (
     BadConfig,
@@ -68,82 +68,74 @@ def _budget() -> int:
     return value
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise BadConfig(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _dump_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _parsed(name: str, convert, value):
-    """``convert(value)``, or BadConfig naming the parameter ``name``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadConfig(f"{name}: malformed value {value!r} ({exc})") from exc
-
-
-def _spec_float(spec: dict, name: str) -> float:
-    value = _parsed(name, float, spec.get(name, 0.0))
-    if not math.isfinite(value):
-        raise BadConfig(f"{name} must be finite, got {value}")
+def _as_is(value):
     return value
 
 
-def _json_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return value
+def _octaves(value) -> tuple:
+    return tuple(int(o) for o in value)
 
 
-def _require_fields(doc: dict, required, optional, what: str) -> None:
-    missing = set(required) - set(_parsed(what, _json_object, doc))
-    if missing:
-        raise BadConfig(f"{what} missing fields: {sorted(missing)}")
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        raise BadConfig(f"{what} has unknown fields: {sorted(unknown)}")
+def _optional_float(value):
+    return None if value is None else float(value)
 
 
-_MAP_BUILDERS = {
-    "square": lambda ifs, spec: fr.square_map(ifs),
-    "cube": lambda ifs, spec: fr.cube_map(ifs),
-    "identity": lambda ifs, spec: fr.identity_map(ifs),
-    "sum_of_squares": lambda ifs, spec: fr.sum_of_squares_map(ifs),
-    "constant": lambda ifs, spec: fr.constant_map(ifs, _spec_float(spec, "value")),
-    "log": lambda ifs, spec: fr.log_map(ifs, _spec_float(spec, "shift")),
-    "neg_log": lambda ifs, spec: fr.neg_log_map(ifs, _spec_float(spec, "shift")),
-    "quadratic": lambda ifs, spec: _quadratic_from_spec(ifs, spec),
+def _coefficients(value) -> list:
+    return [{(int(p), int(q)): float(c) for p, q, c in comp} for comp in value]
+
+
+# Field tables of the CLI's JSON inputs, field -> (parser, required).
+_DECAY_FIELDS = {
+    "ifs": (str, True),
+    "map": (_as_is, True),
+    "octaves": (_octaves, True),
+    "samples_per_octave": (int, False),
+    "seed": (int, False),
+    "tol": (float, False),
+    "scheme": (str, False),
+    "separation": (_separation, False),
+    "theoretical_sigma": (_optional_float, False),
+}
+_CONVOLVE_FIELDS = {
+    "factors": (list, True),
+    "max_frequency": (float, False),
+    "density_points": (int, False),
+    "density_budget": (float, False),
+    "tol": (float, False),
+}
+_FACTOR_FIELDS = {"ifs": (str, True), "map": (_as_is, False)}
+
+# Map kinds: kind -> (builder, field table of the spec's other keys).
+_MAP_KINDS = {
+    "identity": (fr.identity_map, {}),
+    "square": (fr.square_map, {}),
+    "cube": (fr.cube_map, {}),
+    "sum_of_squares": (fr.sum_of_squares_map, {}),
+    "constant": (fr.constant_map, {"value": (float, False)}),
+    "log": (fr.log_map, {"shift": (float, False)}),
+    "neg_log": (fr.neg_log_map, {"shift": (float, False)}),
+    "quadratic": (
+        fr.quadratic_map,
+        {"coefficients": (_coefficients, True), "linear": (_as_is, False),
+         "constant": (_as_is, False)},
+    ),
+}
+_FACTOR_KINDS = {
+    "log": (xp.log_factor, {"shift": (float, False)}),
+    "neg_log": (xp.neg_log_factor, {"shift": (float, False)}),
 }
 
 
-def _quadratic_from_spec(ifs, spec):
-    comps = _parsed(
-        "coefficients",
-        lambda value: [{(int(p), int(q)): float(c) for p, q, c in comp} for comp in value],
-        spec.get("coefficients"),
-    )
-    return fr.quadratic_map(
-        ifs, comps, linear=spec.get("linear"), constant=spec.get("constant")
-    )
-
-
-def _build_map(ifs, spec: dict) -> fr.PushforwardMap:
+def _build_map(ifs, spec, kinds=_MAP_KINDS):
+    """``kinds[spec["kind"]]``'s builder, called with the spec's other keys."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BadConfig("map spec needs to be a JSON object with a 'kind' field")
-    kind = spec["kind"]
-    if kind not in _MAP_BUILDERS:
-        raise BadConfig(f"unknown map kind {kind!r} (have {sorted(_MAP_BUILDERS)})")
-    return _MAP_BUILDERS[kind](ifs, spec)
+    params = dict(spec)
+    kind = params.pop("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise BadConfig(f"unknown map kind {kind!r} (have {sorted(kinds)})")
+    builder, table = kinds[kind]
+    return builder(ifs, **_fields(params, f"{kind} map", table))
 
 
 def _out_dir(args) -> Path:
@@ -159,7 +151,6 @@ def cmd_dims(args) -> int:
     doc = ifsmod.load_ifs(args.ifs)
     separation = args.separation or doc.declared_separation
     profile = dims.build_profile(doc.ifs, separation, doc.exponents)
-    table = profile.to_dict()
     print(f"ambient dimension     k       = {profile.k}")
     print(f"similarity dim (set)  s       = {profile.s_sim_set:.6f}")
     print(f"similarity dim (meas) k_sim   = {profile.s_sim_meas:.6f}")
@@ -173,7 +164,7 @@ def cmd_dims(args) -> int:
         print(f"warning: {w}")
     if args.out:
         out = _out_dir(args)
-        _dump_json(out / "profile.json", table)
+        dims.save_profile(profile, out / "profile.json")
         print(f"wrote {out / 'profile.json'}")
     return EXIT_OK
 
@@ -215,7 +206,7 @@ def cmd_bounds(args) -> int:
         print(f"oscillatory exponent (l={args.vdc}, refined={args.refined}): {value:.6f}")
     if args.out:
         out = _out_dir(args)
-        _dump_json(out / "bounds.json", report)
+        ifsmod.write_json(out / "bounds.json", report)
         print(f"wrote {out / 'bounds.json'}")
     return EXIT_OK
 
@@ -260,42 +251,16 @@ def cmd_fourier(args) -> int:
 # -- decay ------------------------------------------------------------------
 
 
-_DECAY_REQUIRED = ("ifs", "map", "octaves")
-_DECAY_OPTIONAL = (
-    "samples_per_octave",
-    "seed",
-    "tol",
-    "scheme",
-    "separation",
-    "theoretical_sigma",
-)
-
-
 def cmd_decay(args) -> int:
-    cfg = _load_json(args.config)
-    _require_fields(cfg, _DECAY_REQUIRED, _DECAY_OPTIONAL, "decay config")
-    base = Path(args.config).parent
-    doc = ifsmod.load_ifs(base / cfg["ifs"])
-    pmap = _build_map(doc.ifs, cfg["map"])
-    octaves = _parsed("octaves", lambda value: tuple(int(o) for o in value), cfg["octaves"])
-    if len(octaves) != 2:
-        raise BadConfig("octaves must be [first, last]")
-    theoretical = cfg.get("theoretical_sigma")
-    if theoretical is None:
-        separation = cfg.get("separation", doc.declared_separation)
+    cfg = _fields(ifsmod.read_json(args.config, "decay config"), "decay config", _DECAY_FIELDS)
+    doc = ifsmod.load_ifs(Path(args.config).parent / cfg.pop("ifs"))
+    pmap = _build_map(doc.ifs, cfg.pop("map"))
+    separation = cfg.pop("separation", doc.declared_separation)
+    if cfg.get("theoretical_sigma") is None:
         profile = dims.build_profile(doc.ifs, separation, doc.exponents)
-        theoretical = bnd.decay_bound(profile).sigma
-    experiment = xp.measure_decay_slope(
-        doc.ifs,
-        pmap,
-        octaves=octaves,
-        samples_per_octave=_parsed("samples_per_octave", int, cfg.get("samples_per_octave", 64)),
-        seed=_parsed("seed", int, cfg.get("seed", 0)),
-        tol=_parsed("tol", float, cfg.get("tol", 1e-3)),
-        scheme=cfg.get("scheme", "order1"),
-        theoretical_sigma=theoretical,
-        threads=args.threads,
-    )
+        cfg["theoretical_sigma"] = bnd.decay_bound(profile).sigma
+    experiment = xp.measure_decay_slope(doc.ifs, pmap, threads=args.threads, **cfg)
+    theoretical = experiment.theoretical_sigma
     out = _out_dir(args)
     xp.write_octave_csv(out / "octaves.csv", experiment)
     fr.write_samples_csv(
@@ -313,7 +278,7 @@ def cmd_decay(args) -> int:
         else "empirical decay below the theoretical bound (check reliability warnings)"
     )
     summary["verdict_note"] = verdict
-    _dump_json(out / "summary.json", summary)
+    ifsmod.write_json(out / "summary.json", summary)
     print(
         f"fitted slope {experiment.fitted_slope:.4f} "
         f"(empirical exponent {experiment.empirical_exponent:.4f}, "
@@ -326,42 +291,17 @@ def cmd_decay(args) -> int:
 # -- convolve ---------------------------------------------------------------
 
 
-_CONV_REQUIRED = ("factors",)
-_CONV_OPTIONAL = (
-    "max_frequency",
-    "density_points",
-    "density_budget",
-    "tol",
-)
-
-
 def cmd_convolve(args) -> int:
-    cfg = _load_json(args.config)
-    _require_fields(cfg, _CONV_REQUIRED, _CONV_OPTIONAL, "convolve config")
+    cfg = _fields(ifsmod.read_json(args.config, "convolve config"), "convolve config",
+                  _CONVOLVE_FIELDS)
     base = Path(args.config).parent
     factors = []
-    for entry in _parsed("factors", list, cfg["factors"]):
-        _require_fields(entry, ("ifs",), ("map",), "factor")
-        doc = ifsmod.load_ifs(base / entry["ifs"])
-        spec = _parsed("map", _json_object, entry.get("map", {"kind": "log"}))
-        kind = spec.get("kind", "log")
-        shift = _spec_float(spec, "shift")
-        if kind == "log":
-            factors.append(xp.log_factor(doc.ifs, shift))
-        elif kind == "neg_log":
-            factors.append(xp.neg_log_factor(doc.ifs, shift))
-        else:
-            raise BadConfig("convolution factors use map kinds 'log' or 'neg_log'")
+    for entry in cfg.pop("factors"):
+        factor = _fields(entry, "factor", _FACTOR_FIELDS)
+        doc = ifsmod.load_ifs(base / factor["ifs"])
+        factors.append(_build_map(doc.ifs, factor.get("map", {"kind": "log"}), _FACTOR_KINDS))
     experiment = xp.multiplicative_convolution(
-        factors,
-        max_frequency=_parsed("max_frequency", float, cfg.get("max_frequency", 2.0**14)),
-        density_points=_parsed("density_points", int, cfg.get("density_points", 512)),
-        density_budget=_parsed(
-            "density_budget", float, cfg.get("density_budget", xp.DEFAULT_DENSITY_BUDGET)
-        ),
-        tol=_parsed("tol", float, cfg.get("tol", 1e-4)),
-        threads=args.threads,
-        budget=_budget(),
+        factors, threads=args.threads, budget=_budget(), **cfg
     )
     out = _out_dir(args)
     xp.write_density_csv(out / "density.csv", experiment)
@@ -373,7 +313,7 @@ def cmd_convolve(args) -> int:
         "*".join(experiment.schemes),
         np.zeros(len(experiment.frequencies), dtype=int),
     )
-    _dump_json(out / "summary.json", experiment.to_summary())
+    ifsmod.write_json(out / "summary.json", experiment.to_summary())
     print(
         f"mass {experiment.mass:.4f}, certified inversion error "
         f"{experiment.density_error_certified:.2e}, tail estimate {experiment.tail_estimate:.2e}"
@@ -472,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ifs", required=True)
     p.add_argument(
         "--scheme",
-        choices=("recursion", "order0", "order1", "order2"),
+        choices=("recursion", *fr.IMAGE_SCHEMES),
         default="recursion",
         help="recursion: mu_hat itself; order0/order1/order2: the image under --map by "
         "cylinder quadrature of that order (order2: homogeneous systems on the line, "

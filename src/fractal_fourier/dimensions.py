@@ -21,7 +21,6 @@ must be user-supplied (there is no algorithm for it in scope).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -29,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BadConfig, InconsistentProfile
-from .ifs import SelfSimilarIFS, chaos_game
+from .ifs import SEPARATION_KINDS, SelfSimilarIFS, chaos_game, read_json, write_json
 
 EXACT = "exact_under_separation"
 ESTIMATED = "estimated"
@@ -384,7 +383,10 @@ def build_profile(
 
     Exact formulas are used where the declared separation permits, safe
     estimates otherwise; user overrides are applied last and re-validated.
+    A separation outside ``SEPARATION_KINDS`` raises BadConfig.
     """
+    if declared_separation not in SEPARATION_KINDS:
+        raise BadConfig(f"unknown separation kind {declared_separation!r}")
     overrides = dict(overrides or {})
     unknown = set(overrides) - _OVERRIDE_FIELDS
     if unknown:
@@ -468,17 +470,15 @@ def build_profile(
 
 
 def save_profile(profile: DimensionProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, profile.to_dict())
 
 
 def load_profile(path) -> DimensionProfile:
     """Read a profile written by ``save_profile``; a bad file or field raises BadConfig."""
+    doc = read_json(path, "profile file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return DimensionProfile.from_dict(json.load(fh))
+        return DimensionProfile.from_dict(doc)
     except KeyError as exc:
         raise BadConfig(f"profile file {path} is missing field {exc.args[0]!r}") from exc
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise BadConfig(f"cannot read profile file {path}: {exc}") from exc

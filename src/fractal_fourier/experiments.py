@@ -19,7 +19,7 @@ theorems' verdicts come from the bound calculator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import BadConfig, CenterInsideSupport, ResourceExceeded, SupportNotPositive
 from .fourier import (
     EPS,
+    IMAGE_SCHEMES,
     TWO_PI,
     PushforwardMap,
     _check_positive,
@@ -40,6 +41,7 @@ from .fourier import (
     log_map,
     neg_log_map,
     pushforward_batch,
+    write_csv,
 )
 from .ifs import SelfSimilarIFS, _count_stopping
 
@@ -115,6 +117,8 @@ def octave_frequencies(
     octaves: Tuple[int, int], samples_per_octave: int, seed: int
 ) -> np.ndarray:
     """Log-uniform random frequencies, ``samples_per_octave`` in each [2^o, 2^(o+1))."""
+    if len(octaves) != 2:
+        raise BadConfig("octaves must be [first, last]")
     a, b = octaves
     if b < a:
         raise BadConfig("octave range must be increasing")
@@ -158,8 +162,15 @@ def measure_decay_slope(
     threads: int = 1,
     check_curvature: bool = True,
 ) -> DecayExperiment:
-    """Measure the empirical decay envelope of the image transform."""
+    """Measure the empirical decay envelope of the image transform.
+
+    ``scheme`` is one of ``IMAGE_SCHEMES``, else BadConfig: the recursion
+    measures mu itself and would ignore ``pmap``.
+    """
+    if scheme not in IMAGE_SCHEMES:
+        raise BadConfig(f"scheme must be one of {IMAGE_SCHEMES}, got {scheme!r}")
     _check_threads(threads)
+    xis = octave_frequencies(octaves, samples_per_octave, seed)
     warnings = []
     if check_curvature and pmap.out_dim == 1:
         try:
@@ -173,7 +184,6 @@ def measure_decay_slope(
             warnings.append(f"curvature diagnostic skipped: {exc}")
     if not pmap.bounds_certified:
         warnings.append("derivative bounds are sampled estimates; error bounds heuristic")
-    xis = octave_frequencies(octaves, samples_per_octave, seed)
     values, errors, leaves = pushforward_batch(
         ifs, pmap, xis, tol=tol, scheme=scheme, threads=threads
     )
@@ -576,21 +586,11 @@ def radial_projection_experiment(
 
 
 def write_density_csv(path, experiment: ConvolutionExperiment) -> None:
-    err = experiment.density_error_certified
-    tail = experiment.tail_estimate
-    lines = ["x,density,error_estimate"]
-    bound = repr(float(err + tail))
-    for x, d in zip(experiment.density_x, experiment.density):
-        lines.append(f"{float(x)!r},{float(d)!r},{bound}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bound = repr(float(experiment.density_error_certified + experiment.tail_estimate))
+    write_csv(path, ["x", "density", "error_estimate"],
+              [experiment.density_x, experiment.density, bound])
 
 
 def write_octave_csv(path, experiment: DecayExperiment) -> None:
-    lines = ["octave,n_samples,max_abs,q95_abs,max_error_bound,reliable"]
-    for s in experiment.stats:
-        lines.append(
-            f"{s.octave},{s.n_samples},{s.max_abs!r},{s.q95_abs!r},{s.max_error!r},{int(s.reliable)}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["octave", "n_samples", "max_abs", "q95_abs", "max_error_bound", "reliable"]
+    write_csv(path, header, list(zip(*map(astuple, experiment.stats))))   # OctaveStat's fields

@@ -92,6 +92,7 @@ translations (``_centring_rounding``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
@@ -119,7 +120,8 @@ EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
 JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
 PHASE_BLOCK = 32_768    # terms per block of weighted phases (row kernel, product form, inversion)
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
-CSV_BLOCK = 4_096       # rows per block of write_samples_csv
+CSV_BLOCK = 4_096       # rows per block of write_csv
+IMAGE_SCHEMES = ("order0", "order1", "order2")    # cylinder quadratures of an image mu_f
 
 # The reduction of ``_unit_phases``.  The parts of pi/2 sum to it within 2e-33;
 # the first two have 26 and 23 significant bits, so k times either is exact for
@@ -715,9 +717,10 @@ def identity_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     )
 
 
-def constant_map(ifs: SelfSimilarIFS, c: float) -> PushforwardMap:
-    """f(x) = c: the quadratic map with no quadratic or linear part."""
-    return replace(quadratic_map(ifs, [{}], constant=[c]), label=f"constant({c})")
+def constant_map(ifs: SelfSimilarIFS, value: float = 0.0) -> PushforwardMap:
+    """f(x) = value: the quadratic map with no quadratic or linear part."""
+    _finite_array("value", value, ())
+    return replace(quadratic_map(ifs, [{}], constant=[value]), label=f"constant({value})")
 
 
 def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
@@ -1515,7 +1518,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         return _mu_hat_rows(ifs, xis, tol, budget, threads)
     m, d = xis.shape
     k = ifs.ambient_dim
-    order = ("order0", "order1", "order2").index(scheme)
+    order = IMAGE_SCHEMES.index(scheme)
     order1, order2 = order >= 1, order == 2     # order 2 adds to order 1's linear forms
     # |xi| on the line: np.linalg.norm's sqrt(xi^2) is |xi| wherever xi^2
     # neither overflows nor underflows, and overflows to inf above ~1.3e154
@@ -1746,7 +1749,7 @@ def pushforward_batch(
     ints (a homogeneous tree's N^depth can pass the int64 range).  Results
     are independent of ``threads`` (fixed jobs, fixed reduction order).
     """
-    if scheme not in ("order0", "order1", "order2", "exact_recursion"):
+    if scheme not in (*IMAGE_SCHEMES, "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
     if scheme == "exact_recursion" and ifs.ambient_dim != 1:
         raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")
@@ -1835,30 +1838,42 @@ def holomorphic_hessian_identity(
 # ---------------------------------------------------------------------------
 
 
+def write_csv(path, header, columns) -> None:
+    """A CSV file by columns, one per ``header`` name, converted ``CSV_BLOCK`` rows at a time.
+
+    A column is a str, repeated on every row, or an array.  A float
+    array's cells are ``repr`` of their Python floats, as a row loop of
+    ``repr(float(x))`` writes them; any other array holds integers (or
+    bools, written 0 and 1) in decimal, exact for the object arrays of
+    Python ints that leaf counts past the int64 range use.  The file's
+    text is never held whole.
+    """
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    n = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            cells = [
+                itertools.repeat(c) if isinstance(c, str)
+                else map(repr if c.dtype.kind == "f" else "{:d}".format, c[rows].tolist())
+                for c in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_samples_csv(path, xis, values, errors, scheme, leaves) -> None:
     """Batch output: one row per frequency with certified error bounds.
 
-    Written by column in blocks of ``CSV_BLOCK`` rows, so the file's text
-    is never held whole.  Each number is ``repr`` of its float, as a row
-    loop of ``repr(float(x))`` writes it; |value| comes from np.hypot, the
-    libm hypot of the scalar ``abs`` (np.abs of a complex array can differ
-    from it in the last bit).
+    |value| comes from np.hypot, the libm hypot of the scalar ``abs``
+    (np.abs of a complex array can differ from it in the last bit).
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim == 1:
         xis = xis[:, None]
-    d = xis.shape[1]
     values = np.asarray(values, dtype=complex)
-    errors = np.asarray(errors, dtype=float)
-    leaves = np.asarray(leaves)
-    header = [f"xi{i}" for i in range(d)] if d > 1 else ["xi"]
+    header = [f"xi{i}" for i in range(xis.shape[1])] if xis.shape[1] > 1 else ["xi"]
     header += ["re", "im", "abs", "error_bound", "scheme", "leaves_used"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(values), CSV_BLOCK):
-            rows = slice(start, start + CSV_BLOCK)
-            re, im = values[rows].real, values[rows].imag
-            floats = [*xis[rows].T, re, im, np.hypot(re, im), errors[rows]]
-            cells = [map(repr, column.tolist()) for column in floats]
-            cells += [[scheme] * len(re), map(str, map(int, leaves[rows].tolist()))]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    re, im = values.real, values.imag
+    floats = [*xis.T, re, im, np.hypot(re, im), np.asarray(errors, dtype=float)]
+    write_csv(path, header, [*floats, scheme, leaves])

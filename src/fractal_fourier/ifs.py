@@ -879,43 +879,69 @@ class IFSDocument:
     exponents: Mapping[str, float] = field(default_factory=dict)
 
 
-_IFS_FIELDS = {"ambient_dim", "maps", "weights", "declared_separation", "exponents"}
-_MAP_FIELDS = {"ratio", "orientation", "translation"}
+def _parsed(name: str, convert, value):
+    """``convert(value)``, or BadConfig naming the parameter ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadConfig(f"{name}: malformed value {value!r} ({exc})") from exc
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _fields(doc, what: str, table: dict) -> dict:
+    """The fields of the JSON object ``doc``, each parsed by its entry of ``table``.
+
+    ``table`` maps every field the input takes to (parser, required).  A
+    missing required field or a field not in the table raises BadConfig,
+    and so does a value its parser refuses.  An omitted optional field is
+    left out of the result, so the call it feeds takes its own default.
+    """
+    doc = _parsed(what, _json_object, doc)
+    missing = [name for name, (_, required) in table.items() if required and name not in doc]
+    if missing:
+        raise BadConfig(f"{what} missing fields: {sorted(missing)}")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise BadConfig(f"{what} has unknown fields: {sorted(unknown)}")
+    return {name: _parsed(name, table[name][0], value) for name, value in doc.items()}
+
+
+def _separation(value) -> str:
+    if value not in SEPARATION_KINDS:
+        raise ValueError(f"not one of {SEPARATION_KINDS}")
+    return value
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_IFS_FIELDS = {
+    "ambient_dim": (int, True),
+    "maps": (list, True),
+    "weights": (lambda value: tuple(float(w) for w in value), True),
+    "declared_separation": (_separation, False),
+    "exponents": (dict, False),
+}
+_MAP_FIELDS = {"ratio": (float, True), "orientation": (_float_array, True),
+               "translation": (_float_array, True)}
 
 
 def ifs_from_dict(doc: Mapping) -> IFSDocument:
-    unknown = set(doc) - _IFS_FIELDS
-    if unknown:
-        raise BadConfig(f"unknown IFS fields: {sorted(unknown)}")
-    try:
-        k = int(doc["ambient_dim"])
-        raw_maps = doc["maps"]
-        weights = doc["weights"]
-    except KeyError as exc:
-        raise BadConfig(f"missing IFS field: {exc.args[0]}") from exc
+    fields = _fields(doc, "IFS", _IFS_FIELDS)
+    k = fields.pop("ambient_dim")
     maps = []
-    for entry in raw_maps:
-        bad = set(entry) - _MAP_FIELDS
-        if bad:
-            raise BadConfig(f"unknown map fields: {sorted(bad)}")
-        try:
-            maps.append(
-                SimilarityMap(
-                    ratio=float(entry["ratio"]),
-                    orientation=_as_matrix(entry["orientation"], k),
-                    translation=np.asarray(entry["translation"], dtype=float),
-                )
-            )
-        except KeyError as exc:
-            raise BadConfig(f"map missing field: {exc.args[0]}") from exc
-    separation = doc.get("declared_separation", "none")
-    if separation not in SEPARATION_KINDS:
-        raise BadConfig(
-            f"declared_separation must be one of {SEPARATION_KINDS}, got {separation!r}"
-        )
-    exponents = dict(doc.get("exponents", {}))
-    ifs = SelfSimilarIFS(tuple(maps), tuple(float(w) for w in weights), k)
-    return IFSDocument(ifs=ifs, declared_separation=separation, exponents=exponents)
+    for entry in fields.pop("maps"):
+        m = _fields(entry, "map", _MAP_FIELDS)
+        orientation = _as_matrix(m["orientation"], k)
+        maps.append(SimilarityMap(m["ratio"], orientation, m["translation"]))
+    ifs = SelfSimilarIFS(tuple(maps), fields.pop("weights"), k)
+    return IFSDocument(ifs=ifs, **fields)
 
 
 def ifs_to_dict(document: IFSDocument) -> dict:
@@ -936,12 +962,21 @@ def ifs_to_dict(document: IFSDocument) -> dict:
     }
 
 
-def load_ifs(path) -> IFSDocument:
+def read_json(path, what: str):
+    """The JSON document in ``path``; BadConfig naming ``what`` if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise BadConfig(f"cannot read IFS file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"IFS file {path} is not valid JSON: {exc}") from exc
-    return ifs_from_dict(doc)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
+        raise BadConfig(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_ifs(path) -> IFSDocument:
+    return ifs_from_dict(read_json(path, "IFS file"))

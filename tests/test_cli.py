@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from fractal_fourier import cli as cli_module
+from fractal_fourier import experiments
 from fractal_fourier import ifs as ifsmod
 from fractal_fourier.cli import main
 from fractal_fourier.experiments import DEFAULT_DENSITY_BUDGET
@@ -410,6 +413,10 @@ class TestFourier:
          "constant must be finite"),
         ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "constant": [1, 2]}',
          "constant must have shape (1,), got (2,)"),
+        # keys a kind does not take were once ignored
+        ('{"kind": "square", "shift": 1}', "square map has unknown fields: ['shift']"),
+        ('{"kind": "constant", "valu": 2}', "constant map has unknown fields: ['valu']"),
+        ('{"kind": "quadratic"}', "quadratic map missing fields: ['coefficients']"),
     ])
     def test_malformed_map_exit_2(self, tmp_path, capsys, spec, message):
         code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0",
@@ -450,12 +457,10 @@ class TestFourier:
             # a square map whose third-derivative bound is unknown
             from dataclasses import replace
 
-            from fractal_fourier import cli as cli_module
-
-            square = cli_module._MAP_BUILDERS["square"]
+            square, fields = cli_module._MAP_KINDS["square"]
             monkeypatch.setitem(
-                cli_module._MAP_BUILDERS, "square",
-                lambda ifs, spec: replace(square(ifs, spec), third_bound=None),
+                cli_module._MAP_KINDS, "square",
+                (lambda ifs: replace(square(ifs), third_bound=None), fields),
             )
         code = main(["fourier", "--ifs", str(paths[system]), "--scheme", "order2", "--map", spec,
                      "--xi-list", "10.0", "--out", str(tmp_path / "x.csv")])
@@ -543,6 +548,36 @@ class TestDecayCommand:
             json.dumps({"ifs": "x.json", "map": {}, "octaves": [1, 2], "bogus": 1})
         )
         assert main(["decay", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        # once read as "none": sigma 0.0524 in place of 0.0614
+        ("separation", "bogus", "separation: malformed value 'bogus'"),
+        # once measured mu_hat, not the image, and exited 0
+        ("scheme", "exact_recursion", "scheme must be one of"),
+        # once exit 5 (TypeError at the verdict's comparison)
+        ("theoretical_sigma", "abc", "theoretical_sigma: malformed value 'abc'"),
+        # once ignored: the map was x -> x^2
+        ("map", {"kind": "square", "power": 3}, "square map has unknown fields: ['power']"),
+    ])
+    def test_refused_field_exit_2(self, tmp_path, capsys, field, value, message):
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
+               "octaves": [8, 9], "samples_per_octave": 4, field: value}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value, sigma", [(None, 0.0614425), (0.25, 0.25)])
+    def test_theoretical_sigma(self, tmp_path, value, sigma):
+        # null, like an omitted field, computes sigma from the profile
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
+               "octaves": [8, 9], "samples_per_octave": 4, "theoretical_sigma": value}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["theoretical_sigma"] == pytest.approx(sigma, abs=1e-6)
 
 
 class TestConvolveCommand:
@@ -634,6 +669,15 @@ class TestConvolveCommand:
         assert code == 2
         assert f"shift must be finite, got {shift}" in capsys.readouterr().err
 
+    def test_unknown_factor_map_key_exit_2(self, tmp_path, capsys):
+        # once ignored: the factor was log(x), shift 0
+        factor = {"ifs": str(CONFIGS / "uniform12.json"), "map": {"kind": "log", "shfit": 0.5}}
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps({"factors": [factor] * 2, "max_frequency": 64.0}))
+        code = main(["convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "log map has unknown fields: ['shfit']" in capsys.readouterr().err
+
     def test_density_budget_defaults_to_library_value(self, tmp_path):
         summaries = []
         for extra in ({}, {"density_budget": DEFAULT_DENSITY_BUDGET}):
@@ -682,6 +726,46 @@ class TestConvolveCommand:
         code = main(["convolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "right of" in capsys.readouterr().err
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+    def test_every_config_passes_its_field_table(self, path):
+        doc = ifsmod.read_json(path, "config")
+        if "maps" in doc:
+            ifsmod.ifs_from_dict(doc)
+        elif "factors" in doc:
+            cfg = cli_module._fields(doc, "convolve config", cli_module._CONVOLVE_FIELDS)
+            for entry in cfg["factors"]:
+                factor = cli_module._fields(entry, "factor", cli_module._FACTOR_FIELDS)
+                ifs = ifsmod.load_ifs(path.parent / factor["ifs"]).ifs
+                cli_module._build_map(ifs, factor["map"], cli_module._FACTOR_KINDS)
+        else:
+            cfg = cli_module._fields(doc, "decay config", cli_module._DECAY_FIELDS)
+            cli_module._build_map(ifsmod.load_ifs(path.parent / cfg["ifs"]).ifs, cfg["map"])
+
+    def test_fields_are_parameters_of_the_call_they_feed(self):
+        # an omitted field takes the default of the library call's signature
+        def parameters(call):
+            return set(inspect.signature(call).parameters)
+
+        decay = set(cli_module._DECAY_FIELDS) - {"ifs", "map", "separation"}
+        assert decay <= parameters(experiments.measure_decay_slope)
+        convolve = set(cli_module._CONVOLVE_FIELDS) - {"factors"}
+        assert convolve <= parameters(experiments.multiplicative_convolution)
+        for kinds in (cli_module._MAP_KINDS, cli_module._FACTOR_KINDS):
+            for builder, fields in kinds.values():
+                assert set(fields) <= parameters(builder)
+
+    @pytest.mark.parametrize("spec, label", [
+        ({"kind": "constant"}, "constant(0.0)"),
+        ({"kind": "constant", "value": 2}, "constant(2.0)"),
+        ({"kind": "log"}, "log"),
+        ({"kind": "neg_log", "shift": 0.5}, "-log(y-0.5)"),
+    ])
+    def test_omitted_map_parameters_take_the_builders_defaults(self, spec, label):
+        ifs = ifsmod.load_ifs(CONFIGS / "uniform12.json").ifs
+        assert cli_module._build_map(ifs, spec).label == label
 
 
 class TestArithCheck:

@@ -195,6 +195,12 @@ class TestBuildProfile:
         with pytest.raises(BadConfig):
             build_profile(cantor, "SSC", {"fourier_dim": 1.0})
 
+    @pytest.mark.parametrize("separation", ["bogus", "ssc", None])
+    def test_unknown_separation_rejected(self, cantor, separation):
+        # once read as "none", which lowers sigma for the Cantor measure
+        with pytest.raises(BadConfig, match="unknown separation kind"):
+            build_profile(cantor, separation)
+
 
 class TestProfileValidation:
     def base(self, **kw):

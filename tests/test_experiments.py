@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fractal_fourier.errors import (
 from fractal_fourier.experiments import (
     DEFAULT_DENSITY_BUDGET,
     ConvolutionFactor,
+    OctaveStat,
     _inversion_rounding,
     density_at,
     log_factor,
@@ -24,12 +26,27 @@ from fractal_fourier.experiments import (
     octave_frequencies,
     radial_projection_experiment,
     write_density_csv,
+    write_octave_csv,
 )
-from fractal_fourier.fourier import PushforwardMap, constant_map, identity_map, square_map
+from fractal_fourier.fourier import (
+    CSV_BLOCK,
+    PushforwardMap,
+    constant_map,
+    identity_map,
+    square_map,
+    write_samples_csv,
+)
 from fractal_fourier.ifs import _count_stopping, ifs_1d, uniform_ifs
 
 
 class TestDecayExperiment:
+    @pytest.mark.parametrize("scheme", ["exact_recursion", "recursion", "order3"])
+    def test_scheme_must_be_an_image_quadrature(self, cantor, scheme):
+        # exact_recursion once measured mu_hat and ignored the map
+        with pytest.raises(BadConfig, match="scheme must be one of"):
+            measure_decay_slope(cantor, square_map(cantor), octaves=(4, 5),
+                                samples_per_octave=4, scheme=scheme)
+
     def test_uniform_identity_sinc_envelope(self, uniform01):
         # |mu_hat| of the uniform measure has a 1/xi envelope.
         exp = measure_decay_slope(
@@ -447,3 +464,108 @@ class TestOrder2Factors:
         # the affine coordinate has no curvature, so nothing to refine: order1
         assert exp.schemes == ("order2", "order1")
         assert exp.to_summary()["schemes"] == ["order2", "order1"]
+
+
+# The bodies of the three CSV writers before they became calls of
+# ``fourier.write_csv``: the references their output must equal byte for byte.
+
+
+def samples_csv_reference(path, xis, values, errors, scheme, leaves):
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim == 1:
+        xis = xis[:, None]
+    d = xis.shape[1]
+    values = np.asarray(values, dtype=complex)
+    errors = np.asarray(errors, dtype=float)
+    leaves = np.asarray(leaves)
+    header = [f"xi{i}" for i in range(d)] if d > 1 else ["xi"]
+    header += ["re", "im", "abs", "error_bound", "scheme", "leaves_used"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(values), CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            re, im = values[rows].real, values[rows].imag
+            floats = [*xis[rows].T, re, im, np.hypot(re, im), errors[rows]]
+            cells = [map(repr, column.tolist()) for column in floats]
+            cells += [[scheme] * len(re), map(str, map(int, leaves[rows].tolist()))]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def density_csv_reference(path, experiment):
+    err = experiment.density_error_certified
+    tail = experiment.tail_estimate
+    lines = ["x,density,error_estimate"]
+    bound = repr(float(err + tail))
+    for x, d in zip(experiment.density_x, experiment.density):
+        lines.append(f"{float(x)!r},{float(d)!r},{bound}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def octave_csv_reference(path, experiment):
+    lines = ["octave,n_samples,max_abs,q95_abs,max_error_bound,reliable"]
+    for s in experiment.stats:
+        lines.append(
+            f"{s.octave},{s.n_samples},{s.max_abs!r},{s.q95_abs!r},{s.max_error!r},{int(s.reliable)}"
+        )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def wide_floats(rng, shape):
+    """Signed floats from subnormal to 1e300, with signed zeros, nan and inf first."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    x.flat[:6] = [-0.0, 0.0, 5e-324, -2.5e-310, math.inf, math.nan]
+    return x
+
+
+class TestCsvWritersMatchTheirFormerBodies:
+    # rows that cross two CSV_BLOCK boundaries
+    N = 2 * CSV_BLOCK + 3
+
+    def same_bytes(self, tmp_path, write, reference, *args):
+        write(tmp_path / "new.csv", *args)
+        reference(tmp_path / "old.csv", *args)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_samples(self, tmp_path, d):
+        rng = np.random.default_rng(21)
+        xis = wide_floats(rng, (self.N, d))
+        values = np.empty(self.N, dtype=complex)
+        values.real, values.imag = wide_floats(rng, self.N), wide_floats(rng, self.N)[::-1]
+        errors = np.abs(wide_floats(rng, self.N))
+        # exact leaf counts past the int64 range, as an object array of Python ints
+        leaves = np.array([2**k for k in rng.integers(0, 90, self.N)], dtype=object)
+        leaves[:3] = [2**63, 2**64 + 1, 3**60]
+        self.same_bytes(tmp_path, write_samples_csv, samples_csv_reference,
+                        xis if d == 2 else xis[:, 0], values, errors, "order1", leaves)
+        for n in (0, 5):
+            self.same_bytes(tmp_path, write_samples_csv, samples_csv_reference,
+                            xis[:n, 0], values[:n], errors[:n], "order2", np.arange(1, n + 1))
+
+    @pytest.mark.parametrize("bound", [(3.5e-4, 1.25e-5), (math.inf, 1e-3), (0.0, 0.0)])
+    def test_density(self, tmp_path, bound):
+        rng = np.random.default_rng(22)
+        experiment = SimpleNamespace(
+            density_x=np.sort(wide_floats(rng, self.N)),
+            density=np.abs(wide_floats(rng, self.N)),
+            density_error_certified=bound[0],
+            tail_estimate=bound[1],
+        )
+        self.same_bytes(tmp_path, write_density_csv, density_csv_reference, experiment)
+
+    def test_octaves(self, tmp_path):
+        rng = np.random.default_rng(23)
+        mags = np.abs(wide_floats(rng, (self.N, 3)))
+        stats = tuple(
+            OctaveStat(octave=o, n_samples=int(n), max_abs=float(a), q95_abs=float(q),
+                       max_error=float(e), reliable=bool(e <= 0.1 * a))
+            for o, n, (a, q, e) in zip(range(-3, self.N), rng.integers(1, 2**40, self.N), mags)
+        )
+        for rows in (stats, stats[:1], ()):
+            self.same_bytes(tmp_path, write_octave_csv, octave_csv_reference,
+                            SimpleNamespace(stats=rows))
+        real = measure_decay_slope(uniform_ifs(1.0, 2.0), square_map(uniform_ifs(1.0, 2.0)),
+                                   octaves=(3, 5), samples_per_octave=4)
+        self.same_bytes(tmp_path, write_octave_csv, octave_csv_reference, real)
