@@ -43,20 +43,13 @@ TWO_MEASURE_NOTE = (
 
 
 def _exponents_for_p(profile: DimensionProfile, p: float) -> Tuple[float, float]:
-    """(d_q, kappa_p) for this p, with q = p/(p-1); raises MissingExponent."""
+    """(d_q, kappa_p) for this p, with q = p/(p-1) (inf at p = 1); raises MissingExponent."""
     if not 1.0 <= p <= 2.0:
         raise BadConfig(f"p must lie in [1, 2], got {p}")
-    if p == 2.0:
-        return profile.kappa2, profile.kappa2
-    if p == 1.0:
-        if profile.kappa1 is None:
-            raise MissingExponent(
-                "sigma_1 needs the Fourier l^1 dimension kappa1 (user-supplied)"
-            )
-        return profile.d_inf, profile.kappa1
-    q = p / (p - 1.0)
-    d_q = profile.d_q(q)
-    kappa_p = profile.kappa_lp(p)
+    q = p / (p - 1.0) if p > 1.0 else math.inf
+    d_q, kappa_p = profile.d_q(q), profile.kappa_lp(p)
+    if p == 1.0 and kappa_p is None:
+        raise MissingExponent("sigma_1 needs the Fourier l^1 dimension kappa1 (user-supplied)")
     if d_q is None or kappa_p is None:
         raise MissingExponent(f"no tabulated (d_q, kappa_p) for p={p} (q={q})")
     return d_q, kappa_p
@@ -126,19 +119,17 @@ def decay_bound(
     profile: DimensionProfile,
     curvature_ok: Optional[bool] = None,
     non_expanding: Optional[bool] = None,
-    p_grid: Optional[Tuple[float, ...]] = None,
 ) -> DecayBound:
     """Best available decay exponent max_p sigma_p with applicability audit.
 
-    Always evaluates p = 2; includes p = 1 when kappa1 is supplied, plus
-    any tabulated p values requested through ``p_grid``.  The bound is
+    Always evaluates p = 2; includes p = 1 when kappa1 is supplied, and
+    every p of the profile's ``kappa_p_table`` that has its d_q.  The bound is
     vacuous (applicable=False) when kappa2 <= k/2, or when the curvature /
     orientation-growth hypotheses are not verified.
     """
     table: dict = {}
     notes: list = []
-    ps = list(p_grid) if p_grid else []
-    for p in sorted({2.0, 1.0, *ps}):
+    for p in sorted({2.0, 1.0, *profile.kappa_p_table}):
         try:
             table[p] = sigma_p(profile, p)
         except MissingExponent:

@@ -38,7 +38,7 @@ from .errors import (
     SupportNotPositive,
     Unsupported,
 )
-from .ifs import _fields, _parsed, _separation
+from .ifs import _fields, _float, _float_array, _int, _optional_float, _parsed, _separation
 
 _VALIDATION_ERRORS = (
     BadConfig,
@@ -73,15 +73,13 @@ def _as_is(value):
 
 
 def _octaves(value) -> tuple:
-    return tuple(int(o) for o in value)
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError("expected a JSON list [first, last]")
+    return tuple(_int(o) for o in value)
 
 
 def _coefficients(value) -> list:
-    return [{(int(p), int(q)): float(c) for p, q, c in comp} for comp in value]
+    return [{(_int(p), _int(q)): _float(c) for p, q, c in comp} for comp in value]
 
 
 # Field tables of the CLI's JSON inputs, field -> (parser, required).
@@ -89,19 +87,19 @@ _DECAY_FIELDS = {
     "ifs": (str, True),
     "map": (_as_is, True),
     "octaves": (_octaves, True),
-    "samples_per_octave": (int, False),
-    "seed": (int, False),
-    "tol": (float, False),
+    "samples_per_octave": (_int, False),
+    "seed": (_int, False),
+    "tol": (_float, False),
     "scheme": (str, False),
     "separation": (_separation, False),
     "theoretical_sigma": (_optional_float, False),
 }
 _CONVOLVE_FIELDS = {
     "factors": (list, True),
-    "max_frequency": (float, False),
-    "density_points": (int, False),
-    "density_budget": (float, False),
-    "tol": (float, False),
+    "max_frequency": (_float, False),
+    "density_points": (_int, False),
+    "density_budget": (_float, False),
+    "tol": (_float, False),
 }
 _FACTOR_FIELDS = {"ifs": (str, True), "map": (_as_is, False)}
 
@@ -111,18 +109,18 @@ _MAP_KINDS = {
     "square": (fr.square_map, {}),
     "cube": (fr.cube_map, {}),
     "sum_of_squares": (fr.sum_of_squares_map, {}),
-    "constant": (fr.constant_map, {"value": (float, False)}),
-    "log": (fr.log_map, {"shift": (float, False)}),
-    "neg_log": (fr.neg_log_map, {"shift": (float, False)}),
+    "constant": (fr.constant_map, {"value": (_float, False)}),
+    "log": (fr.log_map, {"shift": (_float, False)}),
+    "neg_log": (fr.neg_log_map, {"shift": (_float, False)}),
     "quadratic": (
         fr.quadratic_map,
-        {"coefficients": (_coefficients, True), "linear": (_as_is, False),
-         "constant": (_as_is, False)},
+        {"coefficients": (_coefficients, True), "linear": (_float_array, False),
+         "constant": (_float_array, False)},
     ),
 }
 _FACTOR_KINDS = {
-    "log": (xp.log_factor, {"shift": (float, False)}),
-    "neg_log": (xp.neg_log_factor, {"shift": (float, False)}),
+    "log": (xp.log_factor, {"shift": (_float, False)}),
+    "neg_log": (xp.neg_log_factor, {"shift": (_float, False)}),
 }
 
 

@@ -21,6 +21,7 @@ must be user-supplied (there is no algorithm for it in scope).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -28,7 +29,8 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BadConfig, InconsistentProfile
-from .ifs import SEPARATION_KINDS, SelfSimilarIFS, chaos_game, read_json, write_json
+from .ifs import (_EXPONENT_FIELDS, SEPARATION_KINDS, SelfSimilarIFS, _bool, _fields, _float, _int,
+                  _json_object, _optional_float, chaos_game, read_json, write_json)
 
 EXACT = "exact_under_separation"
 ESTIMATED = "estimated"
@@ -36,6 +38,7 @@ USER = "user_supplied"
 
 _CHAIN_SLACK = 1e-12
 _AD_REGULAR_TOL = 1e-9
+_CONJUGATE_TOL = 1e-9    # relative; p/(p-1) is 6.000000000000001 at p = 1.2
 
 
 # -- root finding ---------------------------------------------------------------
@@ -230,7 +233,8 @@ class DimensionProfile:
     """Validated exponent tuple with per-field provenance.
 
     ``kappa_p_table`` maps p -> kappa_p and ``d_q_table`` maps q -> d_q
-    for any tabulated values beyond the built-in p = q = 2 entry.
+    for any tabulated values beyond the built-in entries: d_2 = kappa_2 =
+    kappa2, d_inf, and kappa_1 = kappa1 when it is supplied.
     """
 
     k: int
@@ -247,9 +251,12 @@ class DimensionProfile:
     warnings: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa_p_table", dict(self.kappa_p_table))
-        object.__setattr__(self, "d_q_table", dict(self.d_q_table))
-        object.__setattr__(self, "provenance", dict(self.provenance))
+        for name in ("kappa_p_table", "d_q_table", "provenance"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
+        # Each exponent family's one table: the tabulated values, then the built-in entries.
+        object.__setattr__(self, "_d_q", {**self.d_q_table, 2.0: self.kappa2, math.inf: self.d_inf})
+        kappa1 = {} if self.kappa1 is None else {1.0: self.kappa1}
+        object.__setattr__(self, "_kappa_p", {**self.kappa_p_table, 2.0: self.kappa2, **kappa1})
         self.validate()
 
     def validate(self):
@@ -282,60 +289,38 @@ class DimensionProfile:
                         f"ad_regular requires {name} == s_sim_set",
                         f"{value!r} vs {self.s_sim_set!r}",
                     )
-        # Tabulated values must cohere with the built-in p=1,2 / q=2,inf entries.
-        d_table = {2.0: self.kappa2, math.inf: self.d_inf}
-        for q, v in self.d_q_table.items():
-            if q in d_table and abs(v - d_table[q]) > _AD_REGULAR_TOL:
-                raise InconsistentProfile(
-                    "tabulated d_q must match built-in entry", f"q={q}"
-                )
-            d_table.setdefault(q, v)
-        qs = sorted(d_table)
+        # A tabulated value must match the built-in entry its table holds at its key.
+        for name, var, tabulated, table in (("d_q", "q", self.d_q_table, self._d_q),
+                                            ("kappa_p", "p", self.kappa_p_table, self._kappa_p)):
+            for x, value in tabulated.items():
+                if abs(value - table[x]) > _AD_REGULAR_TOL:
+                    raise InconsistentProfile(f"tabulated {name} must match built-in entry", f"{var}={x}")
+        qs = sorted(self._d_q)
         for qa, qb in zip(qs, qs[1:]):
-            if d_table[qb] > d_table[qa] + _CHAIN_SLACK:
+            if self._d_q[qb] > self._d_q[qa] + _CHAIN_SLACK:
                 raise InconsistentProfile(
                     "d_q non-increasing in q",
-                    f"d_{qa}={d_table[qa]!r} < d_{qb}={d_table[qb]!r}",
+                    f"d_{qa}={self._d_q[qa]!r} < d_{qb}={self._d_q[qb]!r}",
                 )
         # kappa1 is governed by the chain alone (user-supplied values are
         # often conservative understatements, which only weaken bounds);
-        # the two-sided l^p comparison applies to the tabulated map plus
-        # the built-in p=2 entry.
-        kp_table = {2.0: self.kappa2}
-        for p, v in self.kappa_p_table.items():
-            if p in kp_table and abs(v - kp_table[p]) > _AD_REGULAR_TOL:
-                raise InconsistentProfile(
-                    "tabulated kappa_p must match built-in entry", f"p={p}"
-                )
-            kp_table.setdefault(p, v)
-        ps = sorted(kp_table)
-        for pa in ps:
-            for pb in ps:
-                if pa >= pb:
-                    continue
-                kpa, kpb = kp_table[pa], kp_table[pb]
-                if kpa > kpb + _CHAIN_SLACK:
-                    raise InconsistentProfile(
-                        "kappa_p <= kappa_q for p <= q", f"p={pa}, q={pb}"
-                    )
-                if kpa < (pa / pb) * kpb - _CHAIN_SLACK:
-                    raise InconsistentProfile(
-                        "(p/q) kappa_q <= kappa_p", f"p={pa}, q={pb}"
-                    )
+        # the two-sided l^p comparison applies to the rest of the table.
+        ps = sorted(p for p in self._kappa_p if p != 1.0)
+        for pa, pb in itertools.combinations(ps, 2):
+            kpa, kpb = self._kappa_p[pa], self._kappa_p[pb]
+            if kpa > kpb + _CHAIN_SLACK:
+                raise InconsistentProfile("kappa_p <= kappa_q for p <= q", f"p={pa}, q={pb}")
+            if kpa < (pa / pb) * kpb - _CHAIN_SLACK:
+                raise InconsistentProfile("(p/q) kappa_q <= kappa_p", f"p={pa}, q={pb}")
 
     def d_q(self, q: float) -> Optional[float]:
-        if q == 2.0:
-            return self.kappa2
-        if math.isinf(q):
-            return self.d_inf
-        return self.d_q_table.get(q)
+        """d_q at ``q``, else at a tabulated q within a relative ``_CONJUGATE_TOL`` of it."""
+        if q in self._d_q:
+            return self._d_q[q]
+        return next((d for x, d in self._d_q.items() if math.isclose(x, q, rel_tol=_CONJUGATE_TOL)), None)
 
     def kappa_lp(self, p: float) -> Optional[float]:
-        if p == 2.0:
-            return self.kappa2
-        if p == 1.0:
-            return self.kappa1
-        return self.kappa_p_table.get(p)
+        return self._kappa_p.get(p)
 
     def to_dict(self) -> dict:
         return {
@@ -355,23 +340,24 @@ class DimensionProfile:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "DimensionProfile":
-        return cls(
-            k=int(doc["k"]),
-            kappa2=float(doc["kappa2"]),
-            kappa_star=float(doc["kappa_star"]),
-            d_inf=float(doc["d_inf"]),
-            kappa1=None if doc.get("kappa1") is None else float(doc["kappa1"]),
-            s_sim_set=float(doc["s_sim_set"]),
-            s_sim_meas=float(doc["s_sim_meas"]),
-            ad_regular=bool(doc.get("ad_regular", False)),
-            kappa_p_table={float(p): float(v) for p, v in doc.get("kappa_p_table", {}).items()},
-            d_q_table={float(q): float(v) for q, v in doc.get("d_q_table", {}).items()},
-            provenance=dict(doc.get("provenance", {})),
-            warnings=tuple(doc.get("warnings", ())),
-        )
+        return cls(**_fields(doc, "profile file", _PROFILE_FIELDS))
 
 
-_OVERRIDE_FIELDS = {"kappa1", "kappa2", "kappa_star", "d_inf", "kappa_p", "d_q"}
+# The profile file, as ``to_dict`` writes it: the fields of ``DimensionProfile``.
+_PROFILE_FIELDS = {
+    "k": (_int, True),
+    "kappa2": (_float, True),
+    "kappa_star": (_float, True),
+    "d_inf": (_float, True),
+    "s_sim_set": (_float, True),
+    "s_sim_meas": (_float, True),
+    "ad_regular": (_bool, False),
+    "kappa1": (_optional_float, False),
+    "kappa_p_table": _EXPONENT_FIELDS["kappa_p"],
+    "d_q_table": _EXPONENT_FIELDS["d_q"],
+    "provenance": (_json_object, False),
+    "warnings": (tuple, False),
+}
 
 
 def build_profile(
@@ -382,15 +368,13 @@ def build_profile(
     """Assemble a DimensionProfile from an IFS plus declarations.
 
     Exact formulas are used where the declared separation permits, safe
-    estimates otherwise; user overrides are applied last and re-validated.
-    A separation outside ``SEPARATION_KINDS`` raises BadConfig.
+    estimates otherwise; user overrides (the fields of an IFS file's
+    ``exponents``) are applied last and re-validated.  A separation
+    outside ``SEPARATION_KINDS`` or a malformed override raises BadConfig.
     """
     if declared_separation not in SEPARATION_KINDS:
         raise BadConfig(f"unknown separation kind {declared_separation!r}")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - _OVERRIDE_FIELDS
-    if unknown:
-        raise BadConfig(f"unknown exponent overrides: {sorted(unknown)}")
+    overrides = _fields(overrides or {}, "exponents", _EXPONENT_FIELDS)
     k = ifs.ambient_dim
     ratios = ifs.ratios
     weights = ifs.weight_array
@@ -436,36 +420,19 @@ def build_profile(
                 "value tagged estimated"
             )
 
-    kappa1 = None
-    if "kappa1" in overrides:
-        kappa1 = float(overrides["kappa1"])
-        provenance["kappa1"] = USER
-    for name in ("kappa2", "d_inf"):
-        if name in overrides:
-            provenance[name] = USER
-    kappa2 = float(overrides.get("kappa2", kappa2))
-    d_inf = float(overrides.get("d_inf", d_inf))
-
-    kappa_p_table = {float(p): float(v) for p, v in dict(overrides.get("kappa_p", {})).items()}
-    d_q_table = {float(q): float(v) for q, v in dict(overrides.get("d_q", {})).items()}
-    if kappa_p_table:
-        provenance["kappa_p_table"] = USER
-    if d_q_table:
-        provenance["d_q_table"] = USER
-
+    tables = {"kappa_p_table": overrides.pop("kappa_p", {}), "d_q_table": overrides.pop("d_q", {})}
+    provenance.update(dict.fromkeys(overrides, USER))
+    provenance.update(dict.fromkeys([name for name, table in tables.items() if table], USER))
+    values = {"kappa2": kappa2, "kappa_star": kappa_star, "d_inf": d_inf, **overrides}
     return DimensionProfile(
         k=k,
-        kappa2=kappa2,
-        kappa_star=kappa_star,
-        d_inf=d_inf,
-        kappa1=kappa1,
         s_sim_set=s_set,
         s_sim_meas=s_meas,
         ad_regular=ad_regular,
-        kappa_p_table=kappa_p_table,
-        d_q_table=d_q_table,
         provenance=provenance,
         warnings=tuple(warnings),
+        **values,
+        **tables,
     )
 
 
@@ -475,10 +442,4 @@ def save_profile(profile: DimensionProfile, path) -> None:
 
 def load_profile(path) -> DimensionProfile:
     """Read a profile written by ``save_profile``; a bad file or field raises BadConfig."""
-    doc = read_json(path, "profile file")
-    try:
-        return DimensionProfile.from_dict(doc)
-    except KeyError as exc:
-        raise BadConfig(f"profile file {path} is missing field {exc.args[0]!r}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise BadConfig(f"cannot read profile file {path}: {exc}") from exc
+    return DimensionProfile.from_dict(read_json(path, "profile file"))

@@ -40,6 +40,8 @@ FIXED_POINT_TOL = 1e-12      # below this, fixed points count as shared
 DEFAULT_LEAF_BUDGET = 10_000_000
 FRONTIER_BLOCK = 4096       # rows per block of a columnar frontier expansion
 PAIR_BLOCK = 2**20          # point pairs per block of a pairwise-distance scan
+CHAOS_CHAINS = 1024         # parallel chains of a chaos-game sample
+CHAOS_BURN_IN = 64          # steps each chain runs before its points are kept
 
 SEPARATION_KINDS = ("SSC", "OSC", "ESC", "none")
 
@@ -627,8 +629,6 @@ def chaos_game(
     ifs: SelfSimilarIFS,
     n_points: int,
     seed: int = 0,
-    burn_in: int = 64,
-    n_chains: int = 1024,
 ) -> np.ndarray:
     """Deterministic chaos-game sample of supp(mu), shape (n_points, k).
 
@@ -638,8 +638,8 @@ def chaos_game(
     if n_points <= 0:
         raise BadConfig("n_points must be positive")
     rng = np.random.default_rng(seed)
-    chains = min(n_chains, n_points)
-    steps = burn_in + -(-n_points // chains)  # ceil division
+    chains = min(CHAOS_CHAINS, n_points)
+    steps = CHAOS_BURN_IN + -(-n_points // chains)  # ceil division
     x = np.tile(ifs.barycenter, (chains, 1))
     letters = rng.choice(ifs.n_maps, size=(steps, chains), p=ifs.weight_array)
     keep = []
@@ -651,7 +651,7 @@ def chaos_game(
             if np.any(mask):
                 new[mask] = m(x[mask])
         x = new
-        if s >= burn_in:
+        if s >= CHAOS_BURN_IN:
             keep.append(x.copy())
     pts = np.concatenate(keep, axis=0)
     return pts[:n_points]
@@ -876,7 +876,7 @@ class IFSDocument:
 
     ifs: SelfSimilarIFS
     declared_separation: str = "none"
-    exponents: Mapping[str, float] = field(default_factory=dict)
+    exponents: Mapping = field(default_factory=dict)
 
 
 def _parsed(name: str, convert, value):
@@ -911,24 +911,73 @@ def _fields(doc, what: str, table: dict) -> dict:
     return {name: _parsed(name, table[name][0], value) for name, value in doc.items()}
 
 
+def _int(value) -> int:
+    """A JSON integer; a float is taken only if it is integral, a bool never."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _optional_float(value):
+    return None if value is None else _float(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
 def _separation(value) -> str:
     if value not in SEPARATION_KINDS:
         raise ValueError(f"not one of {SEPARATION_KINDS}")
     return value
 
 
+def _numbers(value):
+    """A JSON number or nested list of numbers, each number read by ``_float``."""
+    return [_numbers(x) for x in value] if isinstance(value, list) else _float(value)
+
+
 def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return np.asarray(_numbers(value), dtype=float)
 
 
-_IFS_FIELDS = {
-    "ambient_dim": (int, True),
-    "maps": (list, True),
-    "weights": (lambda value: tuple(float(w) for w in value), True),
-    "declared_separation": (_separation, False),
-    "exponents": (dict, False),
+def _exponent_table(var: str, upper: float):
+    """The parser of a JSON object {x: exponent} of numbers into floats, each key x in (1, upper]."""
+    def parse(value) -> dict:
+        table = {float(x): _float(v) for x, v in _json_object(value).items()}
+        if not all(1.0 < x <= upper for x in table):
+            raise ValueError(f"every {var} must lie in (1, {upper}]")
+        return table
+    return parse
+
+
+# An IFS file's ``exponents``: the overrides of ``dimensions.build_profile``.
+_EXPONENT_FIELDS = {
+    "kappa1": (_float, False),
+    "kappa2": (_float, False),
+    "kappa_star": (_float, False),
+    "d_inf": (_float, False),
+    "kappa_p": (_exponent_table("p", 2.0), False),
+    "d_q": (_exponent_table("q", math.inf), False),
 }
-_MAP_FIELDS = {"ratio": (float, True), "orientation": (_float_array, True),
+_IFS_FIELDS = {
+    "ambient_dim": (_int, True),
+    "maps": (list, True),
+    "weights": (lambda value: tuple(_float(w) for w in value), True),
+    "declared_separation": (_separation, False),
+    "exponents": (lambda value: _fields(value, "exponents", _EXPONENT_FIELDS), False),
+}
+_MAP_FIELDS = {"ratio": (_float, True), "orientation": (_float_array, True),
                "translation": (_float_array, True)}
 
 

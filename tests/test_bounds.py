@@ -90,6 +90,22 @@ class TestSigmaP:
         expected = (0.75 + 0.7 - 1) / (2 * 1.5 - 1 + 2 * 0.9 + 0.7 - 0.75)
         assert sigma_p(p, 1.5) == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("p_value, q", [(1.2, 6.0), (4 / 3, 4.0), (1.25, 5.0)])
+    def test_conjugate_found_despite_rounding(self, p_value, q):
+        # p/(p-1) is 6.000000000000001 at p = 1.2 and 4.000000000000001 at
+        # p = 4/3; the exact lookup missed the tabulated q and skipped the pair
+        p = profile(kappa2=0.8, kappa_star=0.9, d_inf=0.7,
+                    kappa_p_table={p_value: 0.7}, d_q_table={q: 0.75})
+        expected = (0.75 + 0.7 - 1) / (2 * p_value - 1 + 2 * 0.9 + 0.7 - 0.75)
+        assert sigma_p(p, p_value) == pytest.approx(expected, abs=1e-14)
+        assert decay_bound(p).sigma_p_table[p_value] == sigma_p(p, p_value)
+
+    def test_conjugate_tolerance_is_relative_1e_9(self):
+        near = profile(kappa2=0.8, kappa_star=0.9, d_inf=0.7,
+                       kappa_p_table={1.2: 0.7}, d_q_table={6.0 * (1 + 2e-9): 0.75})
+        with pytest.raises(MissingExponent):
+            sigma_p(near, 1.2)
+
     def test_monotone_in_kappa2(self):
         values = [
             sigma_p(profile(kappa2=k2, kappa_star=0.95, d_inf=0.5), 2.0)
@@ -186,6 +202,16 @@ class TestDecayBound:
         bound = decay_bound(p)
         assert bound.best_p == 2.0
         assert bound.sigma_p_table[1.0] < bound.sigma_p_table[2.0]
+
+    def test_every_tabulated_p_evaluated(self):
+        # once evaluated only through a p_grid argument that no caller passed
+        p = profile(ad_regular=True, kappa_p_table={1.5: 0.6, 1.8: 0.62}, d_q_table={3.0: LOG23})
+        bound = decay_bound(p, curvature_ok=True, non_expanding=True)
+        assert sorted(bound.sigma_p_table) == [1.5, 2.0]
+        assert bound.best_p == 1.5
+        assert bound.sigma == sigma_p(p, 1.5) == pytest.approx(0.0714747, abs=1e-7)
+        assert bound.gamma == compute_gamma(p, 1.5)
+        assert "p=1.8: no tabulated exponents, skipped" in bound.notes
 
     def test_unverified_hypotheses_warned(self):
         bound = decay_bound(profile(ad_regular=True))

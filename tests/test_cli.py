@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fractal_fourier import cli as cli_module
+from fractal_fourier import dimensions
 from fractal_fourier import experiments
 from fractal_fourier import ifs as ifsmod
 from fractal_fourier.cli import main
@@ -145,7 +147,7 @@ class TestBounds:
         [
             (None, "cannot read profile file"),
             ("{not json", "cannot read profile file"),
-            ('{"k": 1}', "missing field 'kappa2'"),
+            ('{"k": 1}', "profile file missing fields: ['d_inf', 'kappa2'"),
         ],
     )
     def test_malformed_profile_exit_2(self, tmp_path, capsys, content, message):
@@ -155,6 +157,38 @@ class TestBounds:
         assert main(["bounds", "--profile", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("ad_regular", "false"),    # bool("false") is True
+        ("k", 1.5),
+        ("kappa1", "0.3"),
+        ("kappa_p_table", {"3": 0.6}),
+        ("extra", 1),
+    ])
+    def test_malformed_profile_field_exit_2(self, tmp_path, capsys, field, value):
+        assert main(["dims", "--ifs", str(CONFIGS / "cantor.json"), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "profile.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        capsys.readouterr()
+        assert main(["bounds", "--profile", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["dims"], ["bounds"], ["fourier"]])
+    def test_malformed_exponent_exit_2(self, tmp_path, capsys, argv):
+        # once exit 5, "could not convert string to float: 'abc'"
+        bad = write_ifs(tmp_path / "bad.json", [1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5],
+                        "SSC", exponents={"kappa1": "abc"})
+        assert main([*argv, "--ifs", str(bad)]) == 2
+        assert "kappa1: malformed value 'abc'" in capsys.readouterr().err
+
+    def test_tabulated_pair_used(self, tmp_path, capsys):
+        # once ignored: sigma = 0.061442548 at best p = 2.0
+        ifs = write_ifs(tmp_path / "tab.json", [1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5], "SSC",
+                        exponents={"kappa_p": {"1.5": 0.6}, "d_q": {"3": 0.6309297535714575}})
+        code = main(["bounds", "--ifs", str(ifs), "--assume-curvature", "--assume-non-expanding"])
+        assert code == 0
+        assert "sigma = 0.071474706 (best p = 1.5)" in capsys.readouterr().out
 
     def test_small_measure_warns_but_exits_zero(self, tmp_path, capsys):
         small = write_ifs(
@@ -417,6 +451,11 @@ class TestFourier:
         ('{"kind": "square", "shift": 1}', "square map has unknown fields: ['shift']"),
         ('{"kind": "constant", "valu": 2}', "constant map has unknown fields: ['valu']"),
         ('{"kind": "quadratic"}', "quadratic map missing fields: ['coefficients']"),
+        # a bool was once read as a number
+        ('{"kind": "log", "shift": true}', "shift: malformed value True"),
+        ('{"kind": "quadratic", "coefficients": [[[0, 0, 1]]], "linear": [[true]]}',
+         "linear: malformed value"),
+        ('{"kind": "quadratic", "coefficients": [[[0, false, 1]]]}', "coefficients: malformed value"),
     ])
     def test_malformed_map_exit_2(self, tmp_path, capsys, spec, message):
         code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), "--scheme", "order0",
@@ -558,6 +597,14 @@ class TestDecayCommand:
         ("theoretical_sigma", "abc", "theoretical_sigma: malformed value 'abc'"),
         # once ignored: the map was x -> x^2
         ("map", {"kind": "square", "power": 3}, "square map has unknown fields: ['power']"),
+        # once exit 0: octaves 8-9 with 4 samples each at tol 1.0
+        ("octaves", "89", "octaves: malformed value '89' (expected a JSON list [first, last])"),
+        ("octaves", [8, 9, 10], "octaves: malformed value [8, 9, 10]"),
+        ("octaves", [8, 9.5], "octaves: malformed value [8, 9.5]"),
+        ("samples_per_octave", 4.9, "samples_per_octave: malformed value 4.9"),
+        ("seed", True, "seed: malformed value True"),
+        ("tol", True, "tol: malformed value True"),
+        ("theoretical_sigma", False, "theoretical_sigma: malformed value False"),
     ])
     def test_refused_field_exit_2(self, tmp_path, capsys, field, value, message):
         cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"},
@@ -567,6 +614,15 @@ class TestDecayCommand:
         assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_malformed_exponent_exit_2(self, tmp_path, capsys):
+        bad = write_ifs(tmp_path / "bad.json", [1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5],
+                        "SSC", exponents={"kappa1": "abc"})
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps({"ifs": str(bad), "map": {"kind": "square"},
+                                        "octaves": [8, 9], "samples_per_octave": 4}))
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "kappa1: malformed value 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, sigma", [(None, 0.0614425), (0.25, 0.25)])
     def test_theoretical_sigma(self, tmp_path, value, sigma):
@@ -756,6 +812,35 @@ class TestFieldTables:
         for kinds in (cli_module._MAP_KINDS, cli_module._FACTOR_KINDS):
             for builder, fields in kinds.values():
                 assert set(fields) <= parameters(builder)
+
+    def test_profile_fields_are_the_profile_dataclass_fields(self):
+        names = {f.name for f in dataclasses.fields(dimensions.DimensionProfile)}
+        assert set(dimensions._PROFILE_FIELDS) == names
+
+    def test_exponent_fields_are_read_by_build_profile(self):
+        # each override is the value of its profile field, tagged user-supplied
+        cantor = ifsmod.load_ifs(CONFIGS / "cantor.json").ifs
+        log23 = math.log(2) / math.log(3)
+        cases = {"kappa1": (0.5, 0.5), "kappa2": (0.635, 0.635), "kappa_star": (0.9, 0.9),
+                 "d_inf": (0.6, 0.6), "kappa_p": ({"1.5": 0.6}, {1.5: 0.6}),
+                 "d_q": ({"3": log23}, {3.0: log23})}
+        profile_field = {"kappa_p": "kappa_p_table", "d_q": "d_q_table"}
+        assert set(cases) == set(ifsmod._EXPONENT_FIELDS)
+        for name, (value, parsed) in cases.items():
+            profile = dimensions.build_profile(cantor, "none", {name: value})
+            field = profile_field.get(name, name)
+            assert getattr(profile, field) == parsed
+            assert profile.provenance[field] == "user_supplied"
+
+    @pytest.mark.parametrize("path", sorted(p for p in CONFIGS.glob("*.json")
+                                            if "maps" in json.loads(p.read_text())),
+                             ids=lambda path: path.name)
+    def test_profile_round_trips(self, tmp_path, path):
+        doc = ifsmod.load_ifs(path)
+        profile = dimensions.build_profile(doc.ifs, doc.declared_separation, doc.exponents)
+        dimensions.save_profile(profile, tmp_path / "profile.json")
+        again = dimensions.load_profile(tmp_path / "profile.json")
+        assert again == profile and again.to_dict() == profile.to_dict()
 
     @pytest.mark.parametrize("spec, label", [
         ({"kind": "constant"}, "constant(0.0)"),

@@ -195,6 +195,18 @@ class TestBuildProfile:
         with pytest.raises(BadConfig):
             build_profile(cantor, "SSC", {"fourier_dim": 1.0})
 
+    @pytest.mark.parametrize("overrides", [{"kappa1": "0.3"}, {"kappa2": None},
+                                           {"d_q": {"3": "x"}}, {"kappa_p": {"2.5": 0.6}}])
+    def test_malformed_override_rejected(self, cantor, overrides):
+        with pytest.raises(BadConfig, match=f"{next(iter(overrides))}: malformed value"):
+            build_profile(cantor, "SSC", overrides)
+
+    def test_tabulated_overrides_tagged(self, cantor):
+        p = build_profile(cantor, "SSC", {"kappa_p": {"1.5": 0.6}, "d_q": {"3": LOG23}})
+        assert p.kappa_p_table == {1.5: 0.6} and p.d_q_table == {3.0: LOG23}
+        assert p.provenance["kappa_p_table"] == p.provenance["d_q_table"] == "user_supplied"
+        assert "kappa1" not in p.provenance
+
     @pytest.mark.parametrize("separation", ["bogus", "ssc", None])
     def test_unknown_separation_rejected(self, cantor, separation):
         # once read as "none", which lowers sigma for the Cantor measure
@@ -245,6 +257,28 @@ class TestProfileValidation:
             self.base(kappa_p_table={1.5: 0.7})
         ok = self.base(kappa_p_table={1.5: 0.5})
         assert ok.kappa_lp(1.5) == 0.5
+
+    def test_tables_hold_the_built_in_entries(self):
+        p = self.base(kappa_p_table={1.5: 0.5}, d_q_table={3.0: 0.55, 4.0: 0.52})
+        assert (p.kappa_lp(1.0), p.kappa_lp(1.5), p.kappa_lp(2.0), p.kappa_lp(1.2)) == (0.4, 0.5, 0.6, None)
+        assert (p.d_q(2.0), p.d_q(3.0), p.d_q(4.0), p.d_q(math.inf), p.d_q(5.0)) == (0.6, 0.55, 0.52, 0.5, None)
+        assert self.base(kappa1=None).kappa_lp(1.0) is None
+
+    def test_kappa1_outside_the_two_sided_check(self):
+        # kappa1 = 0.1 < (1/2) kappa2 would fail (p/q) kappa_q <= kappa_p
+        assert self.base(kappa1=0.1).kappa_lp(1.0) == 0.1
+
+    @pytest.mark.parametrize("kw, name", [
+        (dict(d_q_table={2.0: 0.59}), "tabulated d_q must match built-in entry"),
+        (dict(d_q_table={math.inf: 0.4}), "tabulated d_q must match built-in entry"),
+        (dict(kappa_p_table={2.0: 0.61}), "tabulated kappa_p must match built-in entry"),
+        (dict(kappa_p_table={1.0: 0.3}), "tabulated kappa_p must match built-in entry"),
+        (dict(kappa_p_table={1.5: 0.5, 1.8: 0.45}), "kappa_p <= kappa_q for p <= q"),
+    ])
+    def test_table_violations_named(self, kw, name):
+        with pytest.raises(InconsistentProfile) as err:
+            self.base(**kw)
+        assert err.value.violated == name
 
     def test_ad_regular_coherence(self):
         with pytest.raises(InconsistentProfile, match="ad_regular"):

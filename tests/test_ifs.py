@@ -23,6 +23,9 @@ from fractal_fourier.ifs import (
     porosity_flag,
     separation_diagnostic,
     _count_stopping,
+    _bool,
+    _float,
+    _int,
     stopping_decomposition,
 )
 
@@ -622,6 +625,63 @@ class TestJsonRoundTrip:
     def test_unknown_fields_rejected(self):
         with pytest.raises(BadConfig, match="unknown"):
             ifs_from_dict({"ambient_dim": 1, "maps": [], "weights": [], "extra": 1})
+
+    def test_exponents_parsed_at_load(self, mixed_ratios):
+        payload = ifs_to_dict(IFSDocument(mixed_ratios, "OSC"))
+        payload["exponents"] = {"kappa1": 0.4, "kappa_p": {"1.5": 0.5}, "d_q": {"3": 0.6, "inf": 0.5}}
+        exponents = ifs_from_dict(payload).exponents
+        assert exponents == {"kappa1": 0.4, "kappa_p": {1.5: 0.5}, "d_q": {3.0: 0.6, math.inf: 0.5}}
+
+    @pytest.mark.parametrize("exponents, message", [
+        # once exit 5: build_profile's float() raised a ValueError
+        ({"kappa1": "abc"}, "kappa1: malformed value 'abc'"),
+        ({"kappa2": True}, "kappa2: malformed value True"),
+        ({"kappa_p": {"x": 0.5}}, "kappa_p: malformed value"),
+        ({"kappa_p": {"1.5": "0.5"}}, "kappa_p: malformed value"),
+        ({"kappa_p": {"3": 0.5}}, "every p must lie in (1, 2.0]"),
+        ({"kappa_p": {"1": 0.5}}, "every p must lie in (1, 2.0]"),
+        ({"d_q": {"NaN": 0.5}}, "every q must lie in (1, inf]"),
+        ({"d_q": [0.5]}, "d_q: malformed value"),
+        ({"fourier_dim": 1.0}, "exponents has unknown fields: ['fourier_dim']"),
+        ([0.4], "exponents: malformed value"),
+    ])
+    def test_malformed_exponents_rejected(self, mixed_ratios, exponents, message):
+        payload = ifs_to_dict(IFSDocument(mixed_ratios, "OSC"))
+        payload["exponents"] = exponents
+        with pytest.raises(BadConfig) as err:
+            ifs_from_dict(payload)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ambient_dim", True), ("ambient_dim", 1.5), ("ambient_dim", "1"),
+        ("weights", [0.5, True]), ("weights", ["0.5", 0.5]),
+    ])
+    def test_strict_scalars(self, mixed_ratios, field, value):
+        payload = ifs_to_dict(IFSDocument(mixed_ratios, "OSC"))
+        payload[field] = value
+        with pytest.raises(BadConfig, match=f"{field}: malformed value"):
+            ifs_from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ratio", True), ("ratio", "0.5"), ("translation", [True]), ("orientation", ["1"]),
+        ("orientation", [[1.0], 1.0]),
+    ])
+    def test_strict_map_fields(self, mixed_ratios, field, value):
+        # a bool was once read as 1.0, and a string as its number
+        payload = ifs_to_dict(IFSDocument(mixed_ratios, "OSC"))
+        payload["maps"][0][field] = value
+        with pytest.raises(BadConfig, match=f"{field}: malformed value"):
+            ifs_from_dict(payload)
+
+    def test_strict_scalar_parsers(self):
+        assert _int(3) == 3 and _int(4.0) == 4 and type(_int(4.0)) is int
+        assert _float(2) == 2.0 and type(_float(2)) is float
+        assert _bool(False) is False
+        for parser, value in ((_int, True), (_int, 4.9), (_int, "4"), (_int, math.inf),
+                              (_float, False), (_float, "1.0"), (_float, None),
+                              (_bool, "false"), (_bool, 0)):
+            with pytest.raises((TypeError, ValueError, OverflowError)):
+                parser(value)
 
     def test_bad_separation(self):
         with pytest.raises(BadConfig):
