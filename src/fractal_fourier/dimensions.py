@@ -30,11 +30,13 @@ import numpy as np
 
 from .errors import BadConfig, InconsistentProfile
 from .ifs import (_EXPONENT_FIELDS, SEPARATION_KINDS, SelfSimilarIFS, _bool, _fields, _float, _int,
-                  _json_object, _optional_float, chaos_game, read_json, write_json)
+                  _json_object, _optional_float, _parsed, chaos_game, read_json, write_json)
 
 EXACT = "exact_under_separation"
 ESTIMATED = "estimated"
 USER = "user_supplied"
+# the fields ``build_profile`` tags with one of the three provenances above
+TAGGED_FIELDS = ("kappa2", "kappa_star", "d_inf", "kappa1", "kappa_p_table", "d_q_table")
 
 _CHAIN_SLACK = 1e-12
 _AD_REGULAR_TOL = 1e-9
@@ -251,8 +253,9 @@ class DimensionProfile:
     warnings: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        # Parsed as the profile file's are: a table key out of its range or an unknown tag raises BadConfig.
         for name in ("kappa_p_table", "d_q_table", "provenance"):
-            object.__setattr__(self, name, dict(getattr(self, name)))
+            object.__setattr__(self, name, _parsed(name, _PROFILE_FIELDS[name][0], dict(getattr(self, name))))
         # Each exponent family's one table: the tabulated values, then the built-in entries.
         object.__setattr__(self, "_d_q", {**self.d_q_table, 2.0: self.kappa2, math.inf: self.d_inf})
         kappa1 = {} if self.kappa1 is None else {1.0: self.kappa1}
@@ -343,6 +346,19 @@ class DimensionProfile:
         return cls(**_fields(doc, "profile file", _PROFILE_FIELDS))
 
 
+def _provenance(value) -> dict:
+    tags = _json_object(value)
+    if not all(name in TAGGED_FIELDS and tag in (EXACT, ESTIMATED, USER) for name, tag in tags.items()):
+        raise ValueError(f"keys must be among {TAGGED_FIELDS} and tags among {(EXACT, ESTIMATED, USER)}")
+    return tags
+
+
+def _strings(value) -> tuple:
+    if not (isinstance(value, list) and all(isinstance(text, str) for text in value)):
+        raise TypeError("expected a JSON list of strings")
+    return tuple(value)
+
+
 # The profile file, as ``to_dict`` writes it: the fields of ``DimensionProfile``.
 _PROFILE_FIELDS = {
     "k": (_int, True),
@@ -355,8 +371,8 @@ _PROFILE_FIELDS = {
     "kappa1": (_optional_float, False),
     "kappa_p_table": _EXPONENT_FIELDS["kappa_p"],
     "d_q_table": _EXPONENT_FIELDS["d_q"],
-    "provenance": (_json_object, False),
-    "warnings": (tuple, False),
+    "provenance": (_provenance, False),
+    "warnings": (_strings, False),
 }
 
 

@@ -43,7 +43,7 @@ from .fourier import (
     pushforward_batch,
     write_csv,
 )
-from .ifs import SelfSimilarIFS, _count_stopping
+from .ifs import DEFAULT_LEAF_BUDGET, SelfSimilarIFS
 
 DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
 
@@ -160,7 +160,6 @@ def measure_decay_slope(
     scheme: str = "order1",
     theoretical_sigma: Optional[float] = None,
     threads: int = 1,
-    check_curvature: bool = True,
 ) -> DecayExperiment:
     """Measure the empirical decay envelope of the image transform.
 
@@ -172,7 +171,7 @@ def measure_decay_slope(
     _check_threads(threads)
     xis = octave_frequencies(octaves, samples_per_octave, seed)
     warnings = []
-    if check_curvature and pmap.out_dim == 1:
+    if pmap.out_dim == 1:
         try:
             min_det, vanishing = curvature_diagnostic(ifs, pmap, seed=seed)
             if vanishing:
@@ -398,7 +397,7 @@ def multiplicative_convolution(
     density_budget: float = DEFAULT_DENSITY_BUDGET,
     tol: float = 1e-4,
     threads: int = 1,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> ConvolutionExperiment:
     """Recover the density of the product (or ratio) of factor measures.
 
@@ -439,60 +438,38 @@ def multiplicative_convolution(
     pad = 0.02 * total_len
     t_grid = np.linspace(support_lo - pad, support_hi + pad, density_points)
 
-    # Fixed stopping scale per factor.  Per-point transform errors grow as
-    # e(xi) = tau xi (tau = pi H R^2 scale^2); their quadratic cross terms
-    # dominate the certified inversion error with total n(n-1) tau^2 Xi^3/3,
-    # which is held to half the density budget.
+    # Fixed cover per factor (``_fixed_cover``).  Per-point transform errors
+    # grow as e(xi) = tau xi (tau = pi H R^2 scale^2); their quadratic cross
+    # terms dominate the certified inversion error with total
+    # n(n-1) tau^2 Xi^3/3, which is held to half the density budget.
     n_fac = len(factors)
-    tau_target = math.sqrt(
+    tau = math.sqrt(
         3.0 * (density_budget / 2.0) / (n_fac * (n_fac - 1) * max_frequency**3)
     )
-    refine, evaluated = 1.0, None
+    distinct = {}
+    for factor in factors:
+        distinct.setdefault(factor.key(), factor)
+    evaluated = None
     while True:
-        covers = {}
-        for factor in factors:
-            if factor.key() in covers:
-                continue
-            hess = factor.pmap.hessian_bound
-            radius = factor.ifs.support_radius
-            scale = None
-            if hess:
-                scale = refine * math.sqrt(tau_target / (math.pi * hess * radius**2))
-            scheme, scale = _fixed_cover(factor.ifs, factor.pmap, scale, max_frequency)
-            covers[factor.key()] = (factor, scheme, scale)
-        # A cover is named by its snapped scale (``ifs._count_stopping``): a
-        # halving that moves no factor's cover would evaluate the same
-        # transforms again, so it is skipped.
-        snapped = {
-            key: (scheme, None if scale is None else _count_stopping(factor.ifs, scale)[1])
-            for key, (factor, scheme, scale) in covers.items()
-        }
-        if snapped == evaluated:
-            refine *= 0.5
+        covers = {key: _fixed_cover(f.ifs, f.pmap, tau, max_frequency) for key, f in distinct.items()}
+        # Equal snapped scales are equal covers: a retry that moves no
+        # factor's cover would evaluate the same transforms again, so it is skipped.
+        if covers == evaluated:
+            tau *= 0.25
             continue
-        evaluated = snapped
-        cache = {}
-        for key, (factor, scheme, scale) in covers.items():
-            vals, errs, _ = pushforward_batch(
-                factor.ifs,
-                factor.pmap,
-                xis,
-                tol=tol,
-                scheme=scheme,
-                threads=threads,
-                budget=budget,
-                scale=scale,
-            )
-            cache[key] = (vals, errs, scheme)
-        transforms = [(factor.key(), cache[factor.key()][:2]) for factor in factors]
+        evaluated = covers
+        transforms = {}
+        for key, (scheme, scale) in covers.items():
+            f = distinct[key]
+            transforms[key] = pushforward_batch(f.ifs, f.pmap, xis, tol=tol, scheme=scheme,
+                                                threads=threads, budget=budget, scale=scale)[:2]
 
         # Multiply in canonical key order: numpy complex products are not
         # bitwise commutative, and the product must be identical for any
         # factor ordering.
-        transforms.sort(key=lambda item: item[0])
         product = np.ones(n_freq + 1, dtype=complex)
         product_err = np.zeros(n_freq + 1)
-        for _, (vals, errs) in transforms:
+        for vals, errs in (transforms[key] for key in sorted(f.key() for f in factors)):
             mag_prev = np.abs(product)
             mag_new = np.abs(vals)
             product_err = mag_prev * errs + mag_new * product_err + product_err * errs
@@ -507,7 +484,7 @@ def multiplicative_convolution(
                 f"{density_budget:.3e}, and no factor has a scale to refine",
                 "density_budget",
             )
-        refine *= 0.5
+        tau *= 0.25     # half the scale
 
     warnings = []
     rows, l1_slope, l2_slope = _octave_diagnostics(xis, product, delta)
@@ -548,7 +525,7 @@ def multiplicative_convolution(
         l2_octave_slope=l2_slope,
         octave_table=tuple(rows),
         warnings=tuple(warnings),
-        schemes=tuple(cache[f.key()][2] for f in factors),
+        schemes=tuple(covers[f.key()][0] for f in factors),
     )
 
 

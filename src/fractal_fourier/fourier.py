@@ -51,8 +51,8 @@ Each image scheme is described once: its per-cylinder remainder
 (``_remainder_terms``) gives its stopping scale, the root at its share
 of tol (``_stopping_scale``), and the term its bound charges, and one
 test (``_refusal``) names the systems and maps it cannot run.
-A single frequency is a batch of one: both run one row kernel,
-``_image_rows``, and get the same value, bound and leaves.  A batch
+A single frequency is a batch of one: ``pushforward_batch`` at [xi] is
+the one front door of the row kernel, ``_image_rows``.  A batch
 groups its frequencies by octave of |xi|, and each group uses the
 stopping cover of its largest |xi|.  A cover's count
 (``ifs._count_stopping``) gives its size, snapped scale s and depth
@@ -397,18 +397,6 @@ class FrequencySample:
     leaves_used: int
     certified: bool = True
 
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + self.error_bound + 1e-12:
-            raise FractalFourierError(
-                f"probability bound violated: |value|={abs(self.value)} "
-                f"exceeds 1 + error_bound={self.error_bound}"
-            )
-
-
-def _check_finite(xis: np.ndarray) -> None:
-    if not np.isfinite(xis).all():
-        raise BadConfig("frequencies must be finite")
-
 
 def _check_positive(name: str, value: float) -> None:
     if not value > 0.0:     # NaN included
@@ -440,14 +428,6 @@ def _check_threads(threads: int) -> None:
         raise BadConfig(f"threads must be at least 1, got {threads}")
 
 
-def _freq_vector(xi, k: int) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(xi, dtype=float))
-    if vec.shape != (k,):
-        raise BadConfig(f"frequency must have {k} components, got shape {vec.shape}")
-    _check_finite(vec)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # mu_hat: the transform of the measure itself
 # ---------------------------------------------------------------------------
@@ -457,12 +437,12 @@ def mu_hat(
     ifs: SelfSimilarIFS,
     xi,
     tol: float = 1e-9,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> FrequencySample:
     """Evaluate mu_hat(xi) by the self-similarity recursion, certified to ``error_bound``.
 
     A batch of one, like the image schemes: ``exact_recursion`` of the
-    identity (``_image_rows``, so ``_mu_hat_rows``), the product form
+    identity (``pushforward_batch``, so ``_mu_hat_rows``), the product form
     (``_mu_hat_homog_many``) for homogeneous systems and the order-0 row
     kernel at the stopping cover at scale tol / (2 pi |xi| R) for the
     rest.  A cover's exact leaf count is checked before it is expanded;
@@ -1215,27 +1195,33 @@ def _refusal(ifs, pmap, scheme: str) -> Optional[FractalFourierError]:
     return None
 
 
-def _fixed_cover(ifs, pmap, scale: Optional[float], xi_max: float):
-    """(scheme, scale) of one fixed cover for every |xi| <= ``xi_max``, given order 1's ``scale``.
+def _fixed_cover(ifs, pmap, tau: float, xi_max: float):
+    """(scheme, snapped scale) of one fixed cover whose error is about ``tau`` |xi| up to ``xi_max``.
 
-    Where ``order2`` can run the system and map (``_refusal``), it takes
-    the stopping scale of its remainder (``_stopping_scale``) at the
-    order-1 remainder at ``xi_max`` and s R, s the snapped order-1 scale
-    (``ifs._count_stopping``): the coarsest cover whose remainder at
+    The order-1 scale is the stopping scale (``_stopping_scale``) of its
+    Taylor term (``_remainder_terms``) at tau ``xi_max``: pi |xi| H (r R)^2
+    <= tau |xi| per unit weight.  Where ``order2`` can run the system and
+    map (``_refusal``), it takes the stopping scale of its remainder at
+    ``xi_max`` at the order-1 remainder at ``xi_max`` and s R, s the
+    snapped order-1 scale: the coarsest cover whose remainder at
     ``xi_max`` is within that term.  The remainder over that term grows
     with |xi|, so it is within it at every smaller |xi| too.  Anywhere
-    else, or with no ``scale`` (a map without curvature), it keeps
-    ("order1", ``scale``).  Order 2 also tabulates h2, on a longer table
-    for its coarser cover; with the quadratic table that build is small
-    beside the kernel's fewer terms, so on the README's uniform[1, 2]
-    log factors order 2 is also the faster scheme, from ``max_frequency``
-    512 up.
+    else it keeps ("order1", s), and a map without curvature (H None or
+    0) keeps ("order1", None).  Scales are snapped (``ifs._count_stopping``),
+    so equal scales name equal covers.  Order 2 also tabulates h2, on a
+    longer table for its coarser cover; with the quadratic table that
+    build is small beside the kernel's fewer terms, so on the README's
+    uniform[1, 2] log factors order 2 is also the faster scheme, from
+    ``max_frequency`` 512 up.
     """
-    if scale is None or _refusal(ifs, pmap, "order2") is not None:
+    if not pmap.hessian_bound:
+        return "order1", None
+    taylor = _remainder_terms(pmap, 1, xi_max)
+    scale = _count_stopping(ifs, _stopping_scale(ifs, taylor, tau * xi_max))[1]
+    if _refusal(ifs, pmap, "order2") is not None:
         return "order1", scale
-    x = _count_stopping(ifs, scale)[1] * ifs.support_radius
-    taylor = sum(c * x**p for c, p in _remainder_terms(pmap, 1, xi_max))
-    return "order2", _stopping_scale(ifs, _remainder_terms(pmap, 2, xi_max), taylor)
+    target = sum(c * (scale * ifs.support_radius) ** p for c, p in taylor)
+    return "order2", _count_stopping(ifs, _stopping_scale(ifs, _remainder_terms(pmap, 2, xi_max), target))[1]
 
 
 def _jacobian_bound(ifs, pmap) -> float:
@@ -1639,17 +1625,16 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
 
 
 def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
-    _check_positive_finite("tol", tol)
-    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    vec = _freq_vector(xi, pmap.out_dim)
-    values, errors, leaves = _image_rows(ifs, pmap, vec[None, :], tol, scheme, scale, budget, 1)
+    """``pushforward_batch`` at [xi]: one frequency is a batch of one."""
+    xis = np.asarray([xi], dtype=float)
+    values, errors, leaves = pushforward_batch(ifs, pmap, xis, tol, scheme, 1, budget, scale)
     return FrequencySample(
-        xi=vec,
+        xi=xis.reshape(-1),
         value=complex(values[0]),
         error_bound=float(errors[0]),
         scheme=scheme,
         leaves_used=leaves[0],
-        certified=pmap.bounds_certified or not vec.any(),
+        certified=pmap.bounds_certified or not xis.any(),
     )
 
 
@@ -1659,7 +1644,7 @@ def pushforward_hat_order0(
     xi,
     tol: float = 1e-4,
     scale: Optional[float] = None,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> FrequencySample:
     """Order-0 cylinder quadrature of the image transform mu_f-hat(xi)."""
     return _image_sample(ifs, pmap, xi, tol, "order0", scale, budget)
@@ -1671,7 +1656,7 @@ def pushforward_hat_order1(
     xi,
     tol: float = 1e-4,
     scale: Optional[float] = None,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> FrequencySample:
     """Order-1 (linearised) cylinder quadrature of the image transform.
 
@@ -1680,9 +1665,8 @@ def pushforward_hat_order1(
     certified table for homogeneous systems on the line, else mu_hat of
     ``ifs.centred`` at tol/2; stopping scale
     ~ sqrt(tol / (pi |xi| H)) / R, so far fewer leaves are needed than
-    order-0 at the same tolerance.  For a scalar map the call is a batch
-    of one: ``pushforward_batch`` at [xi] gives the same value, bound and
-    leaves.
+    order-0 at the same tolerance.  The call is a batch of one:
+    ``pushforward_batch`` at [xi] gives the same value, bound and leaves.
     """
     return _image_sample(ifs, pmap, xi, tol, "order1", scale, budget)
 
@@ -1693,7 +1677,7 @@ def pushforward_hat_order2(
     xi,
     tol: float = 1e-4,
     scale: Optional[float] = None,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> FrequencySample:
     """Order-2 cylinder quadrature of the image transform (homogeneous systems on the line).
 
@@ -1714,16 +1698,20 @@ def pushforward_hat_order2(
 def pushforward_batch(
     ifs: SelfSimilarIFS,
     pmap: PushforwardMap,
-    xis: Sequence[float],
+    xis,
     tol: float = 1e-4,
     scheme: str = "order1",
     threads: int = 1,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
     scale: Optional[float] = None,
 ):
-    """Evaluate the scalar image transform on an array of frequencies.
+    """Evaluate the image transform on an array of frequencies.
 
-    Returns (values, error_bounds, leaves_used) aligned with ``xis``.
+    ``xis`` is (m,) for a scalar image (d = 1) or (m, d) for any image
+    dimension d, d = k for ``exact_recursion``; any other shape raises
+    BadConfig.  Returns (values, error_bounds, leaves_used) aligned with
+    its rows, and every row has |value| <= 1 + error_bound + 1e-12, else
+    FractalFourierError.
     Every scheme runs ``_image_rows``, and the single calls
     (``pushforward_hat_order0/1/2``, ``mu_hat``) are its batches of one.
     For ``order0``/``order1``/``order2`` the frequencies of one octave of
@@ -1741,7 +1729,7 @@ def pushforward_batch(
     term.  The inner transforms, h and for ``order2`` h2 of
     ``ifs.centred``, come from a certified table (``_MuHatTable``) for
     homogeneous systems on the line and are evaluated exactly for the
-    rest.  ``exact_recursion`` is mu_hat itself (k = 1, ``pmap`` unused),
+    rest.  ``exact_recursion`` is mu_hat itself (``pmap`` unused),
     one ``_mu_hat_rows`` call for all the rows: a homogeneous system takes
     every row to the depth of the largest (on one thread), and any other
     system is grouped by octave and runs on the row kernel's jobs like the
@@ -1751,16 +1739,22 @@ def pushforward_batch(
     """
     if scheme not in (*IMAGE_SCHEMES, "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")
-    if scheme == "exact_recursion" and ifs.ambient_dim != 1:
-        raise BadConfig(f"frequency must have {ifs.ambient_dim} components, got shape (1,)")
-    if pmap.out_dim != 1:
-        raise Unsupported("batched evaluation expects scalar images (d = 1)")
     _check_positive_finite("tol", tol)
     _check_threads(threads)
-    budget = DEFAULT_LEAF_BUDGET if budget is None else budget
-    xis = np.asarray(xis, dtype=float).reshape(-1, 1)
-    _check_finite(xis)
-    return _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
+    d = ifs.ambient_dim if scheme == "exact_recursion" else pmap.out_dim
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim == 1 and d == 1:
+        xis = xis.reshape(-1, 1)
+    if xis.ndim != 2 or xis.shape[1] != d:
+        raise BadConfig(f"frequency must have {d} components, got shape {xis.shape}")
+    if not np.isfinite(xis).all():
+        raise BadConfig("frequencies must be finite")
+    values, errors, leaves = _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
+    over = np.flatnonzero(np.abs(values) > 1.0 + errors + 1e-12)
+    if len(over):
+        raise FractalFourierError(f"probability bound violated: |value|={abs(values[over[0]])} "
+                                  f"exceeds 1 + error_bound={errors[over[0]]}")
+    return values, errors, leaves
 
 
 # ---------------------------------------------------------------------------

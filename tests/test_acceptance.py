@@ -416,7 +416,6 @@ def test_criterion_12_van_der_corput_sanity():
         samples_per_octave=64,
         seed=0,
         tol=5e-4,
-        check_curvature=False,
     )
     # classical-rate oracle: direct oscillatory quadrature at spot frequencies
     worst_gap = 0.0

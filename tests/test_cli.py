@@ -164,6 +164,12 @@ class TestBounds:
         ("kappa1", "0.3"),
         ("kappa_p_table", {"3": 0.6}),
         ("extra", 1),
+        # once exit 0, with ['a', 'b', 'c'] and both tags written to bounds.json
+        ("warnings", "abc"),
+        ("warnings", ["ok", 1]),
+        ("provenance", {"kappa2": 5, "bogus_field": [1]}),
+        ("provenance", {"kappa2": 5}),
+        ("provenance", {"bogus_field": "estimated"}),
     ])
     def test_malformed_profile_field_exit_2(self, tmp_path, capsys, field, value):
         assert main(["dims", "--ifs", str(CONFIGS / "cantor.json"), "--out", str(tmp_path)]) == 0

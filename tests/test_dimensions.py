@@ -272,13 +272,25 @@ class TestProfileValidation:
         (dict(d_q_table={2.0: 0.59}), "tabulated d_q must match built-in entry"),
         (dict(d_q_table={math.inf: 0.4}), "tabulated d_q must match built-in entry"),
         (dict(kappa_p_table={2.0: 0.61}), "tabulated kappa_p must match built-in entry"),
-        (dict(kappa_p_table={1.0: 0.3}), "tabulated kappa_p must match built-in entry"),
         (dict(kappa_p_table={1.5: 0.5, 1.8: 0.45}), "kappa_p <= kappa_q for p <= q"),
     ])
     def test_table_violations_named(self, kw, name):
         with pytest.raises(InconsistentProfile) as err:
             self.base(**kw)
         assert err.value.violated == name
+
+    @pytest.mark.parametrize("table, key, message", [
+        # p = 1 is kappa1's entry, not a tabulated one
+        ("kappa_p_table", 1.0, "every p must lie in (1, 2.0]"),
+        ("kappa_p_table", 3.0, "every p must lie in (1, 2.0]"),
+        ("d_q_table", 0.5, "every q must lie in (1, inf]"),
+        ("d_q_table", 1.0, "every q must lie in (1, inf]"),
+    ])
+    def test_table_key_out_of_range_refused(self, table, key, message):
+        # once accepted here and refused only by bounds.decay_bound
+        with pytest.raises(BadConfig) as err:
+            self.base(**{table: {key: 0.55}})
+        assert str(err.value).startswith(f"{table}: malformed value") and message in str(err.value)
 
     def test_ad_regular_coherence(self):
         with pytest.raises(InconsistentProfile, match="ad_regular"):

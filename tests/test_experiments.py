@@ -31,6 +31,8 @@ from fractal_fourier.experiments import (
 from fractal_fourier.fourier import (
     CSV_BLOCK,
     PushforwardMap,
+    _remainder_terms,
+    _stopping_scale,
     constant_map,
     identity_map,
     square_map,
@@ -56,7 +58,6 @@ class TestDecayExperiment:
             samples_per_octave=48,
             tol=1e-6,
             seed=1,
-            check_curvature=False,
         )
         assert exp.fitted_slope == pytest.approx(-1.0, abs=0.1)
 
@@ -68,7 +69,6 @@ class TestDecayExperiment:
             samples_per_octave=16,
             tol=1e-8,
             seed=2,
-            check_curvature=False,
         )
         assert exp.fitted_slope == pytest.approx(0.0, abs=1e-6)
         assert all(s.max_abs == pytest.approx(1.0, abs=1e-9) for s in exp.stats)
@@ -120,7 +120,6 @@ class TestDecayExperiment:
             samples_per_octave=8,
             tol=0.5,
             seed=0,
-            check_curvature=False,
         )
         assert any(not s.reliable for s in exp.stats)
         assert any("10%" in w for w in exp.warnings)
@@ -279,9 +278,9 @@ class TestDensityBudget:
         monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
         exp = multiplicative_convolution([order1_digits_factor] * 2, max_frequency=256.0)
         assert exp.density_error_certified <= DEFAULT_DENSITY_BUDGET
-        # the first scale certifies 0.128; each retry halves it
+        # the first cover certifies 0.128; each retry takes a strictly finer cover
         assert len(calls) >= 2
-        assert all(b == 0.5 * a for a, b in zip(calls, calls[1:]))
+        assert all(b < a for a, b in zip(calls, calls[1:]))
 
     def test_within_budget_takes_one_evaluation(self, uniform12, monkeypatch):
         calls = []
@@ -418,8 +417,10 @@ class TestOrder2Factors:
         covers, evaluations = [], []
         choose, evaluate = experiments_module._fixed_cover, experiments_module.pushforward_batch
 
-        def record_cover(ifs, pmap, scale, top):
-            covers.append((ifs, pmap, scale, *choose(ifs, pmap, scale, top)))
+        def record_cover(ifs, pmap, tau, top):
+            # the order-1 scale of the same tau: its Taylor term is tau |xi| at top
+            scale1 = _stopping_scale(ifs, _remainder_terms(pmap, 1, top), tau * top)
+            covers.append((ifs, pmap, scale1, *choose(ifs, pmap, tau, top)))
             return covers[-1][3:]
 
         def record_evaluation(*args, **kwargs):

@@ -1521,10 +1521,53 @@ class TestBatch:
         single = pushforward_hat_order1(uniform12, lg, 600.0, tol=1e-4, scale=2.0**-9)
         assert abs(vals[-1] - single.value) <= errs[-1] + single.error_bound
 
-    def test_rejects_vector_images(self, square_2d):
-        lifted = graph_lift(square_2d, sum_of_squares_map(square_2d))
-        with pytest.raises(Unsupported):
-            pushforward_batch(square_2d, lifted, [1.0])
+    def test_vector_images_equal_single_calls(self, square_2d):
+        # (m, d) rows, one per octave of |xi|: each batch group is the single call's cover
+        lifted = graph_lift(square_2d, sum_of_squares_map(square_2d))     # d = 3
+        holomorphic = _cube_holomorphic(square_2d)      # d = 2
+        for pmap, single, scheme, xis in (
+            (lifted, pushforward_hat_order0, "order0", [[0, 0, 0], [1, -2, 2], [-4, 5, 9], [20, -3, 30]]),
+            (holomorphic, pushforward_hat_order1, "order1", [[0, 0], [3, -1], [-11, 4], [37.5, 20]]),
+        ):
+            vals, errs, leaves = pushforward_batch(square_2d, pmap, xis, tol=0.1, scheme=scheme)
+            assert len(vals) == len(xis) and len(set(leaves[1:])) > 1
+            for i, xi in enumerate(xis):
+                s = single(square_2d, pmap, xi, tol=0.1)
+                assert (vals[i], errs[i], leaves[i]) == (s.value, s.error_bound, s.leaves_used)
+        # an (m,) list is m scalar frequencies, which a vector image refuses
+        with pytest.raises(BadConfig, match="frequency must have 3 components, got shape \\(3,\\)"):
+            pushforward_batch(square_2d, lifted, [1.0, 2.0, 3.0], scheme="order0")
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1, 2)])
+    def test_malformed_frequency_array_rejected(self, cantor, shape):
+        # not flattened into more rows than were asked for
+        xis = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+        with pytest.raises(BadConfig, match="frequency must have 1 components"):
+            pushforward_batch(cantor, square_map(cantor), xis)
+
+    def test_planar_recursion_batch(self, dust_2d):
+        identity = identity_map(dust_2d)
+        xis = np.array([[3.1, -7.4], [40.0, 25.0]])
+        one = pushforward_batch(dust_2d, identity, xis[:1], tol=1e-8, scheme="exact_recursion")
+        single = mu_hat(dust_2d, xis[0], tol=1e-8)
+        assert tuple(column[0] for column in one) == (single.value, single.error_bound, single.leaves_used)
+        # a homogeneous batch takes every row to the depth of its largest
+        vals, errs, leaves = pushforward_batch(dust_2d, identity, xis, tol=1e-8, scheme="exact_recursion")
+        top = mu_hat(dust_2d, xis[1], tol=1e-8)
+        assert list(leaves) == [top.leaves_used] * 2 and top.leaves_used > single.leaves_used
+        for value, bound, sample in zip(vals, errs, (single, top)):
+            assert abs(value - sample.value) <= bound + sample.error_bound
+
+    def test_rows_over_the_probability_bound_raise(self, cantor, monkeypatch):
+        def too_large(ifs, pmap, xis, *args):
+            return np.full(len(xis), 1.5 + 0j), np.zeros(len(xis)), np.ones(len(xis), dtype=object)
+
+        monkeypatch.setattr(fourier_module, "_image_rows", too_large)
+        sq = square_map(cantor)
+        with pytest.raises(FractalFourierError, match="probability bound violated: \\|value\\|=1.5"):
+            pushforward_batch(cantor, sq, [1.0, 2.0])
+        with pytest.raises(FractalFourierError, match="probability bound violated"):
+            pushforward_hat_order1(cantor, sq, 1.0)
 
     def test_order0_and_recursion_schemes(self, cantor):
         # Generic chunked path: order0 over a map, recursion over none.
