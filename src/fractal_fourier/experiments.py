@@ -28,14 +28,15 @@ from .errors import BadConfig, CenterInsideSupport, ResourceExceeded, SupportNot
 from .fourier import (
     EPS,
     IMAGE_SCHEMES,
+    PHASE_BLOCK,
     TWO_PI,
     PushforwardMap,
     _check_positive,
     _check_positive_finite,
     _check_threads,
     _fixed_cover,
+    _grid_phases,
     _grid_step,
-    _phase_blocks,
     _phase_rounding,
     curvature_diagnostic,
     log_map,
@@ -321,26 +322,38 @@ class ConvolutionExperiment:
 
 
 def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):
-    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}).
+    """rho(t) = delta (phi_0 + 2 Re sum_j phi_j e^{2 pi i xi_j t}) on the grid xi_j = j delta.
 
-    The unit phases e^{-2 pi i xi_j t} come from ``fourier._phase_blocks``
-    along the frequency axis, with coefficients 2 pi t and unit weights:
-    on the uniform grid xi_j = j delta of ``multiplicative_convolution`` a
-    base block times each block's offsets, in blocks of about
-    ``PHASE_BLOCK`` terms.  Each is multiplied in place by conj(phi_j),
-    whose product has the real part Re(phi_j e^{2 pi i xi_j t}), and the
-    real parts are summed over the frequencies.  ``_inversion_rounding``
-    bounds the rounding.  Returns (rho, |Im phi_0|).
+    The frequencies j >= 1 run in blocks of L = ``PHASE_BLOCK`` // len(t)
+    rows, at most all of them.  Row j = j0 + l of the block that starts at
+    j0 has e^{-2 pi i xi_j t} = base[l] offsets[j0], the factors of
+    ``fourier._grid_phases`` with coefficients 2 pi t and unit weights,
+    so a chunk of L blocks sums by one matrix product: Phi @ base, with
+    Phi[b, l] = conj(phi_{j0_b + l}) (0 past the last frequency), times
+    each block's offsets, whose real parts Re(conj(phi_j) e^{-i theta_j})
+    = Re(phi_j e^{i theta_j}) are summed over the blocks.
+    ``_inversion_rounding`` bounds the rounding.  Returns
+    (rho, |Im phi_0|).  ``xis`` must be that grid, else BadConfig.
     """
-    rows = np.arange(1, len(xis))
-    coefs = (TWO_PI * np.asarray(t, dtype=float))[:, None]
     step = _grid_step(xis[:, None])
-    conj = np.conj(phi)     # Re(phi e^{i theta}) = Re(conj(phi) e^{-i theta})
-    unit = np.ones(len(t))
+    if step is None:
+        raise BadConfig("the inversion needs the uniform frequency grid j * delta")
+    coefs = (TWO_PI * np.asarray(t, dtype=float))[:, None]
+    n = len(xis) - 1
+    size = min(max(1, PHASE_BLOCK // len(t)), n)
+    blocks = -(-n // size)
+    conj = np.zeros(blocks * size, dtype=complex)
+    conj[:n] = np.conj(phi[1:])
+    conj = conj.reshape(blocks, size)
+    work = {}
+    base = _grid_phases(np.arange(size), step, coefs, np.empty((size, len(t)), dtype=complex), work)
     acc = np.zeros(len(t))
-    for start, stop, phases in _phase_blocks(xis[:, None], rows, coefs, step, unit, {}):
-        phases *= conj[start + 1 : stop + 1, None]
-        acc += np.add.reduce(phases.real, axis=0)
+    for b0 in range(0, blocks, size):
+        firsts = 1 + size * np.arange(b0, min(b0 + size, blocks))
+        offsets = _grid_phases(firsts, step, coefs, np.empty((len(firsts), len(t)), dtype=complex), work)
+        sums = conj[b0 : b0 + size] @ base
+        sums *= offsets
+        acc += np.add.reduce(sums.real, axis=0)
     rho = np.full(len(t), float(phi[0].real))
     rho += 2.0 * acc
     return delta * rho, abs(float(phi[0].imag))
@@ -350,15 +363,21 @@ def _inversion_rounding(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: 
     """Bound on the float rounding of ``_invert_on_points`` at the points ``t``.
 
     Each term Re(conj(phi_j) e^{-i theta_j}) is within
-    |phi_j| ``_phase_rounding``(|xi_j|, 2 pi max|t|) of its exact value:
-    the phases are those of the row kernel at unit weight (a product by 1
-    is exact), 2 pi t rounds by 2u, less than A_w does, and the complex
-    product with conj(phi_j) errs by at most 1.5 EPS |phi_j| with or
-    without an FMA, as the product with h_w there.  The accumulation over
-    the N = len(xis) terms, within blocks and across them, takes a term
-    through at most N additions, N u per unit term, and the factors 2 and
-    delta add two more roundings: (N + 2) EPS times
-    |phi_0| + 2 sum |phi_j| covers them all.
+    |phi_j| ``_phase_rounding``(|xi_j|, 2 pi max|t|) of its exact value
+    for its phases: base and offset unit phases at unit weight (a product
+    by 1 is exact), the angles and the split of j delta as on the row
+    kernel's grid, and 2 pi t rounds by 2u, less than A_w does.  The sums
+    are any-order sums (Higham, Accuracy and Stability of Numerical
+    Algorithms, SIAM 2002, section 4.2, bound (4.4)), counted in
+    u = EPS / 2 per term: the matrix product Phi @ base sums each part of
+    L terms' complex products, 2L real products, so with its product a
+    term meets at most 2L roundings; the real part of the product with a
+    block's offsets rounds twice more, relative to
+    |offset| sum_l |phi_l| over its block; the sum over the B = ceil(n / L)
+    blocks adds at most B, and 2 acc + phi_0 and the factor delta two
+    more.  With L <= n, L + B <= n + 1, so 2L + B + 4 <= 2n + 6 = 2 (N + 2)
+    for N = len(xis) = n + 1: (N + 2) EPS times |phi_0| + 2 sum |phi_j|
+    covers every sum.
     """
     mags = np.abs(phi)
     coef = TWO_PI * float(np.max(np.abs(t)))

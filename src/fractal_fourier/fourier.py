@@ -71,13 +71,17 @@ the centred system at tol/2, the product form for homogeneous systems
 and a nested order-0 call of the kernel on its identity for the rest.
 Within a block the elementwise work runs over cache-sized
 blocks of rows as complex arrays of weighted phases p_w e^{-i theta}
-(``_phase_blocks``, shared with the Fourier inversion of
-``experiments``), each multiplied in place by its inner column and
-reduced once along the leaf axis.  On a uniform frequency grid j * delta
-a job of more than one block takes a base block of unit phases,
-computed once, times each block's offsets with the weights folded in:
-one complex product per term replaces a unit phase.  A unit phase is
-one sine of an argument reduced to [-pi/4, pi/4] (``_unit_phases``).
+(``_phase_blocks``), each multiplied in place by its inner column and
+reduced once along the leaf axis.  On a uniform frequency grid
+j * delta the phases factor into a base block of unit phases times one
+offset per block of rows (``_grid_phases``, shared with the product
+form and the Fourier inversion of ``experiments``), so the row kernel
+sums every leaf sum of a block as a column of one matrix product (a
+BLAS zgemm) and reads the inner columns only at a few Chebyshev nodes
+per block, interpolating them in between (``grid_rows``), which adds
+the ``row_interpolation`` term to the bound (``_image_rows``).  A unit
+phase is one sine of an argument reduced to [-pi/4, pi/4]
+(``_unit_phases``).
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -137,20 +141,36 @@ QUARTER_TURNS = np.array([complex(1.0, -0.0), -1j, -1.0, 1j])
 QUARTER_TURNS.flags.writeable = False
 
 
-def _roundoff(n_terms):
-    """Pessimistic pairwise-summation roundoff allowance for n unit terms.
+def _roundoff(n_terms, pairwise: bool = True):
+    """Pessimistic summation roundoff allowance for n unit terms.
 
-    ``n_terms`` is a count or an array of counts.  It covers numpy's
-    pairwise sum of a complex row (``np.add.reduce`` along a contiguous
-    axis), which sums both parts along one tree: blocks of up to 64 terms
-    run 4 accumulators per part of at most 16 terms each, join them in two
-    levels and add at most 3 trailing terms; longer rows are halved
-    recursively.  A term meets at most n/4 + 4 additions (n <= 64), else
-    14 + log2 n, so each part errs by at most u times that over the sum
-    of its magnitudes (Higham, Accuracy and Stability of Numerical
+    ``n_terms`` is a count or an array of counts.  By default it covers
+    numpy's pairwise sum of a complex row (``np.add.reduce`` along a
+    contiguous axis), which sums both parts along one tree: blocks of up
+    to 64 terms run 4 accumulators per part of at most 16 terms each, join
+    them in two levels and add at most 3 trailing terms; longer rows are
+    halved recursively.  A term meets at most n/4 + 4 additions (n <= 64),
+    else 14 + log2 n, so each part errs by at most u times that over the
+    sum of its magnitudes (Higham, Accuracy and Stability of Numerical
     Algorithms, SIAM 2002, section 4.2) and the complex sum of n unit
     terms by sqrt(2) u times it: below half this allowance for every n.
+
+    ``pairwise=False`` is the allowance EPS (1.5 n + 1) of a complex dot
+    product sum_w a_w b_w of n terms summed in any order, as a matrix
+    product sums them (BLAS fixes no order, and blocks and threads may
+    change it).  Each part of the sum is a real sum of 2n products, each
+    rounded once or fused into an addition; in any order a term meets at
+    most 2n - 1 additions, so with its product each part errs by at most
+    gamma_2n = 2n u / (1 - 2n u) over the sum of its terms' magnitudes
+    (Higham, section 4.2, bound (4.4) for any ordering).  Per term those
+    magnitudes, (|a_r b_r| + |a_i b_i|, |a_r b_i| + |a_i b_r|), have norm
+    at most sqrt(2) |a_w||b_w|, so the complex error is below
+    sqrt(2) n EPS sum_w |a_w||b_w| to first order, which 1.5 n EPS covers
+    with the second-order terms; the one EPS is the rounding of a
+    compensated total that joins the block sums.
     """
+    if not pairwise:
+        return EPS * (1.5 * n_terms + 1.0)
     return 1e-15 * (1.0 + np.log2(n_terms + 1.0))
 
 
@@ -216,6 +236,15 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
       grid the base phase errs by 2.9 EPS, the offset with its weight by
       3.4 EPS and their product by 1.5 EPS: 7.8 EPS.  The product with h_w
       (|h_w| <= 1) adds 1.5 EPS: at most 9.3 EPS, below c2 EPS.
+    * grid rows as matrix products (``grid_rows``).  A row's base and
+      offset phases, their angles and the split of j delta are those of
+      the grid path above, one set shared by the K node sums of the row,
+      so their errors multiply the interpolated inner value.  The two
+      complex products of a term, offsets times G_k and the base times
+      that, are made once per node, and the Lagrange combine weights node
+      k by |l_k(l)|: their rounding counts Lambda times, and the matrix
+      product's any-order summation replaces the pairwise one.
+      ``grid_rows._row_interpolation`` charges both.
 
     Summation is ``_roundoff``'s part and is not counted here.
     """
@@ -1322,6 +1351,26 @@ def _unit_phases(theta: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
     return out
 
 
+def _grid_phases(js: np.ndarray, step: float, coefs: np.ndarray, out: np.ndarray, work: dict, weights=None):
+    """weights[w] e^{-i (j step) coefs[w]} for every j of ``js``, into ``out`` (len(js), n).
+
+    The factors of phases on a uniform grid: row j = j0 + l of a block
+    whose first row is j0 has e^{-i (j step) c} = base[l] offsets[j0],
+    with the base e^{-i (l step) c} (l < L, no weights) shared by every
+    block and an offset per block.  The row kernel, the product form's
+    grid blocks (``_phase_blocks``) and the Fourier inversion of
+    ``experiments`` take their factors here.  ``coefs`` is (n, 1); the
+    angles and the scratch of ``_unit_phases`` are buffers of ``work`` of
+    ``out``'s size, so a caller that computes a large base in pieces of
+    rows keeps that scratch small.
+    """
+    theta = np.multiply((js * step)[:, None], coefs[:, 0], out=_buffer(work, "theta", out.shape))
+    _unit_phases(theta, out, work)
+    if weights is not None:
+        out *= weights
+    return out
+
+
 def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, weights, work):
     """Weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
 
@@ -1335,14 +1384,16 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     ``freqs`` are j * step (``_grid_step``), and a block of consecutive
     rows j0 .. j0 + L - 1 is a base block e^{-i (l step) coefs}, l < L,
     computed once, times the block's offsets
-    weights e^{-i (j0 step) coefs} with the weights folded in: one complex
-    product per term, and (L + m / L) n unit phases instead of m n.  The
+    weights e^{-i (j0 step) coefs} with the weights folded in
+    (``_grid_phases``): one complex product per term, and (L + m / L) n
+    unit phases instead of m n.  The product form takes its grid phases
+    so, materialised; the row kernel sums its grid rows by matrix
+    products instead and passes no ``step`` (``grid_rows``).  The
     offsets of max(1, L // 8) consecutive blocks, about an eighth of a
     block's terms, come from one ``_unit_phases`` call, so that its fixed
     cost is not paid per block.  The base block alone costs L n, as much
     as a block of direct rows, so the grid path is taken only when
-    ``rows`` spans more than one block: a job of a large cover holds only
-    JOB_TERMS / n rows.  Other
+    ``rows`` spans more than one block.  Other
     blocks, all blocks of a call of at most one block, and all blocks when
     a block is one row (n > PHASE_BLOCK / 2) take ``_unit_phases`` of
     their angles directly and scale them by the weights in place.  Both
@@ -1359,16 +1410,13 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
         phases = _buffer(work, "phases", (count, n), complex)
         if grid and block[-1] - block[0] == count - 1:
             if base is None:
-                theta = np.multiply((np.arange(size) * step)[:, None], coefs[:, 0],
-                                    out=_buffer(work, "theta", (size, n)))     # the outer product
-                base = _unit_phases(theta, _buffer(work, "base", (size, n), complex), work)
+                base = _buffer(work, "base", (size, n), complex)
+                _grid_phases(np.arange(size), step, coefs, base, work)
             if not first <= start < last:
                 first, last = start, start + size * max(1, size // 8)
                 starts = rows[first:last:size]
-                theta = np.multiply((starts * step)[:, None], coefs[:, 0],
-                                    out=_buffer(work, "theta", (len(starts), n)))
-                offsets = _unit_phases(theta, _buffer(work, "offsets", (len(starts), n), complex), work)
-                offsets *= weights
+                offsets = _buffer(work, "offsets", (len(starts), n), complex)
+                _grid_phases(starts, step, coefs, offsets, work, weights)
             np.multiply(base[:count], offsets[(start - first) // size], out=phases)
         else:
             theta = _buffer(work, "theta", (count, n))
@@ -1438,8 +1486,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     buffers of the job's workspace (``_buffer``), reused by every block.
     When the rows of ``xis`` are the uniform grid j * delta
     (``_grid_step``; ``multiplicative_convolution`` builds its grid that
-    way) the phases of consecutive rows of a job longer than one block are
-    one base block times each block's weighted offsets.
+    way) every job sums its leaf blocks by matrix products instead
+    (``grid_rows._grid_sums``; see Grid rows below).
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
@@ -1482,6 +1530,66 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     sum of the two row sums u (1 + kappa).  The cover rounding's gain
     grows by H3 R^2 / 2: an anchor moved by delta moves the cubic Taylor
     term by pi |xi| H3 (r_w R)^2 delta to first order.
+
+    Grid rows.  A job's rows are consecutive grid rows, in blocks of L
+    rows: row j = j0 + l has the phases base[l] offsets[j0]
+    (``_grid_phases``), so a leaf block's row sums are columns of one
+    matrix product per chunk of blocks.  The inner columns G move little
+    over a block: on leaf w, g(l) = G((j0 + l) delta B_w) has
+    |g^(K)| <= (2 pi R |delta| |B_w|)^K, since
+    |h^(K)| <= (2 pi)^K int |u|^K dnu <= (2 pi R)^K and
+    |h2^(K)| <= (2 pi)^K int |u|^(K+2) dnu <= (2 pi)^K R^(K+2), R^2 times
+    h's.  So every inner source (the table, the exact transform, or none
+    with K = 1 for order 0) is read only at K Chebyshev nodes x_k of each
+    block (``grid_rows._row_nodes``), at the frequencies
+    (j0 + x_k) delta B_w, and enters through the Lagrange weights
+    l_k(l).  ``grid_rows._grid_plan`` fixes L and K per group before any
+    job runs: K from the remainder at the spread pi R (L - 1) |delta| s J
+    (within 16 EPS), L halved while no K up to 16 reaches it.  A
+    block's nodes lie in [0, c - 1], the span of its own c rows, and so
+    do those of the last, shorter block of a job (a block of at most K
+    rows takes its rows themselves, exactly): its node frequencies lie
+    between those of its rows, inside the table's range.  Node targets,
+    the table's and the nested inner tol, are divided by Lambda / rho,
+    Lambda the largest Lebesgue bound of the jobs and rho the smallest
+    ratio: a node error is mostly a closure, a step function of its
+    target within a factor rho below it, so Lambda times it stays below
+    the error at the undivided target, and the inner part of no row
+    bound grows.
+
+    The ``row_interpolation`` term (``grid_rows._row_interpolation``) is
+    what a grid row's bound adds to the bound below, per unit weight and
+    with N the inner bound charged there:
+    * nodes.  A table's node values are within its slacks N of G, so
+      their interpolant is within Lambda N of the interpolant of G:
+      (Lambda - 1) N beyond N.  The node errors e_{k,w} of an exact
+      inner transform move a row's sum by at most
+      sum_k |l_k(l)| sum_w p_w e_{k,w}, and that is its N: nothing
+      beyond it.
+    * remainder.  |g(l) - sum_k l_k(l) g(x_k)| <= omega / K! max|g^(K)|,
+      so R_K = omega / K! (2 pi R |delta|)^K (sum_w p_w |B_w|^K +
+      pi |xi| R^2 sum_w p_w |q_w| |B_w|^K), the second sum for h2.  On
+      Chebyshev nodes omega <= ((L - 1) / 2)^K / 2^(K - 1): per unit
+      weight (pi R Delta eta_w)^K / (2^(K - 1) K!), with
+      Delta eta_w = (L - 1) |delta| |B_w|.
+    * rounding, 1 + kappa times.  The matrix product sums a leaf block
+      of at most W terms in any order, ``_roundoff(W, pairwise=False)``
+      per node sum, Lambda times through the combine; the per-node
+      products count Lambda times (``_phase_rounding``), 3 EPS; the
+      combine, K real-by-complex products and K - 1 sums, errs by
+      K EPS Lambda, and the weights' own rounding
+      (``grid_rows._row_nodes``) by 2K EPS Lambda: (3K + 3) EPS Lambda
+      with the products.  A node
+      frequency fl(fl(fl(j0 + x_k) delta) B_w) rounds by 3u relative,
+      which moves G by 1.5 EPS |xi| 2 pi R |B_w| per node, Lambda times
+      through the combine, with the job's largest |xi| and reach
+      2 pi R s J.
+    * the rounding terms that multiply the inner value (phases,
+      anchors, weights), derived for |h| <= 1, grow with the interpolant
+      by at most the node and remainder parts: those times the carried
+      terms.
+    Only the grid rows carry the term: scattered rows keep the
+    elementwise path and its bits.
 
     Every order assembles a row's bound alike, with kappa = 0 for orders
     0 and 1: the remainder, |xi| c(1) R^j sum_w p_w r_w^j for the linear
@@ -1540,27 +1648,47 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         gain = jac + pmap.hessian_bound * radius
         if order2:
             gain = gain + 0.5 * pmap.third_bound * radius**2
+    # grid rows take the factorised path, with an interpolation plan per job
+    grid = _grid_step(xis)
+    if grid is not None:
+        # imported here: a process that sums no grid does not compile it
+        from . import grid_rows
+    jobs = []
+    for rows, n_leaves, cover_scale, depth in covers:
+        step = max(1, JOB_TERMS // n_leaves)
+        if grid is not None:
+            block_rows, node_count = grid_rows._grid_plan(n_leaves, grid, TWO_PI * radius * cover_scale * jac)
+        for i in range(0, len(rows), step):
+            job_rows = rows[i : i + step]
+            plan = None if grid is None else grid_rows._row_plan(len(job_rows), block_rows, node_count)
+            jobs.append((job_rows, n_leaves, cover_scale, depth, plan))
+    # Interpolation multiplies node errors by up to the largest Lebesgue
+    # bound Lambda of the jobs.  A node error is mostly a closure, a step
+    # function of its target within a factor rho (the smallest ratio) below
+    # it: a level of the product form scales it by rho, and a cover's leaves
+    # lie within rho of its scale.  So node targets are divided by
+    # Lambda / rho, and Lambda times a node error stays below the error at
+    # the undivided target.
+    lebesgue = max((job[-1].lebesgue for job in jobs if job[-1] is not None), default=1.0)
+    shrink = float(ifs.ratios.min()) / lebesgue if lebesgue > 1.0 else 1.0
     mu_table = None
     if order1 and ifs.is_homogeneous and k == d == 1:
         # every leaf of a group has |B_w| <= s J, s the group's snapped scale
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
         # order 2 tabulates h2 as well
-        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8), order2)
-
-    jobs = []
-    for rows, n_leaves, *facts in covers:
-        step = max(1, JOB_TERMS // n_leaves)
-        jobs += [(rows[i : i + step], n_leaves, *facts) for i in range(0, len(rows), step)]
-    grid = _grid_step(xis)
+        mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8) * shrink, order2)
 
     def run(job):
-        rows, n, cover_scale, depth = job
+        rows, n, cover_scale, depth, plan = job
         x = xis[rows]
         work = {}       # this job's block buffers
         total, carry = np.zeros((2, len(rows)), dtype=complex)
         part = np.empty(len(rows), dtype=complex)
         moment, a_max, inner_err = 0.0, 0.0, 0.0
         quartic, curv_sum, curv_max = 0.0, 0.0, 0.0     # order 2: sums of p q^2, p |q|; max |q|
+        spread, spread2 = 0.0, 0.0      # grid: sums of p |B|^K and p |q| |B|^K
+        inner_tol = 0.5 * tol * shrink
+        curv = None
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
             moment += float(np.sum(weights * ratios**power))
@@ -1570,34 +1698,45 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
                 curv_sum += float(np.sum(weights * np.abs(curv)))
                 curv_max = max(curv_max, float(np.abs(curv).max()))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
-            if order1 and mu_table is None:
-                flat = np.tensordot(x, b_forms, axes=(1, 2)).reshape(-1, k)
-                vals, errs, _ = _mu_hat_rows(ifs.centred, flat, 0.5 * tol, budget, 1)
-                exact_inner = vals.reshape(len(rows), len(weights))
-                errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
-                inner_err = inner_err + np.add.reduce(
-                    errs.reshape(len(rows), len(weights)) * weights, axis=1
-                )
-            for start, stop, phases in _phase_blocks(xis, rows, a_forms, grid, weights, work):
-                if b_forms is not None:
-                    if mu_table is None:
-                        columns = [exact_inner[start:stop]]
-                    else:
-                        # the inner frequencies xi B_w, an outer product on the line
-                        eta = np.multiply(x[start:stop], b_forms[:, 0, 0],
-                                          out=_buffer(work, "eta", phases.shape))
-                        columns = mu_table.lookup(eta, work)
-                    if order2:
-                        # -i pi xi sum_w p_w q_w e^{-i theta} h2: the quadratic phase integrated
-                        second = _buffer(work, "second", phases.shape, complex)
-                        np.multiply(phases, curv, out=second)
-                        second *= columns[1]
-                        second = (-1j * np.pi * x[start:stop, 0]) * np.add.reduce(second, axis=1)
-                    phases *= columns[0]
-                # pairwise along each row's contiguous leaf axis, as _roundoff assumes
-                part[start:stop] = np.add.reduce(phases, axis=1)
+            if plan is not None:
+                inner = (ifs, mu_table, inner_tol, budget) if order1 else None
+                sums, node_err, spreads = grid_rows._grid_sums(rows[0], len(rows), grid, a_forms, b_forms,
+                                                               weights, curv, inner, plan, work)
+                spread, spread2 = spread + spreads[0], spread2 + spreads[1]
+                part[:] = sums[0]
                 if order2:
-                    part[start:stop] += second
+                    part += (-1j * np.pi * x[:, 0]) * sums[1]
+                if node_err is not None:
+                    inner_err = inner_err + node_err
+            else:
+                if order1 and mu_table is None:
+                    flat = np.tensordot(x, b_forms, axes=(1, 2)).reshape(-1, k)
+                    vals, errs, _ = _mu_hat_rows(ifs.centred, flat, inner_tol, budget, 1)
+                    exact_inner = vals.reshape(len(rows), len(weights))
+                    errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
+                    inner_err = inner_err + np.add.reduce(
+                        errs.reshape(len(rows), len(weights)) * weights, axis=1
+                    )
+                for start, stop, phases in _phase_blocks(xis, rows, a_forms, None, weights, work):
+                    if b_forms is not None:
+                        if mu_table is None:
+                            columns = [exact_inner[start:stop]]
+                        else:
+                            # the inner frequencies xi B_w, an outer product on the line
+                            eta = np.multiply(x[start:stop], b_forms[:, 0, 0],
+                                              out=_buffer(work, "eta", phases.shape))
+                            columns = mu_table.lookup(eta, work)
+                        if order2:
+                            # -i pi xi sum_w p_w q_w e^{-i theta} h2: the quadratic phase integrated
+                            second = _buffer(work, "second", phases.shape, complex)
+                            np.multiply(phases, curv, out=second)
+                            second *= columns[1]
+                            second = (-1j * np.pi * x[start:stop, 0]) * np.add.reduce(second, axis=1)
+                        phases *= columns[0]
+                    # pairwise along each row's contiguous leaf axis, as _roundoff assumes
+                    part[start:stop] = np.add.reduce(phases, axis=1)
+                    if order2:
+                        part[start:stop] += second
             # TwoSum of the running sum and this block's sums
             t = total + part
             z = t - total
@@ -1619,7 +1758,16 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         carried = _roundoff(n) + _phase_rounding(xi_norms, a_max, inner_reach, max(k, d))
         carried = carried + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
         bounds = remainder + inner_err + (1.0 + kappa) * carried
-        return rows, values, bounds + EPS * ((depth + 6.0) * kappa + 1.0), n
+        bounds = bounds + EPS * ((depth + 6.0) * kappa + 1.0)
+        if plan is not None:
+            # the interpolation remainder R_K: omega / K! (2 pi R |delta| |B_w|)^K
+            # per unit weight of h, R^2 times that of h2
+            scale_k = plan.omega / math.factorial(plan.order) * (TWO_PI * radius * abs(grid)) ** plan.order
+            interpolation = scale_k * (spread + np.pi * xi_norms * radius**2 * spread2)
+            node_gain = plan.lebesgue if mu_table is not None else 1.0
+            bounds = bounds + grid_rows._row_interpolation(plan, inner_err, node_gain, interpolation, kappa,
+                                                           carried, n, float(xi_norms.max()), inner_reach)
+        return rows, values, bounds, n
 
     return _run_rows(run, jobs, m, threads)
 
@@ -1722,11 +1870,12 @@ def pushforward_batch(
     job of the kernel streams its cover in leaf blocks of at most
     ``FRONTIER_BLOCK`` (no cover is stored or cached), so memory does not
     grow with the cover.  Frequencies that are exactly j * delta, in that
-    order, get their phases as one base block of unit phases times each
-    cache-sized block's weighted offsets (``_phase_blocks``) wherever a
-    job spans more than one block; any other set gets direct unit phases
-    in the same blocks, and both are certified by one phase rounding
-    term.  The inner transforms, h and for ``order2`` h2 of
+    order, sum as matrix products of one base block of unit phases and
+    each block's weighted offsets times the inner columns, which are read
+    at a few Chebyshev nodes per block and interpolated
+    (``grid_rows``); their bounds add the ``row_interpolation`` term.
+    Any other set gets direct unit phases in cache-sized blocks, summed
+    elementwise.  The inner transforms, h and for ``order2`` h2 of
     ``ifs.centred``, come from a certified table (``_MuHatTable``) for
     homogeneous systems on the line and are evaluated exactly for the
     rest.  ``exact_recursion`` is mu_hat itself (``pmap`` unused),
@@ -1735,7 +1884,9 @@ def pushforward_batch(
     system is grouped by octave and runs on the row kernel's jobs like the
     image schemes.  The leaf counts are an object array of exact Python
     ints (a homogeneous tree's N^depth can pass the int64 range).  Results
-    are independent of ``threads`` (fixed jobs, fixed reduction order).
+    are independent of ``threads`` (fixed jobs, fixed reduction order)
+    and of the threads BLAS runs a matrix product on
+    (``OPENBLAS_NUM_THREADS``), which split its output, not its sums.
     """
     if scheme not in (*IMAGE_SCHEMES, "exact_recursion"):
         raise BadConfig(f"unknown scheme {scheme!r}")

@@ -36,9 +36,9 @@ def write_ifs(path, ratios, translations, weights, separation="none", exponents=
     return path
 
 
-def _run_cli_subprocess(*argv):
+def _run_cli_subprocess(*argv, env_vars=None):
     """The CLI in a subprocess with a timeout, so a run that hangs fails the test."""
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "fractal_fourier.cli", *argv]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
@@ -662,6 +662,26 @@ class TestConvolveCommand:
         assert 0.9 <= summary["mass"] <= 1.1
         density = (tmp_path / "out" / "density.csv").read_text().strip().split("\n")
         assert density[0] == "x,density,error_estimate"
+
+    def test_blas_threads_do_not_change_the_files(self, tmp_path):
+        # the grid rows and the inversion sum by BLAS matrix products, whose
+        # threads split the output, not the sums: the files are the same bytes
+        cfg = {
+            "factors": [{"ifs": str(CONFIGS / "uniform12.json"), "map": {"kind": "log"}}] * 2,
+            "max_frequency": 2048.0,
+            "density_points": 256,
+        }
+        cfg_path = tmp_path / "conv.json"
+        cfg_path.write_text(json.dumps(cfg))
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = _run_cli_subprocess("convolve", "--config", str(cfg_path), "--out", str(out),
+                                       env_vars={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert sorted(files[0]) == ["density.csv", "product_transform.csv", "summary.json"]
+        assert files[0] == files[1]
 
     def test_scheme_column_names_the_factors_schemes(self, tmp_path):
         # a homogeneous factor takes order2, a non-homogeneous one order1

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import _homogeneous_leaf_arrays, _random_reversing_system, random_similarity
 from fractal_fourier import fourier as fourier_module
+from fractal_fourier import grid_rows
 from fractal_fourier import ifs as ifs_module
 from fractal_fourier.errors import (
     BadConfig,
@@ -1800,8 +1801,13 @@ class TestUnitPhases:
         assert peak < theta.nbytes / 16
 
 
+def log_uniform12_hat(xis):
+    """The transform of uniform[1, 2] under x -> log x: (2 e^{-2 pi i xi log 2} - 1) / (1 - 2 pi i xi)."""
+    return (2.0 * np.exp(-2j * np.pi * xis * math.log(2.0)) - 1.0) / (1.0 - 2j * np.pi * xis)
+
+
 class TestGridPhases:
-    """Uniform grids take angle-addition phases; other frequency sets take direct ones."""
+    """Uniform grids sum by matrix products of factorised phases; other frequency sets sum elementwise."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -1820,12 +1826,37 @@ class TestGridPhases:
         monkeypatch.setattr(fourier_module, "_phase_blocks", record)
         return lambda m: [step for rows, step in seen if rows == m]
 
+    @pytest.fixture
+    def terms(self, monkeypatch):
+        """The ``row_interpolation`` terms of every grid job, in job order, concatenated: terms()."""
+        seen = []
+        original = grid_rows._row_interpolation
+
+        def record(*args):
+            seen.append(np.atleast_1d(original(*args)))
+            return seen[-1]
+
+        monkeypatch.setattr(grid_rows, "_row_interpolation", record)
+        return lambda: np.concatenate(seen)
+
+    @pytest.fixture
+    def table_tols(self, monkeypatch):
+        """The target of every ``_MuHatTable`` built, in order."""
+        tols, build = [], fourier_module._MuHatTable
+
+        def record(ifs, eta_max, table_tol, second=False):
+            tols.append(table_tol)
+            return build(ifs, eta_max, table_tol, second)
+
+        monkeypatch.setattr(fourier_module, "_MuHatTable", record)
+        return tols
+
     @staticmethod
-    def grid_and_shuffled(ifs, pmap, xis, scheme, scale, threads=1):
+    def grid_and_shuffled(ifs, pmap, xis, scheme, scale, threads=1, tol=1e-4):
         perm = np.random.default_rng(30).permutation(len(xis))
-        grid = pushforward_batch(ifs, pmap, xis, tol=1e-4, scheme=scheme, scale=scale,
+        grid = pushforward_batch(ifs, pmap, xis, tol=tol, scheme=scheme, scale=scale,
                                  threads=threads)
-        shuffled = pushforward_batch(ifs, pmap, xis[perm], tol=1e-4, scheme=scheme,
+        shuffled = pushforward_batch(ifs, pmap, xis[perm], tol=tol, scheme=scheme,
                                      scale=scale, threads=threads)
         inverse = np.argsort(perm)
         return grid, tuple(a[inverse] for a in shuffled)
@@ -1842,21 +1873,36 @@ class TestGridPhases:
         return _phase_rounding(np.abs(xis), float(np.abs(a_forms).max()), inner)
 
     @pytest.mark.parametrize("scheme", ["order0", "order1"])
-    def test_grid_matches_direct_path(self, uniform12, steps, scheme):
-        # 1000 rows in blocks of 64: the last block is partial
+    def test_grid_matches_direct_path(self, uniform12, steps, terms, table_tols, scheme):
+        # 1000 rows in blocks of 64: the last block is partial.  The
+        # shuffled rows read the grid's table: its target is below 1e-8, so
+        # tol 8 x target gives it, and for a table system at a fixed scale
+        # tol sets nothing else.  The grid's bound is the shuffled rows'
+        # bound plus its row_interpolation term, bit for bit.
         pmap = log_map(uniform12)
-        delta = 0.18
-        xis = np.arange(1000) * delta
+        xis = np.arange(1000) * 0.18
         scale = 2.0**-9
-        (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(uniform12, pmap, xis, scheme, scale)
-        assert steps(len(xis)) == [delta, None]
+        gv, ge, gl = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme, scale=scale)
+        tol = 8.0 * table_tols[0] if table_tols else 1e-4
+        perm = np.random.default_rng(30).permutation(len(xis))
+        shuffled = pushforward_batch(uniform12, pmap, xis[perm], tol=tol, scheme=scheme, scale=scale)
+        sv, se, sl = (a[np.argsort(perm)] for a in shuffled)
+        assert table_tols == ([table_tols[0]] * 2 if scheme == "order1" else [])
+        # only the shuffled rows take elementwise phase blocks
+        assert steps(len(xis)) == [None]
         assert np.array_equal(gl, sl) and np.all(gl[1:] == 512)
-        assert np.array_equal(ge, se)
-        assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, scheme, scale))
+        term = terms()
+        assert len(term) == len(xis) - 1 and np.all(term > 0.0)
+        assert ge[0] == se[0] == 0.0 and np.array_equal(ge[1:], se[1:] + term)
+        assert np.all(np.abs(gv - sv) <= ge + se)
+        if scheme == "order0":
+            # no interpolation: phases and sums alone part the two paths
+            assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, scheme, scale)
+                          + np.r_[0.0, term] + _roundoff(512))
         assert not np.array_equal(gv, sv)
 
-    def test_job_boundary_inside_a_block(self, uniform12):
-        # 2,048 leaves: jobs of 1,953 rows, blocks of 16, so a job ends
+    def test_job_boundary_inside_a_block(self, uniform12, terms):
+        # 2,048 leaves: jobs of 1,953 rows in blocks of 16, so a job ends
         # one row into a block and the next job starts a new base block
         pmap = log_map(uniform12)
         xis = np.arange(2500) * 0.25
@@ -1864,20 +1910,63 @@ class TestGridPhases:
             uniform12, pmap, xis, "order0", 2.0**-11
         )
         assert np.all(gl[1:] == 2048)
-        assert np.array_equal(ge, se)
-        assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, "order0", 2.0**-11))
+        assert np.array_equal(ge[1:], se[1:] + terms())
+        assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, "order0", 2.0**-11)
+                      + ge - se + _roundoff(2048))
 
-    def test_covers_past_one_block_match_shuffled_rows(self, cantor, steps):
-        # 65,536 leaves stream in 16 blocks of 4,096: each block takes
-        # angle-addition phases on the grid, and the block sums combine by
-        # TwoSum in the same order for both row orders
+    def test_covers_past_one_block_match_shuffled_rows(self, cantor, steps, terms):
+        # 65,536 leaves stream in 16 blocks of 4,096: on the grid each block
+        # sums by matrix products, and the block sums combine by TwoSum in
+        # the same order for both row orders
         pmap = square_map(cantor)
         xis = np.arange(6) * 0.7
         (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(cantor, pmap, xis, "order0", 3.0**-16)
         assert gl[1] == 2**16
-        assert steps(len(xis)) == [0.7] * 16 + [None] * 16
-        assert np.array_equal(ge, se)
-        assert np.all(np.abs(gv - sv) <= self.allowance(cantor, pmap, xis, "order0", 3.0**-16))
+        assert steps(len(xis)) == [None] * 16
+        assert np.array_equal(ge[1:], se[1:] + terms())
+        assert np.all(np.abs(gv - sv) <= self.allowance(cantor, pmap, xis, "order0", 3.0**-16)
+                      + ge - se + _roundoff(2**16))
+
+    @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+    def test_grid_and_shuffled_rows_within_their_bounds(self, uniform12, scheme):
+        # the factorised grid rows and the elementwise shuffled rows: both
+        # certified, so they differ by at most the sum of their bounds, and
+        # both are within their bounds of the exact transform
+        pmap = log_map(uniform12)
+        xis = np.arange(3000) * 0.37
+        (gv, ge, _), (sv, se, _) = self.grid_and_shuffled(uniform12, pmap, xis, scheme, 2.0**-9)
+        assert np.all(np.abs(gv - sv) <= ge + se)
+        exact = log_uniform12_hat(xis)
+        assert np.all(np.abs(gv - exact) <= ge) and np.all(np.abs(sv - exact) <= se)
+
+    def test_non_homogeneous_grid_within_the_shuffled_bounds(self, mixed_ratios):
+        # exact inner columns (a nested order-0 call) read at the nodes of
+        # each block, with the nested tol divided by the Lebesgue bound
+        pmap = square_map(mixed_ratios)
+        xis = np.arange(400) * 0.9
+        (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(mixed_ratios, pmap, xis, "order1", 2.0**-6,
+                                                            tol=1e-3)
+        assert np.array_equal(gl, sl)
+        assert np.all(np.abs(gv - sv) <= ge + se)
+        assert not np.array_equal(gv, sv)
+
+    @pytest.mark.parametrize("scheme", ["order1", "order2"])
+    def test_two_nodes_within_the_bound_and_not_without_the_term(self, uniform12, monkeypatch, scheme):
+        # Two nodes per block of 64 rows interpolate the inner columns
+        # linearly: the error is then far above every other term, and the
+        # row_interpolation term still covers it.  Without the term, some
+        # row exceeds its bound.
+        pmap = log_map(uniform12)
+        xis = np.arange(2000) * 0.5
+        exact = log_uniform12_hat(xis)
+        monkeypatch.setattr(grid_rows, "_interpolation_order", lambda spread: 2)
+        values, bounds, _ = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,
+                                              scale=2.0**-9)
+        assert np.all(np.abs(values - exact) <= bounds)
+        monkeypatch.setattr(grid_rows, "_row_interpolation", lambda *args: 0.0)
+        values, bounds, _ = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,
+                                              scale=2.0**-9)
+        assert np.any(np.abs(values - exact) > bounds)
 
     @pytest.mark.parametrize("blocks", [1, 10])
     def test_grid_path_only_past_one_block(self, monkeypatch, blocks):
@@ -1948,7 +2037,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     def test_threads_do_not_change_grid_results(self, uniform12):
         pmap = log_map(uniform12)
         xis = np.arange(3000) * 0.2
-        for scheme in ("order0", "order1"):
+        for scheme in ("order0", "order1", "order2"):
             one = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,
                                     scale=2.0**-11, threads=1)
             four = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme,

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 import numpy as np
 
 from fractal_fourier import fourier as fourier_module
+from fractal_fourier import grid_rows
 from fractal_fourier.errors import InvalidIFS
 from fractal_fourier.experiments import _inversion_rounding, _invert_on_points
 from fractal_fourier.fourier import (
@@ -618,13 +619,34 @@ KERNEL_CASES = {
 }
 
 
+def grid_inner(xis, row, n, b_forms, reach, order1):
+    """The kernel's own inner terms of grid row ``row``: Lagrange weights (K,), node frequencies (K, n), plan.
+
+    The row's job, block and plan as ``_image_rows`` fixes them
+    (``grid_rows._grid_plan``, ``grid_rows._row_plan``), and the node
+    frequencies as ``grid_rows._grid_sums`` computes them.
+    """
+    step = float(xis[1])
+    per_job = fourier_module.JOB_TERMS // n
+    first = 1 + (row - 1) // per_job * per_job
+    count = min(per_job, len(xis) - first)
+    size, order = grid_rows._grid_plan(n, step, reach if order1 else 0.0)
+    plan = grid_rows._row_plan(count, size, order)
+    start = first + (row - first) // size * size
+    nodes, lagrange = plan.nodes[min(size, count - (start - first))][:2]
+    freqs = (start + nodes) * step
+    return lagrange[row - start], (freqs[:, None] * b_forms if order1 else None), plan
+
+
 @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_rounding_within_its_terms_of_a_50_digit_sum(request, monkeypatch, scheme, case):
     # the 50-digit sum of the kernel's own float terms (leaf columns and
-    # table lookups at the computed inner frequencies) leaves only the
-    # kernel's rounding: the phase and summation terms, scaled by 1 + kappa,
-    # plus the order-2 forming term
+    # table lookups at the computed inner frequencies; on grid rows the
+    # lookups at each block's nodes and the Lagrange weights) leaves only
+    # the kernel's rounding: the phase and summation terms, scaled by
+    # 1 + kappa, plus the order-2 forming term, and on grid rows the
+    # rounding part of the row_interpolation term
     name, kind, xis, scale, sample = KERNEL_CASES[case]
     ifs = request.getfixturevalue(name)
     pmap = MAP_BUILDERS[kind](ifs)
@@ -632,7 +654,8 @@ def test_kernel_rounding_within_its_terms_of_a_50_digit_sum(request, monkeypatch
     monkeypatch.setattr(fourier_module, "_MuHatTable",
                         lambda *args: tables.append(build(*args)) or tables[-1])
     values, _, leaves = pushforward_batch(ifs, pmap, xis, tol=1e-4, scheme=scheme, scale=scale)
-    assert (_grid_step(xis[:, None]) is not None) == (case == "grid")
+    grid = case == "grid"
+    assert (_grid_step(xis[:, None]) is not None) == grid
     order1 = scheme != "order0"
     weights, a_forms, b_forms, curv = kernel_leaves(ifs, pmap, scale, order1)
     n, snapped, depth = _count_stopping(ifs, scale)
@@ -645,20 +668,32 @@ def test_kernel_rounding_within_its_terms_of_a_50_digit_sum(request, monkeypatch
         xi = float(xis[row])
         x = mpmath.mpf(xi)
         phases = [mpmath.mpf(p) * mpmath.expj(-x * mpmath.mpf(a)) for p, a in zip(weights, a_forms)]
-        if order1:
-            columns = tables[0].lookup(xi * b_forms)
-            exact = mpmath.fsum(e * mpmath.mpc(h) for e, h in zip(phases, columns[0]))
-        else:
-            exact = mpmath.fsum(phases)
+        # (weight, inner frequencies) per node: the row itself off the grid
+        nodes = [(1.0, xi * b_forms if order1 else None)]
+        if grid:
+            lagrange, freqs, plan = grid_inner(xis, row, n, b_forms, reach, order1)
+            nodes = list(zip(lagrange, freqs if order1 else [None] * len(lagrange)))
+        exact, second = mpmath.mpc(0), mpmath.mpc(0)
+        for weight, eta in nodes:
+            if order1:
+                columns = tables[0].lookup(eta)
+                inner = mpmath.fsum(e * mpmath.mpc(h) for e, h in zip(phases, columns[0]))
+                exact += mpmath.mpf(weight) * inner
+            else:
+                exact += mpmath.mpf(weight) * mpmath.fsum(phases)
+            if scheme == "order2":
+                second += mpmath.mpf(weight) * mpmath.fsum(
+                    e * mpmath.mpf(q) * mpmath.mpc(h2) for e, q, h2 in zip(phases, curv, columns[1])
+                )
         kappa, forming = 0.0, 0.0
         if scheme == "order2":
-            second = mpmath.fsum(
-                e * mpmath.mpf(q) * mpmath.mpc(h2) for e, q, h2 in zip(phases, curv, columns[1])
-            )
             exact += mpmath.mpc(0, -1) * mpmath.pi * x * second
             kappa = np.pi * abs(xi) * float(np.abs(curv).max()) * radius**2
             forming = EPS * ((depth + 6.0) * kappa + 1.0)
         rounding = (_phase_rounding(abs(xi), a_max, reach) + _roundoff(n)) * (1.0 + kappa) + forming
+        if grid:
+            xi_top = float(xis[min(len(xis) - 1, row + plan.size)])
+            rounding += grid_rows._row_interpolation(plan, 0.0, 1.0, 0.0, kappa, 0.0, n, xi_top, reach)
         assert abs(mpmath.mpc(values[row]) - exact) <= rounding, (row, xi)
 
 

@@ -14,8 +14,12 @@ def load_tool():
 
 def test_run_names_cover_the_listed_runs():
     names = [name for name, _, _ in load_tool().runs(ROOT)]
-    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 4 * 4
+    # every convolve run also with two BLAS threads
+    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * 4
     assert "workload-convolve-t2" in names and "decay-t1" in names
+    assert [name for name in names if name.endswith("-blas2")] == [
+        f"{run}-t{threads}-blas2" for threads in (1, 2) for run in ("workload-convolve", "convolve")
+    ]
     assert "fourier-missing_digit_b5-order0" in names
 
 

@@ -12,14 +12,17 @@ directory, one process at a time:
 * ``decay`` and ``convolve`` on configs/decay_cantor_square.json and
   configs/convolve_uniform12.json (``decay-t<threads>``,
   ``convolve-t<threads>``);
-  each of these runs at ``--threads`` 1 and 2;
+  each of these runs at ``--threads`` 1 and 2, and every ``convolve``
+  run, whose grid rows and inversion sum by BLAS matrix products, also
+  with two BLAS threads (``<run>-blas2``);
 * ``fourier`` on every IFS file in TREE/configs with the schemes
   recursion, order0, order1 and order2, the last three with the square
   map, all at ``--xi-max 5000 --count 41 --tol 1e-5``
   (``fourier-<ifs>-<scheme>``).
 
 With RUN arguments only the runs whose names start with one of them run.
-Each run prints ``exit <code> <run>``, then ``sha256 <digest> <run>/<file>``
+Runs take one BLAS thread (``OPENBLAS_NUM_THREADS`` 1) unless their name
+ends in ``-blas2``.  Each run prints ``exit <code> <run>``, then ``sha256 <digest> <run>/<file>``
 for each file it wrote, in sorted order.  Two checkouts give the same
 output bytes and exit codes exactly when
 
@@ -53,10 +56,15 @@ def runs(tree: Path):
         flag = ["--threads", str(threads)]
         for name in sorted(workloads.BUILDERS):
             plan = workloads.make(name, 0)
-            yield f"workload-{name}-t{threads}", plan.files, [flag + call for call in plan.calls]
+            calls = [flag + call for call in plan.calls]
+            yield f"workload-{name}-t{threads}", plan.files, calls
+            if name == "convolve":
+                yield f"workload-{name}-t{threads}-blas2", plan.files, calls
         for command, config in (("decay", "decay_cantor_square"), ("convolve", "convolve_uniform12")):
             call = [*flag, command, "--config", str(configs / f"{config}.json"), "--out", "{out}"]
             yield f"{command}-t{threads}", {}, [call]
+            if command == "convolve":
+                yield f"{command}-t{threads}-blas2", {}, [call]
     for path in sorted(configs.glob("*.json")):
         if "maps" not in json.loads(path.read_text(encoding="utf-8")):
             continue
@@ -66,10 +74,11 @@ def runs(tree: Path):
             yield f"fourier-{path.stem}-{scheme}", {}, [call]
 
 
-def digest_run(tree: Path, files: dict, calls: list):
+def digest_run(tree: Path, files: dict, calls: list, blas_threads: int = 1):
     """(exit code of the first failing call, else 0; [(file, sha256)] of the output directory)."""
+    blas = str(blas_threads)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS=blas, OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
     with tempfile.TemporaryDirectory() as work:
         for name, text in files.items():
             Path(work, name).write_text(text, encoding="utf-8")
@@ -96,7 +105,7 @@ def main(argv=None) -> int:
     for name, files, calls in runs(tree):
         if prefixes and not name.startswith(tuple(prefixes)):
             continue
-        code, digests = digest_run(tree, files, calls)
+        code, digests = digest_run(tree, files, calls, 2 if name.endswith("-blas2") else 1)
         print(f"exit {code} {name}", flush=True)
         for file, digest in digests:
             print(f"sha256 {digest} {name}/{file}", flush=True)
