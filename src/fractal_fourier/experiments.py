@@ -35,9 +35,9 @@ from .fourier import (
     _check_positive_finite,
     _check_threads,
     _fixed_cover,
-    _grid_phases,
     _grid_step,
     _phase_rounding,
+    _row_phases,
     curvature_diagnostic,
     log_map,
     neg_log_map,
@@ -327,7 +327,7 @@ def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: fl
     The frequencies j >= 1 run in blocks of L = ``PHASE_BLOCK`` // len(t)
     rows, at most all of them.  Row j = j0 + l of the block that starts at
     j0 has e^{-2 pi i xi_j t} = base[l] offsets[j0], the factors of
-    ``fourier._grid_phases`` with coefficients 2 pi t and unit weights,
+    ``fourier._row_phases`` with coefficients 2 pi t and unit weights,
     so a chunk of L blocks sums by one matrix product: Phi @ base, with
     Phi[b, l] = conj(phi_{j0_b + l}) (0 past the last frequency), times
     each block's offsets, whose real parts Re(conj(phi_j) e^{-i theta_j})
@@ -335,9 +335,9 @@ def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: fl
     ``_inversion_rounding`` bounds the rounding.  Returns
     (rho, |Im phi_0|).  ``xis`` must be that grid, else BadConfig.
     """
-    step = _grid_step(xis[:, None])
-    if step is None:
-        raise BadConfig("the inversion needs the uniform frequency grid j * delta")
+    grid = _grid_step(xis[:, None])
+    if grid is None or grid[0] != 0:
+        raise BadConfig("the inversion needs the uniform frequency grid j * delta from j = 0")
     coefs = (TWO_PI * np.asarray(t, dtype=float))[:, None]
     n = len(xis) - 1
     size = min(max(1, PHASE_BLOCK // len(t)), n)
@@ -346,11 +346,11 @@ def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: fl
     conj[:n] = np.conj(phi[1:])
     conj = conj.reshape(blocks, size)
     work = {}
-    base = _grid_phases(np.arange(size), step, coefs, np.empty((size, len(t)), dtype=complex), work)
+    base = _row_phases(xis[:size, None], coefs, np.empty((size, len(t)), dtype=complex), work)
     acc = np.zeros(len(t))
     for b0 in range(0, blocks, size):
         firsts = 1 + size * np.arange(b0, min(b0 + size, blocks))
-        offsets = _grid_phases(firsts, step, coefs, np.empty((len(firsts), len(t)), dtype=complex), work)
+        offsets = _row_phases(xis[firsts, None], coefs, np.empty((len(firsts), len(t)), dtype=complex), work)
         sums = conj[b0 : b0 + size] @ base
         sums *= offsets
         acc += np.add.reduce(sums.real, axis=0)

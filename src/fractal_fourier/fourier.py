@@ -60,7 +60,7 @@ before it is expanded, and with a bound J on |J_f| every leaf has
 |B_w| <= s J: budgets, table range and rounding terms need no expansion.
 Covers are never stored: every job of the kernel streams its group's
 cover once from ``ifs._cover_blocks`` in leaf blocks of at most
-``FRONTIER_BLOCK``, sums each row pairwise within a block and combines
+``FRONTIER_BLOCK``, sums each row within a block and combines
 the block sums with TwoSum, so memory stays bounded however many leaves
 a cover has.  The inner transform is a set of moment columns, h for
 order 1 and h, h2 for order 2, whose source the system fixes: a
@@ -69,19 +69,17 @@ systems on the line, whose step follows from the second moment
 M2 = int |x - b|^2 dmu (|h'''| <= (2 pi)^3 R M2); otherwise mu_hat of
 the centred system at tol/2, the product form for homogeneous systems
 and a nested order-0 call of the kernel on its identity for the rest.
-Within a block the elementwise work runs over cache-sized
-blocks of rows as complex arrays of weighted phases p_w e^{-i theta}
-(``_phase_blocks``), each multiplied in place by its inner column and
-reduced once along the leaf axis.  On a uniform frequency grid
-j * delta the phases factor into a base block of unit phases times one
-offset per block of rows (``_grid_phases``, shared with the product
-form and the Fourier inversion of ``experiments``), so the row kernel
-sums every leaf sum of a block as a column of one matrix product (a
-BLAS zgemm) and reads the inner columns only at a few Chebyshev nodes
-per block, interpolating them in between (``grid_rows``), which adds
-the ``row_interpolation`` term to the bound (``_image_rows``).  A unit
-phase is one sine of an argument reduced to [-pi/4, pi/4]
-(``_unit_phases``).
+Every leaf block takes one path (``grid_rows._grid_sums``): the rows in
+blocks of L, whose phases are a base block of unit phases times one
+offset per block (``_row_phases``, shared with the product form and the
+Fourier inversion of ``experiments``), with the inner columns read at K
+nodes per block and interpolated.  Rows exactly (j0 + i) delta take L
+and K from the interpolation remainder, sum each block as columns of
+one matrix product (a BLAS zgemm) and add the ``row_interpolation``
+term (``_image_rows``); any other rows are blocks of one row, each its
+own node at weight 1, summed pairwise along the leaf axis, and add
+nothing.  A unit phase is one sine of an argument reduced to
+[-pi/4, pi/4] (``_unit_phases``).
 
 Error bounds are upper bounds on |value - true transform| whenever the
 supplied Lipschitz/Hessian bounds are valid on the support ball; maps
@@ -194,7 +192,7 @@ def _phase_rounding(xi_norm, a_max: float, inner: float = 0.0, dims: int = 1):
 
     * outer phase.  A_w = 2 pi f(x_w) for both orders rounds by 2u |A_w|
       (2 pi is a float, a product); xi A_w adds d u |xi||A_w|.  The grid
-      path (``_phase_blocks``) takes e^{-i (j0 delta) A_w} e^{-i (l delta) A_w}
+      path (``_row_phases``) takes e^{-i (j0 delta) A_w} e^{-i (l delta) A_w}
       for e^{-i (j delta) A_w}: the two angles take two more products (2u)
       and the split of j delta into j0 delta + l delta (2u), so at most
       (d + 6) u |xi| a_max in all, (d + 4) u |xi| a_max below
@@ -1286,11 +1284,25 @@ def _linear_forms(ifs, pmap, ratios, orients, anchors, order1: bool):
 
 
 def _grid_step(freqs: np.ndarray):
-    """delta when the rows of ``freqs`` (m, 1) are exactly j * delta, else None."""
-    if freqs.shape[1] != 1 or len(freqs) < 2 or freqs[0, 0] != 0.0:
+    """(j0, delta) when the rows of ``freqs`` (m, 1) are exactly (j0 + i) * delta with j0 >= 0, else None.
+
+    delta is the first two rows' difference, or the row j's quotient by j
+    or a float next to it: whichever of them gives every row.
+    """
+    if freqs.shape[1] != 1 or len(freqs) < 2:
         return None
-    step = freqs[1, 0]
-    return step if np.array_equal(freqs[:, 0], np.arange(len(freqs)) * step) else None
+    f = freqs[:, 0]
+    step = f[1] - f[0]
+    if not 0.0 < abs(step) < math.inf or f[0] / step < -0.5:
+        return None
+    first = round(f[0] / step)
+    top = first + len(f) - 1
+    last = f[-1] / top
+    for delta in (step, last, np.nextafter(last, -math.inf), np.nextafter(last, math.inf)):
+        # the last row first: most sets that are not a grid fail there, before any array is made
+        if f[-1] == top * delta and np.array_equal(f, (first + np.arange(len(f))) * delta):
+            return first, float(delta)
+    return None
 
 
 def _buffer(work: dict, name: str, shape, dtype=float) -> np.ndarray:
@@ -1351,28 +1363,32 @@ def _unit_phases(theta: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
     return out
 
 
-def _grid_phases(js: np.ndarray, step: float, coefs: np.ndarray, out: np.ndarray, work: dict, weights=None):
-    """weights[w] e^{-i (j step) coefs[w]} for every j of ``js``, into ``out`` (len(js), n).
+def _row_phases(freqs: np.ndarray, coefs: np.ndarray, out: np.ndarray, work: dict, weights=None):
+    """weights[w] e^{-i <freqs[r], coefs[w]>} for every row of ``freqs`` (r, d), into ``out`` (r, n).
 
-    The factors of phases on a uniform grid: row j = j0 + l of a block
-    whose first row is j0 has e^{-i (j step) c} = base[l] offsets[j0],
-    with the base e^{-i (l step) c} (l < L, no weights) shared by every
-    block and an offset per block.  The row kernel, the product form's
-    grid blocks (``_phase_blocks``) and the Fourier inversion of
-    ``experiments`` take their factors here.  ``coefs`` is (n, 1); the
-    angles and the scratch of ``_unit_phases`` are buffers of ``work`` of
-    ``out``'s size, so a caller that computes a large base in pieces of
-    rows keeps that scratch small.
+    ``coefs`` is (n, d), and the angles are the outer product on the line,
+    else a matrix product.  On a uniform grid these are the factors of
+    the phases: row j = j0 + l of a block whose first row is j0 has
+    e^{-i (j delta) c} = base[l] offsets[j0], with the base
+    e^{-i (l delta) c} (l < L, no weights) shared by every block and an
+    offset per block.  The row kernel, the product form's blocks
+    (``_phase_blocks``) and the Fourier inversion of ``experiments`` take
+    their phases here.  The angles and the scratch of ``_unit_phases``
+    are buffers of ``work`` of ``out``'s size.
     """
-    theta = np.multiply((js * step)[:, None], coefs[:, 0], out=_buffer(work, "theta", out.shape))
+    theta = _buffer(work, "theta", out.shape)
+    if freqs.shape[1] == 1:
+        np.multiply(freqs, coefs[:, 0], out=theta)
+    else:
+        np.matmul(freqs, coefs.T, out=theta)
     _unit_phases(theta, out, work)
     if weights is not None:
         out *= weights
     return out
 
 
-def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, weights, work):
-    """Weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
+def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, grid, weights, work):
+    """The product form's weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
 
     theta[l, w] = <freqs[rows[l]], coefs[w]>, with ``freqs`` (m, d),
     ``coefs`` (n, d) and ``weights`` (n,) real.  Yields (start, stop,
@@ -1380,15 +1396,12 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     max(1, PHASE_BLOCK // n) rows, ``block`` a complex (stop - start, n)
     array of the workspace ``work`` (``_buffer``), overwritten by the
     next block, so every temporary of the caller's
-    elementwise work stays in cache.  With ``step``, the rows of
-    ``freqs`` are j * step (``_grid_step``), and a block of consecutive
-    rows j0 .. j0 + L - 1 is a base block e^{-i (l step) coefs}, l < L,
-    computed once, times the block's offsets
-    weights e^{-i (j0 step) coefs} with the weights folded in
-    (``_grid_phases``): one complex product per term, and (L + m / L) n
-    unit phases instead of m n.  The product form takes its grid phases
-    so, materialised; the row kernel sums its grid rows by matrix
-    products instead and passes no ``step`` (``grid_rows``).  The
+    elementwise work stays in cache.  With ``grid`` = (j0, step), row i
+    of ``freqs`` is (j0 + i) * step (``_grid_step``), and a block of
+    consecutive rows j .. j + L - 1 is a base block e^{-i (l step) coefs},
+    l < L, computed once, times the block's offsets, the weighted phases
+    of its first row (``_row_phases``): one complex product per term, and
+    (L + m / L) n unit phases instead of m n.  The
     offsets of max(1, L // 8) consecutive blocks, about an eighth of a
     block's terms, come from one ``_unit_phases`` call, so that its fixed
     cost is not paid per block.  The base block alone costs L n, as much
@@ -1399,33 +1412,26 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, step, 
     their angles directly and scale them by the weights in place.  Both
     paths are within ``_phase_rounding`` of the exact weighted phases.
     """
-    n, d = coefs.shape
+    n = len(coefs)
     size = max(1, PHASE_BLOCK // n)
-    grid = step is not None and len(rows) > size > 1
     base = offsets = None
     first = last = 0    # the blocks rows[first:last] whose offsets ``offsets`` holds
     for start in range(0, len(rows), size):
         block = rows[start : start + size]
         count = len(block)
         phases = _buffer(work, "phases", (count, n), complex)
-        if grid and block[-1] - block[0] == count - 1:
+        if grid is not None and len(rows) > size > 1 and block[-1] - block[0] == count - 1:
             if base is None:
                 base = _buffer(work, "base", (size, n), complex)
-                _grid_phases(np.arange(size), step, coefs, base, work)
+                _row_phases((np.arange(size) * grid[1])[:, None], coefs, base, work)
             if not first <= start < last:
                 first, last = start, start + size * max(1, size // 8)
                 starts = rows[first:last:size]
                 offsets = _buffer(work, "offsets", (len(starts), n), complex)
-                _grid_phases(starts, step, coefs, offsets, work, weights)
+                _row_phases(freqs[starts], coefs, offsets, work, weights)
             np.multiply(base[:count], offsets[(start - first) // size], out=phases)
         else:
-            theta = _buffer(work, "theta", (count, n))
-            if d == 1:
-                np.multiply(freqs[block], coefs[:, 0], out=theta)   # the outer product
-            else:
-                np.matmul(freqs[block], coefs.T, out=theta)
-            _unit_phases(theta, phases, work)
-            phases *= weights
+            _row_phases(freqs[block], coefs, phases, work, weights)
         yield start, start + count, phases
 
 
@@ -1466,28 +1472,26 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     expanded.  A job whose row sums are not all finite (a map that is NaN
     or infinite at an anchor it evaluates, or whose phases 2 pi <xi, f(x)>
     overflow) raises BadConfig naming the map.  A non-finite value away
-    from the evaluated anchors is not seen, and the declared L, H and H3
-    are not checked against the map.
+    from the evaluated anchors is not seen.  Orders 1 and 2 check
+    |B_w| <= 1.0001 s J at every leaf and raise BadConfig naming the map
+    and its L and H where it fails: anchors can refute a declared bound,
+    never prove it, and H3 is not checked.
 
     Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
     leaf terms: a job is the unit of the thread scatter.  Covers are not
     stored: each job streams its group's cover from ``_cover_blocks``, leaf
-    blocks of at most ``FRONTIER_BLOCK``, and each row's terms of a block
-    are summed pairwise along the leaf axis (one complex
-    ``np.add.reduce``); the block sums of a row are combined with TwoSum
-    (Knuth: t = s + x is rounded, and (s - (t - z)) + (x - z) with
-    z = t - s is exactly what t lost), kept in a carry that joins the sum
-    at the end.  Within a block the elementwise work runs over about
-    ``PHASE_BLOCK`` terms at a time, so its temporaries stay in cache:
-    ``_phase_blocks`` yields the weighted phases p_w e^{-i <xi, A_w>} as a
-    complex array, the inner column multiplies it in place, and the
-    reduction sums it.  These block arrays (phases, inner frequencies, the
-    lookup's index, fraction, gathers and columns, the order-2 block) are
-    buffers of the job's workspace (``_buffer``), reused by every block.
-    When the rows of ``xis`` are the uniform grid j * delta
-    (``_grid_step``; ``multiplicative_convolution`` builds its grid that
-    way) every job sums its leaf blocks by matrix products instead
-    (``grid_rows._grid_sums``; see Grid rows below).
+    blocks of at most ``FRONTIER_BLOCK``, whose row sums
+    ``grid_rows._grid_sums`` forms; the block sums of a row are combined
+    with TwoSum (Knuth: t = s + x is rounded, and (s - (t - z)) + (x - z)
+    with z = t - s is exactly what t lost), kept in a carry that joins the
+    sum at the end.  Rows exactly (j0 + i) delta (``_grid_step``;
+    ``multiplicative_convolution`` builds its grid that way) run in
+    blocks of L rows with K nodes (``grid_rows._grid_plan``) and sum by
+    matrix products; any other rows are blocks of one row (L = K = 1),
+    whose terms are summed pairwise along the leaf axis (one complex
+    ``np.add.reduce``).  See Blocks of rows below.  Each product or sum
+    takes about ``PHASE_BLOCK`` terms, so its temporaries stay in cache,
+    in buffers of the job's workspace (``_buffer``) reused by every block.
 
     The order-1 inner transform is the centred transform
     h(eta) = e^{2 pi i <eta, b>} mu_hat(eta), the transform of
@@ -1499,8 +1503,8 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     runs, whose quadratic cells a lookup evaluates by Horner's rule and
     whose slack per column (its node bounds, interpolation and lookup
     rounding, and centring) is the column's inner bound.  Any other
-    system evaluates h exactly, per block at its rows x leaves inner
-    frequencies: ``_mu_hat_rows`` of ``ifs.centred`` at tol/2, the
+    system evaluates h exactly, once per leaf block at all the job's node
+    x leaf frequencies: ``_mu_hat_rows`` of ``ifs.centred`` at tol/2, the
     product form for homogeneous systems, else one nested order-0 call
     of this kernel on its identity (``threads`` 1), octave-grouped like
     the outer rows, whose covers (the same words) are counted against
@@ -1531,10 +1535,10 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     grows by H3 R^2 / 2: an anchor moved by delta moves the cubic Taylor
     term by pi |xi| H3 (r_w R)^2 delta to first order.
 
-    Grid rows.  A job's rows are consecutive grid rows, in blocks of L
-    rows: row j = j0 + l has the phases base[l] offsets[j0]
-    (``_grid_phases``), so a leaf block's row sums are columns of one
-    matrix product per chunk of blocks.  The inner columns G move little
+    Blocks of rows.  A job's rows are in blocks of L rows: row j = j0 + l
+    has the phases base[l] offsets[j0] (``_row_phases``), so for L > 1 a
+    leaf block's row sums are columns of one matrix product per chunk of
+    blocks.  The inner columns G move little
     over a block: on leaf w, g(l) = G((j0 + l) delta B_w) has
     |g^(K)| <= (2 pi R |delta| |B_w|)^K, since
     |h^(K)| <= (2 pi)^K int |u|^K dnu <= (2 pi R)^K and
@@ -1572,24 +1576,27 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
       Chebyshev nodes omega <= ((L - 1) / 2)^K / 2^(K - 1): per unit
       weight (pi R Delta eta_w)^K / (2^(K - 1) K!), with
       Delta eta_w = (L - 1) |delta| |B_w|.
-    * rounding, 1 + kappa times.  The matrix product sums a leaf block
-      of at most W terms in any order, ``_roundoff(W, pairwise=False)``
-      per node sum, Lambda times through the combine; the per-node
-      products count Lambda times (``_phase_rounding``), 3 EPS; the
-      combine, K real-by-complex products and K - 1 sums, errs by
-      K EPS Lambda, and the weights' own rounding
-      (``grid_rows._row_nodes``) by 2K EPS Lambda: (3K + 3) EPS Lambda
-      with the products.  A node
-      frequency fl(fl(fl(j0 + x_k) delta) B_w) rounds by 3u relative,
-      which moves G by 1.5 EPS |xi| 2 pi R |B_w| per node, Lambda times
-      through the combine, with the job's largest |xi| and reach
-      2 pi R s J.
+    * rounding, 1 + kappa times, for L > 1.  The matrix product sums a
+      leaf block of at most W terms in any order,
+      ``_roundoff(W, pairwise=False)`` per node sum, Lambda times
+      through the combine; the per-node products count Lambda times
+      (``_phase_rounding``), 3 EPS; the combine, K real-by-complex
+      products and K - 1 sums, errs by K EPS Lambda, and the weights'
+      own rounding (``grid_rows._row_nodes``) by 2K EPS Lambda:
+      (3K + 3) EPS Lambda with the products.  A node frequency
+      fl(fl(fl(j0 + x_k) delta) B_w) rounds by 3u relative, which moves
+      G by 1.5 EPS |xi| 2 pi R |B_w| per node, Lambda times through the
+      combine, with the job's largest |xi| and reach 2 pi R s J.
     * the rounding terms that multiply the inner value (phases,
-      anchors, weights), derived for |h| <= 1, grow with the interpolant
-      by at most the node and remainder parts: those times the carried
-      terms.
-    Only the grid rows carry the term: scattered rows keep the
-    elementwise path and its bits.
+      anchors, weights) are derived for |h| <= 1, and their margins (at
+      least 1.6 times their parts that scale with |h|) cover a value
+      within N <= 0.4 of h, as in the bound below; the interpolant
+      passes N by at most the node and remainder parts above, which
+      multiply the carried terms.
+    A block of one row is its own node, at weight exactly 1 with
+    Lambda = 1 and omega = 0 (``grid_rows._row_nodes``), summed pairwise
+    at its own xi B_w: each part is 0, and its sums and bound are those
+    below.
 
     Every order assembles a row's bound alike, with kappa = 0 for orders
     0 and 1: the remainder, |xi| c(1) R^j sum_w p_w r_w^j for the linear
@@ -1648,19 +1655,16 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         gain = jac + pmap.hessian_bound * radius
         if order2:
             gain = gain + 0.5 * pmap.third_bound * radius**2
-    # grid rows take the factorised path, with an interpolation plan per job
+    # grid rows in blocks of L rows with K nodes; any other rows in blocks of one row, their own node
     grid = _grid_step(xis)
-    if grid is not None:
-        # imported here: a process that sums no grid does not compile it
-        from . import grid_rows
     jobs = []
     for rows, n_leaves, cover_scale, depth in covers:
         step = max(1, JOB_TERMS // n_leaves)
-        if grid is not None:
-            block_rows, node_count = grid_rows._grid_plan(n_leaves, grid, TWO_PI * radius * cover_scale * jac)
+        size, nodes = (1, 1) if grid is None else grid_rows._grid_plan(
+            n_leaves, grid[1], TWO_PI * radius * cover_scale * jac)
         for i in range(0, len(rows), step):
             job_rows = rows[i : i + step]
-            plan = None if grid is None else grid_rows._row_plan(len(job_rows), block_rows, node_count)
+            plan = grid_rows._row_plan(len(job_rows), size, nodes)
             jobs.append((job_rows, n_leaves, cover_scale, depth, plan))
     # Interpolation multiplies node errors by up to the largest Lebesgue
     # bound Lambda of the jobs.  A node error is mostly a closure, a step
@@ -1669,7 +1673,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     # lie within rho of its scale.  So node targets are divided by
     # Lambda / rho, and Lambda times a node error stays below the error at
     # the undivided target.
-    lebesgue = max((job[-1].lebesgue for job in jobs if job[-1] is not None), default=1.0)
+    lebesgue = max(job[-1].lebesgue for job in jobs)
     shrink = float(ifs.ratios.min()) / lebesgue if lebesgue > 1.0 else 1.0
     mu_table = None
     if order1 and ifs.is_homogeneous and k == d == 1:
@@ -1677,17 +1681,18 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         eta_max = max(float(norms[rows].max()) * (s * jac) for rows, _, s, _ in covers)
         # order 2 tabulates h2 as well
         mu_table = _MuHatTable(ifs, eta_max * 1.0001 + 1e-9, min(tol / 8.0, 1e-8) * shrink, order2)
+    inner = (ifs, mu_table, 0.5 * tol * shrink, budget) if order1 else None
+    delta = 0.0 if grid is None else abs(grid[1])      # one-row blocks span no frequencies
 
     def run(job):
         rows, n, cover_scale, depth, plan = job
         x = xis[rows]
         work = {}       # this job's block buffers
         total, carry = np.zeros((2, len(rows)), dtype=complex)
-        part = np.empty(len(rows), dtype=complex)
         moment, a_max, inner_err = 0.0, 0.0, 0.0
         quartic, curv_sum, curv_max = 0.0, 0.0, 0.0     # order 2: sums of p q^2, p |q|; max |q|
-        spread, spread2 = 0.0, 0.0      # grid: sums of p |B|^K and p |q| |B|^K
-        inner_tol = 0.5 * tol * shrink
+        spread, spread2 = 0.0, 0.0      # sums of p |B|^K and p |q| |B|^K
+        first = None if grid is None else (grid[0] + rows[0], grid[1])
         curv = None
         for ratios, orients, _, weights, anchors in _cover_blocks(ifs, cover_scale):
             a_forms, b_forms = _linear_forms(ifs, pmap, ratios, orients, anchors, order1)
@@ -1698,45 +1703,23 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
                 curv_sum += float(np.sum(weights * np.abs(curv)))
                 curv_max = max(curv_max, float(np.abs(curv).max()))
             a_max = max(a_max, float(np.linalg.norm(a_forms, axis=1).max()))
-            if plan is not None:
-                inner = (ifs, mu_table, inner_tol, budget) if order1 else None
-                sums, node_err, spreads = grid_rows._grid_sums(rows[0], len(rows), grid, a_forms, b_forms,
-                                                               weights, curv, inner, plan, work)
-                spread, spread2 = spread + spreads[0], spread2 + spreads[1]
-                part[:] = sums[0]
+            if order1:
+                b_norms = np.linalg.norm(b_forms.reshape(len(weights), -1), axis=1)     # |B_w| <= r_w |J_f|
+                if b_norms.max() > 1.0001 * cover_scale * jac:
+                    raise BadConfig(f"map {pmap.label!r}: an anchor refutes its declared "
+                                    f"L = {pmap.lipschitz_bound} and H = {pmap.hessian_bound}, r_w |J_f| = "
+                                    f"{b_norms.max():.6g} > 1.0001 s J = {1.0001 * cover_scale * jac:.6g}")
+                powers = b_norms**plan.order
+                spread += float(np.sum(weights * powers))
                 if order2:
-                    part += (-1j * np.pi * x[:, 0]) * sums[1]
-                if node_err is not None:
-                    inner_err = inner_err + node_err
-            else:
-                if order1 and mu_table is None:
-                    flat = np.tensordot(x, b_forms, axes=(1, 2)).reshape(-1, k)
-                    vals, errs, _ = _mu_hat_rows(ifs.centred, flat, inner_tol, budget, 1)
-                    exact_inner = vals.reshape(len(rows), len(weights))
-                    errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
-                    inner_err = inner_err + np.add.reduce(
-                        errs.reshape(len(rows), len(weights)) * weights, axis=1
-                    )
-                for start, stop, phases in _phase_blocks(xis, rows, a_forms, None, weights, work):
-                    if b_forms is not None:
-                        if mu_table is None:
-                            columns = [exact_inner[start:stop]]
-                        else:
-                            # the inner frequencies xi B_w, an outer product on the line
-                            eta = np.multiply(x[start:stop], b_forms[:, 0, 0],
-                                              out=_buffer(work, "eta", phases.shape))
-                            columns = mu_table.lookup(eta, work)
-                        if order2:
-                            # -i pi xi sum_w p_w q_w e^{-i theta} h2: the quadratic phase integrated
-                            second = _buffer(work, "second", phases.shape, complex)
-                            np.multiply(phases, curv, out=second)
-                            second *= columns[1]
-                            second = (-1j * np.pi * x[start:stop, 0]) * np.add.reduce(second, axis=1)
-                        phases *= columns[0]
-                    # pairwise along each row's contiguous leaf axis, as _roundoff assumes
-                    part[start:stop] = np.add.reduce(phases, axis=1)
-                    if order2:
-                        part[start:stop] += second
+                    spread2 += float(np.sum(weights * np.abs(curv) * powers))
+            sums, node_err = grid_rows._grid_sums(x, first, a_forms, b_forms, weights, curv, inner, plan,
+                                                  work)
+            part = sums[0]
+            if order2:
+                part += (-1j * np.pi * x[:, 0]) * sums[1]
+            if node_err is not None:
+                inner_err = inner_err + node_err
             # TwoSum of the running sum and this block's sums
             t = total + part
             z = t - total
@@ -1759,14 +1742,13 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
         carried = carried + _cover_rounding(ifs, cover_scale, depth, xi_norms, gain, inner_reach)
         bounds = remainder + inner_err + (1.0 + kappa) * carried
         bounds = bounds + EPS * ((depth + 6.0) * kappa + 1.0)
-        if plan is not None:
-            # the interpolation remainder R_K: omega / K! (2 pi R |delta| |B_w|)^K
-            # per unit weight of h, R^2 times that of h2
-            scale_k = plan.omega / math.factorial(plan.order) * (TWO_PI * radius * abs(grid)) ** plan.order
-            interpolation = scale_k * (spread + np.pi * xi_norms * radius**2 * spread2)
-            node_gain = plan.lebesgue if mu_table is not None else 1.0
-            bounds = bounds + grid_rows._row_interpolation(plan, inner_err, node_gain, interpolation, kappa,
-                                                           carried, n, float(xi_norms.max()), inner_reach)
+        # the interpolation remainder R_K: omega / K! (2 pi R |delta| |B_w|)^K
+        # per unit weight of h, R^2 times that of h2
+        scale_k = plan.omega / math.factorial(plan.order) * (TWO_PI * radius * delta) ** plan.order
+        interpolation = scale_k * (spread + np.pi * xi_norms * radius**2 * spread2)
+        node_gain = plan.lebesgue if mu_table is not None else 1.0
+        bounds = bounds + grid_rows._row_interpolation(plan, inner_err, node_gain, interpolation, kappa,
+                                                       carried, n, float(xi_norms.max()), inner_reach)
         return rows, values, bounds, n
 
     return _run_rows(run, jobs, m, threads)
@@ -1869,13 +1851,12 @@ def pushforward_batch(
     cover is counted against ``budget`` before any is expanded, and each
     job of the kernel streams its cover in leaf blocks of at most
     ``FRONTIER_BLOCK`` (no cover is stored or cached), so memory does not
-    grow with the cover.  Frequencies that are exactly j * delta, in that
-    order, sum as matrix products of one base block of unit phases and
-    each block's weighted offsets times the inner columns, which are read
-    at a few Chebyshev nodes per block and interpolated
+    grow with the cover.  Frequencies that are exactly (j0 + i) delta, in
+    that order, sum as matrix products of one base block of unit phases
+    and each block's weighted offsets times the inner columns, which are
+    read at a few Chebyshev nodes per block and interpolated
     (``grid_rows``); their bounds add the ``row_interpolation`` term.
-    Any other set gets direct unit phases in cache-sized blocks, summed
-    elementwise.  The inner transforms, h and for ``order2`` h2 of
+    Any other set is blocks of one row, summed pairwise.  The inner transforms, h and for ``order2`` h2 of
     ``ifs.centred``, come from a certified table (``_MuHatTable``) for
     homogeneous systems on the line and are evaluated exactly for the
     rest.  ``exact_recursion`` is mu_hat itself (``pmap`` unused),
@@ -2022,3 +2003,7 @@ def write_samples_csv(path, xis, values, errors, scheme, leaves) -> None:
     re, im = values.real, values.imag
     floats = [*xis.T, re, im, np.hypot(re, im), np.asarray(errors, dtype=float)]
     write_csv(path, header, [*floats, scheme, leaves])
+
+
+# last: the row kernel's block sums import the helpers above
+from . import grid_rows  # noqa: E402

@@ -1,14 +1,14 @@
-"""Grid rows as matrix products: the row kernel's path for a uniform frequency grid.
+"""Blocks of rows: the row kernel's one leaf sum.
 
-On frequencies j * delta the phases of row j = j0 + l factor into a base
-block and one offset per block of rows (``fourier._grid_phases``), so a
-leaf block's row sums are columns of one matrix product, and the inner
-columns are read only at a few Chebyshev nodes of each block and
-interpolated.  ``fourier._image_rows`` plans every job (``_grid_plan``,
-``_row_plan``), sums its leaf blocks (``_grid_sums``) and adds the
-``row_interpolation`` term (``_row_interpolation``); its docstring
-derives the term.  The row kernel imports this module only when its rows
-are a grid, so a process that sums none does not compile it.
+On frequencies (j0 + i) * delta the phases of row j = j0 + l factor into
+a base block and one offset per block of rows (``fourier._row_phases``),
+so a leaf block's row sums are columns of one matrix product, and the
+inner columns are read only at a few Chebyshev nodes of each block and
+interpolated.  Any other rows are blocks of one row, each its own node,
+summed pairwise.  ``fourier._image_rows`` plans every job (``_grid_plan``
+or L = K = 1, ``_row_plan``), sums its leaf blocks (``_grid_sums``) and
+adds the ``row_interpolation`` term (``_row_interpolation``, 0 at
+L = 1); its docstring derives the term.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fourier import EPS, PHASE_BLOCK, _buffer, _centring_rounding, _grid_phases, _mu_hat_rows, _roundoff
+from .fourier import EPS, PHASE_BLOCK, _buffer, _centring_rounding, _mu_hat_rows, _roundoff, _row_phases
 from .ifs import FRONTIER_BLOCK
 
 MAX_NODES = 16          # Chebyshev nodes per block of grid rows, at most (``_grid_plan``)
@@ -110,87 +110,96 @@ def _row_plan(count: int, size: int, order: int) -> _RowPlan:
     return _RowPlan(size, order, nodes, max(n[2] for n in nodes.values()), max(n[3] for n in nodes.values()))
 
 
-def _node_columns(freqs, b_forms, inner, work: dict):
-    """The inner columns at the node frequencies freqs B_w, each (blocks, K, n), and their errors.
+def _exact_columns(freqs, b_forms, weights, inner):
+    """mu_hat of ``ifs.centred`` at the node frequencies freqs B_w, (blocks, K, n), and (blocks, K) errors.
 
-    ``inner`` is (ifs, table, tol, budget): a ``fourier._MuHatTable``,
-    whose errors are its slacks (None here), or None for mu_hat of
-    ``ifs.centred`` at ``tol`` with the centring allowance.
+    One nested call over every node of the job's leaf block, at the inner
+    ``tol``, with the centring allowance; a node's error is
+    sum_w p_w e_{k,w}.
     """
-    ifs, table, tol, budget = inner
-    shape = (*freqs.shape, len(b_forms))
-    if table is not None:
-        eta = np.multiply(freqs[:, :, None], b_forms[:, 0, 0], out=_buffer(work, "eta", shape))
-        return table.lookup(eta, work), None
-    flat = (freqs[:, :, None, None] * b_forms[:, :, 0]).reshape(-1, ifs.ambient_dim)
+    ifs, _, tol, budget = inner
+    flat = np.tensordot(freqs, b_forms, axes=(2, 2)).reshape(-1, ifs.ambient_dim)
     vals, errs, _ = _mu_hat_rows(ifs.centred, flat, tol, budget, 1)
     errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
-    return [vals.reshape(shape)], errs.reshape(shape)
+    shape = (*freqs.shape[:2], len(weights))
+    return vals.reshape(shape), np.add.reduce(errs.reshape(shape) * weights, axis=2)
 
 
-def _grid_sums(first: int, count: int, step: float, coefs, b_forms, weights, curv, inner, plan: _RowPlan,
-               work: dict):
-    """Row sums of one leaf block at grid rows j = first .. first + count - 1, by matrix products.
+def _grid_sums(x, grid, coefs, b_forms, weights, curv, inner, plan: _RowPlan, work: dict):
+    """Row sums of one leaf block at the rows ``x`` (count, d) of a job, block by block.
 
-    Row j = j0 + l of the block that starts at j0 (``plan.size`` rows,
-    the last block shorter) has the phases base[l] offsets[j0]
-    (``_grid_phases``, the weights folded into the offsets).  The inner
-    columns G of the leaves are read only at the block's K nodes x_k
-    (``_row_nodes``), at the frequencies ((j0 + x_k) step) B_w
-    (``_node_columns`` of ``inner``; None for order 0, K = 1).  Then
-    every block's K sums
-    M_k[l] = sum_w base[l, w] (offsets[j0] p_w G_k)[w] are columns of one
-    matrix product base @ rhs.T (numpy's matmul, a BLAS zgemm), and the
+    A block of L = ``plan.size`` rows (the last shorter) has the phases
+    base[l] offsets[j0] (``_row_phases``, the weights folded into the
+    offsets, which are the phases at its first row).  The inner columns G
+    of the leaves are read only at the block's K nodes x_k
+    (``_row_nodes``): with ``grid`` = (j, delta), row i is (j + i) delta
+    and node k is at ((j0 + x_k) delta) B_w; without it the blocks are
+    single rows and the node is the row's own xi B_w.  ``inner`` is (ifs,
+    table, tol, budget): a ``fourier._MuHatTable`` read per chunk, or
+    None for mu_hat of ``ifs.centred`` at ``tol``, read once
+    (``_exact_columns``); None for order 0, K = 1.  Every block's K sums
+    M_k[l] = sum_w base[l, w] (offsets[j0] p_w G_k)[w] are, for L > 1,
+    columns of one matrix product base @ rhs.T (numpy's matmul, a BLAS
+    zgemm), and for L = 1 the pairwise sums along the leaf axis.  The
     Lagrange combine sum_k l_k(l) M_k[l] gives the rows, node by node in
     a fixed order.  With ``curv`` (order 2) the right-hand side also
-    holds offsets p_w q_w G1 for the second sum.  A chunk of blocks shares
-    one product, so that the right-hand side and the products stay near
-    ``PHASE_BLOCK`` terms; the base is computed in pieces of a chunk's
-    rows, so the angles and the scratch of its unit phases stay that
-    small too.
+    holds offsets p_w q_w G1 for the second sum.  A chunk of blocks
+    shares one product or sum of about ``PHASE_BLOCK`` terms.
 
-    Returns (sums (1 or 2, count), node errors per row or None, spreads).
-    With node errors e_{k,w}, a row's is what they move its sum by at
-    most, sum_k |l_k(l)| sum_w p_w e_{k,w}.  The spreads are
-    (sum_w p_w |B_w|^K, sum_w p_w |q_w| |B_w|^K), the leaf sums of the
-    interpolation remainder of h and h2.
+    Returns (sums (1 or 2, count), node errors per row or None).  With
+    node errors e_{k,w}, a row's is what they move its sum by at most,
+    sum_k |l_k(l)| sum_w p_w e_{k,w}.
     """
     size, order, nodes = plan.size, plan.order, plan.nodes
-    n, cols = len(weights), 1 if curv is None else 2
-    spreads = (0.0, 0.0)
-    if inner is not None:
-        powers = np.linalg.norm(b_forms[:, :, 0], axis=1) ** order     # |B_w|^K
-        spreads = (float(np.sum(weights * powers)),
-                   0.0 if curv is None else float(np.sum(weights * np.abs(curv) * powers)))
-    rows = min(size, count)
-    chunk = max(1, min(size, n) // (order * cols))
-    base = _buffer(work, "base", (rows, n), complex)
-    for i in range(0, rows, chunk):
-        _grid_phases(np.arange(i, min(i + chunk, rows)), step, coefs, base[i : i + chunk], work)
-    sums = np.empty((cols, count), dtype=complex)
-    node_err = None
+    count, n, cols = len(x), len(weights), 1 if curv is None else 2
     blocks = -(-count // size)
-    for b0 in range(0, blocks, chunk):
-        firsts = first + size * np.arange(b0, min(b0 + chunk, blocks))
-        lengths = np.minimum(size, count - (firsts - first))
-        nb = len(firsts)
-        offsets = _grid_phases(firsts, step, coefs, _buffer(work, "offsets", (nb, n), complex), work, weights)
-        rhs = _buffer(work, "rhs", (cols, nb, order, n), complex)
-        if inner is None:
-            rhs[0, :, 0] = offsets      # K = 1
+    starts = size * np.arange(blocks)
+    table = exact = errs = None
+    if inner is not None:
+        if grid is None:
+            freqs = x[:, None, :]
         else:
-            positions = np.stack([nodes[length][0] for length in lengths])
-            columns, errs = _node_columns((firsts[:, None] + positions) * step, b_forms, inner, work)
-            np.multiply(offsets[:, None, :], columns[0], out=rhs[0])
+            positions = np.repeat(nodes[min(size, count)][0][None], blocks, axis=0)
+            positions[-1] = nodes[count - starts[-1]][0]
+            freqs = (((grid[0] + starts)[:, None] + positions) * grid[1])[:, :, None]
+        table = inner[1]
+        if table is None:
+            exact, errs = _exact_columns(freqs, b_forms, weights, inner)
+    chunk = max(1, PHASE_BLOCK // (cols * order * max(size, n)))
+    rows = min(size, count)
+    if size > 1:
+        # in pieces of a chunk's rows, so that the angles and the scratch of the unit phases stay that small
+        base = _buffer(work, "base", (rows, n), complex)
+        for i in range(0, rows, chunk):
+            piece = np.arange(i, min(i + chunk, rows)) * grid[1]
+            _row_phases(piece[:, None], coefs, base[i : i + chunk], work)
+    sums = np.empty((cols, count), dtype=complex)
+    node_err = None if errs is None else np.empty(count)
+    for b0 in range(0, blocks, chunk):
+        firsts = starts[b0 : b0 + chunk]
+        lengths = np.minimum(size, count - firsts)
+        nb = len(firsts)
+        rhs = _buffer(work, "rhs", (cols, nb, order, n), complex)
+        # K = 1: the offsets are the right-hand side's first column, multiplied in place
+        offsets = rhs[0, :, 0] if order == 1 else _buffer(work, "offsets", (nb, n), complex)
+        _row_phases(x[firsts], coefs, offsets, work, weights)
+        if inner is not None:
+            if table is None:
+                columns = [exact[b0 : b0 + nb]]
+            else:
+                eta = _buffer(work, "eta", (nb, order, n))
+                columns = table.lookup(np.multiply(freqs[b0 : b0 + nb], b_forms[:, 0, 0], out=eta), work)
             if cols == 2:
                 np.multiply(offsets[:, None, :], curv, out=rhs[1])
                 rhs[1] *= columns[1]
-            if errs is not None:
-                node_err = np.zeros(count) if node_err is None else node_err
-                errs = np.add.reduce(errs * weights, axis=2)     # (blocks, K): sum_w p_w e_{k,w}
-        products = np.matmul(base, rhs.reshape(-1, n).T,
-                             out=_buffer(work, "products", (rows, cols * nb * order), complex))
-        products = products.reshape(rows, cols, nb, order)
+            np.multiply(offsets[:, None, :], columns[0], out=rhs[0])
+        if size == 1:
+            # pairwise along each row's contiguous leaf axis, as _roundoff assumes
+            products = np.add.reduce(rhs, axis=3)[None]
+        else:
+            products = np.matmul(base, rhs.reshape(-1, n).T,
+                                 out=_buffer(work, "products", (rows, cols * nb * order), complex))
+            products = products.reshape(rows, cols, nb, order)
         # only a job's last block is shorter: the blocks before it share one set of weights
         same = nb if lengths[-1] == lengths[0] else nb - 1
         for b, stop, length in ((0, same, lengths[0]), (same, nb, lengths[-1])):
@@ -200,19 +209,19 @@ def _grid_sums(first: int, count: int, step: float, coefs, b_forms, weights, cur
             combined = lagrange[:, 0, None, None] * part[..., 0]
             for k in range(1, order):
                 combined += lagrange[:, k, None, None] * part[..., k]
-            span = slice(firsts[b] - first, firsts[b] - first + (stop - b) * length)
+            span = slice(firsts[b], firsts[b] + (stop - b) * length)
             sums[:, span] = combined.transpose(1, 2, 0).reshape(cols, -1)
             if node_err is not None:
                 # the node errors through the row's weights: sum_k |l_k(l)| sum_w p_w e_{k,w}
-                node_err[span] = (np.abs(lagrange) @ errs[b:stop].T).T.reshape(-1)
-    return sums, node_err, spreads
+                node_err[span] = (np.abs(lagrange) @ errs[b0 + b : b0 + stop].T).T.reshape(-1)
+    return sums, node_err
 
 
 def _row_interpolation(plan: _RowPlan, node, gain: float, remainder, kappa, carried, n_leaves: int,
                        xi_top: float, reach: float):
-    """The ``row_interpolation`` term of grid rows: what their bound adds to the elementwise one.
+    """The ``row_interpolation`` term: what blocks of L > 1 rows add to a row's bound; 0 at L = 1.
 
-    ``node`` is the inner bound N the elementwise formula charges, and
+    ``node`` is the inner bound N the rest of the bound charges, and
     ``gain`` what the interpolation multiplies it by: Lambda for a
     table's slacks, 1 for exact inner columns, whose node errors
     ``_grid_sums`` carries through each row's weights into N.
@@ -221,12 +230,14 @@ def _row_interpolation(plan: _RowPlan, node, gain: float, remainder, kappa, carr
     ``n_leaves`` the cover's leaves (the largest leaf block W is at most
     ``FRONTIER_BLOCK`` of them), ``xi_top`` the job's largest |xi| and
     ``reach`` its 2 pi R s J.  ``fourier._image_rows`` derives the term:
-    (gain - 1) N + R_K, plus 1 + kappa times Lambda (the any-order
-    allowance ``_roundoff(W, pairwise=False)`` + EPS (3K + 3 +
-    1.5 |xi| reach)) and (gain N + R_K) carried.
+    G = (gain - 1) N + R_K, plus 1 + kappa times G carried and, for
+    L > 1, Lambda (the any-order allowance ``_roundoff(W, pairwise=False)``
+    + EPS (3K + 3 + 1.5 |xi| reach)).
     """
-    width = min(n_leaves, FRONTIER_BLOCK)
-    rounding = _roundoff(width, pairwise=False) + EPS * (3.0 * plan.order + 3.0 + 1.5 * xi_top * reach)
-    return (gain - 1.0) * node + remainder + (1.0 + kappa) * (
-        plan.lebesgue * rounding + (gain * node + remainder) * carried
-    )
+    growth = (gain - 1.0) * node + remainder
+    rounding = 0.0
+    if plan.size > 1:   # matrix products; one-row blocks sum pairwise at their rows, weight exactly 1
+        width = min(n_leaves, FRONTIER_BLOCK)
+        rounding = plan.lebesgue * (_roundoff(width, pairwise=False)
+                                    + EPS * (3.0 * plan.order + 3.0 + 1.5 * xi_top * reach))
+    return growth + (1.0 + kappa) * (rounding + growth * carried)

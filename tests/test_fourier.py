@@ -21,12 +21,14 @@ from fractal_fourier.errors import (
     ResourceExceeded,
     Unsupported,
 )
+from fractal_fourier.experiments import _invert_on_points
 from fractal_fourier.fourier import (
     PushforwardMap,
     _MuHatTable,
     _anchor_drift,
     _centring_rounding,
     _cover_rounding,
+    _grid_step,
     _linear_forms,
     _mu_hat_homog_many,
     _phase_rounding,
@@ -1807,11 +1809,11 @@ def log_uniform12_hat(xis):
 
 
 class TestGridPhases:
-    """Uniform grids sum by matrix products of factorised phases; other frequency sets sum elementwise."""
+    """Uniform grids sum by matrix products of factorised phases; other frequency sets are one-row blocks."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        """The ``step`` argument of every ``_phase_blocks`` call on ``m`` rows of frequencies: steps(m).
+        """The ``grid`` argument of every ``_phase_blocks`` call on ``m`` rows of frequencies: steps(m).
 
         The count keeps apart the calls of the product form, which builds
         the order-1 table's nodes through ``_phase_blocks`` as well.
@@ -1819,25 +1821,28 @@ class TestGridPhases:
         seen = []
         original = fourier_module._phase_blocks
 
-        def record(freqs, rows, coefs, step, weights, work):
-            seen.append((len(freqs), step))
-            return original(freqs, rows, coefs, step, weights, work)
+        def record(freqs, rows, coefs, grid, weights, work):
+            seen.append((len(freqs), grid))
+            return original(freqs, rows, coefs, grid, weights, work)
 
         monkeypatch.setattr(fourier_module, "_phase_blocks", record)
-        return lambda m: [step for rows, step in seen if rows == m]
+        return lambda m: [grid for rows, grid in seen if rows == m]
 
     @pytest.fixture
     def terms(self, monkeypatch):
-        """The ``row_interpolation`` terms of every grid job, in job order, concatenated: terms()."""
+        """The ``row_interpolation`` terms, in job order, concatenated: terms() of the grid jobs.
+
+        terms(scattered=True) are those of the jobs in blocks of one row.
+        """
         seen = []
         original = grid_rows._row_interpolation
 
-        def record(*args):
-            seen.append(np.atleast_1d(original(*args)))
-            return seen[-1]
+        def record(plan, *args):
+            seen.append((plan.size == 1, np.atleast_1d(original(plan, *args))))
+            return seen[-1][1]
 
         monkeypatch.setattr(grid_rows, "_row_interpolation", record)
-        return lambda: np.concatenate(seen)
+        return lambda scattered=False: np.concatenate([t for one, t in seen if one == scattered] or [[]])
 
     @pytest.fixture
     def table_tols(self, monkeypatch):
@@ -1888,11 +1893,12 @@ class TestGridPhases:
         shuffled = pushforward_batch(uniform12, pmap, xis[perm], tol=tol, scheme=scheme, scale=scale)
         sv, se, sl = (a[np.argsort(perm)] for a in shuffled)
         assert table_tols == ([table_tols[0]] * 2 if scheme == "order1" else [])
-        # only the shuffled rows take elementwise phase blocks
-        assert steps(len(xis)) == [None]
+        # neither takes the product form's phase blocks: the shuffled rows are one-row blocks, adding 0
+        assert steps(len(xis)) == []
         assert np.array_equal(gl, sl) and np.all(gl[1:] == 512)
         term = terms()
         assert len(term) == len(xis) - 1 and np.all(term > 0.0)
+        assert np.array_equal(terms(scattered=True), np.zeros(len(xis) - 1))
         assert ge[0] == se[0] == 0.0 and np.array_equal(ge[1:], se[1:] + term)
         assert np.all(np.abs(gv - sv) <= ge + se)
         if scheme == "order0":
@@ -1922,7 +1928,7 @@ class TestGridPhases:
         xis = np.arange(6) * 0.7
         (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(cantor, pmap, xis, "order0", 3.0**-16)
         assert gl[1] == 2**16
-        assert steps(len(xis)) == [None] * 16
+        assert steps(len(xis)) == []
         assert np.array_equal(ge[1:], se[1:] + terms())
         assert np.all(np.abs(gv - sv) <= self.allowance(cantor, pmap, xis, "order0", 3.0**-16)
                       + ge - se + _roundoff(2**16))
@@ -1990,7 +1996,7 @@ class TestGridPhases:
             return np.concatenate(out)
 
         sizes = _count_sines(monkeypatch)
-        grid = phases(step)
+        grid = phases((0, step))
         monkeypatch.undo()
         direct = phases(None)
         # against the direct path: the same bits, or both within their rounding
@@ -2033,6 +2039,77 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 8_000
+
+    @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+    def test_grid_away_from_zero_takes_matrix_products(self, uniform12, terms, scheme):
+        # rows (500 + i) 0.18 are a grid from j0 = 500: they sum by matrix
+        # products, so every row carries a row_interpolation term, and they
+        # agree with the same rows of the grid from 0 and with the exact
+        # transform within their bounds
+        pmap = log_map(uniform12)
+        xis = np.arange(500, 1500) * 0.18
+        assert _grid_step(xis[:, None])[0] == 500
+        values, bounds, _ = pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme, scale=2.0**-9)
+        term = terms()
+        assert len(term) == len(xis) and np.all(term > 0.0) and len(terms(scattered=True)) == 0
+        whole = pushforward_batch(uniform12, pmap, np.arange(1500) * 0.18, tol=1e-4, scheme=scheme,
+                                  scale=2.0**-9)
+        assert np.all(np.abs(values - whole[0][500:]) <= bounds + whole[1][500:])
+        assert np.all(np.abs(values - log_uniform12_hat(xis)) <= bounds)
+
+    def test_inversion_refuses_a_grid_away_from_zero(self):
+        # the inversion's formula takes phi_0 as the zero frequency
+        xis = np.arange(500, 1500) * 0.18
+        with pytest.raises(BadConfig, match="from j = 0"):
+            _invert_on_points(np.linspace(0.0, 1.0, 8), xis, np.ones(len(xis), dtype=complex), 0.18)
+
+    SCATTERED = {
+        "cantor-order0": ("cantor", square_map, "order0", 300.0, 1e-3),
+        "cantor-order1": ("cantor", square_map, "order1", 300.0, 1e-3),
+        "cantor-order2": ("cantor", square_map, "order2", 300.0, 1e-3),
+        "mixed_ratios-order1": ("mixed_ratios", square_map, "order1", 300.0, 1e-3),
+        "mixed_ratios-recursion": ("mixed_ratios", identity_map, "exact_recursion", 300.0, 1e-3),
+        "square_2d-order1": ("square_2d", sum_of_squares_map, "order1", 15.0, 1e-2),
+        "square_2d-holomorphic": ("square_2d", lambda ifs: _cube_holomorphic(ifs), "order1", 2.0, 1e-2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SCATTERED))
+    def test_scattered_rows_are_one_row_blocks_adding_nothing(self, request, terms, case):
+        # a row set that is not a grid runs in blocks of one row (L = K = 1):
+        # every such job's row_interpolation term is exactly 0 (Lambda = 1
+        # and omega = 0 at weight exactly 1).  Nested inner calls may hold
+        # grids of their own, such as two rows a and 2a.
+        name, build, scheme, top, tol = self.SCATTERED[case]
+        ifs = request.getfixturevalue(name)
+        pmap = build(ifs)
+        d = ifs.ambient_dim if scheme == "exact_recursion" else pmap.out_dim
+        xis = np.random.default_rng(34).uniform(-top, top, size=(40, d))
+        assert _grid_step(xis) is None
+        pushforward_batch(ifs, pmap, xis, tol=tol, scheme=scheme)
+        term = terms(scattered=True)
+        assert len(term) >= len(xis) and np.all(term == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["order1", "order2"])
+    @pytest.mark.parametrize("rows", ["grid", "scattered"])
+    def test_false_hessian_bound_refuted(self, uniform12, scheme, rows):
+        # log on [1, 2] has sup |f''| = 1.  Declared as 0.5, its
+        # J = 1/1.5 + 0.5 R = 0.917 is below |f'(1)| = 1, and the leaves near
+        # x = 1 have |B_w| > s J.  The anchors can refute a declared bound
+        # but never prove it.  Unrefuted, the rows read the table past its
+        # range.
+        pmap = replace(log_map(uniform12), hessian_bound=0.5)
+        xis = np.arange(2000) * 0.37 if rows == "grid" else np.array([3.0, 40.0, 700.0])
+        with pytest.raises(BadConfig, match=r"map 'log': an anchor refutes its declared L = 1.0 and H = 0.5"):
+            pushforward_batch(uniform12, pmap, xis, tol=1e-4, scheme=scheme, scale=2.0**-8)
+
+    @pytest.mark.parametrize("rows", ["grid", "scattered"])
+    def test_false_hessian_bound_refuted_without_a_table(self, mixed_ratios, rows):
+        # exact inner columns read no table: unrefuted, the false J would
+        # under-charge the inner reach 2 pi R s J without any error
+        pmap = replace(square_map(mixed_ratios), hessian_bound=0.5)
+        xis = np.arange(50) * 0.9 if rows == "grid" else np.array([3.0, 40.0])
+        with pytest.raises(BadConfig, match=r"map 'square': an anchor refutes its declared L = .+ and H = 0.5"):
+            pushforward_batch(mixed_ratios, pmap, xis, tol=1e-3, scheme="order1", scale=2.0**-6)
 
     def test_threads_do_not_change_grid_results(self, uniform12):
         pmap = log_map(uniform12)
