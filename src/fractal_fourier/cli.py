@@ -6,8 +6,9 @@ outputs they make reruns reproducible); every random choice funnels
 through a single integer seed, defaulting to 0, never the clock.
 
 Exit codes: 0 ok, 2 invalid config, 3 inconsistent profile, 4 resource
-budget exceeded, 5 internal error.  FRACTAL_FOURIER_BUDGET overrides the
-cylinder-leaf budget.
+budget exceeded, 5 internal error; each error class of ``errors`` states
+its own.  FRACTAL_FOURIER_BUDGET overrides the cylinder-leaf budget of
+fourier, decay and convolve.
 """
 
 from __future__ import annotations
@@ -25,37 +26,8 @@ from . import dimensions as dims
 from . import experiments as xp
 from . import fourier as fr
 from . import ifs as ifsmod
-from .errors import (
-    BadConfig,
-    CenterInsideSupport,
-    FractalFourierError,
-    InconsistentProfile,
-    InvalidIFS,
-    MissingExponent,
-    MissingHessianBound,
-    NotApplicable,
-    ResourceExceeded,
-    SupportNotPositive,
-    Unsupported,
-)
+from .errors import BadConfig, FractalFourierError
 from .ifs import _fields, _float, _float_array, _int, _optional_float, _parsed, _separation
-
-_VALIDATION_ERRORS = (
-    BadConfig,
-    InvalidIFS,
-    Unsupported,
-    NotApplicable,
-    MissingExponent,
-    MissingHessianBound,
-    SupportNotPositive,
-    CenterInsideSupport,
-)
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INCONSISTENT = 3
-EXIT_RESOURCE = 4
-EXIT_INTERNAL = 5
 
 
 def _budget() -> int:
@@ -145,7 +117,7 @@ def _out_dir(args) -> Path:
 # -- dims -------------------------------------------------------------------
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> None:
     doc = ifsmod.load_ifs(args.ifs)
     separation = args.separation or doc.declared_separation
     profile = dims.build_profile(doc.ifs, separation, doc.exponents)
@@ -164,13 +136,12 @@ def cmd_dims(args) -> int:
         out = _out_dir(args)
         dims.save_profile(profile, out / "profile.json")
         print(f"wrote {out / 'profile.json'}")
-    return EXIT_OK
 
 
 # -- bounds -----------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     doc = ifsmod.load_ifs(args.ifs) if args.ifs else None
     if args.profile:
         profile = dims.load_profile(args.profile)
@@ -206,13 +177,12 @@ def cmd_bounds(args) -> int:
         out = _out_dir(args)
         ifsmod.write_json(out / "bounds.json", report)
         print(f"wrote {out / 'bounds.json'}")
-    return EXIT_OK
 
 
 # -- fourier ----------------------------------------------------------------
 
 
-def cmd_fourier(args) -> int:
+def cmd_fourier(args) -> None:
     doc = ifsmod.load_ifs(args.ifs)
     budget = _budget()
     if args.xi_list is not None:
@@ -243,13 +213,12 @@ def cmd_fourier(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     fr.write_samples_csv(out, xis, values, errors, scheme, leaves)
     print(f"wrote {out} ({len(xis)} rows)")
-    return EXIT_OK
 
 
 # -- decay ------------------------------------------------------------------
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> None:
     cfg = _fields(ifsmod.read_json(args.config, "decay config"), "decay config", _DECAY_FIELDS)
     doc = ifsmod.load_ifs(Path(args.config).parent / cfg.pop("ifs"))
     pmap = _build_map(doc.ifs, cfg.pop("map"))
@@ -257,7 +226,7 @@ def cmd_decay(args) -> int:
     if cfg.get("theoretical_sigma") is None:
         profile = dims.build_profile(doc.ifs, separation, doc.exponents)
         cfg["theoretical_sigma"] = bnd.decay_bound(profile).sigma
-    experiment = xp.measure_decay_slope(doc.ifs, pmap, threads=args.threads, **cfg)
+    experiment = xp.measure_decay_slope(doc.ifs, pmap, threads=args.threads, budget=_budget(), **cfg)
     theoretical = experiment.theoretical_sigma
     out = _out_dir(args)
     xp.write_octave_csv(out / "octaves.csv", experiment)
@@ -283,13 +252,12 @@ def cmd_decay(args) -> int:
         f"theoretical sigma {theoretical if theoretical is None else round(theoretical, 6)})"
     )
     print(f"wrote {out / 'octaves.csv'}, {out / 'samples.csv'}, {out / 'summary.json'}")
-    return EXIT_OK
 
 
 # -- convolve ---------------------------------------------------------------
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args) -> None:
     cfg = _fields(ifsmod.read_json(args.config, "convolve config"), "convolve config",
                   _CONVOLVE_FIELDS)
     base = Path(args.config).parent
@@ -318,13 +286,12 @@ def cmd_convolve(args) -> int:
     )
     print(f"L1/L2 octave slopes: {experiment.l1_octave_slope:.3f} / {experiment.l2_octave_slope:.3f}")
     print(f"wrote {out / 'density.csv'}, {out / 'product_transform.csv'}, {out / 'summary.json'}")
-    return EXIT_OK
 
 
 # -- arith-check ------------------------------------------------------------
 
 
-def cmd_arith_check(args) -> int:
+def cmd_arith_check(args) -> None:
     kind = args.check
     vals = _parsed(f"{kind} values", lambda values: [float(v) for v in values], args.values)
     report: dict = {"check": kind, "inputs": vals}
@@ -363,7 +330,6 @@ def cmd_arith_check(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise BadConfig(f"unknown check {kind!r}")
     print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -460,22 +426,14 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise BadConfig(f"--threads must be at least 1, got {args.threads}")
-        return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InconsistentProfile as exc:
-        print(f"inconsistent profile: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ResourceExceeded as exc:
-        print(f"resource exceeded ({exc.budget_name}): {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        args.func(args)
     except FractalFourierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return FractalFourierError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

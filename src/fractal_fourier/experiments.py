@@ -161,11 +161,13 @@ def measure_decay_slope(
     scheme: str = "order1",
     theoretical_sigma: Optional[float] = None,
     threads: int = 1,
+    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> DecayExperiment:
     """Measure the empirical decay envelope of the image transform.
 
     ``scheme`` is one of ``IMAGE_SCHEMES``, else BadConfig: the recursion
-    measures mu itself and would ignore ``pmap``.
+    measures mu itself and would ignore ``pmap``.  Every cover is counted
+    against ``budget`` (ResourceExceeded "leaf_budget").
     """
     if scheme not in IMAGE_SCHEMES:
         raise BadConfig(f"scheme must be one of {IMAGE_SCHEMES}, got {scheme!r}")
@@ -185,7 +187,7 @@ def measure_decay_slope(
     if not pmap.bounds_certified:
         warnings.append("derivative bounds are sampled estimates; error bounds heuristic")
     values, errors, leaves = pushforward_batch(
-        ifs, pmap, xis, tol=tol, scheme=scheme, threads=threads
+        ifs, pmap, xis, tol=tol, scheme=scheme, threads=threads, budget=budget
     )
     a, b = octaves
     stats = []

@@ -614,7 +614,7 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     moments = [offsets[:, 0], offsets[:, 0] ** 2] if second else []     # a, a^2 on the line
     values = np.empty((2 if second else 1, len(etas)), dtype=complex)
     work = {}
-    blocks = _phase_blocks(etas, np.arange(len(etas)), TWO_PI * offsets, _grid_step(etas), weights, work)
+    blocks = _phase_blocks(etas, TWO_PI * offsets, _grid_step(etas), weights, work)
     for start, stop, block in blocks:
         count = stop - start
         levels = _buffer(work, "levels", (depth + 1, n_cols, count), complex)
@@ -1387,12 +1387,12 @@ def _row_phases(freqs: np.ndarray, coefs: np.ndarray, out: np.ndarray, work: dic
     return out
 
 
-def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, grid, weights, work):
+def _phase_blocks(freqs: np.ndarray, coefs: np.ndarray, grid, weights, work):
     """The product form's weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
 
-    theta[l, w] = <freqs[rows[l]], coefs[w]>, with ``freqs`` (m, d),
+    theta[l, w] = <freqs[l], coefs[w]>, with ``freqs`` (m, d),
     ``coefs`` (n, d) and ``weights`` (n,) real.  Yields (start, stop,
-    block) for consecutive blocks rows[start:stop] of
+    block) for consecutive blocks freqs[start:stop] of
     max(1, PHASE_BLOCK // n) rows, ``block`` a complex (stop - start, n)
     array of the workspace ``work`` (``_buffer``), overwritten by the
     next block, so every temporary of the caller's
@@ -1406,32 +1406,31 @@ def _phase_blocks(freqs: np.ndarray, rows: np.ndarray, coefs: np.ndarray, grid, 
     block's terms, come from one ``_unit_phases`` call, so that its fixed
     cost is not paid per block.  The base block alone costs L n, as much
     as a block of direct rows, so the grid path is taken only when
-    ``rows`` spans more than one block.  Other
-    blocks, all blocks of a call of at most one block, and all blocks when
+    ``freqs`` spans more than one block.  Calls
+    without a grid, calls of at most one block, and all blocks when
     a block is one row (n > PHASE_BLOCK / 2) take ``_unit_phases`` of
     their angles directly and scale them by the weights in place.  Both
     paths are within ``_phase_rounding`` of the exact weighted phases.
     """
-    n = len(coefs)
+    n, m = len(coefs), len(freqs)
     size = max(1, PHASE_BLOCK // n)
     base = offsets = None
-    first = last = 0    # the blocks rows[first:last] whose offsets ``offsets`` holds
-    for start in range(0, len(rows), size):
-        block = rows[start : start + size]
-        count = len(block)
+    first = last = 0    # the blocks freqs[first:last] whose offsets ``offsets`` holds
+    for start in range(0, m, size):
+        count = min(size, m - start)
         phases = _buffer(work, "phases", (count, n), complex)
-        if grid is not None and len(rows) > size > 1 and block[-1] - block[0] == count - 1:
+        if grid is not None and m > size > 1:
             if base is None:
                 base = _buffer(work, "base", (size, n), complex)
                 _row_phases((np.arange(size) * grid[1])[:, None], coefs, base, work)
             if not first <= start < last:
                 first, last = start, start + size * max(1, size // 8)
-                starts = rows[first:last:size]
+                starts = freqs[first:last:size]
                 offsets = _buffer(work, "offsets", (len(starts), n), complex)
-                _row_phases(freqs[starts], coefs, offsets, work, weights)
+                _row_phases(starts, coefs, offsets, work, weights)
             np.multiply(base[:count], offsets[(start - first) // size], out=phases)
         else:
-            _row_phases(freqs[block], coefs, phases, work, weights)
+            _row_phases(freqs[start : start + count], coefs, phases, work, weights)
         yield start, start + count, phases
 
 
@@ -1474,8 +1473,12 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     overflow) raises BadConfig naming the map.  A non-finite value away
     from the evaluated anchors is not seen.  Orders 1 and 2 check
     |B_w| <= 1.0001 s J at every leaf and raise BadConfig naming the map
-    and its L and H where it fails: anchors can refute a declared bound,
-    never prove it, and H3 is not checked.
+    and its L and H where it fails; order 0 checks
+    |f(x_v) - f(x_w)| <= 1.0001 L |x_v - x_w| at consecutive anchors of a
+    leaf block (the max norm on the left and the 1-norm on the right, so
+    a failure refutes L in any dimension), up to 4 EPS max |A_w| of
+    rounding, and raises BadConfig naming the map and its L.  Anchors can
+    refute a declared bound, never prove it, and H3 is not checked.
 
     Jobs and blocks.  Rows run in fixed jobs of at most ``JOB_TERMS`` row x
     leaf terms: a job is the unit of the thread scatter.  Covers are not
@@ -1713,6 +1716,15 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
                 spread += float(np.sum(weights * powers))
                 if order2:
                     spread2 += float(np.sum(weights * np.abs(curv) * powers))
+            else:   # order 0: |A_v - A_w| <= 2 pi L |x_v - x_w|, up to the rounding of A
+                rise = np.abs(a_forms[1:] - a_forms[:-1]).max(axis=1)     # at most the 2-norm
+                gap = np.abs(anchors[1:] - anchors[:-1]).sum(axis=1)       # at least the 2-norm
+                excess = rise - (1.0001 * TWO_PI * pmap.lipschitz_bound) * gap
+                if excess.max(initial=-math.inf) > 4.0 * EPS * a_max:
+                    w = int(np.argmax(excess))
+                    raise BadConfig(f"map {pmap.label!r}: two anchors refute its declared L = "
+                                    f"{pmap.lipschitz_bound}, |f(x_v) - f(x_w)| = {rise[w] / TWO_PI:.6g} > "
+                                    f"1.0001 L |x_v - x_w| = {1.0001 * pmap.lipschitz_bound * gap[w]:.6g}")
             sums, node_err = grid_rows._grid_sums(x, first, a_forms, b_forms, weights, curv, inner, plan,
                                                   work)
             part = sums[0]

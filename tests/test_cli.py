@@ -11,6 +11,7 @@ import pytest
 
 from fractal_fourier import cli as cli_module
 from fractal_fourier import dimensions
+from fractal_fourier import errors
 from fractal_fourier import experiments
 from fractal_fourier import ifs as ifsmod
 from fractal_fourier.cli import main
@@ -521,6 +522,17 @@ class TestFourier:
 
 
 class TestDecayCommand:
+    def test_budget_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the leaf budget of FRACTAL_FOURIER_BUDGET holds for decay as for fourier and convolve
+        monkeypatch.setenv("FRACTAL_FOURIER_BUDGET", "10")
+        out = tmp_path / "out"
+        code = main(["decay", "--config", str(CONFIGS / "decay_cantor_square.json"), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource exceeded (leaf_budget): ")
+        assert "needs 1024 leaves > budget 10" in err
+        assert not out.exists()
+
     def test_small_run(self, tmp_path):
         cfg = {
             "ifs": str(CONFIGS / "cantor.json"),
@@ -920,6 +932,55 @@ class TestArithCheck:
     def test_nan_dimension_exit_2(self, capsys):
         assert main(["arith-check", "high-dim", "nan", "4"]) == 2
         assert "high-dim k: malformed value nan" in capsys.readouterr().err
+
+
+# The exit code and stderr prefix of every error class through ``main``.
+EXIT_TABLE = {
+    "FractalFourierError": (5, "error"),
+    "InvalidIFS": (2, "config error"),
+    "BadConfig": (2, "config error"),
+    "MissingExponent": (2, "config error"),
+    "NotApplicable": (2, "config error"),
+    "Unsupported": (2, "config error"),
+    "MissingHessianBound": (2, "config error"),
+    "SupportNotPositive": (2, "config error"),
+    "CenterInsideSupport": (2, "config error"),
+    "InconsistentProfile": (3, "inconsistent profile"),
+    "ResourceExceeded": (4, "resource exceeded (density_budget)"),
+}
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.FractalFourierError)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class(self, cls, monkeypatch, capsys):
+        # a class missing from the table, or one that inherits its code, fails here
+        assert "exit_code" in vars(cls) and "prefix" in vars(cls)
+        code, prefix = EXIT_TABLE[cls.__name__]
+        exc = cls("boom", "density_budget") if cls is errors.ResourceExceeded else cls("boom")
+
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "cmd_arith_check", command)
+        assert main(["arith-check", "thresholds"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_table_names_every_class(self):
+        assert sorted(cls.__name__ for cls in ERROR_CLASSES) == sorted(EXIT_TABLE)
+
+    def test_other_exceptions_are_internal_errors(self, monkeypatch, capsys):
+        def command(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli_module, "cmd_arith_check", command)
+        assert main(["arith-check", "thresholds"]) == 5
+        assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+    def test_a_command_that_returns_exits_0(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "cmd_arith_check", lambda args: None)
+        assert main(["arith-check", "thresholds"]) == 0
 
 
 class TestHelp:

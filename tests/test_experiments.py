@@ -80,6 +80,14 @@ class TestDecayExperiment:
         assert np.array_equal(a.values, b.values)
         assert a.fitted_slope == b.fitted_slope
 
+    def test_budget_counts_every_cover(self, cantor):
+        # octave 12 at tol 1e-3 needs a cover of 256 leaves
+        kw = dict(octaves=(8, 12), samples_per_octave=8, tol=1e-3, seed=7)
+        with pytest.raises(ResourceExceeded, match="needs 256 leaves > budget 255") as info:
+            measure_decay_slope(cantor, square_map(cantor), budget=255, **kw)
+        assert info.value.budget_name == "leaf_budget"
+        measure_decay_slope(cantor, square_map(cantor), budget=256, **kw)
+
     def test_q95_is_numpys_quantile(self):
         rng = np.random.default_rng(8)
         arrays = [np.array([0.3]), np.array([2.0, 2.0]), np.full(7, 0.125)]

@@ -1166,6 +1166,24 @@ class TestOrder0:
         with pytest.raises(BadConfig):
             pushforward_hat_order0(cantor, raw, 4.0)
 
+    def test_false_lipschitz_bound_refuted(self, uniform12):
+        # the remainder 2 pi |xi| L r_w R trusts L: with L = 0.001 the 16-leaf
+        # cover would certify 5.89e-4 at xi = 3, 1.97e-3 from the exact transform
+        pmap = replace(log_map(uniform12), lipschitz_bound=0.001)
+        with pytest.raises(BadConfig, match=r"map 'log': two anchors refute its declared L = 0\.001, "):
+            pushforward_hat_order0(uniform12, pmap, 3.0, tol=1e-3)
+
+    @pytest.mark.parametrize("rows", ["grid", "scattered"])
+    def test_false_lipschitz_bound_refuted_in_batches(self, uniform12, mixed_ratios, rows):
+        xis = np.arange(50) * 0.9 if rows == "grid" else np.array([3.0, 40.0])
+        pmap = replace(square_map(mixed_ratios), lipschitz_bound=0.5)
+        with pytest.raises(BadConfig, match=r"map 'square': two anchors refute its declared L = 0\.5, "):
+            pushforward_batch(mixed_ratios, pmap, xis, tol=1e-3, scheme="order0")
+        # a vector image: x -> (x, log x) moves at least as far as x
+        lifted = replace(graph_lift(uniform12, log_map(uniform12)), lipschitz_bound=0.5)
+        with pytest.raises(BadConfig, match=r"map 'graph_lift\(log\)': two anchors refute its declared L = 0\.5, "):
+            pushforward_batch(uniform12, lifted, np.c_[xis, xis], tol=1e-3, scheme="order0")
+
 
 class TestOrder1:
     @pytest.mark.parametrize(
@@ -1821,9 +1839,9 @@ class TestGridPhases:
         seen = []
         original = fourier_module._phase_blocks
 
-        def record(freqs, rows, coefs, grid, weights, work):
+        def record(freqs, coefs, grid, weights, work):
             seen.append((len(freqs), grid))
-            return original(freqs, rows, coefs, grid, weights, work)
+            return original(freqs, coefs, grid, weights, work)
 
         monkeypatch.setattr(fourier_module, "_phase_blocks", record)
         return lambda m: [grid for rows, grid in seen if rows == m]
@@ -1988,9 +2006,7 @@ class TestGridPhases:
 
         def phases(step):
             # a block is overwritten by the next one: copied here
-            blocks_of = fourier_module._phase_blocks(
-                freqs, np.arange(m), coefs, step, weights, {}
-            )
+            blocks_of = fourier_module._phase_blocks(freqs, coefs, step, weights, {})
             out = [block.copy() for _, _, block in blocks_of]
             assert len(out) == blocks
             return np.concatenate(out)

@@ -1,10 +1,10 @@
-"""Print the exit code and the sha256 of every output file of a fixed set of CLI runs on a checkout.
+"""Print the exit code and the sha256 of the stderr and output files of a fixed set of CLI runs on a checkout.
 
     python tools/output_digests.py TREE [RUN ...]
 
 TREE is a source checkout.  Every run is one ``fractal_fourier.cli``
-process with TREE/src on its PYTHONPATH, in its own fresh temporary
-directory, one process at a time:
+process per CLI call with TREE/src on its PYTHONPATH, in its own fresh
+temporary directory, one process at a time:
 
 * the three benchmark workloads at seed 0 (``workload-<name>-t<threads>``),
   their input files and CLI calls taken from ``make(name, 0)`` of
@@ -18,17 +18,26 @@ directory, one process at a time:
 * ``fourier`` on every IFS file in TREE/configs with the schemes
   recursion, order0, order1 and order2, the last three with the square
   map, all at ``--xi-max 5000 --count 41 --tol 1e-5``
-  (``fourier-<ifs>-<scheme>``).
+  (``fourier-<ifs>-<scheme>``);
+* runs that are refused: ``FRACTAL_FOURIER_BUDGET`` 10 on the order-1
+  ``fourier`` sweep of configs/cantor.json and on the ``decay`` and
+  ``convolve`` configs above (``budget10-<command>``, exit 4), the same
+  sweep with ``FRACTAL_FOURIER_BUDGET`` abc (``budget-abc-fourier``,
+  exit 2) and without ``--map`` (``no-map-fourier``, exit 2), and
+  ``bounds --profile`` on a profile with kappa2 > kappa_star
+  (``inconsistent-bounds``, exit 3).
 
 With RUN arguments only the runs whose names start with one of them run.
 Runs take one BLAS thread (``OPENBLAS_NUM_THREADS`` 1) unless their name
-ends in ``-blas2``.  Each run prints ``exit <code> <run>``, then ``sha256 <digest> <run>/<file>``
-for each file it wrote, in sorted order.  Two checkouts give the same
-output bytes and exit codes exactly when
+ends in ``-blas2``.  Each run prints ``exit <code> <run>``, then
+``stderr <digest> <run>`` of its calls' standard error, with TREE's path
+written as ``TREE``, then ``sha256 <digest> <run>/<file>`` for each file
+it wrote, in sorted order.  Two checkouts give the same output bytes,
+standard error and exit codes exactly when
 
     diff <(python tools/output_digests.py A) <(python tools/output_digests.py B)
 
-prints nothing.  Standard output and error of the runs are not compared.
+prints nothing.  Standard output is not compared.
 """
 
 import hashlib
@@ -42,10 +51,14 @@ from pathlib import Path
 THREADS = (1, 2)
 FOURIER_ARGS = ["--xi-max", "5000", "--count", "41", "--tol", "1e-5"]
 SQUARE = ["--map", '{"kind": "square"}']
+BLAS2 = {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+# kappa2 > kappa_star: the exponent chain fails when the profile is read
+INCONSISTENT_PROFILE = json.dumps({"k": 1, "s_sim_set": 0.6, "s_sim_meas": 0.6, "kappa2": 0.7,
+                                   "kappa_star": 0.6, "d_inf": 0.6})
 
 
 def runs(tree: Path):
-    """(name, input files {name: text}, CLI calls with "{out}" for the output directory) of every run."""
+    """(name, input files {name: text}, CLI calls with "{out}" for the output directory, environment) of every run."""
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import workloads
@@ -57,43 +70,56 @@ def runs(tree: Path):
         for name in sorted(workloads.BUILDERS):
             plan = workloads.make(name, 0)
             calls = [flag + call for call in plan.calls]
-            yield f"workload-{name}-t{threads}", plan.files, calls
+            yield f"workload-{name}-t{threads}", plan.files, calls, {}
             if name == "convolve":
-                yield f"workload-{name}-t{threads}-blas2", plan.files, calls
+                yield f"workload-{name}-t{threads}-blas2", plan.files, calls, BLAS2
         for command, config in (("decay", "decay_cantor_square"), ("convolve", "convolve_uniform12")):
             call = [*flag, command, "--config", str(configs / f"{config}.json"), "--out", "{out}"]
-            yield f"{command}-t{threads}", {}, [call]
+            yield f"{command}-t{threads}", {}, [call], {}
             if command == "convolve":
-                yield f"{command}-t{threads}-blas2", {}, [call]
+                yield f"{command}-t{threads}-blas2", {}, [call], BLAS2
     for path in sorted(configs.glob("*.json")):
         if "maps" not in json.loads(path.read_text(encoding="utf-8")):
             continue
         for scheme in ("recursion", "order0", "order1", "order2"):
             call = ["fourier", "--ifs", str(path), "--scheme", scheme, *FOURIER_ARGS,
                     *([] if scheme == "recursion" else SQUARE), "--out", "{out}/fourier.csv"]
-            yield f"fourier-{path.stem}-{scheme}", {}, [call]
+            yield f"fourier-{path.stem}-{scheme}", {}, [call], {}
+    sweep = ["fourier", "--ifs", str(configs / "cantor.json"), "--scheme", "order1", *FOURIER_ARGS,
+             "--out", "{out}/fourier.csv"]
+    small = {"FRACTAL_FOURIER_BUDGET": "10"}
+    yield "budget10-fourier", {}, [sweep + SQUARE], small
+    for command, config in (("decay", "decay_cantor_square"), ("convolve", "convolve_uniform12")):
+        yield f"budget10-{command}", {}, [[command, "--config", str(configs / f"{config}.json"),
+                                           "--out", "{out}"]], small
+    yield "budget-abc-fourier", {}, [sweep + SQUARE], {"FRACTAL_FOURIER_BUDGET": "abc"}
+    yield "no-map-fourier", {}, [sweep], {}
+    yield "inconsistent-bounds", {"profile.json": INCONSISTENT_PROFILE}, \
+        [["bounds", "--profile", "profile.json", "--out", "{out}"]], {}
 
 
-def digest_run(tree: Path, files: dict, calls: list, blas_threads: int = 1):
-    """(exit code of the first failing call, else 0; [(file, sha256)] of the output directory)."""
-    blas = str(blas_threads)
+def digest_run(tree: Path, files: dict, calls: list, environment: dict):
+    """(exit code of the first failing call, else 0; sha256 of the calls' stderr; [(file, sha256)] of the output directory)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
-               OMP_NUM_THREADS=blas, OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update(environment)
     with tempfile.TemporaryDirectory() as work:
         for name, text in files.items():
             Path(work, name).write_text(text, encoding="utf-8")
         out = Path(work, "out")
         out.mkdir()
-        code = 0
+        code, stderr = 0, hashlib.sha256()
         for call in calls:
             argv = [sys.executable, "-m", "fractal_fourier.cli", *(a.replace("{out}", "out") for a in call)]
-            code = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL).returncode
+            proc = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE)
+            stderr.update(proc.stderr.replace(str(tree).encode(), b"TREE"))
+            code = proc.returncode
             if code:
                 break
         written = sorted(p for p in out.rglob("*") if p.is_file())
-        return code, [(p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
-                      for p in written]
+        return code, stderr.hexdigest(), [
+            (p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest()) for p in written]
 
 
 def main(argv=None) -> int:
@@ -102,11 +128,12 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     tree, prefixes = Path(args[0]).resolve(), args[1:]
-    for name, files, calls in runs(tree):
+    for name, files, calls, environment in runs(tree):
         if prefixes and not name.startswith(tuple(prefixes)):
             continue
-        code, digests = digest_run(tree, files, calls, 2 if name.endswith("-blas2") else 1)
+        code, stderr, digests = digest_run(tree, files, calls, environment)
         print(f"exit {code} {name}", flush=True)
+        print(f"stderr {stderr} {name}", flush=True)
         for file, digest in digests:
             print(f"sha256 {digest} {name}/{file}", flush=True)
     return 0
