@@ -194,8 +194,9 @@ def cmd_fourier(args) -> None:
         xis = np.linspace(args.xi_min, args.xi_max, args.count)
     scheme = args.scheme
     if scheme == "recursion":
-        pmap = fr.identity_map(doc.ifs)
-        scheme = "exact_recursion"
+        if args.map is not None:
+            raise BadConfig("--map: the recursion scheme is mu_hat itself and takes no map")
+        pmap, scheme = fr.identity_map(doc.ifs), "exact_recursion"
     elif args.map:
         pmap = _build_map(doc.ifs, _parsed("--map", json.loads, args.map))
     else:

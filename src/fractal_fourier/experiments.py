@@ -117,12 +117,16 @@ class DecayExperiment:
 def octave_frequencies(
     octaves: Tuple[int, int], samples_per_octave: int, seed: int
 ) -> np.ndarray:
-    """Log-uniform random frequencies, ``samples_per_octave`` in each [2^o, 2^(o+1))."""
+    """Log-uniform random frequencies, ``samples_per_octave`` in each [2^o, 2^(o+1)), first <= o <= last.
+
+    A slope needs two octaves: last <= first raises BadConfig.
+    """
     if len(octaves) != 2:
         raise BadConfig("octaves must be [first, last]")
     a, b = octaves
-    if b < a:
-        raise BadConfig("octave range must be increasing")
+    if b <= a:
+        raise BadConfig(f"octaves must be [first, last] with last > first (a slope needs two octaves), "
+                        f"got {[a, b]}")
     if samples_per_octave < 1:
         raise BadConfig("samples_per_octave must be >= 1")
     rng = np.random.default_rng(seed)

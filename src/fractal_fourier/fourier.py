@@ -11,8 +11,8 @@ structure of the measure:
   2 pi |eta| R <= tol (R the support-ball radius), then close each leaf
   with e^{-2 pi i <eta, b>}.  The leaf error is at most 2 pi |eta| R per
   unit weight, so the summed bound is certified.  Homogeneous systems
-  collapse the tree to a product (``_mu_hat_homog_many``), whose level
-  phases come from the row kernel's phase blocks.  For any other
+  collapse the tree to a product (``_mu_hat_homog_many``), which builds
+  its level phases block by block (``_row_phases``).  For any other
   system the tree's leaves are the words with
   r_w |xi| <= tol / (2 pi R), the stopping cover at that scale, and a
   leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
@@ -120,7 +120,7 @@ from .ifs import (
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)    # 2^-52; the unit roundoff is EPS / 2
 JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
-PHASE_BLOCK = 32_768    # terms per block of weighted phases (row kernel, product form, inversion)
+PHASE_BLOCK = 32_768    # terms per block of phases (row kernel's base, product form, inversion)
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
 CSV_BLOCK = 4_096       # rows per block of write_csv
 IMAGE_SCHEMES = ("order0", "order1", "order2")    # cylinder quadratures of an image mu_f
@@ -259,9 +259,8 @@ def _recursion_rounding(ifs, norms, depth):
     with S = max(max_i |t_i|, |b|), rho the largest ratio, N maps and D
     the depth (``depth``), plus the reduction term u 2 pi S |eta| / (1 - rho)
     where 2 pi S |eta| > ``REDUCTION_LIMIT``.  ``norms`` may be an array.
-    It holds for both paths of ``_phase_blocks``, direct unit phases and
-    angle addition on a grid, which is how ``_mu_hat_homog_many`` takes
-    its phases.
+    It holds for both ways ``_mu_hat_homog_many`` makes a block of
+    phases: direct unit phases, and angle addition on a grid.
 
     Model as in ``_phase_rounding`` (u = EPS/2, unit phases within
     2.9 EPS).
@@ -537,18 +536,22 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     h2(eta) = int u^2 e^{-2 pi i eta u} dnu(u) = -h''(eta) / 4 pi^2,
     u = sum_l a_l.
 
-    Phases.  The D N + 1 coefficient rows c, laid out maps-major (map i's
-    levels are columns i D .. i D + D - 1, the closing level last), are
-    the coefficients of one ``_phase_blocks`` call over all rows: a
-    uniform grid j * delta on the line (``_grid_step``; ``_MuHatTable``
-    builds its nodes that way) takes angle addition from one base block,
-    any other row set direct unit phases, and both are within
-    ``_recursion_rounding``.  Each block's weighted phases are summed over
-    the maps level by level (times a and a^2 first for the h2 columns)
-    into levels x columns x rows, in buffers reused block after block.
-    The closure and rounding terms of all rows are computed after the
-    values, in blocks of ``PHASE_BLOCK`` rows; the closure term is
-    2 pi |eta| rho^D R.
+    Phases.  The n = D N + 1 coefficients c, laid out maps-major (map i's
+    levels are i D .. i D + D - 1, the closing level last), run along
+    the first axis of every block of max(1, PHASE_BLOCK // n) rows: a
+    block is the (n, rows) array ``_row_phases(c, etas)`` scaled by the
+    weights along that axis.  On a uniform grid j * delta on the line
+    that spans more than one block (``_grid_step``; ``_MuHatTable``
+    builds its nodes that way) a block is one base block
+    e^{-i (l delta) c}, l < L, computed once, times the block's column of
+    weighted offsets, the phases of its first row, which are computed
+    for max(1, L // 8) blocks at a time: one complex product per term,
+    and n (L + rows / L) unit phases in place of n rows.  Both ways
+    are within ``_recursion_rounding``.  Each block is summed over the
+    maps level by level (times a and a^2 first for the h2 columns) into
+    levels x columns x rows, in buffers reused block after block, and
+    its rows' closure and rounding terms are computed with it; the
+    closure term is 2 pi |eta| rho^D R.
 
     Second-moment bound.  The offsets are at most S = max |t_i| =
     (1 - rho) R, so the offsets of any set of levels sum to at most R,
@@ -610,31 +613,42 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     # maps-major: map i's levels are columns i D .. i D + D - 1, and the closing level is last
     offsets = np.concatenate([powers[:depth, :n_maps].transpose(1, 0, 2).reshape(-1, k),
                               powers[depth, n_maps:]])
-    weights = np.r_[np.repeat(ifs.weight_array, depth), 1.0]
-    moments = [offsets[:, 0], offsets[:, 0] ** 2] if second else []     # a, a^2 on the line
-    values = np.empty((2 if second else 1, len(etas)), dtype=complex)
-    work = {}
-    blocks = _phase_blocks(etas, TWO_PI * offsets, _grid_step(etas), weights, work)
-    for start, stop, block in blocks:
-        count = stop - start
-        levels = _buffer(work, "levels", (depth + 1, n_cols, count), complex)
-        # the block's columns as rows: the sums over the maps are then of contiguous rows
-        by_column = _buffer(work, "by_column", block.shape[::-1], complex)
-        for j in range(n_cols):
-            if j == 0:
-                np.copyto(by_column, block.T)
-            else:
-                np.multiply(block.T, moments[j - 1][:, None], out=by_column)
-            np.add.reduce(by_column[:-1].reshape(n_maps, depth, count), axis=0, out=levels[:depth, j])
-            levels[depth, j] = by_column[-1]
-        values[:, start:stop] = _moment_product(levels)
-    ratio = float(ifs.ratios.max())
+    weights = np.r_[np.repeat(ifs.weight_array, depth), 1.0][:, None]
+    moments = [offsets[:, :1], offsets[:, :1] ** 2] if second else []     # a, a^2 on the line
+    coefs, n, m = TWO_PI * offsets, len(offsets), len(etas)
+    size = max(1, PHASE_BLOCK // n)
+    grid = _grid_step(etas) if m > size > 1 else None
+    values = np.empty((2 if second else 1, m), dtype=complex)
     errs = np.empty(values.shape)
-    # PHASE_BLOCK rows at a time: whole-array temporaries would add several
-    # arrays of the table's size to the peak memory
+    ratio = float(ifs.ratios.max())
     defect = depth * ifs.weight_defect
-    for start in range(0, len(etas), PHASE_BLOCK):
-        rows = slice(start, start + PHASE_BLOCK)
+    work = {}
+    if grid is not None:
+        base = _buffer(work, "base", (n, size), complex)
+        _row_phases(coefs, (np.arange(size) * grid[1])[:, None], base, work)
+        window = size * max(1, size // 8)     # rows of the blocks whose offsets one call makes
+    for start in range(0, m, size):
+        rows = slice(start, min(start + size, m))
+        count = rows.stop - start
+        phases = _buffer(work, "phases", (n, count), complex)
+        if grid is None:
+            _row_phases(coefs, etas[rows], phases, work)
+            phases *= weights
+        else:
+            if start % window == 0:
+                starts = etas[start : start + window : size]
+                block_offsets = _buffer(work, "offsets", (n, len(starts)), complex)
+                _row_phases(coefs, starts, block_offsets, work)
+                block_offsets *= weights
+            np.multiply(base[:, :count], block_offsets[:, start % window // size, None], out=phases)
+        levels = _buffer(work, "levels", (depth + 1, n_cols, count), complex)
+        for j in range(n_cols):
+            column = phases
+            if j > 0:
+                column = np.multiply(phases, moments[j - 1], out=_buffer(work, "moment", phases.shape, complex))
+            np.add.reduce(column[:-1].reshape(n_maps, depth, count), axis=0, out=levels[:depth, j])
+            levels[depth, j] = column[-1]
+        values[:, rows] = _moment_product(levels)
         reach = TWO_PI * (norms[rows] * ratio**depth) * radius      # 2 pi |eta_D| R
         rounding = _recursion_rounding(ifs, norms[rows], depth)
         if second:
@@ -1021,7 +1035,7 @@ class _MuHatTable:
     ``slack2``); negative frequencies resolve through conjugate symmetry.
 
     Nodes and cells.  ``_mu_hat_homog_many`` evaluates the columns at the
-    half-step nodes j h / 2, a uniform grid whose phases ``_phase_blocks``
+    half-step nodes j h / 2, a uniform grid whose blocks of phases it
     takes by angle addition, with bounds E_j that hold on either phase
     path (``_recursion_rounding``).  Cell i keeps the
     quadratic through v_0 = v_{2i}, v_m = v_{2i+1} and v_1 = v_{2i+2} as
@@ -1363,75 +1377,27 @@ def _unit_phases(theta: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
     return out
 
 
-def _row_phases(freqs: np.ndarray, coefs: np.ndarray, out: np.ndarray, work: dict, weights=None):
-    """weights[w] e^{-i <freqs[r], coefs[w]>} for every row of ``freqs`` (r, d), into ``out`` (r, n).
+def _row_phases(freqs: np.ndarray, coefs: np.ndarray, out: np.ndarray, work: dict):
+    """e^{-i <freqs[r], coefs[w]>} for ``freqs`` (r, d) and ``coefs`` (n, d), into ``out`` (r, n).
 
-    ``coefs`` is (n, d), and the angles are the outer product on the line,
-    else a matrix product.  On a uniform grid these are the factors of
-    the phases: row j = j0 + l of a block whose first row is j0 has
+    The angles are the outer product on the line, else a matrix product.
+    On a uniform grid these are the factors of the phases: row
+    j = j0 + l of a block whose first row is j0 has
     e^{-i (j delta) c} = base[l] offsets[j0], with the base
-    e^{-i (l delta) c} (l < L, no weights) shared by every block and an
-    offset per block.  The row kernel, the product form's blocks
-    (``_phase_blocks``) and the Fourier inversion of ``experiments`` take
-    their phases here.  The angles and the scratch of ``_unit_phases``
-    are buffers of ``work`` of ``out``'s size.
+    e^{-i (l delta) c} (l < L) shared by every block and an offset per
+    block, which its caller scales by the weights.  The row kernel
+    (``grid_rows``), the product form (``_mu_hat_homog_many``, its
+    coefficients as the rows, so that its blocks are (n, rows)) and the
+    Fourier inversion of ``experiments`` take their phases here.  The
+    angles and the scratch of ``_unit_phases`` are buffers of ``work`` of
+    ``out``'s size.
     """
     theta = _buffer(work, "theta", out.shape)
     if freqs.shape[1] == 1:
         np.multiply(freqs, coefs[:, 0], out=theta)
     else:
         np.matmul(freqs, coefs.T, out=theta)
-    _unit_phases(theta, out, work)
-    if weights is not None:
-        out *= weights
-    return out
-
-
-def _phase_blocks(freqs: np.ndarray, coefs: np.ndarray, grid, weights, work):
-    """The product form's weighted unit phases weights[w] e^{-i theta[l, w]}, block by block.
-
-    theta[l, w] = <freqs[l], coefs[w]>, with ``freqs`` (m, d),
-    ``coefs`` (n, d) and ``weights`` (n,) real.  Yields (start, stop,
-    block) for consecutive blocks freqs[start:stop] of
-    max(1, PHASE_BLOCK // n) rows, ``block`` a complex (stop - start, n)
-    array of the workspace ``work`` (``_buffer``), overwritten by the
-    next block, so every temporary of the caller's
-    elementwise work stays in cache.  With ``grid`` = (j0, step), row i
-    of ``freqs`` is (j0 + i) * step (``_grid_step``), and a block of
-    consecutive rows j .. j + L - 1 is a base block e^{-i (l step) coefs},
-    l < L, computed once, times the block's offsets, the weighted phases
-    of its first row (``_row_phases``): one complex product per term, and
-    (L + m / L) n unit phases instead of m n.  The
-    offsets of max(1, L // 8) consecutive blocks, about an eighth of a
-    block's terms, come from one ``_unit_phases`` call, so that its fixed
-    cost is not paid per block.  The base block alone costs L n, as much
-    as a block of direct rows, so the grid path is taken only when
-    ``freqs`` spans more than one block.  Calls
-    without a grid, calls of at most one block, and all blocks when
-    a block is one row (n > PHASE_BLOCK / 2) take ``_unit_phases`` of
-    their angles directly and scale them by the weights in place.  Both
-    paths are within ``_phase_rounding`` of the exact weighted phases.
-    """
-    n, m = len(coefs), len(freqs)
-    size = max(1, PHASE_BLOCK // n)
-    base = offsets = None
-    first = last = 0    # the blocks freqs[first:last] whose offsets ``offsets`` holds
-    for start in range(0, m, size):
-        count = min(size, m - start)
-        phases = _buffer(work, "phases", (count, n), complex)
-        if grid is not None and m > size > 1:
-            if base is None:
-                base = _buffer(work, "base", (size, n), complex)
-                _row_phases((np.arange(size) * grid[1])[:, None], coefs, base, work)
-            if not first <= start < last:
-                first, last = start, start + size * max(1, size // 8)
-                starts = freqs[first:last:size]
-                offsets = _buffer(work, "offsets", (len(starts), n), complex)
-                _row_phases(starts, coefs, offsets, work, weights)
-            np.multiply(base[:count], offsets[(start - first) // size], out=phases)
-        else:
-            _row_phases(freqs[start : start + count], coefs, phases, work, weights)
-        yield start, start + count, phases
+    return _unit_phases(theta, out, work)
 
 
 def _run_rows(run, jobs, m: int, threads: int):

@@ -168,11 +168,12 @@ def _grid_sums(x, grid, coefs, b_forms, weights, curv, inner, plan: _RowPlan, wo
     chunk = max(1, PHASE_BLOCK // (cols * order * max(size, n)))
     rows = min(size, count)
     if size > 1:
-        # in pieces of a chunk's rows, so that the angles and the scratch of the unit phases stay that small
+        # in pieces of about PHASE_BLOCK terms, so that the angles and the unit phases' scratch stay that small
         base = _buffer(work, "base", (rows, n), complex)
-        for i in range(0, rows, chunk):
-            piece = np.arange(i, min(i + chunk, rows)) * grid[1]
-            _row_phases(piece[:, None], coefs, base[i : i + chunk], work)
+        piece = max(1, PHASE_BLOCK // n)
+        for i in range(0, rows, piece):
+            lags = np.arange(i, min(i + piece, rows)) * grid[1]
+            _row_phases(lags[:, None], coefs, base[i : i + piece], work)
     sums = np.empty((cols, count), dtype=complex)
     node_err = None if errs is None else np.empty(count)
     for b0 in range(0, blocks, chunk):
@@ -182,7 +183,8 @@ def _grid_sums(x, grid, coefs, b_forms, weights, curv, inner, plan: _RowPlan, wo
         rhs = _buffer(work, "rhs", (cols, nb, order, n), complex)
         # K = 1: the offsets are the right-hand side's first column, multiplied in place
         offsets = rhs[0, :, 0] if order == 1 else _buffer(work, "offsets", (nb, n), complex)
-        _row_phases(x[firsts], coefs, offsets, work, weights)
+        _row_phases(x[firsts], coefs, offsets, work)
+        offsets *= weights
         if inner is not None:
             if table is None:
                 columns = [exact[b0 : b0 + nb]]

@@ -520,6 +520,17 @@ class TestFourier:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", [[], ["--scheme", "recursion"]])
+    @pytest.mark.parametrize("spec", ['{"kind": "square"}', "{bad"])
+    def test_recursion_refuses_map_exit_2(self, tmp_path, capsys, scheme, spec):
+        # recursion, the default scheme, is mu_hat itself: it once ignored the map and exited 0
+        out = tmp_path / "x.csv"
+        code = main(["fourier", "--ifs", str(CONFIGS / "cantor.json"), *scheme, "--map", spec,
+                     "--xi-list", "3,5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --map: ")
+        assert not out.exists()
+
 
 class TestDecayCommand:
     def test_budget_exit_4(self, tmp_path, monkeypatch, capsys):
@@ -631,6 +642,20 @@ class TestDecayCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_octave_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one octave once fitted a slope through one point and exited 0
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a transform was evaluated")
+
+        monkeypatch.setattr(experiments, "pushforward_batch", evaluated)
+        monkeypatch.setattr(experiments, "curvature_diagnostic", evaluated)
+        cfg = {"ifs": str(CONFIGS / "cantor.json"), "map": {"kind": "square"}, "octaves": [8, 8]}
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: octaves must be [first, last] with last > first")
         assert not (tmp_path / "o").exists()
 
     def test_malformed_exponent_exit_2(self, tmp_path, capsys):

@@ -97,6 +97,19 @@ class TestDecayExperiment:
         for values in arrays:
             assert experiments_module._quantile95(values) == float(np.quantile(values, 0.95))
 
+    @pytest.mark.parametrize("octaves", [(8, 8), (9, 8)])
+    def test_one_octave_refused_before_any_transform(self, cantor, monkeypatch, octaves):
+        # one octave once fitted a slope through one point: numpy's RankWarning, slope -0.1663
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a transform was evaluated")
+
+        monkeypatch.setattr(experiments_module, "pushforward_batch", evaluated)
+        monkeypatch.setattr(experiments_module, "curvature_diagnostic", evaluated)
+        with pytest.raises(BadConfig, match=r"octaves must be \[first, last\] with last > first"):
+            measure_decay_slope(cantor, square_map(cantor), octaves=octaves, samples_per_octave=4)
+        with pytest.raises(BadConfig, match="octaves"):
+            octave_frequencies(octaves, 4, seed=0)
+
     def test_frequencies_land_in_octaves(self):
         xis = octave_frequencies((5, 7), 16, seed=0)
         assert len(xis) == 48

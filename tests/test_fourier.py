@@ -439,9 +439,10 @@ class TestRoundingCertificates:
 def _direct_product_form(ifs, etas, tol):
     """The product form with direct cos and sin, level by level: values, bounds, depth.
 
-    The formula every row took before the product form's phases came from
-    ``_phase_blocks`` (iterate eta_l = eta (r O)^l, phases 2 pi <eta_l, t_i>),
-    kept as an independent reference within its own rounding allowance.
+    The formula every row took before the product form made its phases in
+    blocks from its coefficients (iterate eta_l = eta (r O)^l, phases
+    2 pi <eta_l, t_i>), kept as an independent reference within its own
+    rounding allowance.
     """
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation
@@ -531,11 +532,12 @@ def _rotated_homogeneous_system():
 
 
 class TestProductFormPhases:
-    """``_mu_hat_homog_many`` takes its level phases from ``_phase_blocks``.
+    """``_mu_hat_homog_many`` makes its level phases in blocks of (n, rows) (``_row_phases``).
 
-    Grid rows j * delta take angle addition and any other rows direct cos
-    and sin; both are within ``_roundoff(D + 1) + _recursion_rounding`` of
-    the unrounded product at the same depth.
+    Grid rows j * delta past one block take angle addition from one base
+    block and any other rows direct unit phases; both are within
+    ``_roundoff(D + 1) + _recursion_rounding`` of the unrounded product at
+    the same depth.
     """
 
     @staticmethod
@@ -1830,23 +1832,6 @@ class TestGridPhases:
     """Uniform grids sum by matrix products of factorised phases; other frequency sets are one-row blocks."""
 
     @pytest.fixture
-    def steps(self, monkeypatch):
-        """The ``grid`` argument of every ``_phase_blocks`` call on ``m`` rows of frequencies: steps(m).
-
-        The count keeps apart the calls of the product form, which builds
-        the order-1 table's nodes through ``_phase_blocks`` as well.
-        """
-        seen = []
-        original = fourier_module._phase_blocks
-
-        def record(freqs, coefs, grid, weights, work):
-            seen.append((len(freqs), grid))
-            return original(freqs, coefs, grid, weights, work)
-
-        monkeypatch.setattr(fourier_module, "_phase_blocks", record)
-        return lambda m: [grid for rows, grid in seen if rows == m]
-
-    @pytest.fixture
     def terms(self, monkeypatch):
         """The ``row_interpolation`` terms, in job order, concatenated: terms() of the grid jobs.
 
@@ -1896,7 +1881,7 @@ class TestGridPhases:
         return _phase_rounding(np.abs(xis), float(np.abs(a_forms).max()), inner)
 
     @pytest.mark.parametrize("scheme", ["order0", "order1"])
-    def test_grid_matches_direct_path(self, uniform12, steps, terms, table_tols, scheme):
+    def test_grid_matches_direct_path(self, uniform12, terms, table_tols, scheme):
         # 1000 rows in blocks of 64: the last block is partial.  The
         # shuffled rows read the grid's table: its target is below 1e-8, so
         # tol 8 x target gives it, and for a table system at a fixed scale
@@ -1911,8 +1896,7 @@ class TestGridPhases:
         shuffled = pushforward_batch(uniform12, pmap, xis[perm], tol=tol, scheme=scheme, scale=scale)
         sv, se, sl = (a[np.argsort(perm)] for a in shuffled)
         assert table_tols == ([table_tols[0]] * 2 if scheme == "order1" else [])
-        # neither takes the product form's phase blocks: the shuffled rows are one-row blocks, adding 0
-        assert steps(len(xis)) == []
+        # the shuffled rows are one-row blocks, adding 0
         assert np.array_equal(gl, sl) and np.all(gl[1:] == 512)
         term = terms()
         assert len(term) == len(xis) - 1 and np.all(term > 0.0)
@@ -1938,7 +1922,7 @@ class TestGridPhases:
         assert np.all(np.abs(gv - sv) <= self.allowance(uniform12, pmap, xis, "order0", 2.0**-11)
                       + ge - se + _roundoff(2048))
 
-    def test_covers_past_one_block_match_shuffled_rows(self, cantor, steps, terms):
+    def test_covers_past_one_block_match_shuffled_rows(self, cantor, terms):
         # 65,536 leaves stream in 16 blocks of 4,096: on the grid each block
         # sums by matrix products, and the block sums combine by TwoSum in
         # the same order for both row orders
@@ -1946,7 +1930,6 @@ class TestGridPhases:
         xis = np.arange(6) * 0.7
         (gv, ge, gl), (sv, se, sl) = self.grid_and_shuffled(cantor, pmap, xis, "order0", 3.0**-16)
         assert gl[1] == 2**16
-        assert steps(len(xis)) == []
         assert np.array_equal(ge[1:], se[1:] + terms())
         assert np.all(np.abs(gv - sv) <= self.allowance(cantor, pmap, xis, "order0", 3.0**-16)
                       + ge - se + _roundoff(2**16))
@@ -1993,37 +1976,57 @@ class TestGridPhases:
         assert np.any(np.abs(values - exact) > bounds)
 
     @pytest.mark.parametrize("blocks", [1, 10])
-    def test_grid_path_only_past_one_block(self, monkeypatch, blocks):
-        # 64 coefficients: blocks of 512 rows.  One block of grid rows takes
-        # its unit phases directly (a base block would cost as much); ten
-        # take the base block once and one row of offsets per block.
-        n, step = 64, 0.3
+    def test_grid_path_only_past_one_block(self, cantor, monkeypatch, blocks):
+        # Cantor to |eta| = 50 at tol 1e-6: depth 18, so n = 37 coefficients
+        # and blocks of 885 rows.  One block of grid rows takes its unit
+        # phases directly (a base block would cost as much), with the bits
+        # of shuffled rows; ten take the base block once and one column of
+        # offsets per block.
+        tol = 1e-6
+        depth = _mu_hat_homog_many(cantor, np.array([[50.0]]), tol)[2]
+        n = depth * cantor.n_maps + 1
         size = fourier_module.PHASE_BLOCK // n
         m = blocks * size
-        freqs = (np.arange(m) * step)[:, None]
-        coefs = np.linspace(0.1, 2.0, n)[:, None]
-        weights = np.full(n, 1.0 / n)
-
-        def phases(step):
-            # a block is overwritten by the next one: copied here
-            blocks_of = fourier_module._phase_blocks(freqs, coefs, step, weights, {})
-            out = [block.copy() for _, _, block in blocks_of]
-            assert len(out) == blocks
-            return np.concatenate(out)
-
+        etas = (np.arange(m) * (50.0 / (m - 1)))[:, None]
         sizes = _count_sines(monkeypatch)
-        grid = phases((0, step))
+        assert _mu_hat_homog_many(cantor, etas, tol)[2] == depth
         monkeypatch.undo()
-        direct = phases(None)
+        (gv, gb, _), (sv, sb, _) = TestProductFormPhases.grid_and_shuffled(cantor, etas, tol)
+        assert np.array_equal(gb, sb)
         # against the direct path: the same bits, or both within their rounding
         if blocks == 1:
             assert sum(sizes) == m * n
-            assert np.array_equal(grid, direct)
+            assert np.array_equal(gv, sv)
         else:
             assert sum(sizes) == n * (size + blocks)
-            allowance = 2.0 * _phase_rounding(freqs[:, 0], float(coefs.max()), 0.0)[:, None] / n
-            assert np.all(np.abs(grid - direct) <= allowance)
-            assert not np.array_equal(grid, direct)
+            rows = np.unique(np.r_[np.arange(size - 2, m, size), np.arange(m - 20, m)])
+            for v in (gv, sv):
+                TestProductFormPhases.assert_rounding_within_allowance(cantor, etas[rows], v[rows], depth)
+            assert not np.array_equal(gv, sv)
+
+    def test_base_block_in_pieces_of_phase_block_terms(self, cantor, monkeypatch):
+        # An order-1 sweep under x^2 has few leaves and long blocks.  Each
+        # base block is built in pieces of PHASE_BLOCK // n rows (n leaves),
+        # not of as many rows as a chunk of blocks, which paid one
+        # _row_phases call per handful of rows.
+        pieces, original = [], grid_rows._row_phases
+
+        def record(freqs, coefs, out, work):
+            if "base" in work and np.shares_memory(out, work["base"]):
+                pieces.append((float(freqs[0, 0]), len(freqs), len(coefs)))
+            return original(freqs, coefs, out, work)
+
+        monkeypatch.setattr(grid_rows, "_row_phases", record)
+        xis = np.linspace(0.0, 100.0, 100_001)
+        pushforward_batch(cantor, square_map(cantor), xis, tol=1e-3, scheme="order1")
+        # a base block starts at row 0; every piece but its last has PHASE_BLOCK // n rows
+        starts = [i for i, (first, _, _) in enumerate(pieces) if first == 0.0] + [len(pieces)]
+        assert len(starts) > 1
+        for a, b in zip(starts, starts[1:]):
+            full = max(1, fourier_module.PHASE_BLOCK // pieces[a][2])
+            assert [rows for _, rows, _ in pieces[a : b - 1]] == [full] * (b - 1 - a)
+            assert 1 <= pieces[b - 1][1] <= full
+        assert len(pieces) < 60
 
     def test_order1_batch_touches_few_new_pages(self):
         # Each job of the row kernel allocates its block arrays once (phases,

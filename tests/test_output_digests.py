@@ -17,8 +17,8 @@ def test_run_names_cover_the_listed_runs():
     runs = [(name, environment) for name, _, _, environment in load_tool().runs(ROOT)]
     names = [name for name, _ in runs]
     environments = dict(runs)
-    # every convolve run also with two BLAS threads, and six refused runs
-    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * 4 + 6
+    # every convolve run also with two BLAS threads, one recursion grid sweep and eight refused runs
+    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * 4 + 1 + 8
     assert "workload-convolve-t2" in names and "decay-t1" in names
     assert [name for name in names if name.endswith("-blas2")] == [
         f"{run}-t{threads}-blas2" for threads in (1, 2) for run in ("workload-convolve", "convolve")
@@ -28,7 +28,8 @@ def test_run_names_cover_the_listed_runs():
         "budget10-fourier", "budget10-decay", "budget10-convolve"
     ]
     assert environments["budget-abc-fourier"] == {"FRACTAL_FOURIER_BUDGET": "abc"}
-    assert {"no-map-fourier", "inconsistent-bounds"} <= set(names)
+    assert {"no-map-fourier", "map-recursion-fourier", "one-octave-decay", "inconsistent-bounds",
+            "fourier-cantor-recursion-grid"} <= set(names)
 
 
 def test_nonhomog_workload_digests(capsys):

@@ -18,12 +18,17 @@ temporary directory, one process at a time:
 * ``fourier`` on every IFS file in TREE/configs with the schemes
   recursion, order0, order1 and order2, the last three with the square
   map, all at ``--xi-max 5000 --count 41 --tol 1e-5``
-  (``fourier-<ifs>-<scheme>``);
+  (``fourier-<ifs>-<scheme>``), and a recursion sweep of
+  configs/cantor.json on 20,001 grid rows to 2000 at ``--tol 1e-9``,
+  which the product form sums in many blocks of one base block
+  (``fourier-cantor-recursion-grid``);
 * runs that are refused: ``FRACTAL_FOURIER_BUDGET`` 10 on the order-1
   ``fourier`` sweep of configs/cantor.json and on the ``decay`` and
   ``convolve`` configs above (``budget10-<command>``, exit 4), the same
   sweep with ``FRACTAL_FOURIER_BUDGET`` abc (``budget-abc-fourier``,
-  exit 2) and without ``--map`` (``no-map-fourier``, exit 2), and
+  exit 2) and without ``--map`` (``no-map-fourier``, exit 2), the
+  recursion with ``--map`` (``map-recursion-fourier``, exit 2), a
+  ``decay`` config of one octave (``one-octave-decay``, exit 2), and
   ``bounds --profile`` on a profile with kappa2 > kappa_star
   (``inconsistent-bounds``, exit 3).
 
@@ -85,6 +90,9 @@ def runs(tree: Path):
             call = ["fourier", "--ifs", str(path), "--scheme", scheme, *FOURIER_ARGS,
                     *([] if scheme == "recursion" else SQUARE), "--out", "{out}/fourier.csv"]
             yield f"fourier-{path.stem}-{scheme}", {}, [call], {}
+    yield "fourier-cantor-recursion-grid", {}, [["fourier", "--ifs", str(configs / "cantor.json"), "--xi-min", "0",
+                                                  "--xi-max", "2000", "--count", "20001", "--tol", "1e-9",
+                                                  "--out", "{out}/fourier.csv"]], {}
     sweep = ["fourier", "--ifs", str(configs / "cantor.json"), "--scheme", "order1", *FOURIER_ARGS,
              "--out", "{out}/fourier.csv"]
     small = {"FRACTAL_FOURIER_BUDGET": "10"}
@@ -94,6 +102,10 @@ def runs(tree: Path):
                                            "--out", "{out}"]], small
     yield "budget-abc-fourier", {}, [sweep + SQUARE], {"FRACTAL_FOURIER_BUDGET": "abc"}
     yield "no-map-fourier", {}, [sweep], {}
+    yield "map-recursion-fourier", {}, [["fourier", "--ifs", str(configs / "cantor.json"), *SQUARE,
+                                         "--xi-list", "3,5", "--out", "{out}/fourier.csv"]], {}
+    one_octave = json.dumps({"ifs": str(configs / "cantor.json"), "map": {"kind": "square"}, "octaves": [8, 8]})
+    yield "one-octave-decay", {"decay.json": one_octave}, [["decay", "--config", "decay.json", "--out", "{out}"]], {}
     yield "inconsistent-bounds", {"profile.json": INCONSISTENT_PROFILE}, \
         [["bounds", "--profile", "profile.json", "--out", "{out}"]], {}
 
