@@ -214,8 +214,10 @@ def _check_unit(name: str, value: float) -> float:
 def log_pushforward_sigma(kappa2: float) -> float:
     """Decay exponent for the logarithmic image of an AD-regular measure.
 
-    sigma = (kappa2 - 1/2) / (kappa2 + 3/2); requires kappa2 > 1/2.
+    sigma = (kappa2 - 1/2) / (kappa2 + 3/2); requires kappa2 in (1/2, 1]
+    (BadConfig outside [0, 1], NotApplicable at or below 1/2).
     """
+    kappa2 = _check_unit("kappa2", kappa2)
     if kappa2 <= 0.5:
         raise NotApplicable("requires kappa2 > 1/2")
     return (kappa2 - 0.5) / (kappa2 + 1.5)
@@ -304,7 +306,9 @@ def two_measure_density_conditions(
 
 
 def high_dim_condition(k: int, kappa2: float) -> bool:
-    """L^2-density condition for sum-of-squares images in dimension k >= 5."""
+    """L^2-density condition for sum-of-squares images in dimension k >= 5, kappa2 in [0, k]."""
     if k < 5:
         raise BadConfig("defined for ambient dimension k >= 5")
+    if not 0.0 <= kappa2 <= k:
+        raise BadConfig(f"kappa2 must lie in [0, {k}], got {kappa2}")
     return kappa2 > 2.0 + k / 2.0

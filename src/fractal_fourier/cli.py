@@ -324,8 +324,10 @@ def cmd_arith_check(args) -> None:
     elif kind == "high-dim":
         if len(vals) != 2:
             raise BadConfig("high-dim needs k and kappa2")
-        report["verdict"] = bnd.high_dim_condition(_parsed("high-dim k", int, vals[0]), vals[1])
+        report["verdict"] = bnd.high_dim_condition(_parsed("high-dim k", _int, vals[0]), vals[1])
     elif kind == "thresholds":
+        if vals:
+            raise BadConfig("thresholds takes no values")
         t2, t3 = bnd.symmetric_thresholds()
         report.update({"two_fold": t2, "three_fold": t3, "verdict": True})
     else:  # pragma: no cover - argparse restricts choices

@@ -549,9 +549,9 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     and n (L + rows / L) unit phases in place of n rows.  Both ways
     are within ``_recursion_rounding``.  Each block is summed over the
     maps level by level (times a and a^2 first for the h2 columns) into
-    levels x columns x rows, in buffers reused block after block, and
-    its rows' closure and rounding terms are computed with it; the
-    closure term is 2 pi |eta| rho^D R.
+    levels x columns x rows, in buffers reused block after block.  The
+    bounds of all rows are one expression after the block loop, with one
+    ``_recursion_rounding``; the closure term is 2 pi |eta| rho^D R.
 
     Second-moment bound.  The offsets are at most S = max |t_i| =
     (1 - rho) R, so the offsets of any set of levels sum to at most R,
@@ -619,7 +619,6 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     size = max(1, PHASE_BLOCK // n)
     grid = _grid_step(etas) if m > size > 1 else None
     values = np.empty((2 if second else 1, m), dtype=complex)
-    errs = np.empty(values.shape)
     ratio = float(ifs.ratios.max())
     defect = depth * ifs.weight_defect
     work = {}
@@ -649,17 +648,16 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
             np.add.reduce(column[:-1].reshape(n_maps, depth, count), axis=0, out=levels[:depth, j])
             levels[depth, j] = column[-1]
         values[:, rows] = _moment_product(levels)
-        reach = TWO_PI * (norms[rows] * ratio**depth) * radius      # 2 pi |eta_D| R
-        rounding = _recursion_rounding(ifs, norms[rows], depth)
-        if second:
-            errs[1, rows] = radius**2 * (
-                reach + 3.0 * ratio**depth + _roundoff(depth + 1)
-                + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2 + defect
-            )
-        errs[0, rows] = reach + _roundoff(depth + 1) + rounding + defect
-    if second:
-        return values, errs, depth
-    return values[0], errs[0], depth
+    reach = TWO_PI * (norms * ratio**depth) * radius      # 2 pi |eta_D| R
+    rounding = _recursion_rounding(ifs, norms, depth)
+    errs = reach + _roundoff(depth + 1) + rounding + defect
+    if not second:
+        return values[0], errs, depth
+    errs2 = radius**2 * (
+        reach + 3.0 * ratio**depth + _roundoff(depth + 1)
+        + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2 + defect
+    )
+    return values, np.stack([errs, errs2]), depth
 
 
 def _moment_product(levels: np.ndarray) -> np.ndarray:
@@ -751,19 +749,30 @@ def square_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     return replace(quadratic_map(ifs, [{(0, 0): 1.0}]), label="square")
 
 
+def _line_map(ifs: SelfSimilarIFS, label: str, f, df, d2f, bounds) -> PushforwardMap:
+    """x -> f(x_0) from elementwise f, f', f''; Unsupported naming ``label`` unless k = 1.
+
+    Only then is ``bounds()`` called for L, H and H3 on the support ball.
+    ``f`` takes the (n,) column, ``df`` the (n, 1) points, ``d2f`` their (n, 1, 1) view.
+    """
+    if ifs.ambient_dim != 1:
+        raise Unsupported(f"{label} is a map on the line (k = 1), got k = {ifs.ambient_dim}")
+    lipschitz, hessian, third = bounds()
+    return PushforwardMap(
+        evaluator=lambda pts: f(pts[:, 0]),
+        gradient=df,
+        hessian=lambda pts: d2f(pts[:, :, None]),
+        lipschitz_bound=lipschitz,
+        hessian_bound=hessian,
+        third_bound=third,
+        label=label,
+    )
+
+
 def cube_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     """f(x) = x^3 on the line; curvature vanishes at the origin, f''' = 6."""
-    sup = ifs.max_point_norm
-    return PushforwardMap(
-        evaluator=lambda pts: pts[:, 0] ** 3,
-        out_dim=1,
-        gradient=lambda pts: 3.0 * pts**2,
-        hessian=lambda pts: 6.0 * pts[:, :, None],
-        lipschitz_bound=3.0 * sup**2,
-        hessian_bound=6.0 * sup,
-        third_bound=6.0,
-        label="cube",
-    )
+    return _line_map(ifs, "cube", lambda x: x**3, lambda x: 3.0 * x**2, lambda x: 6.0 * x,
+                     lambda: (3.0 * ifs.max_point_norm**2, 6.0 * ifs.max_point_norm, 6.0))
 
 
 def sum_of_squares_map(ifs: SelfSimilarIFS) -> PushforwardMap:
@@ -772,11 +781,11 @@ def sum_of_squares_map(ifs: SelfSimilarIFS) -> PushforwardMap:
     return replace(quadratic_map(ifs, [squares]), label="sum_of_squares")
 
 
-def _positive_margin(ifs: SelfSimilarIFS, shift: float) -> float:
-    """lo, the support ball's left end minus ``shift``.
+def _log_bounds(ifs: SelfSimilarIFS, shift: float):
+    """(L, H, H3) = (1/lo, 1/lo^2, 2/lo^3) of +-log(x - shift), lo the ball's left end minus ``shift``.
 
-    BadConfig unless ``shift`` is finite, SupportNotPositive unless
-    lo > 0 (NaN included).
+    |f'''| = 2/|x - shift|^3 <= 2/lo^3.  BadConfig unless ``shift`` is
+    finite, SupportNotPositive unless lo > 0 (NaN included).
     """
     if not math.isfinite(shift):
         raise BadConfig(f"shift must be finite, got {shift}")
@@ -786,42 +795,21 @@ def _positive_margin(ifs: SelfSimilarIFS, shift: float) -> float:
         raise SupportNotPositive(
             f"support ball [{centre - radius}, {centre + radius}] is not strictly right of {shift}"
         )
-    return lo
+    return 1.0 / lo, 1.0 / lo**2, 2.0 / lo**3
 
 
 def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
-    """f(x) = log(x - shift); requires the support ball right of the shift.
-
-    With lo the ball's left end minus the shift, |f'| <= 1/lo,
-    |f''| <= 1/lo^2 and |f'''| = 2/(x - shift)^3 <= 2/lo^3.
-    """
-    lo = _positive_margin(ifs, shift)
-    return PushforwardMap(
-        evaluator=lambda pts: np.log(pts[:, 0] - shift),
-        out_dim=1,
-        gradient=lambda pts: 1.0 / (pts - shift),
-        hessian=lambda pts: (-1.0 / (pts[:, :, None] - shift) ** 2),
-        lipschitz_bound=1.0 / lo,
-        hessian_bound=1.0 / lo**2,
-        third_bound=2.0 / lo**3,
-        label=f"log(x-{shift})" if shift else "log",
-    )
+    """f(x) = log(x - shift); requires the support ball right of the shift (``_log_bounds``)."""
+    return _line_map(ifs, f"log(x-{shift})" if shift else "log", lambda x: np.log(x - shift),
+                     lambda x: 1.0 / (x - shift), lambda x: -1.0 / (x - shift) ** 2,
+                     lambda: _log_bounds(ifs, shift))
 
 
 def neg_log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
-    """f(y) = -log(y - shift), the second factor of radial-projection form.
-
-    ``log_map`` negated: its evaluator, gradient and Hessian change sign,
-    and its bounds L, H and H3 are those of ``log_map``.
-    """
-    log = log_map(ifs, shift)
-    return replace(
-        log,
-        evaluator=lambda pts: -log.evaluator(pts),
-        gradient=lambda pts: -log.gradient(pts),
-        hessian=lambda pts: -log.hessian(pts),
-        label=f"-log(y-{shift})" if shift else "-log",
-    )
+    """f(y) = -log(y - shift), the second factor of radial-projection form: ``log_map`` negated."""
+    return _line_map(ifs, f"-log(y-{shift})" if shift else "-log", lambda y: -np.log(y - shift),
+                     lambda y: -1.0 / (y - shift), lambda y: 1.0 / (y - shift) ** 2,
+                     lambda: _log_bounds(ifs, shift))
 
 
 def quadratic_map(ifs: SelfSimilarIFS, coefficients, linear=None, constant=None) -> PushforwardMap:

@@ -633,7 +633,11 @@ def chaos_game(
     """Deterministic chaos-game sample of supp(mu), shape (n_points, k).
 
     Runs a fixed number of parallel chains so the output depends only on
-    the seed, never on thread count or chunking.
+    the seed, never on thread count or chunking.  Each step is one
+    product of the chains with every map's r_i O_i^T side by side, from
+    which each chain takes its drawn map's block and adds t_i: the bits
+    of applying each map to its own chains.  The steps after the
+    burn-in fill one array, step-major.
     """
     if n_points <= 0:
         raise BadConfig("n_points must be positive")
@@ -642,19 +646,15 @@ def chaos_game(
     steps = CHAOS_BURN_IN + -(-n_points // chains)  # ceil division
     x = np.tile(ifs.barycenter, (chains, 1))
     letters = rng.choice(ifs.n_maps, size=(steps, chains), p=ifs.weight_array)
-    keep = []
-    for s in range(steps):
-        row = letters[s]
-        new = np.empty_like(x)
-        for i, m in enumerate(ifs.maps):
-            mask = row == i
-            if np.any(mask):
-                new[mask] = m(x[mask])
-        x = new
+    k, chain = ifs.ambient_dim, np.arange(chains)
+    lin = np.concatenate([m.ratio * m.orientation.T for m in ifs.maps], axis=1)    # (k, N k)
+    trans = np.array([m.translation for m in ifs.maps])
+    pts = np.empty((steps - CHAOS_BURN_IN, chains, k))
+    for s, row in enumerate(letters):
+        x = (x @ lin).reshape(chains, -1, k)[chain, row] + trans[row]
         if s >= CHAOS_BURN_IN:
-            keep.append(x.copy())
-    pts = np.concatenate(keep, axis=0)
-    return pts[:n_points]
+            pts[s - CHAOS_BURN_IN] = x
+    return pts.reshape(-1, k)[:n_points]
 
 
 # -- structural diagnostics ----------------------------------------------------

@@ -335,3 +335,17 @@ class TestArithmeticConditions:
         assert high_dim_condition(6, 5.2)
         with pytest.raises(BadConfig):
             high_dim_condition(4, 4.0)
+
+    @pytest.mark.parametrize("kappa2", [math.nan, 1.5, -0.1, math.inf])
+    def test_log_sigma_refuses_kappa2_off_the_unit_interval(self, kappa2):
+        # kappa2 of a measure on the line is at most 1; a NaN would reach the JSON report
+        with pytest.raises(BadConfig, match="kappa2 must lie in"):
+            log_pushforward_sigma(kappa2)
+
+    @pytest.mark.parametrize("k, kappa2", [(5, math.nan), (6, math.inf), (5, 5.5), (5, -1e-300)])
+    def test_high_dim_refuses_kappa2_outside_0_k(self, k, kappa2):
+        with pytest.raises(BadConfig, match=rf"kappa2 must lie in \[0, {k}\]"):
+            high_dim_condition(k, kappa2)
+
+    def test_high_dim_takes_the_ends_of_0_k(self):
+        assert high_dim_condition(5, 5.0) and not high_dim_condition(5, 0.0)

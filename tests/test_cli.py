@@ -531,6 +531,32 @@ class TestFourier:
         assert capsys.readouterr().err.startswith("config error: --map: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, label", [
+        ('{"kind": "cube"}', "cube"),
+        ('{"kind": "log", "shift": -1}', "log(x--1.0)"),
+        ('{"kind": "neg_log", "shift": -1}', "-log(y--1.0)"),
+        ('{"kind": "log"}', "log"),
+    ])
+    def test_line_maps_refuse_planar_systems_exit_2(self, tmp_path, capsys, spec, label):
+        # The four-corner Cantor set.  These maps read x_0 only, but their
+        # gradients and Hessians once acted on every coordinate: cube
+        # certified 4.93e-5 at xi = 10 against an error of 5.66e-5 and exited
+        # 0, and log blamed its L and H (or, with no shift, the support).
+        planar = {
+            "ambient_dim": 2,
+            "maps": [{"ratio": 1 / 3, "orientation": [1.0, 0.0, 0.0, 1.0], "translation": [x, y]}
+                     for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)],
+            "weights": [0.25] * 4,
+        }
+        path = tmp_path / "four_corner.json"
+        path.write_text(json.dumps(planar))
+        out = tmp_path / "x.csv"
+        code = main(["fourier", "--ifs", str(path), "--scheme", "order1", "--map", spec,
+                     "--xi-list", "10,40", "--tol", "1e-4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {label} is a map on the line (k = 1), got k = 2\n"
+        assert not out.exists()
+
 
 class TestDecayCommand:
     def test_budget_exit_4(self, tmp_path, monkeypatch, capsys):
@@ -957,6 +983,20 @@ class TestArithCheck:
     def test_nan_dimension_exit_2(self, capsys):
         assert main(["arith-check", "high-dim", "nan", "4"]) == 2
         assert "high-dim k: malformed value nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["log-sigma", "nan"], "kappa2 must lie in [0, 1], got nan"),
+        (["log-sigma", "1.5"], "kappa2 must lie in [0, 1], got 1.5"),
+        (["high-dim", "5", "nan"], "kappa2 must lie in [0, 5], got nan"),
+        (["high-dim", "6", "inf"], "kappa2 must lie in [0, 6], got inf"),
+        (["high-dim", "5.7", "4.9"], "high-dim k: malformed value 5.7"),
+        (["thresholds", "1", "2"], "thresholds takes no values"),
+    ])
+    def test_values_outside_their_range_exit_2(self, capsys, argv, message):
+        # each ran before with a wrong or ignored input and exited 0
+        assert main(["arith-check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 # The exit code and stderr prefix of every error class through ``main``.

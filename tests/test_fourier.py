@@ -625,6 +625,29 @@ class TestProductFormPhases:
         rows = np.r_[np.arange(n - 200, n), np.random.default_rng(32).integers(0, n, size=100)]
         self.assert_rounding_certified(etas, values, bounds, depth, rows)
 
+    @pytest.mark.parametrize("second", [False, True])
+    def test_one_rounding_term_per_call(self, cantor, monkeypatch, second):
+        # The bounds of all rows are one expression after the block loop:
+        # one _recursion_rounding over every row, not one per block of rows
+        # (1,681 on a 1,000,001-row grid), and a row's bound does not
+        # depend on the rows beside it.
+        ifs, tol = cantor.centred, 1e-9
+        etas = (np.arange(50_001) * 2e-3)[:, None]
+        calls, original = [], fourier_module._recursion_rounding
+
+        def record(ifs, norms, depth):
+            calls.append(len(norms))
+            return original(ifs, norms, depth)
+
+        monkeypatch.setattr(fourier_module, "_recursion_rounding", record)
+        values, bounds, depth = _mu_hat_homog_many(ifs, etas, tol, second)
+        assert calls == [len(etas)]
+        assert len(etas) > 20 * (fourier_module.PHASE_BLOCK // (depth * ifs.n_maps + 1))
+        rows = [0, 1, 777, 31_000, len(etas) - 1]
+        _, sub_bounds, sub_depth = _mu_hat_homog_many(ifs, etas[rows], tol, second)
+        assert sub_depth == depth and bounds.shape == values.shape
+        assert np.array_equal(sub_bounds, bounds[..., rows])
+
     def test_block_edges(self, cantor):
         # eta_max 50 at tol 1e-6 needs depth 18, so 37 columns (18 levels
         # of 2 maps and the closing level) and blocks of 885 rows
@@ -2221,9 +2244,9 @@ def _componentwise_squares(ifs, k):
     return quadratic_map(ifs, [{(i, i): 1.0} for i in range(k)])
 
 
-# Closed-form references: the derivations the quadratic builders and
-# neg_log_map had of their own before they became quadratic_map and log_map
-# calls.  Each builder must reproduce its reference bit for bit.
+# Closed-form references: the derivations the quadratic builders and the
+# maps on the line had of their own before they became quadratic_map and
+# _line_map calls.  Each builder must reproduce its reference bit for bit.
 
 
 def square_map_reference(ifs):
@@ -2265,6 +2288,34 @@ def constant_map_reference(ifs, c):
         hessian_bound=0.0,
         third_bound=0.0,
         label=f"constant({c})",
+    )
+
+
+def cube_map_reference(ifs):
+    """f(x) = x^3 on the line; |f'| <= 3 sup|x|^2, |f''| <= 6 sup|x|, f''' = 6."""
+    sup = ifs.max_point_norm
+    return PushforwardMap(
+        evaluator=lambda pts: pts[:, 0] ** 3,
+        gradient=lambda pts: 3.0 * pts**2,
+        hessian=lambda pts: 6.0 * pts[:, :, None],
+        lipschitz_bound=3.0 * sup**2,
+        hessian_bound=6.0 * sup,
+        third_bound=6.0,
+        label="cube",
+    )
+
+
+def log_map_reference(ifs, shift=0.0):
+    """f(x) = log(x - shift), lo the ball's left end minus the shift: L, H, H3 = 1/lo, 1/lo^2, 2/lo^3."""
+    lo = float(ifs.barycenter[0]) - ifs.support_radius - shift
+    return PushforwardMap(
+        evaluator=lambda pts: np.log(pts[:, 0] - shift),
+        gradient=lambda pts: 1.0 / (pts - shift),
+        hessian=lambda pts: (-1.0 / (pts[:, :, None] - shift) ** 2),
+        lipschitz_bound=1.0 / lo,
+        hessian_bound=1.0 / lo**2,
+        third_bound=2.0 / lo**3,
+        label=f"log(x-{shift})" if shift else "log",
     )
 
 
@@ -2322,10 +2373,37 @@ class TestMapBuildersMatchTheirReferences:
         ifs = _system_in(k, 20 + k)
         self.assert_same_map(constant_map(ifs, c), constant_map_reference(ifs, c), ifs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cube(self, seed):
+        ifs = _system_in(1, seed)
+        self.assert_same_map(cube_map(ifs), cube_map_reference(ifs), ifs)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -3.25])
+    def test_log(self, uniform12, shift):
+        self.assert_same_map(log_map(uniform12, shift), log_map_reference(uniform12, shift), uniform12)
+
     @pytest.mark.parametrize("shift", [0.0, 0.5, -3.25])
     def test_neg_log(self, uniform12, shift):
         self.assert_same_map(neg_log_map(uniform12, shift), neg_log_map_reference(uniform12, shift),
                              uniform12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logs_left_of_random_systems(self, seed):
+        # reversing maps, and a shift 0.25 left of the support ball
+        ifs = _system_in(1, seed)
+        shift = float(ifs.barycenter[0]) - ifs.support_radius - 0.25
+        self.assert_same_map(log_map(ifs, shift), log_map_reference(ifs, shift), ifs)
+        self.assert_same_map(neg_log_map(ifs, shift), neg_log_map_reference(ifs, shift), ifs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("build", [cube_map, log_map, neg_log_map, lambda ifs: log_map(ifs, math.nan)],
+                             ids=["cube", "log", "neg_log", "log_nan_shift"])
+    def test_maps_on_the_line_refuse_k_other_than_1(self, k, build):
+        # They read x_0, but their derivatives once acted on every
+        # coordinate.  The dimension is checked before the shift and the
+        # support.
+        with pytest.raises(Unsupported, match=rf"is a map on the line \(k = 1\), got k = {k}$"):
+            build(_system_in(k, 30 + k))
 
     def test_quadratics_keep_their_hessians(self, square_2d):
         # the quadratic builders carry quad_hessians, so the directional identity applies

@@ -155,6 +155,44 @@ class TestSupportBall:
         b = chaos_game(cantor, 1000, seed=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("system", ["cantor", "reversing", "digits_b5", "square_2d", "rotating_2d",
+                                        "rotating_3d"])
+    @pytest.mark.parametrize("n_points", [1, 1000, 4096, 5000])
+    def test_chaos_game_matches_the_per_map_loop(self, system, n_points, request):
+        # one product with every map's linear part per step, against each
+        # map applied to its own chains: the same bits, on the line and in
+        # the plane and in R^3 with rotations and reflections
+        systems = {
+            "reversing": lambda: ifs_1d([0.4, 0.3, 0.2], [1.0, 1.4, 2.0], [0.5, 0.3, 0.2], [-1, 1, -1]),
+            "digits_b5": lambda: ifs_1d([0.2] * 4, [0.0, 0.2, 0.4, 0.6]),
+            **{f"rotating_{k}d": lambda k=k: SelfSimilarIFS(
+                tuple(random_similarity(np.random.default_rng(40 + i), k) for i in range(3)), (0.2, 0.5, 0.3))
+               for k in (2, 3)},
+        }
+        ifs = systems[system]() if system in systems else request.getfixturevalue(system)
+        assert np.array_equal(chaos_game(ifs, n_points, seed=9), _chaos_game_reference(ifs, n_points, seed=9))
+
+
+def _chaos_game_reference(ifs, n_points, seed):
+    """The chaos game as a loop over the maps, each applied to the chains that drew it."""
+    rng = np.random.default_rng(seed)
+    chains = min(ifs_module.CHAOS_CHAINS, n_points)
+    steps = ifs_module.CHAOS_BURN_IN + -(-n_points // chains)
+    x = np.tile(ifs.barycenter, (chains, 1))
+    letters = rng.choice(ifs.n_maps, size=(steps, chains), p=ifs.weight_array)
+    keep = []
+    for s in range(steps):
+        row = letters[s]
+        new = np.empty_like(x)
+        for i, m in enumerate(ifs.maps):
+            mask = row == i
+            if np.any(mask):
+                new[mask] = m(x[mask])
+        x = new
+        if s >= ifs_module.CHAOS_BURN_IN:
+            keep.append(x.copy())
+    return np.concatenate(keep, axis=0)[:n_points]
+
 
 def _stopping_words_reference(ifs, scale):
     """Depth-first first-passage words, visited in lexicographic order.

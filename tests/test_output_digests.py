@@ -17,8 +17,8 @@ def test_run_names_cover_the_listed_runs():
     runs = [(name, environment) for name, _, _, environment in load_tool().runs(ROOT)]
     names = [name for name, _ in runs]
     environments = dict(runs)
-    # every convolve run also with two BLAS threads, one recursion grid sweep and eight refused runs
-    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * 4 + 1 + 8
+    # every convolve run also with two BLAS threads, one recursion grid sweep and eleven refused runs
+    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * 4 + 1 + 11
     assert "workload-convolve-t2" in names and "decay-t1" in names
     assert [name for name in names if name.endswith("-blas2")] == [
         f"{run}-t{threads}-blas2" for threads in (1, 2) for run in ("workload-convolve", "convolve")
@@ -29,7 +29,7 @@ def test_run_names_cover_the_listed_runs():
     ]
     assert environments["budget-abc-fourier"] == {"FRACTAL_FOURIER_BUDGET": "abc"}
     assert {"no-map-fourier", "map-recursion-fourier", "one-octave-decay", "inconsistent-bounds",
-            "fourier-cantor-recursion-grid"} <= set(names)
+            "fourier-cantor-recursion-grid", "four-corner-cube", "four-corner-log", "nan-log-sigma"} <= set(names)
 
 
 def test_nonhomog_workload_digests(capsys):

@@ -28,9 +28,13 @@ temporary directory, one process at a time:
   sweep with ``FRACTAL_FOURIER_BUDGET`` abc (``budget-abc-fourier``,
   exit 2) and without ``--map`` (``no-map-fourier``, exit 2), the
   recursion with ``--map`` (``map-recursion-fourier``, exit 2), a
-  ``decay`` config of one octave (``one-octave-decay``, exit 2), and
+  ``decay`` config of one octave (``one-octave-decay``, exit 2),
   ``bounds --profile`` on a profile with kappa2 > kappa_star
-  (``inconsistent-bounds``, exit 3).
+  (``inconsistent-bounds``, exit 3), the order-1 ``fourier`` at xi = 10
+  and 40 of the four-corner Cantor set in the plane under the maps on
+  the line ``cube`` and ``log`` with shift -1 (``four-corner-cube``,
+  ``four-corner-log``, exit 2), and ``arith-check log-sigma nan``
+  (``nan-log-sigma``, exit 2).
 
 With RUN arguments only the runs whose names start with one of them run.
 Runs take one BLAS thread (``OPENBLAS_NUM_THREADS`` 1) unless their name
@@ -60,6 +64,9 @@ BLAS2 = {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS":
 # kappa2 > kappa_star: the exponent chain fails when the profile is read
 INCONSISTENT_PROFILE = json.dumps({"k": 1, "s_sim_set": 0.6, "s_sim_meas": 0.6, "kappa2": 0.7,
                                    "kappa_star": 0.6, "d_inf": 0.6})
+FOUR_CORNER = json.dumps({"ambient_dim": 2, "weights": [0.25] * 4, "maps": [
+    {"ratio": 1 / 3, "orientation": [1.0, 0.0, 0.0, 1.0], "translation": [x, y]}
+    for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)]})
 
 
 def runs(tree: Path):
@@ -108,6 +115,11 @@ def runs(tree: Path):
     yield "one-octave-decay", {"decay.json": one_octave}, [["decay", "--config", "decay.json", "--out", "{out}"]], {}
     yield "inconsistent-bounds", {"profile.json": INCONSISTENT_PROFILE}, \
         [["bounds", "--profile", "profile.json", "--out", "{out}"]], {}
+    for kind, spec in (("cube", '{"kind": "cube"}'), ("log", '{"kind": "log", "shift": -1}')):
+        yield f"four-corner-{kind}", {"four_corner.json": FOUR_CORNER}, \
+            [["fourier", "--ifs", "four_corner.json", "--scheme", "order1", "--map", spec, "--xi-list", "10,40",
+              "--tol", "1e-4", "--out", "{out}/fourier.csv"]], {}
+    yield "nan-log-sigma", {}, [["arith-check", "log-sigma", "nan"]], {}
 
 
 def digest_run(tree: Path, files: dict, calls: list, environment: dict):
