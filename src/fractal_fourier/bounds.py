@@ -29,6 +29,7 @@ from typing import Mapping, Optional, Tuple
 
 from .dimensions import DimensionProfile, _bisect_then_newton
 from .errors import BadConfig, MissingExponent, NotApplicable, Unsupported
+from .ifs import _json_fields
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -104,13 +105,9 @@ class DecayBound:
     notes: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """The fields by ``_json_fields`` (``sigma_p_table`` keyed by the strings of p), and the formula."""
         return {
-            "sigma_p_table": {str(p): v for p, v in sorted(self.sigma_p_table.items())},
-            "sigma": self.sigma,
-            "best_p": self.best_p,
-            "gamma": self.gamma,
-            "applicable": self.applicable,
-            "notes": list(self.notes),
+            **_json_fields(self),
             "formula": "sigma_p = (d_q + kappa_p - k) / (2p - k + 2*kappa_star + kappa_p - d_q), q = p/(p-1)",
         }
 

@@ -292,47 +292,44 @@ def cmd_convolve(args) -> None:
 # -- arith-check ------------------------------------------------------------
 
 
+def _two_set(vals, args) -> dict:
+    margin = bnd.two_set_margin(*vals)
+    note = {"note": "boundary case: strict inequality fails"} if abs(margin) < 1e-9 else {}
+    return {"verdict": margin > 0.0, "margin": margin, **note}
+
+
+def _two_measures(vals, args) -> dict:
+    verdict, bullets = bnd.two_measure_density_conditions(*vals, args.ad_regular)
+    return {"verdict": verdict, "satisfied_bullets": list(bullets), "note": bnd.TWO_MEASURE_NOTE}
+
+
+def _thresholds(vals, args) -> dict:
+    t2, t3 = bnd.symmetric_thresholds()
+    return {"two_fold": t2, "three_fold": t3, "verdict": True}
+
+
+# The checks of arith-check: check -> (number of values, refusal of any
+# other number, report of the parsed values and the arguments).
+_CHECKS = {
+    "two-set": (2, "needs exactly 2 dimensions", _two_set),
+    "three-set": (3, "needs exactly 3 dimensions",
+                  lambda vals, args: {"verdict": bnd.three_set_condition(*vals)}),
+    "two-measures": (2, "needs 2 correlation dimensions", _two_measures),
+    "log-sigma": (1, "needs 1 correlation dimension",
+                  lambda vals, args: {"sigma": bnd.log_pushforward_sigma(*vals), "verdict": True}),
+    "high-dim": (2, "needs k and kappa2", lambda vals, args: {
+        "verdict": bnd.high_dim_condition(_parsed("high-dim k", _int, vals[0]), vals[1])}),
+    "thresholds": (0, "takes no values", _thresholds),
+}
+
+
 def cmd_arith_check(args) -> None:
-    kind = args.check
-    vals = _parsed(f"{kind} values", lambda values: [float(v) for v in values], args.values)
-    report: dict = {"check": kind, "inputs": vals}
-    if kind == "two-set":
-        if len(vals) != 2:
-            raise BadConfig("two-set needs exactly 2 dimensions")
-        margin = bnd.two_set_margin(*vals)
-        report.update({"verdict": margin > 0.0, "margin": margin})
-        if abs(margin) < 1e-9:
-            report["note"] = "boundary case: strict inequality fails"
-    elif kind == "three-set":
-        if len(vals) != 3:
-            raise BadConfig("three-set needs exactly 3 dimensions")
-        report["verdict"] = bnd.three_set_condition(*vals)
-    elif kind == "two-measures":
-        if len(vals) != 2:
-            raise BadConfig("two-measures needs 2 correlation dimensions")
-        verdict, bullets = bnd.two_measure_density_conditions(
-            vals[0], vals[1], args.ad_regular
-        )
-        report.update(
-            {"verdict": verdict, "satisfied_bullets": list(bullets), "note": bnd.TWO_MEASURE_NOTE}
-        )
-    elif kind == "log-sigma":
-        if len(vals) != 1:
-            raise BadConfig("log-sigma needs 1 correlation dimension")
-        report["sigma"] = bnd.log_pushforward_sigma(vals[0])
-        report["verdict"] = True
-    elif kind == "high-dim":
-        if len(vals) != 2:
-            raise BadConfig("high-dim needs k and kappa2")
-        report["verdict"] = bnd.high_dim_condition(_parsed("high-dim k", _int, vals[0]), vals[1])
-    elif kind == "thresholds":
-        if vals:
-            raise BadConfig("thresholds takes no values")
-        t2, t3 = bnd.symmetric_thresholds()
-        report.update({"two_fold": t2, "three_fold": t3, "verdict": True})
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadConfig(f"unknown check {kind!r}")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    check = args.check
+    vals = _parsed(f"{check} values", lambda values: [float(v) for v in values], args.values)
+    arity, refusal, report = _CHECKS[check]
+    if len(vals) != arity:
+        raise BadConfig(f"{check} {refusal}")
+    print(json.dumps({"check": check, "inputs": vals, **report(vals, args)}, indent=2, sort_keys=True))
 
 
 # -- parser -----------------------------------------------------------------
@@ -405,17 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convolve)
 
     p = sub.add_parser("arith-check", help="closed-form arithmetic condition checkers")
-    p.add_argument(
-        "check",
-        choices=(
-            "two-set",
-            "three-set",
-            "two-measures",
-            "log-sigma",
-            "high-dim",
-            "thresholds",
-        ),
-    )
+    p.add_argument("check", choices=tuple(_CHECKS))
     p.add_argument("values", nargs="*", help="numeric arguments for the check")
     p.add_argument("--ad-regular", action="store_true",
                    help="second measure is AD-regular (two-measures)")

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import BadConfig, InconsistentProfile
 from .ifs import (_EXPONENT_FIELDS, SEPARATION_KINDS, SelfSimilarIFS, _bool, _fields, _float, _int,
-                  _json_object, _optional_float, _parsed, chaos_game, read_json, write_json)
+                  _json_fields, _json_object, _optional_float, _parsed, chaos_game, read_json,
+                  write_json)
 
 EXACT = "exact_under_separation"
 ESTIMATED = "estimated"
@@ -326,20 +327,8 @@ class DimensionProfile:
         return self._kappa_p.get(p)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "kappa2": self.kappa2,
-            "kappa_star": self.kappa_star,
-            "d_inf": self.d_inf,
-            "kappa1": self.kappa1,
-            "s_sim_set": self.s_sim_set,
-            "s_sim_meas": self.s_sim_meas,
-            "ad_regular": self.ad_regular,
-            "kappa_p_table": {str(p): v for p, v in sorted(self.kappa_p_table.items())},
-            "d_q_table": {str(q): v for q, v in sorted(self.d_q_table.items())},
-            "provenance": dict(self.provenance),
-            "warnings": list(self.warnings),
-        }
+        """The profile file, every field by ``_json_fields``: what ``from_dict`` reads."""
+        return _json_fields(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "DimensionProfile":

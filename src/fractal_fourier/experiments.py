@@ -44,7 +44,7 @@ from .fourier import (
     pushforward_batch,
     write_csv,
 )
-from .ifs import DEFAULT_LEAF_BUDGET, SelfSimilarIFS
+from .ifs import DEFAULT_LEAF_BUDGET, SelfSimilarIFS, _json_fields
 
 DEFAULT_DENSITY_BUDGET = 0.02   # certified density error allowed by the inversion
 
@@ -89,29 +89,12 @@ class DecayExperiment:
         return -self.fitted_slope
 
     def to_summary(self) -> dict:
-        return {
-            "octaves": list(self.octaves),
-            "samples_per_octave": self.samples_per_octave,
-            "seed": self.seed,
-            "tol": self.tol,
-            "scheme": self.scheme,
-            "fitted_slope": self.fitted_slope,
-            "empirical_exponent": self.empirical_exponent,
-            "slope_residual": self.slope_residual,
-            "theoretical_sigma": self.theoretical_sigma,
-            "per_octave": [
-                {
-                    "octave": s.octave,
-                    "n": s.n_samples,
-                    "max_abs": s.max_abs,
-                    "q95_abs": s.q95_abs,
-                    "max_error_bound": s.max_error,
-                    "reliable": s.reliable,
-                }
-                for s in self.stats
-            ],
-            "warnings": list(self.warnings),
-        }
+        """The fields by ``_json_fields``, ``stats`` as ``per_octave`` rows, and the empirical exponent."""
+        summary = _json_fields(self)
+        per_octave = [_json_fields(stat) for stat in summary.pop("stats")]
+        for row in per_octave:
+            row["n"], row["max_error_bound"] = row.pop("n_samples"), row.pop("max_error")
+        return {**summary, "per_octave": per_octave, "empirical_exponent": self.empirical_exponent}
 
 
 def octave_frequencies(
@@ -310,21 +293,8 @@ class ConvolutionExperiment:
     schemes: Tuple[str, ...] = ()
 
     def to_summary(self) -> dict:
-        return {
-            "delta": self.delta,
-            "schemes": list(self.schemes),
-            "n_freq": self.n_freq,
-            "max_frequency": self.delta * self.n_freq,
-            "log_support": list(self.log_support),
-            "density_error_certified": self.density_error_certified,
-            "tail_estimate": self.tail_estimate,
-            "imag_residue": self.imag_residue,
-            "mass": self.mass,
-            "l1_octave_slope": self.l1_octave_slope,
-            "l2_octave_slope": self.l2_octave_slope,
-            "octave_table": list(self.octave_table),
-            "warnings": list(self.warnings),
-        }
+        """The fields by ``_json_fields`` (the arrays left out) and ``max_frequency`` = delta n_freq."""
+        return {**_json_fields(self), "max_frequency": self.delta * self.n_freq}
 
 
 def _invert_on_points(t: np.ndarray, xis: np.ndarray, phi: np.ndarray, delta: float):

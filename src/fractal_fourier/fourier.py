@@ -800,14 +800,16 @@ def _log_bounds(ifs: SelfSimilarIFS, shift: float):
 
 def log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
     """f(x) = log(x - shift); requires the support ball right of the shift (``_log_bounds``)."""
-    return _line_map(ifs, f"log(x-{shift})" if shift else "log", lambda x: np.log(x - shift),
+    label = f"log(x{'+' if shift < 0 else '-'}{abs(shift)})" if shift else "log"
+    return _line_map(ifs, label, lambda x: np.log(x - shift),
                      lambda x: 1.0 / (x - shift), lambda x: -1.0 / (x - shift) ** 2,
                      lambda: _log_bounds(ifs, shift))
 
 
 def neg_log_map(ifs: SelfSimilarIFS, shift: float = 0.0) -> PushforwardMap:
     """f(y) = -log(y - shift), the second factor of radial-projection form: ``log_map`` negated."""
-    return _line_map(ifs, f"-log(y-{shift})" if shift else "-log", lambda y: -np.log(y - shift),
+    label = f"-log(y{'+' if shift < 0 else '-'}{abs(shift)})" if shift else "-log"
+    return _line_map(ifs, label, lambda y: -np.log(y - shift),
                      lambda y: -1.0 / (y - shift), lambda y: 1.0 / (y - shift) ** 2,
                      lambda: _log_bounds(ifs, shift))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -265,12 +265,12 @@ class SelfSimilarIFS:
 
     @cached_property
     def second_moment(self) -> float:
-        """M2 = int |x - b|^2 dmu = sum_i p_i |f_i(b) - b|^2 / (1 - sum_i p_i r_i^2), rounded up.
+        """An upper bound on int |x|^2 dnu, nu the measure of ``centred`` as computed: M2 up to centring.
 
-        M2 <= R^2.  X = f_I(Y) with I ~ p independent of Y ~ mu gives
-        X - b = r_I O_I (Y - b) + (f_I(b) - b), whose cross term has mean
-        0, hence the formula.  The value returned bounds int |x|^2 dnu for
-        the measure nu of ``centred`` as computed, with translations c_i:
+        M2 = int |x - b|^2 dmu = sum_i p_i |f_i(b) - b|^2 / (1 - sum_i p_i r_i^2)
+        <= R^2: X = f_I(Y), I ~ p independent of Y ~ mu, has X - b = r_I O_I
+        (Y - b) + (f_I(b) - b), whose cross term has mean 0.  nu has
+        translations c_i, which carry the rounding of f_i(b) - b at |b|:
 
         * nu has the mean m = (I - L)^-1 sum_i p_i c_i, L = sum_i p_i r_i O_i,
           |L| <= sum_i p_i r_i, so |m| <= |sum_i p_i c_i| / (1 - sum_i p_i r_i).
@@ -285,7 +285,7 @@ class SelfSimilarIFS:
         nearest once, by at most u = EPS / 2: each square root term is
         within 1.5 u, the factor (1 + 2 / sqrt(.)) within 3.5 u, the sum
         within 7 u and its square within 15 u to first order, which the
-        factor 1 + 8 EPS covers.
+        factor 1 + 8 EPS covers.  Not M2 rounded up: the c_i err relative to |b|.
         """
         p = [Fraction(w) for w in self.weights]
         r = [Fraction(m.ratio) for m in self.maps]
@@ -1025,6 +1025,20 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _json_fields(record) -> dict:
+    """The JSON object of the dataclass ``record``, the reverse of ``_fields``: every field not a numpy
+    array, tuples as lists, mappings as objects keyed by the strings of their sorted keys."""
+    # A record adds only its keys that are not plain fields, so a new field needs no second edit.
+    doc = {}
+    for f in dataclass_fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Mapping):
+            doc[f.name] = {str(key): v for key, v in sorted(value.items())}
+        elif not isinstance(value, np.ndarray):
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def load_ifs(path) -> IFSDocument:

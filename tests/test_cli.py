@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -7,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fractal_fourier import bounds as bnd
 from fractal_fourier import cli as cli_module
 from fractal_fourier import dimensions
 from fractal_fourier import errors
 from fractal_fourier import experiments
+from fractal_fourier import fourier as fr
 from fractal_fourier import ifs as ifsmod
 from fractal_fourier.cli import main
 from fractal_fourier.experiments import DEFAULT_DENSITY_BUDGET
@@ -533,8 +537,8 @@ class TestFourier:
 
     @pytest.mark.parametrize("spec, label", [
         ('{"kind": "cube"}', "cube"),
-        ('{"kind": "log", "shift": -1}', "log(x--1.0)"),
-        ('{"kind": "neg_log", "shift": -1}', "-log(y--1.0)"),
+        ('{"kind": "log", "shift": -1}', "log(x+1.0)"),
+        ('{"kind": "neg_log", "shift": -1}', "-log(y+1.0)"),
         ('{"kind": "log"}', "log"),
     ])
     def test_line_maps_refuse_planar_systems_exit_2(self, tmp_path, capsys, spec, label):
@@ -906,6 +910,40 @@ class TestFieldTables:
         names = {f.name for f in dataclasses.fields(dimensions.DimensionProfile)}
         assert set(dimensions._PROFILE_FIELDS) == names
 
+    @pytest.fixture(scope="class")
+    def records(self):
+        """name -> (record, its JSON object, fields left out, keys added) of the four written records."""
+        cantor = ifsmod.load_ifs(CONFIGS / "cantor.json").ifs
+        uniform = ifsmod.load_ifs(CONFIGS / "uniform12.json").ifs
+        profile = dimensions.build_profile(cantor, "SSC", {"kappa_p": {"1.5": 0.6}})
+        bound = bnd.decay_bound(profile)
+        decay = experiments.measure_decay_slope(cantor, fr.square_map(cantor), octaves=(3, 4),
+                                                samples_per_octave=4)
+        convolve = experiments.multiplicative_convolution([experiments.log_factor(uniform)] * 2,
+                                                          max_frequency=64.0, density_points=16)
+        return {
+            "profile": (profile, profile.to_dict(), set(), set()),
+            "bound": (bound, bound.to_dict(), set(), {"formula"}),
+            "decay": (decay, decay.to_summary(), {"stats"}, {"per_octave", "empirical_exponent"}),
+            "convolve": (convolve, convolve.to_summary(), set(), {"max_frequency"}),
+        }
+
+    @pytest.mark.parametrize("name", ["profile", "bound", "decay", "convolve"])
+    def test_records_write_every_non_array_field(self, records, name):
+        # the JSON object is the fields that are not numpy arrays, under
+        # their own names, plus only the keys named in ``records``
+        record, doc, dropped, added = records[name]
+        fields = {f.name for f in dataclasses.fields(record)
+                  if not isinstance(getattr(record, f.name), np.ndarray)}
+        assert set(doc) == fields - dropped | added
+        assert json.loads(json.dumps(doc)).keys() == doc.keys()
+
+    def test_per_octave_rows_are_the_octave_stat_fields(self, records):
+        record, doc, _, _ = records["decay"]
+        names = {f.name for f in dataclasses.fields(experiments.OctaveStat)}
+        renamed = names - {"n_samples", "max_error"} | {"n", "max_error_bound"}
+        assert [set(row) for row in doc["per_octave"]] == [renamed] * len(record.stats)
+
     def test_exponent_fields_are_read_by_build_profile(self):
         # each override is the value of its profile field, tagged user-supplied
         cantor = ifsmod.load_ifs(CONFIGS / "cantor.json").ifs
@@ -975,6 +1013,26 @@ class TestArithCheck:
 
     def test_bad_arity_exit_2(self):
         assert main(["arith-check", "two-set", "0.8"]) == 2
+
+    @pytest.mark.parametrize("check, arity, refusal", [
+        ("two-set", 2, "two-set needs exactly 2 dimensions"),
+        ("three-set", 3, "three-set needs exactly 3 dimensions"),
+        ("two-measures", 2, "two-measures needs 2 correlation dimensions"),
+        ("log-sigma", 1, "log-sigma needs 1 correlation dimension"),
+        ("high-dim", 2, "high-dim needs k and kappa2"),
+        ("thresholds", 0, "thresholds takes no values"),
+    ])
+    def test_each_check_refuses_any_other_number_of_values(self, capsys, check, arity, refusal):
+        for count in sorted({0, 1, 2, 3, 4} - {arity}):
+            assert main(["arith-check", check, *["0.5"] * count]) == 2
+            assert capsys.readouterr() == ("", f"config error: {refusal}\n")
+
+    def test_choices_are_the_table_of_checks(self):
+        parser = cli_module.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        check = next(a for a in commands.choices["arith-check"]._actions if a.dest == "check")
+        assert list(check.choices) == list(cli_module._CHECKS) == [
+            "two-set", "three-set", "two-measures", "log-sigma", "high-dim", "thresholds"]
 
     def test_non_numeric_values_exit_2(self, capsys):
         assert main(["arith-check", "two-set", "a", "b"]) == 2

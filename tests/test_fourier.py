@@ -2315,7 +2315,7 @@ def log_map_reference(ifs, shift=0.0):
         lipschitz_bound=1.0 / lo,
         hessian_bound=1.0 / lo**2,
         third_bound=2.0 / lo**3,
-        label=f"log(x-{shift})" if shift else "log",
+        label=f"log(x+{-shift})" if shift < 0 else f"log(x-{shift})" if shift else "log",
     )
 
 
@@ -2329,7 +2329,7 @@ def neg_log_map_reference(ifs, shift=0.0):
         lipschitz_bound=1.0 / lo,
         hessian_bound=1.0 / lo**2,
         third_bound=2.0 / lo**3,
-        label=f"-log(y-{shift})" if shift else "-log",
+        label=f"-log(y+{-shift})" if shift < 0 else f"-log(y-{shift})" if shift else "-log",
     )
 
 

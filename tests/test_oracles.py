@@ -191,23 +191,38 @@ def test_order1_table_batch_within_its_bound_of_the_mpmath_oracle(system, slope,
 
 
 def second_moments_exact(ifs):
-    """(M2, S) of a system on the line in exact rational arithmetic, every float input exact.
+    """(M2, S, B, G) of a system on the line, every float input exact; B and G at 50 digits.
 
-    M2 = sum_i p_i (f_i(b) - b)^2 / (1 - sum_i p_i r_i^2) at the exact
-    barycenter b; S = int x^2 dnu for the measure nu of ``ifs.centred``
-    as computed, whose own mean m is not exactly 0:
-    S = sum_i p_i (c_i^2 + 2 s_i c_i m) / (1 - sum_i p_i s_i^2).
+    M2 = sum_i p_i d_i^2 / (1 - sum_i p_i r_i^2), d_i = f_i(b) - b at the
+    exact barycenter b; S = int x^2 dnu for the measure nu of
+    ``ifs.centred`` as computed, with translations c_i and a mean m that is
+    not exactly 0: S = sum_i p_i (c_i^2 + 2 s_i c_i m) / (1 - sum_i p_i s_i^2).
+    B = (sqrt(F) + |sum_i p_i c_i| / (1 - sum_i p_i r_i) (1 + 2 / sqrt(1 - sum_i
+    p_i r_i^2)))^2 is the bound that ``second_moment`` rounds up, F the M2
+    formula at the c_i, and G = sqrt(sum_i p_i (c_i - d_i)^2 / (1 - sum_i p_i
+    r_i^2)) + sqrt(B) - sqrt(F) bounds |sqrt(B) - sqrt(M2)| (the triangle
+    inequality for the weighted norms sqrt(F) and sqrt(M2)).
     """
     p = [Fraction(w) for w in ifs.weights]
     s = [Fraction(m.ratio) * int(m.orientation[0, 0]) for m in ifs.maps]
     t = [Fraction(float(m.translation[0])) for m in ifs.maps]
     spread = 1 - sum(pi * si**2 for pi, si in zip(p, s))
     b = sum(pi * ti for pi, ti in zip(p, t)) / (1 - sum(pi * si for pi, si in zip(p, s)))
-    m2 = sum(pi * (si * b + ti - b) ** 2 for pi, si, ti in zip(p, s, t)) / spread
+    d = [si * b + ti - b for si, ti in zip(s, t)]
+    m2 = sum(pi * di**2 for pi, di in zip(p, d)) / spread
     c = [Fraction(float(m.translation[0])) for m in ifs.centred.maps]
     mean = sum(pi * ci for pi, ci in zip(p, c)) / (1 - sum(pi * si for pi, si in zip(p, s)))
     moment = sum(pi * (ci**2 + 2 * si * ci * mean) for pi, si, ci in zip(p, s, c)) / spread
-    return m2, moment
+    with mpmath.workdps(50):
+        def root(x):
+            return mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator)
+
+        root_f = root(sum(pi * ci**2 for pi, ci in zip(p, c)) / spread)
+        mean_bound = root(sum(pi * ci for pi, ci in zip(p, c)) ** 2
+                          / (1 - sum(pi * abs(si) for pi, si in zip(p, s))) ** 2)
+        root_b = root_f + mean_bound * (1 + 2 / root(spread))
+        centring = root(sum(pi * (ci - di) ** 2 for pi, ci, di in zip(p, c, d)) / spread)
+        return m2, moment, root_b**2, centring + root_b - root_f
 
 
 def interpolation_peaks(table, cells, eta_max):
@@ -246,11 +261,23 @@ def test_centred_table_within_its_slack_of_the_mpmath_product_form(
         error = abs(centring * mpmath.mpc(value) - product_form_mpmath(system, mpmath.mpf(eta)))
         assert error <= table.slack, eta
 
-    m2, moment = second_moments_exact(system)
-    radius = system.support_radius
-    assert system.second_moment == pytest.approx(float(m2), rel=1e-12, abs=0.0)
+
+@settings(max_examples=25, deadline=None)
+@given(system=homogeneous_systems())
+# offsets 1.5e-3 and -2.4e-5 at b = 0.067: second_moment is 1.16e-12 above M2, relatively
+@example(system=ifs_1d([0.5, 0.5], [0.1015625, 0.1], [0.015625, 0.984375], [-1, -1]))
+def test_second_moment_bounds_the_centred_measure(system):
+    # what the table's slack and order2 read: int u^2 dnu for nu of ``centred`` as computed,
+    # as B rounded up
+    m2, moment, bound, gap = second_moments_exact(system)
     assert Fraction(system.second_moment) >= moment
-    assert system.second_moment <= radius**2
+    assert system.second_moment <= system.support_radius**2
+    with mpmath.workdps(50):
+        assert bound <= system.second_moment <= bound * (1 + 8 * EPS) ** 2 * (1 + EPS)
+        # M2 is that value only up to the centring error of the c_i, which is
+        # relative to |b| and not to M2: no fixed relative tolerance holds
+        root = mpmath.sqrt(system.second_moment)
+        assert abs(root - mpmath.sqrt(mpmath.mpf(m2.numerator) / m2.denominator)) <= gap + 9 * EPS * root
 
 
 def second_moment_form_mpmath(ifs, eta, digits=30):

@@ -1,4 +1,4 @@
-"""Print the exit code and the sha256 of the stderr and output files of a fixed set of CLI runs on a checkout.
+"""Print the exit code and the sha256 of the stderr, stdout and output files of a fixed set of CLI runs on a checkout.
 
     python tools/output_digests.py TREE [RUN ...]
 
@@ -18,10 +18,14 @@ temporary directory, one process at a time:
 * ``fourier`` on every IFS file in TREE/configs with the schemes
   recursion, order0, order1 and order2, the last three with the square
   map, all at ``--xi-max 5000 --count 41 --tol 1e-5``
-  (``fourier-<ifs>-<scheme>``), and a recursion sweep of
-  configs/cantor.json on 20,001 grid rows to 2000 at ``--tol 1e-9``,
-  which the product form sums in many blocks of one base block
+  (``fourier-<ifs>-<scheme>``), ``dims --out`` and ``bounds
+  --thresholds --out`` on each of them (``dims-<ifs>``,
+  ``bounds-<ifs>``), and a recursion sweep of configs/cantor.json on
+  20,001 grid rows to 2000 at ``--tol 1e-9``, which the product form
+  sums in many blocks of one base block
   (``fourier-cantor-recursion-grid``);
+* ``arith-check`` once per check (``arith-check-<check>``), whose report
+  is its standard output;
 * runs that are refused: ``FRACTAL_FOURIER_BUDGET`` 10 on the order-1
   ``fourier`` sweep of configs/cantor.json and on the ``decay`` and
   ``convolve`` configs above (``budget10-<command>``, exit 4), the same
@@ -33,20 +37,22 @@ temporary directory, one process at a time:
   (``inconsistent-bounds``, exit 3), the order-1 ``fourier`` at xi = 10
   and 40 of the four-corner Cantor set in the plane under the maps on
   the line ``cube`` and ``log`` with shift -1 (``four-corner-cube``,
-  ``four-corner-log``, exit 2), and ``arith-check log-sigma nan``
-  (``nan-log-sigma``, exit 2).
+  ``four-corner-log``, exit 2), ``arith-check log-sigma nan``
+  (``nan-log-sigma``, exit 2) and ``arith-check two-set`` with one value
+  (``arith-check-two-set-arity``, exit 2).
 
 With RUN arguments only the runs whose names start with one of them run.
 Runs take one BLAS thread (``OPENBLAS_NUM_THREADS`` 1) unless their name
 ends in ``-blas2``.  Each run prints ``exit <code> <run>``, then
-``stderr <digest> <run>`` of its calls' standard error, with TREE's path
-written as ``TREE``, then ``sha256 <digest> <run>/<file>`` for each file
-it wrote, in sorted order.  Two checkouts give the same output bytes,
-standard error and exit codes exactly when
+``stderr <digest> <run>`` and ``stdout <digest> <run>`` of its calls'
+standard error and output, with TREE's path written as ``TREE``, then
+``sha256 <digest> <run>/<file>`` for each file it wrote, in sorted order.
+Two checkouts give the same output bytes, standard error, standard output
+and exit codes exactly when
 
     diff <(python tools/output_digests.py A) <(python tools/output_digests.py B)
 
-prints nothing.  Standard output is not compared.
+prints nothing.
 """
 
 import hashlib
@@ -64,6 +70,10 @@ BLAS2 = {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS":
 # kappa2 > kappa_star: the exponent chain fails when the profile is read
 INCONSISTENT_PROFILE = json.dumps({"k": 1, "s_sim_set": 0.6, "s_sim_meas": 0.6, "kappa2": 0.7,
                                    "kappa_star": 0.6, "d_inf": 0.6})
+# one valid call of each arith-check check
+ARITH_CHECKS = {"two-set": ["0.8", "0.8"], "three-set": ["0.851"] * 3,
+                "two-measures": ["0.9", "0.7", "--ad-regular"], "log-sigma": ["0.7"], "high-dim": ["5", "4.6"],
+                "thresholds": []}
 FOUR_CORNER = json.dumps({"ambient_dim": 2, "weights": [0.25] * 4, "maps": [
     {"ratio": 1 / 3, "orientation": [1.0, 0.0, 0.0, 1.0], "translation": [x, y]}
     for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)]})
@@ -97,9 +107,13 @@ def runs(tree: Path):
             call = ["fourier", "--ifs", str(path), "--scheme", scheme, *FOURIER_ARGS,
                     *([] if scheme == "recursion" else SQUARE), "--out", "{out}/fourier.csv"]
             yield f"fourier-{path.stem}-{scheme}", {}, [call], {}
+        yield f"dims-{path.stem}", {}, [["dims", "--ifs", str(path), "--out", "{out}"]], {}
+        yield f"bounds-{path.stem}", {}, [["bounds", "--ifs", str(path), "--thresholds", "--out", "{out}"]], {}
     yield "fourier-cantor-recursion-grid", {}, [["fourier", "--ifs", str(configs / "cantor.json"), "--xi-min", "0",
                                                   "--xi-max", "2000", "--count", "20001", "--tol", "1e-9",
                                                   "--out", "{out}/fourier.csv"]], {}
+    for check, values in ARITH_CHECKS.items():
+        yield f"arith-check-{check}", {}, [["arith-check", check, *values]], {}
     sweep = ["fourier", "--ifs", str(configs / "cantor.json"), "--scheme", "order1", *FOURIER_ARGS,
              "--out", "{out}/fourier.csv"]
     small = {"FRACTAL_FOURIER_BUDGET": "10"}
@@ -120,10 +134,12 @@ def runs(tree: Path):
             [["fourier", "--ifs", "four_corner.json", "--scheme", "order1", "--map", spec, "--xi-list", "10,40",
               "--tol", "1e-4", "--out", "{out}/fourier.csv"]], {}
     yield "nan-log-sigma", {}, [["arith-check", "log-sigma", "nan"]], {}
+    yield "arith-check-two-set-arity", {}, [["arith-check", "two-set", "0.8"]], {}
 
 
 def digest_run(tree: Path, files: dict, calls: list, environment: dict):
-    """(exit code of the first failing call, else 0; sha256 of the calls' stderr; [(file, sha256)] of the output directory)."""
+    """(exit code of the first failing call, else 0; sha256 of the calls' stderr and of their stdout;
+    [(file, sha256)] of the output directory)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.update(environment)
@@ -132,17 +148,17 @@ def digest_run(tree: Path, files: dict, calls: list, environment: dict):
             Path(work, name).write_text(text, encoding="utf-8")
         out = Path(work, "out")
         out.mkdir()
-        code, stderr = 0, hashlib.sha256()
+        code, stderr, stdout = 0, hashlib.sha256(), hashlib.sha256()
         for call in calls:
             argv = [sys.executable, "-m", "fractal_fourier.cli", *(a.replace("{out}", "out") for a in call)]
-            proc = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE)
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
             stderr.update(proc.stderr.replace(str(tree).encode(), b"TREE"))
+            stdout.update(proc.stdout.replace(str(tree).encode(), b"TREE"))
             code = proc.returncode
             if code:
                 break
         written = sorted(p for p in out.rglob("*") if p.is_file())
-        return code, stderr.hexdigest(), [
+        return code, stderr.hexdigest(), stdout.hexdigest(), [
             (p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest()) for p in written]
 
 
@@ -155,9 +171,10 @@ def main(argv=None) -> int:
     for name, files, calls, environment in runs(tree):
         if prefixes and not name.startswith(tuple(prefixes)):
             continue
-        code, stderr, digests = digest_run(tree, files, calls, environment)
+        code, stderr, stdout, digests = digest_run(tree, files, calls, environment)
         print(f"exit {code} {name}", flush=True)
         print(f"stderr {stderr} {name}", flush=True)
+        print(f"stdout {stdout} {name}", flush=True)
         for file, digest in digests:
             print(f"sha256 {digest} {name}/{file}", flush=True)
     return 0
