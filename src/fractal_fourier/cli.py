@@ -196,7 +196,7 @@ def cmd_fourier(args) -> None:
     if scheme == "recursion":
         if args.map is not None:
             raise BadConfig("--map: the recursion scheme is mu_hat itself and takes no map")
-        pmap, scheme = fr.identity_map(doc.ifs), "exact_recursion"
+        pmap, scheme = None, "exact_recursion"
     elif args.map:
         pmap = _build_map(doc.ifs, _parsed("--map", json.loads, args.map))
     else:

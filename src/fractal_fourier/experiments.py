@@ -446,7 +446,7 @@ def multiplicative_convolution(
         distinct.setdefault(factor.key(), factor)
     evaluated = None
     while True:
-        covers = {key: _fixed_cover(f.ifs, f.pmap, tau, max_frequency) for key, f in distinct.items()}
+        covers = {key: _fixed_cover(f.ifs, f.pmap, tau, max_frequency, budget) for key, f in distinct.items()}
         # Equal snapped scales are equal covers: a retry that moves no
         # factor's cover would evaluate the same transforms again, so it is skipped.
         if covers == evaluated:
@@ -525,8 +525,10 @@ def multiplicative_convolution(
 
 
 def density_at(experiment: ConvolutionExperiment, z: np.ndarray) -> np.ndarray:
-    """Evaluate the recovered product density at arbitrary points z > 0."""
+    """Evaluate the recovered product density at arbitrary finite points z > 0."""
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise BadConfig("density points z must be finite")
     if np.any(z <= 0.0):
         raise BadConfig("product density lives on z > 0")
     rho, _ = _invert_on_points(

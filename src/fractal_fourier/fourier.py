@@ -17,10 +17,10 @@ structure of the measure:
   r_w |xi| <= tol / (2 pi R), the stopping cover at that scale, and a
   leaf term p_w e^{-2 pi i <xi, f_w(b)>} is the order-0 term of the
   identity map at the cylinder's anchor: mu_hat is
-  ``pushforward_hat_order0(ifs, identity_map(ifs), xi)``, evaluated by
-  the same row kernel.  A batch of frequencies is one call either way
-  (``_mu_hat_rows``): one product to the depth of its largest row, or
-  the row kernel's octave groups.
+  ``pushforward_hat(ifs, identity_map(ifs), xi, scheme="order0")``,
+  evaluated by the same row kernel.  A batch of frequencies is one call
+  either way (``_mu_hat_rows``): one product to the depth of its largest
+  row, or the row kernel's octave groups.
 
 * ``order0`` quadrature for images mu_f: the weighted exponential sum
   sum_w p_w e^{-2 pi i <xi, f(x_w)>} over cylinder anchors, with error
@@ -51,11 +51,14 @@ Each image scheme is described once: its per-cylinder remainder
 (``_remainder_terms``) gives its stopping scale, the root at its share
 of tol (``_stopping_scale``), and the term its bound charges, and one
 test (``_refusal``) names the systems and maps it cannot run.
-A single frequency is a batch of one: ``pushforward_batch`` at [xi] is
-the one front door of the row kernel, ``_image_rows``.  A batch
+A single frequency is a batch of one: ``pushforward_hat`` of any scheme
+is ``pushforward_batch`` at [xi], which sends ``exact_recursion`` to
+``_mu_hat_rows`` and the image schemes to the row kernel,
+``_image_rows``.  A batch
 groups its frequencies by octave of |xi|, and each group uses the
 stopping cover of its largest |xi|.  A cover's count
-(``ifs._count_stopping``) gives its size, snapped scale s and depth
+(``ifs._count_stopping``, which stops at the leaf budget) gives its
+size, snapped scale s and depth
 before it is expanded, and with a bound J on |J_f| every leaf has
 |B_w| <= s J: budgets, table range and rounding terms need no expansion.
 Covers are never stored: every job of the kernel streams its group's
@@ -97,6 +100,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,13 +109,13 @@ from .errors import (
     BadConfig,
     FractalFourierError,
     MissingHessianBound,
+    ResourceExceeded,
     SupportNotPositive,
     Unsupported,
 )
 from .ifs import (
     DEFAULT_LEAF_BUDGET,
     SelfSimilarIFS,
-    _checked_count,
     _count_stopping,
     _cover_blocks,
     chaos_game,
@@ -123,6 +127,7 @@ JOB_TERMS = 4_000_000   # row x leaf terms per job of the image row kernel
 PHASE_BLOCK = 32_768    # terms per block of phases (row kernel's base, product form, inversion)
 MAX_TABLE_CELLS = 4_000_000 // 3     # _MuHatTable cells: 3 coefficients per cell and column
 CSV_BLOCK = 4_096       # rows per block of write_csv
+MAX_DEPTH = 5_000       # levels of the product form
 IMAGE_SCHEMES = ("order0", "order1", "order2")    # cylinder quadratures of an image mu_f
 
 # The reduction of ``_unit_phases``.  The parts of pi/2 sum to it within 2e-33;
@@ -467,16 +472,15 @@ def mu_hat(
 ) -> FrequencySample:
     """Evaluate mu_hat(xi) by the self-similarity recursion, certified to ``error_bound``.
 
-    A batch of one, like the image schemes: ``exact_recursion`` of the
-    identity (``pushforward_batch``, so ``_mu_hat_rows``), the product form
-    (``_mu_hat_homog_many``) for homogeneous systems and the order-0 row
-    kernel at the stopping cover at scale tol / (2 pi |xi| R) for the
-    rest.  A cover's exact leaf count is checked before it is expanded;
-    more than ``budget`` leaves raise ResourceExceeded("leaf_budget")
-    naming the count.  ``leaves_used`` is the number of leaves of the tree
-    (N^depth for homogeneous systems).
+    ``pushforward_hat`` by ``exact_recursion`` (``_mu_hat_rows``): the
+    product form (``_mu_hat_homog_many``) for homogeneous systems and the
+    order-0 row kernel at the stopping cover at scale tol / (2 pi |xi| R)
+    for the rest.  A cover is counted before it is expanded; more than
+    ``budget`` leaves raise ResourceExceeded("leaf_budget").
+    ``leaves_used`` is the exact number of leaves of the tree (N^depth
+    for homogeneous systems).
     """
-    return _image_sample(ifs, identity_map(ifs), xi, tol, "exact_recursion", None, budget)
+    return pushforward_hat(ifs, None, xi, tol, budget=budget, scheme="exact_recursion")
 
 
 def _mu_hat_rows(ifs, etas: np.ndarray, tol: float, budget: int, threads: int):
@@ -591,19 +595,20 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
     radius = ifs.support_radius
     step_t = ifs.maps[0].ratio * ifs.maps[0].orientation    # M; row eta -> row eta M
     etas = np.asarray(etas, dtype=float)
-    norms = np.sqrt(np.vecdot(etas, etas))      # as np.linalg.norm(eta), bit for bit
+    norms = _row_norms(etas)
     top = etas[int(np.argmax(norms))]
     if second and (ifs.ambient_dim != 1 or ifs.barycenter.any()):
         raise FractalFourierError("second moments need a centred system on the line")
     depth = 0
     # 3 rho^D R^2, the part of the h2 closure that |eta| does not scale
     tail = 3.0 * radius**2 if second else 0.0
-    while TWO_PI * float(np.linalg.norm(top)) * radius > tol or tail > tol:
+    while TWO_PI * float(_row_norms(top[None])[0]) * radius > tol or tail > tol:
+        if depth == MAX_DEPTH:
+            raise ResourceExceeded(f"the product form at |eta| = {float(norms.max()):.6g} and tol {tol:.6g} "
+                                   f"needs more than {MAX_DEPTH} levels", "recursion_depth")
         top = top @ step_t
         tail *= ifs.maps[0].ratio
         depth += 1
-        if depth > 5000:
-            raise FractalFourierError("homogeneous recursion failed to contract")
     # the offsets a_{l,i} = M^l t_i (rows: level, then t_1 .. t_N and b)
     n_maps, k, n_cols = ifs.n_maps, ifs.ambient_dim, 3 if second else 1
     powers = np.empty((depth + 1, n_maps + 1, k))
@@ -658,6 +663,16 @@ def _mu_hat_homog_many(ifs, etas: np.ndarray, tol: float, second: bool = False):
         + 14.0 * rounding + 4.0 * EPS / (1.0 - ratio) ** 2 + defect
     )
     return values, np.stack([errs, errs2]), depth
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """|row| of every row of ``rows`` (m, k): np.abs on the line, else sqrt(<row, row>).
+
+    On the line sqrt(x^2) is |x| wherever x^2 neither overflows nor
+    underflows, and overflows to inf above ~1.3e154.  Off the line the
+    rows' norms are np.linalg.norm of each row, bit for bit.
+    """
+    return np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.sqrt(np.vecdot(rows, rows))
 
 
 def _moment_product(levels: np.ndarray) -> np.ndarray:
@@ -1226,7 +1241,7 @@ def _refusal(ifs, pmap, scheme: str) -> Optional[FractalFourierError]:
     return None
 
 
-def _fixed_cover(ifs, pmap, tau: float, xi_max: float):
+def _fixed_cover(ifs, pmap, tau: float, xi_max: float, budget: int):
     """(scheme, snapped scale) of one fixed cover whose error is about ``tau`` |xi| up to ``xi_max``.
 
     The order-1 scale is the stopping scale (``_stopping_scale``) of its
@@ -1243,16 +1258,19 @@ def _fixed_cover(ifs, pmap, tau: float, xi_max: float):
     longer table for its coarser cover; with the quadratic table that
     build is small beside the kernel's fewer terms, so on the README's
     uniform[1, 2] log factors order 2 is also the faster scheme, from
-    ``max_frequency`` 512 up.
+    ``max_frequency`` 512 up.  The cover it returns is counted against
+    ``budget``, and one past it raises ResourceExceeded("leaf_budget").
     """
     if not pmap.hessian_bound:
         return "order1", None
     taylor = _remainder_terms(pmap, 1, xi_max)
-    scale = _count_stopping(ifs, _stopping_scale(ifs, taylor, tau * xi_max))[1]
+    scale = _stopping_scale(ifs, taylor, tau * xi_max)
     if _refusal(ifs, pmap, "order2") is not None:
-        return "order1", scale
-    target = sum(c * (scale * ifs.support_radius) ** p for c, p in taylor)
-    return "order2", _count_stopping(ifs, _stopping_scale(ifs, _remainder_terms(pmap, 2, xi_max), target))[1]
+        return "order1", _count_stopping(ifs, scale, budget)[1]
+    # Order 2 only snaps its target to the order-1 cover, which is never
+    # expanded; its system is homogeneous, one float ratio per level.
+    target = sum(c * (_count_stopping(ifs, scale, math.inf)[1] * ifs.support_radius) ** p for c, p in taylor)
+    return "order2", _count_stopping(ifs, _stopping_scale(ifs, _remainder_terms(pmap, 2, xi_max), target), budget)[1]
 
 
 def _jacobian_bound(ifs, pmap) -> float:
@@ -1416,14 +1434,13 @@ def _run_rows(run, jobs, m: int, threads: int):
 def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     """Order-0, order-1 or order-2 image transform at every row of ``xis`` (m, d).
 
-    ``exact_recursion`` is mu_hat itself (``_mu_hat_rows``).  A scheme
-    that cannot run the system and map (``_refusal``) raises before any
-    work, at xi = 0 too.  Rows with xi = 0 are exact.  The others share
-    the cover at ``scale`` when it is given, else they are grouped by
-    octave of |xi| and each group takes the stopping scale
+    A scheme that cannot run the system and map (``_refusal``) raises
+    before any work, at xi = 0 too.  Rows with xi = 0 are exact.  The
+    others share the cover at ``scale`` when it is given, else they are
+    grouped by octave of |xi| and each group takes the stopping scale
     (``_stopping_scale`` of ``_remainder_terms``) of its largest |xi| at
     tol, tol/2 for orders 1 and 2.  Every group's cover is counted against
-    ``budget`` (``_checked_count``, the top octave first) before any is
+    ``budget`` (``_count_stopping``, the top octave first) before any is
     expanded.  A job whose row sums are not all finite (a map that is NaN
     or infinite at an anchor it evaluates, or whose phases 2 pi <xi, f(x)>
     overflow) raises BadConfig naming the map.  A non-finite value away
@@ -1574,15 +1591,13 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     refusal = _refusal(ifs, pmap, scheme)
     if refusal is not None:
         raise refusal
-    if scheme == "exact_recursion":
-        return _mu_hat_rows(ifs, xis, tol, budget, threads)
     m, d = xis.shape
     k = ifs.ambient_dim
     order = IMAGE_SCHEMES.index(scheme)
     order1, order2 = order >= 1, order == 2     # order 2 adds to order 1's linear forms
-    # |xi| on the line: np.linalg.norm's sqrt(xi^2) is |xi| wherever xi^2
-    # neither overflows nor underflows, and overflows to inf above ~1.3e154
-    norms = np.abs(xis[:, 0]) if d == 1 else np.linalg.norm(xis, axis=1)
+    # |xi| on the line as ``_row_norms``; off it the 2-norm of add.reduce,
+    # which rounds otherwise than the product form's dot products
+    norms = _row_norms(xis) if d == 1 else np.linalg.norm(xis, axis=1)
     # Not norms > 0: the norm of a row off the line below ~1e-154 underflows
     # to 0, which leaves its closure term far below the roundoff terms, not exact.
     active = np.flatnonzero(xis.any(axis=1))
@@ -1603,7 +1618,7 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
             for rows in np.split(active[by_octave], cuts)
         ]
     # (rows, leaf count, scale of the largest leaf, depth) per group
-    covers = [(rows, *_checked_count(ifs, grp_scale, budget)) for rows, grp_scale in groups]
+    covers = [(rows, *_count_stopping(ifs, grp_scale, budget)) for rows, grp_scale in groups]
 
     radius = ifs.support_radius
     coef, power = _remainder_terms(pmap, order, 1.0)[-1]
@@ -1722,8 +1737,29 @@ def _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads):
     return _run_rows(run, jobs, m, threads)
 
 
-def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
-    """``pushforward_batch`` at [xi]: one frequency is a batch of one."""
+def pushforward_hat(
+    ifs: SelfSimilarIFS,
+    pmap: Optional[PushforwardMap],
+    xi,
+    tol: float = 1e-4,
+    scale: Optional[float] = None,
+    budget: int = DEFAULT_LEAF_BUDGET,
+    *,
+    scheme: str,
+) -> FrequencySample:
+    """The transform at one frequency by ``scheme``: ``pushforward_batch`` at [xi], a batch of one.
+
+    It returns the batch's value, bound and leaves.  ``exact_recursion``
+    is mu_hat itself (``pmap`` unused, None allowed).  ``order0`` sums the
+    cylinder anchors; ``order1`` integrates each cylinder's tangent
+    approximation through the centred transform, with stopping scale
+    about sqrt(tol / (pi |xi| H)) / R, far fewer leaves than order 0 at
+    the same tol; ``order2`` (homogeneous systems on the line, maps with
+    ``third_bound``) also its quadratic phase through the second-moment
+    transform h2, at about (tol / |xi|^2)^(1/4) for the square map and
+    (tol / |xi|)^(1/3) when H3 > 0.  A sample is certified when its map's
+    bounds are (``bounds_certified``), at xi = 0, or by the recursion.
+    """
     xis = np.asarray([xi], dtype=float)
     values, errors, leaves = pushforward_batch(ifs, pmap, xis, tol, scheme, 1, budget, scale)
     return FrequencySample(
@@ -1732,70 +1768,13 @@ def _image_sample(ifs, pmap, xi, tol, scheme, scale, budget) -> FrequencySample:
         error_bound=float(errors[0]),
         scheme=scheme,
         leaves_used=leaves[0],
-        certified=pmap.bounds_certified or not xis.any(),
+        certified=scheme == "exact_recursion" or pmap.bounds_certified or not xis.any(),
     )
-
-
-def pushforward_hat_order0(
-    ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
-    xi,
-    tol: float = 1e-4,
-    scale: Optional[float] = None,
-    budget: int = DEFAULT_LEAF_BUDGET,
-) -> FrequencySample:
-    """Order-0 cylinder quadrature of the image transform mu_f-hat(xi)."""
-    return _image_sample(ifs, pmap, xi, tol, "order0", scale, budget)
-
-
-def pushforward_hat_order1(
-    ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
-    xi,
-    tol: float = 1e-4,
-    scale: Optional[float] = None,
-    budget: int = DEFAULT_LEAF_BUDGET,
-) -> FrequencySample:
-    """Order-1 (linearised) cylinder quadrature of the image transform.
-
-    Each cylinder integrates its tangent approximation exactly through
-    the centred transform e^{2 pi i <eta, b>} mu_hat(eta): read from the
-    certified table for homogeneous systems on the line, else mu_hat of
-    ``ifs.centred`` at tol/2; stopping scale
-    ~ sqrt(tol / (pi |xi| H)) / R, so far fewer leaves are needed than
-    order-0 at the same tolerance.  The call is a batch of one:
-    ``pushforward_batch`` at [xi] gives the same value, bound and leaves.
-    """
-    return _image_sample(ifs, pmap, xi, tol, "order1", scale, budget)
-
-
-def pushforward_hat_order2(
-    ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
-    xi,
-    tol: float = 1e-4,
-    scale: Optional[float] = None,
-    budget: int = DEFAULT_LEAF_BUDGET,
-) -> FrequencySample:
-    """Order-2 cylinder quadrature of the image transform (homogeneous systems on the line).
-
-    Each cylinder integrates its quadratic phase: the linear part through
-    the centred transform h and the quadratic part through the
-    second-moment transform h2, both read from one certified table of
-    ``ifs.centred`` (that of ``pushforward_batch`` of this frequency); the
-    remainder
-    1/2 (pi |xi| |q_w| R^2)^2 + (pi/3) |xi| H3 (r_w R)^3 per unit weight
-    gives the stopping scale, about (tol / |xi|^2)^(1/4) for the square
-    map and (tol / |xi|)^(1/3) when H3 > 0.  Raises Unsupported for
-    k >= 2 and non-homogeneous systems, and MissingHessianBound for a map
-    without ``third_bound``.
-    """
-    return _image_sample(ifs, pmap, xi, tol, "order2", scale, budget)
 
 
 def pushforward_batch(
     ifs: SelfSimilarIFS,
-    pmap: PushforwardMap,
+    pmap: Optional[PushforwardMap],
     xis,
     tol: float = 1e-4,
     scheme: str = "order1",
@@ -1809,9 +1788,13 @@ def pushforward_batch(
     dimension d, d = k for ``exact_recursion``; any other shape raises
     BadConfig.  Returns (values, error_bounds, leaves_used) aligned with
     its rows, and every row has |value| <= 1 + error_bound + 1e-12, else
-    FractalFourierError.
-    Every scheme runs ``_image_rows``, and the single calls
-    (``pushforward_hat_order0/1/2``, ``mu_hat``) are its batches of one.
+    FractalFourierError.  The single calls (``pushforward_hat``,
+    ``mu_hat``) are its batches of one.  ``exact_recursion`` is mu_hat
+    itself (``pmap`` unused, None allowed), one ``_mu_hat_rows`` call for
+    all the rows: a homogeneous system takes every row to the depth of the
+    largest (on one thread), and any other system is grouped by octave and
+    runs on the row kernel's jobs like the image schemes.  The image
+    schemes run ``_image_rows``.
     For ``order0``/``order1``/``order2`` the frequencies of one octave of
     |xi| share the stopping cover of their largest |xi| (a refinement of
     each one's own cover), and a fixed ``scale`` pins one cover for all,
@@ -1827,21 +1810,20 @@ def pushforward_batch(
     Any other set is blocks of one row, summed pairwise.  The inner transforms, h and for ``order2`` h2 of
     ``ifs.centred``, come from a certified table (``_MuHatTable``) for
     homogeneous systems on the line and are evaluated exactly for the
-    rest.  ``exact_recursion`` is mu_hat itself (``pmap`` unused),
-    one ``_mu_hat_rows`` call for all the rows: a homogeneous system takes
-    every row to the depth of the largest (on one thread), and any other
-    system is grouped by octave and runs on the row kernel's jobs like the
-    image schemes.  The leaf counts are an object array of exact Python
+    rest.  The leaf counts are an object array of exact Python
     ints (a homogeneous tree's N^depth can pass the int64 range).  Results
     are independent of ``threads`` (fixed jobs, fixed reduction order)
     and of the threads BLAS runs a matrix product on
     (``OPENBLAS_NUM_THREADS``), which split its output, not its sums.
     """
-    if scheme not in (*IMAGE_SCHEMES, "exact_recursion"):
+    recursion = scheme == "exact_recursion"
+    if not (recursion or scheme in IMAGE_SCHEMES):
         raise BadConfig(f"unknown scheme {scheme!r}")
     _check_positive_finite("tol", tol)
     _check_threads(threads)
-    d = ifs.ambient_dim if scheme == "exact_recursion" else pmap.out_dim
+    if pmap is None and not recursion:
+        raise BadConfig(f"the {scheme} scheme needs a map")
+    d = ifs.ambient_dim if recursion else pmap.out_dim
     xis = np.asarray(xis, dtype=float)
     if xis.ndim == 1 and d == 1:
         xis = xis.reshape(-1, 1)
@@ -1849,7 +1831,10 @@ def pushforward_batch(
         raise BadConfig(f"frequency must have {d} components, got shape {xis.shape}")
     if not np.isfinite(xis).all():
         raise BadConfig("frequencies must be finite")
-    values, errors, leaves = _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
+    if recursion:
+        values, errors, leaves = _mu_hat_rows(ifs, xis, tol, budget, threads)
+    else:
+        values, errors, leaves = _image_rows(ifs, pmap, xis, tol, scheme, scale, budget, threads)
     over = np.flatnonzero(np.abs(values) > 1.0 + errors + 1e-12)
     if len(over):
         raise FractalFourierError(f"probability bound violated: |value|={abs(values[over[0]])} "
@@ -1938,9 +1923,11 @@ def write_csv(path, header, columns) -> None:
     A column is a str, repeated on every row, or an array.  A float
     array's cells are ``repr`` of their Python floats, as a row loop of
     ``repr(float(x))`` writes them; any other array holds integers (or
-    bools, written 0 and 1) in decimal, exact for the object arrays of
-    Python ints that leaf counts past the int64 range use.  The file's
-    text is never held whole.
+    bools, written 0 and 1) in decimal, exact at any size for the object
+    arrays of Python ints that leaf counts past the int64 range use
+    (through ``Decimal``: ``str`` of an int refuses more than
+    ``sys.get_int_max_str_digits()`` digits).  The file's text is never
+    held whole.
     """
     columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
     n = max((len(c) for c in columns if not isinstance(c, str)), default=0)
@@ -1950,7 +1937,8 @@ def write_csv(path, header, columns) -> None:
             rows = slice(start, start + CSV_BLOCK)
             cells = [
                 itertools.repeat(c) if isinstance(c, str)
-                else map(repr if c.dtype.kind == "f" else "{:d}".format, c[rows].tolist())
+                else map(repr, c[rows].tolist()) if c.dtype.kind == "f"
+                else (str(Decimal(int(v))) for v in c[rows].tolist())     # Decimal refuses numpy ints
                 for c in columns
             ]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fourier import EPS, PHASE_BLOCK, _buffer, _centring_rounding, _mu_hat_rows, _roundoff, _row_phases
+from .fourier import EPS, PHASE_BLOCK, _buffer, _centring_rounding, _mu_hat_rows, _roundoff, _row_norms, _row_phases
 from .ifs import FRONTIER_BLOCK
 
 MAX_NODES = 16          # Chebyshev nodes per block of grid rows, at most (``_grid_plan``)
@@ -120,7 +120,7 @@ def _exact_columns(freqs, b_forms, weights, inner):
     ifs, _, tol, budget = inner
     flat = np.tensordot(freqs, b_forms, axes=(2, 2)).reshape(-1, ifs.ambient_dim)
     vals, errs, _ = _mu_hat_rows(ifs.centred, flat, tol, budget, 1)
-    errs += _centring_rounding(ifs, np.sqrt(np.vecdot(flat, flat)))
+    errs += _centring_rounding(ifs, _row_norms(flat))
     shape = (*freqs.shape[:2], len(weights))
     return vals.reshape(shape), np.add.reduce(errs.reshape(shape) * weights, axis=2)
 

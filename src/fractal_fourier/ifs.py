@@ -514,7 +514,7 @@ def _child_columns(ifs: SelfSimilarIFS, ratio, orient, trans, weight) -> tuple:
     )
 
 
-def _count_stopping(ifs: SelfSimilarIFS, scale: float):
+def _count_stopping(ifs: SelfSimilarIFS, scale: float, budget: float):
     """Exact size of the stopping cover at ``scale``, without building it.
 
     Returns (n_leaves, snapped_scale, depth).  The tree is expanded as a
@@ -527,32 +527,36 @@ def _count_stopping(ifs: SelfSimilarIFS, scale: float):
     depth of the deepest word: rounding is monotone, so at every level
     the word that repeats the largest ratio has the largest float ratio,
     and it is the last to stop.
+
+    The count stops at ``budget``: after each level the leaves counted
+    plus the words still open, each of which adds at least one leaf, are
+    a lower bound on the size, and once it passes ``budget`` the count
+    raises ResourceExceeded("leaf_budget") naming it; ``math.inf``
+    counts without a limit.  The bound grows to the size, so a budget one
+    below it names the size itself.
     """
     if not scale > 0.0:     # NaN included: no word would ever stop
         raise BadConfig(f"stopping scale must be positive, got {scale}")
+    ratios = ifs.ratios.tolist()
     level, n_leaves, snapped, depth = {1.0: 1}, 0, 0.0, -1
     while level:
         depth += 1
-        children = {}
+        children, n_open = {}, 0
         for rho, mult in level.items():
             if rho <= scale:
                 n_leaves += mult
                 snapped = max(snapped, rho)
             else:
-                for r in ifs.ratios.tolist():
+                n_open += mult
+                for r in ratios:
                     children[rho * r] = children.get(rho * r, 0) + mult
+        lower = n_leaves + n_open * len(ratios)
+        if lower > budget:
+            raise ResourceExceeded(
+                f"stopping cover at scale {scale:.6g} needs {lower} leaves or more > budget {budget}",
+                "leaf_budget",
+            )
         level = children
-    return n_leaves, snapped, depth
-
-
-def _checked_count(ifs: SelfSimilarIFS, scale: float, budget: int):
-    """``_count_stopping``, raising ResourceExceeded past ``budget`` leaves."""
-    n_leaves, snapped, depth = _count_stopping(ifs, scale)
-    if n_leaves > budget:
-        raise ResourceExceeded(
-            f"stopping cover at scale {scale:.6g} needs {n_leaves} leaves > budget {budget}",
-            "leaf_budget",
-        )
     return n_leaves, snapped, depth
 
 
@@ -566,8 +570,8 @@ def _cover_blocks(ifs: SelfSimilarIFS, scale: float, depth: Optional[int] = None
     zero-padded to that width, and their depths.  Children follow
     ``_child_columns``.  Only the ``_expand_blocked`` stack and one block
     are held at a time, so a quadrature can sum a cover far larger than
-    it could hold.  For 1 <= scale the cover is the root.  Callers check
-    the exact cover size against their budget first (``_checked_count``).
+    it could hold.  For 1 <= scale the cover is the root.  Callers count
+    the cover against their budget first (``_count_stopping``).
     """
     n_maps = ifs.n_maps
     root = _root_columns(ifs.ambient_dim)
@@ -612,12 +616,12 @@ def stopping_decomposition(
     weights sum to one.  Words come in lexicographic order: the lettered
     ``_cover_blocks``, concatenated and sorted.  The exact word count and
     the depth, which sizes the letters, are computed before any
-    expansion: a cover of more than ``budget`` words raises
-    ResourceExceeded("leaf_budget") naming it.
+    expansion, and the count raises ResourceExceeded("leaf_budget") as
+    soon as the cover has more than ``budget`` words.
     """
     if not (0.0 < scale < 1.0):
         raise BadConfig(f"scale must lie in (0, 1), got {scale}")
-    depth = _checked_count(ifs, scale, budget)[2]
+    depth = _count_stopping(ifs, scale, budget)[2]
     columns = tuple(np.concatenate(cols) for cols in zip(*_cover_blocks(ifs, scale, depth)))
     # Sorted by the letters (column 5).  Antichain words are never prefixes
     # of each other, so the zero padding past a word's depth never decides.

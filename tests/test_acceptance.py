@@ -30,8 +30,7 @@ from fractal_fourier.fourier import (
     holomorphic_hessian_identity,
     holomorphic_map,
     mu_hat,
-    pushforward_hat_order0,
-    pushforward_hat_order1,
+    pushforward_hat,
     quadratic_directional_hessian,
     quadratic_map,
     square_map,
@@ -152,8 +151,8 @@ def test_criterion_05_certified_error_honesty():
     for xi in xis:
         phases = 2.0 * np.pi * xi * fw
         oracle = complex(np.sum(weights * np.cos(phases)), -np.sum(weights * np.sin(phases)))
-        s0 = pushforward_hat_order0(cantor, sq, float(xi), tol=1e-3)
-        s1 = pushforward_hat_order1(cantor, sq, float(xi), tol=1e-3)
+        s0 = pushforward_hat(cantor, sq, float(xi), tol=1e-3, scheme="order0")
+        s1 = pushforward_hat(cantor, sq, float(xi), tol=1e-3, scheme="order1")
         if abs(s0.value - oracle) > s0.error_bound:
             bad0 += 1
         if abs(s1.value - oracle) > s1.error_bound:
@@ -420,7 +419,7 @@ def test_criterion_12_van_der_corput_sanity():
     # classical-rate oracle: direct oscillatory quadrature at spot frequencies
     worst_gap = 0.0
     for xi in (300.0, 700.0, 1000.0):
-        sample = pushforward_hat_order1(uniform, sq, xi, tol=1e-5)
+        sample = pushforward_hat(uniform, sq, xi, tol=1e-5, scheme="order1")
         oracle = fresnel_midpoint_oracle(xi)
         worst_gap = max(worst_gap, abs(sample.value - oracle) - sample.error_bound)
     elapsed = time.perf_counter() - t0

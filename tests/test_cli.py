@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +286,7 @@ class TestFourier:
 
     def test_order1_inner_budget_exit_4(self, tmp_path, monkeypatch, capsys):
         # The 233 outer leaves fit; the top octave of the inner frequencies
-        # needs a cover of 377.
+        # needs a cover of 377, whose count stops at 319.
         mixed = write_ifs(tmp_path / "mixed.json", [0.5, 0.25], [0.0, 0.75], [0.5, 0.5])
         monkeypatch.setenv("FRACTAL_FOURIER_BUDGET", "300")
         code = main(
@@ -306,7 +308,7 @@ class TestFourier:
         )
         assert code == 4
         err = capsys.readouterr().err
-        assert "leaf_budget" in err and "needs 377 leaves" in err
+        assert "leaf_budget" in err and "needs 319 leaves or more > budget 300" in err
 
     @pytest.mark.parametrize("xi_list", ["inf", "1e400", "nan", "abc", "1,abc"])
     def test_bad_frequency_exit_2(self, tmp_path, xi_list):
@@ -417,6 +419,54 @@ class TestFourier:
         )
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[-1] == "10000000000000000000"
+
+    def test_recursion_leaf_count_past_4300_digits(self, tmp_path):
+        # eight maps of ratio 0.994: the product form closes at depth D near
+        # 4,800, a tree of 8^D leaves, which str() of an int refuses to write
+        eight = write_ifs(tmp_path / "eight.json", [0.994] * 8, [0.001 * i for i in range(8)], [0.125] * 8)
+        out = tmp_path / "r.csv"
+        code = main(["fourier", "--ifs", str(eight), "--xi-list", "1000", "--tol", "1e-9", "--out", str(out)])
+        assert code == 0
+        leaves = fr.mu_hat(ifsmod.load_ifs(eight).ifs, 1000.0, tol=1e-9).leaves_used
+        assert leaves == 8 ** round(math.log(leaves, 8))
+        cell = out.read_text().splitlines()[1].split(",")[-1]
+        assert len(cell) == 4343 and cell == str(Decimal(leaves))
+
+    def test_runaway_count_exit_4_at_once(self, tmp_path):
+        # three ratios near 1: the count of the cover stops at the leaf budget
+        three = write_ifs(tmp_path / "three.json", [0.999, 0.998, 0.997], [0.0, 0.001, 0.002], [0.3, 0.3, 0.4])
+        start = time.monotonic()
+        proc = _run_cli_subprocess(
+            "fourier", "--ifs", str(three), "--scheme", "order0", "--map", '{"kind": "square"}',
+            "--xi-list", "1000", "--tol", "1e-6", "--out", str(tmp_path / "x.csv"),
+        )
+        assert time.monotonic() - start < 5.0
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("resource exceeded (leaf_budget): ")
+        assert proc.stderr.endswith(" leaves or more > budget 10000000\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args, budget_name", [
+        # a cover of 2^14381 leaves, whose count has 4,330 digits
+        (["--scheme", "order1", "--map", '{"kind": "square"}'], "leaf_budget"),
+        # the product form's depth limit
+        ([], "recursion_depth"),
+    ])
+    def test_ratios_near_one_exit_4(self, tmp_path, capsys, args, budget_name):
+        two = write_ifs(tmp_path / "two.json", [0.999] * 2, [0.0, 0.001], [0.5, 0.5])
+        out = tmp_path / "x.csv"
+        code = main(["fourier", "--ifs", str(two), *args, "--xi-list", "1000", "--tol", "1e-9", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"resource exceeded ({budget_name}): ")
+        assert not out.exists()
+
+    def test_recursion_at_1e300_writes_a_finite_bound(self, tmp_path):
+        # |eta| on the line is abs(eta) in the product form too: eta^2 overflows above ~1.3e154
+        out = tmp_path / "x.csv"
+        proc = _run_cli_subprocess("fourier", "--ifs", str(CONFIGS / "cantor.json"), "--xi-list", "1e300",
+                                   "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert math.isfinite(float(out.read_text().splitlines()[1].split(",")[4]))
 
     def test_recursion_planar_scalar_xi_exit_2(self, tmp_path, capsys):
         doc = {
@@ -571,7 +621,7 @@ class TestDecayCommand:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("resource exceeded (leaf_budget): ")
-        assert "needs 1024 leaves > budget 10" in err
+        assert "needs 16 leaves or more > budget 10" in err
         assert not out.exists()
 
     def test_small_run(self, tmp_path):

@@ -38,7 +38,7 @@ from fractal_fourier.fourier import (
     square_map,
     write_samples_csv,
 )
-from fractal_fourier.ifs import _count_stopping, ifs_1d, uniform_ifs
+from fractal_fourier.ifs import DEFAULT_LEAF_BUDGET, _count_stopping, ifs_1d, uniform_ifs
 
 
 class TestDecayExperiment:
@@ -83,7 +83,7 @@ class TestDecayExperiment:
     def test_budget_counts_every_cover(self, cantor):
         # octave 12 at tol 1e-3 needs a cover of 256 leaves
         kw = dict(octaves=(8, 12), samples_per_octave=8, tol=1e-3, seed=7)
-        with pytest.raises(ResourceExceeded, match="needs 256 leaves > budget 255") as info:
+        with pytest.raises(ResourceExceeded, match="needs 256 leaves or more > budget 255") as info:
             measure_decay_slope(cantor, square_map(cantor), budget=255, **kw)
         assert info.value.budget_name == "leaf_budget"
         measure_decay_slope(cantor, square_map(cantor), budget=256, **kw)
@@ -161,6 +161,11 @@ class TestConvolution:
         dens = density_at(small_uniform_experiment, z)
         true = np.where(z <= 2.0, np.log(z), np.log(4.0 / z))
         assert np.max(np.abs(dens - true)) <= 0.02
+
+    @pytest.mark.parametrize("z", [[math.nan, 2.0], [math.inf], [2.0, -math.inf]])
+    def test_density_at_refuses_points_that_are_not_finite(self, small_uniform_experiment, z):
+        with pytest.raises(BadConfig, match="density points z must be finite"):
+            density_at(small_uniform_experiment, z)
 
     def test_mass_within_two_percent(self, small_uniform_experiment):
         assert 0.98 <= small_uniform_experiment.mass <= 1.02
@@ -369,7 +374,7 @@ class TestDensityBudget:
         original = experiments_module.pushforward_batch
 
         def counted(*args, **kwargs):
-            calls.append(_count_stopping(args[0], kwargs["scale"])[:2])
+            calls.append(_count_stopping(args[0], kwargs["scale"], math.inf)[:2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments_module, "pushforward_batch", counted)
@@ -378,9 +383,10 @@ class TestDensityBudget:
                 [digits_factor] * 2, max_frequency=256.0, density_budget=1e-12, budget=5000
             )
         assert info.value.budget_name == "leaf_budget"
-        assert "needs 16384 leaves > budget 5000" in str(info.value)
-        # 1,024 and 4,096 leaves once each; the 16,384-leaf cover raises
-        assert [n for n, _ in calls] == [1024, 4096, 16384]
+        assert "needs 16384 leaves or more > budget 5000" in str(info.value)
+        # 1,024 and 4,096 leaves once each; the 16,384-leaf cover raises when
+        # ``_fixed_cover`` counts it, before it is evaluated
+        assert [n for n, _ in calls] == [1024, 4096]
         assert len(set(calls)) == len(calls)
 
     def test_unreachable_budget_raises_before_building(self, digits_factor):
@@ -438,10 +444,10 @@ class TestOrder2Factors:
         covers, evaluations = [], []
         choose, evaluate = experiments_module._fixed_cover, experiments_module.pushforward_batch
 
-        def record_cover(ifs, pmap, tau, top):
+        def record_cover(ifs, pmap, tau, top, budget):
             # the order-1 scale of the same tau: its Taylor term is tau |xi| at top
             scale1 = _stopping_scale(ifs, _remainder_terms(pmap, 1, top), tau * top)
-            covers.append((ifs, pmap, scale1, *choose(ifs, pmap, tau, top)))
+            covers.append((ifs, pmap, scale1, *choose(ifs, pmap, tau, top, budget)))
             return covers[-1][3:]
 
         def record_evaluation(*args, **kwargs):
@@ -467,7 +473,7 @@ class TestOrder2Factors:
         # third_bound but no hessian evaluator: order 2 cannot run the map
         factor = log_factor(uniform12)
         factor = replace(factor, pmap=replace(factor.pmap, hessian=None))
-        assert experiments_module._fixed_cover(uniform12, factor.pmap, 0.01, 64.0)[0] == "order1"
+        assert experiments_module._fixed_cover(uniform12, factor.pmap, 0.01, 64.0, DEFAULT_LEAF_BUDGET)[0] == "order1"
         exp = multiplicative_convolution([factor] * 2, max_frequency=64.0, density_points=16)
         assert exp.schemes == ("order1", "order1")
 

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import os
 import subprocess
@@ -49,9 +50,7 @@ from fractal_fourier.fourier import (
     mu_hat,
     neg_log_map,
     pushforward_batch,
-    pushforward_hat_order0,
-    pushforward_hat_order1,
-    pushforward_hat_order2,
+    pushforward_hat,
     quadratic_directional_hessian,
     square_map,
     sum_of_squares_map,
@@ -175,7 +174,7 @@ class TestMuHat:
         rng = np.random.default_rng(5)
         for xi in rng.uniform(1.0, 16.0, size=5):
             s = mu_hat(mixed_ratios, xi, tol=2e-4)
-            deep = pushforward_hat_order0(mixed_ratios, idm, xi, tol=2e-5)
+            deep = pushforward_hat(mixed_ratios, idm, xi, tol=2e-5, scheme="order0")
             assert abs(s.value - deep.value) <= s.error_bound + deep.error_bound
 
     def test_budget_enforced(self, mixed_ratios):
@@ -234,8 +233,8 @@ class TestMuHat:
             mu_hat(cantor, 1.0, tol=tol)
         sq = square_map(cantor)
         calls = [
-            lambda: pushforward_hat_order0(cantor, sq, 3.0, tol=tol),
-            lambda: pushforward_hat_order1(cantor, sq, 3.0, tol=tol),
+            lambda: pushforward_hat(cantor, sq, 3.0, tol=tol, scheme="order0"),
+            lambda: pushforward_hat(cantor, sq, 3.0, tol=tol, scheme="order1"),
         ]
         calls += [
             lambda scheme=scheme: pushforward_batch(cantor, sq, [3.0], tol=tol, scheme=scheme)
@@ -250,8 +249,8 @@ class TestMuHat:
         sq = square_map(cantor)
         calls = [
             lambda: mu_hat(cantor, 1.0, tol=math.inf),
-            lambda: pushforward_hat_order0(cantor, sq, 3.0, tol=math.inf),
-            lambda: pushforward_hat_order1(cantor, sq, 3.0, tol=math.inf),
+            lambda: pushforward_hat(cantor, sq, 3.0, tol=math.inf, scheme="order0"),
+            lambda: pushforward_hat(cantor, sq, 3.0, tol=math.inf, scheme="order1"),
         ]
         calls += [
             lambda scheme=scheme: pushforward_batch(cantor, sq, [1.0], tol=math.inf, scheme=scheme)
@@ -764,7 +763,7 @@ def _mu_hat_dfs_reference(ifs, xi, tol, budget=10**7):
             ))
     value = complex(math.fsum(re), math.fsum(im))
     norm = np.linalg.norm(vec)
-    _, scale, depth = _count_stopping(ifs, scheme_scale(ifs, identity_map(ifs), 0, tol, norm))
+    _, scale, depth = _count_stopping(ifs, scheme_scale(ifs, identity_map(ifs), 0, tol, norm), math.inf)
     assert deepest <= depth
     rounding = _phase_rounding(norm, a_max, 0.0, k) + _cover_rounding(ifs, scale, depth, norm, 1.0)
     return value, err_acc + _roundoff(leaves) + rounding, leaves
@@ -951,11 +950,11 @@ class TestCoverBudget:
         ifs = request.getfixturevalue(system)
         sq = square_map(ifs)
         scale = 1e-3
-        needed = _count_stopping(ifs, scale)[0]
+        needed = _count_stopping(ifs, scale, math.inf)[0]
         calls = [
             (needed, lambda b: stopping_decomposition(ifs, scale, budget=b)),
-            (needed, lambda b: pushforward_hat_order0(ifs, sq, 500.0, scale=scale, budget=b)),
-            (needed, lambda b: pushforward_hat_order1(ifs, sq, 500.0, scale=scale, budget=b)),
+            (needed, lambda b: pushforward_hat(ifs, sq, 500.0, scale=scale, budget=b, scheme="order0")),
+            (needed, lambda b: pushforward_hat(ifs, sq, 500.0, scale=scale, budget=b, scheme="order1")),
             (needed, lambda b: pushforward_batch(ifs, sq, [500.0, -700.0], scale=scale, budget=b)),
         ]
         if not ifs.is_homogeneous:
@@ -963,8 +962,8 @@ class TestCoverBudget:
             # smaller frequency fits the budget, so it must not run first
             xi, tol = 500.0, 1e-3
             identity = identity_map(ifs)
-            top = _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, xi))[0]
-            assert _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, 0.5 * xi))[0] < top - 1
+            top = _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, xi), math.inf)[0]
+            assert _count_stopping(ifs, scheme_scale(ifs, identity, 0, tol, 0.5 * xi), math.inf)[0] < top - 1
             calls += [
                 (top, lambda b: mu_hat(ifs, xi, tol=tol, budget=b)),
                 (top, lambda b: pushforward_batch(
@@ -982,7 +981,7 @@ class TestCoverBudget:
         ifs = request.getfixturevalue(system)
         sq = square_map(ifs)
         low_octave_scale = scheme_scale(ifs, sq, 1, 1e-3, 300.0)
-        fits = _count_stopping(ifs, low_octave_scale)[0]
+        fits = _count_stopping(ifs, low_octave_scale, math.inf)[0]
         with pytest.raises(ResourceExceeded):
             pushforward_batch(ifs, sq, [300.0, 30000.0], tol=1e-3, budget=fits)
 
@@ -1015,7 +1014,7 @@ class TestStreamedCovers:
         system = ifs_1d([0.9, 0.05], [1.0, 0.3], signs=[-1, 1])
         dec = stopping_decomposition(system, 1e-5)
         assert len(dec) == 47_217
-        _, snapped, depth = _count_stopping(system, 1e-5)
+        _, snapped, depth = _count_stopping(system, 1e-5, math.inf)
         assert dec.depths.max() == depth == 110
         maps = [(mpmath.mpf(m.ratio) * mpmath.mpf(float(m.orientation[0, 0])),
                  mpmath.mpf(float(m.translation[0]))) for m in system.maps]
@@ -1096,7 +1095,7 @@ class TestCoverFactsFromTheCount:
         # one group, so its bound is the named terms with J = L_f = 2 sup|x|
         sq = square_map(cantor)
         xi, tol = 700.0, 1e-3
-        n, scale, depth = _count_stopping(cantor, scheme_scale(cantor, sq, 1, tol, xi))
+        n, scale, depth = _count_stopping(cantor, scheme_scale(cantor, sq, 1, tol, xi), math.inf)
         jac = fourier_module._jacobian_bound(cantor, sq)
         assert jac == sq.lipschitz_bound
         radius = cantor.support_radius
@@ -1130,7 +1129,7 @@ class TestStoppingScale:
                 (scheme_scale(ifs, sq, 0, tol, xi), order0_scale_closed_form(ifs, sq.lipschitz_bound, tol, xi)),
                 (scheme_scale(ifs, sq, 1, tol, xi), order1_scale_closed_form(ifs, sq.hessian_bound, tol, xi)),
             ]:
-                assert _count_stopping(ifs, scale) == _count_stopping(ifs, closed_form), xi
+                assert _count_stopping(ifs, scale, math.inf) == _count_stopping(ifs, closed_form, math.inf), xi
 
     @pytest.mark.parametrize("system", ["cantor", "mixed_ratios", "uniform12"])
     def test_order2_scale_is_the_root_of_its_remainder(self, system, request):
@@ -1152,13 +1151,13 @@ class TestOrder0:
     def test_identity_matches_mu_hat(self, cantor):
         idm = identity_map(cantor)
         for xi in (3.7, 100.1, -55.0):
-            quad = pushforward_hat_order0(cantor, idm, xi, tol=1e-6)
+            quad = pushforward_hat(cantor, idm, xi, tol=1e-6, scheme="order0")
             exact = mu_hat(cantor, xi, tol=1e-6)
             assert abs(quad.value - exact.value) <= quad.error_bound + exact.error_bound
 
     def test_constant_map_exact(self, cantor):
         cm = constant_map(cantor, 0.7)
-        s = pushforward_hat_order0(cantor, cm, 5.0, tol=1e-9)
+        s = pushforward_hat(cantor, cm, 5.0, tol=1e-9, scheme="order0")
         expected = complex(math.cos(7 * math.pi), -math.sin(7 * math.pi))
         assert s.value == pytest.approx(expected, abs=1e-12)
         assert s.error_bound <= 1e-12
@@ -1166,22 +1165,22 @@ class TestOrder0:
     def test_square_against_depth20(self, cantor):
         oracle = brute_force_pushforward(cantor, lambda x: x**2, 20)
         tol = 1e-4
-        s = pushforward_hat_order0(cantor, square_map(cantor), 256.0, tol=tol)
+        s = pushforward_hat(cantor, square_map(cantor), 256.0, tol=tol, scheme="order0")
         assert abs(s.value - oracle(256.0)) <= 2.0 * tol
 
     def test_zero_frequency(self, cantor):
-        s = pushforward_hat_order0(cantor, square_map(cantor), 0.0)
+        s = pushforward_hat(cantor, square_map(cantor), 0.0, scheme="order0")
         assert s.value == 1.0 and s.error_bound == 0.0
 
     def test_underflowing_norm_is_not_zero(self, cantor, mixed_ratios):
         # |xi|^2 underflows to 0, but the transform is e^{-2 pi i 0.7 xi}, not 1
         xi = 1e-200
         exact = complex(1.0, -2.0 * math.pi * 0.7 * xi)
-        s = pushforward_hat_order0(cantor, constant_map(cantor, 0.7), xi)
+        s = pushforward_hat(cantor, constant_map(cantor, 0.7), xi, scheme="order0")
         assert s.value == exact
         assert 0.0 < s.error_bound
         for system in (cantor, mixed_ratios):
-            s = pushforward_hat_order1(system, square_map(system), xi)
+            s = pushforward_hat(system, square_map(system), xi, scheme="order1")
             assert s.value.imag < 0.0 < s.error_bound
             s = mu_hat(system, xi)
             assert s.value.imag < 0.0 < s.error_bound
@@ -1189,14 +1188,14 @@ class TestOrder0:
     def test_requires_lipschitz(self, cantor):
         raw = PushforwardMap(evaluator=lambda p: p[:, 0] ** 2)
         with pytest.raises(BadConfig):
-            pushforward_hat_order0(cantor, raw, 4.0)
+            pushforward_hat(cantor, raw, 4.0, scheme="order0")
 
     def test_false_lipschitz_bound_refuted(self, uniform12):
         # the remainder 2 pi |xi| L r_w R trusts L: with L = 0.001 the 16-leaf
         # cover would certify 5.89e-4 at xi = 3, 1.97e-3 from the exact transform
         pmap = replace(log_map(uniform12), lipschitz_bound=0.001)
         with pytest.raises(BadConfig, match=r"map 'log': two anchors refute its declared L = 0\.001, "):
-            pushforward_hat_order0(uniform12, pmap, 3.0, tol=1e-3)
+            pushforward_hat(uniform12, pmap, 3.0, tol=1e-3, scheme="order0")
 
     @pytest.mark.parametrize("rows", ["grid", "scattered"])
     def test_false_lipschitz_bound_refuted_in_batches(self, uniform12, mixed_ratios, rows):
@@ -1226,7 +1225,7 @@ class TestOrder1:
             label="affine",
         )
         xi = 7.3
-        s = pushforward_hat_order1(ifs, aff, xi, tol=tol)
+        s = pushforward_hat(ifs, aff, xi, tol=tol, scheme="order1")
         inner = mu_hat(ifs, 2.0 * xi, tol=ref_tol)
         expected = complex(
             math.cos(2 * math.pi * xi), -math.sin(2 * math.pi * xi)
@@ -1244,8 +1243,8 @@ class TestOrder1:
     def test_fewer_leaves_than_order0(self, cantor):
         sq = square_map(cantor)
         xi = 2.0**14
-        s0 = pushforward_hat_order0(cantor, sq, xi, tol=1e-3)
-        s1 = pushforward_hat_order1(cantor, sq, xi, tol=1e-3)
+        s0 = pushforward_hat(cantor, sq, xi, tol=1e-3, scheme="order0")
+        s1 = pushforward_hat(cantor, sq, xi, tol=1e-3, scheme="order1")
         assert s0.leaves_used >= 10 * s1.leaves_used
         assert abs(s0.value - s1.value) <= s0.error_bound + s1.error_bound
 
@@ -1253,29 +1252,29 @@ class TestOrder1:
         sq = square_map(cantor)
         rng = np.random.default_rng(6)
         for xi in np.exp(rng.uniform(np.log(2.0**8), np.log(2.0**16), size=100)):
-            s0 = pushforward_hat_order0(cantor, sq, xi, tol=2e-3)
-            s1 = pushforward_hat_order1(cantor, sq, xi, tol=2e-3)
+            s0 = pushforward_hat(cantor, sq, xi, tol=2e-3, scheme="order0")
+            s1 = pushforward_hat(cantor, sq, xi, tol=2e-3, scheme="order1")
             assert abs(s0.value - s1.value) <= s0.error_bound + s1.error_bound
 
     def test_non_homogeneous_system(self, mixed_ratios):
         sq = square_map(mixed_ratios)
         oracle_ifs = mixed_ratios
-        s1 = pushforward_hat_order1(oracle_ifs, sq, 300.0, tol=1e-4)
-        s0 = pushforward_hat_order0(oracle_ifs, sq, 300.0, tol=1e-4)
+        s1 = pushforward_hat(oracle_ifs, sq, 300.0, tol=1e-4, scheme="order1")
+        s0 = pushforward_hat(oracle_ifs, sq, 300.0, tol=1e-4, scheme="order0")
         assert abs(s0.value - s1.value) <= s0.error_bound + s1.error_bound
 
     def test_inner_budget_enforced(self, mixed_ratios):
         # 233 outer leaves fit the budget; the top octave of the inner
         # frequencies needs a cover of 377 leaves, so the nested inner
-        # order-0 call is what raises.
+        # order-0 call is what raises, its count stopped at 319.
         sq = square_map(mixed_ratios)
         scale = math.sqrt(0.5e-3 / (math.pi * 300.0 * sq.hessian_bound))
         assert len(stopping_decomposition(mixed_ratios, scale / mixed_ratios.support_radius)) <= 300
         with pytest.raises(ResourceExceeded) as info:
-            pushforward_hat_order1(mixed_ratios, sq, 300.0, tol=1e-3, budget=300)
+            pushforward_hat(mixed_ratios, sq, 300.0, tol=1e-3, budget=300, scheme="order1")
         assert info.value.budget_name == "leaf_budget"
-        assert "needs 377 leaves" in str(info.value)
-        pushforward_hat_order1(mixed_ratios, sq, 300.0, tol=1e-3, budget=377)
+        assert "needs 319 leaves or more > budget 300" in str(info.value)
+        pushforward_hat(mixed_ratios, sq, 300.0, tol=1e-3, budget=377, scheme="order1")
 
     def test_missing_hessian(self, cantor):
         raw = PushforwardMap(
@@ -1284,7 +1283,7 @@ class TestOrder1:
             lipschitz_bound=2.0,
         )
         with pytest.raises(MissingHessianBound):
-            pushforward_hat_order1(cantor, raw, 4.0)
+            pushforward_hat(cantor, raw, 4.0, scheme="order1")
 
 
 def log_uniform12_closed_form(xi):
@@ -1316,7 +1315,7 @@ class TestOrder2:
         xis = [3.0, -37.5, 300.0, 1234.5]
         values, bounds, leaves = pushforward_batch(cantor, sq, xis, tol=1e-4, scheme="order2")
         for xi, value, bound, used in zip(xis, values, bounds, leaves):
-            single = pushforward_hat_order2(cantor, sq, xi, tol=1e-4)
+            single = pushforward_hat(cantor, sq, xi, tol=1e-4, scheme="order2")
             assert single.scheme == "order2"
             assert single.leaves_used == used
             assert abs(single.value - value) <= single.error_bound + bound
@@ -1325,8 +1324,8 @@ class TestOrder2:
     def test_fewer_leaves_than_order1(self, cantor):
         sq = square_map(cantor)
         for xi in (2.0**10, 2.0**14):
-            s1 = pushforward_hat_order1(cantor, sq, xi, tol=1e-3)
-            s2 = pushforward_hat_order2(cantor, sq, xi, tol=1e-3)
+            s1 = pushforward_hat(cantor, sq, xi, tol=1e-3, scheme="order1")
+            s2 = pushforward_hat(cantor, sq, xi, tol=1e-3, scheme="order2")
             # H3 = 0 for the square map: the scale grows like (tol / xi^2)^(1/4)
             assert s2.leaves_used * 4 <= s1.leaves_used
             assert abs(s1.value - s2.value) <= s1.error_bound + s2.error_bound
@@ -1351,7 +1350,7 @@ class TestOrder2:
         xi, tol = 700.0, 1e-4
         radius = cantor.support_radius
         scale = scheme_scale(cantor, sq, 2, tol, xi)
-        n, snapped, depth = _count_stopping(cantor, scale)
+        n, snapped, depth = _count_stopping(cantor, scale, math.inf)
         dec = stopping_decomposition(cantor, snapped)
         curv = 2.0 * dec.ratios**2
         remainder = xi**2 * (0.5 * (math.pi * radius**2) ** 2 * float(np.sum(dec.weights * curv**2)))
@@ -1394,7 +1393,7 @@ class TestOrder2:
         with pytest.raises(Unsupported, match="on the line"):
             pushforward_batch(square_2d, sum_of_squares_map(square_2d), xi, scheme="order2")
         with pytest.raises(Unsupported, match="homogeneous"):
-            pushforward_hat_order2(mixed_ratios, square_map(mixed_ratios), 10.0)
+            pushforward_hat(mixed_ratios, square_map(mixed_ratios), 10.0, scheme="order2")
         raw = PushforwardMap(
             evaluator=lambda p: p[:, 0] ** 2,
             gradient=lambda p: 2.0 * p,
@@ -1413,11 +1412,11 @@ class TestOrder2:
         unbounded = replace(square_map(cantor), lipschitz_bound=None)
         planar = sum_of_squares_map(square_2d)
         calls = [
-            (BadConfig, lambda: pushforward_hat_order0(cantor, unbounded, xi)),
+            (BadConfig, lambda: pushforward_hat(cantor, unbounded, xi, scheme="order0")),
             (BadConfig, lambda: pushforward_batch(cantor, unbounded, [xi], scheme="order0")),
-            (MissingHessianBound, lambda: pushforward_hat_order1(cantor, flat, xi)),
+            (MissingHessianBound, lambda: pushforward_hat(cantor, flat, xi, scheme="order1")),
             (MissingHessianBound, lambda: pushforward_batch(cantor, flat, [xi], scheme="order1")),
-            (Unsupported, lambda: pushforward_hat_order2(square_2d, planar, xi)),
+            (Unsupported, lambda: pushforward_hat(square_2d, planar, xi, scheme="order2")),
             (Unsupported, lambda: pushforward_batch(square_2d, planar, [xi], scheme="order2")),
         ]
         for error, call in calls:
@@ -1461,14 +1460,14 @@ class TestPlanarSystems:
     def test_scalar_image_schemes_agree(self, dust_2d):
         ssq = sum_of_squares_map(dust_2d)
         for xi in (10.0, 50.0):
-            s0 = pushforward_hat_order0(dust_2d, ssq, xi, tol=1e-3)
-            s1 = pushforward_hat_order1(dust_2d, ssq, xi, tol=1e-3)
+            s0 = pushforward_hat(dust_2d, ssq, xi, tol=1e-3, scheme="order0")
+            s1 = pushforward_hat(dust_2d, ssq, xi, tol=1e-3, scheme="order1")
             assert abs(s0.value - s1.value) <= s0.error_bound + s1.error_bound
             assert s1.leaves_used < s0.leaves_used
 
     def test_zero_frequency_normalisation(self, dust_2d):
         ssq = sum_of_squares_map(dust_2d)
-        s1 = pushforward_hat_order1(dust_2d, ssq, 0.0)
+        s1 = pushforward_hat(dust_2d, ssq, 0.0, scheme="order1")
         assert s1.value == 1.0 and s1.error_bound == 0.0
 
 
@@ -1478,9 +1477,9 @@ class TestGraphLift:
         lifted = graph_lift(cantor, sq)
         xi = 97.0
         scale = 1e-4
-        direct = pushforward_hat_order0(cantor, sq, xi, scale=scale)
-        via_lift = pushforward_hat_order0(
-            cantor, lifted, np.array([0.0, xi]), scale=scale
+        direct = pushforward_hat(cantor, sq, xi, scale=scale, scheme="order0")
+        via_lift = pushforward_hat(
+            cantor, lifted, np.array([0.0, xi]), scale=scale, scheme="order0"
         )
         assert via_lift.value == direct.value
 
@@ -1493,11 +1492,6 @@ _BATCH_OF_ONE_SYSTEMS = {
     "mixed_reversing": ifs_1d([0.5, 0.25], [0.0, 0.75], signs=[1, -1]),
 }
 _BATCH_OF_ONE_MAPS = {"square": square_map, "cube": cube_map, "log": log_map}
-_SINGLE_CALLS = {
-    "order0": pushforward_hat_order0,
-    "order1": pushforward_hat_order1,
-    "order2": pushforward_hat_order2,
-}
 
 
 def _outcome(call):
@@ -1509,7 +1503,7 @@ def _outcome(call):
 
 
 class TestBatch:
-    @pytest.mark.parametrize("scheme", list(_SINGLE_CALLS))
+    @pytest.mark.parametrize("scheme", ["exact_recursion", "order0", "order1", "order2"])
     @pytest.mark.parametrize(
         "system, map_name",
         [(s, m) for s in _BATCH_OF_ONE_SYSTEMS for m in _BATCH_OF_ONE_MAPS
@@ -1520,7 +1514,7 @@ class TestBatch:
         pmap = _BATCH_OF_ONE_MAPS[map_name](ifs)
         for xi in (3.0, -37.5, 1234.5, 16384.0):
             def single():
-                s = _SINGLE_CALLS[scheme](ifs, pmap, xi, tol=1e-3)
+                s = pushforward_hat(ifs, pmap, xi, tol=1e-3, scheme=scheme)
                 return s.value, s.error_bound, s.leaves_used
 
             def batch():
@@ -1531,6 +1525,41 @@ class TestBatch:
             # order 2 on the non-homogeneous system)
             assert _outcome(single) == _outcome(batch), xi
 
+    def test_recursion_takes_no_map(self, cantor, mixed_ratios, monkeypatch):
+        # pushforward_batch alone sends exact_recursion to _mu_hat_rows; the
+        # row kernel sees only image schemes (a non-homogeneous recursion is
+        # the order-0 image of the identity)
+        schemes, image_rows = [], fourier_module._image_rows
+
+        def recorded(ifs, pmap, xis, tol, scheme, *args):
+            schemes.append(scheme)
+            return image_rows(ifs, pmap, xis, tol, scheme, *args)
+
+        monkeypatch.setattr(fourier_module, "_image_rows", recorded)
+        for system in (cantor, mixed_ratios):
+            for xis in ([0.0, 10.0, -250.5], [10.0]):
+                without = pushforward_batch(system, None, xis, tol=1e-6, scheme="exact_recursion")
+                identity = pushforward_batch(system, identity_map(system), xis, tol=1e-6, scheme="exact_recursion")
+                for a, b in zip(without, identity):
+                    assert np.array_equal(a, b)
+            for sample in (pushforward_hat(system, None, 10.0, tol=1e-6, scheme="exact_recursion"),
+                           mu_hat(system, 10.0, tol=1e-6)):
+                assert (sample.value, sample.error_bound, sample.leaves_used, sample.certified) == (
+                    without[0][0], without[1][0], without[2][0], True)
+        assert set(schemes) == {"order0"}
+        for scheme in fourier_module.IMAGE_SCHEMES:
+            with pytest.raises(BadConfig, match=f"the {scheme} scheme needs a map"):
+                pushforward_hat(cantor, None, 10.0, scheme=scheme)
+
+    def test_one_single_frequency_call(self):
+        import fractal_fourier
+
+        scheme = inspect.signature(pushforward_hat).parameters["scheme"]
+        assert scheme.kind is inspect.Parameter.KEYWORD_ONLY and scheme.default is inspect.Parameter.empty
+        assert fractal_fourier.pushforward_hat is pushforward_hat
+        for old in ("pushforward_hat_order0", "pushforward_hat_order1", "pushforward_hat_order2", "_image_sample"):
+            assert not hasattr(fractal_fourier, old) and not hasattr(fourier_module, old)
+
     def test_matches_single_calls(self, cantor):
         sq = square_map(cantor)
         rng = np.random.default_rng(8)
@@ -1539,7 +1568,7 @@ class TestBatch:
         )
         vals, errs, leaves = pushforward_batch(cantor, sq, xis, tol=1e-3)
         for i, xi in enumerate(xis):
-            single = pushforward_hat_order1(cantor, sq, float(xi), tol=1e-3)
+            single = pushforward_hat(cantor, sq, float(xi), tol=1e-3, scheme="order1")
             assert abs(vals[i] - single.value) <= errs[i] + single.error_bound
 
     def test_conjugate_symmetry(self, cantor):
@@ -1564,21 +1593,21 @@ class TestBatch:
             uniform12, lg, xis, tol=1e-4, scale=2.0**-9
         )
         assert np.all(leaves[1:] == leaves[1])
-        single = pushforward_hat_order1(uniform12, lg, 600.0, tol=1e-4, scale=2.0**-9)
+        single = pushforward_hat(uniform12, lg, 600.0, tol=1e-4, scale=2.0**-9, scheme="order1")
         assert abs(vals[-1] - single.value) <= errs[-1] + single.error_bound
 
     def test_vector_images_equal_single_calls(self, square_2d):
         # (m, d) rows, one per octave of |xi|: each batch group is the single call's cover
         lifted = graph_lift(square_2d, sum_of_squares_map(square_2d))     # d = 3
         holomorphic = _cube_holomorphic(square_2d)      # d = 2
-        for pmap, single, scheme, xis in (
-            (lifted, pushforward_hat_order0, "order0", [[0, 0, 0], [1, -2, 2], [-4, 5, 9], [20, -3, 30]]),
-            (holomorphic, pushforward_hat_order1, "order1", [[0, 0], [3, -1], [-11, 4], [37.5, 20]]),
+        for pmap, scheme, xis in (
+            (lifted, "order0", [[0, 0, 0], [1, -2, 2], [-4, 5, 9], [20, -3, 30]]),
+            (holomorphic, "order1", [[0, 0], [3, -1], [-11, 4], [37.5, 20]]),
         ):
             vals, errs, leaves = pushforward_batch(square_2d, pmap, xis, tol=0.1, scheme=scheme)
             assert len(vals) == len(xis) and len(set(leaves[1:])) > 1
             for i, xi in enumerate(xis):
-                s = single(square_2d, pmap, xi, tol=0.1)
+                s = pushforward_hat(square_2d, pmap, xi, tol=0.1, scheme=scheme)
                 assert (vals[i], errs[i], leaves[i]) == (s.value, s.error_bound, s.leaves_used)
         # an (m,) list is m scalar frequencies, which a vector image refuses
         with pytest.raises(BadConfig, match="frequency must have 3 components, got shape \\(3,\\)"):
@@ -1613,7 +1642,7 @@ class TestBatch:
         with pytest.raises(FractalFourierError, match="probability bound violated: \\|value\\|=1.5"):
             pushforward_batch(cantor, sq, [1.0, 2.0])
         with pytest.raises(FractalFourierError, match="probability bound violated"):
-            pushforward_hat_order1(cantor, sq, 1.0)
+            pushforward_hat(cantor, sq, 1.0, scheme="order1")
 
     def test_order0_and_recursion_schemes(self, cantor):
         # Generic chunked path: order0 over a map, recursion over none.
@@ -1621,7 +1650,7 @@ class TestBatch:
         xis = np.array([0.0, 64.0, -64.0, 300.5])
         v0, e0, l0 = pushforward_batch(cantor, sq, xis, tol=1e-3, scheme="order0")
         for i, xi in enumerate(xis):
-            single = pushforward_hat_order0(cantor, sq, float(xi), tol=1e-3)
+            single = pushforward_hat(cantor, sq, float(xi), tol=1e-3, scheme="order0")
             assert v0[i] == single.value
         vr, er, lr = pushforward_batch(
             cantor, identity_map(cantor), xis, tol=1e-6, scheme="exact_recursion",
@@ -1645,11 +1674,10 @@ class TestBatch:
         # cover, chunk and inner evaluation, so the results are identical.
         system = _rotated_planar_system() if planar else _random_reversing_system(4)
         pmap = sum_of_squares_map(system) if planar else square_map(system)
-        single = pushforward_hat_order0 if scheme == "order0" else pushforward_hat_order1
         xis = np.array([0.0, 3.0, -11.0, 37.5, -150.0])
         vals, errs, leaves = pushforward_batch(system, pmap, xis, tol=1e-2, scheme=scheme)
         for i, xi in enumerate(xis):
-            s = single(system, pmap, float(xi), tol=1e-2)
+            s = pushforward_hat(system, pmap, float(xi), tol=1e-2, scheme=scheme)
             assert (vals[i], errs[i], leaves[i]) == (s.value, s.error_bound, s.leaves_used)
         assert len(set(leaves[1:])) > 1
 
@@ -1666,7 +1694,7 @@ class TestBatch:
         def fail(*args, **kwargs):
             raise AssertionError("per-frequency call")
 
-        for name in ("pushforward_hat_order0", "pushforward_hat_order1", "mu_hat"):
+        for name in ("pushforward_hat", "mu_hat"):
             monkeypatch.setattr(fourier_module, name, fail)
         planar = _rotated_planar_system()
         xis = np.array([0.0, 5.0, -40.0, 41.0])
@@ -1685,9 +1713,9 @@ class TestBatch:
             with pytest.raises(BadConfig):
                 mu_hat(system, bad)
             with pytest.raises(BadConfig):
-                pushforward_hat_order0(system, sq, bad)
+                pushforward_hat(system, sq, bad, scheme="order0")
             with pytest.raises(BadConfig):
-                pushforward_hat_order1(system, sq, bad)
+                pushforward_hat(system, sq, bad, scheme="order1")
             for scheme in ("order0", "order1", "exact_recursion"):
                 with pytest.raises(BadConfig):
                     pushforward_batch(system, sq, [1.0, bad], scheme=scheme)
@@ -1706,12 +1734,12 @@ class TestBatch:
         quad = quadratic_map(cantor, [{(0, 0): 1.0}])
         sq = square_map(cantor)
         for xi in (200.0, 1500.0):
-            a = pushforward_hat_order1(cantor, quad, xi, tol=1e-4)
-            b = pushforward_hat_order1(cantor, sq, xi, tol=1e-4)
+            a = pushforward_hat(cantor, quad, xi, tol=1e-4, scheme="order1")
+            b = pushforward_hat(cantor, sq, xi, tol=1e-4, scheme="order1")
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
         # identical anchors and gradients make order0 values coincide exactly
-        s0a = pushforward_hat_order0(cantor, quad, 97.0, scale=1e-3)
-        s0b = pushforward_hat_order0(cantor, sq, 97.0, scale=1e-3)
+        s0a = pushforward_hat(cantor, quad, 97.0, scale=1e-3, scheme="order0")
+        s0b = pushforward_hat(cantor, sq, 97.0, scale=1e-3, scheme="order0")
         assert s0a.value == s0b.value
 
 
@@ -2433,13 +2461,12 @@ class TestNonFiniteMaps:
 
     def test_order0_with_flat_bounds(self, uniform12):
         with pytest.raises(BadConfig, match="'nan_above' gives a non-finite row sum"):
-            pushforward_hat_order0(uniform12, self.nan_above(1.9, 0.0), 10.0, tol=1e-3)
+            pushforward_hat(uniform12, self.nan_above(1.9, 0.0), 10.0, tol=1e-3, scheme="order0")
 
-    @pytest.mark.parametrize("single", [pushforward_hat_order0, pushforward_hat_order1,
-                                        pushforward_hat_order2])
-    def test_single_calls(self, uniform12, single):
+    @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])
+    def test_single_calls(self, uniform12, scheme):
         with pytest.raises(BadConfig, match="'nan_above' gives a non-finite row sum"):
-            single(uniform12, self.nan_above(1.9, 1.0), 10.0, tol=1e-3)
+            pushforward_hat(uniform12, self.nan_above(1.9, 1.0), 10.0, tol=1e-3, scheme=scheme)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("scheme", ["order0", "order1", "order2"])

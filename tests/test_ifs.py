@@ -359,7 +359,7 @@ class TestStoppingCover:
         for seed in range(12):
             cases.append((_random_reversing_system(seed), float(10 ** rng.uniform(-5.0, -2.5))))
         for ifs, scale in cases:
-            n_leaves, snapped, depth = _count_stopping(ifs, scale)
+            n_leaves, snapped, depth = _count_stopping(ifs, scale, math.inf)
             cover = stopping_decomposition(ifs, scale)
             assert len(cover.ratios) == n_leaves
             assert snapped == cover.ratios.max() <= scale
@@ -372,20 +372,37 @@ class TestStoppingCover:
         # ratios 0.9 and 0.05, the first map reversing: words of depth 110
         reversing = ifs_1d([0.9, 0.05], [1.0, 0.3], signs=[-1, 1])
         for system, scale in [(mixed_ratios, 1e-4), (reversing, 1e-5), (square_2d, 1e-3)]:
-            n_leaves, _, depth = _count_stopping(system, scale)
+            n_leaves, _, depth = _count_stopping(system, scale, math.inf)
             blocks = list(ifs_module._cover_blocks(system, scale, depth))
             assert sum(len(block[-1]) for block in blocks) == n_leaves
             assert max(int(block[-1].max()) for block in blocks) == depth
-        assert depth == 7 and _count_stopping(reversing, 1e-5)[2] == 110
+        assert depth == 7 and _count_stopping(reversing, 1e-5, math.inf)[2] == 110
 
     def test_count_of_root(self, mixed_ratios):
-        assert _count_stopping(mixed_ratios, 1.0) == (1, 1.0, 0)
-        assert _count_stopping(mixed_ratios, math.inf) == (1, 1.0, 0)
+        assert _count_stopping(mixed_ratios, 1.0, math.inf) == (1, 1.0, 0)
+        assert _count_stopping(mixed_ratios, math.inf, math.inf) == (1, 1.0, 0)
+
+    def test_count_stops_at_the_budget(self):
+        # ratios near 1: a tree of more than 3^20000 words, whose level dictionaries keep growing
+        three = ifs_1d([0.999, 0.998, 0.997], [0.0, 0.001, 0.002], [0.3, 0.3, 0.4])
+        start = time.monotonic()
+        with pytest.raises(ResourceExceeded, match=r"needs \d+ leaves or more > budget 1000$") as info:
+            _count_stopping(three, 1e-10, 1000)
+        assert time.monotonic() - start < 1.0
+        assert info.value.budget_name == "leaf_budget"
+        # the lower bound after the level that passed the budget: 3^7
+        assert "needs 2187 leaves" in str(info.value)
+
+    def test_count_within_its_budget_is_exact(self, mixed_ratios):
+        n_leaves = _count_stopping(mixed_ratios, 1e-4, math.inf)[0]
+        assert _count_stopping(mixed_ratios, 1e-4, n_leaves) == _count_stopping(mixed_ratios, 1e-4, math.inf)
+        with pytest.raises(ResourceExceeded, match=f"needs {n_leaves} leaves or more > budget {n_leaves - 1}$"):
+            _count_stopping(mixed_ratios, 1e-4, n_leaves - 1)
 
     @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
     def test_count_rejects_scales_that_never_stop(self, mixed_ratios, scale):
         with pytest.raises(BadConfig):
-            _count_stopping(mixed_ratios, scale)
+            _count_stopping(mixed_ratios, scale, math.inf)
 
 
 class TestCoverColumns:

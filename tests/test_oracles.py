@@ -31,9 +31,7 @@ from fractal_fourier.fourier import (
     log_map,
     mu_hat,
     pushforward_batch,
-    pushforward_hat_order0,
-    pushforward_hat_order1,
-    pushforward_hat_order2,
+    pushforward_hat,
     quadratic_map,
     square_map,
 )
@@ -432,7 +430,7 @@ def test_order1_in_the_plane_matches_the_product_of_cantor_transforms(square_2d,
     assert np.all(leaves == 1)
     for xi, value, bound in zip(xis, values, bounds):
         exact = complex(cantor_product_mpmath(xi * v[0]) * cantor_product_mpmath(xi * v[1]))
-        single = pushforward_hat_order1(square_2d, linear, xi, tol=tol)
+        single = pushforward_hat(square_2d, linear, xi, tol=tol, scheme="order1")
         assert single.leaves_used == 1
         assert abs(single.value - exact) <= single.error_bound
         assert abs(value - exact) <= bound
@@ -565,7 +563,7 @@ def placed_systems(draw, homogeneous, lo, hi):
     tol=st.sampled_from([1e-2, 1e-3]),
 )
 def test_order0_within_its_bound_of_the_mpmath_oracle(system, xi, tol):
-    sample = pushforward_hat_order0(system, square_map(system), xi, tol=tol)
+    sample = pushforward_hat(system, square_map(system), xi, tol=tol, scheme="order0")
     exact, oracle_error, _ = image_hat_mpmath(system, "square", xi, ORACLE_SHARE * tol)
     assert oracle_error <= ORACLE_SHARE * tol
     assert abs(sample.value - exact) <= sample.error_bound + oracle_error
@@ -599,7 +597,7 @@ def test_non_homogeneous_order1_inner_bound_against_the_mpmath_oracle(system, xi
     # the identity has no Taylor term: one cylinder, and the whole bound is
     # the nested order-0 inner transform's at tol/2, whose closure errs at
     # second order, so the oracle is run far below tol
-    sample = pushforward_hat_order1(system, identity_map(system), xi, tol=tol)
+    sample = pushforward_hat(system, identity_map(system), xi, tol=tol, scheme="order1")
     assert sample.leaves_used == 1
     exact, oracle_error, _ = image_hat_mpmath(system, "identity", xi, 1e-7)
     assert abs(sample.value - exact) <= sample.error_bound + oracle_error
@@ -619,7 +617,7 @@ def test_order2_within_its_bound_of_the_mpmath_oracle(system, kind, xis, tol):
     values, bounds, _ = pushforward_batch(system, pmap, xis, tol=tol, scheme="order2")
     for xi, value, bound in zip(xis, values, bounds):
         exact, oracle_error, _ = image_hat_mpmath(system, kind, xi, ORACLE_SHARE * tol)
-        single = pushforward_hat_order2(system, pmap, xi, tol=tol)
+        single = pushforward_hat(system, pmap, xi, tol=tol, scheme="order2")
         assert abs(value - exact) <= bound + oracle_error
         assert abs(single.value - exact) <= single.error_bound + oracle_error
 
@@ -685,7 +683,7 @@ def test_kernel_rounding_within_its_terms_of_a_50_digit_sum(request, monkeypatch
     assert (_grid_step(xis[:, None]) is not None) == grid
     order1 = scheme != "order0"
     weights, a_forms, b_forms, curv = kernel_leaves(ifs, pmap, scale, order1)
-    n, snapped, depth = _count_stopping(ifs, scale)
+    n, snapped, depth = _count_stopping(ifs, scale, np.inf)
     assert np.all(leaves[xis != 0] == n) and len(tables) == order1
     radius = ifs.support_radius
     reach = 2.0 * np.pi * radius * snapped * _jacobian_bound(ifs, pmap) if order1 else 0.0

@@ -18,8 +18,8 @@ def test_run_names_cover_the_listed_runs():
     names = [name for name, _ in runs]
     environments = dict(runs)
     # every convolve run also with two BLAS threads, fourier, dims and bounds on each IFS file,
-    # one recursion grid sweep, six arith-check runs and twelve refused runs
-    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * (4 + 2) + 1 + 6 + 12
+    # one recursion grid sweep, six arith-check runs, twelve refused runs and five at the resource limits
+    assert len(names) == len(set(names)) == 3 * 2 + 2 * 2 + 2 * 2 + 4 * (4 + 2) + 1 + 6 + 12 + 5
     assert "workload-convolve-t2" in names and "decay-t1" in names
     assert [name for name in names if name.endswith("-blas2")] == [
         f"{run}-t{threads}-blas2" for threads in (1, 2) for run in ("workload-convolve", "convolve")
@@ -32,7 +32,8 @@ def test_run_names_cover_the_listed_runs():
     assert {"no-map-fourier", "map-recursion-fourier", "one-octave-decay", "inconsistent-bounds",
             "fourier-cantor-recursion-grid", "four-corner-cube", "four-corner-log", "nan-log-sigma",
             "dims-cantor", "bounds-missing_digit_b5", "arith-check-thresholds",
-            "arith-check-two-set-arity"} <= set(names)
+            "arith-check-two-set-arity", "near-one-three-order0", "near-one-two-order1", "near-one-two-recursion",
+            "near-one-eight-recursion", "cantor-recursion-1e300"} <= set(names)
     assert [name for name in names if name.startswith("arith-check-")] == [
         f"arith-check-{check}" for check in
         ("two-set", "three-set", "two-measures", "log-sigma", "high-dim", "thresholds", "two-set-arity")]
@@ -66,5 +67,5 @@ def test_refused_runs_digest_their_stderr(capsys):
     assert lines[0] == "exit 4 budget10-decay" and lines[3] == "exit 3 inconsistent-bounds"
     empty = hashlib.sha256(b"").hexdigest()
     assert [lines[2], lines[5]] == [f"stdout {empty} {run}" for run in ("budget10-decay", "inconsistent-bounds")]
-    report = b"resource exceeded (leaf_budget): stopping cover at scale 2.47876e-05 needs 1024 leaves > budget 10\n"
+    report = b"resource exceeded (leaf_budget): stopping cover at scale 2.47876e-05 needs 16 leaves or more > budget 10\n"
     assert lines[1] == f"stderr {hashlib.sha256(report).hexdigest()} budget10-decay"

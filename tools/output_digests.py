@@ -39,7 +39,17 @@ temporary directory, one process at a time:
   the line ``cube`` and ``log`` with shift -1 (``four-corner-cube``,
   ``four-corner-log``, exit 2), ``arith-check log-sigma nan``
   (``nan-log-sigma``, exit 2) and ``arith-check two-set`` with one value
-  (``arith-check-two-set-arity``, exit 2).
+  (``arith-check-two-set-arity``, exit 2);
+* runs at the resource limits, on systems of ratios near 1 at xi = 1000:
+  order 0 of three maps of ratios 0.999, 0.998 and 0.997 under the
+  square map at ``--tol 1e-6``, whose cover count stops at the leaf
+  budget (``near-one-three-order0``, exit 4), and at ``--tol 1e-9`` two
+  maps of ratio 0.999 by order 1, a cover of 2^14381 leaves
+  (``near-one-two-order1``, exit 4), and by the recursion, past the
+  product form's depth limit (``near-one-two-recursion``, exit 4), eight
+  maps of ratio 0.994 by the recursion, a leaf count of 4,343 digits
+  (``near-one-eight-recursion``), and the recursion of
+  configs/cantor.json at xi = 1e300 (``cantor-recursion-1e300``).
 
 With RUN arguments only the runs whose names start with one of them run.
 Runs take one BLAS thread (``OPENBLAS_NUM_THREADS`` 1) unless their name
@@ -77,6 +87,18 @@ ARITH_CHECKS = {"two-set": ["0.8", "0.8"], "three-set": ["0.851"] * 3,
 FOUR_CORNER = json.dumps({"ambient_dim": 2, "weights": [0.25] * 4, "maps": [
     {"ratio": 1 / 3, "orientation": [1.0, 0.0, 0.0, 1.0], "translation": [x, y]}
     for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)]})
+
+
+def line_ifs(ratios, translations, weights):
+    """The IFS file of the maps x -> r x + t on the line."""
+    return json.dumps({"ambient_dim": 1, "weights": weights, "maps": [
+        {"ratio": r, "orientation": [1.0], "translation": [t]} for r, t in zip(ratios, translations)]})
+
+
+# systems of ratios near 1
+NEAR_ONE = {"three": line_ifs([0.999, 0.998, 0.997], [0.0, 0.001, 0.002], [0.3, 0.3, 0.4]),
+            "two": line_ifs([0.999] * 2, [0.0, 0.001], [0.5] * 2),
+            "eight": line_ifs([0.994] * 8, [0.001 * i for i in range(8)], [0.125] * 8)}
 
 
 def runs(tree: Path):
@@ -135,6 +157,13 @@ def runs(tree: Path):
               "--tol", "1e-4", "--out", "{out}/fourier.csv"]], {}
     yield "nan-log-sigma", {}, [["arith-check", "log-sigma", "nan"]], {}
     yield "arith-check-two-set-arity", {}, [["arith-check", "two-set", "0.8"]], {}
+    for system, scheme, tol in (("three", "order0", "1e-6"), ("two", "order1", "1e-9"), ("two", "recursion", "1e-9"),
+                                ("eight", "recursion", "1e-9")):
+        yield f"near-one-{system}-{scheme}", {"near_one.json": NEAR_ONE[system]}, \
+            [["fourier", "--ifs", "near_one.json", "--scheme", scheme, *([] if scheme == "recursion" else SQUARE),
+              "--xi-list", "1000", "--tol", tol, "--out", "{out}/fourier.csv"]], {}
+    yield "cantor-recursion-1e300", {}, [["fourier", "--ifs", str(configs / "cantor.json"), "--xi-list", "1e300",
+                                          "--out", "{out}/fourier.csv"]], {}
 
 
 def digest_run(tree: Path, files: dict, calls: list, environment: dict):
